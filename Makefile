@@ -55,17 +55,21 @@ bench:
 	go test -bench=. -benchmem -run '^$$' .
 	go run ./cmd/experiments -quick -planbench -planbaseline BENCH_PLAN.json -planout BENCH_PLAN.json
 
-# Kernel hot-path microbenchmarks: the forward/inverse negacyclic FFT
-# passes (full and half-complex), the CMux blind-rotation step single vs
-# batched, and the end-to-end single-vs-batched bootstrap sweep.
+# Kernel hot-path microbenchmarks of the one polynomial engine: the
+# forward/inverse half-complex negacyclic transforms and pointwise
+# multiply-accumulates, the CMux blind-rotation step at batch sizes 1..64,
+# and the end-to-end bootstrap sweep over the same sizes (what streaming
+# each bootstrapping-key entry once per batch saves).
 bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/
 	go test -bench 'BenchmarkBatchBootstrap' -benchmem -run '^$$' .
 
-# Race-checked equivalence tests for the batched blind-rotation engine:
-# BootstrapBatch/BinaryBatch bit-exactness against the single path, the
-# lock-free twiddle cache, and the batch-draining executors.
+# Race-checked tests of the bootstrap engine's batch entry points:
+# a batch of N is bit-exact with N single calls and with the
+# naive-convolution oracle (the -short differential test at Test
+# parameters), plus the lock-free twiddle cache and the batch-draining
+# executors.
 batch-test:
-	go test -race -run 'Batch|Tables' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/boot/ ./internal/tfhe/gate/
+	go test -race -short -run 'Batch|Tables|CMuxRotate|Differential' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/boot/ ./internal/tfhe/gate/
 	go test -race -run 'Batch|Matrix|Shared|Async|Replay' ./internal/exec/ ./internal/backend/ ./internal/plan/
 	go test -race -run 'TestServeCrossRequestBatching' ./internal/serve/

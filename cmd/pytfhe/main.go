@@ -367,17 +367,12 @@ func cmdRun(args []string) error {
 		return nil
 	}
 
-	var sk boot.SecretKey
-	if err := readGob(filepath.Join(*keys, "secret.key"), &sk); err != nil {
+	kp, err := loadKeys(*keys)
+	if err != nil {
 		return err
 	}
-	var ck boot.CloudKey
-	if err := readGob(filepath.Join(*keys, "cloud.key"), &ck); err != nil {
-		return err
-	}
-	kp := &core.KeyPair{Secret: &sk, Cloud: &ck}
 	if *strict {
-		if err := noise.CheckNetlist(prog.Netlist, ck.Params); err != nil {
+		if err := noise.CheckNetlist(prog.Netlist, kp.Cloud.Params); err != nil {
 			return err
 		}
 	}
@@ -420,7 +415,7 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("outputs: %s\n", formatBits(kp.DecryptBits(outs)))
 	if *stats {
-		printRunStats(runner, ck.Params.CiphertextBytes())
+		printRunStats(runner, kp.Cloud.Params.CiphertextBytes())
 	}
 	return nil
 }
@@ -634,15 +629,10 @@ func cmdEval(args []string) error {
 		return err
 	}
 
-	var sk boot.SecretKey
-	if err := readGob(filepath.Join(*keys, "secret.key"), &sk); err != nil {
+	kp, err := loadKeys(*keys)
+	if err != nil {
 		return err
 	}
-	var ck boot.CloudKey
-	if err := readGob(filepath.Join(*keys, "cloud.key"), &ck); err != nil {
-		return err
-	}
-	kp := &core.KeyPair{Secret: &sk, Cloud: &ck}
 
 	cl, err := serve.Dial(*server)
 	if err != nil {
@@ -764,15 +754,10 @@ func cmdCalibrate(args []string) error {
 
 	var kp *core.KeyPair
 	if *keys != "" {
-		var sk boot.SecretKey
-		if err := readGob(filepath.Join(*keys, "secret.key"), &sk); err != nil {
+		var err error
+		if kp, err = loadKeys(*keys); err != nil {
 			return err
 		}
-		var ck boot.CloudKey
-		if err := readGob(filepath.Join(*keys, "cloud.key"), &ck); err != nil {
-			return err
-		}
-		kp = &core.KeyPair{Secret: &sk, Cloud: &ck}
 	} else {
 		p, err := paramSet(*pname)
 		if err != nil {
@@ -851,6 +836,25 @@ func writeGob(path string, v any) error {
 	}
 	defer f.Close()
 	return gob.NewEncoder(f).Encode(v)
+}
+
+// loadKeys reads the key pair `pytfhe keygen` wrote into dir and checks the
+// cloud key's shape, so a truncated, mismatched or old-format key file is an
+// error here and not a panic in the first bootstrap.
+func loadKeys(dir string) (*core.KeyPair, error) {
+	var sk boot.SecretKey
+	if err := readGob(filepath.Join(dir, "secret.key"), &sk); err != nil {
+		return nil, err
+	}
+	var ck boot.CloudKey
+	path := filepath.Join(dir, "cloud.key")
+	if err := readGob(path, &ck); err != nil {
+		return nil, err
+	}
+	if err := ck.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &core.KeyPair{Secret: &sk, Cloud: &ck}, nil
 }
 
 func readGob(path string, v any) error {

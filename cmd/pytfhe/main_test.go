@@ -1,14 +1,20 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"pytfhe/internal/chiseltorch"
+	"pytfhe/internal/core"
 	"pytfhe/internal/experiments"
 	"pytfhe/internal/params"
+	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/noise"
+	"pytfhe/internal/tfhe/tgsw"
+	"pytfhe/internal/torus"
 )
 
 func TestParseBits(t *testing.T) {
@@ -152,5 +158,51 @@ func TestCheckRejectsOverBudget(t *testing.T) {
 	err := checkNetlist(experiments.ImbalancedNetlist(), &degraded, 0, 4, 16)
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("degraded bench netlist: err = %v, want over-budget failure", err)
+	}
+}
+
+// TestLoadKeys: a key directory round-trips through the loader, and a
+// cloud.key whose shape does not match its parameters — here the retired
+// full-complex format, N points per polynomial — is refused with the typed
+// regenerate-keys error before anything bootstraps on it.
+func TestLoadKeys(t *testing.T) {
+	kp, err := core.GenerateKeysSeeded(params.Test(), []byte("load-keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(ck *boot.CloudKey) string {
+		dir := t.TempDir()
+		if err := writeGob(filepath.Join(dir, "secret.key"), kp.Secret); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeGob(filepath.Join(dir, "cloud.key"), ck); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	loaded, err := loadKeys(write(kp.Cloud))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Cloud.BK) != len(kp.Cloud.BK) {
+		t.Fatalf("loaded %d BK entries, wrote %d", len(loaded.Cloud.BK), len(kp.Cloud.BK))
+	}
+
+	old := *kp.Cloud
+	old.BK = append([]*tgsw.HalfSample(nil), kp.Cloud.BK...)
+	g := *old.BK[0]
+	g.Rows = nil
+	for range old.BK[0].Rows {
+		n := old.Params.PolyDegree
+		g.Rows = append(g.Rows, []*torus.HalfPoly{torus.NewHalfPoly(n), torus.NewHalfPoly(n)})
+	}
+	old.BK[0] = &g
+	if _, err := loadKeys(write(&old)); !errors.Is(err, boot.ErrOldKeyFormat) {
+		t.Fatalf("old-format key: err = %v, want ErrOldKeyFormat", err)
+	}
+	short := *kp.Cloud
+	short.BK = short.BK[:1]
+	if _, err := loadKeys(write(&short)); err == nil {
+		t.Fatal("truncated bootstrapping key loaded")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -444,6 +445,10 @@ func (s *Shared) complete(r *sharedRun, gi int32, out *lwe.Sample, pool *exec.Po
 	}
 	if atomic.AddInt32(&r.done, 1) == r.nGates {
 		r.finish(nil)
+		// Hand the processor to the submitter just woken: with every P held
+		// by a CPU-bound worker it would otherwise wait out the scheduler's
+		// 10 ms preemption quantum before seeing its finished run.
+		runtime.Gosched()
 	}
 }
 

@@ -735,6 +735,10 @@ func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, 
 	if err := dec.Decode(&keyMsg); err != nil || keyMsg.Key == nil {
 		return nil, fmt.Errorf("%w: expected key broadcast (%v)", ErrHandshake, err)
 	}
+	// The key came off a socket: check its shape before an engine indexes it.
+	if err := keyMsg.Key.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
+	}
 	hash, err := wire.KeyHash(keyMsg.Key)
 	if err != nil {
 		return nil, err

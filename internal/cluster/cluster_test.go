@@ -319,17 +319,17 @@ func TestWorkerLostMidRunRequeues(t *testing.T) {
 }
 
 // TestKeyBroadcastSize sanity-checks that the broadcast cloud key is the
-// dominant setup payload (bootstrapping key in the Fourier domain).
+// dominant setup payload (bootstrapping key in the half-complex domain).
 func TestKeyBroadcastSize(t *testing.T) {
 	_, ck := keys(t)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(Message{Key: ck}); err != nil {
 		t.Fatal(err)
 	}
-	// Test parameters: n=64 TGSW samples of 6 rows x 2 polys x 256 coeffs
-	// x 16 B ≈ 25 MB, plus the switch key. It must at least exceed the
-	// raw bootstrapping-key payload and stay within an order of it.
-	min := 64 * 6 * 2 * 256 * 16
+	// Test parameters: n=64 TGSW samples of 6 rows x 2 polys x 128 points
+	// x 16 B ≈ 1.6 MB, plus the switch key. It must at least exceed the
+	// raw bootstrapping-key payload.
+	min := 64 * 6 * 2 * 128 * 16
 	if buf.Len() < min {
 		t.Fatalf("serialized cloud key is %d B, below the raw payload %d B", buf.Len(), min)
 	}

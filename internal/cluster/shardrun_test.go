@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"pytfhe/internal/backend"
+	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/tfhe/tgsw"
+	"pytfhe/internal/torus"
 )
 
 func TestShardedAdderAndCacheHit(t *testing.T) {
@@ -299,6 +302,45 @@ func TestKeyMismatchRejectedByWorker(t *testing.T) {
 	})
 	if err := NewWorker(1).Serve(addr); !errors.Is(err, ErrKeyMismatch) {
 		t.Fatalf("err = %v, want ErrKeyMismatch", err)
+	}
+}
+
+// TestMalformedKeyRejectedByWorker: a key broadcast with the wrong shape
+// ends the handshake with a typed error before any engine is built on it;
+// without the check the first job would index out of range in the worker.
+func TestMalformedKeyRejectedByWorker(t *testing.T) {
+	_, ck := keys(t)
+	fullComplex := *ck.BK[0]
+	n := ck.Params.PolyDegree
+	fullComplex.Rows = nil
+	for range ck.BK[0].Rows {
+		fullComplex.Rows = append(fullComplex.Rows, []*torus.HalfPoly{torus.NewHalfPoly(n), torus.NewHalfPoly(n)})
+	}
+	cases := []struct {
+		name string
+		key  *boot.CloudKey
+		want error
+	}{
+		{"no params", &boot.CloudKey{BK: ck.BK, KS: ck.KS}, ErrHandshake},
+		{"short BK", &boot.CloudKey{Params: ck.Params, BK: ck.BK[:3], KS: ck.KS}, ErrHandshake},
+		{"no key-switching key", &boot.CloudKey{Params: ck.Params, BK: ck.BK}, ErrHandshake},
+		{"old full-complex key", &boot.CloudKey{
+			Params: ck.Params,
+			BK:     append([]*tgsw.HalfSample{&fullComplex}, ck.BK[1:]...),
+			KS:     ck.KS,
+		}, boot.ErrOldKeyFormat},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeCoordinator(t, func(enc *gob.Encoder, dec *gob.Decoder) {
+				_ = enc.Encode(Message{Welcome: &Welcome{Version: ProtoVersion}})
+				_ = enc.Encode(Message{Key: tc.key})
+			})
+			err := NewWorker(1).Serve(addr)
+			if !errors.Is(err, ErrHandshake) || !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want ErrHandshake wrapping %v", err, tc.want)
+			}
+		})
 	}
 }
 

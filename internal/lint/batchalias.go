@@ -7,7 +7,7 @@ import (
 )
 
 // batchAlias guards the batched TFHE entry points (BinaryBatch,
-// BootstrapBatch, BootstrapLUTBatch, CMuxRotateBatch) against operand
+// BootstrapBatch, BootstrapMixedBatch, CMuxRotateBatchHalf) against operand
 // aliasing. The batch kernels interleave their per-lane work — forward
 // FFTs for every lane, then the shared accumulator sweep, then the inverse
 // FFTs — so writing dst[i] while src[j] still points at the same sample
@@ -35,10 +35,10 @@ func (*batchAlias) Match(string) bool { return true }
 
 // batchMethods are the batched entry points declared under internal/tfhe.
 var batchMethods = map[string]bool{
-	"BinaryBatch":       true,
-	"BootstrapBatch":    true,
-	"BootstrapLUTBatch": true,
-	"CMuxRotateBatch":   true,
+	"BinaryBatch":         true,
+	"BootstrapBatch":      true,
+	"BootstrapMixedBatch": true,
+	"CMuxRotateBatchHalf": true,
 }
 
 func (a *batchAlias) Check(m *Module, pkg *Package) []Finding {

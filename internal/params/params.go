@@ -105,8 +105,9 @@ func (p *GateParams) Validate() error {
 	switch {
 	case p.LWEDimension <= 0:
 		return errf("LWE dimension must be positive, got %d", p.LWEDimension)
-	case p.PolyDegree <= 0 || p.PolyDegree&(p.PolyDegree-1) != 0:
-		return errf("polynomial degree must be a positive power of two, got %d", p.PolyDegree)
+	case p.PolyDegree < 4 || p.PolyDegree&(p.PolyDegree-1) != 0:
+		// 4 is the smallest ring the half-complex transform handles.
+		return errf("polynomial degree must be a power of two, at least 4, got %d", p.PolyDegree)
 	case p.RingCount <= 0:
 		return errf("ring count must be positive, got %d", p.RingCount)
 	case p.DecompLevels <= 0 || p.DecompBaseLog <= 0:

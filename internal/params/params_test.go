@@ -53,6 +53,7 @@ func TestValidateRejectsBadSets(t *testing.T) {
 		func(p *GateParams) { p.LWEDimension = 0 },
 		func(p *GateParams) { p.PolyDegree = 100 },
 		func(p *GateParams) { p.PolyDegree = -4 },
+		func(p *GateParams) { p.PolyDegree = 2 },
 		func(p *GateParams) { p.RingCount = 0 },
 		func(p *GateParams) { p.DecompLevels = 0 },
 		func(p *GateParams) { p.DecompBaseLog = 0 },

@@ -16,6 +16,8 @@ import (
 	"pytfhe/internal/core"
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/tfhe/tgsw"
+	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
 )
 
@@ -656,5 +658,61 @@ func TestServeGracefulDrain(t *testing.T) {
 	// The drained server accepts nothing new.
 	if _, err := Dial(srv.Addr()); err == nil {
 		t.Fatal("drained server accepted a new connection")
+	}
+}
+
+// TestServeHostileKeyUpload: a malformed cloud key is refused at OpenSession
+// with an error reply on a live connection. Before the shape check, each of
+// these either dereferenced nil Params in the handler or indexed out of range
+// in a worker goroutine, taking the daemon down. The server must still serve
+// a well-formed tenant afterwards.
+func TestServeHostileKeyUpload(t *testing.T) {
+	good := tenantKeys(t)[0].Cloud
+	// mangled returns a copy of the good key whose entry 0 went through edit;
+	// the shared tenant key itself stays intact.
+	mangled := func(edit func(g *tgsw.HalfSample)) *boot.CloudKey {
+		ck := *good
+		ck.BK = append([]*tgsw.HalfSample(nil), good.BK...)
+		g := *good.BK[0]
+		g.Rows = append([][]*torus.HalfPoly(nil), g.Rows...)
+		edit(&g)
+		ck.BK[0] = &g
+		return &ck
+	}
+	n := good.Params.PolyDegree
+	cases := []struct {
+		name string
+		key  *boot.CloudKey
+		want string
+	}{
+		{"nil params", &boot.CloudKey{BK: good.BK, KS: good.KS}, "without parameters"},
+		{"short BK", &boot.CloudKey{Params: good.Params, BK: good.BK[:5], KS: good.KS}, "entries"},
+		{"wrong row count", mangled(func(g *tgsw.HalfSample) { g.Rows = g.Rows[1:] }), "rows"},
+		{"wrong poly count", mangled(func(g *tgsw.HalfSample) { g.Rows[0] = g.Rows[0][:1] }), "polynomials"},
+		{"wrong poly length", mangled(func(g *tgsw.HalfSample) {
+			g.Rows[0] = []*torus.HalfPoly{torus.NewHalfPoly(3), g.Rows[0][1]}
+		}), "points"},
+		{"old full-complex format", mangled(func(g *tgsw.HalfSample) {
+			g.Rows[0] = []*torus.HalfPoly{torus.NewHalfPoly(n), g.Rows[0][1]}
+		}), "regenerate keys"},
+		{"no key-switching key", &boot.CloudKey{Params: good.Params, BK: good.BK}, "key-switching"},
+	}
+	srv := startServer(t, Config{Workers: 1})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			_, err = cl.OpenSession(tc.key)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenSession = %v, want an error mentioning %q", err, tc.want)
+			}
+			// The connection survived the refusal and takes the real key.
+			if _, err := cl.OpenSession(good); err != nil {
+				t.Fatalf("well-formed key refused after a malformed one: %v", err)
+			}
+		})
 	}
 }

@@ -554,7 +554,9 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 	if req.Key == nil {
 		return Response{Err: &WireError{Code: codeInternal, Msg: "open session carried no cloud key"}}
 	}
-	if err := req.Key.Params.Validate(); err != nil {
+	// The key is tenant-supplied: a wrong shape must be refused here, not
+	// found by an index panic in a worker goroutine.
+	if err := req.Key.Validate(); err != nil {
 		return Response{Err: &WireError{Code: codeInternal, Msg: fmt.Sprintf("bad cloud key: %v", err)}}
 	}
 	keyHash, err := hashKey(req.Key)

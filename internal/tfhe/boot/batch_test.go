@@ -93,7 +93,9 @@ func TestBootstrapBatchWoKSMatchesSingle(t *testing.T) {
 		mu[m] = rng.Torus32()
 		want[m] = lwe.NewSample(p.ExtractedLWEDimension())
 		got[m] = lwe.NewSample(p.ExtractedLWEDimension())
-		single.BootstrapWoKS(want[m], mu[m], src[m])
+		if err := single.BootstrapWoKS(want[m], mu[m], src[m]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := batch.BootstrapBatchWoKS(got, mu, src); err != nil {
 		t.Fatal(err)
@@ -110,9 +112,9 @@ func TestBootstrapBatchWoKSMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBootstrapLUTBatchMatchesSingle checks the programmable-bootstrap
-// batch path against per-member BootstrapLUT, covering lower-half messages
-// and the negacyclic upper-half wraparound.
+// TestBootstrapLUTBatchMatchesSingle checks a batch of programmable members
+// against per-member BootstrapLUT, covering lower-half messages and the
+// negacyclic upper-half wraparound.
 func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-batch-lut"))
 	p := params.Test()
@@ -137,7 +139,9 @@ func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 	src := make([]*lwe.Sample, b)
 	want := make([]*lwe.Sample, b)
 	got := make([]*lwe.Sample, b)
+	luts := make([]LUT, b)
 	for m := 0; m < b; m++ {
+		luts[m] = lut
 		src[m] = lwe.NewSample(p.LWEDimension)
 		lwe.Encrypt(src[m], torus.ModSwitchToTorus32(int32(m), msize), p.LWEStdev, sk.LWE, rng)
 		want[m] = lwe.NewSample(p.LWEDimension)
@@ -146,7 +150,7 @@ func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batch.BootstrapLUTBatch(got, lut, msize, src); err != nil {
+	if err := batch.BootstrapMixedBatch(got, make([]torus.Torus32, b), luts, msize, src); err != nil {
 		t.Fatal(err)
 	}
 	for m := 0; m < b; m++ {
@@ -181,12 +185,16 @@ func TestBootstrapLUTBatchValidation(t *testing.T) {
 	batch := NewBatchEvaluator(ck, 1)
 	in := []*lwe.Sample{lwe.NewSample(p.LWEDimension)}
 	out := []*lwe.Sample{lwe.NewSample(p.LWEDimension)}
-	lut := func(m int) torus.Torus32 { return 0 }
-	if err := batch.BootstrapLUTBatch(out, lut, 7, in); err == nil {
+	luts := []LUT{func(m int) torus.Torus32 { return 0 }}
+	mu := []torus.Torus32{0}
+	if err := batch.BootstrapMixedBatch(out, mu, luts, 7, in); err == nil {
 		t.Fatal("odd message space accepted")
 	}
-	if err := batch.BootstrapLUTBatch(out, lut, 4*p.PolyDegree, in); err == nil {
+	if err := batch.BootstrapMixedBatch(out, mu, luts, 4*p.PolyDegree, in); err == nil {
 		t.Fatal("oversized message space accepted")
+	}
+	if err := batch.BootstrapMixedBatch(out, mu, nil, 8, in); err == nil {
+		t.Fatal("luts length mismatch accepted")
 	}
 	if err := batch.BootstrapBatch(out, nil, in); err == nil {
 		t.Fatal("mu length mismatch accepted")

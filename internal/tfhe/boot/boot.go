@@ -8,8 +8,8 @@
 package boot
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"pytfhe/internal/params"
@@ -29,32 +29,107 @@ type SecretKey struct {
 	Extracted *lwe.Key  // N*k-dimensional key extracted from Ring
 }
 
-// CloudKey is the public evaluation key material: the Fourier-domain
-// bootstrapping key (one TGSW encryption of each LWE key bit) and the
-// key-switching key from the extracted key back to the gate key.
+// CloudKey is the public evaluation key material: the bootstrapping key
+// (one TGSW encryption of each LWE key bit, held in the half-complex
+// transform domain — its only stored form, in memory, in gob and in key
+// files) and the key-switching key from the extracted key back to the gate
+// key.
 type CloudKey struct {
 	Params *params.GateParams
-	BK     []*tgsw.FourierSample
+	BK     []*tgsw.HalfSample
 	KS     *lwe.SwitchKey
-
-	halfOnce sync.Once
-	bkHalf   []*tgsw.HalfSample
 }
 
 // BKHalf returns the bootstrapping key in the half-complex representation
-// used by the batched blind-rotate engine, converting it from BK on first
-// use (the conversion is exact — see tgsw.FourierSample.Half). The result
-// is shared by every BatchEvaluator on this key; gob encoding of a CloudKey
-// carries only the exported fields, so decoded keys rebuild it lazily too.
-func (ck *CloudKey) BKHalf() []*tgsw.HalfSample {
-	ck.halfOnce.Do(func() {
-		proc := torus.NewProcessor(ck.Params.PolyDegree)
-		ck.bkHalf = make([]*tgsw.HalfSample, len(ck.BK))
-		for i, g := range ck.BK {
-			ck.bkHalf[i] = g.Half(proc)
+// the blind-rotate kernel consumes. That is the form BK is stored in, so
+// this is BK itself: no conversion, no second copy.
+func (ck *CloudKey) BKHalf() []*tgsw.HalfSample { return ck.BK }
+
+// ErrOldKeyFormat reports a cloud key whose bootstrapping key still holds
+// the retired full-complex transform (N points per polynomial instead of
+// N/2). Such keys cannot be converted in place; regenerate them.
+var ErrOldKeyFormat = errors.New("boot: cloud key uses the retired full-complex bootstrapping-key format: regenerate keys")
+
+// Validate checks that the key's shape matches its parameter set, so that a
+// key from outside the process (an upload, a key file, a cluster handshake)
+// can never index out of range inside a worker: Params are consistent, BK
+// has one entry per LWE key bit with (k+1)·l rows of k+1 polynomials of
+// N/2 points, and KS has the dimensions the bootstrap feeds it.
+func (ck *CloudKey) Validate() error {
+	if ck == nil {
+		return errors.New("boot: nil cloud key")
+	}
+	p := ck.Params
+	if p == nil {
+		return errors.New("boot: cloud key without parameters")
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("boot: cloud key parameters: %w", err)
+	}
+	if len(ck.BK) != p.LWEDimension {
+		return fmt.Errorf("boot: bootstrapping key has %d entries, want %d", len(ck.BK), p.LWEDimension)
+	}
+	k, l, m := p.RingCount, p.DecompLevels, p.PolyDegree/2
+	for i, g := range ck.BK {
+		if g == nil {
+			return fmt.Errorf("boot: bootstrapping key entry %d is nil", i)
 		}
-	})
-	return ck.bkHalf
+		if g.K != k || g.Params.Levels != l || g.Params.BaseLog != p.DecompBaseLog {
+			return fmt.Errorf("boot: bootstrapping key entry %d has geometry k=%d l=%d Bgbit=%d, want k=%d l=%d Bgbit=%d",
+				i, g.K, g.Params.Levels, g.Params.BaseLog, k, l, p.DecompBaseLog)
+		}
+		if len(g.Rows) != (k+1)*l {
+			return fmt.Errorf("boot: bootstrapping key entry %d has %d rows, want %d", i, len(g.Rows), (k+1)*l)
+		}
+		for u, row := range g.Rows {
+			if len(row) != k+1 {
+				return fmt.Errorf("boot: bootstrapping key entry %d row %d has %d polynomials, want %d", i, u, len(row), k+1)
+			}
+			for c, poly := range row {
+				switch {
+				case poly == nil:
+					return fmt.Errorf("boot: bootstrapping key entry %d row %d polynomial %d is nil", i, u, c)
+				case len(poly.Re) == 2*m && len(poly.Im) == 2*m:
+					return ErrOldKeyFormat
+				case len(poly.Re) != m || len(poly.Im) != m:
+					return fmt.Errorf("boot: bootstrapping key entry %d row %d polynomial %d has %d/%d points, want %d",
+						i, u, c, len(poly.Re), len(poly.Im), m)
+				}
+			}
+		}
+	}
+	return ck.validateKS()
+}
+
+func (ck *CloudKey) validateKS() error {
+	p, ks := ck.Params, ck.KS
+	if ks == nil {
+		return errors.New("boot: cloud key without key-switching key")
+	}
+	if ks.NIn != p.ExtractedLWEDimension() || ks.NOut != p.LWEDimension || ks.Levels != p.KSLevels || ks.BaseLog != p.KSBaseLog {
+		return fmt.Errorf("boot: key-switching key is %d→%d with t=%d basebit=%d, want %d→%d with t=%d basebit=%d",
+			ks.NIn, ks.NOut, ks.Levels, ks.BaseLog, p.ExtractedLWEDimension(), p.LWEDimension, p.KSLevels, p.KSBaseLog)
+	}
+	if len(ks.Rows) != ks.NIn {
+		return fmt.Errorf("boot: key-switching key has %d planes, want %d", len(ks.Rows), ks.NIn)
+	}
+	base := 1 << ks.BaseLog
+	for i, plane := range ks.Rows {
+		if len(plane) != ks.Levels {
+			return fmt.Errorf("boot: key-switching plane %d has %d levels, want %d", i, len(plane), ks.Levels)
+		}
+		for j, row := range plane {
+			if len(row) != base {
+				return fmt.Errorf("boot: key-switching plane %d level %d has %d digits, want %d", i, j, len(row), base)
+			}
+			for v, s := range row {
+				if s == nil || s.Dimension() != ks.NOut {
+					return fmt.Errorf("boot: key-switching sample [%d][%d][%d] is missing or has the wrong dimension", i, j, v)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // GenerateKeys produces a fresh secret key and the matching cloud key.
@@ -73,11 +148,11 @@ func GenerateKeys(p *params.GateParams, rng *trand.Source) (*SecretKey, *CloudKe
 	ck := &CloudKey{Params: p}
 	proc := torus.NewProcessor(p.PolyDegree)
 	ringKey := &tgsw.Key{TLWE: sk.Ring, Params: gp}
-	ck.BK = make([]*tgsw.FourierSample, p.LWEDimension)
+	ck.BK = make([]*tgsw.HalfSample, p.LWEDimension)
 	raw := tgsw.NewSample(p.PolyDegree, p.RingCount, gp)
 	for i := 0; i < p.LWEDimension; i++ {
 		tgsw.Encrypt(raw, sk.LWE.Bits[i], p.TLWEStdev, ringKey, rng)
-		ck.BK[i] = raw.ToFourier(proc)
+		ck.BK[i] = raw.ToHalf(proc)
 	}
 	ck.KS = lwe.NewSwitchKey(sk.Extracted, sk.LWE, p.KSLevels, p.KSBaseLog, p.LWEStdev, rng)
 	return sk, ck, nil
@@ -91,9 +166,10 @@ type Profile struct {
 	KeySwitch   time.Duration
 	Gates       int64
 
-	// Batch amortization counters (BatchEvaluator): how many BootstrapBatch
-	// dispatches ran and how many gates they covered. BatchedGates/Batches
-	// is the average batch fill the kernel actually saw.
+	// Batch amortization counters: how many batch entry-point dispatches
+	// (BootstrapBatch and kin) ran and how many gates they covered.
+	// BatchedGates/Batches is the average batch fill the kernel actually
+	// saw; single-gate entry points count toward neither.
 	Batches      int64
 	BatchedGates int64
 }
@@ -120,95 +196,4 @@ func (p *Profile) Add(other *Profile) {
 	p.Gates += other.Gates
 	p.Batches += other.Batches
 	p.BatchedGates += other.BatchedGates
-}
-
-// Evaluator performs bootstrapping with preallocated scratch space. It is
-// not safe for concurrent use; create one Evaluator per worker goroutine
-// (they can share the same CloudKey, which is immutable after generation).
-type Evaluator struct {
-	CK      *CloudKey
-	Prof    Profile
-	Profile bool // when true, phases are timed into Prof
-
-	scratch  *tgsw.Scratch
-	acc      *tlwe.Sample
-	testvect *torus.TorusPoly
-	rotated  *torus.TorusPoly
-	extr     *lwe.Sample
-}
-
-// NewEvaluator returns an evaluator bound to ck.
-func NewEvaluator(ck *CloudKey) *Evaluator {
-	p := ck.Params
-	gp := tgsw.Params{Levels: p.DecompLevels, BaseLog: p.DecompBaseLog}
-	return &Evaluator{
-		CK:       ck,
-		scratch:  tgsw.NewScratch(p.PolyDegree, p.RingCount, gp),
-		acc:      tlwe.NewSample(p.PolyDegree, p.RingCount),
-		testvect: torus.NewTorusPoly(p.PolyDegree),
-		rotated:  torus.NewTorusPoly(p.PolyDegree),
-		extr:     lwe.NewSample(p.ExtractedLWEDimension()),
-	}
-}
-
-// modSwitch2N rescales a torus element to Z_{2N}.
-func modSwitch2N(phase torus.Torus32, twoN int) int {
-	v := (uint64(phase)*uint64(twoN) + (1 << 31)) >> 32
-	return int(v) & (twoN - 1)
-}
-
-// BootstrapWoKS performs the programmable bootstrap of src with a constant
-// test vector mu, leaving the result under the extracted key (no key
-// switch): dst decrypts to +mu when the phase of src lies in [0, 1/2) and
-// to -mu otherwise. dst must have dimension N*k.
-func (e *Evaluator) BootstrapWoKS(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) {
-	var start time.Time
-	if e.Profile {
-		start = time.Now()
-	}
-	p := e.CK.Params
-	twoN := 2 * p.PolyDegree
-
-	for j := range e.testvect.Coefs {
-		e.testvect.Coefs[j] = mu
-	}
-	barb := modSwitch2N(src.B, twoN)
-	if barb != 0 {
-		e.rotated.MulByXai(twoN-barb, e.testvect)
-	} else {
-		e.rotated.Copy(e.testvect)
-	}
-	e.acc.NoiselessTrivial(e.rotated)
-
-	for i, a := range src.A {
-		bara := modSwitch2N(a, twoN)
-		if bara == 0 {
-			continue
-		}
-		e.scratch.CMuxRotateInPlace(e.acc, e.CK.BK[i], bara)
-	}
-	if e.Profile {
-		e.Prof.BlindRotate += time.Since(start)
-		start = time.Now()
-	}
-	tlwe.ExtractSample(dst, e.acc)
-	if e.Profile {
-		e.Prof.Extract += time.Since(start)
-	}
-}
-
-// Bootstrap performs the full gate bootstrap: blind rotation, extraction,
-// and key switch back to the n-dimensional gate key.
-func (e *Evaluator) Bootstrap(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) error {
-	e.BootstrapWoKS(e.extr, mu, src)
-	var start time.Time
-	if e.Profile {
-		start = time.Now()
-	}
-	err := e.CK.KS.Apply(dst, e.extr)
-	if e.Profile {
-		e.Prof.KeySwitch += time.Since(start)
-		e.Prof.Gates++
-	}
-	return err
 }

@@ -63,13 +63,94 @@ func TestBootstrapWoKSDimension(t *testing.T) {
 	in := lwe.NewSample(p.LWEDimension)
 	lwe.Encrypt(in, 1<<29, p.LWEStdev, sk.LWE, rng)
 	out := lwe.NewSample(p.ExtractedLWEDimension())
-	eval.BootstrapWoKS(out, 1<<29, in)
-	if out.Dimension() != p.ExtractedLWEDimension() {
-		t.Fatalf("extracted dimension %d, want %d", out.Dimension(), p.ExtractedLWEDimension())
+	if err := eval.BootstrapWoKS(out, 1<<29, in); err != nil {
+		t.Fatal(err)
 	}
 	// Must decrypt under the extracted key.
 	if phase := int32(lwe.Phase(out, sk.Extracted)); phase <= 0 {
 		t.Fatalf("phase under extracted key = %d, want positive", phase)
+	}
+}
+
+// TestBootstrapChecksDimensionsUpFront: every entry point rejects a wrong
+// input or output dimension with an error, before any rotation runs (the
+// profile stays empty) — none reaches the index panic in extraction.
+func TestBootstrapChecksDimensionsUpFront(t *testing.T) {
+	rng := trand.NewSeeded([]byte("boot-dims"))
+	p := params.Test()
+	_, ck, err := GenerateKeys(p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := NewEvaluator(ck)
+	eval.Profile = true
+	n, ext := p.LWEDimension, p.ExtractedLWEDimension()
+	mu := torus.Torus32(1) << 29
+	lut := func(int) torus.Torus32 { return mu }
+	one := func(s *lwe.Sample) []*lwe.Sample { return []*lwe.Sample{s} }
+	mus := []torus.Torus32{mu}
+	cases := []struct {
+		name string
+		call func(dst, src *lwe.Sample) error
+		dst  int // wrong output dimension
+	}{
+		{"Bootstrap", func(d, s *lwe.Sample) error { return eval.Bootstrap(d, mu, s) }, ext},
+		{"BootstrapWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapWoKS(d, mu, s) }, n},
+		{"BootstrapLUT", func(d, s *lwe.Sample) error { return eval.BootstrapLUT(d, lut, 8, s) }, ext},
+		{"BootstrapLUTWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapLUTWoKS(d, lut, 8, s) }, n},
+		{"BootstrapBatch", func(d, s *lwe.Sample) error { return eval.BootstrapBatch(one(d), mus, one(s)) }, ext},
+		{"BootstrapBatchWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapBatchWoKS(one(d), mus, one(s)) }, n},
+		{"BootstrapMixedBatch", func(d, s *lwe.Sample) error {
+			return eval.BootstrapMixedBatch(one(d), mus, []LUT{lut}, 8, one(s))
+		}, ext},
+	}
+	for _, tc := range cases {
+		good := n + ext - tc.dst // the right output dimension is the other one
+		if err := tc.call(lwe.NewSample(tc.dst), lwe.NewSample(n)); err == nil {
+			t.Errorf("%s accepted output dimension %d", tc.name, tc.dst)
+		}
+		if err := tc.call(lwe.NewSample(good), lwe.NewSample(n+1)); err == nil {
+			t.Errorf("%s accepted input dimension %d", tc.name, n+1)
+		}
+	}
+	if eval.Prof != (Profile{}) {
+		t.Fatalf("rejected calls did kernel work: %+v", eval.Prof)
+	}
+	if err := eval.BootstrapLUT(lwe.NewSample(n), nil, 8, lwe.NewSample(n)); err == nil {
+		t.Error("BootstrapLUT accepted a nil LUT")
+	}
+}
+
+// TestSingleEntryPointsAreNotBatches: a single-gate call is the batch of one
+// inside the evaluator but must not count as a batched dispatch, or the
+// batch-fill figures built on Profile would be diluted.
+func TestSingleEntryPointsAreNotBatches(t *testing.T) {
+	rng := trand.NewSeeded([]byte("boot-single-prof"))
+	p := params.Test()
+	_, ck, err := GenerateKeys(p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := NewEvaluator(ck)
+	eval.Profile = true
+	in := lwe.NewSample(p.LWEDimension)
+	out, extr := lwe.NewSample(p.LWEDimension), lwe.NewSample(p.ExtractedLWEDimension())
+	lut := func(int) torus.Torus32 { return 1 << 29 }
+	for _, err := range []error{
+		eval.Bootstrap(out, 1<<29, in),
+		eval.BootstrapWoKS(extr, 1<<29, in),
+		eval.BootstrapLUT(out, lut, 8, in),
+		eval.BootstrapLUTWoKS(extr, lut, 8, in),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eval.Prof.Batches != 0 || eval.Prof.BatchedGates != 0 {
+		t.Fatalf("single-gate calls counted as batches: %+v", eval.Prof)
+	}
+	if eval.Prof.Gates != 2 { // the two key-switched calls
+		t.Fatalf("Gates = %d, want 2", eval.Prof.Gates)
 	}
 }
 

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"pytfhe/internal/logic"
-	"pytfhe/internal/tfhe/boot"
 )
 
 // BinaryBatch evaluates dst[m] = kinds[m](a[m], b[m]) for every member with
 // one batched bootstrap dispatch: the per-gate linear combinations are formed
-// up front and the whole batch runs through boot.BatchEvaluator's
+// up front and the whole batch runs through the evaluator's
 // structure-of-arrays blind rotation, streaming the bootstrapping key once
 // for all members. Every kind must bootstrap (logic.Kind.NeedsBootstrap);
 // free gates are for the caller to evaluate inline via Binary — batching
@@ -34,26 +33,5 @@ func (e *Engine) BinaryBatch(kinds []logic.Kind, dst, a, b []*Ciphertext) error 
 		e.btmp[m].AddMulTo(pl.ca, a[m])
 		e.btmp[m].AddMulTo(pl.cb, b[m])
 	}
-	return e.batchEval(n).BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
-}
-
-// batchEval returns the engine's batch evaluator, creating it on first use
-// (engines on the single-gate path never pay for batch scratch) and keeping
-// its profiling flag in sync with the single evaluator's.
-func (e *Engine) batchEval(capacity int) *boot.BatchEvaluator {
-	if e.batch == nil {
-		e.batch = boot.NewBatchEvaluator(e.CK(), capacity)
-	}
-	e.batch.Profile = e.Eval.Profile
-	return e.batch
-}
-
-// BatchProf returns the accumulated batch-evaluator profile (zero if no
-// batch has run). Combined with Eval.Prof it covers every bootstrap the
-// engine performed.
-func (e *Engine) BatchProf() boot.Profile {
-	if e.batch == nil {
-		return boot.Profile{}
-	}
-	return e.batch.Prof
+	return e.Eval.BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
 }

@@ -107,8 +107,9 @@ func TestBatchBootstrapCount(t *testing.T) {
 	if got := e.BootstrapCount(); got != 4 {
 		t.Fatalf("BootstrapCount = %d, want 4", got)
 	}
-	bp := e.BatchProf()
-	if bp.Batches != 1 || bp.BatchedGates != 3 {
-		t.Fatalf("batch profile = %+v", bp)
+	// Only the BinaryBatch dispatch counts as a batch; the single Binary
+	// call does not dilute the fill.
+	if prof := e.Eval.Prof; prof.Batches != 1 || prof.BatchedGates != 3 {
+		t.Fatalf("batch profile = %+v", prof)
 	}
 }

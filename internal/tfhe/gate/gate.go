@@ -65,11 +65,10 @@ type Engine struct {
 	u2   *lwe.Sample
 	musm *lwe.Sample // MUX sum before final key switch
 
-	// Batched path (BinaryBatch/OpBatch), allocated on first use.
-	batch *boot.BatchEvaluator
-	btmp  []*lwe.Sample               // per-member linear combinations
-	bmu   []torus.Torus32             // per-member bootstrap targets (always ±1/8)
-	bluts []func(m int) torus.Torus32 // per-member LUT programs (nil = classic gate)
+	// Batched path (BinaryBatch/OpBatch) scratch, grown on first use.
+	btmp  []*lwe.Sample   // per-member linear combinations
+	bmu   []torus.Torus32 // per-member bootstrap targets (always 1/8)
+	bluts []boot.LUT      // per-member LUT programs (nil = classic gate)
 }
 
 // NewEngine returns a gate engine bound to ck.
@@ -88,16 +87,10 @@ func NewEngine(ck *boot.CloudKey) *Engine {
 // Params returns the engine's parameter set.
 func (e *Engine) Params() *params.GateParams { return e.p }
 
-// BootstrapCount returns the number of bootstraps performed so far, on the
-// single-gate and batched paths combined (only tracked when profiling is
-// enabled on the evaluator).
-func (e *Engine) BootstrapCount() int64 {
-	n := e.Eval.Prof.Gates
-	if e.batch != nil {
-		n += e.batch.Prof.Gates
-	}
-	return n
-}
+// BootstrapCount returns the number of key-switched bootstraps performed so
+// far, single-gate and batched entry points combined (only tracked when
+// profiling is enabled on the evaluator).
+func (e *Engine) BootstrapCount() int64 { return e.Eval.Prof.Gates }
 
 // gatePlan describes the linear combination feeding the bootstrap for one
 // two-input gate: tmp = bias + ca*a + cb*b, followed by bootstrap(1/8).
@@ -190,13 +183,17 @@ func (e *Engine) Mux(dst, sel, a, b *Ciphertext) error {
 	e.tmp.NoiselessTrivial(-mu18)
 	e.tmp.AddMulTo(1, sel)
 	e.tmp.AddMulTo(1, a)
-	e.Eval.BootstrapWoKS(e.u1, mu18, e.tmp)
+	if err := e.Eval.BootstrapWoKS(e.u1, mu18, e.tmp); err != nil {
+		return fmt.Errorf("gate: mux: %w", err)
+	}
 
 	// u2 ≈ ±1/8 encoding (¬sel ∧ b)
 	e.tmp.NoiselessTrivial(-mu18)
 	e.tmp.AddMulTo(-1, sel)
 	e.tmp.AddMulTo(1, b)
-	e.Eval.BootstrapWoKS(e.u2, mu18, e.tmp)
+	if err := e.Eval.BootstrapWoKS(e.u2, mu18, e.tmp); err != nil {
+		return fmt.Errorf("gate: mux: %w", err)
+	}
 
 	// dst = u1 + u2 + 1/8, key-switched to the gate key. Exactly one of
 	// u1, u2 is +1/8, so the sum is +1/8 (true) or -1/8 (false).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pytfhe/internal/logic"
+	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/torus"
 )
@@ -18,7 +19,7 @@ import (
 
 // lutTestVector returns the programmable-bootstrap test function of a
 // plan: cell m encrypts +1/8 when the plan marks it true, -1/8 otherwise.
-func lutTestVector(plan logic.LUTPlan) func(m int) torus.Torus32 {
+func lutTestVector(plan logic.LUTPlan) boot.LUT {
 	cells := plan.Cells
 	return func(m int) torus.Torus32 {
 		if cells[m] > 0 {
@@ -105,9 +106,9 @@ func (e *Engine) OpBatch(ops []Op, dst, a, b, c []*Ciphertext) error {
 		e.bluts[m] = nil
 	}
 	if !hasLUT {
-		return e.batchEval(n).BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
+		return e.Eval.BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
 	}
-	return e.batchEval(n).BootstrapMixedBatch(dst, e.bmu[:n], e.bluts[:n], logic.LUTMsize, e.btmp[:n])
+	return e.Eval.BootstrapMixedBatch(dst, e.bmu[:n], e.bluts[:n], logic.LUTMsize, e.btmp[:n])
 }
 
 // growBatch sizes the per-member batch scratch.

@@ -10,75 +10,93 @@ import (
 	"pytfhe/internal/trand"
 )
 
-// TestCMuxRotateBatchMatchesSingle verifies that the batched rotation is
-// bit-exact with per-member CMuxRotateInPlace across batch sizes, including
-// sizes that leave odd leftovers in the cross-member pair walk.
-func TestCMuxRotateBatchMatchesSingle(t *testing.T) {
+// naiveCMuxRotate is the exact oracle of the blind-rotation step
+// acc += g ⊡ ((X^a - 1)·acc), computed in the coefficient domain with
+// torus.AddMulNaive against the untransformed TGSW sample g.
+func naiveCMuxRotate(acc *tlwe.Sample, g *Sample, a int) {
+	n, k := acc.N(), acc.K
+	diff := tlwe.NewSample(n, k)
+	diff.MulByXaiMinusOne(a, acc)
+	decomp := make([]*torus.IntPoly, (k+1)*g.Params.Levels)
+	for i := range decomp {
+		decomp[i] = torus.NewIntPoly(n)
+	}
+	DecomposeTLWE(decomp, diff, g.Params)
+	for u, d := range decomp {
+		for c := range acc.A {
+			torus.AddMulNaive(acc.A[c], d, g.Rows[u].A[c])
+		}
+	}
+	acc.Variance += diff.Variance
+}
+
+// TestCMuxRotateMatchesNaive verifies that the kernel — through both its
+// single and its batched entry point — equals the exact coefficient-domain
+// oracle coefficient for coefficient, across batch sizes.
+func TestCMuxRotateMatchesNaive(t *testing.T) {
 	rng := trand.NewSeeded([]byte("tgsw-batch"))
 	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
-	proc := torus.NewProcessor(testN)
 
 	g := NewSample(testN, testK, testParams)
 	Encrypt(g, 1, key.TLWE.Stdev, key, rng)
-	fg := g.ToFourier(proc)
+	hg := g.ToHalf(torus.NewProcessor(testN))
 
 	sc := NewScratch(testN, testK, testParams)
-	bs := NewBatchScratch(testN, testK, testParams, 2) // force growth past 2
-	hg := fg.Half(torus.NewProcessor(testN))
+	bs := NewBatchScratch(testN, testK, testParams, 2)
 
 	for _, b := range []int{1, 2, 3, 7, 16} {
 		t.Run(fmt.Sprintf("B%d", b), func(t *testing.T) {
+			want := make([]*tlwe.Sample, b)
 			single := make([]*tlwe.Sample, b)
 			batched := make([]*tlwe.Sample, b)
-			half := make([]*tlwe.Sample, b)
 			as := make([]int, b)
 			for m := 0; m < b; m++ {
 				mu := torus.NewTorusPoly(testN)
 				for i := range mu.Coefs {
 					mu.Coefs[i] = rng.Torus32()
 				}
+				want[m] = tlwe.NewSample(testN, testK)
+				tlwe.Encrypt(want[m], mu, key.TLWE.Stdev, key.TLWE, rng)
 				single[m] = tlwe.NewSample(testN, testK)
-				tlwe.Encrypt(single[m], mu, key.TLWE.Stdev, key.TLWE, rng)
+				single[m].Copy(want[m])
 				batched[m] = tlwe.NewSample(testN, testK)
-				batched[m].Copy(single[m])
-				half[m] = tlwe.NewSample(testN, testK)
-				half[m].Copy(single[m])
+				batched[m].Copy(want[m])
 				as[m] = 1 + int(rng.Torus32()%uint32(2*testN-1)) // in [1, 2N)
 			}
 
 			for m := 0; m < b; m++ {
-				sc.CMuxRotateInPlace(single[m], fg, as[m])
+				naiveCMuxRotate(want[m], g, as[m])
+				sc.CMuxRotateInPlace(single[m], hg, as[m])
 			}
-			bs.CMuxRotateBatch(batched, fg, as)
-			bs.CMuxRotateBatchHalf(half, hg, as)
+			bs.CMuxRotateBatchHalf(batched, hg, as)
 
 			for m := 0; m < b; m++ {
-				for c := range single[m].A {
-					for j, want := range single[m].A[c].Coefs {
-						if got := batched[m].A[c].Coefs[j]; got != want {
-							t.Fatalf("member %d poly %d coef %d: batch %#x, single %#x", m, c, j, got, want)
+				for c := range want[m].A {
+					for j, w := range want[m].A[c].Coefs {
+						if got := single[m].A[c].Coefs[j]; got != w {
+							t.Fatalf("member %d poly %d coef %d: single %#x, naive %#x", m, c, j, got, w)
 						}
-						if got := half[m].A[c].Coefs[j]; got != want {
-							t.Fatalf("member %d poly %d coef %d: half %#x, single %#x", m, c, j, got, want)
+						if got := batched[m].A[c].Coefs[j]; got != w {
+							t.Fatalf("member %d poly %d coef %d: batch %#x, naive %#x", m, c, j, got, w)
 						}
 					}
 				}
-				if single[m].Variance != batched[m].Variance || single[m].Variance != half[m].Variance {
-					t.Fatalf("member %d: variance batch %g half %g, single %g",
-						m, batched[m].Variance, half[m].Variance, single[m].Variance)
+				if want[m].Variance != single[m].Variance || want[m].Variance != batched[m].Variance {
+					t.Fatalf("member %d: variance single %g batch %g, naive %g",
+						m, single[m].Variance, batched[m].Variance, want[m].Variance)
 				}
 			}
 		})
 	}
 }
 
-func benchBatchSetup(b *testing.B) (*FourierSample, *trand.Source, *tlwe.Key) {
+func benchBatchSetup(b *testing.B) (*HalfSample, *trand.Source, *tlwe.Key) {
 	b.Helper()
 	rng := trand.NewSeeded([]byte("tgsw-bench"))
 	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
 	g := NewSample(testN, testK, testParams)
 	Encrypt(g, 1, key.TLWE.Stdev, key, rng)
-	return g.ToFourier(torus.NewProcessor(testN)), rng, key.TLWE
+	return g.ToHalf(torus.NewProcessor(testN)), rng, key.TLWE
 }
 
 func BenchmarkKernelExternalProductAdd(b *testing.B) {
@@ -98,11 +116,12 @@ func BenchmarkKernelExternalProductAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCMuxRotate compares the per-rotation cost of the single
-// path against the batched path at growing batch sizes; the per-op metric is
-// one CMux rotation in both cases.
+// BenchmarkKernelCMuxRotate measures one CMux rotation through the single
+// entry point and through the batched one at growing batch sizes; the
+// per-op metric is one rotation in both cases, so the gap is what streaming
+// the TGSW sample once per batch saves.
 func BenchmarkKernelCMuxRotate(b *testing.B) {
-	fg, rng, tk := benchBatchSetup(b)
+	hg, rng, tk := benchBatchSetup(b)
 	mkAcc := func() *tlwe.Sample {
 		mu := torus.NewTorusPoly(testN)
 		for i := range mu.Coefs {
@@ -119,28 +138,11 @@ func BenchmarkKernelCMuxRotate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc.CMuxRotateInPlace(acc, fg, 1+i%(2*testN-1))
+			sc.CMuxRotateInPlace(acc, hg, 1+i%(2*testN-1))
 		}
 	})
 	for _, size := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			bs := NewBatchScratch(testN, testK, testParams, size)
-			accs := make([]*tlwe.Sample, size)
-			as := make([]int, size)
-			for m := range accs {
-				accs[m] = mkAcc()
-				as[m] = 1 + m%(2*testN-1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += size {
-				bs.CMuxRotateBatch(accs, fg, as)
-			}
-		})
-	}
-	for _, size := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("half-%d", size), func(b *testing.B) {
-			hg := fg.Half(torus.NewProcessor(testN))
 			bs := NewBatchScratch(testN, testK, testParams, size)
 			accs := make([]*tlwe.Sample, size)
 			as := make([]int, size)

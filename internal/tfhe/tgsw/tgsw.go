@@ -2,10 +2,12 @@
 // ring-GSW samples of the TFHE scheme — together with the external product
 // TGSW ⊡ TLWE and the CMux operation that blind rotation is built from.
 //
-// The hot path keeps TGSW samples in the Fourier domain (FourierSample):
-// the bootstrapping key is transformed once at key-generation time, so each
-// external product costs only the forward transforms of the decomposed
-// accumulator, pointwise multiply-accumulates, and the inverse transforms.
+// The hot path keeps TGSW samples in the half-complex domain (HalfSample,
+// see torus/half.go): the bootstrapping key is transformed once at
+// key-generation time, so each external product costs only the forward
+// transforms of the decomposed accumulator, pointwise multiply-accumulates,
+// and the inverse transforms. One kernel — Scratch.ExternalProductAdd —
+// serves every CMux, single or batched.
 package tgsw
 
 import (
@@ -39,6 +41,11 @@ func (p Params) Offset() uint32 {
 type Key struct {
 	TLWE   *tlwe.Key
 	Params Params
+
+	// Built by the first Encrypt and reused by later ones, so the keygen
+	// loop allocates its transform buffers once. It makes Encrypt
+	// single-goroutine per Key.
+	enc *tlwe.Encryptor
 }
 
 // NewKey samples a fresh TGSW key over a ring of degree n with k masks.
@@ -66,11 +73,14 @@ func NewSample(n, k int, p Params) *Sample {
 
 // Encrypt encrypts the small integer message m (typically a key bit) into
 // dst under key: every row is a fresh zero encryption, then m*H is added on
-// the gadget diagonal.
+// the gadget diagonal. Not safe for concurrent use on one Key.
 func Encrypt(dst *Sample, m int32, alpha float64, key *Key, rng *trand.Source) {
 	l := key.Params.Levels
+	if key.enc == nil {
+		key.enc = tlwe.NewEncryptor(key.TLWE)
+	}
 	for _, row := range dst.Rows {
-		tlwe.EncryptZero(row, alpha, key.TLWE, rng)
+		key.enc.EncryptZero(row, alpha, rng)
 	}
 	for bloc := 0; bloc <= dst.K; bloc++ {
 		for j := 0; j < l; j++ {
@@ -107,28 +117,29 @@ func DecomposePoly(dst []*torus.IntPoly, src *torus.TorusPoly, p Params) {
 	}
 }
 
-// FourierSample is a TGSW sample with every row polynomial held in the
-// Fourier domain. It is the representation used for bootstrapping keys.
-type FourierSample struct {
-	// Rows[u][c] is the Fourier transform of polynomial c of TLWE row u.
-	Rows   [][]*torus.FourierPoly
+// HalfSample is a TGSW sample with every row polynomial in the half-complex
+// domain: N/2 points per polynomial. It is the only stored form of the
+// bootstrapping key.
+type HalfSample struct {
+	// Rows[u][c] is the transform of polynomial c of TLWE row u.
+	Rows   [][]*torus.HalfPoly
 	K      int
 	Params Params
 }
 
-// ToFourier transforms a coefficient-domain TGSW sample into the Fourier
+// ToHalf transforms a coefficient-domain TGSW sample into the half-complex
 // domain using proc.
-func (s *Sample) ToFourier(proc *torus.Processor) *FourierSample {
-	f := &FourierSample{K: s.K, Params: s.Params, Rows: make([][]*torus.FourierPoly, len(s.Rows))}
+func (s *Sample) ToHalf(proc *torus.Processor) *HalfSample {
+	h := &HalfSample{K: s.K, Params: s.Params, Rows: make([][]*torus.HalfPoly, len(s.Rows))}
 	for u, row := range s.Rows {
-		f.Rows[u] = make([]*torus.FourierPoly, s.K+1)
+		h.Rows[u] = make([]*torus.HalfPoly, s.K+1)
 		for c, poly := range row.A {
-			fp := torus.NewFourierPoly(poly.N())
-			proc.TorusToFourier(fp, poly)
-			f.Rows[u][c] = fp
+			hp := torus.NewHalfPoly(poly.N() / 2)
+			proc.HalfFoldTorus(hp, poly)
+			h.Rows[u][c] = hp
 		}
 	}
-	return f
+	return h
 }
 
 // Scratch holds the per-worker temporaries for external products so the hot
@@ -136,10 +147,10 @@ func (s *Sample) ToFourier(proc *torus.Processor) *FourierSample {
 // shared between goroutines.
 type Scratch struct {
 	Proc   *torus.Processor
-	decomp []*torus.IntPoly
-	fdec   *torus.FourierPoly
-	fdec2  *torus.FourierPoly
-	facc   []*torus.FourierPoly
+	decomp []*torus.IntPoly // (k+1)*l digit polynomials
+	spec1  *torus.HalfPoly  // spectra of two digit polynomials
+	spec2  *torus.HalfPoly
+	facc   []*torus.HalfPoly // k+1 accumulators
 	diff   *tlwe.Sample
 }
 
@@ -149,51 +160,57 @@ func NewScratch(n, k int, p Params) *Scratch {
 	s := &Scratch{
 		Proc:   torus.NewProcessor(n),
 		decomp: make([]*torus.IntPoly, (k+1)*p.Levels),
-		fdec:   torus.NewFourierPoly(n),
-		fdec2:  torus.NewFourierPoly(n),
-		facc:   make([]*torus.FourierPoly, k+1),
+		spec1:  torus.NewHalfPoly(n / 2),
+		spec2:  torus.NewHalfPoly(n / 2),
+		facc:   make([]*torus.HalfPoly, k+1),
 		diff:   tlwe.NewSample(n, k),
 	}
 	for i := range s.decomp {
 		s.decomp[i] = torus.NewIntPoly(n)
 	}
 	for i := range s.facc {
-		s.facc[i] = torus.NewFourierPoly(n)
+		s.facc[i] = torus.NewHalfPoly(n / 2)
 	}
 	return s
 }
 
-// ExternalProductAdd computes acc += g ⊡ src, where g is a Fourier-domain
-// TGSW sample and src a coefficient-domain TLWE sample. acc and src may not
-// alias. Forward and inverse transforms run pair-packed (two real
-// polynomials per complex FFT), halving the FFT count of the hot loop.
-func (sc *Scratch) ExternalProductAdd(acc *tlwe.Sample, g *FourierSample, src *tlwe.Sample) {
+// NewBatchScratch returns the scratch for batched rotations. The kernel
+// walks a batch member by member, so one member's temporaries serve a batch
+// of any size; the capacity argument is accepted so that callers sized for a
+// batch (the benchmark's probes among them) keep their call shape.
+func NewBatchScratch(n, k int, p Params, capacity int) *Scratch {
+	return NewScratch(n, k, p)
+}
+
+// ExternalProductAdd computes acc += g ⊡ src, where g is a half-domain TGSW
+// sample and src a coefficient-domain TLWE sample. acc and src may not
+// alias. Each digit polynomial gets its own half-size transform and the
+// products accumulate two rows at a time through the fused MulAccPairTo
+// pass. The result equals the exact integer convolutions: floating-point
+// error stays far below the rounding threshold (see torus/half.go).
+func (sc *Scratch) ExternalProductAdd(acc *tlwe.Sample, g *HalfSample, src *tlwe.Sample) {
 	DecomposeTLWE(sc.decomp, src, g.Params)
-	for c := range sc.facc {
-		sc.facc[c].Clear()
+	for _, f := range sc.facc {
+		f.Clear()
 	}
 	u := 0
 	for ; u+1 < len(sc.decomp); u += 2 {
-		sc.Proc.IntPairToFourier(sc.fdec, sc.fdec2, sc.decomp[u], sc.decomp[u+1])
+		sc.Proc.HalfFoldInt(sc.spec1, sc.decomp[u])
+		sc.Proc.HalfFoldInt(sc.spec2, sc.decomp[u+1])
 		rowA, rowB := g.Rows[u], g.Rows[u+1]
-		for c := range sc.facc {
-			sc.facc[c].MulAccTo(sc.fdec, rowA[c])
-			sc.facc[c].MulAccTo(sc.fdec2, rowB[c])
+		for c, f := range sc.facc {
+			f.MulAccPairTo(sc.spec1, rowA[c], sc.spec2, rowB[c])
 		}
 	}
-	if u < len(sc.decomp) { // odd (k+1)*l: one leftover single transform
-		sc.Proc.IntToFourier(sc.fdec, sc.decomp[u])
+	if u < len(sc.decomp) { // odd (k+1)*l: one leftover row
+		sc.Proc.HalfFoldInt(sc.spec1, sc.decomp[u])
 		row := g.Rows[u]
-		for c := range sc.facc {
-			sc.facc[c].MulAccTo(sc.fdec, row[c])
+		for c, f := range sc.facc {
+			f.MulAccTo(sc.spec1, row[c])
 		}
 	}
-	c := 0
-	for ; c+1 < len(sc.facc); c += 2 {
-		sc.Proc.AddFourierPairToTorus(acc.A[c], acc.A[c+1], sc.facc[c], sc.facc[c+1])
-	}
-	if c < len(sc.facc) {
-		sc.Proc.AddFourierToTorus(acc.A[c], sc.facc[c])
+	for c, f := range sc.facc {
+		sc.Proc.AddHalfToTorus(acc.A[c], f)
 	}
 	acc.Variance += src.Variance // coarse tracking; exact analysis in docs
 }
@@ -202,14 +219,28 @@ func (sc *Scratch) ExternalProductAdd(acc *tlwe.Sample, g *FourierSample, src *t
 // acc += g ⊡ ((X^a - 1) · acc), which equals CMux(g, X^a·acc, acc) when g
 // encrypts a bit: the accumulator is multiplied by X^a iff the encrypted
 // bit is one.
-func (sc *Scratch) CMuxRotateInPlace(acc *tlwe.Sample, g *FourierSample, a int) {
+func (sc *Scratch) CMuxRotateInPlace(acc *tlwe.Sample, g *HalfSample, a int) {
 	sc.diff.MulByXaiMinusOne(a, acc)
 	sc.ExternalProductAdd(acc, g, sc.diff)
 }
 
+// CMuxRotateBatchHalf performs CMuxRotateInPlace(accs[m], g, as[m]) for
+// every batch member against the single TGSW sample g, so the caller's
+// key-index-outer loop streams g's rows through the cache once per batch
+// instead of once per gate. All as[m] should be nonzero (zero rotations are
+// identity CMuxes; callers skip them before batching).
+func (sc *Scratch) CMuxRotateBatchHalf(accs []*tlwe.Sample, g *HalfSample, as []int) {
+	if len(as) != len(accs) {
+		panic("tgsw: CMuxRotateBatchHalf rotation count mismatch")
+	}
+	for m, acc := range accs {
+		sc.CMuxRotateInPlace(acc, g, as[m])
+	}
+}
+
 // CMux computes dst = c0 + g ⊡ (c1 - c0): dst decrypts to c1's message when
 // g encrypts 1 and to c0's when g encrypts 0. dst may alias c0 but not c1.
-func (sc *Scratch) CMux(dst *tlwe.Sample, g *FourierSample, c1, c0 *tlwe.Sample) {
+func (sc *Scratch) CMux(dst *tlwe.Sample, g *HalfSample, c1, c0 *tlwe.Sample) {
 	sc.diff.Copy(c1)
 	sc.diff.SubFrom(c0)
 	if dst != c0 {

@@ -57,7 +57,7 @@ func TestExternalProductSelectsMessage(t *testing.T) {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
 		proc := torus.NewProcessor(testN)
-		fg := g.ToFourier(proc)
+		fg := g.ToHalf(proc)
 
 		mu := torus.NewTorusPoly(testN)
 		mu.Coefs[0] = torus.ModSwitchToTorus32(3, msize)
@@ -102,7 +102,7 @@ func TestCMux(t *testing.T) {
 	for _, bit := range []int32{0, 1} {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
-		fg := g.ToFourier(proc)
+		fg := g.ToHalf(proc)
 
 		sc := NewScratch(testN, testK, testParams)
 		dst := tlwe.NewSample(testN, testK)
@@ -133,7 +133,7 @@ func TestCMuxRotate(t *testing.T) {
 	for _, bit := range []int32{0, 1} {
 		g := NewSample(testN, testK, testParams)
 		Encrypt(g, bit, key.TLWE.Stdev, key, rng)
-		fg := g.ToFourier(proc)
+		fg := g.ToHalf(proc)
 
 		acc := tlwe.NewSample(testN, testK)
 		tlwe.Encrypt(acc, mu, key.TLWE.Stdev, key.TLWE, rng)

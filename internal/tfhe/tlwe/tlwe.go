@@ -6,6 +6,8 @@
 package tlwe
 
 import (
+	"sync"
+
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
@@ -18,26 +20,26 @@ type Key struct {
 	Polys []*torus.IntPoly
 	Stdev float64
 
-	// Cached Fourier-domain representation of the key polynomials, built
-	// lazily; it makes bulk encryption (bootstrapping-key generation)
-	// O(N log N) per sample instead of O(N^2).
-	fourier []*torus.FourierPoly
-	proc    *torus.Processor
+	// Half-complex form of the key polynomials: it makes bulk encryption
+	// (bootstrapping-key generation) O(N log N) per sample instead of
+	// O(N^2). Built on first encryption rather than in NewKey because
+	// gob-decoded keys carry only the exported fields; the Once makes
+	// concurrent encryptions under one key safe.
+	halfOnce sync.Once
+	half     []*torus.HalfPoly
 }
 
-// fourierKey returns (building if necessary) the Fourier representation of
-// the key polynomials and a transform processor for the key's ring degree.
-func (key *Key) fourierKey() ([]*torus.FourierPoly, *torus.Processor) {
-	if key.fourier == nil {
-		key.proc = torus.NewProcessor(key.N)
-		key.fourier = make([]*torus.FourierPoly, key.K)
+// halfKey returns the half-complex form of the key polynomials.
+func (key *Key) halfKey() []*torus.HalfPoly {
+	key.halfOnce.Do(func() {
+		proc := torus.NewProcessor(key.N)
+		key.half = make([]*torus.HalfPoly, key.K)
 		for i, p := range key.Polys {
-			f := torus.NewFourierPoly(key.N)
-			key.proc.IntToFourier(f, p)
-			key.fourier[i] = f
+			key.half[i] = torus.NewHalfPoly(key.N / 2)
+			proc.HalfFoldInt(key.half[i], p)
 		}
-	}
-	return key.fourier, key.proc
+	})
+	return key.half
 }
 
 // NewKey samples a fresh binary TLWE key with k polynomials of degree n.
@@ -136,28 +138,54 @@ func (s *Sample) MulByXaiMinusOne(a int, src *Sample) {
 	s.Variance = 2 * src.Variance
 }
 
+// Encryptor encrypts under one key with its transform buffers allocated
+// once, so a keygen loop of thousands of ring encryptions reuses them. It is
+// not safe for concurrent use; give each goroutine its own.
+type Encryptor struct {
+	key     *Key
+	proc    *torus.Processor
+	fa, acc *torus.HalfPoly
+}
+
+// NewEncryptor returns an Encryptor for key.
+func NewEncryptor(key *Key) *Encryptor {
+	return &Encryptor{
+		key:  key,
+		proc: torus.NewProcessor(key.N),
+		fa:   torus.NewHalfPoly(key.N / 2),
+		acc:  torus.NewHalfPoly(key.N / 2),
+	}
+}
+
 // EncryptZero fills dst with an encryption of the zero polynomial. The
-// mask-times-key products run through the FFT so that bootstrapping-key
-// generation (thousands of ring encryptions) stays fast.
-func EncryptZero(dst *Sample, alpha float64, key *Key, rng *trand.Source) {
+// mask-times-key products run through the half-complex transform so that
+// bootstrapping-key generation stays O(N log N) per sample.
+func (e *Encryptor) EncryptZero(dst *Sample, alpha float64, rng *trand.Source) {
+	key := e.key
 	n := key.N
-	keyF, proc := key.fourierKey()
+	keyH := key.halfKey()
 	b := dst.B()
 	for j := 0; j < n; j++ {
 		b.Coefs[j] = trand.DoubleToTorus32(rng.Normal() * alpha)
 	}
-	fa := torus.NewFourierPoly(n)
-	acc := torus.NewFourierPoly(n)
+	e.acc.Clear()
 	for i := 0; i < key.K; i++ {
 		a := dst.A[i]
 		for j := 0; j < n; j++ {
 			a.Coefs[j] = rng.Torus32()
 		}
-		proc.TorusToFourier(fa, a)
-		acc.MulAccTo(keyF[i], fa)
+		e.proc.HalfFoldTorus(e.fa, a)
+		e.acc.MulAccTo(keyH[i], e.fa)
 	}
-	proc.AddFourierToTorus(b, acc)
+	e.proc.AddHalfToTorus(b, e.acc)
 	dst.Variance = alpha * alpha
+}
+
+// EncryptZero is the one-shot form of Encryptor.EncryptZero: it allocates
+// its buffers per call, and is safe for concurrent use under one key given
+// one rng per goroutine.
+func EncryptZero(dst *Sample, alpha float64, key *Key, rng *trand.Source) {
+	NewEncryptor(key).EncryptZero(dst, alpha, rng)
 }
 
 // Encrypt encrypts the torus polynomial mu: dst = EncZero + (0, mu).

@@ -2,6 +2,7 @@ package tlwe
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"pytfhe/internal/tfhe/lwe"
@@ -117,4 +118,74 @@ func TestMulByXaiMinusOneSample(t *testing.T) {
 	if got := torus.ModSwitchFromTorus32(phase.Coefs[0], msize); got != 0 {
 		t.Fatalf("coef 0 after rotation = %d, want 0", got)
 	}
+}
+
+// TestEncryptZeroMatchesNaive replays EncryptZero's random draws and checks
+// the body against the exact coefficient-domain product: the transform path
+// must equal b = e + Σ s_i·a_i coefficient for coefficient.
+func TestEncryptZeroMatchesNaive(t *testing.T) {
+	const k = 2
+	key := NewKey(testN, k, math.Pow(2, -25), trand.NewSeeded([]byte("tlwe-naive-key")))
+	got := NewSample(testN, k)
+	enc := NewEncryptor(key)
+	for round := 0; round < 3; round++ { // later rounds reuse enc's buffers
+		seed := []byte{'t', byte(round)}
+		enc.EncryptZero(got, key.Stdev, trand.NewSeeded(seed))
+
+		rng := trand.NewSeeded(seed)
+		want := torus.NewTorusPoly(testN)
+		for j := range want.Coefs {
+			want.Coefs[j] = trand.DoubleToTorus32(rng.Normal() * key.Stdev)
+		}
+		for i := 0; i < k; i++ {
+			a := torus.NewTorusPoly(testN)
+			for j := range a.Coefs {
+				a.Coefs[j] = rng.Torus32()
+			}
+			torus.AddMulNaive(want, key.Polys[i], a)
+			for j, c := range a.Coefs {
+				if got.A[i].Coefs[j] != c {
+					t.Fatalf("round %d: mask %d coef %d differs from the replayed draw", round, i, j)
+				}
+			}
+		}
+		for j, w := range want.Coefs {
+			if got.B().Coefs[j] != w {
+				t.Fatalf("round %d: body coef %d = %#x, naive %#x", round, j, got.B().Coefs[j], w)
+			}
+		}
+	}
+}
+
+// TestEncryptConcurrent encrypts under one fresh key from several goroutines
+// at once (run under -race): the first encryption builds the key's
+// transform-domain form, which used to be an unsynchronised lazy cache.
+func TestEncryptConcurrent(t *testing.T) {
+	key := NewKey(testN, testK, math.Pow(2, -25), trand.NewSeeded([]byte("tlwe-race-key")))
+	const msize = 8
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := trand.NewSeeded([]byte{'g', byte(g)})
+			mu := torus.NewTorusPoly(testN)
+			s := NewSample(testN, testK)
+			phase := torus.NewTorusPoly(testN)
+			for round := 0; round < 4; round++ {
+				for i := range mu.Coefs {
+					mu.Coefs[i] = torus.ModSwitchToTorus32(int32((i+g+round)%msize), msize)
+				}
+				Encrypt(s, mu, key.Stdev, key, rng)
+				Phase(phase, s, key)
+				for i := range phase.Coefs {
+					if got := torus.ModSwitchFromTorus32(phase.Coefs[i], msize); got != int32((i+g+round)%msize) {
+						t.Errorf("goroutine %d round %d coef %d decrypted to %d", g, round, i, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -6,92 +6,25 @@ import (
 )
 
 // Kernel-hot-path microbenchmarks (run via `make bench-kernel`): forward and
-// inverse transforms, single vs pair-packed, at the two ring degrees used by
-// the Test and Default128 parameter sets. These pin a baseline for future
-// kernel PRs.
+// inverse half-complex transforms and the pointwise multiply-accumulates, at
+// the two ring degrees used by the Test and Default128 parameter sets. These
+// pin a baseline for future kernel PRs.
 
-func benchPolys(n int) (*IntPoly, *IntPoly, *TorusPoly, *TorusPoly) {
+func benchPolys(n int) (*IntPoly, *IntPoly) {
 	a := NewIntPoly(n)
 	b := NewIntPoly(n)
-	ta := NewTorusPoly(n)
-	tb := NewTorusPoly(n)
 	for i := 0; i < n; i++ {
 		a.Coefs[i] = int32((i*37+11)%127) - 63
 		b.Coefs[i] = int32((i*53+7)%127) - 63
-		ta.Coefs[i] = Torus32(i * 0x9e3779b9)
-		tb.Coefs[i] = Torus32(i*0x85ebca6b + 17)
 	}
-	return a, b, ta, tb
-}
-
-func BenchmarkKernelIntToFourier(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
-			dst := NewFourierPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.IntToFourier(dst, a)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelIntPairToFourier(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			da := NewFourierPoly(n)
-			db := NewFourierPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.IntPairToFourier(da, db, pa, pb)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelAddFourierToTorus(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
-			f := NewFourierPoly(n)
-			p.IntToFourier(f, a)
-			dst := NewTorusPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.AddFourierToTorus(dst, f)
-			}
-		})
-	}
-}
-
-func BenchmarkKernelAddFourierPairToTorus(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			fa := NewFourierPoly(n)
-			fb := NewFourierPoly(n)
-			p.IntPairToFourier(fa, fb, pa, pb)
-			da := NewTorusPoly(n)
-			db := NewTorusPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.AddFourierPairToTorus(da, db, fa, fb)
-			}
-		})
-	}
+	return a, b
 }
 
 func BenchmarkKernelHalfFoldInt(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
+			a, _ := benchPolys(n)
 			dst := NewHalfPoly(n / 2)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -105,7 +38,7 @@ func BenchmarkKernelAddHalfToTorus(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			p := NewProcessor(n)
-			a, _, _, _ := benchPolys(n)
+			a, _ := benchPolys(n)
 			f := NewHalfPoly(n / 2)
 			p.HalfFoldInt(f, a)
 			dst := NewTorusPoly(n)
@@ -121,7 +54,7 @@ func BenchmarkKernelHalfMulAccPair(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
+			pa, pb := benchPolys(n)
 			f1 := NewHalfPoly(n / 2)
 			f2 := NewHalfPoly(n / 2)
 			p.HalfFoldInt(f1, pa)
@@ -135,15 +68,16 @@ func BenchmarkKernelHalfMulAccPair(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMulAccTo(b *testing.B) {
+func BenchmarkKernelHalfMulAcc(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			p := NewProcessor(n)
-			pa, pb, _, _ := benchPolys(n)
-			fa := NewFourierPoly(n)
-			fb := NewFourierPoly(n)
-			p.IntPairToFourier(fa, fb, pa, pb)
-			acc := NewFourierPoly(n)
+			pa, pb := benchPolys(n)
+			fa := NewHalfPoly(n / 2)
+			fb := NewHalfPoly(n / 2)
+			p.HalfFoldInt(fa, pa)
+			p.HalfFoldInt(fb, pb)
+			acc := NewHalfPoly(n / 2)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				acc.MulAccTo(fa, fb)

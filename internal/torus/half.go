@@ -6,16 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// Half-complex negacyclic transform — the kernel representation of the
-// batched bootstrap engine.
+// Half-complex negacyclic transform — the one polynomial-multiply engine
+// behind every external product, bootstrap and ring encryption.
 //
 // A real polynomial a in R[X]/(X^N+1) is determined by its evaluations at
 // any set of N odd 2N-th roots of unity closed under conjugation; since a
 // is real, the values at conjugate roots are conjugate, so M = N/2 complex
-// evaluations carry all the information. The full-size representation in
-// fft.go stores all N (conjugate-redundant) points, which doubles the work
-// of every pointwise product and the footprint of every bootstrap-key row.
-// The half representation evaluates only at
+// evaluations carry all the information (a full-size complex transform
+// would store all N conjugate-redundant points, doubling the work of every
+// pointwise product and the footprint of every bootstrap-key row). The
+// half representation evaluates only at
 //
 //	ζ_k = e^{-iπ(4k+1)/N},  k = 0..M-1,
 //
@@ -35,10 +35,9 @@ import (
 // twiddles are stored flat in access order, so the inner loops are
 // sequential in memory.
 //
-// Bit-exactness with the full-size path: both pipelines compute the same
-// integer convolutions with floating-point error far below 0.5, so after
-// rounding to the torus the results are identical coefficient-for-
-// coefficient (see roundTorus).
+// Exactness: the kernels compute integer convolutions whose floating-point
+// error stays far below 0.5, so after rounding to the torus (roundTorus)
+// the results equal MulNaive coefficient-for-coefficient.
 
 // HalfPoly is a polynomial of ring degree N held as M = N/2 half-complex
 // evaluation points in the digit-reversed order of the half transform.
@@ -111,8 +110,12 @@ var (
 	halfCache atomic.Pointer[map[int]*halfTables]
 )
 
-// halfTablesFor returns the shared tables for ring degree n, using the same
-// lock-free snapshot scheme as tablesFor.
+// halfTablesFor returns the shared tables for ring degree n. The cache is an
+// immutable map snapshot behind an atomic pointer: lookups after the first
+// construction of a size are a single atomic load with no locking
+// (NewProcessor is called once per worker per run, often from many
+// goroutines at once). Inserting a new size copies the snapshot under
+// halfMu and publishes the extended map.
 func halfTablesFor(n int) *halfTables {
 	if m := halfCache.Load(); m != nil {
 		if t, ok := (*m)[n]; ok {
@@ -266,22 +269,34 @@ func (t *halfTables) ifft(re, im []float64) {
 	}
 }
 
-// halfTab returns the processor's half-transform tables, building them on
-// first use.
-func (p *Processor) halfTab() *halfTables {
-	if p.half == nil {
-		p.half = halfTablesFor(p.n)
-	}
-	return p.half
+// Processor owns the scratch buffers for transforms of one ring degree N;
+// the twiddle tables are shared and immutable. A Processor is not safe for
+// concurrent use: obtain one per goroutine with NewProcessor.
+type Processor struct {
+	n    int
+	tab  *halfTables
+	scRe []float64 // inverse-transform scratch, M points
+	scIm []float64
 }
 
-// HalfM returns the number of half-complex points (N/2) for this processor.
-func (p *Processor) HalfM() int { return p.n / 2 }
+// NewProcessor returns a transform processor for ring degree n (a power of
+// two, at least 4). Twiddle tables are computed once per size and shared.
+func NewProcessor(n int) *Processor {
+	return &Processor{
+		n:    n,
+		tab:  halfTablesFor(n),
+		scRe: make([]float64, n/2),
+		scIm: make([]float64, n/2),
+	}
+}
+
+// N returns the ring degree the processor was built for.
+func (p *Processor) N() int { return p.n }
 
 // HalfFoldInt transforms an integer polynomial into the half-complex
 // domain.
 func (p *Processor) HalfFoldInt(dst *HalfPoly, src *IntPoly) {
-	t := p.halfTab()
+	t := p.tab
 	m := t.m
 	re, im := dst.Re, dst.Im
 	for j := 0; j < m; j++ {
@@ -297,7 +312,7 @@ func (p *Processor) HalfFoldInt(dst *HalfPoly, src *IntPoly) {
 // HalfFoldTorus transforms a torus polynomial (coefficients as signed
 // integers) into the half-complex domain.
 func (p *Processor) HalfFoldTorus(dst *HalfPoly, src *TorusPoly) {
-	t := p.halfTab()
+	t := p.tab
 	m := t.m
 	re, im := dst.Re, dst.Im
 	for j := 0; j < m; j++ {
@@ -312,9 +327,9 @@ func (p *Processor) HalfFoldTorus(dst *HalfPoly, src *TorusPoly) {
 // AddHalfToTorus inverse-transforms src and adds the resulting polynomial
 // to dst, rounding each coefficient to the nearest torus element.
 func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
-	t := p.halfTab()
+	t := p.tab
 	m := t.m
-	re, im := p.scReRe[:m], p.scIm[:m]
+	re, im := p.scRe, p.scIm
 	copy(re, src.Re)
 	copy(im, src.Im)
 	t.ifft(re, im)
@@ -328,4 +343,11 @@ func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
 		dst.Coefs[j] += roundTorus(rr)
 		dst.Coefs[j+m] += roundTorus(-ri)
 	}
+}
+
+// roundTorus rounds a real value to the nearest 32-bit torus element,
+// wrapping modulo 2^32. The magnitudes produced by TFHE kernels stay well
+// below 2^52 so the float64 mantissa is never exhausted.
+func roundTorus(r float64) Torus32 {
+	return Torus32(int64(math.Round(r)))
 }

@@ -42,39 +42,6 @@ func TestHalfMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestHalfMatchesFullPath checks that the half path and the full-size FFT
-// path round to identical torus results on the same inputs — the exactness
-// property the batched bootstrap engine relies on.
-func TestHalfMatchesFullPath(t *testing.T) {
-	const n = 256
-	rng := rand.New(rand.NewSource(7))
-	p := NewProcessor(n)
-	for trial := 0; trial < 20; trial++ {
-		a := NewIntPoly(n)
-		b := NewTorusPoly(n)
-		for i := 0; i < n; i++ {
-			a.Coefs[i] = int32(rng.Intn(128)) - 64
-			b.Coefs[i] = Torus32(rng.Uint32())
-		}
-		full := NewTorusPoly(n)
-		p.MulFFT(full, a, b)
-
-		fa := NewHalfPoly(n / 2)
-		fb := NewHalfPoly(n / 2)
-		p.HalfFoldInt(fa, a)
-		p.HalfFoldTorus(fb, b)
-		facc := NewHalfPoly(n / 2)
-		facc.MulAccTo(fa, fb)
-		half := NewTorusPoly(n)
-		p.AddHalfToTorus(half, facc)
-		for i := 0; i < n; i++ {
-			if half.Coefs[i] != full.Coefs[i] {
-				t.Fatalf("trial %d coef %d: half %#x, full %#x", trial, i, half.Coefs[i], full.Coefs[i])
-			}
-		}
-	}
-}
-
 // TestHalfMulAccPair checks the fused two-product accumulate against two
 // separate MulAccTo calls (must be exact: same operation order per point).
 func TestHalfMulAccPair(t *testing.T) {

@@ -16,27 +16,27 @@ func TestTablesForConcurrent(t *testing.T) {
 	const iters = 200
 
 	var wg sync.WaitGroup
-	got := make([][]*fftTables, goroutines)
+	got := make([][]*halfTables, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			seen := make([]*fftTables, len(sizes))
+			seen := make([]*halfTables, len(sizes))
 			for it := 0; it < iters; it++ {
 				// Stagger the starting size so first-time constructions of
 				// different sizes race with each other.
 				for s := range sizes {
 					n := sizes[(s+g)%len(sizes)]
-					tab := tablesFor(n)
+					tab := halfTablesFor(n)
 					if tab.n != n {
-						t.Errorf("tablesFor(%d) returned tables for n=%d", n, tab.n)
+						t.Errorf("halfTablesFor(%d) returned tables for n=%d", n, tab.n)
 						return
 					}
 					idx := (s + g) % len(sizes)
 					if seen[idx] == nil {
 						seen[idx] = tab
 					} else if seen[idx] != tab {
-						t.Errorf("tablesFor(%d) returned distinct instances", n)
+						t.Errorf("halfTablesFor(%d) returned distinct instances", n)
 						return
 					}
 				}

@@ -5,8 +5,8 @@
 //
 // Polynomial multiplication — the hot kernel of TFHE bootstrapping — is
 // provided both as a naive O(N^2) negacyclic convolution (the reference
-// used by tests) and as an O(N log N) complex FFT evaluated at the odd
-// 2N-th roots of unity (the production path, see fft.go).
+// used by tests) and as an O(N log N) half-complex FFT evaluated at the
+// odd 2N-th roots of unity (the production path, see half.go).
 package torus
 
 // Torus32 is one element of the discretized torus: the uint32 value t

@@ -114,46 +114,25 @@ func TestMulByXai2NIsIdentity(t *testing.T) {
 	}
 }
 
-func TestFFTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{8, 64, 256, 1024} {
-		proc := NewProcessor(n)
-		for trial := 0; trial < 4; trial++ {
-			a := randIntPoly(rng, n, 512) // decomposition-sized coefficients
-			b := randTorusPoly(rng, n)
-			want := NewTorusPoly(n)
-			MulNaive(want, a, b)
-			got := NewTorusPoly(n)
-			proc.MulFFT(got, a, b)
-			for i := range want.Coefs {
-				// The FFT path may be off by a few ULPs of the torus.
-				diff := int32(got.Coefs[i] - want.Coefs[i])
-				if diff < -4 || diff > 4 {
-					t.Fatalf("n=%d trial=%d coef %d: got %d want %d", n, trial, i, got.Coefs[i], want.Coefs[i])
-				}
-			}
-		}
-	}
-}
-
-func TestFFTRoundTrip(t *testing.T) {
+// TestHalfRoundTrip: folding a torus polynomial and inverting it into a zero
+// destination recovers every coefficient exactly.
+func TestHalfRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 256
 	proc := NewProcessor(n)
 	src := randTorusPoly(rng, n)
-	f := NewFourierPoly(n)
-	proc.TorusToFourier(f, src)
+	f := NewHalfPoly(n / 2)
+	proc.HalfFoldTorus(f, src)
 	back := NewTorusPoly(n)
-	proc.FourierToTorus(back, f)
+	proc.AddHalfToTorus(back, f)
 	for i := range src.Coefs {
-		diff := int32(back.Coefs[i] - src.Coefs[i])
-		if diff < -2 || diff > 2 {
+		if back.Coefs[i] != src.Coefs[i] {
 			t.Fatalf("round trip coef %d: got %d want %d", i, back.Coefs[i], src.Coefs[i])
 		}
 	}
 }
 
-func TestAddFourierToTorusAccumulates(t *testing.T) {
+func TestAddHalfToTorusAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const n = 64
 	proc := NewProcessor(n)
@@ -161,23 +140,22 @@ func TestAddFourierToTorusAccumulates(t *testing.T) {
 	b := randTorusPoly(rng, n)
 	base := randTorusPoly(rng, n)
 
-	fa := NewFourierPoly(n)
-	fb := NewFourierPoly(n)
-	fc := NewFourierPoly(n)
-	proc.IntToFourier(fa, a)
-	proc.TorusToFourier(fb, b)
+	fa := NewHalfPoly(n / 2)
+	fb := NewHalfPoly(n / 2)
+	fc := NewHalfPoly(n / 2)
+	proc.HalfFoldInt(fa, a)
+	proc.HalfFoldTorus(fb, b)
 	fc.MulAccTo(fa, fb)
 
 	got := NewTorusPoly(n)
 	got.Copy(base)
-	proc.AddFourierToTorus(got, fc)
+	proc.AddHalfToTorus(got, fc)
 
 	want := NewTorusPoly(n)
 	want.Copy(base)
 	AddMulNaive(want, a, b)
 	for i := range want.Coefs {
-		diff := int32(got.Coefs[i] - want.Coefs[i])
-		if diff < -4 || diff > 4 {
+		if got.Coefs[i] != want.Coefs[i] {
 			t.Fatalf("coef %d: got %d want %d", i, got.Coefs[i], want.Coefs[i])
 		}
 	}
@@ -233,146 +211,24 @@ func BenchmarkPolyMulNaive1024(b *testing.B) {
 	}
 }
 
-func BenchmarkPolyMulFFT1024(b *testing.B) {
+func BenchmarkPolyMulHalf1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 1024
 	proc := NewProcessor(n)
 	a := randIntPoly(rng, n, 512)
 	p := randTorusPoly(rng, n)
 	out := NewTorusPoly(n)
-	fa := NewFourierPoly(n)
-	fb := NewFourierPoly(n)
-	fc := NewFourierPoly(n)
+	fa := NewHalfPoly(n / 2)
+	fb := NewHalfPoly(n / 2)
+	fc := NewHalfPoly(n / 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proc.IntToFourier(fa, a)
-		proc.TorusToFourier(fb, p)
+		proc.HalfFoldInt(fa, a)
+		proc.HalfFoldTorus(fb, p)
 		fc.Clear()
 		fc.MulAccTo(fa, fb)
-		proc.FourierToTorus(out, fc)
-	}
-}
-
-func BenchmarkForwardFFT1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	const n = 1024
-	proc := NewProcessor(n)
-	a := randIntPoly(rng, n, 512)
-	fa := NewFourierPoly(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.IntToFourier(fa, a)
-	}
-}
-
-func TestPairForwardMatchesSingles(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{8, 64, 256} {
-		proc := NewProcessor(n)
-		a := randIntPoly(rng, n, 512)
-		b := randIntPoly(rng, n, 512)
-		fa := NewFourierPoly(n)
-		fb := NewFourierPoly(n)
-		proc.IntToFourier(fa, a)
-		proc.IntToFourier(fb, b)
-		pa := NewFourierPoly(n)
-		pb := NewFourierPoly(n)
-		proc.IntPairToFourier(pa, pb, a, b)
-		for k := 0; k < n; k++ {
-			if d := fa.Re[k] - pa.Re[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d A.Re[%d]: single %g pair %g", n, k, fa.Re[k], pa.Re[k])
-			}
-			if d := fa.Im[k] - pa.Im[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d A.Im[%d]: single %g pair %g", n, k, fa.Im[k], pa.Im[k])
-			}
-			if d := fb.Re[k] - pb.Re[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d B.Re[%d]: single %g pair %g", n, k, fb.Re[k], pb.Re[k])
-			}
-			if d := fb.Im[k] - pb.Im[k]; d > 1e-5 || d < -1e-5 {
-				t.Fatalf("n=%d B.Im[%d]: single %g pair %g", n, k, fb.Im[k], pb.Im[k])
-			}
-		}
-	}
-}
-
-func TestPairTorusForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const n = 64
-	proc := NewProcessor(n)
-	a := randTorusPoly(rng, n)
-	b := randTorusPoly(rng, n)
-	fa := NewFourierPoly(n)
-	fb := NewFourierPoly(n)
-	proc.TorusToFourier(fa, a)
-	proc.TorusToFourier(fb, b)
-	pa := NewFourierPoly(n)
-	pb := NewFourierPoly(n)
-	proc.TorusPairToFourier(pa, pb, a, b)
-	for k := 0; k < n; k++ {
-		if d := fa.Re[k] - pa.Re[k]; d > 1e-2 || d < -1e-2 {
-			t.Fatalf("A.Re[%d]: single %g pair %g", k, fa.Re[k], pa.Re[k])
-		}
-		if d := fb.Im[k] - pb.Im[k]; d > 1e-2 || d < -1e-2 {
-			t.Fatalf("B.Im[%d]: single %g pair %g", k, fb.Im[k], pb.Im[k])
-		}
-	}
-}
-
-// TestPairedExternalProductPath checks the full pair-packed multiply:
-// forward pair, pointwise, inverse pair against the naive reference.
-func TestPairedExternalProductPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 128
-	proc := NewProcessor(n)
-	a1 := randIntPoly(rng, n, 512)
-	a2 := randIntPoly(rng, n, 512)
-	b1 := randTorusPoly(rng, n)
-	b2 := randTorusPoly(rng, n)
-
-	// Reference: two naive negacyclic products.
-	want1 := NewTorusPoly(n)
-	want2 := NewTorusPoly(n)
-	MulNaive(want1, a1, b1)
-	MulNaive(want2, a2, b2)
-
-	// Pair-packed path.
-	fa1 := NewFourierPoly(n)
-	fa2 := NewFourierPoly(n)
-	proc.IntPairToFourier(fa1, fa2, a1, a2)
-	fb1 := NewFourierPoly(n)
-	fb2 := NewFourierPoly(n)
-	proc.TorusPairToFourier(fb1, fb2, b1, b2)
-	fc1 := NewFourierPoly(n)
-	fc2 := NewFourierPoly(n)
-	fc1.MulAccTo(fa1, fb1)
-	fc2.MulAccTo(fa2, fb2)
-	got1 := NewTorusPoly(n)
-	got2 := NewTorusPoly(n)
-	proc.AddFourierPairToTorus(got1, got2, fc1, fc2)
-
-	for i := 0; i < n; i++ {
-		if d := int32(got1.Coefs[i] - want1.Coefs[i]); d < -4 || d > 4 {
-			t.Fatalf("poly1 coef %d: got %d want %d", i, got1.Coefs[i], want1.Coefs[i])
-		}
-		if d := int32(got2.Coefs[i] - want2.Coefs[i]); d < -4 || d > 4 {
-			t.Fatalf("poly2 coef %d: got %d want %d", i, got2.Coefs[i], want2.Coefs[i])
-		}
-	}
-}
-
-func BenchmarkForwardFFTPair1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(44))
-	const n = 1024
-	proc := NewProcessor(n)
-	p1 := randIntPoly(rng, n, 512)
-	p2 := randIntPoly(rng, n, 512)
-	f1 := NewFourierPoly(n)
-	f2 := NewFourierPoly(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.IntPairToFourier(f1, f2, p1, p2)
+		out.Clear()
+		proc.AddHalfToTorus(out, fc)
 	}
 }

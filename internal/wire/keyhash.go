@@ -15,7 +15,7 @@ import (
 )
 
 // KeyHash content-addresses a cloud key by streaming a canonical encoding
-// through SHA-256 (no buffering of the ~25 MB key). Both the daemon's
+// through SHA-256 (no buffering of the ~62 MB key). Both the daemon's
 // session registry and the cluster handshake use it, so a worker joining a
 // coordinator can prove it will evaluate under the same key the clients
 // encrypted against.
@@ -34,7 +34,9 @@ func KeyHash(ck *boot.CloudKey) (string, error) {
 	h := sha256.New()
 	w := bufio.NewWriter(h)
 	e := keyHasher{w: w}
-	e.str("pytfhe-cloud-key-v1")
+	// Domain tag: v1 hashed the retired full-complex bootstrapping key, so a
+	// peer still on that format can never agree on a hash with this one.
+	e.str("pytfhe-cloud-key-v2-half")
 	e.params(ck.Params)
 	e.u64(uint64(len(ck.BK)))
 	for _, s := range ck.BK {
@@ -94,7 +96,7 @@ func (e keyHasher) params(p *params.GateParams) {
 	e.i64(p.KSBaseLog)
 }
 
-func (e keyHasher) bk(s *tgsw.FourierSample) {
+func (e keyHasher) bk(s *tgsw.HalfSample) {
 	if s == nil {
 		e.u64(0)
 		return

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository verification: formatting, vet, static analysis, build, then
-# race-checked tests on the concurrency-heavy packages (executors,
+# Repository verification: formatting, vet, static analysis, build, the
+# nested benchmark module, then race-checked tests on the concurrency-heavy packages (executors,
 # scheduler, cluster), and finally an end-to-end netlist lint of a
 # compiled benchmark program.
 set -eux
@@ -17,6 +17,11 @@ fi
 
 go vet ./...
 go build ./...
+
+# bench/ is its own module compiled against these packages; the root
+# `./...` patterns never enter it, so an API rename here would break the
+# benchmark unnoticed without this.
+(cd bench && go vet ./... && go test ./...)
 
 # Crypto-safety and concurrency static analysis over the module.
 go run ./cmd/pytfhelint ./...
