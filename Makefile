@@ -1,4 +1,4 @@
-.PHONY: build test lint check verify serve-test bench bench-kernel batch-test qos-test lut-test
+.PHONY: build test lint check verify serve-test bench bench-kernel batch-test qos-test lut-test loc
 
 build:
 	go build ./...
@@ -26,14 +26,14 @@ serve-test:
 	go test -race ./internal/serve/... ./internal/wire/... ./internal/backend/...
 
 # Race-checked QoS + observability subsystem: the weighted fair queue,
-# per-tenant quotas, byte-accounted LRU caches, the Prometheus-text
-# telemetry registry, the shared executor's fairness/quota/key-release
-# behavior, and the pytfhed cache-eviction, key-lifecycle, quota, and
-# /metrics end-to-end scenarios.
+# per-tenant quotas, the byte-accounted plan cache, the Prometheus-text
+# telemetry registry, the shared executor's fairness/key-release
+# behavior, and the pytfhed fairness-under-load, cache-eviction,
+# key-lifecycle, quota, and /metrics end-to-end scenarios.
 qos-test:
 	go test -race ./internal/qos/... ./internal/telemetry/...
-	go test -race -run 'TestShared(FairnessUnderLoad|TenantQuota|ReleaseKey)' ./internal/backend/
-	go test -race -run 'TestServe(PlanCacheEviction|KeyLifecycleRelease|TenantQuota|MetricsEndpoint)' ./internal/serve/
+	go test -race -run 'TestShared(FairnessUnderLoad|ReleaseKey)' ./internal/backend/
+	go test -race -run 'TestServe(FairnessUnderLoad|PlanCacheEviction|KeyLifecycleRelease|TenantQuota|MetricsEndpoint)' ./internal/serve/
 
 # Race-checked multi-bit LUT path, end to end: truth-table solving and
 # feasibility (logic), the circuit node and asm instruction formats, the
@@ -67,9 +67,15 @@ bench-kernel:
 # Race-checked tests of the bootstrap engine's batch entry points:
 # a batch of N is bit-exact with N single calls and with the
 # naive-convolution oracle (the -short differential test at Test
-# parameters), plus the lock-free twiddle cache and the batch-draining
-# executors.
+# parameters), plus the lock-free twiddle cache and every batching
+# executor: the ready-queue drain (exec matrix, Async), the plan
+# interpreter (replay, shard levels) and the serving scheduler's
+# cross-request top-up.
 batch-test:
 	go test -race -short -run 'Batch|Tables|CMuxRotate|Differential' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/boot/ ./internal/tfhe/gate/
-	go test -race -run 'Batch|Matrix|Shared|Async|Replay' ./internal/exec/ ./internal/backend/ ./internal/plan/
+	go test -race -run 'Batch|Matrix|Shared|Async|Replay|Planned|RuntimeEncrypted' ./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/
 	go test -race -run 'TestServeCrossRequestBatching' ./internal/serve/
+
+# Non-test Go lines per internal/* package and the total (informational).
+loc:
+	./scripts/loc.sh

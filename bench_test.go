@@ -22,6 +22,7 @@ import (
 	"pytfhe/internal/logic"
 	"pytfhe/internal/models"
 	"pytfhe/internal/params"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/sched"
 	"pytfhe/internal/synth"
 	"pytfhe/internal/tfhe/gate"
@@ -363,15 +364,19 @@ func BenchmarkPlannedReplay(b *testing.B) {
 		}
 	})
 	b.Run("shared-4w", func(b *testing.B) {
-		ex := backend.NewShared(workers)
+		ex := backend.NewShared(workers, 1)
 		defer ex.Close()
 		key, err := ex.RegisterKey(kp.Cloud)
 		if err != nil {
 			b.Fatal(err)
 		}
+		compiled, err := plan.Compile(nl, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			if _, err := ex.Submit(context.Background(), key, nl, kp.EncryptBits(bits)); err != nil {
+			if _, err := ex.Submit(context.Background(), key, compiled, kp.EncryptBits(bits)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(boots/time.Since(start).Seconds(), "boots/s")

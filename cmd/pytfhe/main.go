@@ -695,28 +695,26 @@ func cmdServerStats(args []string) error {
 		(time.Duration(st.UptimeMs) * time.Millisecond).Round(time.Second), st.Sessions, st.Programs)
 	fmt.Printf("evaluations: %d done, %d shed (overloaded), %d quota-rejected, queue depth %d, in flight %d\n",
 		st.Evaluations, st.Rejected, st.QuotaRejected, st.QueueDepth, st.InFlight)
-	fmt.Printf("executor: %d gates evaluated, %.1f gates/s, %.1f bootstraps/s\n",
+	fmt.Printf("executor: %d plan instructions executed, %.1f instructions/s, %.1f bootstraps/s\n",
 		st.ExecutorGates, st.GatesPerSec, st.BootstrapsPerSec)
 	if st.LUTsEvaluated > 0 || st.ExecutorLUTs > 0 {
-		fmt.Printf("luts: %d multi-input LUT gates evaluated (%d on the dynamic executor)\n",
+		fmt.Printf("luts: %d multi-input LUT gates evaluated (%d LUT instructions executed locally after plan dedup)\n",
 			st.LUTsEvaluated, st.ExecutorLUTs)
 	}
-	fmt.Printf("plan cache: %d hits, %d misses — %d replays, %d dynamic fallbacks, arena high water %d ciphertexts\n",
-		st.PlanHits, st.PlanMisses, st.PlanReplays, st.PlanFallbacks, st.ArenaHighWater)
-	cacheLine := func(cs serve.CacheStats) string {
-		capStr := "unbounded"
-		if cs.CapBytes > 0 {
-			capStr = fmt.Sprintf("cap %.1f KB", float64(cs.CapBytes)/1024)
-		}
-		return fmt.Sprintf("%d entries, %.1f KB (%s), %d evicted",
-			cs.Entries, float64(cs.Bytes)/1024, capStr, cs.Evictions)
+	fmt.Printf("plan cache: %d hits, %d misses — %d local replays, arena high water %d ciphertexts\n",
+		st.PlanHits, st.PlanMisses, st.PlanReplays, st.ArenaHighWater)
+	pc := st.PlanCache
+	capStr := "unbounded"
+	if pc.CapBytes > 0 {
+		capStr = fmt.Sprintf("cap %.1f KB", float64(pc.CapBytes)/1024)
 	}
-	fmt.Printf("  plan LRU: %s\n  runtime LRU: %s\n", cacheLine(st.PlanCache), cacheLine(st.RuntimeCache))
+	fmt.Printf("  plan LRU: %d entries, %.1f KB (%s), %d evicted\n",
+		pc.Entries, float64(pc.Bytes)/1024, capStr, pc.Evictions)
 	if st.KeysReleased > 0 {
-		fmt.Printf("keys released: %d (engines and replay runners freed on last session close)\n", st.KeysReleased)
+		fmt.Printf("keys released: %d (engines freed on last session close)\n", st.KeysReleased)
 	}
 	for tenant, picks := range st.TenantPicks {
-		fmt.Printf("tenant %s: %d scheduler picks, %d gates queued\n",
+		fmt.Printf("tenant %s: %d scheduler picks, %d level slices queued\n",
 			tenant, picks, st.TenantQueued[tenant])
 	}
 	if st.Batches > 0 {

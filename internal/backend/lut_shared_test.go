@@ -22,15 +22,18 @@ func lutMixNetlist(t testing.TB) *circuit.Netlist {
 	return b.MustBuild()
 }
 
-// TestSharedLUT submits a LUT-bearing netlist to the shared executor —
+// TestSharedLUT submits a LUT-bearing plan to the shared executor —
 // unbatched and with the mixed OpBatch path — and checks every decrypted
 // output against the cleartext reference, plus the cumulative LUT counter.
 func TestSharedLUT(t *testing.T) {
 	sk, ck := keys(t)
 	nl := lutMixNetlist(t)
-	wantLUTs := int64(nl.ComputeStats().LUTs)
-	if wantLUTs == 0 {
-		t.Fatal("setup: netlist has no LUT gates")
+	// The executor counts what it runs: the plan's LUT instructions (none
+	// of this netlist's LUTs deduplicate away).
+	p := mustPlan(t, nl, 2)
+	wantLUTs := int64(p.Stats().ExecLUTs)
+	if wantLUTs == 0 || wantLUTs != int64(nl.ComputeStats().LUTs) {
+		t.Fatalf("setup: plan executes %d LUTs of the netlist's %d", wantLUTs, nl.ComputeStats().LUTs)
 	}
 
 	for _, tc := range []struct {
@@ -38,7 +41,7 @@ func TestSharedLUT(t *testing.T) {
 		batch int
 	}{{"single", 1}, {"batched", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := NewSharedBatch(2, tc.batch)
+			ex := NewShared(2, tc.batch)
 			defer ex.Close()
 			key, err := ex.RegisterKey(ck)
 			if err != nil {
@@ -51,7 +54,7 @@ func TestSharedLUT(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outs, err := ex.Submit(context.Background(), key, nl, EncryptInputs(sk, bits))
+				outs, err := ex.Submit(context.Background(), key, p, EncryptInputs(sk, bits))
 				if err != nil {
 					t.Fatal(err)
 				}

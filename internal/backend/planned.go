@@ -15,9 +15,8 @@ import (
 
 // Planned is the capture/replay backend — the CPU analogue of the paper's
 // CUDA-Graph batch scheduling. The first Run of a netlist captures it into
-// an immutable execution plan (streamed, so level 0 executes while later
-// levels are still being laid out); every later Run of the same netlist
-// replays the cached plan with no scheduling work at all: no ready heap,
+// an immutable execution plan; every Run — the first included — replays
+// the cached plan with no scheduling work at all: no ready heap,
 // no per-gate atomics, no refcounting, and no ciphertext allocations
 // (the exec.Arena persists in the runtime).
 //
@@ -82,6 +81,10 @@ func (p *Planned) ArenaHighWater() int {
 func (p *Planned) Plan(nl *circuit.Netlist) (*plan.Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.planLocked(nl)
+}
+
+func (p *Planned) planLocked(nl *circuit.Netlist) (*plan.Plan, error) {
 	if cached, ok := p.plans[nl]; ok {
 		return cached, nil
 	}
@@ -102,26 +105,13 @@ func (p *Planned) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample,
 	defer p.mu.Unlock()
 	start := time.Now()
 
-	var outs []*lwe.Sample
-	compiled, hit := p.plans[nl]
-	if hit {
-		var err error
-		outs, err = plan.ReplayBatch(context.Background(), compiled, p.ws.Engines(), inputs, p.rt, p.batch)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Cold path: capture and execute overlapped, then cache the plan.
-		s, err := plan.CompileStream(nl, p.ws.N())
-		if err != nil {
-			return nil, err
-		}
-		outs, err = plan.ReplayStreamBatch(context.Background(), s, p.ws.Engines(), inputs, p.rt, p.batch)
-		if err != nil {
-			return nil, err
-		}
-		compiled = s.Plan()
-		p.plans[nl] = compiled
+	compiled, err := p.planLocked(nl)
+	if err != nil {
+		return nil, err
+	}
+	outs, err := plan.ReplayBatch(context.Background(), compiled, p.ws.Engines(), inputs, p.rt, p.batch)
+	if err != nil {
+		return nil, err
 	}
 
 	st := compiled.Stats()

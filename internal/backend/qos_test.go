@@ -6,22 +6,23 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pytfhe/internal/circuit"
-	"pytfhe/internal/qos"
+	"pytfhe/internal/plan"
 )
 
-// nandChain builds a serial chain of n NAND gates — no parallelism, so its
-// latency is the per-gate service time times n. The light tenant's probe.
+// nandChain builds a serial chain of n NAND gates over n+1 inputs — no
+// parallelism, and a fresh operand per step so plan deduplication cannot
+// shorten it: its latency is the per-gate service time times n. The light
+// tenant's probe.
 func nandChain(t testing.TB, n int) *circuit.Netlist {
 	t.Helper()
 	b := circuit.NewBuilder("chain", circuit.AllOptimizations())
-	x := b.Input("x")
-	y := b.Input("y")
-	v := b.Nand(x, y)
-	for i := 1; i < n; i++ {
+	v := b.Input("x")
+	for _, y := range b.Inputs("y", n) {
 		v = b.Nand(v, y)
 	}
 	b.Output("out", v)
@@ -45,7 +46,7 @@ func wideXor(t testing.TB, m int) *circuit.Netlist {
 
 // chainP95 runs the chain reps times on ex under key and returns the p95
 // latency.
-func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in []bool, reps int) time.Duration {
+func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *plan.Plan, in []bool, reps int) time.Duration {
 	t.Helper()
 	sk, _ := keys(t)
 	enc := EncryptInputs(sk, in)
@@ -64,21 +65,21 @@ func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *circuit.Netlist, in 
 // TestSharedFairnessUnderLoad is the starvation regression test: a light
 // tenant running a short NAND chain keeps its p95 latency within 3x of
 // its uncontended p95 even while a hot tenant floods the executor with
-// wide parallel circuits. Under the old single cross-run heap the light
-// tenant queued behind the entire flood (arrival order) and the ratio
-// blew past 3x; start-time fair queuing bounds its wait to about one
-// pick per gate.
+// wide parallel circuits. In one arrival-ordered queue the light tenant
+// would wait behind the entire flood and the ratio would blow past 3x;
+// start-time fair queuing bounds its wait to about one pick per level.
 func TestSharedFairnessUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping benchmark-style test; skipped in -short")
 	}
 	sk, ck := keys(t)
-	chain := nandChain(t, 4)
-	flood := wideXor(t, 8) // 28 independent bootstrapped gates
-	in := []bool{true, false}
+	chain := mustPlan(t, nandChain(t, 8), 2)
+	flood := mustPlan(t, wideXor(t, 8), 2) // 28 independent bootstrapped gates
+	in := bitsOf(0x155, 9)
 	const reps = 12
 
-	ex := NewSharedBatch(2, 1)
+	// Batch 1 makes one gate the scheduling grain, as fine as it gets.
+	ex := NewShared(2, 1)
 	defer ex.Close()
 	light, err := ex.RegisterKey(ck)
 	if err != nil {
@@ -158,83 +159,16 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSharedTenantQuota pins fail-fast admission: with one in-flight run
-// allowed, a concurrent second Submit from the same tenant is refused
-// with qos.ErrQuotaExceeded while another tenant is admitted, and the
-// refusal is counted.
-func TestSharedTenantQuota(t *testing.T) {
-	sk, ck := keys(t)
-	nl := nandChain(t, 6)
-	enc := EncryptInputs(sk, []bool{true, false})
-
-	ex := NewSharedQoS(1, 1, QoSConfig{MaxRunsPerTenant: 1})
-	defer ex.Close()
-	k1, err := ex.RegisterKey(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := ex.RegisterKey(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(started)
-		_, err := ex.Submit(context.Background(), k1, nl, enc)
-		done <- err
-	}()
-	<-started
-	// Wait until the first run is admitted (in flight), then collide.
-	for i := 0; ; i++ {
-		if ex.Stats().InFlight >= 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("first submission never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := ex.Submit(context.Background(), k1, nl, enc); !errors.Is(err, qos.ErrQuotaExceeded) {
-		t.Fatalf("second run of tenant 1: err = %v, want ErrQuotaExceeded", err)
-	}
-	if _, err := ex.Submit(context.Background(), k2, nl, enc); err != nil {
-		t.Fatalf("tenant 2 throttled by tenant 1's quota: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	// Quota released with the run: the same tenant is admitted again.
-	if _, err := ex.Submit(context.Background(), k1, nl, enc); err != nil {
-		t.Fatalf("tenant 1 after drain: %v", err)
-	}
-	if st := ex.Stats(); st.QuotaRejects != 1 {
-		t.Fatalf("QuotaRejects = %d, want 1", st.QuotaRejects)
-	}
-
-	// Gate-budget variant: a run larger than the gate cap is rejected
-	// even with no contention.
-	exg := NewSharedQoS(1, 1, QoSConfig{MaxQueuedGatesPerTenant: 3})
-	defer exg.Close()
-	kg, err := exg.RegisterKey(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exg.Submit(context.Background(), kg, nl, enc); !errors.Is(err, qos.ErrQuotaExceeded) {
-		t.Fatalf("oversized run: err = %v, want ErrQuotaExceeded", err)
-	}
-}
-
 // TestSharedReleaseKey pins the lifecycle hook: a released key refuses
 // new submissions, is counted in KeysReleased, and its fairness state is
-// forgotten, while other keys keep working.
+// forgotten, while other keys keep working — and a daemon's lifetime of
+// sessions opening and closing leaves nothing per key behind.
 func TestSharedReleaseKey(t *testing.T) {
 	sk, ck := keys(t)
-	nl := nandChain(t, 2)
-	enc := EncryptInputs(sk, []bool{true, false})
+	nl := mustPlan(t, nandChain(t, 2), 2)
+	enc := EncryptInputs(sk, []bool{true, false, true})
 
-	ex := NewShared(2)
+	ex := NewShared(2, 1)
 	defer ex.Close()
 	k1, err := ex.RegisterKey(ck)
 	if err != nil {
@@ -244,7 +178,7 @@ func TestSharedReleaseKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm both tenants so workers cache engines for k1.
+	// Warm both tenants so workers build engines for k1.
 	for _, k := range []*SharedKey{k1, k2} {
 		if _, err := ex.Submit(context.Background(), k, nl, enc); err != nil {
 			t.Fatal(err)
@@ -273,5 +207,47 @@ func TestSharedReleaseKey(t *testing.T) {
 	}
 	if _, ok := st.TenantPicks[k2.ID()]; !ok {
 		t.Fatalf("live tenant missing from snapshot: %+v", st.TenantPicks)
+	}
+
+	// Churn: 1000 keys register, evaluate (so a worker builds an engine
+	// for each) and release. A free-gate plan keeps it to milliseconds.
+	b := circuit.NewBuilder("not", circuit.NoOptimizations())
+	b.Output("o", b.Not(b.Input("x")))
+	free := mustPlan(t, b.MustBuild(), 2)
+	const churn = 1000
+	var collected atomic.Int32
+	for i := 0; i < churn; i++ {
+		k, err := ex.RegisterKey(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(k, func(*SharedKey) { collected.Add(1) })
+		if _, err := ex.Submit(context.Background(), k, free, enc[:1]); err != nil {
+			t.Fatalf("churn key %d: %v", i, err)
+		}
+		ex.ReleaseKey(k)
+	}
+	st = ex.Stats()
+	if st.KeysReleased != 1+churn {
+		t.Fatalf("KeysReleased = %d, want %d", st.KeysReleased, 1+churn)
+	}
+	if len(st.TenantPicks) != 1 || len(st.TenantQueued) != 1 {
+		t.Fatalf("fair queue kept released tenants: %d pick entries, %d queue entries", len(st.TenantPicks), len(st.TenantQueued))
+	}
+	ex.mu.Lock()
+	runs, pooled := len(ex.runs), len(ex.free[ck.Params.LWEDimension])
+	ex.mu.Unlock()
+	if runs != 0 || pooled != 1 {
+		t.Fatalf("executor holds %d runs and %d pooled runtimes after serial churn, want 0 and 1", runs, pooled)
+	}
+	// The handles — and with them every per-key engine — are garbage the
+	// moment the caller drops them: nothing in the executor refers to one.
+	deadline := time.Now().Add(10 * time.Second)
+	for collected.Load() < churn {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d released key handles still reachable", churn-collected.Load(), churn)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

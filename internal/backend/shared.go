@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pytfhe/internal/circuit"
-	"pytfhe/internal/exec"
-	"pytfhe/internal/logic"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/qos"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
@@ -26,108 +24,75 @@ var ErrExecutorClosed = errors.New("backend: shared executor closed")
 // released with ReleaseKey (the last session under the key closed).
 var ErrKeyReleased = errors.New("backend: cloud key released")
 
-// QoSConfig tunes the shared executor's per-tenant quality of service.
-// The zero value is the legacy behavior: no quotas, equal weights.
-type QoSConfig struct {
-	// MaxRunsPerTenant caps a tenant's concurrent Submit calls; past it
-	// Submit fails fast with qos.ErrQuotaExceeded (0: unlimited).
-	MaxRunsPerTenant int
-	// MaxQueuedGatesPerTenant caps the total gate count of a tenant's
-	// in-flight submissions (0: unlimited). A single run larger than the
-	// cap is always rejected, so size the cap to the largest admitted
-	// program times the desired concurrency.
-	MaxQueuedGatesPerTenant int
-}
-
-// Shared is the multi-tenant variant of Async: one persistent worker set
-// that evaluates gates from any number of concurrent Submit calls, over any
-// number of cloud keys. Where Async owns a single run at a time, Shared
-// interleaves the ready gates of every in-flight netlist across workers, so
-// a small circuit never leaves workers idle while a large one drains — the
-// serving-layer analogue of the paper amortizing CUDA-Graph construction
-// across batches. Each worker lazily builds one gate.Engine per registered
-// key (engines are not safe to share), and recycles ciphertexts through
-// per-dimension exec.Pool free lists exactly as the ready driver does; each
-// run's value table, dependency counters, and refcount release are the
-// shared exec.State/exec.Deps machinery.
+// Shared is the multi-tenant plan scheduler: one persistent worker set that
+// replays compiled plans from any number of concurrent Submit calls, over
+// any number of cloud keys — the serving-layer analogue of the paper
+// replaying a captured CUDA Graph per batch. Nothing is scheduled per gate:
+// a run is a plan bound to a pooled plan.Runtime, and what the workers pop
+// is a slice of one level partition, cut to at most one kernel batch of
+// instructions so that no tenant holds a worker for longer than one
+// dispatch. The slice that finishes a level queues the next one; levels
+// are the only synchronization a plan needs.
 //
 // Scheduling is two-level. Each tenant (cloud-key registration) owns a
-// private heap ordered critical-path-first (exec.CriticalDepth, as
-// SchedCritical) with arrival order breaking ties; across tenants a
-// weighted start-time fair-queuing picker (qos.Fair) interleaves service
-// in proportion to configured weights, so a hot tenant flooding thousands
-// of gates can no longer starve a light one — the property the earlier
-// single cross-run heap (priority, then global arrival order) lacked.
+// FIFO of its runs' ready slices; across tenants a weighted start-time
+// fair-queuing picker (qos.Fair) interleaves service in proportion to
+// configured weights, so a hot tenant flooding wide programs cannot starve
+// a light one. Every evaluation pytfhed serves locally goes through this
+// queue, so weights and pick counts describe all of its traffic.
 type Shared struct {
 	workers int
 	batch   int
 	q       *qos.Fair[sharedTask]
-	quota   *qos.Quota[int64]
 	wg      sync.WaitGroup
+	busy    atomic.Int32  // workers inside an evaluation round
+	seq     atomic.Uint64 // arrival order of queued tasks
 
-	mu       sync.Mutex
-	closed   bool
-	runs     map[*sharedRun]struct{}
-	keySeq   int64
-	released map[int64]struct{} // key ids dropped by ReleaseKey
-	seq      uint64             // arrival tiebreak for queued tasks (atomic)
+	mu      sync.Mutex
+	closed  bool
+	runs    map[*sharedRun]struct{}
+	keySeq  int64
+	free    map[int][]*plan.Runtime // idle runtimes by LWE dimension
+	arenaHW int                     // peak arena occupancy over returned runtimes
 
-	// Cumulative counters since construction (atomics).
-	gatesDone  int64
-	bootsDone  int64
-	lutsDone   int64
-	busyNs     int64
-	submits    int64
-	quotaRej   int64
-	keysFreed  int64
-	relGen     int64 // bumped by ReleaseKey; workers prune engines on change
-	inflightRn int32
-
-	// Batch occupancy (atomics; only touched when batch > 1).
-	batchesDone  int64
-	batchedBoots int64
-	crossRunBtch int64 // batches whose members spanned ≥2 submissions
+	// Cumulative counters since construction.
+	instrs    atomic.Int64
+	boots     atomic.Int64
+	luts      atomic.Int64
+	busyNs    atomic.Int64
+	submits   atomic.Int64
+	keysFreed atomic.Int64
+	batches   atomic.Int64
+	batched   atomic.Int64
+	crossRun  atomic.Int64 // batches whose members spanned ≥2 submissions
 }
 
-// SharedKey is a cloud key registered with a Shared executor. Every worker
-// caches one engine per SharedKey, so registering the same key once per
-// tenant session (rather than per request) is what makes key upload a
-// session-scoped cost. The key doubles as the executor's tenant identity:
-// fairness, quotas, and pick accounting are all per SharedKey.
+// SharedKey is a cloud key registered with a Shared executor. It carries
+// the per-worker engines for the key (engines are not safe to share), so
+// registering the same key once per tenant session (rather than per
+// request) is what makes key upload a session-scoped cost — and dropping
+// the handle after ReleaseKey is all it takes to free them: the executor
+// keeps no per-key state of its own. The key doubles as the executor's
+// tenant identity: fairness and pick accounting are per SharedKey.
 type SharedKey struct {
-	owner *Shared
-	id    int64
-	ck    *boot.CloudKey
+	owner    *Shared
+	id       int64
+	ck       *boot.CloudKey
+	released atomic.Bool
+	// interps[w] is touched by worker w alone, built on its first task
+	// under the key.
+	interps []*plan.Interp
 }
-
-// Params exposes the key's parameter set.
-func (k *SharedKey) Params() *boot.CloudKey { return k.ck }
 
 // ID exposes the executor-local tenant id the key registered under (the
 // join key for SharedStats.TenantPicks/TenantQueued).
 func (k *SharedKey) ID() int64 { return k.id }
 
-// NewShared starts a shared executor with the given worker count
-// (minimum 1). It owns its goroutines until Close.
-func NewShared(workers int) *Shared {
-	return NewSharedQoS(workers, 1, QoSConfig{})
-}
-
-// NewSharedBatch is NewShared with batched bootstrap dispatch: a worker
-// that pops a bootstrapped gate drains up to batch-1 more ready
-// bootstrapped gates *under the same key* and evaluates them in one
-// amortized kernel call. Because every in-flight submission's ready gates
-// are queued, the batches it forms span concurrent tenant requests — the
-// serving-side amortization the batch engine exists for. batch <= 1
-// behaves exactly like NewShared.
-func NewSharedBatch(workers, batch int) *Shared {
-	return NewSharedQoS(workers, batch, QoSConfig{})
-}
-
-// NewSharedQoS is NewSharedBatch with per-tenant admission quotas (see
-// QoSConfig). Weights default to equal; SetTenantWeight adjusts them per
-// key.
-func NewSharedQoS(workers, batch int, cfg QoSConfig) *Shared {
+// NewShared starts a shared executor with the given worker count (minimum
+// 1) that groups up to batch bootstrapped instructions of one tenant —
+// across its concurrent requests — per kernel dispatch (batch <= 1:
+// unbatched). It owns its goroutines until Close.
+func NewShared(workers, batch int) *Shared {
 	if workers < 1 {
 		workers = 1
 	}
@@ -135,16 +100,15 @@ func NewSharedQoS(workers, batch int, cfg QoSConfig) *Shared {
 		batch = 1
 	}
 	s := &Shared{
-		workers:  workers,
-		batch:    batch,
-		q:        qos.NewFair[sharedTask](taskLess),
-		quota:    qos.NewQuota[int64](cfg.MaxRunsPerTenant, cfg.MaxQueuedGatesPerTenant),
-		runs:     make(map[*sharedRun]struct{}),
-		released: make(map[int64]struct{}),
+		workers: workers,
+		batch:   batch,
+		q:       qos.NewFair[sharedTask](func(a, b sharedTask) bool { return a.seq < b.seq }),
+		runs:    make(map[*sharedRun]struct{}),
+		free:    make(map[int][]*plan.Runtime),
 	}
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(w)
 	}
 	return s
 }
@@ -162,7 +126,7 @@ func (s *Shared) RegisterKey(ck *boot.CloudKey) (*SharedKey, error) {
 		return nil, ErrExecutorClosed
 	}
 	s.keySeq++
-	return &SharedKey{owner: s, id: s.keySeq, ck: ck}, nil
+	return &SharedKey{owner: s, id: s.keySeq, ck: ck, interps: make([]*plan.Interp, s.workers)}, nil
 }
 
 // SetTenantWeight sets the key's fair-scheduling service share (default
@@ -177,55 +141,45 @@ func (s *Shared) SetTenantWeight(k *SharedKey, w float64) {
 
 // ReleaseKey drops a key registration: the lifecycle hook for "the last
 // session under this cloud key closed". Subsequent Submits with the
-// handle fail with ErrKeyReleased, the fair scheduler forgets the
-// tenant, and every worker prunes its cached engine for the key on its
-// next dispatch — without this, per-key engine caches accumulate for the
-// daemon's whole lifetime. In-flight runs under the key are unaffected
-// (their engines are pruned only after the queue no longer holds the
-// key's gates; the release check is at Submit, not per gate).
+// handle fail with ErrKeyReleased and the fair scheduler forgets the
+// tenant. In-flight runs under the key are unaffected (the release check
+// is at Submit, not per task).
 func (s *Shared) ReleaseKey(k *SharedKey) {
-	if k == nil || k.owner != s {
+	if k == nil || k.owner != s || !k.released.CompareAndSwap(false, true) {
 		return
 	}
-	s.mu.Lock()
-	if _, dup := s.released[k.id]; dup || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.released[k.id] = struct{}{}
-	s.mu.Unlock()
-	atomic.AddInt64(&s.keysFreed, 1)
-	atomic.AddInt64(&s.relGen, 1)
+	s.keysFreed.Add(1)
 	s.q.Forget(k.id)
 }
 
 // SharedStats is a snapshot of the executor's cumulative counters.
 type SharedStats struct {
 	Workers    int
-	QueueDepth int           // gates currently ready and waiting
+	QueueDepth int           // level slices currently ready and waiting
 	InFlight   int           // submissions currently executing
-	Gates      int64         // gates evaluated since construction
-	Bootstraps int64         // bootstrapped gates since construction
-	LUTs       int64         // multi-input LUT gates among those (each one programmable bootstrap)
+	Gates      int64         // plan instructions executed since construction
+	Bootstraps int64         // bootstrapped instructions among those
+	LUTs       int64         // multi-input LUT instructions among those (each one programmable bootstrap)
 	Submits    int64         // Submit calls accepted
 	WorkerBusy time.Duration // cumulative evaluation time across workers
 
-	// Per-tenant fairness and quota accounting, keyed by SharedKey.ID.
-	TenantPicks  map[int64]int64 // scheduler picks per tenant
-	TenantQueued map[int64]int   // ready gates queued per tenant
-	QuotaRejects int64           // Submits refused with qos.ErrQuotaExceeded
+	// Per-tenant fairness accounting, keyed by SharedKey.ID.
+	TenantPicks  map[int64]int64 // scheduler picks (level slices served) per tenant
+	TenantQueued map[int64]int   // level slices queued per tenant
 	KeysReleased int64           // ReleaseKey calls honored
 
-	// Batch occupancy (zero unless the executor was built with
-	// NewSharedBatch and batch > 1).
+	// ArenaHighWater is the most ciphertexts any one run's arena held.
+	ArenaHighWater int
+
+	// Batch occupancy (zero at batch <= 1).
 	BatchSize         int   // configured batch limit
 	Batches           int64 // batched bootstrap dispatches
-	BatchedBootstraps int64 // bootstrapped gates covered by those dispatches
+	BatchedBootstraps int64 // bootstrapped instructions covered by those dispatches
 	CrossRunBatches   int64 // batches spanning ≥2 concurrent submissions
 }
 
-// AvgBatchFill is the average number of bootstrapped gates per batched
-// dispatch, or 0 when no batches ran.
+// AvgBatchFill is the average number of bootstrapped instructions per
+// batched dispatch, or 0 when no batches ran.
 func (st SharedStats) AvgBatchFill() float64 {
 	if st.Batches == 0 {
 		return 0
@@ -233,7 +187,7 @@ func (st SharedStats) AvgBatchFill() float64 {
 	return float64(st.BatchedBootstraps) / float64(st.Batches)
 }
 
-// BootstrapsPerSec is the executor's cumulative bootstrapped-gate
+// BootstrapsPerSec is the executor's cumulative executed-bootstrap
 // throughput per busy worker-second — the figure of merit the paper
 // reports (an earlier revision mislabeled it GatesPerSec).
 func (st SharedStats) BootstrapsPerSec() float64 {
@@ -243,8 +197,8 @@ func (st SharedStats) BootstrapsPerSec() float64 {
 	return float64(st.Bootstraps) / st.WorkerBusy.Seconds() * float64(st.Workers)
 }
 
-// GatesPerSec is the executor's cumulative all-gate throughput per busy
-// worker-second, free gates included.
+// GatesPerSec is the executor's cumulative executed-instruction throughput
+// per busy worker-second, free gates included.
 func (st SharedStats) GatesPerSec() float64 {
 	if st.WorkerBusy <= 0 {
 		return 0
@@ -263,23 +217,26 @@ func (s *Shared) Stats() SharedStats {
 		queued[id] = ts.Queued
 		depth += ts.Queued
 	}
+	s.mu.Lock()
+	inflight, arenaHW := len(s.runs), s.arenaHW
+	s.mu.Unlock()
 	return SharedStats{
 		Workers:           s.workers,
 		QueueDepth:        depth,
-		InFlight:          int(atomic.LoadInt32(&s.inflightRn)),
-		Gates:             atomic.LoadInt64(&s.gatesDone),
-		Bootstraps:        atomic.LoadInt64(&s.bootsDone),
-		LUTs:              atomic.LoadInt64(&s.lutsDone),
-		Submits:           atomic.LoadInt64(&s.submits),
-		WorkerBusy:        time.Duration(atomic.LoadInt64(&s.busyNs)),
+		InFlight:          inflight,
+		Gates:             s.instrs.Load(),
+		Bootstraps:        s.boots.Load(),
+		LUTs:              s.luts.Load(),
+		Submits:           s.submits.Load(),
+		WorkerBusy:        time.Duration(s.busyNs.Load()),
 		TenantPicks:       picks,
 		TenantQueued:      queued,
-		QuotaRejects:      atomic.LoadInt64(&s.quotaRej),
-		KeysReleased:      atomic.LoadInt64(&s.keysFreed),
+		KeysReleased:      s.keysFreed.Load(),
+		ArenaHighWater:    arenaHW,
 		BatchSize:         s.batch,
-		Batches:           atomic.LoadInt64(&s.batchesDone),
-		BatchedBootstraps: atomic.LoadInt64(&s.batchedBoots),
-		CrossRunBatches:   atomic.LoadInt64(&s.crossRunBtch),
+		Batches:           s.batches.Load(),
+		BatchedBootstraps: s.batched.Load(),
+		CrossRunBatches:   s.crossRun.Load(),
 	}
 }
 
@@ -299,85 +256,95 @@ func (s *Shared) Close() {
 	}
 	s.mu.Unlock()
 	for _, r := range runs {
-		r.abort(ErrExecutorClosed)
+		r.finish(ErrExecutorClosed)
 	}
 	s.q.Finish()
 	s.wg.Wait()
 }
 
-// sharedRun is the per-submission scheduling state: the shared execution
-// core's value table and dependency counters, plus the completion latch
-// that lets concurrent submissions stay fully independent.
+// sharedRun is one submission: a plan bound to a runtime, the level it is
+// on, and the latch that tells Submit when the runtime is quiescent.
 type sharedRun struct {
-	nl     *circuit.Netlist
 	key    *SharedKey
-	st     *exec.State
-	deps   *exec.Deps
-	prio   []int64
-	nGates int32
-	done   int32
+	levels []plan.Level
+	rt     *plan.Runtime
 
-	aborted atomic.Bool
-	once    sync.Once
+	// level is the index of the level currently queued; pending counts its
+	// slices not yet evaluated. Only the worker that takes pending to zero
+	// advances level, and the queue's mutex orders that write before any
+	// reader of the next level's tasks.
+	level   int
+	pending atomic.Int32
+
+	mu      sync.Mutex
+	busy    int  // workers currently evaluating a slice of this run
+	done    bool // finished, failed or aborted: no worker may enter
 	err     error
-	doneCh  chan struct{}
+	quiet   bool          // done with busy == 0: drained is closed
+	drained chan struct{} // closed once no worker can touch rt again
 }
 
+// enter claims the run for one slice evaluation; false once it is done.
+func (r *sharedRun) enter() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.done {
+		return false
+	}
+	r.busy++
+	return true
+}
+
+// exit ends a claim taken with enter.
+func (r *sharedRun) exit() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.busy--
+	r.settle()
+}
+
+// finish marks the run done with err (nil: every level evaluated); the
+// first call wins.
 func (r *sharedRun) finish(err error) {
-	r.once.Do(func() {
-		r.err = err
-		close(r.doneCh)
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.done {
+		r.done, r.err = true, err
+	}
+	r.settle()
 }
 
-func (r *sharedRun) abort(err error) {
-	r.aborted.Store(true)
-	r.finish(err)
+// settle closes drained the moment the run is done and no worker is inside
+// it; r.mu must be held.
+func (r *sharedRun) settle() {
+	if r.done && r.busy == 0 && !r.quiet {
+		r.quiet = true
+		close(r.drained)
+	}
 }
 
-// Submit evaluates nl's gates on the shared worker set under the given
-// key, blocking until the outputs are ready, the context is done, or the
-// executor closes. It is safe to call from any number of goroutines; the
-// inputs are not modified and the caller keeps ownership of them. With
-// quotas configured a tenant over its run or gate budget fails fast with
-// qos.ErrQuotaExceeded (other tenants are unaffected); a released key
-// fails with ErrKeyReleased.
-func (s *Shared) Submit(ctx context.Context, key *SharedKey, nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+// Submit replays p on the shared worker set under the given key, blocking
+// until the outputs are ready, the context is done, or the executor
+// closes. It is safe to call from any number of goroutines; the inputs are
+// not modified and the caller keeps ownership of them. A released key
+// fails with ErrKeyReleased. However a run ends, Submit returns — and its
+// runtime goes back to the pool — only after every worker has left it.
+func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if key == nil || key.owner != s {
 		return nil, fmt.Errorf("backend: key not registered with this executor")
 	}
-	s.mu.Lock()
-	_, rel := s.released[key.id]
-	s.mu.Unlock()
-	if rel {
+	if key.released.Load() {
 		return nil, ErrKeyReleased
 	}
-	nGates := len(nl.Gates)
-	if err := s.quota.Acquire(key.id, nGates); err != nil {
-		atomic.AddInt64(&s.quotaRej, 1)
-		return nil, err
-	}
-	defer s.quota.Release(key.id, nGates)
-
 	dim := key.ck.Params.LWEDimension
-	st, err := exec.NewState(nl, inputs, dim)
-	if err != nil {
+	rt := s.getRuntime(dim)
+	defer s.putRuntime(dim, rt)
+	if err := rt.Bind(p, inputs); err != nil {
 		return nil, err
 	}
+	defer rt.Unbind()
 
-	r := &sharedRun{
-		nl:     nl,
-		key:    key,
-		st:     st,
-		deps:   exec.NewDeps(nl),
-		nGates: int32(nGates),
-		doneCh: make(chan struct{}),
-	}
-	// The initial ready set must be fixed before the first push: workers
-	// start decrementing pending counters the moment a task is visible.
-	initial := r.deps.Ready()
-	r.prio = exec.CriticalDepth(nl, r.deps.Children)
-
+	r := &sharedRun{key: key, levels: p.Levels(), rt: rt, drained: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -385,237 +352,177 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, nl *circuit.Netlist
 	}
 	s.runs[r] = struct{}{}
 	s.mu.Unlock()
-	atomic.AddInt64(&s.submits, 1)
-	atomic.AddInt32(&s.inflightRn, 1)
+	s.submits.Add(1)
 	defer func() {
-		atomic.AddInt32(&s.inflightRn, -1)
 		s.mu.Lock()
 		delete(s.runs, r)
 		s.mu.Unlock()
+		if key.released.Load() {
+			// Released mid-run: the run's pushes re-created the tenant.
+			s.q.Forget(key.id)
+		}
 	}()
 
-	if nGates == 0 {
-		return r.st.Collect(dim)
+	if len(r.levels) == 0 {
+		return rt.Collect(p)
 	}
-	for _, gi := range initial {
-		s.push(r, gi)
-	}
-
+	s.pushLevel(r, 0)
 	select {
-	case <-r.doneCh:
+	case <-r.drained:
 	case <-ctx.Done():
-		// Mark first so workers popping this run's queued gates drop them;
-		// gates whose operands never arrive are simply never enqueued.
-		r.abort(ctx.Err())
-		<-r.doneCh
+		// Workers drop this run's queued slices from here on; the ones
+		// already inside it finish their dispatch first.
+		r.finish(ctx.Err())
+		<-r.drained
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return r.st.Collect(dim)
+	return rt.Collect(p)
 }
 
-// push enqueues one ready gate of r on its tenant's heap, stamping the
-// arrival sequence that breaks priority ties within the tenant.
-func (s *Shared) push(r *sharedRun, gi int32) {
-	s.q.Push(r.key.id, sharedTask{run: r, gi: gi, prio: r.prio[gi], seq: atomic.AddUint64(&s.seq, 1)})
+// getRuntime takes an idle runtime of the given dimension from the pool, or
+// makes one. Runtimes hold only ciphertext buffers, so any plan under any
+// key of that dimension can use any of them; the pool never outgrows the
+// largest number of concurrent Submits (the daemon's admission slots).
+func (s *Shared) getRuntime(dim int) *plan.Runtime {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free[dim]); n > 0 {
+		rt := s.free[dim][n-1]
+		s.free[dim] = s.free[dim][:n-1]
+		return rt
+	}
+	return plan.NewRuntime(dim)
 }
 
-// complete publishes one finished gate's result, wakes its children, and
-// recycles drained operands: the queue's mutex orders the write to
-// Values[id] before any child's read of it.
-func (s *Shared) complete(r *sharedRun, gi int32, out *lwe.Sample, pool *exec.Pool) {
-	g := r.nl.Gates[gi]
-	id := r.nl.GateID(int(gi))
-	r.st.Values[id] = out
-	for _, child := range r.deps.Children[id] {
-		if atomic.AddInt32(&r.deps.Pending[child], -1) == 0 {
-			s.push(r, child)
+func (s *Shared) putRuntime(dim int, rt *plan.Runtime) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arenaHW = max(s.arenaHW, rt.HighWater())
+	s.free[dim] = append(s.free[dim], rt)
+}
+
+// pushLevel queues level l of r on its tenant's FIFO, each partition cut
+// into slices of at most one kernel batch of instructions. pending is set
+// before the first push: workers start on a slice the moment it is visible.
+func (s *Shared) pushLevel(r *sharedRun, l int) {
+	n := 0
+	for _, part := range r.levels[l].Batches {
+		n += (len(part) + s.batch - 1) / s.batch
+	}
+	r.level = l
+	r.pending.Store(int32(n))
+	for _, part := range r.levels[l].Batches {
+		for len(part) > 0 {
+			c := min(len(part), s.batch)
+			s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1)})
+			part = part[c:]
 		}
 	}
-	for k := 0; k < g.NumOperands(); k++ {
-		r.st.Release(g.Operand(k), pool)
-	}
-	atomic.AddInt64(&s.gatesDone, 1)
-	if g.NeedsBootstrap() {
-		atomic.AddInt64(&s.bootsDone, 1)
-	}
-	if g.IsLUT() {
-		atomic.AddInt64(&s.lutsDone, 1)
-	}
-	if atomic.AddInt32(&r.done, 1) == r.nGates {
-		r.finish(nil)
-		// Hand the processor to the submitter just woken: with every P held
-		// by a CPU-bound worker it would otherwise wait out the scheduler's
-		// 10 ms preemption quantum before seeing its finished run.
-		runtime.Gosched()
-	}
 }
 
-// evalSingle evaluates one gate — classic 2-input or k-input LUT — on the
-// single path, timing it into the cumulative busy counter.
-func (s *Shared) evalSingle(eng *gate.Engine, pool *exec.Pool, t sharedTask) {
-	r := t.run
-	g := r.nl.Gates[t.gi]
-	out := pool.Get()
-	start := time.Now()
-	var err error
-	if g.IsLUT() {
-		var ins [logic.MaxLUTArity]*lwe.Sample
-		n := g.NumOperands()
-		for k := 0; k < n; k++ {
-			ins[k] = r.st.Values[g.Operand(k)]
-		}
-		err = eng.LUT(n, g.TT, out, ins[:n]...)
-	} else {
-		err = eng.Binary(g.Kind, out, r.st.Values[g.A], r.st.Values[g.B])
-	}
-	if err != nil {
-		pool.Put(out)
-		r.abort(fmt.Errorf("backend: gate %d: %w", r.nl.GateID(int(t.gi)), err))
+// complete records one evaluated slice of r: the slice that finishes a
+// level queues the next one, or finishes the run.
+func (s *Shared) complete(r *sharedRun) {
+	if r.pending.Add(-1) != 0 {
 		return
 	}
-	s.complete(r, t.gi, out, pool)
-	atomic.AddInt64(&s.busyNs, int64(time.Since(start)))
-}
-
-// pruneEngines drops worker-local engines for released keys; called when
-// the release generation moves, so the steady-state cost is one atomic
-// load per dispatch.
-func (s *Shared) pruneEngines(engines map[int64]*gate.Engine) {
-	s.mu.Lock()
-	for id := range engines {
-		if _, dead := s.released[id]; dead {
-			delete(engines, id)
-		}
+	if next := r.level + 1; next < len(r.levels) {
+		s.pushLevel(r, next)
+		return
 	}
-	s.mu.Unlock()
+	r.finish(nil)
 }
 
-// worker is one persistent evaluation goroutine. It keeps an engine per
-// registered key and a ciphertext pool per LWE dimension, and survives
-// individual run failures — only Close stops it. With batch > 1 a popped
-// bootstrapped gate seeds a batch that is topped up from the same
-// tenant's heap without blocking (only gates under one key can share a
-// kernel dispatch, and a tenant is exactly a key); because that heap
-// interleaves every in-flight submission of the tenant, those batches
-// routinely span concurrent requests. The fair queue charges the burst
-// to the tenant's virtual time, so batching amortizes kernels without
-// distorting cross-tenant fairness.
-func (s *Shared) worker() {
+// worker is one persistent evaluation goroutine; only Close stops it. It
+// pops a slice, evaluates it on its engine for the slice's key, and — when
+// the slice leaves a partial kernel batch and every other worker is busy
+// too — tops the batch up with the same tenant's next queued slices, which
+// routinely belong to other concurrent requests (only work under one key
+// can share a dispatch, and a tenant is exactly a key). The top-up stops
+// at the first full dispatch, so a round is under two batches long. The
+// fair queue charges every slice to the tenant's virtual time, so
+// batching amortizes kernels without distorting cross-tenant fairness.
+func (s *Shared) worker(w int) {
 	defer s.wg.Done()
-	engines := make(map[int64]*gate.Engine)
-	pools := make(map[int]*exec.Pool)
-	var relSeen int64
-	var (
-		tasks []sharedTask
-		ops   []gate.Op
-		outs  []*lwe.Sample
-		avs   []*lwe.Sample
-		bvs   []*lwe.Sample
-		cvs   []*lwe.Sample
-	)
+	var open []*sharedRun
 	for {
 		t, _, ok := s.q.Pop()
 		if !ok {
 			return
 		}
-		if g := atomic.LoadInt64(&s.relGen); g != relSeen {
-			relSeen = g
-			s.pruneEngines(engines)
-		}
 		r := t.run
-		if r.aborted.Load() {
+		if !r.enter() {
 			continue
 		}
-		dim := r.key.ck.Params.LWEDimension
-		pool := pools[dim]
-		if pool == nil {
-			pool = exec.NewPool(dim)
-			pools[dim] = pool
-		}
-		eng := engines[r.key.id]
-		if eng == nil {
-			eng = gate.NewEngine(r.key.ck)
-			engines[r.key.id] = eng
+		key := r.key
+		it := key.interps[w]
+		if it == nil {
+			it = plan.NewInterp(gate.NewEngine(key.ck), s.batch)
+			key.interps[w] = it
 		}
 
-		if s.batch <= 1 || !r.nl.Gates[t.gi].NeedsBootstrap() {
-			s.evalSingle(eng, pool, t)
-			continue
-		}
-
-		tasks, ops, outs = tasks[:0], ops[:0], outs[:0]
-		avs, bvs, cvs = avs[:0], bvs[:0], cvs[:0]
-		collect := func(t sharedTask) {
-			g := t.run.nl.Gates[t.gi]
-			tasks = append(tasks, t)
-			ops = append(ops, gate.Op{Kind: g.Kind, TT: g.TT, Arity: g.Arity})
-			outs = append(outs, pool.Get())
-			avs = append(avs, t.run.st.Values[g.A])
-			bvs = append(bvs, t.run.st.Values[g.B])
-			if g.Arity >= 3 {
-				cvs = append(cvs, t.run.st.Values[g.C])
-			} else {
-				cvs = append(cvs, nil)
-			}
-		}
-		collect(t)
-		for len(tasks) < s.batch {
-			t2, ok := s.q.TryPopTenant(r.key.id)
+		s.busy.Add(1)
+		start := time.Now()
+		open = append(open[:0], r)
+		cross := false
+		err := r.rt.Exec(it, t.instrs, false)
+		// A worker that is not mid-round is about to take the next slice
+		// itself, and running it in parallel beats folding it into this
+		// batch: top up only while every worker is occupied.
+		for err == nil && it.Pending() > 0 && it.N.Batches == 0 && int(s.busy.Load()) == s.workers {
+			t2, ok := s.q.TryPopTenant(key.id)
 			if !ok {
 				break
 			}
-			if t2.run.aborted.Load() {
+			if !t2.run.enter() {
 				continue
 			}
-			if !t2.run.nl.Gates[t2.gi].NeedsBootstrap() {
-				s.evalSingle(eng, pool, t2)
-				continue
-			}
-			collect(t2)
+			open = append(open, t2.run)
+			before := it.N.Bootstraps
+			err = t2.run.rt.Exec(it, t2.instrs, false)
+			cross = cross || (t2.run != r && it.N.Bootstraps > before)
+		}
+		if err == nil {
+			err = it.Run(nil, nil, nil, true)
 		}
 
-		b := len(tasks)
-		start := time.Now()
-		if err := eng.OpBatch(ops[:b], outs[:b], avs[:b], bvs[:b], cvs[:b]); err != nil {
-			for _, out := range outs[:b] {
-				pool.Put(out)
-			}
-			for _, tm := range tasks[:b] {
-				tm.run.abort(fmt.Errorf("backend: gate %d: %w", tm.run.nl.GateID(int(tm.gi)), err))
-			}
-			continue
-		}
-		atomic.AddInt64(&s.batchesDone, 1)
-		atomic.AddInt64(&s.batchedBoots, int64(b))
-		for _, tm := range tasks[1:b] {
-			if tm.run != r {
-				atomic.AddInt64(&s.crossRunBtch, 1)
-				break
+		s.instrs.Add(it.N.Instrs)
+		s.boots.Add(it.N.Bootstraps)
+		s.luts.Add(it.N.LUTs)
+		if it.N.Batches > 0 {
+			s.batches.Add(it.N.Batches)
+			s.batched.Add(it.N.Bootstraps)
+			if cross {
+				s.crossRun.Add(1)
 			}
 		}
-		for m := 0; m < b; m++ {
-			s.complete(tasks[m].run, tasks[m].gi, outs[m], pool)
+		it.N = plan.Counts{}
+		s.busyNs.Add(int64(time.Since(start)))
+		s.busy.Add(-1)
+
+		for i, or := range open {
+			if err != nil {
+				or.finish(fmt.Errorf("backend: %w", err))
+			} else {
+				s.complete(or)
+			}
+			or.exit()
+			open[i] = nil
 		}
-		atomic.AddInt64(&s.busyNs, int64(time.Since(start)))
+		// A worker with work queued never blocks, so with every P held by
+		// a worker the goroutines that feed it — a submitter just woken, a
+		// connection decoding the next request — would wait out the
+		// scheduler's 10 ms preemption quantum. Yield once per round.
+		runtime.Gosched()
 	}
 }
 
-// sharedTask is one ready gate of one in-flight submission.
+// sharedTask is one ready slice of one in-flight submission: at most one
+// kernel batch of mutually independent instructions from one level.
 type sharedTask struct {
-	run  *sharedRun
-	gi   int32
-	prio int64
-	seq  uint64
-}
-
-// taskLess orders each tenant's heap: deepest remaining critical path
-// first, arrival order breaking ties. Cross-tenant order is the fair
-// picker's job, not the heap's.
-func taskLess(a, b sharedTask) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.seq < b.seq
+	run    *sharedRun
+	instrs []plan.Instr
+	seq    uint64
 }

@@ -13,6 +13,7 @@ import (
 	"pytfhe/internal/exec"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/trand"
@@ -178,12 +179,16 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 			}
 		}
 
-		sh := backend.NewShared(2)
+		sh := backend.NewShared(2, 1)
 		key, err := sh.RegisterKey(ck)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := sh.Submit(context.Background(), key, nl, backend.EncryptInputs(sk, in))
+		compiled, err := plan.Compile(nl, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := sh.Submit(context.Background(), key, compiled, backend.EncryptInputs(sk, in))
 		sh.Close()
 		if err != nil {
 			t.Fatalf("shared: %v", err)
@@ -221,13 +226,17 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 		{"async", func() error { _, err := backend.NewAsync(ck, 2).Run(nl, bad); return err }},
 		{"plan", func() error { _, err := backend.NewPlanned(ck, 2).Run(nl, bad); return err }},
 		{"shared", func() error {
-			sh := backend.NewShared(1)
+			sh := backend.NewShared(1, 1)
 			defer sh.Close()
 			key, err := sh.RegisterKey(ck)
 			if err != nil {
 				return err
 			}
-			_, err = sh.Submit(context.Background(), key, nl, bad)
+			compiled, err := plan.Compile(nl, 1)
+			if err != nil {
+				return err
+			}
+			_, err = sh.Submit(context.Background(), key, compiled, bad)
 			return err
 		}},
 	}

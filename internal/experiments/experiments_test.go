@@ -17,7 +17,7 @@ import (
 var quick = Config{Quick: true, GateTime: 10 * time.Millisecond}
 
 func TestFig07BlindRotationDominates(t *testing.T) {
-	g, err := Fig07GateProfile(params.Test(), 3)
+	g, err := Fig07GateProfile(params.Test(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}

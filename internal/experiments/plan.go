@@ -11,6 +11,7 @@ import (
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
@@ -105,7 +106,8 @@ type BatchPoint struct {
 // PlanBench measures the plan backend against Async and Shared on one
 // netlist. The plan backend runs once untimed to pay the capture, then the
 // timed runs replay the cached plan — the steady state of a server
-// evaluating the same program repeatedly.
+// evaluating the same program repeatedly. Shared is the daemon's scheduler
+// given the compiled plan once, engines cold: a tenant's first request.
 func PlanBench(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, workers int) (*PlanBenchReport, error) {
 	boots := float64(nl.ComputeStats().Bootstrapped)
 	r := &PlanBenchReport{Netlist: nl.Name, Workers: workers}
@@ -116,14 +118,18 @@ func PlanBench(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, wor
 	}
 	r.AsyncBootstrapsPerSec = async.Stats.BootstrapsPerSec
 
-	shared := backend.NewShared(workers)
+	shared := backend.NewShared(workers, 1)
 	defer shared.Close()
 	key, err := shared.RegisterKey(ck)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: plan bench shared key: %w", err)
 	}
+	compiled, err := plan.Compile(nl, workers)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: plan bench compile: %w", err)
+	}
 	start := time.Now()
-	if _, err := shared.Submit(context.Background(), key, nl, inputs); err != nil {
+	if _, err := shared.Submit(context.Background(), key, compiled, inputs); err != nil {
 		return nil, fmt.Errorf("experiments: plan bench shared(%d): %w", workers, err)
 	}
 	if e := time.Since(start).Seconds(); e > 0 {

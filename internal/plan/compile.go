@@ -158,44 +158,10 @@ type structKey struct {
 	a, b, c int32
 }
 
-// Stream is an in-flight compilation. Levels are emitted on Levels() as
-// they are laid out (the paper's overlapped batch construction); Plan()
-// blocks until capture finishes and returns the completed immutable plan.
-type Stream struct {
-	p        *Plan
-	ch       chan Level
-	done     chan struct{}
-	maxArena int // exec-gate count: upper bound on the final arena size
-}
-
-// Levels returns the channel of planned levels, closed after the last
-// level. ReplayStream consumes it; a caller that only wants the finished
-// plan can ignore it and call Plan().
-func (s *Stream) Levels() <-chan Level { return s.ch }
-
-// Plan waits for capture to finish and returns the completed plan.
-func (s *Stream) Plan() *Plan {
-	<-s.done
-	return s.p
-}
-
 // Compile captures nl into an execution plan partitioned for the given
-// worker count. It is the blocking form of CompileStream.
+// worker count: validation, the functional-deduplication pass, then level
+// layout — arena slot assignment and worker partitioning.
 func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
-	s, err := CompileStream(nl, workers)
-	if err != nil {
-		return nil, err
-	}
-	return s.Plan(), nil
-}
-
-// CompileStream captures nl and streams the planned levels. Validation and
-// the functional-deduplication pass run synchronously (errors surface
-// here); level layout — arena slot assignment and worker partitioning —
-// runs in a background goroutine so replay can overlap execution with
-// construction. The Levels channel is buffered for the whole plan, so the
-// planner never blocks on a slow consumer.
-func CompileStream(nl *circuit.Netlist, workers int) (*Stream, error) {
 	start := time.Now()
 	if workers < 1 {
 		workers = 1
@@ -374,92 +340,85 @@ func CompileStream(nl *circuit.Netlist, workers int) (*Stream, error) {
 		outputs:   outputs,
 		execOf:    execOf, // complete after pass 1; read-only from here on
 	}
-	s := &Stream{p: p, ch: make(chan Level, numLevels), done: make(chan struct{}), maxArena: len(gates)}
 
-	// Pass 2 — streamed level layout: arena slot assignment by liveness
-	// (a slot frees one level after its last read, so no reuse can race a
-	// reader across the barrier) and per-worker batch partitioning.
-	go func() {
-		defer close(s.done)
-		defer close(s.ch)
-		slotOf := make([]int32, len(gates))
-		refOf := func(id int32) Ref {
-			if id < int32(numInputs) {
-				return id
-			}
-			return int32(numInputs) + slotOf[id-int32(numInputs)]
+	// Pass 2 — level layout: arena slot assignment by liveness (a slot
+	// frees one level after its last read, so no reuse can race a reader
+	// across the level boundary) and per-worker batch partitioning.
+	slotOf := make([]int32, len(gates))
+	refOf := func(id int32) Ref {
+		if id < int32(numInputs) {
+			return id
 		}
-		var freeSlots []int32
-		freeAt := make([][]int32, numLevels+1) // level → slots released after it
-		arena := 0
-		for l, gs := range byLevel {
-			lvl := int32(l + 1)
-			for _, slot := range freeAt[l] {
-				freeSlots = append(freeSlots, slot)
-			}
-			// Slot assignment for this wavefront's outputs.
-			for _, gi := range gs {
-				var slot int32
-				if n := len(freeSlots); n > 0 {
-					slot = freeSlots[n-1]
-					freeSlots = freeSlots[:n-1]
-				} else {
-					slot = int32(arena)
-					arena++
-				}
-				slotOf[gi] = slot
-				if lr := lastRead[int32(numInputs)+gi]; lr != pinned {
-					if lr < lvl { // no reader at all: dead exec node (outputs only)
-						lr = lvl
-					}
-					freeAt[lr] = append(freeAt[lr], slot)
-				}
-			}
-			// Partition across workers, heaviest-first greedy on bootstrap
-			// weight so no batch ends up with all the expensive gates.
-			batches := make([][]Instr, workers)
-			load := make([]int, workers)
-			for _, gi := range gs {
-				g := gates[gi]
-				w := 0
-				for c := 1; c < workers; c++ {
-					if load[c] < load[w] {
-						w = c
-					}
-				}
-				cost := 1
-				if g.needsBootstrap() {
-					cost = 1024
-				}
-				load[w] += cost
-				ins := Instr{
-					Kind:  g.kind,
-					Out:   int32(numInputs) + slotOf[gi],
-					A:     refOf(g.a),
-					B:     refOf(g.b),
-					TT:    g.tt,
-					Arity: g.arity,
-				}
-				if g.arity >= 3 {
-					ins.C = refOf(g.c)
-				}
-				batches[w] = append(batches[w], ins)
-			}
-			lv := Level{Batches: batches}
-			p.levels = append(p.levels, lv)
-			s.ch <- lv
+		return int32(numInputs) + slotOf[id-int32(numInputs)]
+	}
+	var freeSlots []int32
+	freeAt := make([][]int32, numLevels+1) // level → slots released after it
+	arena := 0
+	for l, gs := range byLevel {
+		lvl := int32(l + 1)
+		for _, slot := range freeAt[l] {
+			freeSlots = append(freeSlots, slot)
 		}
-		for i, out := range nl.Outputs {
-			if outputs[i] >= 0 {
-				p.outputs[i] = refOf(execOf[out])
+		// Slot assignment for this wavefront's outputs.
+		for _, gi := range gs {
+			var slot int32
+			if n := len(freeSlots); n > 0 {
+				slot = freeSlots[n-1]
+				freeSlots = freeSlots[:n-1]
+			} else {
+				slot = int32(arena)
+				arena++
+			}
+			slotOf[gi] = slot
+			if lr := lastRead[int32(numInputs)+gi]; lr != pinned {
+				if lr < lvl { // no reader at all: dead exec node (outputs only)
+					lr = lvl
+				}
+				freeAt[lr] = append(freeAt[lr], slot)
 			}
 		}
-		stats.Levels = numLevels
-		stats.ArenaSlots = arena
-		stats.CompileTime = time.Since(start)
-		p.stats = stats
-	}()
-	return s, nil
+		// Partition across workers, heaviest-first greedy on bootstrap
+		// weight so no batch ends up with all the expensive gates.
+		batches := make([][]Instr, workers)
+		load := make([]int, workers)
+		for _, gi := range gs {
+			g := gates[gi]
+			w := 0
+			for c := 1; c < workers; c++ {
+				if load[c] < load[w] {
+					w = c
+				}
+			}
+			cost := 1
+			if g.needsBootstrap() {
+				cost = 1024
+			}
+			load[w] += cost
+			ins := Instr{
+				Kind:  g.kind,
+				Out:   int32(numInputs) + slotOf[gi],
+				A:     refOf(g.a),
+				B:     refOf(g.b),
+				TT:    g.tt,
+				Arity: g.arity,
+			}
+			if g.arity >= 3 {
+				ins.C = refOf(g.c)
+			}
+			batches[w] = append(batches[w], ins)
+		}
+		p.levels = append(p.levels, Level{Batches: batches})
+	}
+	for i, out := range nl.Outputs {
+		if outputs[i] >= 0 {
+			p.outputs[i] = refOf(execOf[out])
+		}
+	}
+	stats.Levels = numLevels
+	stats.ArenaSlots = arena
+	stats.CompileTime = time.Since(start)
+	p.stats = stats
+	return p, nil
 }
 
 // newExec appends an exec gate and its function, returning the node id.

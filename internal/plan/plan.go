@@ -19,9 +19,9 @@
 // support agree — and gate evaluation is deterministic, so replayed
 // outputs decrypt bit-identically to the dynamic executors' outputs.
 //
-// Mirroring the paper's overlapped batch construction, CompileStream
-// emits levels over a channel as they are planned, and ReplayStream starts
-// executing level 0 while later levels are still being laid out.
+// Every consumer evaluates a plan's instructions through one interpreter
+// (Interp): Replay's barrier workers here, the serving scheduler
+// (backend.Shared) and the cluster's shard runtimes.
 package plan
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pytfhe/internal/exec"
 	"pytfhe/internal/logic"
@@ -13,11 +12,12 @@ import (
 )
 
 // Runtime holds the mutable replay state: the arena ciphertexts and the
-// resolved value table. It persists across replays of the same plan, which
-// is what makes the second and later runs allocation-free (output
-// ciphertexts excepted — the caller owns those). A Runtime is single-use
-// at a time: serialize replays that share one.
+// resolved value table. It persists across replays — of the same plan or,
+// rebound, of any plan at the same LWE dimension — which is what makes the
+// second and later runs allocation-free (output ciphertexts excepted — the
+// caller owns those). A Runtime serves one replay at a time.
 type Runtime struct {
+	dim int
 	// pool is the shared execution core's liveness arena: slots are bound
 	// once per plan by the compile-time liveness analysis instead of
 	// refcounted at runtime, and the arena's own accounting supplies the
@@ -29,22 +29,21 @@ type Runtime struct {
 	vals      []*lwe.Sample
 	numInputs int
 
-	// Batch occupancy of the most recent batched replay (atomics: the
-	// replay workers update them concurrently).
+	// Batch occupancy of the most recent ReplayBatch.
 	batches      int64
 	batchedBoots int64
 }
 
-// BatchOccupancy reports the most recent batched replay's dispatch count
-// and the number of bootstrapped instructions those dispatches covered
-// (both zero after an unbatched replay).
+// BatchOccupancy reports the most recent ReplayBatch's dispatch count and
+// the number of bootstrapped instructions those dispatches covered (both
+// zero after an unbatched replay).
 func (rt *Runtime) BatchOccupancy() (batches, batchedBootstraps int64) {
-	return atomic.LoadInt64(&rt.batches), atomic.LoadInt64(&rt.batchedBoots)
+	return rt.batches, rt.batchedBoots
 }
 
 // NewRuntime returns a replay runtime allocating ciphertexts of the given
 // LWE dimension.
-func NewRuntime(dim int) *Runtime { return &Runtime{pool: exec.NewArena(dim)} }
+func NewRuntime(dim int) *Runtime { return &Runtime{dim: dim, pool: exec.NewArena(dim)} }
 
 // HighWater returns the largest number of arena ciphertexts this runtime
 // has held live at once across all replays.
@@ -61,72 +60,169 @@ func (rt *Runtime) Reset() {
 	rt.numInputs = 0
 }
 
-// bind sizes the value table for a plan with the given input count and
-// arena bound, and installs the run's input ciphertexts.
-func (rt *Runtime) bind(inputs []*lwe.Sample, arenaSlots int) {
+// Bind validates one run's inputs against p (count, non-nil, LWE
+// dimension), sizes the value table to p's arena bound and installs the
+// inputs. Pair it with Unbind.
+func (rt *Runtime) Bind(p *Plan, inputs []*lwe.Sample) error {
+	if err := exec.CheckRawInputs(inputs, p.NumInputs, rt.dim); err != nil {
+		return err
+	}
 	if rt.numInputs != len(inputs) {
 		// Input count changed (different plan): slots shift, start over.
 		rt.Reset()
 		rt.numInputs = len(inputs)
 	}
-	n := len(inputs) + arenaSlots
+	n := len(inputs) + p.stats.ArenaSlots
 	for len(rt.vals) < n {
 		rt.vals = append(rt.vals, nil)
 	}
 	copy(rt.vals, inputs)
+	return nil
 }
 
-// unbindInputs drops the run's input refs after output collection (the
-// caller owns the inputs; holding them would pin their memory).
-func (rt *Runtime) unbindInputs() {
+// Unbind drops the run's input refs (the caller owns the inputs; holding
+// them would pin their memory).
+func (rt *Runtime) Unbind() {
 	for i := 0; i < rt.numInputs && i < len(rt.vals); i++ {
 		rt.vals[i] = nil
 	}
 }
 
-// levelFeed hands planned levels to the replay workers in order. For a
-// finished plan it is pre-filled; for a streaming compile a receiver
-// goroutine appends levels as the planner emits them and workers block in
-// get until their next level (or the end of the plan) is known.
-type levelFeed struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	levels []Level
-	closed bool
+// Exec evaluates instrs over the runtime's value table on it (see
+// Interp.Run). Instructions of one level write disjoint slots, so any
+// number of interpreters may Exec partitions of the same level at once.
+func (rt *Runtime) Exec(it *Interp, instrs []Instr, flush bool) error {
+	return it.Run(instrs, rt.vals, rt.pool, flush)
 }
 
-func newLevelFeed() *levelFeed {
-	f := &levelFeed{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
+// Collect materializes p's output ciphertexts from the value table via the
+// shared execution core's collector; every output is a fresh copy.
+func (rt *Runtime) Collect(p *Plan) ([]*lwe.Sample, error) {
+	return exec.CollectOutputs(rt.dim, p.outputs, func(ref Ref) *lwe.Sample {
+		if int(ref) >= len(rt.vals) {
+			return nil
+		}
+		return rt.vals[ref]
+	})
 }
 
-func (f *levelFeed) add(lv Level) {
-	f.mu.Lock()
-	f.levels = append(f.levels, lv)
-	f.mu.Unlock()
-	f.cond.Broadcast()
+// Counts is what an Interp has executed since its owner last cleared it.
+type Counts struct {
+	Instrs     int64 // instructions, free gates included
+	Bootstraps int64 // bootstrapped instructions (LUTs included)
+	LUTs       int64 // multi-input LUT instructions
+	Batches    int64 // batched kernel dispatches (zero at batch ≤ 1)
 }
 
-func (f *levelFeed) finish() {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.cond.Broadcast()
+// Interp is the one evaluator of plan instructions: classic gates and LUTs,
+// one at a time or grouped into batched kernel dispatches, on one engine.
+// Plan replay, the serving scheduler's workers and shard runtimes all run
+// instructions through it, so a new gate kind or LUT arity is handled here
+// and nowhere else. An Interp belongs to one goroutine.
+type Interp struct {
+	eng   *gate.Engine
+	batch int
+
+	// N accumulates across Run calls; the owner reads and clears it.
+	N Counts
+
+	// The pending batch: bootstrapped instructions collected but not yet
+	// dispatched, as the parallel arrays gate.Engine.OpBatch takes.
+	ops  []gate.Op
+	outs []*lwe.Sample
+	avs  []*lwe.Sample
+	bvs  []*lwe.Sample
+	cvs  []*lwe.Sample
 }
 
-// get blocks until level i exists (ok=true) or the plan is known to have
-// only i levels (ok=false).
-func (f *levelFeed) get(i int) (Level, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for len(f.levels) <= i && !f.closed {
-		f.cond.Wait()
+// NewInterp returns an interpreter on eng that groups up to batch
+// bootstrapped instructions per kernel dispatch (batch ≤ 1: every
+// instruction evaluates on its own).
+func NewInterp(eng *gate.Engine, batch int) *Interp {
+	return &Interp{eng: eng, batch: batch}
+}
+
+// Pending reports how many bootstrapped instructions wait in the partial
+// batch.
+func (it *Interp) Pending() int { return len(it.ops) }
+
+// drop empties the pending batch.
+func (it *Interp) drop() {
+	it.ops, it.outs, it.avs, it.bvs, it.cvs = it.ops[:0], it.outs[:0], it.avs[:0], it.bvs[:0], it.cvs[:0]
+}
+
+// Run evaluates instrs — mutually independent instructions, e.g. part of
+// one plan level — over the value table vals. Output slots are taken from
+// mem on first touch; each slot is written by exactly one instruction per
+// level, so concurrent interpreters on one table never collide. Free
+// instructions evaluate where they appear; bootstrapped ones join the
+// pending batch, which is dispatched whenever it reaches the batch size
+// and, when flush is set, once more at the end. With flush unset a partial
+// batch stays pending so a later Run — on any table whose instructions are
+// independent of these — can fill it; Run(nil, nil, nil, true) dispatches
+// it. On error the pending batch is dropped.
+func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush bool) (err error) {
+	dispatch := func() error {
+		if len(it.ops) == 0 {
+			return nil
+		}
+		it.N.Batches++
+		err := it.eng.OpBatch(it.ops, it.outs, it.avs, it.bvs, it.cvs)
+		it.drop()
+		return err
 	}
-	if i < len(f.levels) {
-		return f.levels[i], true
+	defer func() {
+		if err != nil {
+			it.drop()
+			err = fmt.Errorf("plan: replay: %w", err)
+		}
+	}()
+	for _, ins := range instrs {
+		a, b := vals[ins.A], vals[ins.B]
+		var c *lwe.Sample
+		if ins.Arity >= 3 {
+			c = vals[ins.C]
+		}
+		if a == nil || b == nil || (ins.Arity >= 3 && c == nil) {
+			return fmt.Errorf("instr reads unwritten slot (%d,%d,%d)", ins.A, ins.B, ins.C)
+		}
+		out := vals[ins.Out]
+		if out == nil {
+			out = mem.Get()
+			vals[ins.Out] = out
+		}
+		it.N.Instrs++
+		if ins.IsLUT() {
+			it.N.LUTs++
+		}
+		boots := ins.NeedsBootstrap()
+		if boots {
+			it.N.Bootstraps++
+		}
+		switch {
+		case boots && it.batch > 1:
+			it.ops = append(it.ops, gate.Op{Kind: ins.Kind, TT: ins.TT, Arity: ins.Arity})
+			it.outs = append(it.outs, out)
+			it.avs = append(it.avs, a)
+			it.bvs = append(it.bvs, b)
+			it.cvs = append(it.cvs, c)
+			if len(it.ops) == it.batch {
+				err = dispatch()
+			}
+		case ins.IsLUT():
+			opv := [logic.MaxLUTArity]*lwe.Sample{a, b, c}
+			err = it.eng.LUT(int(ins.Arity), ins.TT, out, opv[:ins.Arity]...)
+		default:
+			err = it.eng.Binary(ins.Kind, out, a, b)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return Level{}, false
+	if flush {
+		return dispatch()
+	}
+	return nil
 }
 
 // barrier is a cyclic barrier for the replay workers: the only
@@ -162,10 +258,10 @@ func (b *barrier) await() {
 	b.mu.Unlock()
 }
 
-// Replay executes a finished plan: one engine per worker (engine 0 is
-// used alone when only one is supplied), the caller's input ciphertexts,
-// and a persistent Runtime. The returned slice parallels the source
-// netlist's outputs and is freshly allocated; inputs are not modified.
+// Replay executes a plan: one engine per worker (engine 0 is used alone
+// when only one is supplied), the caller's input ciphertexts, and a
+// persistent Runtime. The returned slice parallels the source netlist's
+// outputs and is freshly allocated; inputs are not modified.
 func Replay(ctx context.Context, p *Plan, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Sample, error) {
 	return ReplayBatch(ctx, p, engines, inputs, rt, 1)
 }
@@ -173,83 +269,52 @@ func Replay(ctx context.Context, p *Plan, engines []*gate.Engine, inputs []*lwe.
 // ReplayBatch is Replay with batched bootstrap dispatch: within each
 // worker's instruction sequence — one wavefront slice, so every
 // instruction in it is independent — bootstrapped instructions are grouped
-// up to batch per gate.Engine.BinaryBatch call, amortizing the
-// bootstrapping-key stream; free instructions run inline at their original
-// position. batch <= 1 reproduces Replay exactly.
+// up to batch per kernel call, amortizing the bootstrapping-key stream;
+// free instructions run inline at their original position. batch <= 1
+// reproduces Replay exactly.
 func ReplayBatch(ctx context.Context, p *Plan, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime, batch int) ([]*lwe.Sample, error) {
-	feed := newLevelFeed()
-	feed.levels = p.levels
-	feed.closed = true
-	defer rt.unbindInputs()
-	if err := execute(ctx, feed, p.NumInputs, p.Workers, p.stats.ArenaSlots, engines, inputs, rt, batch); err != nil {
-		return nil, err
-	}
-	return collect(p, rt, engines[0].Params().LWEDimension)
-}
-
-// ReplayStream executes a plan while it is still being compiled,
-// overlapping level execution with level construction: level 0 runs as
-// soon as the planner emits it. It blocks until both the compile and the
-// replay finish.
-func ReplayStream(ctx context.Context, s *Stream, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Sample, error) {
-	return ReplayStreamBatch(ctx, s, engines, inputs, rt, 1)
-}
-
-// ReplayStreamBatch is ReplayStream with batched bootstrap dispatch (see
-// ReplayBatch).
-func ReplayStreamBatch(ctx context.Context, s *Stream, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime, batch int) ([]*lwe.Sample, error) {
-	feed := newLevelFeed()
-	go func() {
-		for lv := range s.Levels() {
-			feed.add(lv)
-		}
-		feed.finish()
-	}()
-	// The final arena size is not known until the planner finishes, so the
-	// value table is sized to the exec-gate upper bound; slots themselves
-	// are only allocated when a level writes them. The workers drain the
-	// feed to the end even on failure, so by the time execute returns the
-	// planner goroutine has finished and Plan() does not block.
-	defer rt.unbindInputs()
-	if err := execute(ctx, feed, s.p.NumInputs, s.p.Workers, s.maxArena, engines, inputs, rt, batch); err != nil {
-		s.Plan()
-		return nil, err
-	}
-	p := s.Plan()
-	return collect(p, rt, engines[0].Params().LWEDimension)
-}
-
-// execute runs every level of the feed over the runtime's value table.
-func execute(ctx context.Context, feed *levelFeed, numInputs, planWorkers, arenaSlots int, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime, batch int) error {
 	if len(engines) == 0 {
-		return fmt.Errorf("plan: replay needs at least one engine")
+		return nil, fmt.Errorf("plan: replay needs at least one engine")
 	}
-	if err := exec.CheckRawInputs(inputs, numInputs, engines[0].Params().LWEDimension); err != nil {
-		return err
+	if err := rt.Bind(p, inputs); err != nil {
+		return nil, err
 	}
-	rt.bind(inputs, arenaSlots)
-	if batch < 1 {
-		batch = 1
-	}
-	atomic.StoreInt64(&rt.batches, 0)
-	atomic.StoreInt64(&rt.batchedBoots, 0)
+	defer rt.Unbind()
 
-	nw := len(engines)
-	if nw > planWorkers {
-		// More engines than plan partitions: the extras would only spin on
-		// the barrier.
-		nw = planWorkers
+	// More engines than plan partitions: the extras would only spin on
+	// the barrier.
+	nw := min(len(engines), p.Workers)
+	its := make([]*Interp, nw)
+	for w := range its {
+		its[w] = NewInterp(engines[w], batch)
 	}
+	var err error
 	if nw == 1 {
-		return executeSeq(ctx, feed, engines[0], rt, batch)
+		err = replaySeq(ctx, p, its[0], rt)
+	} else {
+		err = replayBarrier(ctx, p, its, rt)
 	}
+	rt.batches, rt.batchedBoots = 0, 0
+	for _, it := range its {
+		if it.N.Batches > 0 {
+			rt.batches += it.N.Batches
+			rt.batchedBoots += it.N.Bootstraps
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rt.Collect(p)
+}
 
-	// Worker w owns batches j with j % nw == w of every level, so a plan
-	// partitioned for more workers than we have engines still replays
-	// correctly (batches are merely coarser than ideal). The per-level
-	// barrier is the only synchronization; on error or cancellation the
-	// workers keep arriving at the barrier (skipping the gate work) so
-	// nobody deadlocks mid-plan.
+// replayBarrier runs the plan on len(its) goroutines. Worker w owns
+// batches j with j % nw == w of every level, so a plan partitioned for
+// more workers than we have engines still replays correctly (batches are
+// merely coarser than ideal). The per-level barrier is the only
+// synchronization; on error or cancellation the workers keep arriving at
+// the barrier (skipping the gate work) so nobody deadlocks mid-plan.
+func replayBarrier(ctx context.Context, p *Plan, its []*Interp, rt *Runtime) error {
+	nw := len(its)
 	bar := newBarrier(nw)
 	var mu sync.Mutex
 	var firstErr error
@@ -269,19 +334,15 @@ func execute(ctx context.Context, feed *levelFeed, numInputs, planWorkers, arena
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
-		go func(w int, eng *gate.Engine) {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				lv, ok := feed.get(i)
-				if !ok {
-					return
-				}
+			for _, lv := range p.levels {
 				if !failed() {
 					if w == 0 && ctx.Err() != nil {
 						fail(ctx.Err())
 					} else {
 						for j := w; j < len(lv.Batches); j += nw {
-							if err := runBatch(eng, lv.Batches[j], rt, batch); err != nil {
+							if err := rt.Exec(its[w], lv.Batches[j], true); err != nil {
 								fail(err)
 								break
 							}
@@ -290,137 +351,23 @@ func execute(ctx context.Context, feed *levelFeed, numInputs, planWorkers, arena
 				}
 				bar.await()
 			}
-		}(w, engines[w])
+		}(w)
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// executeSeq is the single-engine fast path: no barrier, no goroutines.
-func executeSeq(ctx context.Context, feed *levelFeed, eng *gate.Engine, rt *Runtime, batch int) error {
-	for i := 0; ; i++ {
-		lv, ok := feed.get(i)
-		if !ok {
-			return nil
-		}
+// replaySeq is the single-engine fast path: no barrier, no goroutines.
+func replaySeq(ctx context.Context, p *Plan, it *Interp, rt *Runtime) error {
+	for _, lv := range p.levels {
 		if err := ctx.Err(); err != nil {
-			// Let a streaming planner finish feeding before returning.
-			for {
-				if _, more := feed.get(i + 1); !more {
-					break
-				}
-				i++
-			}
 			return err
 		}
 		for _, instrs := range lv.Batches {
-			if err := runBatch(eng, instrs, rt, batch); err != nil {
+			if err := rt.Exec(it, instrs, true); err != nil {
 				return err
 			}
 		}
 	}
-}
-
-// runBatch evaluates one worker's instruction sequence for one level.
-// Output slots are allocated on first touch; each slot is written by
-// exactly one instruction per level, so the lazy allocation is race-free.
-// With batch > 1 the bootstrapped instructions of the sequence are grouped
-// up to batch per BinaryBatch dispatch (instructions within a level are
-// independent, so reordering the frees around them is safe); free
-// instructions evaluate inline where they appear.
-func runBatch(eng *gate.Engine, instrs []Instr, rt *Runtime, batch int) error {
-	slot := func(ins Instr) *lwe.Sample {
-		out := rt.vals[ins.Out]
-		if out == nil {
-			out = rt.pool.Get()
-			rt.vals[ins.Out] = out
-		}
-		return out
-	}
-	// evalOne is the unbatched instruction path: classic gates via Binary,
-	// LUT instructions via the programmable bootstrap.
-	evalOne := func(ins Instr) error {
-		if ins.IsLUT() {
-			var opv [logic.MaxLUTArity]*lwe.Sample
-			opv[0], opv[1] = rt.vals[ins.A], rt.vals[ins.B]
-			n := 2
-			if ins.Arity >= 3 {
-				opv[2] = rt.vals[ins.C]
-				n = 3
-			}
-			if err := eng.LUT(n, ins.TT, slot(ins), opv[:n]...); err != nil {
-				return fmt.Errorf("plan: replay lut instr: %w", err)
-			}
-			return nil
-		}
-		if err := eng.Binary(ins.Kind, slot(ins), rt.vals[ins.A], rt.vals[ins.B]); err != nil {
-			return fmt.Errorf("plan: replay instr: %w", err)
-		}
-		return nil
-	}
-	if batch <= 1 {
-		for _, ins := range instrs {
-			if err := evalOne(ins); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		ops  []gate.Op
-		outs []*lwe.Sample
-		avs  []*lwe.Sample
-		bvs  []*lwe.Sample
-		cvs  []*lwe.Sample
-	)
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		if err := eng.OpBatch(ops, outs, avs, bvs, cvs); err != nil {
-			return fmt.Errorf("plan: replay batch: %w", err)
-		}
-		atomic.AddInt64(&rt.batches, 1)
-		atomic.AddInt64(&rt.batchedBoots, int64(len(ops)))
-		ops, outs, avs, bvs, cvs = ops[:0], outs[:0], avs[:0], bvs[:0], cvs[:0]
-		return nil
-	}
-	for _, ins := range instrs {
-		if !ins.NeedsBootstrap() {
-			if err := evalOne(ins); err != nil {
-				return err
-			}
-			continue
-		}
-		var cv *lwe.Sample
-		if ins.IsLUT() {
-			ops = append(ops, gate.Op{TT: ins.TT, Arity: ins.Arity})
-			if ins.Arity >= 3 {
-				cv = rt.vals[ins.C]
-			}
-		} else {
-			ops = append(ops, gate.Op{Kind: ins.Kind})
-		}
-		outs = append(outs, slot(ins))
-		avs = append(avs, rt.vals[ins.A])
-		bvs = append(bvs, rt.vals[ins.B])
-		cvs = append(cvs, cv)
-		if len(ops) == batch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// collect materializes the output ciphertexts from the value table via
-// the shared execution core's collector.
-func collect(p *Plan, rt *Runtime, dim int) ([]*lwe.Sample, error) {
-	return exec.CollectOutputs(dim, p.outputs, func(ref Ref) *lwe.Sample {
-		if int(ref) >= len(rt.vals) {
-			return nil
-		}
-		return rt.vals[ref]
-	})
+	return nil
 }

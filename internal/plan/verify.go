@@ -25,7 +25,7 @@ var (
 	// (across workers this is a data race; within one worker it reads the
 	// wrong generation).
 	ErrLifetime = errors.New("plan: verify: arena slot lifetimes overlap")
-	// ErrBatchAlias: within one batched kernel dispatch (runBatch groups
+	// ErrBatchAlias: within one batched kernel dispatch (Interp.Run groups
 	// bootstrapped instructions up to the batch size, with free
 	// instructions running inline between them), an instruction's input
 	// slot aliases another member's output slot. The grouped dispatch
@@ -72,7 +72,7 @@ func Verify(nl *circuit.Netlist, p *Plan) (*VerifyReport, error) {
 }
 
 // VerifyBatch is Verify under the batched replay schedule: it emulates
-// runBatch's dispatch grouping for the given batch size and additionally
+// Interp.Run's dispatch grouping for the given batch size and additionally
 // rejects plans where a slot is both read and written within one kernel
 // dispatch (ErrBatchAlias).
 func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error) {
@@ -118,7 +118,7 @@ func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error)
 	// Structural schedule scan: one forward pass over the levels tracking
 	// which slots earlier levels wrote, plus a per-level collision table
 	// classifying same-wavefront read/write overlap by worker and by
-	// runBatch dispatch group.
+	// Interp.Run dispatch group.
 	report := &VerifyReport{Levels: len(p.levels), ArenaSlots: arena}
 	written := make([]bool, nRefs) // arena refs written by a strictly earlier level
 	type writeSite struct {
@@ -154,7 +154,7 @@ func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error)
 				if ins.A < 0 || ins.A >= Ref(nRefs) || ins.B < 0 || ins.B >= Ref(nRefs) {
 					return nil, fmt.Errorf("%w: level %d worker %d instr %d reads refs %d,%d (valid range [0,%d))", ErrShape, li, w, k, ins.A, ins.B, nRefs)
 				}
-				// Dispatch-group emulation of runBatch: bootstrapped
+				// Dispatch-group emulation of Interp.Run: bootstrapped
 				// instructions buffer into the open group and flush at the
 				// batch size; free instructions run inline, interleaved
 				// with (and therefore part of) the open group's step.

@@ -234,7 +234,7 @@ func TestVerifyBatchAlias(t *testing.T) {
 	wantErr(t, nl, m, 1, ErrLifetime, "sequential classification")
 
 	// A free instruction interleaved with a pending buffered bootstrap it
-	// depends on is the runBatch reorder hazard: the kernel's combos form
+	// depends on is the Interp.Run reorder hazard: the kernel's combos form
 	// before the inline free ran... and the free gate reads a slot the
 	// open dispatch group will write.
 	b := circuit.NewBuilder("free-alias", circuit.NoOptimizations())

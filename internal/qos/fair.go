@@ -5,11 +5,10 @@ import "sync"
 // Fair is a blocking multi-producer multi-consumer ready set partitioned
 // by tenant: one heap per tenant (ordered by the caller's less function)
 // plus a weighted start-time fair-queuing picker across tenants. It is
-// the drop-in replacement for the single cross-run heap in
-// backend.Shared — within a tenant the best task under less still pops
-// first (critical-path order), but across tenants service is interleaved
-// in proportion to weight, so a hot tenant with thousands of queued gates
-// can no longer starve a light one that has a single gate ready.
+// backend.Shared's queue — within a tenant the best task under less pops
+// first (Shared orders by arrival), but across tenants service is
+// interleaved in proportion to weight, so a hot tenant with thousands of
+// queued tasks cannot starve a light one that has a single task ready.
 //
 // The picker is classic SFQ: every tenant carries a virtual time that
 // advances by 1/weight per task served, and Pop serves the non-empty

@@ -8,9 +8,8 @@ import (
 // LRU is a byte-accounted least-recently-used cache: every entry carries
 // an accounted size, and inserts evict from the cold end until the total
 // is back under the configured cap. It backs pytfhed's compiled-plan
-// cache and per-key replay-runtime cache, which previously grew without
-// bound. The accounting is the caller's estimate (plan instruction
-// footprint, arena high-water × ciphertext size); the invariant the
+// cache, which previously grew without bound. The accounting is the
+// caller's estimate (a plan's instruction footprint); the invariant the
 // cache maintains is Bytes() <= Cap() after every mutation — an entry
 // larger than the whole cap is evicted immediately and simply never
 // cached.
@@ -25,8 +24,8 @@ type LRU struct {
 	evictions int64
 }
 
-// LRUEntry is one evicted (or removed) cache entry, returned so the
-// caller can run release hooks on the value.
+// LRUEntry is one evicted cache entry, returned so the caller can run
+// release hooks on the value.
 type LRUEntry struct {
 	Key   string
 	Value any
@@ -50,7 +49,7 @@ type lruItem struct {
 }
 
 // NewLRU returns a cache bounded at capBytes accounted bytes (<= 0:
-// unbounded — eviction then only happens via Remove).
+// unbounded — nothing is ever evicted).
 func NewLRU(capBytes int64) *LRU {
 	if capBytes < 0 {
 		capBytes = 0
@@ -92,44 +91,6 @@ func (c *LRU) Add(key string, value any, bytes int64) []LRUEntry {
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, value: value, bytes: bytes})
 	c.bytes += bytes
 	return c.evictLocked()
-}
-
-// Update resizes an existing entry's accounting without touching its
-// recency (the replay-runtime cache re-measures arena high water after
-// every replay). Unknown keys are ignored. Returns any evictions the
-// growth forced.
-func (c *LRU) Update(key string, bytes int64) []LRUEntry {
-	if bytes < 0 {
-		bytes = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	it := el.Value.(*lruItem)
-	c.bytes += bytes - it.bytes
-	it.bytes = bytes
-	return c.evictLocked()
-}
-
-// Remove deletes key, counting the removal as an eviction (the lifecycle
-// release of a key's runtime is an eviction in the telemetry sense: the
-// cached state is gone and the next use rebuilds it).
-func (c *LRU) Remove(key string) (LRUEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return LRUEntry{}, false
-	}
-	it := el.Value.(*lruItem)
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.bytes -= it.bytes
-	c.evictions++
-	return LRUEntry{Key: it.key, Value: it.value, Bytes: it.bytes}, true
 }
 
 // evictLocked trims cold entries until bytes <= cap.

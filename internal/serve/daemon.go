@@ -62,7 +62,7 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	maxConc := fs.Int("max-concurrent", 0, "evaluations running at once (0: 2x workers)")
 	queue := fs.Int("queue", 0, "admission queue bound beyond max-concurrent (0: 64)")
 	timeout := fs.Duration("timeout", 0, "default per-request evaluation timeout (0: 5m)")
-	batch := fs.Int("batch", 0, "bootstrap batch size per executor worker, amortized across tenant requests (0: 16, 1: unbatched)")
+	batch := fs.Int("batch", 0, "bootstrap batch size per executor worker, amortized across a tenant's requests; also the fair scheduler's grain (0: 16, 1: unbatched)")
 	noiseParams := fs.String("noise-params", "default128", "parameter set the admission noise analysis assumes: test or default128")
 	minSigmas := fs.Float64("min-sigmas", 0, "sigma margin registered programs must keep under the noise analysis (0: default 4)")
 	noNoise := fs.Bool("no-noise-check", false, "admit programs without the static noise-budget analysis")
@@ -76,7 +76,6 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve a Prometheus-text /metrics endpoint on this address (port 0 picks a free port)")
 	metricsAddrFile := fs.String("metrics-addr-file", "", "write the bound metrics address to this file once listening")
 	planCacheBytes := fs.Int64("plan-cache-bytes", 0, "byte cap on the compiled-plan cache; coldest plans are evicted and recompiled on next use (0: unbounded)")
-	runtimeCacheBytes := fs.Int64("runtime-cache-bytes", 0, "byte cap on the per-key replay-runner cache (0: unbounded)")
 	tenantMaxInflight := fs.Int("tenant-max-inflight", 0, "per-tenant cap on concurrently admitted evaluations (0: unlimited)")
 	tenantMaxQueued := fs.Int("tenant-max-queued-gates", 0, "per-tenant cap on the total gate count of admitted evaluations (0: unlimited)")
 	weights := weightFlags{}
@@ -110,7 +109,6 @@ func RunDaemon(args []string, stdout io.Writer) error {
 		ClusterJoinWait:      *clusterJoinWait,
 		MetricsAddr:          *metricsAddr,
 		PlanCacheBytes:       *planCacheBytes,
-		RuntimeCacheBytes:    *runtimeCacheBytes,
 		TenantMaxInFlight:    *tenantMaxInflight,
 		TenantMaxQueuedGates: *tenantMaxQueued,
 		TenantWeights:        weights,

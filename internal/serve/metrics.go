@@ -47,11 +47,10 @@ type metrics struct {
 	execLUTs   *telemetry.Counter
 	lutsEval   *telemetry.Counter
 
-	planHits      *telemetry.Counter
-	planMisses    *telemetry.Counter
-	planReplays   *telemetry.Counter
-	planFallbacks *telemetry.Counter
-	arenaHW       *telemetry.Gauge
+	planHits    *telemetry.Counter
+	planMisses  *telemetry.Counter
+	planReplays *telemetry.Counter
+	arenaHW     *telemetry.Gauge
 
 	batches      *telemetry.Counter
 	batchedBoots *telemetry.Counter
@@ -107,25 +106,24 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		schedPicks: reg.CounterVec("pytfhed_sched_picks_total",
 			"Fair-scheduler picks per tenant.", "tenant"),
 		schedQueued: reg.GaugeVec("pytfhed_sched_queued",
-			"Ready gates queued per tenant on the shared executor.", "tenant"),
+			"Level slices queued per tenant on the shared executor.", "tenant"),
 
 		workers:    reg.Gauge("pytfhed_workers", "Executor worker goroutines."),
 		workerBusy: reg.Counter("pytfhed_worker_busy_ms_total", "Cumulative evaluation time across workers, ms."),
-		execGates:  reg.Counter("pytfhed_executor_gates_total", "Gates evaluated by the shared executor."),
-		execBoots:  reg.Counter("pytfhed_executor_bootstraps_total", "Bootstrapped gates evaluated by the shared executor."),
-		execLUTs:   reg.Counter("pytfhed_executor_luts_total", "Multi-input LUT gates evaluated by the shared executor."),
+		execGates:  reg.Counter("pytfhed_executor_gates_total", "Plan instructions executed by the shared executor."),
+		execBoots:  reg.Counter("pytfhed_executor_bootstraps_total", "Bootstrapped instructions executed by the shared executor."),
+		execLUTs:   reg.Counter("pytfhed_executor_luts_total", "Multi-input LUT instructions executed by the shared executor."),
 		lutsEval:   reg.Counter("pytfhed_luts_evaluated_total", "Logical LUT gates across completed evaluations, all paths."),
 
-		planHits:      reg.Counter("pytfhed_plan_hits_total", "Evaluations that found a cached execution plan."),
-		planMisses:    reg.Counter("pytfhed_plan_misses_total", "Evaluations that paid a plan compile."),
-		planReplays:   reg.Counter("pytfhed_plan_replays_total", "Evaluations served by capture/replay."),
-		planFallbacks: reg.Counter("pytfhed_plan_fallbacks_total", "Evaluations served by the dynamic executor."),
-		arenaHW:       reg.Gauge("pytfhed_arena_high_water", "Peak ciphertext count across replay arenas."),
+		planHits:    reg.Counter("pytfhed_plan_hits_total", "Evaluations that found a cached execution plan."),
+		planMisses:  reg.Counter("pytfhed_plan_misses_total", "Evaluations that paid a plan compile."),
+		planReplays: reg.Counter("pytfhed_plan_replays_total", "Evaluations replayed on the local executor."),
+		arenaHW:     reg.Gauge("pytfhed_arena_high_water", "Peak ciphertext count of any one replay arena."),
 
 		batches:      reg.Counter("pytfhed_batches_total", "Amortized bootstrap kernel dispatches."),
-		batchedBoots: reg.Counter("pytfhed_batched_bootstraps_total", "Bootstrapped gates covered by batched dispatches."),
+		batchedBoots: reg.Counter("pytfhed_batched_bootstraps_total", "Bootstrapped instructions covered by batched dispatches."),
 		crossBatches: reg.Counter("pytfhed_cross_run_batches_total", "Batches spanning two or more concurrent requests."),
-		batchFill:    reg.Gauge("pytfhed_batch_fill", "Average bootstrapped gates per batched dispatch."),
+		batchFill:    reg.Gauge("pytfhed_batch_fill", "Average bootstrapped instructions per batched dispatch."),
 
 		cacheBytes:     reg.GaugeVec("pytfhed_cache_bytes", "Accounted bytes resident per cache.", "cache"),
 		cacheCap:       reg.GaugeVec("pytfhed_cache_cap_bytes", "Configured byte cap per cache (0: unbounded).", "cache"),
@@ -196,7 +194,6 @@ func (s *Server) mirrorMetrics() {
 	m.planHits.Set(st.PlanHits)
 	m.planMisses.Set(st.PlanMisses)
 	m.planReplays.Set(st.PlanReplays)
-	m.planFallbacks.Set(st.PlanFallbacks)
 	m.arenaHW.Set(float64(st.ArenaHighWater))
 
 	m.batches.Set(st.Batches)
@@ -204,16 +201,13 @@ func (s *Server) mirrorMetrics() {
 	m.crossBatches.Set(st.CrossRunBatches)
 	m.batchFill.Set(st.AvgBatchFill)
 
-	mirrorCache := func(name string, cs CacheStats) {
-		m.cacheBytes.With(name).Set(float64(cs.Bytes))
-		m.cacheCap.With(name).Set(float64(cs.CapBytes))
-		m.cacheEntries.With(name).Set(float64(cs.Entries))
-		m.cacheHits.With(name).Set(cs.Hits)
-		m.cacheMisses.With(name).Set(cs.Misses)
-		m.cacheEvictions.With(name).Set(cs.Evictions)
-	}
-	mirrorCache("plan", st.PlanCache)
-	mirrorCache("runtime", st.RuntimeCache)
+	pc := st.PlanCache
+	m.cacheBytes.With("plan").Set(float64(pc.Bytes))
+	m.cacheCap.With("plan").Set(float64(pc.CapBytes))
+	m.cacheEntries.With("plan").Set(float64(pc.Entries))
+	m.cacheHits.With("plan").Set(pc.Hits)
+	m.cacheMisses.With("plan").Set(pc.Misses)
+	m.cacheEvictions.With("plan").Set(pc.Evictions)
 
 	if cs := st.Cluster; cs != nil {
 		m.clusterWorkers.Set(float64(cs.Workers))

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"pytfhe/internal/core"
 	"pytfhe/internal/qos"
 )
 
@@ -71,10 +75,10 @@ func TestServePlanCacheEviction(t *testing.T) {
 }
 
 // TestServeKeyLifecycleRelease pins the session-refcounted key release:
-// while any session under a key is open the key's executor engines and
-// replay runner stay cached; when the last one closes they are released,
-// the release is counted as a runtime-cache eviction, and a later
-// session under the same key transparently rebuilds everything.
+// while any session under a key is open the key's executor handle (and
+// the engines it carries) stays registered; when the last one closes it
+// is released, and a later session under the same key transparently
+// rebuilds everything.
 func TestServeKeyLifecycleRelease(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	prog := adder4Prog(t)
@@ -99,8 +103,11 @@ func TestServeKeyLifecycleRelease(t *testing.T) {
 	if _, err := cl1.Evaluate(hash, kp.EncryptBits(bitsOf(0x35, 8))); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.statsSnapshot(); st.RuntimeCache.Entries != 1 {
-		t.Fatalf("runtime cache entries = %d after first replay, want 1", st.RuntimeCache.Entries)
+	srv.mu.Lock()
+	registered := len(srv.keys)
+	srv.mu.Unlock()
+	if registered != 1 {
+		t.Fatalf("%d executor keys registered for two sessions of one tenant, want 1", registered)
 	}
 
 	// First session closes: the key is still claimed by cl2, so nothing
@@ -118,7 +125,10 @@ func TestServeKeyLifecycleRelease(t *testing.T) {
 	cl2.Close()
 	for {
 		st := srv.statsSnapshot()
-		if st.KeysReleased == 1 && st.RuntimeCache.Entries == 0 && st.RuntimeCache.Evictions >= 1 {
+		srv.mu.Lock()
+		registered := len(srv.keys)
+		srv.mu.Unlock()
+		if st.KeysReleased == 1 && registered == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -264,7 +274,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"# TYPE pytfhed_queue_depth gauge",
 		"pytfhed_evaluations_total 0",
 		`pytfhed_cache_bytes{cache="plan"}`,
-		`pytfhed_cache_bytes{cache="runtime"}`,
 	} {
 		if !strings.Contains(first, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, first)
@@ -325,4 +334,154 @@ func TestServeMetricsEndpoint(t *testing.T) {
 			t.Fatalf("malformed exposition line %q", line)
 		}
 	}
+}
+
+// openSession dials srv, registers prog and opens kp's session.
+func openSession(t *testing.T, srv *Server, kp *core.KeyPair, prog *core.Program) *Client {
+	t.Helper()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if _, err := cl.RegisterProgram(prog.Binary); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.OpenSession(kp.Cloud); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// flood keeps `sessions` closed-loop connections of one tenant evaluating
+// prog until stop closes, and returns the wait for all of them.
+func flood(t *testing.T, srv *Server, kp *core.KeyPair, prog *core.Program, sessions int, stop <-chan struct{}) *sync.WaitGroup {
+	t.Helper()
+	hash := hashBytes(prog.Binary)
+	in := kp.EncryptBits(bitsOf(0xA5A5A5A5A5A5, prog.Stats.Inputs))
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		cl := openSession(t, srv, kp, prog)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.Evaluate(hash, in); err != nil {
+					t.Errorf("flood: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	return &wg
+}
+
+// TestServeFairnessUnderLoad is the starvation test on the path that
+// serves traffic: every evaluation is a plan replay scheduled slice by
+// slice on the executor's fair queue, so per-tenant picks, weights and the
+// light tenant's latency bound describe real requests, not a fallback.
+func TestServeFairnessUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping benchmark-style test; skipped in -short")
+	}
+	kps := tenantKeys(t)
+	small, wide := adder4Prog(t), wideXorProg(t, 24)
+	labels := [2]string{}
+	for i, kp := range kps {
+		h, err := hashKey(kp.Cloud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[i] = tenantLabel(h)
+	}
+
+	// A light tenant's small program closed-loop against a hot tenant
+	// flooding a wide one from three sessions. Batch 2 keeps the scheduling
+	// grain — what the light tenant can wait behind per level — small.
+	t.Run("light tenant latency", func(t *testing.T) {
+		srv := startServer(t, Config{Workers: 2, Batch: 2, MaxConcurrent: 8})
+		cl := openSession(t, srv, kps[0], small)
+		hash, in := hashBytes(small.Binary), kps[0].EncryptBits(bitsOf(0x96, 8))
+		srv.mu.Lock()
+		entry := srv.programs[hash]
+		srv.mu.Unlock()
+		// The latency is the server's own: admission to result, the part
+		// the scheduler decides. Measured at the client it would also hold
+		// two socket wake-ups, which a Go process whose every P is busy only
+		// notices on the runtime's 10 ms background poll — saturation noise
+		// that is the same for every tenant and no scheduler's doing.
+		p95 := func(reps int) time.Duration {
+			lats := make([]float64, reps)
+			for i := range lats {
+				if _, err := cl.Evaluate(hash, in); err != nil {
+					t.Fatal(err)
+				}
+				entry.latMu.Lock()
+				lats[i] = entry.lat[(entry.latN-1)%latencyWindow]
+				entry.latMu.Unlock()
+			}
+			sort.Float64s(lats)
+			return time.Duration(lats[(reps-1)*95/100] * float64(time.Millisecond))
+		}
+		const reps = 15
+		p95(3) // warm: plan compile, engines
+		solo := p95(reps)
+		stop := make(chan struct{})
+		wg := flood(t, srv, kps[1], wide, 3, stop)
+		p95(3) // let the flood build its backlog
+		contended := p95(reps)
+		close(stop)
+		wg.Wait()
+		// Machine load can ramp mid-test (sibling packages): compare
+		// against the worse of the two solo baselines.
+		if after := p95(reps); after > solo {
+			solo = after
+		}
+		// On one CPU the two workers time-share a core while contended,
+		// which no scheduler can remove; the starvation this guards is an
+		// order of magnitude, not a factor.
+		bound := time.Duration(3)
+		if runtime.NumCPU() < 2 {
+			bound = 6
+		}
+		t.Logf("light tenant p95: solo %v, contended %v (%.2fx, bound %dx)",
+			solo, contended, float64(contended)/float64(solo), bound)
+		if contended > bound*solo {
+			t.Fatalf("light tenant starved: contended p95 %v > %dx solo p95 %v", contended, bound, solo)
+		}
+		st := srv.statsSnapshot()
+		if st.TenantPicks[labels[0]] == 0 || st.TenantPicks[labels[1]] == 0 {
+			t.Fatalf("replays never reached the fair queue: picks %+v", st.TenantPicks)
+		}
+		if st.PlanFallbacks != 0 || st.PlanReplays != st.Evaluations {
+			t.Fatalf("%d evaluations: %d replays, %d fallbacks", st.Evaluations, st.PlanReplays, st.PlanFallbacks)
+		}
+	})
+
+	// Both tenants flood the same program; tenant 1 holds a 2:1 weight.
+	t.Run("weights", func(t *testing.T) {
+		h1, _ := hashKey(kps[1].Cloud)
+		srv := startServer(t, Config{Workers: 2, Batch: 2, MaxConcurrent: 8,
+			TenantWeights: map[string]float64{h1[:12]: 2}})
+		stop := make(chan struct{})
+		wg0 := flood(t, srv, kps[0], wide, 3, stop)
+		wg1 := flood(t, srv, kps[1], wide, 3, stop)
+		time.Sleep(100 * time.Millisecond) // both backlogs established
+		before := srv.statsSnapshot().TenantPicks
+		time.Sleep(time.Second)
+		after := srv.statsSnapshot().TenantPicks
+		close(stop)
+		wg0.Wait()
+		wg1.Wait()
+		p0, p1 := after[labels[0]]-before[labels[0]], after[labels[1]]-before[labels[1]]
+		t.Logf("picks over the window: weight 1 → %d, weight 2 → %d (%.2f:1)", p0, p1, float64(p1)/float64(max(p0, 1)))
+		if p0 == 0 || float64(p1) < 1.4*float64(p0) || float64(p1) > 3*float64(p0) {
+			t.Fatalf("2:1 weight served %d vs %d picks", p1, p0)
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/core"
 	"pytfhe/internal/params"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
@@ -71,6 +72,19 @@ func xor4Prog(t testing.TB) *core.Program {
 	return compile(t, b)
 }
 
+// wideXorProg is one wavefront of width independent XORs: every gate is
+// ready at once, the shape that floods a scheduler.
+func wideXorProg(t testing.TB, width int) *core.Program {
+	t.Helper()
+	b := circuit.NewBuilder("xorwide", circuit.AllOptimizations())
+	a := b.Inputs("a", width)
+	bb := b.Inputs("b", width)
+	for i := 0; i < width; i++ {
+		b.Output("x", b.Xor(a[i], bb[i]))
+	}
+	return compile(t, b)
+}
+
 func compile(t testing.TB, b *circuit.Builder) *core.Program {
 	t.Helper()
 	prog, err := core.Compile(b.MustBuild())
@@ -104,8 +118,33 @@ func startServer(t *testing.T, cfg Config) *Server {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() {
+		verifyPlans(t, srv)
+		srv.Close()
+	})
 	return srv
+}
+
+// verifyPlans runs the plan-soundness verifier, under the daemon's own
+// batch size, over every plan the daemon compiled and still caches — so
+// each serve test also checks that what it was served from is sound.
+func verifyPlans(t *testing.T, srv *Server) {
+	t.Helper()
+	srv.mu.Lock()
+	entries := make([]*programEntry, 0, len(srv.programs))
+	for _, e := range srv.programs {
+		entries = append(entries, e)
+	}
+	srv.mu.Unlock()
+	for _, e := range entries {
+		v, ok := srv.planCache.Get(e.hash)
+		if !ok {
+			continue
+		}
+		if _, err := plan.VerifyBatch(e.prog.Netlist, v.(*plan.Plan), srv.cfg.Batch); err != nil {
+			t.Errorf("plan the daemon compiled for %s does not verify: %v", e.prog.Name, err)
+		}
+	}
 }
 
 // TestServeConcurrentSessions is the acceptance scenario: four concurrent
@@ -471,22 +510,15 @@ func TestServePlanCacheAndLatency(t *testing.T) {
 // TestServeCrossRequestBatching is the multi-tenant batching acceptance
 // scenario: several concurrent sessions of one tenant evaluate a wide
 // single-wavefront program on a one-worker server, so the shared
-// executor's ready queue holds bootstrap tasks from multiple requests at
-// once and the worker's batch drain fuses them into shared kernel
-// dispatches. The Stats RPC must report the occupancy, including batches
+// executor's queue holds level slices of multiple requests at once and
+// the worker's batch top-up fuses them into shared kernel dispatches. The Stats RPC must report the occupancy, including batches
 // that spanned ≥2 requests.
 func TestServeCrossRequestBatching(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	// 13 independent XORs: one level-0 wavefront, and 13 is not a multiple
 	// of the batch size, so request boundaries land mid-batch.
 	const width = 13
-	b := circuit.NewBuilder("xorwide", circuit.AllOptimizations())
-	a := b.Inputs("a", width)
-	bb := b.Inputs("b", width)
-	for i := 0; i < width; i++ {
-		b.Output("x", b.Xor(a[i], bb[i]))
-	}
-	prog := compile(t, b)
+	prog := wideXorProg(t, width)
 
 	// One worker so every request funnels into one drain loop; MaxConcurrent
 	// must admit the whole burst or the admission slots (default 2×workers)
@@ -543,6 +575,12 @@ func TestServeCrossRequestBatching(t *testing.T) {
 		}
 		if st.BatchSize != 8 {
 			t.Fatalf("stats.BatchSize = %d, want 8", st.BatchSize)
+		}
+		// Same-key concurrency is no reason to leave the replay path: every
+		// one of these contended requests is a plan replay.
+		if st.PlanReplays != st.Evaluations || st.PlanFallbacks != 0 {
+			t.Fatalf("%d evaluations: %d replays, %d fallbacks; want every one replayed",
+				st.Evaluations, st.PlanReplays, st.PlanFallbacks)
 		}
 		if st.CrossRunBatches > 0 {
 			if st.Batches <= 0 || st.BatchedBootstraps < st.Batches {

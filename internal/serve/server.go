@@ -24,7 +24,6 @@ import (
 	"pytfhe/internal/qos"
 	"pytfhe/internal/telemetry"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/tfhe/noise"
 	"pytfhe/internal/wire"
@@ -46,11 +45,12 @@ type Config struct {
 	// (default 5m; ≤0 keeps the default). EvalRequest.TimeoutMs overrides
 	// it per request.
 	DefaultTimeout time.Duration
-	// Batch is the bootstrap batch size: each executor worker drains up to
-	// Batch ready bootstrapped gates — across concurrent tenant requests
-	// under the same key — into one amortized blind-rotation kernel call,
-	// and plan replays group instructions the same way (default 16; set 1
-	// to disable batching).
+	// Batch is the bootstrap batch size: each executor worker groups up to
+	// Batch bootstrapped plan instructions — across concurrent requests
+	// under the same key — into one amortized blind-rotation kernel call.
+	// It is also the scheduling grain: a tenant holds a worker for at most
+	// one batch before the fair queue picks again (default 16; set 1 to
+	// disable batching).
 	Batch int
 	// NoiseParams selects the parameter set the registration-time static
 	// noise-budget analysis (internal/tfhe/noise) runs against (default
@@ -99,9 +99,6 @@ type Config struct {
 	// plans are evicted and transparently recompiled on next use
 	// (0: unbounded — the pre-cache behavior).
 	PlanCacheBytes int64
-	// RuntimeCacheBytes caps the per-key replay-runner cache (engines +
-	// arena); evicted runners are rebuilt on next use (0: unbounded).
-	RuntimeCacheBytes int64
 	// TenantMaxInFlight caps one tenant's concurrently admitted
 	// evaluations; past it requests fail fast with qos.ErrQuotaExceeded
 	// instead of consuming queue slots (0: unlimited). A tenant is a
@@ -161,12 +158,10 @@ type programEntry struct {
 	noise ProgramNoise // registration-time static noise summary
 	hits  int64        // atomic
 
-	// planMu elects the compiling request. The first evaluation compiles
-	// the plan (a PlanMiss) and holds the lock until it is stored in the
-	// plan cache; contemporaries that fail the TryLock fall back to the
-	// dynamic executor rather than queueing behind the compile.
-	planMu  sync.Mutex
-	planErr error // sticky compile failure: fall back forever
+	// planMu single-flights the compile: the first evaluation — or the
+	// first after an eviction — compiles the plan (a PlanMiss) and holds
+	// the lock until it is in the plan cache; contemporaries wait for it.
+	planMu sync.Mutex
 
 	latMu sync.Mutex
 	lat   [latencyWindow]float64 // recent latencies, ms
@@ -203,20 +198,10 @@ func (e *programEntry) latencyStats() LatencyStats {
 	}
 }
 
-// planRunner is the per-cloud-key replay context: worker engines and a
-// persistent arena runtime. One evaluation replays at a time per key
-// (TryLock); contended requests use the shared dynamic executor instead.
-type planRunner struct {
-	mu      sync.Mutex
-	engines []*gate.Engine
-	rt      *plan.Runtime
-}
-
 // session is the per-connection evaluation context established by
 // OpenSession: the shared-executor key handle and the key's content hash
 // (the tenant identity: quota key, metric label, and the match against
-// the cluster coordinator's bound key). The replay runner is looked up —
-// and, after an eviction, rebuilt — per evaluation via runnerFor.
+// the cluster coordinator's bound key).
 type session struct {
 	handle  *backend.SharedKey
 	keyHash string
@@ -236,12 +221,9 @@ type Server struct {
 	sessRefs map[string]int                // cloud-key hash → open sessions
 	conns    map[net.Conn]struct{}
 
-	// Byte-accounted caches (qos.LRU): compiled plans keyed by program
-	// hash, replay runners keyed by cloud-key hash. Both previously grew
-	// without bound for the daemon's lifetime.
+	// planCache is the byte-accounted cache (qos.LRU) of compiled plans,
+	// keyed by program hash.
 	planCache *qos.LRU
-	runtimes  *qos.LRU
-	runnerMu  sync.Mutex // elects the builder of a missing runner
 
 	quota *qos.Quota[string] // per-tenant admission quotas (nil: unlimited)
 
@@ -273,13 +255,9 @@ type Server struct {
 	clusterEvals     int64 // atomic: evaluations served by the worker pool
 	clusterFallbacks int64 // atomic: cluster-eligible evals that ran locally
 
-	planHits      int64 // atomic: evals that found a cached plan
-	planMisses    int64 // atomic: evals that paid the plan compile
-	planReplays   int64 // atomic: evals served by capture/replay
-	planFallbacks int64 // atomic: evals served by the dynamic executor
-	arenaHW       int64 // atomic max: peak replay-arena ciphertexts
-	replayBatches int64 // atomic: batched kernel dispatches across replays
-	replayBatched int64 // atomic: bootstraps those dispatches covered
+	planHits    int64 // atomic: evals that found a cached plan
+	planMisses  int64 // atomic: evals that paid the plan compile
+	planReplays int64 // atomic: evals replayed on the local executor
 
 	kickCh chan struct{}  // closed on forced shutdown to unblock slot waiters
 	connWG sync.WaitGroup // connection handler goroutines
@@ -291,14 +269,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		exec:      backend.NewSharedBatch(cfg.Workers, cfg.Batch),
+		exec:      backend.NewShared(cfg.Workers, cfg.Batch),
 		start:     time.Now(),
 		programs:  make(map[string]*programEntry),
 		keys:      make(map[string]*backend.SharedKey),
 		sessRefs:  make(map[string]int),
 		conns:     make(map[net.Conn]struct{}),
 		planCache: qos.NewLRU(cfg.PlanCacheBytes),
-		runtimes:  qos.NewLRU(cfg.RuntimeCacheBytes),
 		quota:     qos.NewQuota[string](cfg.TenantMaxInFlight, cfg.TenantMaxQueuedGates),
 		reg:       telemetry.NewRegistry(),
 		slots:     make(chan struct{}, cfg.MaxConcurrent),
@@ -546,10 +523,10 @@ func (s *Server) analyzeNoise(prog *core.Program) (ProgramNoise, error) {
 }
 
 // handleOpen registers the session's cloud key with the shared executor.
-// Identical keys (by content hash) share one executor handle and one
-// replay runner, so N sessions of the same tenant cost one engine set,
-// not N. The server refcounts open sessions per key hash; the last close
-// releases the key's executor engines and replay runner (closeSession).
+// Identical keys (by content hash) share one executor handle, so N
+// sessions of the same tenant cost one engine set, not N. The server
+// refcounts open sessions per key hash; the last close releases the key's
+// executor engines (closeSession).
 func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 	if req.Key == nil {
 		return Response{Err: &WireError{Code: codeInternal, Msg: "open session carried no cloud key"}}
@@ -606,10 +583,9 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 }
 
 // closeSession drops one session's claim on its cloud key. The last
-// session out releases the key's worker engines on the shared executor
-// and removes its replay runner — counted as a cache eviction, because
-// that is what it is: the cached per-key state is gone and the next
-// session under the same key rebuilds it.
+// session out releases the key on the shared executor — its per-worker
+// engines go with the handle — and the next session under the same key
+// rebuilds them.
 func (s *Server) closeSession(keyHash string) {
 	s.mu.Lock()
 	n := s.sessRefs[keyHash] - 1
@@ -625,41 +601,6 @@ func (s *Server) closeSession(keyHash string) {
 	if handle != nil {
 		s.exec.ReleaseKey(handle)
 	}
-	s.runtimes.Remove(keyHash)
-}
-
-// runnerFor returns the session key's replay runner, rebuilding it when
-// the runtime cache evicted it (or no evaluation under this key replayed
-// yet). runnerMu elects one builder; losers of the race wait and share.
-func (s *Server) runnerFor(sess *session) *planRunner {
-	if v, ok := s.runtimes.Get(sess.keyHash); ok {
-		return v.(*planRunner)
-	}
-	s.runnerMu.Lock()
-	defer s.runnerMu.Unlock()
-	if v, ok := s.runtimes.Get(sess.keyHash); ok {
-		return v.(*planRunner)
-	}
-	ck := sess.handle.Params()
-	runner := &planRunner{
-		engines: make([]*gate.Engine, s.cfg.Workers),
-		rt:      plan.NewRuntime(ck.Params.LWEDimension),
-	}
-	for i := range runner.engines {
-		runner.engines[i] = gate.NewEngine(ck)
-	}
-	s.runtimes.Add(sess.keyHash, runner, runnerSizeBytes(ck.Params.LWEDimension, s.cfg.Workers, 0))
-	return runner
-}
-
-// runnerSizeBytes is the accounting estimate for one replay runner:
-// per-worker engine scratch plus the arena's high-water ciphertexts at
-// the key's LWE dimension. Like plan.SizeBytes it is an estimate for the
-// byte-capped cache, not a heap measurement.
-func runnerSizeBytes(dim, workers, highWater int) int64 {
-	sample := int64(dim)*4 + 64          // torus coefficients + headers
-	const engineScratch = int64(1) << 14 // scratch samples + batch buffers
-	return int64(workers)*engineScratch + int64(highWater)*sample + 512
 }
 
 // bindCluster broadcasts the first session's cloud key to the worker pool.
@@ -700,8 +641,7 @@ func (s *Server) handleEval(sess *session, req *EvalRequest) Response {
 }
 
 // doEval is the admission-controlled evaluation path: per-tenant quota,
-// bounded queue, slot acquisition with deadline, then either a plan
-// replay (fast path) or the shared executor.
+// bounded queue, slot acquisition with deadline, then evaluate.
 func (s *Server) doEval(sess *session, req *EvalRequest) Response {
 	if sess == nil {
 		return Response{Err: toWire(ErrNoSession)}
@@ -782,106 +722,45 @@ func (s *Server) doEval(sess *session, req *EvalRequest) Response {
 	}}
 }
 
-// evaluate runs one admitted request: the replay fast path when the
-// program's plan and the key's runner are available, the shared dynamic
-// executor otherwise. The plan cache is the server's byte-capped LRU
-// keyed by program content hash: the first request pays the compile — a
-// PlanMiss, overlapped with its own execution via the level stream — and
-// later requests are PlanHits that replay with zero scheduling work. An
-// evicted plan is simply a future PlanMiss: the next request recompiles
-// and re-caches it, transparently.
+// evaluate runs one admitted request: as plan shards on the worker pool
+// when evaluateCluster takes it, otherwise as a replay of the program's
+// compiled plan on the shared executor's fair queue. There is no other
+// local path.
 func (s *Server) evaluate(ctx context.Context, sess *session, entry *programEntry, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if outs, ok := s.evaluateCluster(sess, entry, inputs); ok {
 		return outs, nil
 	}
-	var cached *plan.Plan
-	var stream *plan.Stream
+	p, err := s.planFor(entry)
+	if err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&s.planReplays, 1)
+	return s.exec.Submit(ctx, sess.handle, p, inputs)
+}
+
+// planFor returns the program's compiled plan from the server's byte-capped
+// LRU, keyed by program content hash. A request that finds it is a PlanHit;
+// otherwise the entry's lock single-flights the compile — first use and
+// recompile after an eviction are the same code — and the request that
+// compiles is the PlanMiss, while those that waited behind it hit.
+func (s *Server) planFor(entry *programEntry) (*plan.Plan, error) {
 	if v, ok := s.planCache.Get(entry.hash); ok {
-		cached = v.(*plan.Plan)
 		atomic.AddInt64(&s.planHits, 1)
-	} else if entry.planMu.TryLock() {
-		switch {
-		case entry.planErr != nil:
-			entry.planMu.Unlock()
-		default:
-			if v, ok := s.planCache.Get(entry.hash); ok {
-				// A contemporary stored the plan between our miss and the
-				// lock: use it instead of compiling twice.
-				cached = v.(*plan.Plan)
-				entry.planMu.Unlock()
-				atomic.AddInt64(&s.planHits, 1)
-				break
-			}
-			// We are the compiling request: keep planMu until the finished
-			// plan (or the sticky error) is stored so contemporaries fall
-			// back instead of compiling twice.
-			atomic.AddInt64(&s.planMisses, 1)
-			st, err := plan.CompileStream(entry.prog.Netlist, s.cfg.Workers)
-			if err != nil {
-				entry.planErr = err
-				entry.planMu.Unlock()
-			} else {
-				stream = st
-				defer func() {
-					p := stream.Plan()
-					s.planCache.Add(entry.hash, p, p.SizeBytes())
-					entry.planMu.Unlock()
-				}()
-			}
-		}
+		return v.(*plan.Plan), nil
 	}
-
-	if cached != nil || stream != nil {
-		// Only the replay path needs the runner; the dynamic fallback
-		// must not pay (or cache) an engine set it will not use.
-		runner := s.runnerFor(sess)
-		if runner.mu.TryLock() {
-			defer runner.mu.Unlock()
-			// A forced Drain must be able to abort a replay just like it
-			// aborts shared-executor submissions.
-			rctx, cancel := context.WithCancel(ctx)
-			defer cancel()
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-s.kickCh:
-					cancel()
-				case <-stop:
-				}
-			}()
-			atomic.AddInt64(&s.planReplays, 1)
-			var outs []*lwe.Sample
-			var err error
-			if stream != nil {
-				outs, err = plan.ReplayStreamBatch(rctx, stream, runner.engines, inputs, runner.rt, s.cfg.Batch)
-			} else {
-				outs, err = plan.ReplayBatch(rctx, cached, runner.engines, inputs, runner.rt, s.cfg.Batch)
-			}
-			hw := int64(runner.rt.HighWater())
-			for {
-				cur := atomic.LoadInt64(&s.arenaHW)
-				if hw <= cur || atomic.CompareAndSwapInt64(&s.arenaHW, cur, hw) {
-					break
-				}
-			}
-			// Harvest this replay's batch occupancy while we still hold the
-			// runner (the runtime's counters reset on its next replay), and
-			// re-account the arena growth in the byte-capped runtime cache.
-			rb, rbb := runner.rt.BatchOccupancy()
-			atomic.AddInt64(&s.replayBatches, rb)
-			atomic.AddInt64(&s.replayBatched, rbb)
-			dim := sess.handle.Params().Params.LWEDimension
-			s.runtimes.Update(sess.keyHash, runnerSizeBytes(dim, s.cfg.Workers, int(hw)))
-			return outs, err
-		}
+	entry.planMu.Lock()
+	defer entry.planMu.Unlock()
+	if v, ok := s.planCache.Get(entry.hash); ok {
+		atomic.AddInt64(&s.planHits, 1)
+		return v.(*plan.Plan), nil
 	}
-
-	// Dynamic fallback: runner contended, plan unavailable, or compile
-	// failed. The stream (if we hold one) still finishes in the background
-	// and is cached by the deferred store above.
-	atomic.AddInt64(&s.planFallbacks, 1)
-	return s.exec.Submit(ctx, sess.handle, entry.prog.Netlist, inputs)
+	atomic.AddInt64(&s.planMisses, 1)
+	p, err := plan.Compile(entry.prog.Netlist, s.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	s.planCache.Add(entry.hash, p, p.SizeBytes())
+	return p, nil
 }
 
 // evaluateCluster tries to dispatch one evaluation as plan shards across
@@ -974,14 +853,6 @@ func (s *Server) statsSnapshot() *StatsReply {
 	for id, n := range ex.TenantQueued {
 		tq[labelForID(labels, id)] = n
 	}
-	// Batch occupancy: the shared executor's cross-request batches plus
-	// the within-replay batches harvested from the plan runners.
-	batches := ex.Batches + atomic.LoadInt64(&s.replayBatches)
-	batched := ex.BatchedBootstraps + atomic.LoadInt64(&s.replayBatched)
-	var avgFill float64
-	if batches > 0 {
-		avgFill = float64(batched) / float64(batches)
-	}
 	queued := atomic.LoadInt32(&s.queued)
 	inflight := atomic.LoadInt32(&s.inflight)
 	depth := int(queued - inflight)
@@ -1017,7 +888,6 @@ func (s *Server) statsSnapshot() *StatsReply {
 		TenantPicks:      picks,
 		TenantQueued:     tq,
 		PlanCache:        cacheStats(s.planCache.Stats()),
-		RuntimeCache:     cacheStats(s.runtimes.Stats()),
 		GatesPerSec:      ex.GatesPerSec(),
 		BootstrapsPerSec: ex.BootstrapsPerSec(),
 		UptimeMs:         time.Since(s.start).Milliseconds(),
@@ -1029,16 +899,15 @@ func (s *Server) statsSnapshot() *StatsReply {
 		PlanHits:          atomic.LoadInt64(&s.planHits),
 		PlanMisses:        atomic.LoadInt64(&s.planMisses),
 		PlanReplays:       atomic.LoadInt64(&s.planReplays),
-		PlanFallbacks:     atomic.LoadInt64(&s.planFallbacks),
-		ArenaHighWater:    int(atomic.LoadInt64(&s.arenaHW)),
+		ArenaHighWater:    ex.ArenaHighWater,
 		PerProgramLatency: lat,
 		ProgramNoise:      noi,
 
 		BatchSize:         ex.BatchSize,
-		Batches:           batches,
-		BatchedBootstraps: batched,
+		Batches:           ex.Batches,
+		BatchedBootstraps: ex.BatchedBootstraps,
 		CrossRunBatches:   ex.CrossRunBatches,
-		AvgBatchFill:      avgFill,
+		AvgBatchFill:      ex.AvgBatchFill(),
 
 		Cluster: cs,
 	}

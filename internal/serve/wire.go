@@ -143,46 +143,48 @@ type StatsReply struct {
 	// QuotaRejected counts requests refused by per-tenant quotas
 	// (qos.ErrQuotaExceeded) — tenant-local, unlike Rejected.
 	QuotaRejected int64
-	// KeysReleased counts cloud keys whose executor engines and replay
-	// runner were released because their last session closed.
+	// KeysReleased counts cloud keys whose executor engines were released
+	// because their last session closed.
 	KeysReleased int64
 	// TenantPicks/TenantQueued report the fair scheduler's per-tenant
-	// service counts and current ready-gate queue depths, keyed by the
-	// tenant label (cloud-key hash prefix).
+	// service counts and current queue depths, in level slices (at most
+	// one kernel batch of plan instructions each), keyed by the tenant
+	// label (cloud-key hash prefix). Every locally served evaluation is
+	// scheduled through that queue.
 	TenantPicks  map[string]int64
 	TenantQueued map[string]int
-	// PlanCache/RuntimeCache report the byte-capped LRU caches behind
-	// compiled plans and per-key replay runners.
-	PlanCache    CacheStats
-	RuntimeCache CacheStats
-	// GatesPerSec is the executor's all-gate throughput; BootstrapsPerSec
-	// counts only bootstrapped evaluations (the figure earlier releases
-	// mislabeled GatesPerSec).
+	// PlanCache reports the byte-capped LRU cache of compiled plans.
+	PlanCache CacheStats
+	// GatesPerSec is the executor's executed-instruction throughput, free
+	// gates included; BootstrapsPerSec counts only bootstrapped ones (the
+	// figure earlier releases mislabeled GatesPerSec). Both are after plan
+	// deduplication: what the kernel ran, not the programs' logical gates.
 	GatesPerSec      float64
 	BootstrapsPerSec float64
 	UptimeMs         int64
 	PerProgram       map[string]int64 // hash → evaluation count
-	ExecutorGates    int64            // gates evaluated by the shared executor
-	// ExecutorLUTs counts multi-input LUT gates the shared dynamic
-	// executor evaluated (each one programmable bootstrap, included in
-	// its bootstrap count); LUTsEvaluated counts logical LUT gates across
-	// every completed evaluation regardless of path — replay, dynamic
-	// fallback, or cluster dispatch. Both stay zero on a LUT-off daemon
-	// serving classic binaries.
+	ExecutorGates    int64            // plan instructions the shared executor ran
+	// ExecutorLUTs counts multi-input LUT instructions the shared executor
+	// ran (each one programmable bootstrap, included in its bootstrap
+	// count); LUTsEvaluated counts logical LUT gates across every
+	// completed evaluation regardless of path — local replay or cluster
+	// dispatch. Both stay zero on a LUT-off daemon serving classic
+	// binaries.
 	ExecutorLUTs  int64
 	LUTsEvaluated int64
 
 	// Plan cache counters: an eval request that finds its program's
 	// execution plan already compiled is a PlanHit; the request that pays
-	// the compile is a PlanMiss. PlanReplays ran on the capture/replay
-	// fast path, PlanFallbacks on the shared dynamic executor (replay
-	// runner busy or plan unavailable).
+	// the compile is a PlanMiss. PlanReplays counts evaluations replayed on
+	// the local executor — every evaluation the worker pool did not take.
+	// PlanFallbacks is always 0: there is no other local path. The field
+	// stays on the wire because deployed clients read it.
 	PlanHits      int64
 	PlanMisses    int64
 	PlanReplays   int64
 	PlanFallbacks int64
-	// ArenaHighWater is the peak ciphertext count across all replay
-	// arenas.
+	// ArenaHighWater is the most ciphertexts any one replay's arena has
+	// held.
 	ArenaHighWater int
 	// PerProgramLatency maps program hash → evaluation latency quantiles
 	// over a sliding window of recent requests.
@@ -191,10 +193,10 @@ type StatsReply struct {
 	// recorded at registration.
 	ProgramNoise map[string]ProgramNoise
 
-	// Batch occupancy across the shared executor and the plan-replay
-	// runners: how many amortized kernel dispatches ran, how many
-	// bootstrapped gates they covered, and how many spanned ≥2 concurrent
-	// tenant requests (shared executor only — replays are per-request).
+	// Batch occupancy on the shared executor: how many amortized kernel
+	// dispatches ran, how many bootstrapped instructions they covered —
+	// every executed one, batches of one included — and how many
+	// dispatches spanned ≥2 concurrent requests of one tenant.
 	// AvgBatchFill is BatchedBootstraps/Batches — the amortization the
 	// kernel actually saw.
 	BatchSize         int
@@ -231,8 +233,6 @@ type ClusterStats struct {
 }
 
 // CacheStats is the wire form of one byte-accounted cache's counters.
-// Evictions include lifecycle removals (a key's last session closing
-// releases its runner), not just capacity pressure.
 type CacheStats struct {
 	Entries   int
 	Bytes     int64

@@ -11,6 +11,10 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
+// replayBatch is how many bootstrapped instructions of an engine's slice of
+// a level share one kernel dispatch — the value pytfhed defaults to.
+const replayBatch = 16
+
 // Runtime is the worker-side replay state for one shard: a value table
 // whose remote-input slots the router fills each run (SetRemote) and whose
 // local slots come from a lazily populated exec.Arena, exactly like
@@ -83,7 +87,13 @@ func (rt *Runtime) RunLevel(engines []*gate.Engine, level int) ([]*lwe.Sample, e
 			wg.Add(1)
 			go func(eng *gate.Engine, part []plan.Instr) {
 				defer wg.Done()
-				if err := rt.runChunk(eng, part); err != nil {
+				// Output slots allocate from the arena on first touch,
+				// mirroring plan.Runtime's lazy warm-up.
+				it := plan.NewInterp(eng, replayBatch)
+				err := it.Run(part, rt.vals, rt.arena, true)
+				atomic.AddInt64(&rt.boots, it.N.Bootstraps)
+				if err != nil {
+					err = fmt.Errorf("shard %d: %w", rt.sh.Index, err)
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -107,42 +117,6 @@ func (rt *Runtime) RunLevel(engines []*gate.Engine, level int) ([]*lwe.Sample, e
 		outs[i] = v
 	}
 	return outs, nil
-}
-
-// runChunk evaluates one engine's slice of a level. Output slots allocate
-// from the arena on first touch, mirroring plan.Runtime's lazy warm-up.
-func (rt *Runtime) runChunk(eng *gate.Engine, part []plan.Instr) error {
-	for _, ins := range part {
-		a, b := rt.vals[ins.A], rt.vals[ins.B]
-		if a == nil || b == nil {
-			return fmt.Errorf("shard %d: instr reads unfilled slot (%d,%d)", rt.sh.Index, ins.A, ins.B)
-		}
-		out := rt.vals[ins.Out]
-		if out == nil {
-			out = rt.arena.Get()
-			rt.vals[ins.Out] = out
-		}
-		if ins.IsLUT() {
-			ops := [3]*lwe.Sample{a, b, nil}
-			if ins.Arity >= 3 {
-				if ops[2] = rt.vals[ins.C]; ops[2] == nil {
-					return fmt.Errorf("shard %d: LUT instr reads unfilled slot %d", rt.sh.Index, ins.C)
-				}
-			}
-			if err := eng.LUT(int(ins.Arity), ins.TT, out, ops[:ins.Arity]...); err != nil {
-				return fmt.Errorf("shard %d: %w", rt.sh.Index, err)
-			}
-			atomic.AddInt64(&rt.boots, 1)
-			continue
-		}
-		if err := eng.Binary(ins.Kind, out, a, b); err != nil {
-			return fmt.Errorf("shard %d: %w", rt.sh.Index, err)
-		}
-		if ins.Kind.NeedsBootstrap() {
-			atomic.AddInt64(&rt.boots, 1)
-		}
-	}
-	return nil
 }
 
 // Reset prepares the runtime for the next run: local slots return to the

@@ -27,7 +27,8 @@ go build ./...
 go run ./cmd/pytfhelint ./...
 
 go test -race ./internal/exec/... ./internal/backend/... ./internal/sched/... \
-    ./internal/cluster/... ./internal/serve/... ./internal/wire/... ./internal/plan/...
+    ./internal/cluster/... ./internal/serve/... ./internal/wire/... ./internal/plan/... \
+    ./internal/shard/...
 
 # End-to-end: compile a VIP-Bench kernel, lint the emitted binary, then
 # run the semantic analyses over it and the bench netlist: noise-budget
