@@ -5,7 +5,6 @@
 package pytfhe_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,7 +21,6 @@ import (
 	"pytfhe/internal/logic"
 	"pytfhe/internal/models"
 	"pytfhe/internal/params"
-	"pytfhe/internal/plan"
 	"pytfhe/internal/sched"
 	"pytfhe/internal/synth"
 	"pytfhe/internal/tfhe/gate"
@@ -327,7 +325,7 @@ func BenchmarkAsyncBackend(b *testing.B) {
 		}
 	})
 	b.Run("async-4w", func(b *testing.B) {
-		be := backend.NewAsync(kp.Cloud, workers)
+		be := backend.NewAsync(kp.Cloud, workers, 1)
 		for i := 0; i < b.N; i++ {
 			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
 				b.Fatal(err)
@@ -341,9 +339,9 @@ func BenchmarkAsyncBackend(b *testing.B) {
 }
 
 // BenchmarkPlannedReplay compares the capture/replay backend against the
-// dynamic executors on the imbalanced ripple workload: plan replay vs the
-// barrier-free Async executor vs the multi-tenant Shared executor, all at
-// four workers. Boots/s is logical bootstraps per second — the program's
+// dynamic executor on the imbalanced ripple workload: plan replay (on the
+// same slice scheduler pytfhed serves from) vs the barrier-free Async
+// executor, both at four workers. Boots/s is logical bootstraps per second — the program's
 // effective throughput. The plan backend must report ≥1.2× Async: capture
 // pays the scheduling and the exact functional deduplication once, so
 // replay executes only the netlist's distinct boolean functions (the
@@ -352,10 +350,9 @@ func BenchmarkPlannedReplay(b *testing.B) {
 	kp := testKeys(b)
 	nl := rippleImbalanced()
 	bits := make([]bool, nl.NumInputs)
-	boots := float64(nl.ComputeStats().Bootstrapped)
 	const workers = 4
 	b.Run("async-4w", func(b *testing.B) {
-		be := backend.NewAsync(kp.Cloud, workers)
+		be := backend.NewAsync(kp.Cloud, workers, 1)
 		for i := 0; i < b.N; i++ {
 			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
 				b.Fatal(err)
@@ -363,27 +360,9 @@ func BenchmarkPlannedReplay(b *testing.B) {
 			b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
 		}
 	})
-	b.Run("shared-4w", func(b *testing.B) {
-		ex := backend.NewShared(workers, 1)
-		defer ex.Close()
-		key, err := ex.RegisterKey(kp.Cloud)
-		if err != nil {
-			b.Fatal(err)
-		}
-		compiled, err := plan.Compile(nl, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			if _, err := ex.Submit(context.Background(), key, compiled, kp.EncryptBits(bits)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(boots/time.Since(start).Seconds(), "boots/s")
-		}
-	})
 	b.Run("plan-4w", func(b *testing.B) {
-		be := backend.NewPlanned(kp.Cloud, workers)
+		be := backend.NewPlanned(kp.Cloud, workers, 1)
+		defer be.Close()
 		// Warm-up run pays the capture; the timed runs replay the cache.
 		if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
 			b.Fatal(err)

@@ -76,9 +76,11 @@ func agreementTargets(t *testing.T) []checkTarget {
 }
 
 // TestClusterPlanAgreement is the cross-backend acceptance matrix:
-// cluster-plan at 2 and 4 workers must be bit-exact with the plan-replay
-// backend and the dynamic async executor on the bench netlist and every
-// example circuit. Multi-thousand-gate targets are skipped under -short
+// cluster-plan at 2 and 4 workers and the dynamic async executor must
+// decrypt to the plaintext interpreter's outputs on the bench netlist and
+// every example circuit. (The reference used to be a backend.Planned run;
+// that is now the scheduler TestSharedAgreement sweeps over these same
+// circuits, so it is not run a second time here.) Multi-thousand-gate targets are skipped under -short
 // and under the race detector (the small targets cover the same code
 // paths; full `go test ./...` and the CI shard job run everything).
 func TestClusterPlanAgreement(t *testing.T) {
@@ -92,18 +94,18 @@ func TestClusterPlanAgreement(t *testing.T) {
 			if big && (testing.Short() || raceEnabled) {
 				t.Skipf("skipping %d-gate target under -short/-race", len(tg.nl.Gates))
 			}
-			enc := backend.EncryptInputs(sk, patternBits(tg.nl.NumInputs))
-			refOuts, err := backend.NewPlanned(ck, 2).Run(tg.nl, enc)
+			bits := patternBits(tg.nl.NumInputs)
+			enc := backend.EncryptInputs(sk, bits)
+			want, err := tg.nl.Evaluate(bits)
 			if err != nil {
-				t.Fatalf("plan replay: %v", err)
+				t.Fatal(err)
 			}
-			want := backend.DecryptOutputs(sk, refOuts)
 
 			runners := []struct {
 				name string
 				run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 			}{
-				{"async(2)", backend.NewAsync(ck, 2).Run},
+				{"async(2)", backend.NewAsync(ck, 2, 1).Run},
 				{"cluster-plan(2)", coord2.RunSharded},
 				{"cluster-plan(4)", coord4.RunSharded},
 			}
@@ -118,7 +120,7 @@ func TestClusterPlanAgreement(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s: output %d = %v, plan replay says %v", r.name, i, got[i], want[i])
+						t.Fatalf("%s: output %d = %v, plaintext interpreter says %v", r.name, i, got[i], want[i])
 					}
 				}
 			}
@@ -174,8 +176,8 @@ func dyingShardWorker(t *testing.T, addr string) <-chan struct{} {
 
 // TestClusterPlanAgreementWorkerLoss injects a worker crash mid-run: one
 // real worker plus one that dies on its first step. The run must re-host
-// the dead worker's shard and still match the plan-replay backend bit for
-// bit on the bench netlist.
+// the dead worker's shard and still decrypt to the plaintext interpreter's
+// outputs on the bench netlist.
 func TestClusterPlanAgreementWorkerLoss(t *testing.T) {
 	sk, ck := agreeKeys(t)
 	coord, err := cluster.NewCoordinator(ck, "127.0.0.1:0")
@@ -191,21 +193,20 @@ func TestClusterPlanAgreementWorkerLoss(t *testing.T) {
 	}
 
 	nl := experiments.ImbalancedNetlist()
-	enc := backend.EncryptInputs(sk, patternBits(nl.NumInputs))
-	refOuts, err := backend.NewPlanned(ck, 2).Run(nl, enc)
+	bits := patternBits(nl.NumInputs)
+	want, err := nl.Evaluate(bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := coord.RunSharded(nl, enc)
+	outs, err := coord.RunSharded(nl, backend.EncryptInputs(sk, bits))
 	if err != nil {
 		t.Fatalf("sharded run with a dying worker: %v", err)
 	}
 	<-dead
-	want := backend.DecryptOutputs(sk, refOuts)
 	got := backend.DecryptOutputs(sk, outs)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("output %d = %v after worker loss, plan replay says %v", i, got[i], want[i])
+			t.Fatalf("output %d = %v after worker loss, plaintext interpreter says %v", i, got[i], want[i])
 		}
 	}
 	if lost := coord.Totals().WorkersLost; lost != 1 {

@@ -5,7 +5,7 @@
 //	pytfhe inspect    -prog prog.ptfhe [-listing]
 //	pytfhe lint       prog.ptfhe  (or -prog prog.ptfhe)
 //	pytfhe check      prog.ptfhe | -bench | -examples [-params test|default128] [-min-sigmas S]
-//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|async:N|plan:N [-sched critical|fifo] [-batch N] [-strict] -in 1011,0110,...
+//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|async:N|plan:N|cluster:addr|cluster-plan:addr [-batch N] [-strict] -in 1011,0110,...
 //	pytfhe calibrate  -keys keys/ [-samples N]
 //	pytfhe serve      [-listen addr] [-max-concurrent N] [-queue N] [-batch N]   (the pytfhed daemon, in-process)
 //	pytfhe register   -server addr -prog prog.ptfhe
@@ -309,7 +309,6 @@ func cmdRun(args []string) error {
 	be := fs.String("backend", "auto", "plain, single, pool[:N], async[:N], plan[:N], cluster:addr, cluster-plan:addr, or auto")
 	workers := fs.Int("workers", 1, "worker count for auto/pool/async without an explicit :N")
 	clusterWorkers := fs.Int("cluster-workers", 2, "workers to wait for on the cluster backends")
-	sched := fs.String("sched", "critical", "async ready-queue policy: critical (longest remaining depth first) or fifo")
 	batch := fs.Int("batch", 1, "bootstrap batch size for async/plan backends: each worker fuses up to N ready gates into one amortized blind-rotation dispatch (1: unbatched)")
 	stats := fs.Bool("stats", false, "print executor statistics after the run")
 	strict := fs.Bool("strict", false, "lint the program and verify its noise budget at load time; refuse to run on any error")
@@ -318,10 +317,6 @@ func cmdRun(args []string) error {
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("-prog is required")
-	}
-	schedPolicy, err := backend.ParseSched(*sched)
-	if err != nil {
-		return err
 	}
 	bin, err := os.ReadFile(*path)
 	if err != nil {
@@ -377,14 +372,9 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	spec, err := parseBackendSpec(*be, *workers)
+	spec, err := parseBackendSpec(*be, *workers, *batch)
 	if err != nil {
 		return err
-	}
-	spec.sched = schedPolicy
-	spec.batch = *batch
-	if spec.batch > 1 && (spec.kind == "single" || spec.kind == "pool") {
-		return fmt.Errorf("-batch needs the async or plan backend (got %s)", spec.kind)
 	}
 	var runner backend.Backend
 	if spec.kind == "cluster" || spec.kind == "cluster-plan" {
@@ -404,6 +394,9 @@ func cmdRun(args []string) error {
 		}
 	} else {
 		runner = spec.build(kp.Cloud)
+		if p, ok := runner.(*backend.Planned); ok {
+			defer p.Close()
+		}
 	}
 
 	fmt.Printf("encrypting %d input bits...\n", len(bits))
@@ -435,33 +428,35 @@ func (b *shardBackend) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sa
 	return b.coord.RunSharded(nl, inputs)
 }
 
-// backendSpec is a parsed -backend/-workers selection, kept separate from
-// construction so it can be validated without keys.
+// backendSpec is a parsed -backend/-workers/-batch selection, kept separate
+// from construction so it can be validated without keys.
 type backendSpec struct {
 	kind    string // "single", "pool", "async", "plan", "cluster", "cluster-plan"
 	workers int
-	addr    string        // listen address for the cluster backends
-	sched   backend.Sched // async ready-queue policy
-	batch   int           // bootstrap batch size (async/plan; ≤1 unbatched)
+	addr    string // listen address for the cluster backends
+	batch   int    // bootstrap batch size (async/plan; 1: unbatched)
 }
 
 // parseBackendSpec resolves the -backend flag. "auto" picks the
-// single-core evaluator for one worker and the barrier-free Async executor
-// for multi-worker runs — the async executor is the default whenever more
-// than one worker is requested; the barriered pool remains selectable as
-// the Algorithm 1 baseline. The cluster backends are matched by prefix
-// before the generic kind:N split, because their operand is a listen
-// address ("cluster-plan:127.0.0.1:7700") that itself contains colons.
-func parseBackendSpec(s string, workers int) (backendSpec, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// single-core evaluator for one unbatched worker and the barrier-free Async
+// executor otherwise — async is the default whenever more than one worker
+// or a batch is requested; the barriered pool remains selectable as the
+// Algorithm 1 baseline. -batch is rejected where it would be ignored:
+// single and pool evaluate gate by gate, and cluster workers choose their
+// own kernel batch. The cluster backends are matched by prefix before the
+// generic kind:N split, because their operand is a listen address
+// ("cluster-plan:127.0.0.1:7700") that itself contains colons.
+func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
+	workers, batch = max(workers, 1), max(batch, 1)
 	for _, kind := range []string{"cluster-plan", "cluster"} {
 		if rest, ok := strings.CutPrefix(s, kind+":"); ok {
 			if rest == "" {
 				return backendSpec{}, fmt.Errorf("backend %s needs a listen address, e.g. %s:127.0.0.1:7700", kind, kind)
 			}
-			return backendSpec{kind: kind, addr: rest}, nil
+			if batch > 1 {
+				return backendSpec{}, fmt.Errorf("-batch does not apply to -backend %s: cluster workers batch their own jobs", kind)
+			}
+			return backendSpec{kind: kind, addr: rest, batch: 1}, nil
 		}
 	}
 	kind, count := s, workers
@@ -475,14 +470,20 @@ func parseBackendSpec(s string, workers int) (backendSpec, error) {
 	}
 	switch kind {
 	case "auto":
-		if count > 1 {
-			return backendSpec{kind: "async", workers: count}, nil
+		if count > 1 || batch > 1 {
+			return backendSpec{kind: "async", workers: count, batch: batch}, nil
 		}
-		return backendSpec{kind: "single", workers: 1}, nil
-	case "single":
-		return backendSpec{kind: "single", workers: 1}, nil
-	case "pool", "async", "plan":
-		return backendSpec{kind: kind, workers: count}, nil
+		return backendSpec{kind: "single", workers: 1, batch: 1}, nil
+	case "single", "pool":
+		if batch > 1 {
+			return backendSpec{}, fmt.Errorf("-batch needs the async or plan backend (got -backend %s)", s)
+		}
+		if kind == "single" {
+			count = 1
+		}
+		return backendSpec{kind: kind, workers: count, batch: 1}, nil
+	case "async", "plan":
+		return backendSpec{kind: kind, workers: count, batch: batch}, nil
 	case "cluster", "cluster-plan":
 		return backendSpec{}, fmt.Errorf("backend %s needs a listen address, e.g. %s:127.0.0.1:7700", kind, kind)
 	}
@@ -494,12 +495,9 @@ func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
 	case "pool":
 		return backend.NewPool(ck, bs.workers)
 	case "async":
-		if bs.batch > 1 {
-			return backend.NewAsyncBatch(ck, bs.workers, bs.sched, bs.batch)
-		}
-		return backend.NewAsyncSched(ck, bs.workers, bs.sched)
+		return backend.NewAsync(ck, bs.workers, bs.batch)
 	case "plan":
-		return backend.NewPlannedBatch(ck, bs.workers, bs.batch)
+		return backend.NewPlanned(ck, bs.workers, bs.batch)
 	}
 	return backend.NewSingle(ck)
 }
@@ -508,29 +506,24 @@ func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
 // ctBytes is the serialized ciphertext size (the paper's ≈2.46 KB pin at
 // n=630), used to contextualize the cluster backends' wire traffic.
 func printRunStats(runner backend.Backend, ctBytes int) {
-	var st backend.RunStats
 	switch r := runner.(type) {
-	case *backend.Single:
-		st = r.Stats
-	case *backend.Pool:
-		st = r.Stats
-	case *backend.Async:
-		st = r.Stats
-	case *backend.Planned:
-		st = r.Stats
-		ps := r.PlanStats
-		fmt.Printf("plan:  %d logical bootstraps captured as %d executed (%d levels, %d arena slots), compiled in %v\n",
-			ps.LogicalBootstraps, ps.ExecBootstraps, ps.Levels, ps.ArenaSlots,
-			ps.CompileTime.Round(time.Microsecond))
 	case *cluster.Coordinator:
 		printClusterStats(r.LastStat, ctBytes)
 		return
 	case *shardBackend:
 		printClusterStats(r.coord.LastStat, ctBytes)
 		return
-	default:
+	case *backend.Planned:
+		ps := r.PlanStats
+		fmt.Printf("plan:  %d logical bootstraps captured as %d executed (%d levels, %d arena slots), compiled in %v\n",
+			ps.LogicalBootstraps, ps.ExecBootstraps, ps.Levels, ps.ArenaSlots,
+			ps.CompileTime.Round(time.Microsecond))
+	}
+	rep, ok := runner.(interface{ LastRun() backend.RunStats })
+	if !ok {
 		return
 	}
+	st := rep.LastRun()
 	lutNote := ""
 	if st.LUTs > 0 {
 		lutNote = fmt.Sprintf(", %d LUTs", st.LUTs)

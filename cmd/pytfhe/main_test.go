@@ -72,31 +72,45 @@ func TestParseBackendSpec(t *testing.T) {
 	cases := []struct {
 		in      string
 		workers int
+		batch   int
 		kind    string
 		count   int
 	}{
-		{"auto", 1, "single", 1},
-		{"auto", 4, "async", 4}, // async is the default multi-worker executor
-		{"auto:6", 1, "async", 6},
-		{"single", 8, "single", 1},
-		{"pool", 3, "pool", 3},
-		{"pool:5", 1, "pool", 5},
-		{"async", 2, "async", 2},
-		{"async:7", 1, "async", 7},
-		{"async", 0, "async", 1},
+		{"auto", 1, 1, "single", 1},
+		{"auto", 4, 1, "async", 4}, // async is the default multi-worker executor
+		{"auto:6", 1, 1, "async", 6},
+		{"auto", 1, 16, "async", 1}, // …and the default batching one: -workers 1 -batch 16 used to die as "got single"
+		{"auto", 4, 16, "async", 4},
+		{"single", 8, 1, "single", 1},
+		{"pool", 3, 1, "pool", 3},
+		{"pool:5", 1, 0, "pool", 5},
+		{"async", 2, 1, "async", 2},
+		{"async:7", 1, 16, "async", 7},
+		{"async", 0, 1, "async", 1},
+		{"plan:2", 1, 16, "plan", 2},
+		{"cluster:127.0.0.1:7700", 1, 1, "cluster", 0},
+		{"cluster-plan:127.0.0.1:7700", 1, 1, "cluster-plan", 0},
 	}
 	for _, c := range cases {
-		spec, err := parseBackendSpec(c.in, c.workers)
+		spec, err := parseBackendSpec(c.in, c.workers, c.batch)
 		if err != nil {
-			t.Fatalf("%s/%d: %v", c.in, c.workers, err)
+			t.Fatalf("%s/%d/%d: %v", c.in, c.workers, c.batch, err)
 		}
-		if spec.kind != c.kind || spec.workers != c.count {
-			t.Fatalf("%s/%d -> %+v, want %s:%d", c.in, c.workers, spec, c.kind, c.count)
+		if spec.kind != c.kind || spec.workers != c.count || spec.batch != max(c.batch, 1) {
+			t.Fatalf("%s/%d/%d -> %+v, want %s:%d", c.in, c.workers, c.batch, spec, c.kind, c.count)
 		}
 	}
-	for _, bad := range []string{"", "ray", "pool:", "pool:x", "async:0", "async:-2"} {
-		if _, err := parseBackendSpec(bad, 1); err == nil {
+	for _, bad := range []string{"", "ray", "pool:", "pool:x", "async:0", "async:-2", "cluster", "cluster-plan:"} {
+		if _, err := parseBackendSpec(bad, 1, 1); err == nil {
 			t.Fatalf("%q accepted", bad)
+		}
+	}
+	// -batch where it would be ignored is an error that names the flag the
+	// user typed, not the kind it resolved to.
+	for _, be := range []string{"single", "pool:4", "cluster:127.0.0.1:7700", "cluster-plan:127.0.0.1:7700"} {
+		_, err := parseBackendSpec(be, 1, 16)
+		if err == nil || !strings.Contains(err.Error(), "-batch") || !strings.Contains(err.Error(), strings.SplitN(be, ":", 2)[0]) {
+			t.Fatalf("-backend %s -batch 16: err = %v", be, err)
 		}
 	}
 }

@@ -19,49 +19,38 @@ import (
 // runtime such as Ray — the paper's backend — actually behaves, and it is
 // the executor that internal/sched's SimulateAsync models; on deep or
 // irregular netlists it keeps workers saturated where the level barrier
-// would leave them idle.
-//
-// The ready set is ordered by the Sched policy: SchedCritical (default)
-// pops the gate with the deepest remaining bootstrap chain first, so
-// limited workers always advance the DAG's critical path; SchedFIFO keeps
-// plain arrival order as the baseline.
+// would leave them idle. The ready set pops the gate with the deepest
+// remaining bootstrap chain first, so limited workers always advance the
+// DAG's critical path.
 type Async struct {
 	ws    *exec.Workers
-	sched Sched
 	batch int
-	Stats RunStats
+	lastRun
 }
 
 // NewAsync returns a dependency-driven backend with the given worker count
-// (minimum 1) and the critical-path scheduler. Like Pool, an Async value
-// is not safe for concurrent Run calls: the engines persist across runs
-// and each run reuses them.
-func NewAsync(ck *boot.CloudKey, workers int) *Async {
-	return NewAsyncSched(ck, workers, SchedCritical)
+// (minimum 1) whose workers each fuse up to batch ready bootstrapped gates
+// into one amortized blind-rotation dispatch (batch <= 1: unbatched). Like
+// Pool, an Async value is not safe for concurrent Run calls: the engines
+// persist across runs and each run reuses them.
+func NewAsync(ck *boot.CloudKey, workers, batch int) *Async {
+	return &Async{ws: exec.NewWorkers(ck, workers), batch: max(batch, 1)}
 }
 
-// NewAsyncSched is NewAsync with an explicit ready-queue policy.
-func NewAsyncSched(ck *boot.CloudKey, workers int, sched Sched) *Async {
-	return &Async{ws: exec.NewWorkers(ck, workers), sched: sched, batch: 1}
-}
+// Sched, SchedCritical and NewAsyncSched survive only because bench/, which
+// may not be edited, compiles against them: critical-path order is the one
+// ready-queue policy.
+type Sched uint8
 
-// NewAsyncBatch is NewAsyncSched with batched bootstrap dispatch: each
-// worker drains up to batch ready bootstrapped gates per pull and
-// evaluates them through one amortized blind-rotation kernel call
-// (exec.RunReadyBatch). batch <= 1 behaves exactly like NewAsyncSched.
-func NewAsyncBatch(ck *boot.CloudKey, workers int, sched Sched, batch int) *Async {
-	if batch < 1 {
-		batch = 1
-	}
-	return &Async{ws: exec.NewWorkers(ck, workers), sched: sched, batch: batch}
-}
+// SchedCritical is the ready queue's order; see Sched.
+const SchedCritical Sched = 0
+
+// NewAsyncSched is NewAsync(ck, workers, 1); see Sched.
+func NewAsyncSched(ck *boot.CloudKey, workers int, _ Sched) *Async { return NewAsync(ck, workers, 1) }
 
 // Name implements Backend.
 func (a *Async) Name() string {
 	name := fmt.Sprintf("async-cpu(%d)", a.ws.N())
-	if a.sched == SchedFIFO {
-		name = fmt.Sprintf("async-cpu(%d,fifo)", a.ws.N())
-	}
 	if a.batch > 1 {
 		name += fmt.Sprintf("[batch=%d]", a.batch)
 	}
@@ -70,7 +59,7 @@ func (a *Async) Name() string {
 
 // Run implements Backend.
 func (a *Async) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := exec.RunReadyBatch(a.ws, nl, inputs, a.sched, exec.NewPoolMemory, a.batch)
+	outs, stats, err := exec.RunReady(a.ws, nl, inputs, a.batch)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func TestAsyncBackendHomomorphic(t *testing.T) {
 	sk, ck := keys(t)
 	nl := adder4(t)
 	for _, workers := range []int{1, 2, 4} {
-		be := NewAsync(ck, workers)
+		be := NewAsync(ck, workers, 1)
 		in := append(bitsOf(13, 4), bitsOf(9, 4)...)
 		outs, err := be.Run(nl, EncryptInputs(sk, in))
 		if err != nil {
@@ -49,7 +49,7 @@ func TestAsyncConstAndEchoOutputs(t *testing.T) {
 	b.Output("one", b.Xnor(x, x))
 	b.Output("echo", x)
 	nl := b.MustBuild()
-	be := NewAsync(ck, 2)
+	be := NewAsync(ck, 2, 1)
 	outs, err := be.Run(nl, EncryptInputs(sk, []bool{false}))
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestAsyncConstAndEchoOutputs(t *testing.T) {
 func TestAsyncInputValidation(t *testing.T) {
 	_, ck := keys(t)
 	nl := adder4(t)
-	be := NewAsync(ck, 2)
+	be := NewAsync(ck, 2, 1)
 	if _, err := be.Run(nl, nil); err == nil {
 		t.Fatal("missing inputs not rejected")
 	}
@@ -122,7 +122,7 @@ func TestAsyncMatchesSimulatedMakespan(t *testing.T) {
 	const workers = 2
 	predicted := sched.SimulateAsync(nl, sched.LocalPool(workers, gt)).Makespan
 
-	be := NewAsync(ck, workers)
+	be := NewAsync(ck, workers, 1)
 	in := make([]bool, nl.NumInputs)
 	if _, err := be.Run(nl, EncryptInputs(sk, in)); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
-// Package backend implements the in-process PyTFHE execution backends: the
-// Plain functional reference, the Single single-core homomorphic evaluator,
-// Pool, the multi-worker wavefront evaluator implementing Algorithm 1 of
-// the paper (a BFS over the gate DAG that submits every ready gate to a
-// worker and barriers per level), and Async, the barrier-free
-// dependency-driven executor that dispatches each gate the moment its
-// operands are produced (see async.go). Every backend is a thin scheduling
-// policy over the shared execution core of internal/exec — the value
-// table, input checks, refcount release, ciphertext recycling, worker
-// engine sets, stats, and output collection live there exactly once. The
-// distributed multi-node backend lives in internal/cluster; the
-// GPU-simulator backend in internal/gpu.
+// Package backend implements the in-process PyTFHE execution backends, one
+// constructor each. Three run a netlist through a driver of internal/exec:
+// Single (sequential, the reference every other executor is compared
+// against), Pool (Algorithm 1 of the paper: a BFS over the gate DAG that
+// submits every ready gate of a level to a worker and barriers per level)
+// and Async (barrier-free: each gate dispatches the moment its operands
+// are produced, longest remaining bootstrap chain first). Two run compiled
+// plans: Shared, the multi-tenant slice scheduler behind pytfhed, and
+// Planned, the capture/replay backend, which is Shared with one tenant.
+// Plain is the keyless functional reference. Every gate, whichever
+// executor schedules it, is evaluated by exec.Batcher. The distributed
+// multi-node backend lives in internal/cluster; the GPU-simulator backend
+// in internal/gpu.
 package backend
 
 import (
@@ -37,25 +38,17 @@ type RunStats = exec.Stats
 // ErrNilInput marks a nil ciphertext among a run's inputs.
 var ErrNilInput = exec.ErrNilInput
 
-// Sched selects the ready-driven executors' queue policy.
-type Sched = exec.Sched
+// lastRun is embedded by the executors that record metrics — Single, Pool,
+// Async and Planned. Stats holds those of the most recent Run.
+type lastRun struct{ Stats RunStats }
 
-const (
-	// SchedCritical pops the ready gate with the longest remaining
-	// bootstrap-weighted dependency chain first (the default).
-	SchedCritical = exec.SchedCritical
-	// SchedFIFO pops gates in arrival order — the A/B baseline.
-	SchedFIFO = exec.SchedFIFO
-)
+// LastRun returns the metrics of the most recent Run.
+func (l *lastRun) LastRun() RunStats { return l.Stats }
 
-// ParseSched resolves a -sched flag value.
-func ParseSched(s string) (Sched, error) { return exec.ParseSched(s) }
-
-// Single evaluates gates sequentially on one core — the sequential driver
-// over a refcounted free-list pool.
+// Single evaluates gates sequentially on one core — the sequential driver.
 type Single struct {
-	eng   *gate.Engine
-	Stats RunStats
+	eng *gate.Engine
+	lastRun
 }
 
 // NewSingle returns a single-core backend over ck.
@@ -71,7 +64,7 @@ func (s *Single) Engine() *gate.Engine { return s.eng }
 
 // Run implements Backend.
 func (s *Single) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := exec.RunSequential(s.eng, nl, inputs, exec.NewPool(s.eng.Params().LWEDimension))
+	outs, stats, err := exec.RunSequential(s.eng, nl, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -84,8 +77,8 @@ func (s *Single) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, 
 // equivalent of the paper's Ray actors, and the level driver of the
 // execution core.
 type Pool struct {
-	ws    *exec.Workers
-	Stats RunStats
+	ws *exec.Workers
+	lastRun
 }
 
 // NewPool returns a backend with the given worker count (minimum 1).
@@ -98,7 +91,7 @@ func (p *Pool) Name() string { return fmt.Sprintf("pool-cpu(%d)", p.ws.N()) }
 
 // Run implements Backend.
 func (p *Pool) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := exec.RunLevels(p.ws, nl, inputs, exec.NewPool(p.ws.Dim()))
+	outs, stats, err := exec.RunLevels(p.ws, nl, inputs)
 	if err != nil {
 		return nil, err
 	}

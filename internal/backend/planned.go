@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pytfhe/internal/circuit"
-	"pytfhe/internal/exec"
 	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
@@ -16,9 +15,16 @@ import (
 // Planned is the capture/replay backend — the CPU analogue of the paper's
 // CUDA-Graph batch scheduling. The first Run of a netlist captures it into
 // an immutable execution plan; every Run — the first included — replays
-// the cached plan with no scheduling work at all: no ready heap,
-// no per-gate atomics, no refcounting, and no ciphertext allocations
-// (the exec.Arena persists in the runtime).
+// the cached plan with no per-gate scheduling work at all: no ready heap,
+// no per-gate atomics, no refcounting, and no ciphertext allocations (the
+// scheduler pools its arenas).
+//
+// Planned is a one-tenant client of Shared, the scheduler pytfhed serves
+// from: one registered key, one Submit per Run, so a plan is scheduled the
+// same way in the CLI, the benchmarks and the daemon. Run is safe for
+// concurrent use; concurrent runs share the worker set and, at batch > 1,
+// kernel dispatches. Close stops the workers; one that is never closed
+// costs its parked worker goroutines and nothing else.
 //
 // Capture also performs exact functional deduplication, so replay executes
 // only the netlist's distinct boolean functions. Stats reports the
@@ -26,69 +32,58 @@ import (
 // effective throughput (logical bootstraps per second), the number
 // comparable across backends; PlanStats carries the executed counts.
 type Planned struct {
-	ws    *exec.Workers
-	batch int
+	sh  *Shared
+	key *SharedKey
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards plans, Stats and PlanStats
 	plans map[*circuit.Netlist]*plan.Plan
-	rt    *plan.Runtime
 
-	Stats     RunStats
+	lastRun
 	PlanStats plan.Stats
 }
 
 // NewPlanned returns a capture/replay backend with the given worker count
-// (minimum 1).
-func NewPlanned(ck *boot.CloudKey, workers int) *Planned {
-	return NewPlannedBatch(ck, workers, 1)
+// (minimum 1) that groups up to batch bootstrapped instructions per kernel
+// dispatch (batch <= 1: unbatched).
+func NewPlanned(ck *boot.CloudKey, workers, batch int) *Planned {
+	sh := NewShared(workers, batch)
+	key, err := sh.RegisterKey(ck)
+	if err != nil {
+		panic(err) // only a closed executor refuses a key
+	}
+	return &Planned{sh: sh, key: key, plans: make(map[*circuit.Netlist]*plan.Plan)}
 }
 
-// NewPlannedBatch is NewPlanned with batched bootstrap dispatch during
-// replay: each worker groups the bootstrapped instructions of its level
-// slice up to batch per amortized kernel call (plan.ReplayBatch). batch <=
-// 1 behaves exactly like NewPlanned.
+// NewPlannedBatch is NewPlanned under the name bench/, which may not be
+// edited, compiles against.
 func NewPlannedBatch(ck *boot.CloudKey, workers, batch int) *Planned {
-	if batch < 1 {
-		batch = 1
-	}
-	ws := exec.NewWorkers(ck, workers)
-	return &Planned{
-		ws:    ws,
-		batch: batch,
-		plans: make(map[*circuit.Netlist]*plan.Plan),
-		rt:    plan.NewRuntime(ws.Dim()),
-	}
+	return NewPlanned(ck, workers, batch)
 }
 
 // Name implements Backend.
 func (p *Planned) Name() string {
-	name := fmt.Sprintf("plan-cpu(%d)", p.ws.N())
-	if p.batch > 1 {
-		name += fmt.Sprintf("[batch=%d]", p.batch)
+	name := fmt.Sprintf("plan-cpu(%d)", p.sh.workers)
+	if p.sh.batch > 1 {
+		name += fmt.Sprintf("[batch=%d]", p.sh.batch)
 	}
 	return name
 }
 
-// ArenaHighWater returns the peak number of arena ciphertexts held across
-// all runs.
-func (p *Planned) ArenaHighWater() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rt.HighWater()
-}
+// Close stops the worker set; it returns once every worker has exited. Runs
+// in flight, and every Run afterwards, fail with ErrExecutorClosed.
+func (p *Planned) Close() { p.sh.Close() }
+
+// ArenaHighWater returns the most arena ciphertexts any one run has held.
+func (p *Planned) ArenaHighWater() int { return p.sh.Stats().ArenaHighWater }
 
 // Plan returns the cached plan for nl, compiling it if needed.
 func (p *Planned) Plan(nl *circuit.Netlist) (*plan.Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.planLocked(nl)
-}
-
-func (p *Planned) planLocked(nl *circuit.Netlist) (*plan.Plan, error) {
 	if cached, ok := p.plans[nl]; ok {
 		return cached, nil
 	}
-	compiled, err := plan.Compile(nl, p.ws.N())
+	compiled, err := plan.Compile(nl, p.sh.Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -98,36 +93,33 @@ func (p *Planned) planLocked(nl *circuit.Netlist) (*plan.Plan, error) {
 
 // Run implements Backend.
 func (p *Planned) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	if err := exec.CheckInputs(nl, inputs, p.ws.Dim()); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	start := time.Now()
-
-	compiled, err := p.planLocked(nl)
+	compiled, err := p.Plan(nl)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := plan.ReplayBatch(context.Background(), compiled, p.ws.Engines(), inputs, p.rt, p.batch)
+	batches, batched := p.sh.batches.Load(), p.sh.batched.Load()
+	outs, err := p.sh.Submit(context.Background(), p.key, compiled, inputs)
 	if err != nil {
 		return nil, err
 	}
 
+	// Batch occupancy is the scheduler's delta over this Run, so it includes
+	// whatever a concurrent Run dispatched meanwhile.
 	st := compiled.Stats()
-	p.PlanStats = st
-	p.Stats = RunStats{
-		Gates:      st.LogicalGates,
-		Bootstraps: st.LogicalBootstraps,
-		LUTs:       st.LogicalLUTs,
-		Levels:     st.Levels,
-		Workers:    p.ws.N(),
-		BatchSize:  p.batch,
+	stats := RunStats{
+		Gates:             st.LogicalGates,
+		Bootstraps:        st.LogicalBootstraps,
+		LUTs:              st.LogicalLUTs,
+		Levels:            st.Levels,
+		Workers:           p.sh.workers,
+		BatchSize:         p.sh.batch,
+		Batches:           int(p.sh.batches.Load() - batches),
+		BatchedBootstraps: int(p.sh.batched.Load() - batched),
 	}
-	if batches, batched := p.rt.BatchOccupancy(); batches > 0 {
-		p.Stats.Batches = int(batches)
-		p.Stats.BatchedBootstraps = int(batched)
-	}
-	p.Stats.Finish(start)
+	stats.Finish(start)
+	p.mu.Lock()
+	p.Stats, p.PlanStats = stats, st
+	p.mu.Unlock()
 	return outs, nil
 }

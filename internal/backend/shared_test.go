@@ -247,8 +247,7 @@ func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 				return
 			}
 			// The executor is gone; replay on its runtime directly.
-			engines := []*gate.Engine{gate.NewEngine(ck), gate.NewEngine(ck)}
-			outs, err := plan.ReplayBatch(context.Background(), next, engines, EncryptInputs(sk, in), rts[0], 4)
+			outs, err := plan.Replay(next, plan.NewInterp(gate.NewEngine(ck), 4), EncryptInputs(sk, in), rts[0])
 			if err != nil {
 				t.Fatal(err)
 			}

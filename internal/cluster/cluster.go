@@ -463,6 +463,24 @@ func settleMeters(snaps []meterSnap, st *Stats) {
 	}
 }
 
+// roster snapshots what a run starts from: the live workers, their total
+// slot count, and the per-job read deadline.
+func (c *Coordinator) roster() (workers []*workerConn, slots int, timeout time.Duration, err error) {
+	c.mu.Lock()
+	workers = append(workers, c.workers...)
+	c.mu.Unlock()
+	if len(workers) == 0 {
+		return nil, 0, 0, fmt.Errorf("cluster: no workers connected")
+	}
+	for _, w := range workers {
+		slots += w.slots
+	}
+	if timeout = c.JobTimeout; timeout <= 0 {
+		timeout = DefaultJobTimeout
+	}
+	return workers, slots, timeout, nil
+}
+
 // Run executes the netlist over the connected workers using the wavefront
 // schedule. It implements the backend.Backend contract.
 func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
@@ -475,19 +493,12 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	workers := append([]*workerConn(nil), c.workers...)
-	c.mu.Unlock()
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("cluster: no workers connected")
+	workers, totalSlots, jobTimeout, err := c.roster()
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	snaps := c.snapMeters()
-
-	totalSlots := 0
-	for _, w := range workers {
-		totalSlots += w.slots
-	}
 	values := st.Values
 
 	stats := Stats{Workers: len(workers), Slots: totalSlots, Gates: len(nl.Gates)}
@@ -497,10 +508,6 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 		}
 	}
 	ctBytes := int64(c.ck.Params.CiphertextBytes())
-	jobTimeout := c.JobTimeout
-	if jobTimeout <= 0 {
-		jobTimeout = DefaultJobTimeout
-	}
 	levels := nl.Levels()
 	stats.Levels = len(levels)
 	seq := 0
@@ -550,42 +557,23 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 					stats.BytesSent += (1 + ops) * ctBytes
 					stats.SamplesSent += ops
 				}
-				go func(w *workerConn, wi, seq int, tasks []GateTask, part []int) {
-					if err := w.enc.Encode(Message{Job: &Job{Seq: seq, Tasks: tasks}}); err != nil {
-						ch <- reply{w: w, lost: true, part: part,
-							err: fmt.Errorf("cluster: send to worker %d: %w", wi, err)}
-						return
-					}
-					// The per-job read deadline turns a hung or silently
-					// dead worker into a detectable loss instead of a
-					// coordinator that blocks forever. A connection that
-					// cannot take a deadline is already broken: same loss.
-					if err := w.conn.SetReadDeadline(time.Now().Add(jobTimeout)); err != nil {
-						ch <- reply{w: w, lost: true, part: part,
-							err: fmt.Errorf("cluster: worker %d deadline: %w", wi, err)}
-						return
-					}
-					var msg Message
-					err := w.dec.Decode(&msg)
-					if cerr := w.conn.SetReadDeadline(time.Time{}); err == nil && cerr != nil {
-						err = fmt.Errorf("cluster: worker %d clear deadline: %w", wi, cerr)
-					}
-					if err != nil {
-						ch <- reply{w: w, lost: true, part: part,
-							err: fmt.Errorf("cluster: receive from worker %d: %w", wi, err)}
-						return
-					}
-					if msg.Error != "" {
+				go func(w *workerConn, wi int, job *Job, part []int) {
+					// The per-job read deadline inside roundTrip turns a hung
+					// or silently dead worker into a detectable loss instead
+					// of a coordinator that blocks forever.
+					msg, err := roundTrip(w, Message{Job: job}, jobTimeout)
+					switch {
+					case err != nil:
+						ch <- reply{w: w, lost: true, part: part, err: err}
+					case msg.Error != "":
 						ch <- reply{w: w, err: fmt.Errorf("cluster: worker %d: %s", wi, msg.Error)}
-						return
-					}
-					if msg.Result == nil || len(msg.Result.Outputs) != len(tasks) {
+					case msg.Result == nil || len(msg.Result.Outputs) != len(job.Tasks):
 						ch <- reply{w: w, lost: true, part: part,
 							err: fmt.Errorf("cluster: worker %d returned malformed result", wi)}
-						return
+					default:
+						ch <- reply{w: w, res: msg.Result, part: part}
 					}
-					ch <- reply{w: w, res: msg.Result, part: part}
-				}(workers[wi], wi, seq, tasks, part)
+				}(workers[wi], wi, &Job{Seq: seq, Tasks: tasks}, part)
 			}
 			seq++
 			var retry []int
@@ -802,6 +790,9 @@ func (w *Worker) Serve(addr string) error {
 	}
 }
 
+// evalJob evaluates a Job's tasks — mutually independent: one wavefront —
+// splitting them evenly across the slots' engines, each of which batches
+// its share like a shard level.
 func (w *Worker) evalJob(engines []*gate.Engine, ck *boot.CloudKey, job *Job) ([]*lwe.Sample, error) {
 	outs := make([]*lwe.Sample, len(job.Tasks))
 	dim := ck.Params.LWEDimension
@@ -810,32 +801,27 @@ func (w *Worker) evalJob(engines []*gate.Engine, ck *boot.CloudKey, job *Job) ([
 	var wg sync.WaitGroup
 	chunk := (len(job.Tasks) + len(engines) - 1) / len(engines)
 	for s := 0; s < len(engines) && s*chunk < len(job.Tasks); s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > len(job.Tasks) {
-			hi = len(job.Tasks)
-		}
+		lo, hi := s*chunk, min((s+1)*chunk, len(job.Tasks))
 		wg.Add(1)
 		go func(eng *gate.Engine, lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				t := job.Tasks[i]
-				out := lwe.NewSample(dim)
-				var err error
-				if t.Arity != 0 {
-					ins := [3]*lwe.Sample{t.A, t.B, t.C}
-					err = eng.LUT(int(t.Arity), logic.TT(t.TT), out, ins[:t.Arity]...)
-				} else {
-					err = eng.Binary(logic.Kind(t.Kind), out, t.A, t.B)
+			bt := exec.NewBatcher(eng, shard.WorkerBatch)
+			var err error
+			for i := lo; i < hi && err == nil; i++ {
+				t := &job.Tasks[i]
+				outs[i] = lwe.NewSample(dim)
+				op := gate.Op{Kind: logic.Kind(t.Kind), TT: logic.TT(t.TT), Arity: t.Arity}
+				_, err = bt.Do(op, outs[i], t.A, t.B, t.C)
+			}
+			if err == nil {
+				err = bt.Flush()
+			}
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
 				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				outs[i] = out
+				mu.Unlock()
 			}
 		}(engines[s], lo, hi)
 	}

@@ -12,8 +12,10 @@ import (
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/exec"
+	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/trand"
 )
 
@@ -334,4 +336,27 @@ func TestKeyBroadcastSize(t *testing.T) {
 		t.Fatalf("serialized cloud key is %d B, below the raw payload %d B", buf.Len(), min)
 	}
 	t.Logf("cloud key wire size: %.1f MB", float64(buf.Len())/1e6)
+}
+
+// TestWorkerRejectsMalformedTask: a GateTask arrives off a socket, so a kind
+// outside the gate alphabet or an arity beyond the LUT limit must come back
+// as a job error (the coordinator sees an application error), not index the
+// engine's tables and take the worker down.
+func TestWorkerRejectsMalformedTask(t *testing.T) {
+	sk, ck := keys(t)
+	in := backend.EncryptInputs(sk, []bool{true, false})
+	engines := []*gate.Engine{gate.NewEngine(ck)}
+	good := GateTask{Kind: uint8(logic.NAND), A: in[0], B: in[1]}
+	for _, bad := range []GateTask{
+		{Kind: 200, A: in[0], B: in[1]},
+		{TT: 0x96, Arity: 7, A: in[0], B: in[1], C: in[0]},
+	} {
+		if _, err := NewWorker(1).evalJob(engines, ck, &Job{Tasks: []GateTask{good, bad, good}}); err == nil {
+			t.Fatalf("task %+v evaluated", bad)
+		}
+	}
+	outs, err := NewWorker(1).evalJob(engines, ck, &Job{Tasks: []GateTask{good}})
+	if err != nil || gate.Decrypt(outs[0], sk) != true {
+		t.Fatalf("well-formed job after the malformed ones: %v", err)
+	}
 }

@@ -142,11 +142,9 @@ func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*
 	if err := exec.CheckRawInputs(inputs, nl.NumInputs, dim); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	workers := append([]*workerConn(nil), c.workers...)
-	c.mu.Unlock()
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("cluster: no workers connected")
+	workers, totalSlots, timeout, err := c.roster()
+	if err != nil {
+		return nil, err
 	}
 	s, err := c.sharding(nl, len(workers))
 	if err != nil {
@@ -156,20 +154,12 @@ func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*
 	start := time.Now()
 	snaps := c.snapMeters()
 	ps := p.Stats()
-	totalSlots := 0
-	for _, w := range workers {
-		totalSlots += w.slots
-	}
 	stats := Stats{
 		Workers:    len(workers),
 		Slots:      totalSlots,
 		Levels:     ps.Levels,
 		Gates:      ps.ExecGates,
 		Bootstraps: ps.ExecBootstraps,
-	}
-	timeout := c.JobTimeout
-	if timeout <= 0 {
-		timeout = DefaultJobTimeout
 	}
 	r := &shardRun{
 		c:        c,

@@ -47,7 +47,7 @@ func (d *Deps) Ready() []int32 {
 
 // CriticalDepth computes, for every gate, the number of bootstrapped gates
 // on the longest dependency chain from that gate to any sink — the gate's
-// remaining critical-path cost, the priority key of SchedCritical.
+// remaining critical-path cost, the priority key of the ready queue.
 // Bootstraps dominate runtime by orders of magnitude, so linear gates
 // weigh zero. Gates are in topological order (Validate forbids forward
 // references), so one reverse sweep over the children lists suffices.

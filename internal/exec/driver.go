@@ -7,35 +7,31 @@ import (
 	"time"
 
 	"pytfhe/internal/circuit"
-	"pytfhe/internal/logic"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// MemStrategy builds one Memory per worker for the concurrent drivers —
-// NewPoolMemory for refcounted free lists, or a capture hook in tests.
-type MemStrategy func(dim int) Memory
+// gateOp describes a netlist gate to the evaluator.
+func gateOp(g *circuit.Gate) gate.Op { return gate.Op{Kind: g.Kind, TT: g.TT, Arity: g.Arity} }
 
-// NewPoolMemory is the default MemStrategy: a refcounted free-list Pool.
-func NewPoolMemory(dim int) Memory { return NewPool(dim) }
-
-// applyGate evaluates one netlist gate — classic 2-input or k-input LUT —
-// on eng, reading operands from the state's value table.
-func applyGate(eng *gate.Engine, st *State, g *circuit.Gate, out *lwe.Sample) error {
-	if g.IsLUT() {
-		var ins [logic.MaxLUTArity]*lwe.Sample
-		n := g.NumOperands()
-		for k := 0; k < n; k++ {
-			ins[k] = st.Values[g.Operand(k)]
-		}
-		return eng.LUT(n, g.TT, out, ins[:n]...)
+// operands resolves g's operand ciphertexts in the value table (c is nil
+// below arity 3).
+func (s *State) operands(g *circuit.Gate) (a, b, c *lwe.Sample) {
+	if g.Arity >= 3 {
+		c = s.Values[g.C]
 	}
-	return eng.Binary(g.Kind, out, st.Values[g.A], st.Values[g.B])
+	return s.Values[g.A], s.Values[g.B], c
+}
+
+// applyGate evaluates one netlist gate on eng now.
+func applyGate(eng *gate.Engine, st *State, g *circuit.Gate, out *lwe.Sample) error {
+	a, b, c := st.operands(g)
+	return Eval(eng, gateOp(g), out, a, b, c)
 }
 
 // releaseOperands drops one fan-out reference per operand slot of g,
 // recycling drained ciphertexts through mem.
-func releaseOperands(st *State, g *circuit.Gate, mem Memory) {
+func releaseOperands(st *State, g *circuit.Gate, mem *Pool) {
 	for k := 0; k < g.NumOperands(); k++ {
 		st.Release(g.Operand(k), mem)
 	}
@@ -56,10 +52,12 @@ func countGates(nl *circuit.Netlist, stats *Stats) {
 }
 
 // RunSequential is the single-core driver: gates evaluate in netlist
-// order on one engine, recycling operands through mem the moment their
-// fan-out drains. This is the Single backend's policy.
-func RunSequential(eng *gate.Engine, nl *circuit.Netlist, inputs []*lwe.Sample, mem Memory) ([]*lwe.Sample, Stats, error) {
+// order on one engine, recycling operands through a refcounted Pool the
+// moment their fan-out drains. This is the Single backend's policy, and
+// the reference every other executor is compared against.
+func RunSequential(eng *gate.Engine, nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, Stats, error) {
 	dim := eng.Params().LWEDimension
+	mem := NewPool(dim)
 	st, err := NewState(nl, inputs, dim)
 	if err != nil {
 		return nil, Stats{}, err
@@ -89,12 +87,13 @@ func RunSequential(eng *gate.Engine, nl *circuit.Netlist, inputs []*lwe.Sample, 
 // RunLevels is the wavefront driver implementing Algorithm 1 of the
 // paper: a BFS over the gate DAG that submits every ready gate of a
 // level to the workers and barriers before the next level. This is the
-// Pool backend's policy. mem is touched only between barriers (output
-// slots are claimed before a level starts, operands released after it
-// completes), so a single non-concurrent Memory serves all workers and
-// no worker can free a ciphertext another is still reading.
-func RunLevels(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, mem Memory) ([]*lwe.Sample, Stats, error) {
+// Pool backend's policy. The ciphertext pool is touched only between
+// barriers (output slots are claimed before a level starts, operands
+// released after it completes), so one non-concurrent Pool serves all
+// workers and no worker can free a ciphertext another is still reading.
+func RunLevels(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, Stats, error) {
 	dim := ws.Dim()
+	mem := NewPool(dim)
 	st, err := NewState(nl, inputs, dim)
 	if err != nil {
 		return nil, Stats{}, err
@@ -162,51 +161,38 @@ func RunLevels(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, mem Memor
 // RunReady is the barrier-free, dependency-driven driver: every gate
 // carries an atomic pending-operand counter, finished gates decrement
 // their children's counters, and a counter hitting zero pushes the child
-// onto a blocking ready Queue served by the persistent workers. This is
-// the Async backend's policy and what internal/sched's SimulateAsync
-// models. Each worker owns a private Memory from newMem, so recycling is
+// onto a blocking ready Queue served by the persistent workers. The queue
+// pops the gate with the longest remaining bootstrap chain first
+// (CriticalDepth), so limited workers keep the DAG's critical path moving.
+// This is the Async backend's policy and what internal/sched's
+// SimulateAsync models. Each worker owns a private Pool, so recycling is
 // lock-free on the hot path; peak memory still tracks the live frontier
 // of the DAG.
-func RunReady(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, sched Sched, newMem MemStrategy) ([]*lwe.Sample, Stats, error) {
-	return RunReadyBatch(ws, nl, inputs, sched, newMem, 1)
-}
-
-// RunReadyBatch is RunReady with batched bootstrap dispatch: a worker that
-// pops a bootstrapped gate drains up to batch-1 more ready bootstrapped
-// gates from the queue (without ever blocking — an empty queue flushes the
-// batch rather than stalling it) and evaluates them in one
-// gate.BinaryBatch call, amortizing the bootstrapping-key stream across
-// the whole group. The queue's Sched order is respected: the drain takes
-// gates in exactly the order single-gate workers would have, so
-// SchedCritical still advances the critical path first. Free gates popped
-// during a drain are evaluated inline immediately — their children may
-// become ready in time to join the very batch being assembled. batch <= 1
-// reproduces RunReady exactly.
-func RunReadyBatch(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, sched Sched, newMem MemStrategy, batch int) ([]*lwe.Sample, Stats, error) {
+//
+// With batch > 1 a worker that pops a bootstrapped gate tops its Batcher
+// up from the queue without ever blocking — an empty queue flushes the
+// batch rather than stalling it — and the group shares one kernel
+// dispatch. The drain takes gates in exactly the order single-gate workers
+// would have. Free gates popped during a drain evaluate at once: their
+// children may become ready in time to join the very batch being
+// assembled.
+func RunReady(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, batch int) ([]*lwe.Sample, Stats, error) {
 	dim := ws.Dim()
 	st, err := NewState(nl, inputs, dim)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	if batch < 1 {
-		batch = 1
-	}
+	batch = max(batch, 1)
 	nGates := len(nl.Gates)
 	stats := Stats{Gates: nGates, Workers: ws.N(), BatchSize: batch}
 	countGates(nl, &stats)
 
+	// The ready queue holds every gate index at most once: a max-heap on
+	// each gate's remaining critical-path depth.
 	deps := NewDeps(nl)
-
-	// The ready queue holds every gate index at most once. Under
-	// SchedCritical it is a max-heap on each gate's remaining
-	// critical-path depth; under SchedFIFO it preserves arrival order.
-	var less func(a, b int32) bool
-	if sched == SchedCritical {
-		prio := CriticalDepth(nl, deps.Children)
-		less = func(a, b int32) bool { return prio[a] > prio[b] }
-	}
-	ready := NewQueue[int32](nGates, less)
+	prio := CriticalDepth(nl, deps.Children)
+	ready := NewQueue(nGates, func(a, b int32) bool { return prio[a] > prio[b] })
 	readyAt := make([]int64, nGates) // ns timestamp of enqueue, for QueueWait
 	now := time.Now().UnixNano()
 	for _, gi := range deps.Ready() {
@@ -229,9 +215,9 @@ func RunReadyBatch(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, sched
 		fullFlushes  int64
 		drainFlushes int64
 	)
-	fail := func(err error) {
+	fail := func(gi int32, err error) {
 		errOnce.Do(func() {
-			runErr = err
+			runErr = fmt.Errorf("exec: gate %d: %w", nl.GateID(int(gi)), err)
 			ready.Finish()
 		})
 	}
@@ -241,7 +227,7 @@ func RunReadyBatch(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, sched
 	// mutex order the write to Values[id] before any child's read of it.
 	// The last published gate finishes the queue: all gates evaluated means
 	// every push has already happened, so finishing wakes idle workers.
-	publish := func(gi int32, out *lwe.Sample, mem Memory) {
+	publish := func(gi int32, out *lwe.Sample, mem *Pool) {
 		g := &nl.Gates[gi]
 		id := nl.GateID(int(gi))
 		st.Values[id] = out
@@ -256,117 +242,70 @@ func RunReadyBatch(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample, sched
 			ready.Finish()
 		}
 	}
-	// evalOne is the single-gate path: the whole policy of RunReady, and
-	// the inline fallback the batch drain uses for free gates.
-	evalOne := func(eng *gate.Engine, mem Memory, gi int32) bool {
-		out := mem.Get()
-		if err := applyGate(eng, st, &nl.Gates[gi], out); err != nil {
-			mem.Put(out)
-			fail(fmt.Errorf("exec: gate %d: %w", nl.GateID(int(gi)), err))
-			return false
-		}
-		publish(gi, out, mem)
-		return true
-	}
 
 	ws.ResetBusy()
-	workers := ws.N()
-	if workers > nGates {
-		workers = nGates
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(ws.N(), nGates); w++ {
 		wg.Add(1)
 		go func(eng *gate.Engine) {
 			defer wg.Done()
-			mem := newMem(dim)
+			mem := NewPool(dim)
+			bt := NewBatcher(eng, batch)
+			type heldGate struct {
+				gi  int32
+				out *lwe.Sample
+			}
+			var held []heldGate // the gates in bt's pending batch
 			var busy time.Duration
 			defer func() { ws.AddBusy(busy) }()
-			var (
-				gis  []int32
-				ops  []gate.Op
-				outs []*lwe.Sample
-				avs  []*lwe.Sample
-				bvs  []*lwe.Sample
-				cvs  []*lwe.Sample
-			)
-			if batch > 1 {
-				gis = make([]int32, 0, batch)
-				ops = make([]gate.Op, 0, batch)
-				outs = make([]*lwe.Sample, 0, batch)
-				avs = make([]*lwe.Sample, 0, batch)
-				bvs = make([]*lwe.Sample, 0, batch)
-				cvs = make([]*lwe.Sample, 0, batch)
+			// settle publishes the batch bt has just dispatched.
+			settle := func(flushes *int64) {
+				atomic.AddInt64(&nBatches, 1)
+				atomic.AddInt64(&batchedBoots, int64(len(held)))
+				atomic.AddInt64(flushes, 1)
+				for _, h := range held {
+					publish(h.gi, h.out, mem)
+				}
+				held = held[:0]
 			}
 			for {
 				gi, ok := ready.Pop()
 				if !ok {
 					return
 				}
+				// One round: the popped gate and, while it leaves a partial
+				// batch pending, whatever the queue holds right now.
 				popped := time.Now()
-				atomic.AddInt64(&queueWaitNs, popped.UnixNano()-readyAt[gi])
-				if batch <= 1 || !nl.Gates[gi].NeedsBootstrap() {
-					if !evalOne(eng, mem, gi) {
+				for at := popped; ok; at = time.Now() {
+					atomic.AddInt64(&queueWaitNs, at.UnixNano()-readyAt[gi])
+					g := &nl.Gates[gi]
+					out := mem.Get()
+					a, b, c := st.operands(g)
+					joined, err := bt.Do(gateOp(g), out, a, b, c)
+					if err != nil {
+						mem.Put(out)
+						fail(gi, err)
 						return
 					}
-					busy += time.Since(popped)
-					continue
-				}
-				// Batched dispatch: seed with the popped gate, then top up
-				// from the ready queue without blocking. Free gates taken
-				// during the drain run inline — their children may become
-				// ready in time to join this very batch.
-				gis, ops, outs = gis[:0], ops[:0], outs[:0]
-				avs, bvs, cvs = avs[:0], bvs[:0], cvs[:0]
-				collect := func(gj int32) {
-					g := &nl.Gates[gj]
-					gis = append(gis, gj)
-					var cv *lwe.Sample
-					if g.IsLUT() {
-						ops = append(ops, gate.Op{TT: g.TT, Arity: g.Arity})
-						if g.Arity >= 3 {
-							cv = st.Values[g.C]
-						}
+					if joined {
+						held = append(held, heldGate{gi, out})
 					} else {
-						ops = append(ops, gate.Op{Kind: g.Kind})
+						publish(gi, out, mem)
 					}
-					outs = append(outs, mem.Get())
-					avs = append(avs, st.Values[g.A])
-					bvs = append(bvs, st.Values[g.B])
-					cvs = append(cvs, cv)
-				}
-				collect(gi)
-				for len(gis) < batch {
-					gj, ok := ready.TryPop()
-					if !ok {
+					if bt.Pending() == 0 {
+						if joined {
+							settle(&fullFlushes)
+						}
 						break
 					}
-					atomic.AddInt64(&queueWaitNs, time.Now().UnixNano()-readyAt[gj])
-					if !nl.Gates[gj].NeedsBootstrap() {
-						if !evalOne(eng, mem, gj) {
-							return
-						}
-						continue
+					gi, ok = ready.TryPop()
+				}
+				if bt.Pending() > 0 {
+					if err := bt.Flush(); err != nil {
+						fail(held[0].gi, err)
+						return
 					}
-					collect(gj)
-				}
-				b := len(gis)
-				if err := eng.OpBatch(ops[:b], outs[:b], avs[:b], bvs[:b], cvs[:b]); err != nil {
-					for _, out := range outs[:b] {
-						mem.Put(out)
-					}
-					fail(fmt.Errorf("exec: gate %d: %w", nl.GateID(int(gis[0])), err))
-					return
-				}
-				atomic.AddInt64(&nBatches, 1)
-				atomic.AddInt64(&batchedBoots, int64(b))
-				if b == batch {
-					atomic.AddInt64(&fullFlushes, 1)
-				} else {
-					atomic.AddInt64(&drainFlushes, 1)
-				}
-				for m := 0; m < b; m++ {
-					publish(gis[m], outs[m], mem)
+					settle(&drainFlushes)
 				}
 				busy += time.Since(popped)
 			}

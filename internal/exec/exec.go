@@ -1,17 +1,27 @@
 // Package exec is the shared execution core behind every in-process CPU
-// backend. The five executors of internal/backend (Single, Pool, Async,
-// Shared, Planned) and the distributed coordinator of internal/cluster are
-// scheduling *policies*; the machinery they schedule over — typed input
-// validation, the node→ciphertext value table with fan-out refcount
-// release, the recycling Memory strategies (refcounted free-list Pool,
-// compile-time liveness Arena), per-worker engine sets, the blocking ready
-// Queue, and output collection — lives here exactly once. A new policy
-// (sharded, batched, ...) is a driver over these primitives, not another
-// copy of the substrate.
+// backend and the cluster. It holds, exactly once:
+//
+//   - the evaluator: Eval computes one gate.Op now, and Batcher adds the
+//     "join the pending kernel batch, flush at size" logic on top. The ready
+//     driver here, the plan interpreter (plan.Interp) and the cluster
+//     worker all evaluate through a Batcher, so batcher.go is the only file
+//     in the executor packages that calls the gate engine;
+//   - the three netlist drivers: RunSequential (the reference every test
+//     compares against), RunLevels (Algorithm 1 of the paper: wavefront and
+//     barrier) and RunReady (dependency-driven, critical-path order, with
+//     optional kernel batching);
+//   - what they run over: typed input validation, the node→ciphertext value
+//     table with fan-out refcount release (State), ciphertext recycling
+//     (the refcounted free-list Pool of the netlist drivers, the
+//     compile-time liveness Arena of plans), per-worker engine sets, the
+//     blocking ready Queue, Stats and output collection.
+//
+// Compiled plans are scheduled by backend.Shared, not here; the backends of
+// internal/backend are one constructor per way of ordering work.
 //
 // The split mirrors the compiler/runtime factoring of CHET and MATCHA's
 // treatment of bootstrap scheduling as a policy over a fixed kernel
-// substrate: one execution core, many schedulers.
+// substrate: many compiled forms, one runtime that evaluates them.
 package exec
 
 import (
@@ -30,16 +40,10 @@ import (
 // an error callers can classify via errors.Is.
 var ErrNilInput = errors.New("exec: nil input ciphertext")
 
-// CheckInputs validates a netlist run's inputs: count, non-nil, and LWE
-// dimension.
-func CheckInputs(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) error {
-	return CheckRawInputs(inputs, nl.NumInputs, dim)
-}
-
-// CheckRawInputs is CheckInputs for callers that know only the expected
-// input count (the plan replay path validates against the plan, not the
-// netlist). A non-positive dim skips the dimension check — the Plain
-// backend takes whatever dimension the trivial samples carry.
+// CheckRawInputs validates a run's inputs against the expected count (a
+// netlist's or a plan's): count, non-nil, and LWE dimension. A
+// non-positive dim skips the dimension check — the Plain backend takes
+// whatever dimension the trivial samples carry.
 func CheckRawInputs(inputs []*lwe.Sample, want, dim int) error {
 	if len(inputs) != want {
 		return fmt.Errorf("exec: %d inputs supplied, want %d", len(inputs), want)
@@ -60,7 +64,7 @@ func CheckRawInputs(inputs []*lwe.Sample, want, dim int) error {
 // refcounts that drive ciphertext recycling. Inputs are never recycled (the
 // caller owns them) and outputs hold one fan-out reference each
 // (circuit.FanOut counts them), so a result can never be returned to a
-// Memory before Collect reads it, even when the output node also feeds
+// Pool before Collect reads it, even when the output node also feeds
 // interior gates.
 type State struct {
 	nl *circuit.Netlist
@@ -73,7 +77,7 @@ type State struct {
 // NewState validates the inputs and builds the value table and refcounts
 // for one run of nl.
 func NewState(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) (*State, error) {
-	if err := CheckInputs(nl, inputs, dim); err != nil {
+	if err := CheckRawInputs(inputs, nl.NumInputs, dim); err != nil {
 		return nil, err
 	}
 	st := &State{nl: nl, Values: make([]*lwe.Sample, nl.NumNodes()+1)}
@@ -89,14 +93,15 @@ func NewState(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) (*State, error
 }
 
 // Release drops one fan-out reference to a node after a reader finished
-// with it; the last reader hands the ciphertext to mem (nil mem just drops
-// the table entry for the garbage collector — the cluster coordinator's
-// ciphertexts come from remote workers and have no local free list).
+// with it; the last reader hands the ciphertext to mem (a nil mem just
+// drops the table entry for the garbage collector — the cluster
+// coordinator's ciphertexts come from remote workers and have no local
+// free list).
 // Constants and inputs are never released. The decrement is atomic, so any
 // number of workers may release concurrently; every reader decrements only
 // after finishing its own evaluation, so nobody can still be reading a
 // slot that reaches zero.
-func (s *State) Release(id circuit.NodeID, mem Memory) {
+func (s *State) Release(id circuit.NodeID, mem *Pool) {
 	if id <= 0 || s.nl.IsInput(id) {
 		return
 	}

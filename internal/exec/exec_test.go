@@ -23,35 +23,19 @@ func TestQueuePriorityOrder(t *testing.T) {
 			t.Fatalf("pop = %d,%v; want %d", gi, ok, w)
 		}
 	}
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("try-pop on a drained queue returned an item")
+	}
 	q.Finish()
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop after finish must report done")
 	}
 }
 
-func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue[int32](4, nil)
-	for _, gi := range []int32{3, 1, 2, 0} {
-		q.Push(gi)
-	}
-	if q.Len() != 4 {
-		t.Fatalf("len = %d, want 4", q.Len())
-	}
-	for _, w := range []int32{3, 1, 2, 0} {
-		gi, ok := q.Pop()
-		if !ok || gi != w {
-			t.Fatalf("pop = %d,%v; want %d", gi, ok, w)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len after drain = %d, want 0", q.Len())
-	}
-}
-
 // TestQueueBlockingPop: a Pop blocked on an empty queue is woken by a
 // later Push, and Finish releases all remaining waiters.
 func TestQueueBlockingPop(t *testing.T) {
-	q := NewQueue[int32](1, nil)
+	q := NewQueue(1, func(a, b int32) bool { return a < b })
 	var wg sync.WaitGroup
 	got := make(chan int32, 1)
 	wg.Add(1)
@@ -96,21 +80,6 @@ func TestCriticalDepth(t *testing.T) {
 	}
 	if got := deps.Ready(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("initial ready set = %v, want [0 3]", got)
-	}
-}
-
-func TestParseSched(t *testing.T) {
-	if s, err := ParseSched("critical"); err != nil || s != SchedCritical {
-		t.Fatalf("critical: %v %v", s, err)
-	}
-	if s, err := ParseSched("fifo"); err != nil || s != SchedFIFO {
-		t.Fatalf("fifo: %v %v", s, err)
-	}
-	if s, err := ParseSched(""); err != nil || s != SchedCritical {
-		t.Fatalf("default: %v %v", s, err)
-	}
-	if _, err := ParseSched("lifo"); err == nil {
-		t.Fatal("bad policy accepted")
 	}
 }
 

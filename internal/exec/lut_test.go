@@ -27,8 +27,8 @@ func lutNetlist() *circuit.Netlist {
 }
 
 // TestLUTDriverAgreement runs a LUT-bearing netlist through every driver ×
-// scheduler × batch size and checks decryption against the cleartext
-// reference, plus the LUT evaluation counter.
+// batch size and checks decryption against the cleartext reference, plus
+// the LUT evaluation counter. (The FIFO ready order it also swept is gone.)
 func TestLUTDriverAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	nl := lutNetlist()
@@ -63,18 +63,16 @@ func TestLUTDriverAgreement(t *testing.T) {
 		}
 
 		eng := exec.NewWorkers(ck, 1).Engine(0)
-		outs, stats, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in), exec.NewPoolMemory(ck.Params.LWEDimension))
+		outs, stats, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in))
 		check("seq", outs, stats, err)
 
 		for _, w := range []int{1, 3} {
 			ws := exec.NewWorkers(ck, w)
-			outs, stats, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in), exec.NewPoolMemory(ws.Dim()))
+			outs, stats, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in))
 			check(fmt.Sprintf("levels/%dw", w), outs, stats, err)
-			for _, sched := range []exec.Sched{exec.SchedCritical, exec.SchedFIFO} {
-				for _, batch := range []int{1, 2, 8} {
-					outs, stats, err := exec.RunReadyBatch(ws, nl, backend.EncryptInputs(sk, in), sched, exec.NewPoolMemory, batch)
-					check(fmt.Sprintf("ready-%s-b%d/%dw", sched, batch, w), outs, stats, err)
-				}
+			for _, batch := range []int{1, 2, 8} {
+				outs, stats, err := exec.RunReady(ws, nl, backend.EncryptInputs(sk, in), batch)
+				check(fmt.Sprintf("ready-b%d/%dw", batch, w), outs, stats, err)
 			}
 		}
 	}

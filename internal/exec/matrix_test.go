@@ -66,22 +66,17 @@ func randomDeepNetlist(rng *rand.Rand, nGates int) *circuit.Netlist {
 }
 
 // TestMatrixAgreement is the combinatorial agreement test the execution
-// core makes possible: every driver (sequential, level-barrier, ready
-// critical-path, ready FIFO) × every Memory strategy (free-list Pool,
-// liveness Arena) × worker counts {1, 2, 3, 4, 7} must decrypt
+// core makes possible: every netlist driver (sequential, level-barrier,
+// ready at batch {1, 2, 8}) × worker counts {1, 2, 3, 4, 7} must decrypt
 // bit-identically to the plaintext reference on randomized netlists whose
-// outputs are also interior gate operands.
+// outputs are also interior gate operands. Dropped with the knobs: the
+// FIFO ready order and the Arena-backed netlist drivers (a 2×2 sched ×
+// memory sweep) — drivers recycle through the refcounted Pool only, and
+// the Arena is exercised where it is used, by plan replay.
 func TestMatrixAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	rng := rand.New(rand.NewSource(1234))
 	workerCounts := []int{1, 2, 3, 4, 7}
-	memories := []struct {
-		name string
-		mk   exec.MemStrategy
-	}{
-		{"pool", exec.NewPoolMemory},
-		{"arena", func(dim int) exec.Memory { return exec.NewArena(dim) }},
-	}
 
 	for trial := 0; trial < 2; trial++ {
 		nl := randomDeepNetlist(rng, 14)
@@ -106,31 +101,24 @@ func TestMatrixAgreement(t *testing.T) {
 			}
 		}
 
-		for _, mem := range memories {
-			eng := exec.NewWorkers(ck, 1).Engine(0)
-			outs, _, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in), mem.mk(ck.Params.LWEDimension))
-			check("seq/"+mem.name, outs, err)
+		eng := exec.NewWorkers(ck, 1).Engine(0)
+		outs, _, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in))
+		check("seq", outs, err)
 
-			for _, w := range workerCounts {
-				ws := exec.NewWorkers(ck, w)
-				outs, _, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in), mem.mk(ws.Dim()))
-				check(fmt.Sprintf("levels/%s/%dw", mem.name, w), outs, err)
+		for _, w := range workerCounts {
+			ws := exec.NewWorkers(ck, w)
+			outs, _, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in))
+			check(fmt.Sprintf("levels/%dw", w), outs, err)
 
-				for _, sched := range []exec.Sched{exec.SchedCritical, exec.SchedFIFO} {
-					outs, _, err := exec.RunReady(ws, nl, backend.EncryptInputs(sk, in), sched, mem.mk)
-					check(fmt.Sprintf("ready-%s/%s/%dw", sched, mem.name, w), outs, err)
-
-					for _, batch := range []int{2, 8} {
-						outs, stats, err := exec.RunReadyBatch(ws, nl, backend.EncryptInputs(sk, in), sched, mem.mk, batch)
-						check(fmt.Sprintf("ready-%s-b%d/%s/%dw", sched, batch, mem.name, w), outs, err)
-						if stats.BatchedBootstraps > 0 && stats.Batches == 0 {
-							t.Fatalf("batch driver recorded %d batched bootstraps but 0 batches", stats.BatchedBootstraps)
-						}
-						if stats.Batches != stats.BatchFullFlushes+stats.BatchDrainFlushes {
-							t.Fatalf("flush counters %d+%d do not sum to %d batches",
-								stats.BatchFullFlushes, stats.BatchDrainFlushes, stats.Batches)
-						}
-					}
+			for _, batch := range []int{1, 2, 8} {
+				outs, stats, err := exec.RunReady(ws, nl, backend.EncryptInputs(sk, in), batch)
+				check(fmt.Sprintf("ready-b%d/%dw", batch, w), outs, err)
+				if (stats.Batches > 0) != (batch > 1) {
+					t.Fatalf("ready-b%d/%dw recorded %d batches", batch, w, stats.Batches)
+				}
+				if stats.Batches != stats.BatchFullFlushes+stats.BatchDrainFlushes {
+					t.Fatalf("flush counters %d+%d do not sum to %d batches",
+						stats.BatchFullFlushes, stats.BatchDrainFlushes, stats.Batches)
 				}
 			}
 		}
@@ -160,11 +148,9 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 
 		backends := []backend.Backend{backend.NewSingle(ck)}
 		for _, w := range []int{1, 2, 4} {
-			backends = append(backends,
-				backend.NewPool(ck, w),
-				backend.NewAsyncSched(ck, w, backend.SchedCritical),
-				backend.NewAsyncSched(ck, w, backend.SchedFIFO),
-				backend.NewPlanned(ck, w))
+			planned := backend.NewPlanned(ck, w, 1)
+			defer planned.Close()
+			backends = append(backends, backend.NewPool(ck, w), backend.NewAsync(ck, w, 1), planned)
 		}
 		for _, be := range backends {
 			outs, err := be.Run(nl, backend.EncryptInputs(sk, in))
@@ -223,8 +209,13 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 		{"plain", func() error { _, err := backend.Plain{}.Run(nl, bad); return err }},
 		{"single", func() error { _, err := backend.NewSingle(ck).Run(nl, bad); return err }},
 		{"pool", func() error { _, err := backend.NewPool(ck, 2).Run(nl, bad); return err }},
-		{"async", func() error { _, err := backend.NewAsync(ck, 2).Run(nl, bad); return err }},
-		{"plan", func() error { _, err := backend.NewPlanned(ck, 2).Run(nl, bad); return err }},
+		{"async", func() error { _, err := backend.NewAsync(ck, 2, 1).Run(nl, bad); return err }},
+		{"plan", func() error {
+			p := backend.NewPlanned(ck, 2, 1)
+			defer p.Close()
+			_, err := p.Run(nl, bad)
+			return err
+		}},
 		{"shared", func() error {
 			sh := backend.NewShared(1, 1)
 			defer sh.Close()

@@ -6,22 +6,15 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// Memory is a ciphertext allocation strategy. Get hands out a sample the
-// caller owns until it is published into a State value table, returned, or
-// handed back with Put — the ownership contract the leaked-ciphertext
-// analyzer of internal/lint enforces statically. Pool is single-owner
-// (concurrent drivers give each worker its own); Arena is internally
-// locked, because replay workers share one arena and allocate slots
-// lazily on first touch.
-type Memory interface {
-	Get() *lwe.Sample
-	Put(*lwe.Sample)
-}
+// Pool and Arena recycle ciphertexts. Get hands out a sample the caller
+// owns until it is published into a value table, returned, or handed back
+// with Put — the ownership contract the leaked-ciphertext analyzer of
+// internal/lint enforces statically.
 
-// Pool is the refcounted executors' Memory: a free list fed by State
-// releases, so peak allocation follows the live frontier of the DAG rather
-// than the whole program (a 2M-gate MNIST netlist would otherwise hold
-// ~5 GB). Not safe for concurrent use.
+// Pool is the netlist drivers' recycler: a free list fed by State releases,
+// so peak allocation follows the live frontier of the DAG rather than the
+// whole program (a 2M-gate MNIST netlist would otherwise hold ~5 GB). Not
+// safe for concurrent use: the ready driver gives each worker its own.
 type Pool struct {
 	dim  int
 	free []*lwe.Sample
@@ -31,7 +24,7 @@ type Pool struct {
 // dimension.
 func NewPool(dim int) *Pool { return &Pool{dim: dim} }
 
-// Get implements Memory.
+// Get returns a recycled ciphertext, or a fresh one.
 func (p *Pool) Get() *lwe.Sample {
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
@@ -41,14 +34,14 @@ func (p *Pool) Get() *lwe.Sample {
 	return lwe.NewSample(p.dim)
 }
 
-// Put implements Memory.
+// Put takes a ciphertext back (nil is ignored).
 func (p *Pool) Put(s *lwe.Sample) {
 	if s != nil {
 		p.free = append(p.free, s)
 	}
 }
 
-// Arena is the plan replay Memory: slots are bound once per plan by the
+// Arena is the plan replay recycler: slots are bound once per plan by the
 // compile-time liveness analysis instead of refcounted at runtime, so it
 // additionally accounts the live population — HighWater is the figure the
 // Planned backend and pytfhed report as arena occupancy. Safe for
@@ -66,7 +59,7 @@ type Arena struct {
 // LWE dimension.
 func NewArena(dim int) *Arena { return &Arena{dim: dim} }
 
-// Get implements Memory.
+// Get returns a recycled ciphertext, or a fresh one, and counts it live.
 func (a *Arena) Get() *lwe.Sample {
 	a.mu.Lock()
 	a.live++
@@ -83,7 +76,7 @@ func (a *Arena) Get() *lwe.Sample {
 	return lwe.NewSample(a.dim)
 }
 
-// Put implements Memory.
+// Put takes a ciphertext back (nil is ignored).
 func (a *Arena) Put(s *lwe.Sample) {
 	if s == nil {
 		return

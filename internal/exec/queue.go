@@ -1,61 +1,21 @@
 package exec
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Sched selects a ready-driven scheduler's queue policy.
-type Sched uint8
-
-const (
-	// SchedCritical pops the ready gate with the longest remaining
-	// bootstrap-weighted dependency chain first. Under limited workers this
-	// keeps the DAG's critical path moving and defers wide-but-shallow
-	// side branches, which FIFO arrival order interleaves arbitrarily.
-	// This is the default.
-	SchedCritical Sched = iota
-	// SchedFIFO pops gates in arrival order — the policy of the original
-	// channel-based executor, kept as the A/B baseline (-sched fifo).
-	SchedFIFO
-)
-
-func (s Sched) String() string {
-	if s == SchedFIFO {
-		return "fifo"
-	}
-	return "critical"
-}
-
-// ParseSched resolves a -sched flag value.
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "", "critical":
-		return SchedCritical, nil
-	case "fifo":
-		return SchedFIFO, nil
-	}
-	return 0, fmt.Errorf("exec: unknown scheduler %q (want critical or fifo)", s)
-}
-
-// Queue is the blocking multi-producer multi-consumer ready set shared by
-// the ready-driven schedulers (Async's per-run queue of gate indices,
-// Shared's cross-run queue of tasks). With a less function it is a
-// max-heap under that ordering; without one it degenerates to a FIFO
-// ring. Finish wakes all waiters for both normal completion and abort,
-// replacing the old stop-channel + close(chan) pair.
+// Queue is the blocking multi-producer multi-consumer ready set of the
+// ready driver: a heap that pops the least element under less first.
+// Finish wakes all waiters for both normal completion and abort.
 type Queue[T any] struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	items []T
-	head  int               // FIFO consumption point; unused in heap mode
-	less  func(a, b T) bool // non-nil → heap popping the least element first
+	less  func(a, b T) bool
 	done  bool
 }
 
-// NewQueue returns a queue with the given initial capacity. A nil less
-// gives FIFO order; otherwise Pop returns the least element under less
-// (pass a descending comparison for a max-heap).
+// NewQueue returns a queue with the given initial capacity; Pop returns
+// the least element under less (pass a descending comparison for a
+// max-heap).
 func NewQueue[T any](capacity int, less func(a, b T) bool) *Queue[T] {
 	q := &Queue[T]{items: make([]T, 0, capacity), less: less}
 	q.cond = sync.NewCond(&q.mu)
@@ -66,9 +26,7 @@ func NewQueue[T any](capacity int, less func(a, b T) bool) *Queue[T] {
 func (q *Queue[T]) Push(v T) {
 	q.mu.Lock()
 	q.items = append(q.items, v)
-	if q.less != nil {
-		q.up(len(q.items) - 1)
-	}
+	q.up(len(q.items) - 1)
 	q.mu.Unlock()
 	q.cond.Signal()
 }
@@ -108,36 +66,18 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // when the queue is empty.
 func (q *Queue[T]) popLocked() (T, bool) {
 	var zero T
-	if q.less != nil {
-		if len(q.items) > 0 {
-			top := q.items[0]
-			last := len(q.items) - 1
-			q.items[0] = q.items[last]
-			q.items[last] = zero // release any pointers in the popped slot
-			q.items = q.items[:last]
-			if last > 0 {
-				q.down(0)
-			}
-			return top, true
-		}
-	} else if q.head < len(q.items) {
-		v := q.items[q.head]
-		q.items[q.head] = zero
-		q.head++
-		if q.head == len(q.items) {
-			q.items = q.items[:0]
-			q.head = 0
-		}
-		return v, true
+	if len(q.items) == 0 {
+		return zero, false
 	}
-	return zero, false
-}
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
+	top := q.items[0]
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.items[last] = zero // release any pointers in the popped slot
+	q.items = q.items[:last]
+	if last > 0 {
+		q.down(0)
+	}
+	return top, true
 }
 
 // Finish makes every current and future Pop return false and wakes all

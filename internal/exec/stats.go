@@ -24,8 +24,9 @@ type Stats struct {
 	WorkerBusy   time.Duration // cumulative time workers spent evaluating
 	Utilization  float64       // WorkerBusy / (Elapsed * Workers)
 
-	// Batch occupancy, recorded by the batch-draining ready driver
-	// (RunReadyBatch with batch > 1; zero otherwise). A dispatch flushes
+	// Batch occupancy, recorded by the ready driver at batch > 1 (zero
+	// otherwise) and by backend.Planned from its scheduler (full/drain
+	// flushes excepted). A ready-driver dispatch flushes
 	// "full" when it collected the configured batch size and "drain" when
 	// the ready queue ran dry first; the fill average is the amortization
 	// the kernel actually saw.

@@ -37,10 +37,6 @@ func (w *Workers) N() int { return len(w.engines) }
 // Engine returns worker i's engine.
 func (w *Workers) Engine(i int) *gate.Engine { return w.engines[i] }
 
-// Engines returns the underlying engine slice for drivers that take one
-// engine per worker directly (plan replay). Callers must not mutate it.
-func (w *Workers) Engines() []*gate.Engine { return w.engines }
-
 // CloudKey returns the evaluation key the engines run under.
 func (w *Workers) CloudKey() *boot.CloudKey { return w.ck }
 

@@ -31,7 +31,7 @@ type ExecutorRow struct {
 // the Predicted column makes the simulator's claims checkable against the
 // measurement in the same table.
 func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, workerCounts []int) ([]ExecutorRow, error) {
-	calib := backend.NewAsync(ck, 1)
+	calib := backend.NewAsync(ck, 1, 1)
 	if _, err := calib.Run(nl, inputs); err != nil {
 		return nil, fmt.Errorf("experiments: calibration run: %w", err)
 	}
@@ -46,7 +46,7 @@ func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sampl
 		if _, err := pool.Run(nl, inputs); err != nil {
 			return nil, fmt.Errorf("experiments: pool(%d): %w", w, err)
 		}
-		async := backend.NewAsync(ck, w)
+		async := backend.NewAsync(ck, w, 1)
 		if _, err := async.Run(nl, inputs); err != nil {
 			return nil, fmt.Errorf("experiments: async(%d): %w", w, err)
 		}

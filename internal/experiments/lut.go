@@ -90,7 +90,8 @@ func LUTSweepBench(ck *boot.CloudKey, encrypt func([]bool) []*lwe.Sample, worker
 	inputs := encrypt(bits)
 
 	run := func(nl *circuit.Netlist) (int, float64, []*lwe.Sample, error) {
-		be := backend.NewPlanned(ck, workers)
+		be := backend.NewPlanned(ck, workers, 1)
+		defer be.Close()
 		if _, err := be.Run(nl, inputs); err != nil { // untimed capture
 			return 0, 0, nil, err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
-	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
@@ -49,17 +47,16 @@ func ImbalancedNetlist() *circuit.Netlist {
 // revisions serialized these under *_gates_per_sec names; LoadPlanBaseline
 // still reads both.) Serialized to BENCH_PLAN.json by `make bench`.
 type PlanBenchReport struct {
-	Netlist                string  `json:"netlist"`
-	Workers                int     `json:"workers"`
-	LogicalGates           int     `json:"logical_gates"`
-	LogicalBootstraps      int     `json:"logical_bootstraps"`
-	ExecBootstraps         int     `json:"exec_bootstraps"`
-	Levels                 int     `json:"levels"`
-	ArenaSlots             int     `json:"arena_slots"`
-	CompileMs              float64 `json:"compile_ms"`
-	AsyncBootstrapsPerSec  float64 `json:"async_bootstraps_per_sec"`
-	SharedBootstrapsPerSec float64 `json:"shared_bootstraps_per_sec"`
-	PlanBootstrapsPerSec   float64 `json:"plan_bootstraps_per_sec"`
+	Netlist               string  `json:"netlist"`
+	Workers               int     `json:"workers"`
+	LogicalGates          int     `json:"logical_gates"`
+	LogicalBootstraps     int     `json:"logical_bootstraps"`
+	ExecBootstraps        int     `json:"exec_bootstraps"`
+	Levels                int     `json:"levels"`
+	ArenaSlots            int     `json:"arena_slots"`
+	CompileMs             float64 `json:"compile_ms"`
+	AsyncBootstrapsPerSec float64 `json:"async_bootstraps_per_sec"`
+	PlanBootstrapsPerSec  float64 `json:"plan_bootstraps_per_sec"`
 	// PlanSpeedup is PlanBootstrapsPerSec / AsyncBootstrapsPerSec, the
 	// acceptance metric (must be ≥ 1.2 at 4 workers).
 	PlanSpeedup float64 `json:"plan_speedup_vs_async"`
@@ -103,45 +100,27 @@ type BatchPoint struct {
 	BootstrapsPerSec float64 `json:"bootstraps_per_sec"`
 }
 
-// PlanBench measures the plan backend against Async and Shared on one
-// netlist. The plan backend runs once untimed to pay the capture, then the
-// timed runs replay the cached plan — the steady state of a server
-// evaluating the same program repeatedly. Shared is the daemon's scheduler
-// given the compiled plan once, engines cold: a tenant's first request.
+// PlanBench measures the plan backend against Async on one netlist. The
+// plan backend — the same slice scheduler pytfhed serves from — runs once
+// untimed to pay the capture, then the timed runs replay the cached plan:
+// the steady state of a server evaluating the same program repeatedly.
 func PlanBench(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, workers int) (*PlanBenchReport, error) {
 	boots := float64(nl.ComputeStats().Bootstrapped)
 	r := &PlanBenchReport{Netlist: nl.Name, Workers: workers}
 
-	async := backend.NewAsync(ck, workers)
+	async := backend.NewAsync(ck, workers, 1)
 	if _, err := async.Run(nl, inputs); err != nil {
 		return nil, fmt.Errorf("experiments: plan bench async(%d): %w", workers, err)
 	}
 	r.AsyncBootstrapsPerSec = async.Stats.BootstrapsPerSec
 
-	shared := backend.NewShared(workers, 1)
-	defer shared.Close()
-	key, err := shared.RegisterKey(ck)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: plan bench shared key: %w", err)
-	}
-	compiled, err := plan.Compile(nl, workers)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: plan bench compile: %w", err)
-	}
-	start := time.Now()
-	if _, err := shared.Submit(context.Background(), key, compiled, inputs); err != nil {
-		return nil, fmt.Errorf("experiments: plan bench shared(%d): %w", workers, err)
-	}
-	if e := time.Since(start).Seconds(); e > 0 {
-		r.SharedBootstrapsPerSec = boots / e
-	}
-
-	planned := backend.NewPlanned(ck, workers)
+	planned := backend.NewPlanned(ck, workers, 1)
+	defer planned.Close()
 	if _, err := planned.Run(nl, inputs); err != nil { // untimed capture
 		return nil, fmt.Errorf("experiments: plan bench capture(%d): %w", workers, err)
 	}
 	const replays = 3
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < replays; i++ {
 		if _, err := planned.Run(nl, inputs); err != nil {
 			return nil, fmt.Errorf("experiments: plan bench replay(%d): %w", workers, err)
@@ -172,8 +151,8 @@ func PlanBench(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, wor
 		r.BatchSpeedup = r.BatchBootstrapsPerSec / r.SingleBootstrapsPerSec
 	}
 
-	r.ShardSweep, err = ClusterBench(ck, nl, inputs, []int{2, 4})
-	if err != nil {
+	var err error
+	if r.ShardSweep, err = ClusterBench(ck, nl, inputs, []int{2, 4}); err != nil {
 		return nil, err
 	}
 	for _, pt := range r.ShardSweep {
@@ -271,16 +250,12 @@ func LoadPlanBaseline(path string) (*PlanBenchReport, error) {
 		return nil, fmt.Errorf("experiments: parse plan baseline %s: %w", path, err)
 	}
 	var legacy struct {
-		Async  float64 `json:"async_gates_per_sec"`
-		Shared float64 `json:"shared_gates_per_sec"`
-		Plan   float64 `json:"plan_gates_per_sec"`
+		Async float64 `json:"async_gates_per_sec"`
+		Plan  float64 `json:"plan_gates_per_sec"`
 	}
 	if err := json.Unmarshal(data, &legacy); err == nil {
 		if r.AsyncBootstrapsPerSec == 0 {
 			r.AsyncBootstrapsPerSec = legacy.Async
-		}
-		if r.SharedBootstrapsPerSec == 0 {
-			r.SharedBootstrapsPerSec = legacy.Shared
 		}
 		if r.PlanBootstrapsPerSec == 0 {
 			r.PlanBootstrapsPerSec = legacy.Plan
@@ -343,9 +318,9 @@ func CheckPlanParity(r, base *PlanBenchReport, tol float64) error {
 // RenderPlanBench writes the human-readable form of the report.
 func RenderPlanBench(w io.Writer, r *PlanBenchReport) {
 	fprintf(w, "Plan capture/replay vs dynamic executors on %s (%d workers)\n", r.Netlist, r.Workers)
-	fprintf(w, "  %12s %12s %12s %10s\n", "async", "shared", "plan", "plan/async")
-	fprintf(w, "  %9.1f/s %9.1f/s %9.1f/s %9.2fx\n",
-		r.AsyncBootstrapsPerSec, r.SharedBootstrapsPerSec, r.PlanBootstrapsPerSec, r.PlanSpeedup)
+	fprintf(w, "  %12s %12s %10s\n", "async", "plan", "plan/async")
+	fprintf(w, "  %9.1f/s %9.1f/s %9.2fx\n",
+		r.AsyncBootstrapsPerSec, r.PlanBootstrapsPerSec, r.PlanSpeedup)
 	fprintf(w, "  capture: %d logical bootstraps → %d executed over %d levels, %d arena slots, compiled in %.1fms\n",
 		r.LogicalBootstraps, r.ExecBootstraps, r.Levels, r.ArenaSlots, r.CompileMs)
 	fprintf(w, "  (throughput = logical bootstraps per second; deduplication counts as speedup)\n")

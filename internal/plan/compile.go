@@ -318,7 +318,7 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 	}
 
 	// Outputs pin their exec nodes for the whole replay (collectors read
-	// them after the last barrier).
+	// them after the last level).
 	const pinned = int32(1<<31 - 1)
 	outputs := make([]Ref, len(nl.Outputs))
 	for i, out := range nl.Outputs {

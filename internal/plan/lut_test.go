@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"testing"
 
 	"pytfhe/internal/circuit"
@@ -144,7 +143,7 @@ func TestPlanLUTReplayBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []*gate.Engine{gate.NewEngine(ck), gate.NewEngine(ck)}
+	eng := gate.NewEngine(ck)
 	rt := NewRuntime(ck.Params.LWEDimension)
 	rng := trand.NewSeeded([]byte("plan-lut-replay"))
 
@@ -157,7 +156,7 @@ func TestPlanLUTReplayBatch(t *testing.T) {
 				cts[i] = gate.NewCiphertext(sk.Params)
 				gate.Encrypt(cts[i], in[i], sk, rng)
 			}
-			outs, err := ReplayBatch(context.Background(), p, engines, cts, rt, batch)
+			outs, err := Replay(p, NewInterp(eng, batch), cts, rt)
 			if err != nil {
 				t.Fatalf("batch=%d: %v", batch, err)
 			}

@@ -4,10 +4,10 @@
 // gate batches pre-partitioned across workers, a flat ciphertext arena
 // whose slot indices come from compile-time liveness analysis (replacing
 // the executors' runtime refcounting), and precomputed per-instruction
-// operand/output slot references. Replay executes the plan with no ready
-// heap, no per-gate atomics (synchronization is one barrier per level) and
-// zero ciphertext allocations after warm-up, so a program served hundreds
-// of times pays its scheduling cost exactly once.
+// operand/output slot references. Replaying a plan needs no ready heap, no
+// per-gate atomics (a level must finish before the next starts; that is
+// all) and zero ciphertext allocations after warm-up, so a program served
+// hundreds of times pays its scheduling cost exactly once.
 //
 // Capture is also where analysis that is too expensive for the dynamic
 // executors runs: Compile performs bounded-support functional
@@ -19,9 +19,13 @@
 // support agree — and gate evaluation is deterministic, so replayed
 // outputs decrypt bit-identically to the dynamic executors' outputs.
 //
-// Every consumer evaluates a plan's instructions through one interpreter
-// (Interp): Replay's barrier workers here, the serving scheduler
-// (backend.Shared) and the cluster's shard runtimes.
+// This package compiles, verifies and interprets plans; it does not
+// schedule them and starts no goroutine. Every consumer reads a plan's
+// instructions through one interpreter (Interp, a thin layer over the
+// evaluator it shares with netlists, exec.Batcher): the slice scheduler
+// that runs plans for pytfhed and backend.Planned alike (backend.Shared),
+// the cluster's shard runtimes, and Replay — the sequential oracle the
+// tests here compare compiled plans against.
 package plan
 
 import (
@@ -67,10 +71,9 @@ func (ins Instr) NeedsBootstrap() bool {
 	return ins.Arity != 0 || ins.Kind.NeedsBootstrap()
 }
 
-// Level is one wavefront of the plan: Batches[w] is the instruction
-// sequence pre-assigned to worker w. Instructions within a level are
-// mutually independent; a per-level barrier is the only synchronization
-// replay needs.
+// Level is one wavefront of the plan: Batches[w] is the w-th partition of the level's instructions. Instructions within a level
+// are mutually independent; finishing a level before starting the next is
+// the only synchronization replay needs.
 type Level struct {
 	Batches [][]Instr
 }
@@ -90,7 +93,7 @@ type Stats struct {
 
 // Plan is an immutable compiled execution plan. A Plan is safe to share
 // between goroutines and replay concurrently (each replay brings its own
-// Runtime and engines).
+// Runtime and interpreters).
 type Plan struct {
 	Name      string
 	NumInputs int

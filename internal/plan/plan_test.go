@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -242,9 +241,10 @@ func TestArenaLiveness(t *testing.T) {
 	}
 }
 
-// TestReplayHomomorphic runs encrypted replays — one and two engines —
-// against the cleartext reference, and checks the runtime reuses its arena
-// across replays (the zero-allocation property).
+// TestReplayHomomorphic runs encrypted replays — unbatched and at kernel
+// batch 4 — against the cleartext reference, and checks the runtime reuses
+// its arena across replays (the zero-allocation property). Multi-worker
+// replay is backend.Shared's job and tested there.
 func TestReplayHomomorphic(t *testing.T) {
 	sk, ck := testKeys(t)
 	nl := randomNetlist(7, 4, 24)
@@ -252,7 +252,7 @@ func TestReplayHomomorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []*gate.Engine{gate.NewEngine(ck), gate.NewEngine(ck)}
+	eng := gate.NewEngine(ck)
 	rt := NewRuntime(ck.Params.LWEDimension)
 
 	encrypt := func(in []bool) []*gate.Ciphertext {
@@ -279,7 +279,7 @@ func TestReplayHomomorphic(t *testing.T) {
 
 	for trial := 0; trial < 3; trial++ {
 		in := []bool{trial&1 == 1, trial&2 != 0, true, trial == 0}
-		outs, err := Replay(context.Background(), p, engines, encrypt(in), rt)
+		outs, err := Replay(p, NewInterp(eng, 1), encrypt(in), rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,20 +290,24 @@ func TestReplayHomomorphic(t *testing.T) {
 		t.Fatalf("high water %d outside (0, %d]", hw, p.ArenaSlots())
 	}
 
-	// Single-engine sequential path.
+	// Batched kernel dispatches on the same runtime.
 	in := []bool{true, false, true, true}
-	outs, err := Replay(context.Background(), p, engines[:1], encrypt(in), rt)
+	it := NewInterp(eng, 4)
+	outs, err := Replay(p, it, encrypt(in), rt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(in, outs)
+	if st := p.Stats(); it.N.Batches == 0 || it.N.Bootstraps != int64(st.ExecBootstraps) || it.N.Instrs != int64(st.ExecGates) {
+		t.Fatalf("interpreter counted %+v, plan executes %+v", it.N, st)
+	}
 	if rt.HighWater() != hw {
 		t.Fatalf("high water moved from %d to %d across replays", hw, rt.HighWater())
 	}
 }
 
-// TestReplayEdgeCases covers constant and pass-through outputs, input
-// validation, and context cancellation.
+// TestReplayEdgeCases covers constant and pass-through outputs and input
+// validation.
 func TestReplayEdgeCases(t *testing.T) {
 	sk, ck := testKeys(t)
 	b := circuit.NewBuilder("edges", circuit.NoOptimizations())
@@ -319,7 +323,7 @@ func TestReplayEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []*gate.Engine{gate.NewEngine(ck)}
+	it := NewInterp(gate.NewEngine(ck), 1)
 	rt := NewRuntime(ck.Params.LWEDimension)
 	rng := trand.NewSeeded([]byte("edge"))
 	in := make([]*gate.Ciphertext, 2)
@@ -327,7 +331,7 @@ func TestReplayEdgeCases(t *testing.T) {
 		in[i] = gate.NewCiphertext(sk.Params)
 		gate.Encrypt(in[i], bit, sk, rng)
 	}
-	outs, err := Replay(context.Background(), p, engines, in, rt)
+	outs, err := Replay(p, it, in, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,26 +341,8 @@ func TestReplayEdgeCases(t *testing.T) {
 		}
 	}
 
-	if _, err := Replay(context.Background(), p, engines, in[:1], rt); err == nil {
+	if _, err := Replay(p, it, in[:1], rt); err == nil {
 		t.Fatal("short inputs not rejected")
-	}
-	if _, err := Replay(context.Background(), p, nil, in, rt); err == nil {
-		t.Fatal("missing engines not rejected")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	big := randomNetlist(9, 4, 60)
-	bp, err := Compile(big, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := make([]*gate.Ciphertext, 4)
-	for i := range bin {
-		bin[i] = gate.NewCiphertext(sk.Params)
-		gate.Encrypt(bin[i], i%2 == 0, sk, rng)
-	}
-	if _, err := Replay(ctx, bp, engines, bin, NewRuntime(ck.Params.LWEDimension)); err == nil {
-		t.Fatal("cancelled context not honored")
 	}
 }
 

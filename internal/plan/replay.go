@@ -1,12 +1,9 @@
 package plan
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"pytfhe/internal/exec"
-	"pytfhe/internal/logic"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 )
@@ -28,17 +25,6 @@ type Runtime struct {
 	// arena slots allocated lazily the first time a level writes them.
 	vals      []*lwe.Sample
 	numInputs int
-
-	// Batch occupancy of the most recent ReplayBatch.
-	batches      int64
-	batchedBoots int64
-}
-
-// BatchOccupancy reports the most recent ReplayBatch's dispatch count and
-// the number of bootstrapped instructions those dispatches covered (both
-// zero after an unbatched replay).
-func (rt *Runtime) BatchOccupancy() (batches, batchedBootstraps int64) {
-	return rt.batches, rt.batchedBoots
 }
 
 // NewRuntime returns a replay runtime allocating ciphertexts of the given
@@ -114,42 +100,28 @@ type Counts struct {
 	Batches    int64 // batched kernel dispatches (zero at batch ≤ 1)
 }
 
-// Interp is the one evaluator of plan instructions: classic gates and LUTs,
-// one at a time or grouped into batched kernel dispatches, on one engine.
-// Plan replay, the serving scheduler's workers and shard runtimes all run
-// instructions through it, so a new gate kind or LUT arity is handled here
-// and nowhere else. An Interp belongs to one goroutine.
+// Interp is the one interpreter of plan instructions: it resolves each
+// instruction's slots in a value table and hands the operation to an
+// exec.Batcher, the evaluator plans share with netlists and cluster jobs.
+// Replay, the serving scheduler's workers and shard runtimes all run
+// instructions through it. An Interp belongs to one goroutine.
 type Interp struct {
-	eng   *gate.Engine
-	batch int
+	bt *exec.Batcher
 
 	// N accumulates across Run calls; the owner reads and clears it.
 	N Counts
-
-	// The pending batch: bootstrapped instructions collected but not yet
-	// dispatched, as the parallel arrays gate.Engine.OpBatch takes.
-	ops  []gate.Op
-	outs []*lwe.Sample
-	avs  []*lwe.Sample
-	bvs  []*lwe.Sample
-	cvs  []*lwe.Sample
 }
 
 // NewInterp returns an interpreter on eng that groups up to batch
 // bootstrapped instructions per kernel dispatch (batch ≤ 1: every
 // instruction evaluates on its own).
 func NewInterp(eng *gate.Engine, batch int) *Interp {
-	return &Interp{eng: eng, batch: batch}
+	return &Interp{bt: exec.NewBatcher(eng, batch)}
 }
 
 // Pending reports how many bootstrapped instructions wait in the partial
 // batch.
-func (it *Interp) Pending() int { return len(it.ops) }
-
-// drop empties the pending batch.
-func (it *Interp) drop() {
-	it.ops, it.outs, it.avs, it.bvs, it.cvs = it.ops[:0], it.outs[:0], it.avs[:0], it.bvs[:0], it.cvs[:0]
-}
+func (it *Interp) Pending() int { return it.bt.Pending() }
 
 // Run evaluates instrs — mutually independent instructions, e.g. part of
 // one plan level — over the value table vals. Output slots are taken from
@@ -162,18 +134,11 @@ func (it *Interp) drop() {
 // independent of these — can fill it; Run(nil, nil, nil, true) dispatches
 // it. On error the pending batch is dropped.
 func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush bool) (err error) {
-	dispatch := func() error {
-		if len(it.ops) == 0 {
-			return nil
-		}
-		it.N.Batches++
-		err := it.eng.OpBatch(it.ops, it.outs, it.avs, it.bvs, it.cvs)
-		it.drop()
-		return err
-	}
 	defer func() {
+		it.N.Batches += it.bt.Batches
+		it.bt.Batches = 0
 		if err != nil {
-			it.drop()
+			it.bt.Drop()
 			err = fmt.Errorf("plan: replay: %w", err)
 		}
 	}()
@@ -195,179 +160,36 @@ func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush
 		if ins.IsLUT() {
 			it.N.LUTs++
 		}
-		boots := ins.NeedsBootstrap()
-		if boots {
+		if ins.NeedsBootstrap() {
 			it.N.Bootstraps++
 		}
-		switch {
-		case boots && it.batch > 1:
-			it.ops = append(it.ops, gate.Op{Kind: ins.Kind, TT: ins.TT, Arity: ins.Arity})
-			it.outs = append(it.outs, out)
-			it.avs = append(it.avs, a)
-			it.bvs = append(it.bvs, b)
-			it.cvs = append(it.cvs, c)
-			if len(it.ops) == it.batch {
-				err = dispatch()
-			}
-		case ins.IsLUT():
-			opv := [logic.MaxLUTArity]*lwe.Sample{a, b, c}
-			err = it.eng.LUT(int(ins.Arity), ins.TT, out, opv[:ins.Arity]...)
-		default:
-			err = it.eng.Binary(ins.Kind, out, a, b)
-		}
-		if err != nil {
+		if _, err := it.bt.Do(gate.Op{Kind: ins.Kind, TT: ins.TT, Arity: ins.Arity}, out, a, b, c); err != nil {
 			return err
 		}
 	}
 	if flush {
-		return dispatch()
+		return it.bt.Flush()
 	}
 	return nil
 }
 
-// barrier is a cyclic barrier for the replay workers: the only
-// synchronization between gate evaluations (one await per level).
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	gen     uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.n {
-		b.waiting = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for b.gen == gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// Replay executes a plan: one engine per worker (engine 0 is used alone
-// when only one is supplied), the caller's input ciphertexts, and a
-// persistent Runtime. The returned slice parallels the source netlist's
-// outputs and is freshly allocated; inputs are not modified.
-func Replay(ctx context.Context, p *Plan, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Sample, error) {
-	return ReplayBatch(ctx, p, engines, inputs, rt, 1)
-}
-
-// ReplayBatch is Replay with batched bootstrap dispatch: within each
-// worker's instruction sequence — one wavefront slice, so every
-// instruction in it is independent — bootstrapped instructions are grouped
-// up to batch per kernel call, amortizing the bootstrapping-key stream;
-// free instructions run inline at their original position. batch <= 1
-// reproduces Replay exactly.
-func ReplayBatch(ctx context.Context, p *Plan, engines []*gate.Engine, inputs []*lwe.Sample, rt *Runtime, batch int) ([]*lwe.Sample, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("plan: replay needs at least one engine")
-	}
+// Replay executes a plan level by level on one interpreter: the sequential
+// oracle this package's tests compare compiled plans against. Everything
+// that runs plans for real — backend.Planned, pytfhed — goes through
+// backend.Shared's slice scheduler instead. The returned slice parallels
+// the source netlist's outputs and is freshly allocated; inputs are not
+// modified.
+func Replay(p *Plan, it *Interp, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Sample, error) {
 	if err := rt.Bind(p, inputs); err != nil {
 		return nil, err
 	}
 	defer rt.Unbind()
-
-	// More engines than plan partitions: the extras would only spin on
-	// the barrier.
-	nw := min(len(engines), p.Workers)
-	its := make([]*Interp, nw)
-	for w := range its {
-		its[w] = NewInterp(engines[w], batch)
-	}
-	var err error
-	if nw == 1 {
-		err = replaySeq(ctx, p, its[0], rt)
-	} else {
-		err = replayBarrier(ctx, p, its, rt)
-	}
-	rt.batches, rt.batchedBoots = 0, 0
-	for _, it := range its {
-		if it.N.Batches > 0 {
-			rt.batches += it.N.Batches
-			rt.batchedBoots += it.N.Bootstraps
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rt.Collect(p)
-}
-
-// replayBarrier runs the plan on len(its) goroutines. Worker w owns
-// batches j with j % nw == w of every level, so a plan partitioned for
-// more workers than we have engines still replays correctly (batches are
-// merely coarser than ideal). The per-level barrier is the only
-// synchronization; on error or cancellation the workers keep arriving at
-// the barrier (skipping the gate work) so nobody deadlocks mid-plan.
-func replayBarrier(ctx context.Context, p *Plan, its []*Interp, rt *Runtime) error {
-	nw := len(its)
-	bar := newBarrier(nw)
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, lv := range p.levels {
-				if !failed() {
-					if w == 0 && ctx.Err() != nil {
-						fail(ctx.Err())
-					} else {
-						for j := w; j < len(lv.Batches); j += nw {
-							if err := rt.Exec(its[w], lv.Batches[j], true); err != nil {
-								fail(err)
-								break
-							}
-						}
-					}
-				}
-				bar.await()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// replaySeq is the single-engine fast path: no barrier, no goroutines.
-func replaySeq(ctx context.Context, p *Plan, it *Interp, rt *Runtime) error {
 	for _, lv := range p.levels {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		for _, instrs := range lv.Batches {
 			if err := rt.Exec(it, instrs, true); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return rt.Collect(p)
 }

@@ -11,9 +11,10 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// replayBatch is how many bootstrapped instructions of an engine's slice of
-// a level share one kernel dispatch — the value pytfhed defaults to.
-const replayBatch = 16
+// WorkerBatch is how many bootstrapped operations of an engine's share of a
+// level (or, in cluster gate dispatch, of a job) share one kernel dispatch
+// on a cluster worker — the value pytfhed defaults to.
+const WorkerBatch = 16
 
 // Runtime is the worker-side replay state for one shard: a value table
 // whose remote-input slots the router fills each run (SetRemote) and whose
@@ -89,7 +90,7 @@ func (rt *Runtime) RunLevel(engines []*gate.Engine, level int) ([]*lwe.Sample, e
 				defer wg.Done()
 				// Output slots allocate from the arena on first touch,
 				// mirroring plan.Runtime's lazy warm-up.
-				it := plan.NewInterp(eng, replayBatch)
+				it := plan.NewInterp(eng, WorkerBatch)
 				err := it.Run(part, rt.vals, rt.arena, true)
 				atomic.AddInt64(&rt.boots, it.N.Bootstraps)
 				if err != nil {

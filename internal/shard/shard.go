@@ -16,8 +16,8 @@
 // actors and CHET reaches with its compiler/runtime split: the expensive
 // placement decision happens once at compile time, the runtime is a thin
 // level-synchronized router. Correctness of arena-slot reuse carries over
-// from the plan: the router barriers on every level exactly like
-// plan.Replay's workers, exported values are gob-copied off the producer
+// from the plan: the router finishes every level before the next exactly
+// as plan replay does, exported values are gob-copied off the producer
 // before any later level can rewrite the slot, and distinct generations of
 // a reused global slot get distinct export ids (and therefore distinct
 // remote slots in every consumer).

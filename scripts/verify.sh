@@ -18,6 +18,52 @@ fi
 go vet ./...
 go build ./...
 
+# One evaluator: a netlist gate, a plan instruction and a cluster task all
+# reach the gate engine through exec.Batcher. A second file under the
+# executor packages calling the engine on IR operands is a forked dispatcher.
+evaluators=$(find internal/exec internal/plan internal/shard internal/cluster internal/backend internal/serve \
+    -name '*.go' ! -name '*_test.go' -exec grep -lE 'eng\.(Binary|LUT|OpBatch)\(' {} +)
+if [ "$(printf '%s\n' "$evaluators" | grep -c .)" -gt 1 ]; then
+    echo "more than one file evaluates gates directly:" >&2
+    echo "$evaluators" >&2
+    exit 1
+fi
+
+# Every `go test` that the focused Makefile targets and CI narrow with
+# -run/-bench/-fuzz must still select something: a renamed test otherwise
+# turns its job into a silent "no tests to run". `go test -list` answers
+# without running anything.
+go_test_selections() {
+    # Join continuation lines, undo the Makefile's `$$`, then print
+    # "<pattern> <packages…>" per narrowed `go test` command — limited to
+    # the targets named after the file, when any are.
+    sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' "$1" | sed 's/\$\$/$/g' | awk -v targets=" $2 " '
+        /^[A-Za-z][A-Za-z0-9_-]*:/ { target = $1; sub(/:.*/, "", target) }
+        /go test/ {
+            if (targets != "  " && index(targets, " " target " ") == 0) next
+            run = bench = fuzz = pkgs = ""
+            for (i = 1; i <= NF; i++) {
+                v = $(i + 1); gsub(/\047/, "", v)
+                if ($i == "-run") run = v
+                if ($i == "-bench") bench = v
+                if ($i == "-fuzz") fuzz = v
+                if ($i ~ /^\.(\/|$)/) pkgs = pkgs " " $i
+            }
+            pat = fuzz != "" ? fuzz : (bench != "" ? bench : run)
+            if (pat != "" && pkgs != "") print pat pkgs
+        }'
+}
+{
+    go_test_selections Makefile "serve-test qos-test lut-test batch-test"
+    go_test_selections .github/workflows/ci.yml ""
+} | while read -r pat pkgs; do
+    # shellcheck disable=SC2086 # pkgs is a word list
+    if ! go test -list "$pat" $pkgs | grep -qvE '^(ok|\?) '; then
+        echo "go test pattern '$pat' selects nothing in:$pkgs" >&2
+        exit 1
+    fi
+done
+
 # bench/ is its own module compiled against these packages; the root
 # `./...` patterns never enter it, so an API rename here would break the
 # benchmark unnoticed without this.
