@@ -39,21 +39,22 @@ qos-test:
 # feasibility (logic), the circuit node and asm instruction formats, the
 # lut-cluster synthesis pass, the programmable-bootstrap kernel, the LUT
 # noise model, bit-exactness across every executor (sync/async/shared),
-# plan compile/dedup/replay, shard hashing, cluster dispatch, the
-# pytfhed -lut serving surface, and the Fig. 14 LUT sweep.
+# plan compile/dedup/replay, shard hashing, cluster runs, and the
+# pytfhed -lut serving surface.
 lut-test:
 	go test -race -run 'LUT' ./internal/logic/ ./internal/circuit/ ./internal/asm/ \
 		./internal/synth/ ./internal/tfhe/boot/ ./internal/tfhe/gate/ ./internal/tfhe/noise/ \
 		./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/ \
 		./internal/cluster/ ./internal/serve/ ./internal/experiments/ ./cmd/pytfhe/
 
-# Go benchmarks plus the plan capture/replay measurement, which lands as
-# BENCH_PLAN.json — the replay performance trajectory. The -planbaseline
-# flag is the bench-parity guard: the fresh Async and Planned throughputs
-# must stay within 10% of the committed baseline.
+# Root Go benchmarks, then one run of every workload BENCHMARK.json declares
+# through bench/run.sh (results land in bench/out/). Informational: no
+# baseline is committed and nothing is guarded here; compare two commits
+# with `bench/run.sh --spread N` and `--compare` (see bench/README.md).
+BENCH_WORKLOADS = hamming128_local mnist_compile serve_mix_test cluster_dot_test
 bench:
 	go test -bench=. -benchmem -run '^$$' .
-	go run ./cmd/experiments -quick -planbench -planbaseline BENCH_PLAN.json -planout BENCH_PLAN.json
+	for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w || exit 1; done
 
 # Kernel hot-path microbenchmarks of the one polynomial engine: the
 # forward/inverse half-complex negacyclic transforms and pointwise

@@ -7,7 +7,6 @@
 //	experiments -table 4
 //	experiments -calibrate           # measure the real gate time first
 //	experiments -executors           # measured Pool-vs-Async CPU scaling
-//	experiments -planbench           # plan capture/replay vs dynamic executors
 //
 // Without -calibrate, the cost models use -gatetime (default 100ms, the
 // magnitude of this repository's pure-Go bootstrap at 128-bit parameters).
@@ -38,10 +37,6 @@ func main() {
 	executors := flag.Bool("executors", false, "measure real Pool-vs-Async CPU scaling (Fig. 10 on the in-process executors)")
 	execBench := flag.String("execbench", "hamming-distance", "VIP-Bench kernel for -executors")
 	execWorkers := flag.String("execworkers", "1,2,4,8", "comma-separated worker counts for -executors")
-	planBench := flag.Bool("planbench", false, "measure plan capture/replay vs the dynamic executors on the imbalanced ripple netlist")
-	planOut := flag.String("planout", "", "write the -planbench report as JSON to this path (e.g. BENCH_PLAN.json)")
-	planBaseline := flag.String("planbaseline", "", "compare the -planbench report against this committed JSON baseline and fail on >10% regression")
-	planWorkers := flag.Int("planworkers", 4, "worker count for -planbench")
 	flag.Parse()
 
 	cfg := experiments.Config{Quick: *quick, GateTime: *gatetime}
@@ -79,7 +74,7 @@ func main() {
 			tables[t] = true
 		}
 	}
-	if len(figs) == 0 && len(tables) == 0 && !*executors && !*planBench {
+	if len(figs) == 0 && len(tables) == 0 && !*executors {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -166,33 +161,6 @@ func main() {
 		rows, err := experiments.ExecutorScaling(kp.Cloud, nl, inputs, counts)
 		fatal(err)
 		experiments.RenderExecutorScaling(w, b.Name, rows)
-		fmt.Fprintln(w)
-	}
-	if *planBench {
-		p := params.Default128()
-		if *testParams || *quick {
-			p = params.Test()
-		}
-		fmt.Fprintf(os.Stderr, "generating %s keys for the plan capture/replay run...\n", p.Name)
-		kp, err := core.GenerateKeysSeeded(p, []byte("experiments-planbench"))
-		fatal(err)
-		nl := experiments.ImbalancedNetlist()
-		inputs := kp.EncryptBits(make([]bool, nl.NumInputs))
-		report, err := experiments.PlanBench(kp.Cloud, nl, inputs, *planWorkers)
-		fatal(err)
-		report.LUT, err = experiments.LUTSweepBench(kp.Cloud, kp.EncryptBits, *planWorkers)
-		fatal(err)
-		experiments.RenderPlanBench(w, report)
-		if *planBaseline != "" {
-			base, err := experiments.LoadPlanBaseline(*planBaseline)
-			fatal(err)
-			fatal(experiments.CheckPlanParity(report, base, 0.10))
-			fmt.Fprintf(os.Stderr, "bench parity vs %s: async, plan and batch within 10%%\n", *planBaseline)
-		}
-		if *planOut != "" {
-			fatal(experiments.WritePlanBench(*planOut, report))
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *planOut)
-		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "done in %v\n", time.Since(start).Round(time.Millisecond))

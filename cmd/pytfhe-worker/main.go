@@ -1,8 +1,8 @@
 // Command pytfhe-worker joins a PyTFHE cluster as an evaluation worker: it
 // dials the coordinator (retrying with capped backoff while it comes up),
-// receives the broadcast cloud key, and serves bootstrapped-gate jobs and
-// cached plan shards until the coordinator shuts down — the role a Ray
-// actor plays in the paper's distributed CPU backend.
+// receives the broadcast cloud key, and runs the levels of its cached plan
+// shards until the coordinator shuts down — the role a Ray actor plays in
+// the paper's distributed CPU backend.
 //
 //	pytfhe-worker -join 10.0.0.1:7700 -slots 18 -shard-cache 8
 package main

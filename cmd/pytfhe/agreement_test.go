@@ -36,9 +36,9 @@ func agreeKeys(t testing.TB) (*boot.SecretKey, *boot.CloudKey) {
 	return agreeSK, agreeCK
 }
 
-// startShardCluster brings up a coordinator plus n in-process workers over
-// localhost TCP, ready for RunSharded.
-func startShardCluster(t *testing.T, ck *boot.CloudKey, n, slots int) *cluster.Coordinator {
+// startCluster brings up a coordinator plus n in-process workers over
+// localhost TCP.
+func startCluster(t *testing.T, ck *boot.CloudKey, n, slots int) *cluster.Coordinator {
 	t.Helper()
 	coord, err := cluster.NewCoordinator(ck, "127.0.0.1:0")
 	if err != nil {
@@ -75,18 +75,18 @@ func agreementTargets(t *testing.T) []checkTarget {
 	return append([]checkTarget{{"bench/ripple-imbalanced", experiments.ImbalancedNetlist()}}, ex...)
 }
 
-// TestClusterPlanAgreement is the cross-backend acceptance matrix:
-// cluster-plan at 2 and 4 workers and the dynamic async executor must
+// TestClusterAgreement is the cross-backend acceptance matrix: the
+// cluster at 2 and 4 workers and the dynamic async executor must
 // decrypt to the plaintext interpreter's outputs on the bench netlist and
 // every example circuit. (The reference used to be a backend.Planned run;
 // that is now the scheduler TestSharedAgreement sweeps over these same
 // circuits, so it is not run a second time here.) Multi-thousand-gate targets are skipped under -short
 // and under the race detector (the small targets cover the same code
 // paths; full `go test ./...` and the CI shard job run everything).
-func TestClusterPlanAgreement(t *testing.T) {
+func TestClusterAgreement(t *testing.T) {
 	sk, ck := agreeKeys(t)
-	coord2 := startShardCluster(t, ck, 2, 2)
-	coord4 := startShardCluster(t, ck, 4, 2)
+	coord2 := startCluster(t, ck, 2, 2)
+	coord4 := startCluster(t, ck, 4, 2)
 
 	for _, tg := range agreementTargets(t) {
 		big := len(tg.nl.Gates) > 1000
@@ -106,8 +106,8 @@ func TestClusterPlanAgreement(t *testing.T) {
 				run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 			}{
 				{"async(2)", backend.NewAsync(ck, 2, 1).Run},
-				{"cluster-plan(2)", coord2.RunSharded},
-				{"cluster-plan(4)", coord4.RunSharded},
+				{"cluster(2)", coord2.Run},
+				{"cluster(4)", coord4.Run},
 			}
 			for _, r := range runners {
 				outs, err := r.run(tg.nl, enc)
@@ -128,7 +128,7 @@ func TestClusterPlanAgreement(t *testing.T) {
 	}
 }
 
-// dyingShardWorker joins the cluster over the real v2 protocol, caches its
+// dyingShardWorker joins the cluster over the real protocol, caches its
 // shard, then drops the connection on the first ShardStep — a worker crash
 // in the middle of a sharded run.
 func dyingShardWorker(t *testing.T, addr string) <-chan struct{} {
@@ -174,11 +174,11 @@ func dyingShardWorker(t *testing.T, addr string) <-chan struct{} {
 	return done
 }
 
-// TestClusterPlanAgreementWorkerLoss injects a worker crash mid-run: one
+// TestClusterAgreementWorkerLoss injects a worker crash mid-run: one
 // real worker plus one that dies on its first step. The run must re-host
 // the dead worker's shard and still decrypt to the plaintext interpreter's
 // outputs on the bench netlist.
-func TestClusterPlanAgreementWorkerLoss(t *testing.T) {
+func TestClusterAgreementWorkerLoss(t *testing.T) {
 	sk, ck := agreeKeys(t)
 	coord, err := cluster.NewCoordinator(ck, "127.0.0.1:0")
 	if err != nil {
@@ -198,7 +198,7 @@ func TestClusterPlanAgreementWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := coord.RunSharded(nl, backend.EncryptInputs(sk, bits))
+	outs, err := coord.Run(nl, backend.EncryptInputs(sk, bits))
 	if err != nil {
 		t.Fatalf("sharded run with a dying worker: %v", err)
 	}

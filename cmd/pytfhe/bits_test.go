@@ -42,7 +42,7 @@ func hashOutputs(outs []*lwe.Sample) string {
 // to the kernel, the parameters or the plan compiler re-pins them.
 func TestOutputBitsPinned(t *testing.T) {
 	sk, ck := agreeKeys(t)
-	coord := startShardCluster(t, ck, 2, 2)
+	coord := startCluster(t, ck, 2, 2)
 	res, err := synth.OptimizeLUT(lutDemoNetlist())
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,7 @@ func TestOutputBitsPinned(t *testing.T) {
 		{"async(2) batch 16", false, backend.NewAsync(ck, 2, 16).Run},
 		{"planned(2) batch 1", true, planned1.Run},
 		{"planned(2) batch 16", true, planned16.Run},
-		{"cluster gate dispatch", false, coord.Run},
-		{"cluster-plan", true, coord.RunSharded},
+		{"cluster", true, coord.Run},
 	}
 	for _, tg := range targets {
 		rng := trand.NewSeeded([]byte("output-bits/" + tg.name))

@@ -14,12 +14,12 @@ import (
 // bench netlist and the examples/lut demo circuit, the LUT-clustered form
 // must decrypt to what the plaintext interpreter computes for the LUT-off
 // netlist on every executor — async, planned replay (the one plan row of
-// the cmd/pytfhe matrices), and the sharded cluster-plan path — while
+// the cmd/pytfhe matrices), and the cluster — while
 // executing strictly fewer bootstraps than it has logical
 // gates (the whole point of clustering).
 func TestLUTAgreement(t *testing.T) {
 	sk, ck := agreeKeys(t)
-	coord := startShardCluster(t, ck, 2, 2)
+	coord := startCluster(t, ck, 2, 2)
 
 	targets := []checkTarget{
 		{"bench/lut-cones", experiments.LUTBenchNetlist()},
@@ -57,7 +57,7 @@ func TestLUTAgreement(t *testing.T) {
 			}{
 				{"async(2)", backend.NewAsync(ck, 2, 1).Run},
 				{"planned(2)", planned.Run},
-				{"cluster-plan(2)", coord.RunSharded},
+				{"cluster(2)", coord.Run},
 			}
 			for _, r := range runners {
 				outs, err := r.run(clustered, enc)

@@ -5,7 +5,7 @@
 //	pytfhe inspect    -prog prog.ptfhe [-listing]
 //	pytfhe lint       prog.ptfhe  (or -prog prog.ptfhe)
 //	pytfhe check      prog.ptfhe | -bench | -examples [-params test|default128] [-min-sigmas S]
-//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|async:N|plan:N|cluster:addr|cluster-plan:addr [-batch N] [-strict] -in 1011,0110,...
+//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|async:N|plan:N|cluster:addr [-batch N] [-strict] -in 1011,0110,...
 //	pytfhe calibrate  -keys keys/ [-samples N]
 //	pytfhe serve      [-listen addr] [-max-concurrent N] [-queue N] [-batch N]   (the pytfhed daemon, in-process)
 //	pytfhe register   -server addr -prog prog.ptfhe
@@ -30,14 +30,12 @@ import (
 	"pytfhe/internal/asm"
 	"pytfhe/internal/backend"
 	"pytfhe/internal/chiseltorch"
-	"pytfhe/internal/circuit"
 	"pytfhe/internal/cluster"
 	"pytfhe/internal/core"
 	"pytfhe/internal/models"
 	"pytfhe/internal/params"
 	"pytfhe/internal/serve"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/tfhe/noise"
 	"pytfhe/internal/verilog"
 	"pytfhe/internal/vipbench"
@@ -306,9 +304,9 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	path := fs.String("prog", "", "PyTFHE binary path")
 	keys := fs.String("keys", "keys", "key directory from `pytfhe keygen`")
-	be := fs.String("backend", "auto", "plain, single, pool[:N], async[:N], plan[:N], cluster:addr, cluster-plan:addr, or auto")
+	be := fs.String("backend", "auto", "plain, single, pool[:N], async[:N], plan[:N], cluster:addr, or auto")
 	workers := fs.Int("workers", 1, "worker count for auto/pool/async without an explicit :N")
-	clusterWorkers := fs.Int("cluster-workers", 2, "workers to wait for on the cluster backends")
+	clusterWorkers := fs.Int("cluster-workers", 2, "workers to wait for on the cluster backend")
 	batch := fs.Int("batch", 1, "bootstrap batch size for async/plan backends: each worker fuses up to N ready gates into one amortized blind-rotation dispatch (1: unbatched)")
 	stats := fs.Bool("stats", false, "print executor statistics after the run")
 	strict := fs.Bool("strict", false, "lint the program and verify its noise budget at load time; refuse to run on any error")
@@ -377,7 +375,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	var runner backend.Backend
-	if spec.kind == "cluster" || spec.kind == "cluster-plan" {
+	if spec.kind == "cluster" {
 		coord, err := cluster.NewCoordinator(kp.Cloud, spec.addr)
 		if err != nil {
 			return err
@@ -387,11 +385,7 @@ func cmdRun(args []string) error {
 		if err := coord.AcceptWorkers(*clusterWorkers); err != nil {
 			return err
 		}
-		if spec.kind == "cluster-plan" {
-			runner = &shardBackend{coord: coord}
-		} else {
-			runner = coord
-		}
+		runner = coord
 	} else {
 		runner = spec.build(kp.Cloud)
 		if p, ok := runner.(*backend.Planned); ok {
@@ -413,27 +407,12 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// shardBackend adapts Coordinator.RunSharded to the backend contract, so
-// `-backend cluster-plan:addr` plugs into the same run path as everything
-// else.
-type shardBackend struct {
-	coord *cluster.Coordinator
-}
-
-func (b *shardBackend) Name() string {
-	return strings.Replace(b.coord.Name(), "cluster(", "cluster-plan(", 1)
-}
-
-func (b *shardBackend) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	return b.coord.RunSharded(nl, inputs)
-}
-
 // backendSpec is a parsed -backend/-workers/-batch selection, kept separate
 // from construction so it can be validated without keys.
 type backendSpec struct {
-	kind    string // "single", "pool", "async", "plan", "cluster", "cluster-plan"
+	kind    string // "single", "pool", "async", "plan", "cluster"
 	workers int
-	addr    string // listen address for the cluster backends
+	addr    string // listen address for the cluster backend
 	batch   int    // bootstrap batch size (async/plan; 1: unbatched)
 }
 
@@ -442,29 +421,30 @@ type backendSpec struct {
 // executor otherwise — async is the default whenever more than one worker
 // or a batch is requested; the barriered pool remains selectable as the
 // Algorithm 1 baseline. -batch is rejected where it would be ignored:
-// single and pool evaluate gate by gate, and cluster workers choose their
-// own kernel batch. The cluster backends are matched by prefix before the
-// generic kind:N split, because their operand is a listen address
-// ("cluster-plan:127.0.0.1:7700") that itself contains colons.
+// single and pool evaluate gate by gate, and cluster workers batch their
+// own shard levels. The cluster operand is a listen address
+// ("cluster:127.0.0.1:7700"), not a worker count.
 func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 	workers, batch = max(workers, 1), max(batch, 1)
-	for _, kind := range []string{"cluster-plan", "cluster"} {
-		if rest, ok := strings.CutPrefix(s, kind+":"); ok {
-			if rest == "" {
-				return backendSpec{}, fmt.Errorf("backend %s needs a listen address, e.g. %s:127.0.0.1:7700", kind, kind)
-			}
-			if batch > 1 {
-				return backendSpec{}, fmt.Errorf("-batch does not apply to -backend %s: cluster workers batch their own jobs", kind)
-			}
-			return backendSpec{kind: kind, addr: rest, batch: 1}, nil
+	kind, arg, hasArg := strings.Cut(s, ":")
+	switch kind {
+	case "auto", "single", "pool", "async", "plan":
+	case "cluster":
+		if arg == "" {
+			return backendSpec{}, fmt.Errorf("backend cluster needs a listen address, e.g. cluster:127.0.0.1:7700")
 		}
+		if batch > 1 {
+			return backendSpec{}, fmt.Errorf("-batch does not apply to -backend cluster: cluster workers batch their own shard levels")
+		}
+		return backendSpec{kind: kind, addr: arg, batch: 1}, nil
+	default:
+		return backendSpec{}, fmt.Errorf("unknown backend %q (want plain, single, pool[:N], async[:N], plan[:N], cluster:addr or auto)", s)
 	}
-	kind, count := s, workers
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		kind = s[:i]
-		n, err := strconv.Atoi(s[i+1:])
+	count := workers
+	if hasArg {
+		n, err := strconv.Atoi(arg)
 		if err != nil || n < 1 {
-			return backendSpec{}, fmt.Errorf("bad %s worker count %q", kind, s[i+1:])
+			return backendSpec{}, fmt.Errorf("bad %s worker count %q", kind, arg)
 		}
 		count = n
 	}
@@ -482,12 +462,8 @@ func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 			count = 1
 		}
 		return backendSpec{kind: kind, workers: count, batch: 1}, nil
-	case "async", "plan":
-		return backendSpec{kind: kind, workers: count, batch: batch}, nil
-	case "cluster", "cluster-plan":
-		return backendSpec{}, fmt.Errorf("backend %s needs a listen address, e.g. %s:127.0.0.1:7700", kind, kind)
 	}
-	return backendSpec{}, fmt.Errorf("unknown backend %q (want plain, single, pool[:N], async[:N], plan[:N], cluster:addr, cluster-plan:addr or auto)", s)
+	return backendSpec{kind: kind, workers: count, batch: batch}, nil
 }
 
 func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
@@ -504,14 +480,11 @@ func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
 
 // printRunStats reports the executor breakdown recorded by the last Run.
 // ctBytes is the serialized ciphertext size (the paper's ≈2.46 KB pin at
-// n=630), used to contextualize the cluster backends' wire traffic.
+// n=630), used to contextualize the cluster backend's wire traffic.
 func printRunStats(runner backend.Backend, ctBytes int) {
 	switch r := runner.(type) {
 	case *cluster.Coordinator:
 		printClusterStats(r.LastStat, ctBytes)
-		return
-	case *shardBackend:
-		printClusterStats(r.coord.LastStat, ctBytes)
 		return
 	case *backend.Planned:
 		ps := r.PlanStats
@@ -548,14 +521,14 @@ func printRunStats(runner backend.Backend, ctBytes int) {
 }
 
 // printClusterStats reports a distributed run: throughput, then wire
-// traffic — the estimate next to the measured socket counters, and the
-// shard-cache economics on the cluster-plan path.
+// traffic — the estimate next to the measured socket counters — and the
+// shard-cache economics.
 func printClusterStats(st cluster.Stats, ctBytes int) {
 	boots := float64(st.Bootstraps) / st.Elapsed.Seconds()
 	fmt.Printf("stats: %d workers (%d slots), %d gates (%d bootstrapped) over %d levels in %v — %.1f bootstraps/s\n",
 		st.Workers, st.Slots, st.Gates, st.Bootstraps, st.Levels, st.Elapsed.Round(time.Millisecond), boots)
 	if st.WorkersLost > 0 {
-		fmt.Printf("       %d workers lost mid-run, work requeued on survivors\n", st.WorkersLost)
+		fmt.Printf("       %d workers lost mid-run, shards re-hosted on survivors\n", st.WorkersLost)
 	}
 	fmt.Printf("wire:  %d samples out, %d back at %.2f KB/ciphertext — estimate %.1f KB, measured %.1f KB out / %.1f KB in\n",
 		st.SamplesSent, st.SamplesReceived, float64(ctBytes)/1024,

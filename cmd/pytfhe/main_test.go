@@ -89,7 +89,6 @@ func TestParseBackendSpec(t *testing.T) {
 		{"async", 0, 1, "async", 1},
 		{"plan:2", 1, 16, "plan", 2},
 		{"cluster:127.0.0.1:7700", 1, 1, "cluster", 0},
-		{"cluster-plan:127.0.0.1:7700", 1, 1, "cluster-plan", 0},
 	}
 	for _, c := range cases {
 		spec, err := parseBackendSpec(c.in, c.workers, c.batch)
@@ -100,14 +99,20 @@ func TestParseBackendSpec(t *testing.T) {
 			t.Fatalf("%s/%d/%d -> %+v, want %s:%d", c.in, c.workers, c.batch, spec, c.kind, c.count)
 		}
 	}
-	for _, bad := range []string{"", "ray", "pool:", "pool:x", "async:0", "async:-2", "cluster", "cluster-plan:"} {
+	for _, bad := range []string{"", "ray", "pool:", "pool:x", "async:0", "async:-2", "cluster", "cluster:"} {
 		if _, err := parseBackendSpec(bad, 1, 1); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
 	}
+	// A kind that merely starts with "cluster" is unknown, not a cluster
+	// with a strange address, and the error names the one cluster kind.
+	_, err := parseBackendSpec("clusters:127.0.0.1:7700", 1, 1)
+	if err == nil || !strings.Contains(err.Error(), "unknown backend") || !strings.Contains(err.Error(), "cluster:addr") {
+		t.Fatalf("-backend clusters:addr: err = %v", err)
+	}
 	// -batch where it would be ignored is an error that names the flag the
 	// user typed, not the kind it resolved to.
-	for _, be := range []string{"single", "pool:4", "cluster:127.0.0.1:7700", "cluster-plan:127.0.0.1:7700"} {
+	for _, be := range []string{"single", "pool:4", "cluster:127.0.0.1:7700"} {
 		_, err := parseBackendSpec(be, 1, 16)
 		if err == nil || !strings.Contains(err.Error(), "-batch") || !strings.Contains(err.Error(), strings.SplitN(be, ":", 2)[0]) {
 			t.Fatalf("-backend %s -batch 16: err = %v", be, err)

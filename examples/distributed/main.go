@@ -1,12 +1,16 @@
 // Distributed execution: spin up a coordinator and several worker
 // processes-worth of goroutines connected over real TCP sockets (the
 // in-repo equivalent of a Ray cluster), broadcast the cloud key, and
-// evaluate a VIP-Bench kernel with the wavefront schedule of Algorithm 1.
+// evaluate a VIP-Bench kernel with the wavefront schedule of Algorithm 1,
+// each wavefront a level of a compiled plan whose gates were placed on
+// workers at compile time.
 //
 // In a real deployment the workers run `pytfhe-worker -join <addr>` on
 // separate machines; here they share the process but still talk through
-// the loopback interface, so every gate's ciphertexts cross a socket
-// exactly as the paper's Fig. 7 communication profile describes.
+// the loopback interface: each worker's shard of the plan crosses a socket
+// once, then every run ships only the input and boundary ciphertexts (the
+// values that pass between workers): the communication the paper profiles
+// in Fig. 7.
 //
 //	go run ./examples/distributed
 package main

@@ -1,18 +1,15 @@
 // Package cluster implements the distributed CPU backend of PyTFHE over
 // real TCP sockets — the role Ray plays in the paper. A Coordinator listens
 // for Worker connections, broadcasts the public evaluation key once, then
-// drives the wavefront schedule of Algorithm 1: every gate of a ready level
-// is submitted to a worker together with its input ciphertexts, and the
-// result ciphertext travels back, exactly the per-gate communication
-// pattern the paper profiles in Fig. 7 (≈2.46 KB per ciphertext).
+// drives the wavefront schedule of Algorithm 1 as the levels of a compiled
+// plan with compile-time placement: the plan is cut into one shard per
+// worker (internal/shard), each shard ships once and stays cached on its
+// worker by content hash, and per run only input and cross-shard boundary
+// ciphertexts travel (≈2.46 KB each, the unit of the paper's Fig. 7
+// communication profile). See DESIGN.md §14.
 //
 // Messages are framed with encoding/gob. Workers may host multiple slots
 // (cores); each slot owns a gate engine over the shared cloud key.
-//
-// Two execution paths share the connection: the legacy per-gate dispatch
-// (Run), and sharded plan replay (RunSharded), where each worker holds a
-// content-addressed slice of the compiled plan and only boundary
-// ciphertexts travel per run. See DESIGN.md §14.
 package cluster
 
 import (
@@ -24,13 +21,9 @@ import (
 	"sync"
 	"time"
 
-	"pytfhe/internal/circuit"
-	"pytfhe/internal/exec"
-	"pytfhe/internal/logic"
 	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
-	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/wire"
 )
 
@@ -38,16 +31,17 @@ func init() { wire.Register() }
 
 // ProtoVersion is the coordinator↔worker protocol revision. Version 2
 // added the Welcome handshake (version + key-hash check) and the sharded
-// plan-replay messages; v1 peers are rejected with a typed error instead
-// of a gob decode failure downstream.
-const ProtoVersion = 2
+// plan-replay messages; version 3 removed per-gate job dispatch. Peers of
+// another version are rejected with a typed error instead of a gob decode
+// failure or an "unexpected message" downstream.
+const ProtoVersion = 3
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (
 	// ErrWorkerLost marks a worker that died mid-run (connection error or
-	// a missed per-job read deadline). The coordinator drops the worker
-	// and requeues its work onto the survivors; the error only surfaces
-	// when no workers remain.
+	// a missed read deadline). The coordinator drops the worker and
+	// re-hosts its shards on the survivors; the error only surfaces when
+	// no workers remain.
 	ErrWorkerLost = errors.New("cluster: worker lost")
 	// ErrDial marks a worker that exhausted its dial-retry budget without
 	// ever reaching the coordinator.
@@ -63,36 +57,22 @@ var (
 	ErrKeyMismatch = errors.New("cluster: cloud key mismatch")
 )
 
-// DefaultJobTimeout is the per-job read deadline when Coordinator.JobTimeout
-// is left zero: generous enough for a wide default128 wavefront batch, small
-// enough that a hung worker cannot stall a run forever.
+// DefaultJobTimeout is the read deadline of one coordinator↔worker exchange
+// when Coordinator.JobTimeout is left zero: generous enough for one shard
+// level of a wide default128 plan, small enough that a hung worker cannot
+// stall a run forever.
 const DefaultJobTimeout = 2 * time.Minute
 
 // DefaultDialTimeout bounds a worker's dial-retry loop when
 // Worker.DialTimeout is left zero.
 const DefaultDialTimeout = 15 * time.Second
 
-// GateTask ships one gate evaluation: the gate kind and its two input
-// ciphertexts for a classic gate, or (Arity != 0) a k-input LUT with its
-// truth table and up to one extra operand. C travels only at arity 3, so
-// classic tasks keep their pre-LUT wire size.
-type GateTask struct {
-	Kind  uint8
-	A, B  *lwe.Sample
-	C     *lwe.Sample // third LUT operand (Arity 3 only)
-	TT    uint8       // LUT truth table (Arity >= 2 only)
-	Arity uint8       // 0: classic gate; 2..3: k-input LUT
-}
-
 // Message is the single wire envelope; exactly one field is set.
 type Message struct {
 	Hello   *Hello
 	Welcome *Welcome
 	Key     *boot.CloudKey
-	Job     *Job
-	Result  *JobResult
 
-	// Sharded plan-replay path (protocol v2).
 	ShardInit  *ShardInit
 	ShardData  *shard.Shard
 	ShardReady *ShardReady
@@ -118,29 +98,20 @@ type Welcome struct {
 	KeyHash string
 }
 
-// Job carries a batch of gate tasks for one wavefront.
-type Job struct {
-	Seq   int
-	Tasks []GateTask
-}
-
-// JobResult returns the output ciphertexts of a Job, in task order.
-type JobResult struct {
-	Seq     int
-	Outputs []*lwe.Sample
-}
-
-// Stats summarizes a distributed run. BytesSent keeps the paper's Fig. 7
-// per-ciphertext estimate (3 × params.CiphertextBytes per gate task); the
-// WireBytes counters are measured at the socket via wire.Meter, so framing
-// and key traffic show up there but not in the estimate.
+// Stats summarizes a distributed run. Levels, Gates and Bootstraps are
+// what the compiled plan executes (after deduplication), not the
+// netlist's logical counts. BytesSent is the paper's Fig. 7 style estimate
+// — params.CiphertextBytes per input or boundary ciphertext shipped to a
+// worker; the WireBytes counters are measured at the socket via
+// wire.Meter, so framing and shard shipment show up there but not in the
+// estimate.
 type Stats struct {
 	Workers     int
 	Slots       int
 	Levels      int
 	Gates       int
 	Bootstraps  int
-	WorkersLost int // workers dropped mid-run (work requeued on survivors)
+	WorkersLost int // workers dropped mid-run (their shards re-hosted on survivors)
 	Elapsed     time.Duration
 	BytesSent   int64 // ciphertext payload shipped to workers (estimate)
 
@@ -149,7 +120,6 @@ type Stats struct {
 	WireBytesSent   int64 // measured bytes written to worker sockets
 	WireBytesRecv   int64 // measured bytes read from worker sockets
 
-	// Sharded-replay counters (RunSharded only).
 	ShardHits         int   // shards already resident on their worker
 	ShardMisses       int   // shards shipped because the worker lacked them
 	ShardReships      int   // shards re-installed on a survivor after a loss
@@ -160,7 +130,6 @@ type Stats struct {
 // Totals aggregates counters across every run of a coordinator's lifetime;
 // the serve daemon reports them in its Stats RPC.
 type Totals struct {
-	GateRuns      int64
 	ShardRuns     int64
 	ShardHits     int64
 	ShardMisses   int64
@@ -182,9 +151,10 @@ type Coordinator struct {
 	plans    map[shardKey]*shard.Sharding
 	totals   Totals
 	LastStat Stats
-	// JobTimeout is the per-job read deadline; a worker that does not
-	// answer a job within it is declared lost and its batch is requeued on
-	// the survivors. Zero means DefaultJobTimeout.
+	// JobTimeout is the read deadline of one exchange with a worker (a
+	// shard install or one level step; a recovery replay gets one per
+	// replayed level). A worker that misses it is declared lost and its
+	// shards are re-hosted on the survivors. Zero means DefaultJobTimeout.
 	JobTimeout time.Duration
 }
 
@@ -464,7 +434,7 @@ func settleMeters(snaps []meterSnap, st *Stats) {
 }
 
 // roster snapshots what a run starts from: the live workers, their total
-// slot count, and the per-job read deadline.
+// slot count, and the per-exchange read deadline.
 func (c *Coordinator) roster() (workers []*workerConn, slots int, timeout time.Duration, err error) {
 	c.mu.Lock()
 	workers = append(workers, c.workers...)
@@ -481,173 +451,8 @@ func (c *Coordinator) roster() (workers []*workerConn, slots int, timeout time.D
 	return workers, slots, timeout, nil
 }
 
-// Run executes the netlist over the connected workers using the wavefront
-// schedule. It implements the backend.Backend contract.
-func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	if c.ck == nil {
-		return nil, fmt.Errorf("%w: run before SetKey", ErrHandshake)
-	}
-	// Inputs are validated before the worker-count check so callers get the
-	// typed exec errors (nil input, bad dimension) even on an empty cluster.
-	st, err := exec.NewState(nl, inputs, c.ck.Params.LWEDimension)
-	if err != nil {
-		return nil, err
-	}
-	workers, totalSlots, jobTimeout, err := c.roster()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	snaps := c.snapMeters()
-	values := st.Values
-
-	stats := Stats{Workers: len(workers), Slots: totalSlots, Gates: len(nl.Gates)}
-	for _, g := range nl.Gates {
-		if g.NeedsBootstrap() {
-			stats.Bootstraps++
-		}
-	}
-	ctBytes := int64(c.ck.Params.CiphertextBytes())
-	levels := nl.Levels()
-	stats.Levels = len(levels)
-	seq := 0
-	for _, level := range levels {
-		// Dispatch the level, requeueing any lost worker's batch onto the
-		// survivors until every gate of the wavefront has a result. The
-		// run only fails once no workers remain (or a worker reports an
-		// application error, which no retry would fix).
-		remaining := level
-		for len(remaining) > 0 {
-			c.mu.Lock()
-			workers = append(workers[:0:0], c.workers...)
-			c.mu.Unlock()
-			if len(workers) == 0 {
-				return nil, fmt.Errorf("cluster: no workers left for level batch of %d gates: %w", len(remaining), ErrWorkerLost)
-			}
-			// Partition the batch across live workers proportionally to
-			// their slot counts.
-			parts := partition(remaining, workers)
-			type reply struct {
-				w    *workerConn
-				res  *JobResult
-				err  error
-				lost bool
-				part []int
-			}
-			ch := make(chan reply, len(workers))
-			launched := 0
-			for wi, part := range parts {
-				if len(part) == 0 {
-					continue
-				}
-				launched++
-				tasks := make([]GateTask, len(part))
-				for ti, gi := range part {
-					g := nl.Gates[gi]
-					task := GateTask{Kind: uint8(g.Kind), A: values[g.A], B: values[g.B]}
-					if g.IsLUT() {
-						task.TT = uint8(g.TT)
-						task.Arity = g.Arity
-						if g.Arity >= 3 {
-							task.C = values[g.C]
-						}
-					}
-					tasks[ti] = task
-					ops := int64(g.NumOperands())
-					stats.BytesSent += (1 + ops) * ctBytes
-					stats.SamplesSent += ops
-				}
-				go func(w *workerConn, wi int, job *Job, part []int) {
-					// The per-job read deadline inside roundTrip turns a hung
-					// or silently dead worker into a detectable loss instead
-					// of a coordinator that blocks forever.
-					msg, err := roundTrip(w, Message{Job: job}, jobTimeout)
-					switch {
-					case err != nil:
-						ch <- reply{w: w, lost: true, part: part, err: err}
-					case msg.Error != "":
-						ch <- reply{w: w, err: fmt.Errorf("cluster: worker %d: %s", wi, msg.Error)}
-					case msg.Result == nil || len(msg.Result.Outputs) != len(job.Tasks):
-						ch <- reply{w: w, lost: true, part: part,
-							err: fmt.Errorf("cluster: worker %d returned malformed result", wi)}
-					default:
-						ch <- reply{w: w, res: msg.Result, part: part}
-					}
-				}(workers[wi], wi, &Job{Seq: seq, Tasks: tasks}, part)
-			}
-			seq++
-			var retry []int
-			var appErr error
-			for i := 0; i < launched; i++ {
-				r := <-ch
-				switch {
-				case r.lost:
-					c.dropWorker(r.w)
-					stats.WorkersLost++
-					retry = append(retry, r.part...)
-				case r.err != nil:
-					appErr = r.err
-				default:
-					stats.SamplesReceived += int64(len(r.res.Outputs))
-					for ti, gi := range r.part {
-						values[nl.GateID(gi)] = r.res.Outputs[ti]
-					}
-				}
-			}
-			if appErr != nil {
-				return nil, appErr
-			}
-			remaining = retry
-		}
-		// The wavefront is complete: drop drained operands so coordinator
-		// memory follows the live frontier. The ciphertexts came from remote
-		// workers, so there is no local free list to return them to.
-		for _, gi := range level {
-			g := &nl.Gates[gi]
-			for k := 0; k < g.NumOperands(); k++ {
-				st.Release(g.Operand(k), nil)
-			}
-		}
-	}
-
-	outs, err := st.Collect(c.ck.Params.LWEDimension)
-	if err != nil {
-		return nil, err
-	}
-	stats.Elapsed = time.Since(start)
-	settleMeters(snaps, &stats)
-	c.mu.Lock()
-	c.LastStat = stats
-	c.totals.GateRuns++
-	c.totals.WireBytesSent += stats.WireBytesSent
-	c.totals.WireBytesRecv += stats.WireBytesRecv
-	c.totals.WorkersLost += int64(stats.WorkersLost)
-	c.mu.Unlock()
-	return outs, nil
-}
-
-// partition splits a level's gate indices across workers in proportion to
-// slots.
-func partition(level []int, workers []*workerConn) [][]int {
-	total := 0
-	for _, w := range workers {
-		total += w.slots
-	}
-	parts := make([][]int, len(workers))
-	off := 0
-	for wi, w := range workers {
-		share := len(level) * w.slots / total
-		if wi == len(workers)-1 {
-			share = len(level) - off
-		}
-		parts[wi] = level[off : off+share]
-		off += share
-	}
-	return parts
-}
-
-// Worker joins a coordinator and serves gate jobs and shard steps until
-// the connection closes or a Bye message arrives.
+// Worker joins a coordinator and serves shard installs and level steps
+// until the connection closes or a Bye message arrives.
 type Worker struct {
 	slots int
 	// DialTimeout bounds the dial-retry loop: the worker keeps redialing
@@ -663,8 +468,8 @@ type Worker struct {
 // Worker.ShardCache is left zero.
 const DefaultShardCache = 8
 
-// NewWorker returns a worker that will evaluate jobs on `slots` parallel
-// engines.
+// NewWorker returns a worker that will run shard levels on `slots`
+// parallel engines.
 func NewWorker(slots int) *Worker {
 	if slots < 1 {
 		slots = 1
@@ -698,7 +503,7 @@ func (w *Worker) dial(addr string) (net.Conn, error) {
 	}
 }
 
-// handshake runs the worker side of the v2 join: Hello out, Welcome and
+// handshake runs the worker side of the join: Hello out, Welcome and
 // key in, with version and key-hash checks surfaced as typed errors.
 func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, error) {
 	if err := enc.Encode(Message{Hello: &Hello{Slots: w.slots, Version: ProtoVersion}}); err != nil {
@@ -709,8 +514,8 @@ func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, 
 		return nil, fmt.Errorf("%w: no welcome: %v", ErrHandshake, err)
 	}
 	if wel.Error != "" {
-		// A v1 coordinator never sends Welcome; a v2 one rejects a version
-		// skew with an Error note before closing.
+		// A v1 coordinator never sends Welcome; later ones reject a
+		// version skew with an Error note before closing.
 		return nil, fmt.Errorf("%w: coordinator: %s", ErrVersionMismatch, wel.Error)
 	}
 	if wel.Welcome == nil {
@@ -737,7 +542,8 @@ func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, 
 	return keyMsg.Key, nil
 }
 
-// Serve dials the coordinator and processes jobs until shutdown. It blocks.
+// Serve dials the coordinator and serves shard requests until shutdown. It
+// blocks.
 func (w *Worker) Serve(addr string) error {
 	conn, err := w.dial(addr)
 	if err != nil {
@@ -766,13 +572,6 @@ func (w *Worker) Serve(addr string) error {
 		switch {
 		case msg.Bye:
 			return nil
-		case msg.Job != nil:
-			outs, err := w.evalJob(engines, ck, msg.Job)
-			if err != nil {
-				reply = Message{Error: err.Error()}
-			} else {
-				reply = Message{Result: &JobResult{Seq: msg.Job.Seq, Outputs: outs}}
-			}
 		case msg.ShardInit != nil:
 			reply = w.handleShardInit(shards, msg.ShardInit)
 		case msg.ShardData != nil:
@@ -788,43 +587,4 @@ func (w *Worker) Serve(addr string) error {
 			return err
 		}
 	}
-}
-
-// evalJob evaluates a Job's tasks — mutually independent: one wavefront —
-// splitting them evenly across the slots' engines, each of which batches
-// its share like a shard level.
-func (w *Worker) evalJob(engines []*gate.Engine, ck *boot.CloudKey, job *Job) ([]*lwe.Sample, error) {
-	outs := make([]*lwe.Sample, len(job.Tasks))
-	dim := ck.Params.LWEDimension
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (len(job.Tasks) + len(engines) - 1) / len(engines)
-	for s := 0; s < len(engines) && s*chunk < len(job.Tasks); s++ {
-		lo, hi := s*chunk, min((s+1)*chunk, len(job.Tasks))
-		wg.Add(1)
-		go func(eng *gate.Engine, lo, hi int) {
-			defer wg.Done()
-			bt := exec.NewBatcher(eng, shard.WorkerBatch)
-			var err error
-			for i := lo; i < hi && err == nil; i++ {
-				t := &job.Tasks[i]
-				outs[i] = lwe.NewSample(dim)
-				op := gate.Op{Kind: logic.Kind(t.Kind), TT: logic.TT(t.TT), Arity: t.Arity}
-				_, err = bt.Do(op, outs[i], t.A, t.B, t.C)
-			}
-			if err == nil {
-				err = bt.Flush()
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(engines[s], lo, hi)
-	}
-	wg.Wait()
-	return outs, firstErr
 }

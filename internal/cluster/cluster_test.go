@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,9 @@ import (
 	"pytfhe/internal/exec"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
+	"pytfhe/internal/plan"
+	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/trand"
 )
 
@@ -172,28 +174,6 @@ func TestInputCountValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionCoversAllGates(t *testing.T) {
-	level := []int{0, 1, 2, 3, 4, 5, 6}
-	workers := []*workerConn{{slots: 1}, {slots: 2}, {slots: 1}}
-	parts := partition(level, workers)
-	seen := map[int]bool{}
-	for _, p := range parts {
-		for _, g := range p {
-			if seen[g] {
-				t.Fatalf("gate %d assigned twice", g)
-			}
-			seen[g] = true
-		}
-	}
-	if len(seen) != len(level) {
-		t.Fatalf("partition covered %d of %d gates", len(seen), len(level))
-	}
-	// The 2-slot worker should get at least as much as the 1-slot ones.
-	if len(parts[1]) < len(parts[0]) {
-		t.Fatalf("slot weighting ignored: %v", parts)
-	}
-}
-
 // TestWorkerDisconnectSurfacesError kills a worker's connection mid-session
 // and checks that the coordinator reports a transport error rather than
 // hanging or returning wrong results.
@@ -230,9 +210,9 @@ func TestWorkerDisconnectSurfacesError(t *testing.T) {
 			t.Errorf("key: %v", err)
 			return
 		}
-		// Receive the first job, then vanish.
-		var job Message
-		_ = dec.Decode(&job)
+		// Receive the first request, then vanish.
+		var req Message
+		_ = dec.Decode(&req)
 		conn.Close()
 	}()
 	if err := coord.AcceptWorkers(1); err != nil {
@@ -252,10 +232,10 @@ func TestWorkerDisconnectSurfacesError(t *testing.T) {
 	<-done
 }
 
-// deadAfterFirstJob joins the cluster as a well-behaved worker, then drops
-// the connection the moment its first job arrives — a worker crashing
-// mid-run.
-func deadAfterFirstJob(t *testing.T, addr string) <-chan struct{} {
+// deadAfterFirstRequest joins the cluster as a well-behaved worker, then
+// drops the connection the moment its first request arrives — a worker
+// crashing mid-run.
+func deadAfterFirstRequest(t *testing.T, addr string) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -276,17 +256,17 @@ func deadAfterFirstJob(t *testing.T, addr string) <-chan struct{} {
 		if err := dec.Decode(&key); err != nil {
 			return
 		}
-		var job Message
-		_ = dec.Decode(&job)
+		var req Message
+		_ = dec.Decode(&req)
 		conn.Close()
 	}()
 	return done
 }
 
-// TestWorkerLostMidRunRequeues kills one of two workers mid-run and checks
-// that the coordinator requeues the dead worker's batch onto the survivor
-// and still produces the right sum, rather than blocking forever or
-// failing the run.
+// TestWorkerLostMidRunRequeues kills one of two workers as its shard is
+// being installed and checks that the coordinator re-hosts the dead
+// worker's shard on the survivor, drops it from the roster, and still
+// produces the right sum, rather than blocking forever or failing the run.
 func TestWorkerLostMidRunRequeues(t *testing.T) {
 	sk, ck := keys(t)
 	coord, err := NewCoordinator(ck, "127.0.0.1:0")
@@ -297,7 +277,7 @@ func TestWorkerLostMidRunRequeues(t *testing.T) {
 	coord.JobTimeout = 10 * time.Second
 
 	go func() { _ = NewWorker(1).Serve(coord.Addr()) }()
-	dead := deadAfterFirstJob(t, coord.Addr())
+	dead := deadAfterFirstRequest(t, coord.Addr())
 	if err := coord.AcceptWorkers(2); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +289,7 @@ func TestWorkerLostMidRunRequeues(t *testing.T) {
 		t.Fatalf("run with one dead worker: %v", err)
 	}
 	if got := uintOf(backend.DecryptOutputs(sk, outs)); got != 15 {
-		t.Fatalf("9+6 = %d after requeue", got)
+		t.Fatalf("9+6 = %d after re-hosting", got)
 	}
 	<-dead
 	if coord.WorkerCount() != 1 {
@@ -338,25 +318,83 @@ func TestKeyBroadcastSize(t *testing.T) {
 	t.Logf("cloud key wire size: %.1f MB", float64(buf.Len())/1e6)
 }
 
-// TestWorkerRejectsMalformedTask: a GateTask arrives off a socket, so a kind
-// outside the gate alphabet or an arity beyond the LUT limit must come back
-// as a job error (the coordinator sees an application error), not index the
-// engine's tables and take the worker down.
-func TestWorkerRejectsMalformedTask(t *testing.T) {
+// TestWorkerRejectsMalformedShard: a shard arrives off a socket, so slot
+// counts that cannot size its value table, refs outside it or an arity
+// beyond the LUT limit must come back as an error reply (the coordinator
+// turns it into an application error), not panic the worker. A shard the
+// worker accepts is stepped, as the coordinator would; afterwards the same
+// worker must still install and run a well-formed shard.
+func TestWorkerRejectsMalformedShard(t *testing.T) {
 	sk, ck := keys(t)
-	in := backend.EncryptInputs(sk, []bool{true, false})
-	engines := []*gate.Engine{gate.NewEngine(ck)}
-	good := GateTask{Kind: uint8(logic.NAND), A: in[0], B: in[1]}
-	for _, bad := range []GateTask{
-		{Kind: 200, A: in[0], B: in[1]},
-		{TT: 0x96, Arity: 7, A: in[0], B: in[1], C: in[0]},
-	} {
-		if _, err := NewWorker(1).evalJob(engines, ck, &Job{Tasks: []GateTask{good, bad, good}}); err == nil {
-			t.Fatalf("task %+v evaluated", bad)
+	coord := startCluster(t, ck, 1, 1)
+	w := coord.workers[0]
+	b := circuit.NewBuilder("nand", circuit.NoOptimizations())
+	b.Output("o", b.Gate(logic.NAND, b.Input("x"), b.Input("y")))
+	p, err := plan.Compile(b.MustBuild(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.Split(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := s.Shards[0]
+	in := backend.EncryptInputs(sk, []bool{true, true})
+	var fills []SlotSample
+	for _, f := range s.Fills[0][0] {
+		fills = append(fills, SlotSample{Slot: f.Slot, Val: in[f.Input]})
+	}
+	install := func(sh *shard.Shard) (Message, error) {
+		return roundTrip(w, Message{ShardData: sh}, 10*time.Second)
+	}
+	step := func(sh *shard.Shard) (Message, error) {
+		return roundTrip(w, Message{Step: &ShardStep{Hash: sh.Hash, Fills: fills}}, 10*time.Second)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(*shard.Shard)
+	}{
+		{"negative local count", func(sh *shard.Shard) { sh.NumLocal = -5 }},
+		{"negative remote count", func(sh *shard.Shard) { sh.NumRemote = -1 }},
+		{"unaddressable local count", func(sh *shard.Shard) { sh.NumLocal = 1 << 62 }},
+		{"operand outside the table", func(sh *shard.Shard) { sh.Levels[0][0].A = 1000 }},
+		{"LUT operand outside the table", func(sh *shard.Shard) { sh.Levels[0][0].Arity, sh.Levels[0][0].C = 3, -1 }},
+		{"output into a remote slot", func(sh *shard.Shard) { sh.Levels[0][0].Out = 0 }},
+		{"LUT arity 7", func(sh *shard.Shard) { sh.Levels[0][0].Arity = 7 }},
+		{"export outside the table", func(sh *shard.Shard) { sh.Exports[0][0] = 1000 }},
+		{"export manifest missing", func(sh *shard.Shard) { sh.Exports = nil }},
+	}
+	for _, tc := range cases {
+		bad := *good
+		bad.Hash = tc.name
+		bad.Levels = make([][]plan.Instr, len(good.Levels))
+		bad.Exports = make([][]int32, len(good.Exports))
+		for l := range good.Levels {
+			bad.Levels[l] = slices.Clone(good.Levels[l])
+			bad.Exports[l] = slices.Clone(good.Exports[l])
+		}
+		tc.mutate(&bad)
+		rep, err := install(&bad)
+		if err == nil && rep.Error == "" {
+			rep, err = step(&bad)
+		}
+		if err != nil {
+			t.Fatalf("%s: worker connection failed: %v", tc.name, err)
+		}
+		if rep.Error == "" {
+			t.Fatalf("%s: worker accepted and ran the shard", tc.name)
 		}
 	}
-	outs, err := NewWorker(1).evalJob(engines, ck, &Job{Tasks: []GateTask{good}})
-	if err != nil || gate.Decrypt(outs[0], sk) != true {
-		t.Fatalf("well-formed job after the malformed ones: %v", err)
+
+	if rep, err := install(good); err != nil || rep.ShardReady == nil || !rep.ShardReady.Cached {
+		t.Fatalf("well-formed shard after the malformed ones: %+v, %v", rep, err)
+	}
+	rep, err := step(good)
+	if err != nil || rep.StepResult == nil || len(rep.StepResult.Exports) != 1 {
+		t.Fatalf("stepping the well-formed shard: %+v, %v", rep, err)
+	}
+	if backend.DecryptOutputs(sk, rep.StepResult.Exports)[0] {
+		t.Fatal("NAND(1, 1) decrypted to 1")
 	}
 }

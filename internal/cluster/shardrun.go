@@ -13,11 +13,11 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// This file is the sharded plan-replay path (protocol v2): the compiled
-// plan is cut into per-worker shards (internal/shard), each shipped once
-// and cached on its worker keyed by content hash. Per run the coordinator
-// routes only input and cross-shard boundary ciphertexts — O(cut edges)
-// traffic per level instead of the gate path's O(gates) operand shipping.
+// This file is the run path: the compiled plan is cut into per-worker
+// shards (internal/shard), each shipped once and cached on its worker keyed
+// by content hash. Per run the coordinator routes only input and
+// cross-shard boundary ciphertexts — O(cut edges) traffic per level, not
+// O(gates).
 
 // ShardInit asks a worker to activate a shard for the coming run,
 // resetting its runtime if resident. The worker answers ShardReady; a
@@ -114,7 +114,7 @@ func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, err
 	return s, nil
 }
 
-// shardRun is the per-run routing state of RunSharded.
+// shardRun is the per-run routing state of Run.
 type shardRun struct {
 	c        *Coordinator
 	s        *shard.Sharding
@@ -128,13 +128,14 @@ type shardRun struct {
 	stats    *Stats
 }
 
-// RunSharded executes the netlist by sharded plan replay across the
-// connected workers. The first run of a netlist compiles, splits, verifies
-// and ships; later runs at the same worker count reuse the workers' shard
-// caches and stream only input and boundary ciphertexts. Lost workers are
-// recovered by re-installing their shards on the least-loaded survivor and
-// replaying through the last completed level.
-func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+// Run executes the netlist by sharded plan replay across the connected
+// workers; it implements the backend.Backend contract. The first run of a
+// netlist compiles, splits, verifies and ships; later runs at the same
+// worker count reuse the workers' shard caches and stream only input and
+// boundary ciphertexts. Lost workers are recovered by re-installing their
+// shards on the least-loaded survivor and replaying through the last
+// completed level.
+func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if c.ck == nil {
 		return nil, fmt.Errorf("%w: run before SetKey", ErrHandshake)
 	}
@@ -219,6 +220,12 @@ func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*
 	c.totals.WorkersLost += int64(stats.WorkersLost)
 	c.mu.Unlock()
 	return outs, nil
+}
+
+// RunSharded is Run under its pre-v3 name, which the benchmark module
+// (bench/) still calls.
+func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+	return c.Run(nl, inputs)
 }
 
 // roundTrip performs one request/response exchange on a worker connection
@@ -558,6 +565,11 @@ func (w *Worker) handleShardInit(sc *shardCache, init *ShardInit) Message {
 }
 
 func (w *Worker) handleShardData(sc *shardCache, sh *shard.Shard, dim int) Message {
+	// The shard came off a socket: its counts size the runtime's value
+	// table and its refs index it, so check them before either happens.
+	if err := sh.Validate(); err != nil {
+		return Message{Error: err.Error()}
+	}
 	sc.put(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)})
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }

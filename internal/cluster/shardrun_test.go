@@ -20,7 +20,7 @@ func TestShardedAdderAndCacheHit(t *testing.T) {
 	nl := adder4()
 	for run, tc := range [][2]uint64{{5, 9}, {15, 15}} {
 		in := append(bitsOf(tc[0], 4), bitsOf(tc[1], 4)...)
-		outs, err := coord.RunSharded(nl, backend.EncryptInputs(sk, in))
+		outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,52 +56,6 @@ func TestShardedAdderAndCacheHit(t *testing.T) {
 	tot := coord.Totals()
 	if tot.ShardRuns != 2 || tot.ShardMisses == 0 || tot.ShardHits == 0 {
 		t.Fatalf("totals = %+v", tot)
-	}
-}
-
-func TestShardedMatchesGateDispatch(t *testing.T) {
-	sk, ck := keys(t)
-	coord := startCluster(t, ck, 3, 1)
-	nl := adder4()
-	in := append(bitsOf(11, 4), bitsOf(6, 4)...)
-	gateOuts, err := coord.Run(nl, backend.EncryptInputs(sk, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardOuts, err := coord.RunSharded(nl, backend.EncryptInputs(sk, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := backend.DecryptOutputs(sk, gateOuts)
-	got := backend.DecryptOutputs(sk, shardOuts)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("output %d: gate dispatch %v, sharded %v", i, want[i], got[i])
-		}
-	}
-}
-
-// TestShardedWireBelowGateDispatch is the point of the subsystem: per-run
-// boundary traffic must undercut the gate path's per-operand shipping.
-func TestShardedWireBelowGateDispatch(t *testing.T) {
-	sk, ck := keys(t)
-	coord := startCluster(t, ck, 2, 2)
-	nl := adder4()
-	in := backend.EncryptInputs(sk, bitsOf(0x5a, 8))
-	if _, err := coord.Run(nl, in); err != nil {
-		t.Fatal(err)
-	}
-	gateBytes := coord.LastStat.BytesSent
-	// Warm the shard cache, then measure a steady-state run.
-	if _, err := coord.RunSharded(nl, in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.RunSharded(nl, in); err != nil {
-		t.Fatal(err)
-	}
-	shardBytes := coord.LastStat.BoundaryBytes
-	if shardBytes >= gateBytes {
-		t.Fatalf("sharded boundary traffic %d B did not undercut gate dispatch %d B", shardBytes, gateBytes)
 	}
 }
 
@@ -173,7 +127,7 @@ func TestShardedWorkerLostRecovers(t *testing.T) {
 
 	nl := adder4()
 	in := append(bitsOf(9, 4), bitsOf(6, 4)...)
-	outs, err := coord.RunSharded(nl, backend.EncryptInputs(sk, in))
+	outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
 	if err != nil {
 		t.Fatalf("sharded run with one dying worker: %v", err)
 	}
@@ -222,7 +176,7 @@ func TestPendingCoordinatorBindsLate(t *testing.T) {
 	}
 	nl := adder4()
 	in := append(bitsOf(3, 4), bitsOf(4, 4)...)
-	outs, err := coord.RunSharded(nl, backend.EncryptInputs(sk, in))
+	outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,53 +318,4 @@ func TestDialRetryExhaustsBudget(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("gave up after %s without retrying", elapsed)
 	}
-}
-
-// TestPartitionEdgeCases pins the slot-proportional splitter on the shapes
-// the scheduler actually produces: more workers than gates, a single
-// surviving worker, an empty level.
-func TestPartitionEdgeCases(t *testing.T) {
-	cover := func(t *testing.T, level []int, parts [][]int) {
-		t.Helper()
-		seen := map[int]bool{}
-		for _, p := range parts {
-			for _, g := range p {
-				if seen[g] {
-					t.Fatalf("gate %d assigned twice: %v", g, parts)
-				}
-				seen[g] = true
-			}
-		}
-		if len(seen) != len(level) {
-			t.Fatalf("covered %d of %d gates: %v", len(seen), len(level), parts)
-		}
-	}
-	t.Run("more workers than gates", func(t *testing.T) {
-		workers := []*workerConn{{slots: 1}, {slots: 1}, {slots: 1}}
-		level := []int{7, 9}
-		parts := partition(level, workers)
-		if len(parts) != 3 {
-			t.Fatalf("%d parts for 3 workers", len(parts))
-		}
-		cover(t, level, parts)
-	})
-	t.Run("single worker", func(t *testing.T) {
-		workers := []*workerConn{{slots: 2}}
-		level := []int{0, 1, 2, 3, 4}
-		parts := partition(level, workers)
-		cover(t, level, parts)
-		if len(parts[0]) != len(level) {
-			t.Fatalf("single worker got %d of %d gates", len(parts[0]), len(level))
-		}
-	})
-	t.Run("empty level", func(t *testing.T) {
-		workers := []*workerConn{{slots: 1}, {slots: 3}}
-		parts := partition(nil, workers)
-		cover(t, nil, parts)
-		for _, p := range parts {
-			if len(p) != 0 {
-				t.Fatalf("empty level produced work: %v", parts)
-			}
-		}
-	})
 }

@@ -11,7 +11,7 @@ import (
 // Eval computes out = op(a, b, c) on eng now: a classic gate reads a and b,
 // a k-input LUT its first k operands (c may be nil below arity 3). This
 // file is the only place an executor calls the gate engine, so a new gate
-// kind or LUT arity is handled here for netlists, plans and cluster jobs
+// kind or LUT arity is handled here for netlists, plans and cluster shards
 // alike.
 func Eval(eng *gate.Engine, op gate.Op, out, a, b, c *lwe.Sample) error {
 	if op.IsLUT() {
@@ -23,9 +23,9 @@ func Eval(eng *gate.Engine, op gate.Op, out, a, b, c *lwe.Sample) error {
 
 // Batcher evaluates gate.Ops on one engine, grouping up to batch
 // bootstrapped ops per kernel dispatch (batch ≤ 1: every op evaluates on
-// its own, allocation-free). The ready driver, the plan interpreter and the
-// cluster worker all feed it; what differs between them is only where the
-// operands come from and when they flush. A Batcher belongs to one
+// its own, allocation-free). The ready driver and the plan interpreter —
+// which also runs cluster shards — feed it; what differs between them is
+// only where the operands come from and when they flush. A Batcher belongs to one
 // goroutine.
 type Batcher struct {
 	eng   *gate.Engine
@@ -57,8 +57,8 @@ func (bt *Batcher) Pending() int { return len(bt.ops) }
 // the batch fills — Pending is 0 afterwards — and Flush does on demand.
 func (bt *Batcher) Do(op gate.Op, out, a, b, c *lwe.Sample) (joined bool, err error) {
 	if op.Arity > logic.MaxLUTArity || !op.IsLUT() && op.Kind >= logic.NumKinds {
-		// Cluster tasks arrive off a socket, and the engine indexes by kind
-		// and slices by arity.
+		// Shard instructions arrive off a socket, and the engine indexes by
+		// kind and slices by arity.
 		return false, fmt.Errorf("exec: no such gate (kind %d, arity %d)", op.Kind, op.Arity)
 	}
 	if bt.batch <= 1 || !(op.IsLUT() || op.Kind.NeedsBootstrap()) {

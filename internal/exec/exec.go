@@ -3,9 +3,9 @@
 //
 //   - the evaluator: Eval computes one gate.Op now, and Batcher adds the
 //     "join the pending kernel batch, flush at size" logic on top. The ready
-//     driver here, the plan interpreter (plan.Interp) and the cluster
-//     worker all evaluate through a Batcher, so batcher.go is the only file
-//     in the executor packages that calls the gate engine;
+//     driver here and the plan interpreter (plan.Interp, which also runs
+//     cluster shards) evaluate through a Batcher, so batcher.go is the only
+//     file in the executor packages that calls the gate engine;
 //   - the three netlist drivers: RunSequential (the reference every test
 //     compares against), RunLevels (Algorithm 1 of the paper: wavefront and
 //     barrier) and RunReady (dependency-driven, critical-path order, with
@@ -93,10 +93,7 @@ func NewState(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) (*State, error
 }
 
 // Release drops one fan-out reference to a node after a reader finished
-// with it; the last reader hands the ciphertext to mem (a nil mem just
-// drops the table entry for the garbage collector — the cluster
-// coordinator's ciphertexts come from remote workers and have no local
-// free list).
+// with it; the last reader hands the ciphertext to mem and clears the slot.
 // Constants and inputs are never released. The decrement is atomic, so any
 // number of workers may release concurrently; every reader decrements only
 // after finishing its own evaluation, so nobody can still be reading a
@@ -106,9 +103,7 @@ func (s *State) Release(id circuit.NodeID, mem *Pool) {
 		return
 	}
 	if atomic.AddInt32(&s.refs[id], -1) == 0 {
-		if mem != nil {
-			mem.Put(s.Values[id])
-		}
+		mem.Put(s.Values[id])
 		s.Values[id] = nil
 	}
 }

@@ -176,7 +176,7 @@ func TestStateReleaseHoldsOutputs(t *testing.T) {
 	if len(outs) != 2 {
 		t.Fatalf("collected %d outputs, want 2", len(outs))
 	}
-	st.Release(mid, nil) // the output reference; nil Memory just drops it
+	st.Release(mid, mem) // the output reference
 	if st.Values[mid] != nil {
 		t.Fatal("last release must clear the slot")
 	}

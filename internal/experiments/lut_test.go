@@ -1,16 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"pytfhe/internal/backend"
-	"pytfhe/internal/params"
 	"pytfhe/internal/synth"
-	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/lwe"
-	"pytfhe/internal/trand"
 )
 
 // TestLUTBenchNetlistClusters pins the bench workload's shape: 11
@@ -54,51 +47,5 @@ func TestLUTBenchNetlistClusters(t *testing.T) {
 				t.Fatalf("seed %#x output %d: clustered %v, classic %v", seed, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestLUTSweepBenchMeasured runs the sweep end to end with test keys and
-// checks every serialized field is filled and the parity guard's hard
-// invariant holds on a fresh report.
-func TestLUTSweepBenchMeasured(t *testing.T) {
-	rng := trand.NewSeeded([]byte("lut-sweep-test"))
-	sk, ck, err := boot.GenerateKeys(params.Test(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encrypt := func(bits []bool) []*lwe.Sample { return backend.EncryptInputs(sk, bits) }
-	r, err := LUTSweepBench(ck, encrypt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OffBootstraps == 0 || r.OnBootstraps == 0 || r.OnLUTs == 0 {
-		t.Fatalf("sweep not measured: %+v", r)
-	}
-	if r.OffBootstrapsPerSec <= 0 || r.OnBootstrapsPerSec <= 0 {
-		t.Fatalf("throughput not measured: %+v", r)
-	}
-	if r.BootstrapReduction < 2 {
-		t.Fatalf("bootstrap reduction %.2fx below the 2x floor", r.BootstrapReduction)
-	}
-
-	// The parity guard accepts the fresh report against itself and against
-	// a pre-LUT baseline with no lut_sweep block.
-	base := &PlanBenchReport{LUT: r}
-	if err := CheckPlanParity(&PlanBenchReport{LUT: r}, base, 0.10); err != nil {
-		t.Fatalf("parity guard rejected a self-comparison: %v", err)
-	}
-	if err := CheckPlanParity(&PlanBenchReport{LUT: r}, &PlanBenchReport{}, 0.10); err != nil {
-		t.Fatalf("parity guard rejected a pre-LUT baseline: %v", err)
-	}
-	weak := *r
-	weak.BootstrapReduction = 1.5
-	if err := CheckPlanParity(&PlanBenchReport{LUT: &weak}, base, 0.10); err == nil {
-		t.Fatal("parity guard accepted a sub-2x reduction")
-	}
-
-	var buf bytes.Buffer
-	RenderLUTSweep(&buf, r)
-	if !strings.Contains(buf.String(), "fewer with -lut") {
-		t.Fatalf("render missing reduction line: %s", buf.String())
 	}
 }

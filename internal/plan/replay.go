@@ -102,7 +102,7 @@ type Counts struct {
 
 // Interp is the one interpreter of plan instructions: it resolves each
 // instruction's slots in a value table and hands the operation to an
-// exec.Batcher, the evaluator plans share with netlists and cluster jobs.
+// exec.Batcher, the evaluator plans share with netlists.
 // Replay, the serving scheduler's workers and shard runtimes all run
 // instructions through it. An Interp belongs to one goroutine.
 type Interp struct {

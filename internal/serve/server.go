@@ -788,7 +788,7 @@ func (s *Server) evaluateCluster(sess *session, entry *programEntry, inputs []*l
 		atomic.AddInt64(&s.clusterFallbacks, 1)
 		return nil, false
 	}
-	outs, err := s.coord.RunSharded(entry.prog.Netlist, inputs)
+	outs, err := s.coord.Run(entry.prog.Netlist, inputs)
 	if err != nil {
 		atomic.AddInt64(&s.clusterFallbacks, 1)
 		return nil, false
@@ -799,7 +799,7 @@ func (s *Server) evaluateCluster(sess *session, entry *programEntry, inputs []*l
 
 // clusterWorkersUp waits (once, bounded by ClusterJoinWait) for the
 // configured worker count to join. A pool that never comes up is a sticky
-// failure; a pool that came up once is trusted from then on — RunSharded
+// failure; a pool that came up once is trusted from then on — Run
 // itself tolerates losses down to a single surviving worker.
 func (s *Server) clusterWorkersUp() bool {
 	s.cmu.Lock()

@@ -11,9 +11,9 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// WorkerBatch is how many bootstrapped operations of an engine's share of a
-// level (or, in cluster gate dispatch, of a job) share one kernel dispatch
-// on a cluster worker — the value pytfhed defaults to.
+// WorkerBatch is how many bootstrapped instructions of an engine's share of
+// a shard level share one kernel dispatch on a cluster worker — the value
+// pytfhed defaults to.
 const WorkerBatch = 16
 
 // Runtime is the worker-side replay state for one shard: a value table

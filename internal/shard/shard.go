@@ -1,16 +1,16 @@
 // Package shard partitions a compiled plan.Plan into per-worker shards so
-// the cluster coordinator can become a data-plane router instead of a gate
-// dispatcher. The cut follows the plan's existing static level partition:
-// shard w owns batch columns j ≡ w (mod n) of every level, so the
-// compiler's heaviest-first balance carries over and the split itself is a
-// single linear walk. Each shard is a self-contained replay program — its
+// the cluster coordinator is a data-plane router, not a gate dispatcher.
+// The cut follows the plan's existing static level partition: shard w owns
+// batch columns j ≡ w (mod n) of every level, so the compiler's
+// heaviest-first balance carries over and the split itself is a single
+// linear walk. Each shard is a self-contained replay program — its
 // instructions renumbered into a private value table of remote-input slots
 // (values produced elsewhere: run inputs and cross-shard boundary values)
 // followed by local arena slots — plus a per-level export manifest naming
 // the values other shards or the run outputs will consume. The shard is
 // shipped to its worker once, keyed by content hash, and cached across
-// runs; per run only the boundary traffic moves: O(cut edges) ciphertexts
-// instead of the legacy path's O(gates).
+// runs; per run only the boundary traffic moves: O(cut edges) ciphertexts,
+// not O(gates).
 //
 // This is the distributed-inference shape the paper reaches with Ray
 // actors and CHET reaches with its compiler/runtime split: the expensive
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pytfhe/internal/logic"
 	"pytfhe/internal/plan"
 )
 
@@ -56,6 +57,58 @@ type Shard struct {
 	// after level l executes, in manifest order (the router pairs them
 	// with Sharding.ExportIDs[shard][l] by position).
 	Exports [][]int32
+}
+
+// Validate checks that sh is safe to run: non-negative slot counts no
+// larger than its instructions can use, one export manifest per level,
+// every instruction writing a local slot and reading in-table refs at a
+// LUT arity the engine has, and every export naming a local slot. A shard
+// reaches a worker off a socket, and its counts size the runtime's value
+// table; Validate keeps a malformed one from panicking the worker. It
+// checks shape only — whether the shard computes its plan is Verify's job.
+func (sh *Shard) Validate() error {
+	if sh.NumRemote < 0 || sh.NumLocal < 0 {
+		return fmt.Errorf("%w: shard %d has %d remote and %d local slots", ErrShape, sh.Index, sh.NumRemote, sh.NumLocal)
+	}
+	if len(sh.Exports) != len(sh.Levels) {
+		return fmt.Errorf("%w: shard %d has %d levels but %d export manifests", ErrShape, sh.Index, len(sh.Levels), len(sh.Exports))
+	}
+	// Every local slot is some instruction's output and every remote slot
+	// some instruction's operand.
+	instrs := 0
+	for _, lv := range sh.Levels {
+		instrs += len(lv)
+	}
+	if sh.NumLocal > instrs || sh.NumRemote > logic.MaxLUTArity*instrs {
+		return fmt.Errorf("%w: shard %d has %d remote and %d local slots for %d instrs", ErrShape, sh.Index, sh.NumRemote, sh.NumLocal, instrs)
+	}
+	nRefs := int32(sh.NumRemote + sh.NumLocal)
+	for li, lv := range sh.Levels {
+		for k, ins := range lv {
+			if ins.Out < int32(sh.NumRemote) || ins.Out >= nRefs {
+				return fmt.Errorf("%w: shard %d level %d instr %d writes ref %d (locals are [%d,%d))",
+					ErrShape, sh.Index, li, k, ins.Out, sh.NumRemote, nRefs)
+			}
+			if ins.A < 0 || ins.A >= nRefs || ins.B < 0 || ins.B >= nRefs {
+				return fmt.Errorf("%w: shard %d level %d instr %d reads refs %d,%d (valid range [0,%d))",
+					ErrShape, sh.Index, li, k, ins.A, ins.B, nRefs)
+			}
+			if ins.Arity != 0 && (ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity) {
+				return fmt.Errorf("%w: shard %d level %d instr %d has LUT arity %d", ErrShape, sh.Index, li, k, ins.Arity)
+			}
+			if ins.Arity >= 3 && (ins.C < 0 || ins.C >= nRefs) {
+				return fmt.Errorf("%w: shard %d level %d instr %d reads LUT ref %d (valid range [0,%d))",
+					ErrShape, sh.Index, li, k, ins.C, nRefs)
+			}
+		}
+		for k, ref := range sh.Exports[li] {
+			if ref < int32(sh.NumRemote) || ref >= nRefs {
+				return fmt.Errorf("%w: shard %d level %d export %d names ref %d (locals are [%d,%d))",
+					ErrShape, sh.Index, li, k, ref, sh.NumRemote, nRefs)
+			}
+		}
+	}
+	return nil
 }
 
 // Fill instructs the router to install one value into a shard's
@@ -95,7 +148,7 @@ type Sharding struct {
 	Outputs []OutputSrc
 	// CutEdges counts the distinct boundary values streamed back to the
 	// router per run — the wire traffic the decomposition pays instead of
-	// the legacy path's per-gate operand shipping.
+	// per-gate operand shipping.
 	CutEdges int
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pytfhe/internal/logic"
 	"pytfhe/internal/plan"
 )
 
@@ -84,45 +83,30 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 	}
 	report := &VerifyReport{Shards: n, CutEdges: s.CutEdges}
 
-	// Structural pass: shapes, ref ranges, manifest alignment, and that
-	// the per-level instruction counts across shards add up to the plan's.
+	// Structural pass: each shard's own shape (Validate), manifest
+	// alignment, and that the per-level instruction counts across shards
+	// add up to the plan's.
 	seenExport := make([]bool, s.CutEdges)
 	for w, sh := range s.Shards {
-		if sh == nil || len(sh.Levels) != len(levels) || len(sh.Exports) != len(levels) {
+		if sh == nil {
+			return nil, fmt.Errorf("%w: shard %d is nil", ErrShape, w)
+		}
+		if len(sh.Levels) != len(levels) {
 			return nil, fmt.Errorf("%w: shard %d has %d levels, plan has %d", ErrShape, w, len(sh.Levels), len(levels))
+		}
+		if err := sh.Validate(); err != nil {
+			return nil, err
 		}
 		if len(s.Fills[w]) != len(levels) || len(s.ExportIDs[w]) != len(levels) {
 			return nil, fmt.Errorf("%w: shard %d manifest not level-aligned", ErrShape, w)
 		}
-		nRefs := int32(sh.NumRemote + sh.NumLocal)
 		for li := range sh.Levels {
-			for k, ins := range sh.Levels[li] {
-				report.Instructions++
-				if ins.Out < int32(sh.NumRemote) || ins.Out >= nRefs {
-					return nil, fmt.Errorf("%w: shard %d level %d instr %d writes ref %d (locals are [%d,%d))",
-						ErrShape, w, li, k, ins.Out, sh.NumRemote, nRefs)
-				}
-				if ins.A < 0 || ins.A >= nRefs || ins.B < 0 || ins.B >= nRefs {
-					return nil, fmt.Errorf("%w: shard %d level %d instr %d reads refs %d,%d (valid range [0,%d))",
-						ErrShape, w, li, k, ins.A, ins.B, nRefs)
-				}
-				if ins.Arity != 0 && (ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity) {
-					return nil, fmt.Errorf("%w: shard %d level %d instr %d has LUT arity %d", ErrShape, w, li, k, ins.Arity)
-				}
-				if ins.Arity >= 3 && (ins.C < 0 || ins.C >= nRefs) {
-					return nil, fmt.Errorf("%w: shard %d level %d instr %d reads LUT ref %d (valid range [0,%d))",
-						ErrShape, w, li, k, ins.C, nRefs)
-				}
-			}
+			report.Instructions += len(sh.Levels[li])
 			if len(sh.Exports[li]) != len(s.ExportIDs[w][li]) {
 				return nil, fmt.Errorf("%w: shard %d level %d exports %d refs but %d ids",
 					ErrShape, w, li, len(sh.Exports[li]), len(s.ExportIDs[w][li]))
 			}
-			for k, ref := range sh.Exports[li] {
-				if ref < int32(sh.NumRemote) || ref >= nRefs {
-					return nil, fmt.Errorf("%w: shard %d level %d export %d names ref %d (locals are [%d,%d))",
-						ErrShape, w, li, k, ref, sh.NumRemote, nRefs)
-				}
+			for k := range sh.Exports[li] {
 				e := s.ExportIDs[w][li][k]
 				if e < 0 || int(e) >= s.CutEdges {
 					return nil, fmt.Errorf("%w: shard %d level %d export id %d outside [0,%d)", ErrShape, w, li, e, s.CutEdges)

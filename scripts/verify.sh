@@ -18,8 +18,8 @@ fi
 go vet ./...
 go build ./...
 
-# One evaluator: a netlist gate, a plan instruction and a cluster task all
-# reach the gate engine through exec.Batcher. A second file under the
+# One evaluator: a netlist gate and a plan or shard instruction all reach
+# the gate engine through exec.Batcher. A second file under the
 # executor packages calling the engine on IR operands is a forked dispatcher.
 evaluators=$(find internal/exec internal/plan internal/shard internal/cluster internal/backend internal/serve \
     -name '*.go' ! -name '*_test.go' -exec grep -lE 'eng\.(Binary|LUT|OpBatch)\(' {} +)
