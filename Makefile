@@ -58,12 +58,11 @@ bench:
 
 # Kernel hot-path microbenchmarks of the one polynomial engine: the
 # forward/inverse half-complex negacyclic transforms and pointwise
-# multiply-accumulates, the CMux blind-rotation step at batch sizes 1..64,
-# and the end-to-end bootstrap sweep over the same sizes (what streaming
-# each bootstrapping-key entry once per batch saves).
+# multiply-accumulates, and the CMux blind-rotation step at batch sizes
+# 1..64. The gate and batched-bootstrap figures are bench/ probes
+# (gate.binary_ns, boot.batch1_ns, boot.batch16_ns; see bench/README.md).
 bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/
-	go test -bench 'BenchmarkBatchBootstrap' -benchmem -run '^$$' .
 
 # Race-checked tests of the bootstrap engine's batch entry points:
 # a batch of N is bit-exact with N single calls and with the

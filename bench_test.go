@@ -5,12 +5,9 @@
 package pytfhe_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"pytfhe/internal/backend"
 	"pytfhe/internal/chiseltorch"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/core"
@@ -23,8 +20,6 @@ import (
 	"pytfhe/internal/params"
 	"pytfhe/internal/sched"
 	"pytfhe/internal/synth"
-	"pytfhe/internal/tfhe/gate"
-	"pytfhe/internal/trand"
 	"pytfhe/internal/vipbench"
 )
 
@@ -32,110 +27,6 @@ import (
 // workloads and a fixed nominal gate time so results are stable across
 // machines.
 var benchCfg = experiments.Config{Quick: true, GateTime: 15 * time.Millisecond}
-
-// Keys at test parameters, generated once.
-var (
-	keyOnce sync.Once
-	keyPair *core.KeyPair
-)
-
-func testKeys(b *testing.B) *core.KeyPair {
-	keyOnce.Do(func() {
-		kp, err := core.GenerateKeysSeeded(params.Test(), []byte("bench-keys"))
-		if err != nil {
-			panic(err)
-		}
-		keyPair = kp
-	})
-	return keyPair
-}
-
-// --- crypto microbenchmarks (the calibration quantities) ---
-
-// BenchmarkGateBootstrapTestParams times one bootstrapped NAND at the fast
-// test parameter set.
-func BenchmarkGateBootstrapTestParams(b *testing.B) {
-	kp := testKeys(b)
-	benchGate(b, kp)
-}
-
-// BenchmarkGateBootstrapDefault128 times one bootstrapped NAND at the
-// production 128-bit parameters — the calibration point for every
-// simulated platform (Fig. 7's total).
-func BenchmarkGateBootstrapDefault128(b *testing.B) {
-	kp, err := core.GenerateKeysSeeded(params.Default128(), []byte("bench-full"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchGate(b, kp)
-}
-
-func benchGate(b *testing.B, kp *core.KeyPair) {
-	eng := gate.NewEngine(kp.Cloud)
-	rng := trand.NewSeeded([]byte("bench"))
-	x := gate.NewCiphertext(kp.Cloud.Params)
-	y := gate.NewCiphertext(kp.Cloud.Params)
-	out := gate.NewCiphertext(kp.Cloud.Params)
-	gate.Encrypt(x, true, kp.Secret, rng)
-	gate.Encrypt(y, false, kp.Secret, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Binary(logic.NAND, out, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBatchBootstrap measures what batching buys on the one bootstrap
-// engine: each iteration evaluates 64 independent NAND gates, one Binary
-// call at a time ("single") and in BinaryBatch chunks of 1, 4, 16 and 64.
-// Single and batch-1 run the same pipeline and coincide; larger batches
-// gain only the key-streaming amortisation (each bootstrapping-key entry
-// loaded once per batch). The figure of merit is boots/s.
-func BenchmarkBatchBootstrap(b *testing.B) {
-	kp := testKeys(b)
-	rng := trand.NewSeeded([]byte("bench-batch"))
-	const lanes = 64
-	kinds := make([]logic.Kind, lanes)
-	xs := make([]*gate.Ciphertext, lanes)
-	ys := make([]*gate.Ciphertext, lanes)
-	outs := make([]*gate.Ciphertext, lanes)
-	for m := 0; m < lanes; m++ {
-		kinds[m] = logic.NAND
-		xs[m] = gate.NewCiphertext(kp.Cloud.Params)
-		ys[m] = gate.NewCiphertext(kp.Cloud.Params)
-		outs[m] = gate.NewCiphertext(kp.Cloud.Params)
-		gate.Encrypt(xs[m], m%2 == 0, kp.Secret, rng)
-		gate.Encrypt(ys[m], m%3 == 0, kp.Secret, rng)
-	}
-	b.Run("single", func(b *testing.B) {
-		eng := gate.NewEngine(kp.Cloud)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for m := 0; m < lanes; m++ {
-				if err := eng.Binary(kinds[m], outs[m], xs[m], ys[m]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*lanes)/b.Elapsed().Seconds(), "boots/s")
-	})
-	for _, size := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			eng := gate.NewEngine(kp.Cloud)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < lanes; lo += size {
-					if err := eng.BinaryBatch(kinds[lo:lo+size], outs[lo:lo+size], xs[lo:lo+size], ys[lo:lo+size]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*lanes)/b.Elapsed().Seconds(), "boots/s")
-		})
-	}
-}
 
 // BenchmarkKeyGenerationTestParams times full key generation (bootstrapping
 // key in the half-complex domain plus the key-switching key).
@@ -255,140 +146,6 @@ func BenchmarkFig14GateDistribution(b *testing.B) {
 		}
 		b.ReportMetric(float64(d.Counts["pytfhe"])/float64(d.Counts["cingulata"]), "vs-cingulata")
 		b.ReportMetric(float64(d.Counts["pytfhe"])/float64(d.Counts["e3"]), "vs-e3")
-	}
-}
-
-// --- end-to-end execution benchmarks ---
-
-// BenchmarkPoolBackend measures real homomorphic throughput of the
-// wavefront pool backend on a VIP-Bench kernel at test parameters.
-func BenchmarkPoolBackend(b *testing.B) {
-	kp := testKeys(b)
-	bench, err := vipbench.ByName("hamming-distance")
-	if err != nil {
-		b.Fatal(err)
-	}
-	nl, err := bench.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := make([]uint64, len(bench.InputBits))
-	bits, _ := bench.EncodeInputs(vals)
-	be := backend.NewPool(kp.Cloud, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(be.Stats.GatesPerSec, "gates/s")
-		b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
-	}
-}
-
-// rippleImbalanced builds a deep, irregular netlist of ripple-carry-style
-// serial chains with unequal depths. Most wavefronts hold five ready gates
-// — one more than the four benchmark workers — so the barriered executor
-// pays a nearly-empty second round per level (three workers idle on the
-// remainder gate), while the dependency-driven executor streams the next
-// level's ready gates into that slack.
-func rippleImbalanced() *circuit.Netlist {
-	b := circuit.NewBuilder("ripple-imbalanced", circuit.NoOptimizations())
-	depths := []int{30, 30, 30, 30, 30, 12, 6}
-	ins := b.Inputs("x", len(depths)+1)
-	for c, depth := range depths {
-		cur := ins[c]
-		for d := 0; d < depth; d++ {
-			cur = b.Gate(logic.NAND, cur, ins[len(depths)])
-		}
-		b.Output("o", cur)
-	}
-	return b.MustBuild()
-}
-
-// BenchmarkAsyncBackend compares the barriered Pool and the barrier-free
-// Async executor at equal worker counts on the imbalanced ripple workload
-// (real homomorphic evaluation at test parameters). The async executor
-// must report strictly higher throughput at ≥4 workers.
-func BenchmarkAsyncBackend(b *testing.B) {
-	kp := testKeys(b)
-	nl := rippleImbalanced()
-	bits := make([]bool, nl.NumInputs)
-	const workers = 4
-	b.Run("pool-4w", func(b *testing.B) {
-		be := backend.NewPool(kp.Cloud, workers)
-		for i := 0; i < b.N; i++ {
-			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(be.Stats.GatesPerSec, "gates/s")
-			b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
-		}
-	})
-	b.Run("async-4w", func(b *testing.B) {
-		be := backend.NewAsync(kp.Cloud, workers, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(be.Stats.GatesPerSec, "gates/s")
-			b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
-			b.ReportMetric(100*be.Stats.Utilization, "util-%")
-			b.ReportMetric(float64(be.Stats.AvgQueueWait.Microseconds()), "qwait-µs")
-		}
-	})
-}
-
-// BenchmarkPlannedReplay compares the capture/replay backend against the
-// dynamic executor on the imbalanced ripple workload: plan replay (on the
-// same slice scheduler pytfhed serves from) vs the barrier-free Async
-// executor, both at four workers. Boots/s is logical bootstraps per second — the program's
-// effective throughput. The plan backend must report ≥1.2× Async: capture
-// pays the scheduling and the exact functional deduplication once, so
-// replay executes only the netlist's distinct boolean functions (the
-// periodic NAND chains collapse from 168 logical bootstraps to 14).
-func BenchmarkPlannedReplay(b *testing.B) {
-	kp := testKeys(b)
-	nl := rippleImbalanced()
-	bits := make([]bool, nl.NumInputs)
-	const workers = 4
-	b.Run("async-4w", func(b *testing.B) {
-		be := backend.NewAsync(kp.Cloud, workers, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
-		}
-	})
-	b.Run("plan-4w", func(b *testing.B) {
-		be := backend.NewPlanned(kp.Cloud, workers, 1)
-		defer be.Close()
-		// Warm-up run pays the capture; the timed runs replay the cache.
-		if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := be.Run(nl, kp.EncryptBits(bits)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(be.Stats.BootstrapsPerSec, "boots/s")
-			b.ReportMetric(float64(be.PlanStats.ExecBootstraps), "exec-bootstraps")
-		}
-	})
-}
-
-// BenchmarkCompileMNISTS measures ChiselTorch compile time for the scaled
-// MNIST_S model.
-func BenchmarkCompileMNISTS(b *testing.B) {
-	spec := models.MNISTS().Scaled(10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, err := vipbench.CompileMNIST(spec, chiseltorch.NewFixed(8, 8))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(w.Netlist.Gates)), "gates")
 	}
 }
 

@@ -6,10 +6,12 @@
 //	pytfhelint -list          # show the analyzers and exit
 //
 // The suite type-checks every package with only the standard library and
-// reports crypto-safety and concurrency-hygiene defects: insecure-rand,
-// discarded-error, locked-bootstrap, leaked-ciphertext,
-// unsynced-exec-state and batch-alias. Exit status is 0 when no findings
-// survive, 1 when findings are reported, 2 on usage or load errors.
+// reports crypto-safety and concurrency-hygiene defects with five
+// analyzers: insecure-rand, discarded-error, locked-bootstrap,
+// leaked-ciphertext and unsynced-exec-state (DESIGN.md §8 names the bug
+// planted in the tree that each one reports). Exit status is 0 when no
+// findings survive, 1 when findings are reported, 2 on usage or load
+// errors.
 package main
 
 import (

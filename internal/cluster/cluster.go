@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"pytfhe/internal/qos"
 	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
@@ -148,12 +149,13 @@ type Coordinator struct {
 	mu       sync.Mutex
 	workers  []*workerConn
 	pending  []*workerConn // greeted before the key was bound (serve path)
-	plans    map[shardKey]*shard.Sharding
+	plans    *qos.LRU      // "<netlist address>/<worker count>" → *shardPlan
 	totals   Totals
 	LastStat Stats
-	// JobTimeout is the read deadline of one exchange with a worker (a
-	// shard install or one level step; a recovery replay gets one per
-	// replayed level). A worker that misses it is declared lost and its
+	// JobTimeout is the read deadline of one exchange with a worker (its
+	// Hello, a shard install or one level step; a recovery replay gets one
+	// per replayed level). A peer that misses it in the handshake is
+	// rejected; a worker that misses it mid-run is declared lost and its
 	// shards are re-hosted on the survivors. Zero means DefaultJobTimeout.
 	JobTimeout time.Duration
 }
@@ -188,7 +190,7 @@ func NewPendingCoordinator(addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	return &Coordinator{ln: ln}, nil
+	return &Coordinator{ln: ln, plans: qos.NewLRU(planCacheEntries)}, nil
 }
 
 // SetKey binds the cloud key and completes the handshake of every parked
@@ -213,29 +215,27 @@ func (c *Coordinator) SetKey(ck *boot.CloudKey) error {
 	}
 	c.ck = ck
 	c.keyHash = hash
-	parked := c.pending
-	c.pending = nil
 	c.mu.Unlock()
-	for _, w := range parked {
-		if err := c.finishJoin(w); err != nil {
-			// Audited (see DESIGN.md §13): the parked conn failed its own
-			// handshake; dropping it cannot hurt the coordinator.
-			//lint:ignore discarded-error evicting a peer that failed its handshake
-			w.conn.Close()
-		}
-	}
+	c.drainPending()
 	return nil
 }
 
 // Addr returns the coordinator's listening address.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// greet wraps a fresh connection in a byte meter and validates its Hello.
-func greet(conn net.Conn) (*workerConn, error) {
+// greet wraps a fresh connection in a byte meter and validates its Hello,
+// which must arrive within the job timeout: a peer that connects and never
+// speaks cannot hold a join forever. A peer that fails is closed.
+func (c *Coordinator) greet(conn net.Conn) (w *workerConn, err error) {
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, conn.Close())
+		}
+	}()
 	m := wire.NewMeter(conn)
-	w := &workerConn{conn: conn, meter: m, enc: gob.NewEncoder(m), dec: gob.NewDecoder(m)}
-	var hello Message
-	if err := w.dec.Decode(&hello); err != nil || hello.Hello == nil {
+	w = &workerConn{conn: conn, meter: m, enc: gob.NewEncoder(m), dec: gob.NewDecoder(m)}
+	hello, err := receive(w, c.jobTimeout())
+	if err != nil || hello.Hello == nil {
 		return nil, fmt.Errorf("%w: bad hello from %s: %v", ErrHandshake, conn.RemoteAddr(), err)
 	}
 	if v := hello.Hello.Version; v != ProtoVersion {
@@ -252,8 +252,13 @@ func greet(conn net.Conn) (*workerConn, error) {
 }
 
 // finishJoin completes a greeted worker's handshake: Welcome, then the key
-// broadcast, then roster admission.
-func (c *Coordinator) finishJoin(w *workerConn) error {
+// broadcast, then roster admission. A peer that fails is closed.
+func (c *Coordinator) finishJoin(w *workerConn) (err error) {
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, w.conn.Close())
+		}
+	}()
 	c.mu.Lock()
 	ck, hash := c.ck, c.keyHash
 	c.mu.Unlock()
@@ -283,12 +288,12 @@ func (c *Coordinator) AcceptWorkers(n int) error {
 		if err != nil {
 			return fmt.Errorf("cluster: accept: %w", err)
 		}
-		w, err := greet(conn)
+		w, err := c.greet(conn)
 		if err != nil {
-			return errors.Join(err, conn.Close())
+			return err
 		}
 		if err := c.finishJoin(w); err != nil {
-			return errors.Join(err, conn.Close())
+			return err
 		}
 	}
 	return nil
@@ -305,26 +310,34 @@ func (c *Coordinator) ServeJoins() {
 			return // listener closed: Coordinator.Close
 		}
 		go func(conn net.Conn) {
-			w, err := greet(conn)
+			w, err := c.greet(conn)
 			if err != nil {
-				// Audited (see DESIGN.md §13): a peer that failed its hello
-				// was never admitted; nothing to report to.
-				//lint:ignore discarded-error evicting a peer that failed its handshake
-				conn.Close()
-				return
+				return // greet closed the peer
 			}
 			c.mu.Lock()
-			if c.ck == nil {
-				c.pending = append(c.pending, w)
-				c.mu.Unlock()
-				return
-			}
+			c.pending = append(c.pending, w)
 			c.mu.Unlock()
-			if err := c.finishJoin(w); err != nil {
-				//lint:ignore discarded-error evicting a peer that failed its handshake
-				conn.Close()
-			}
+			c.drainPending()
 		}(conn)
+	}
+}
+
+// drainPending completes the handshake of every parked worker once the key
+// is bound. A peer that fails here was never admitted and finishJoin has
+// closed it; nothing waits on its error, so the others simply carry on.
+func (c *Coordinator) drainPending() {
+	c.mu.Lock()
+	if c.ck == nil {
+		c.mu.Unlock()
+		return
+	}
+	parked := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	for _, w := range parked {
+		if err := c.finishJoin(w); err != nil {
+			continue
+		}
 	}
 }
 
@@ -445,10 +458,15 @@ func (c *Coordinator) roster() (workers []*workerConn, slots int, timeout time.D
 	for _, w := range workers {
 		slots += w.slots
 	}
-	if timeout = c.JobTimeout; timeout <= 0 {
-		timeout = DefaultJobTimeout
+	return workers, slots, c.jobTimeout(), nil
+}
+
+// jobTimeout is the read deadline of one exchange with a worker.
+func (c *Coordinator) jobTimeout() time.Duration {
+	if c.JobTimeout > 0 {
+		return c.JobTimeout
 	}
-	return workers, slots, timeout, nil
+	return DefaultJobTimeout
 }
 
 // Worker joins a coordinator and serves shard installs and level steps
@@ -459,8 +477,8 @@ type Worker struct {
 	// with capped exponential backoff until the budget runs out, then
 	// fails with ErrDial. Zero means DefaultDialTimeout.
 	DialTimeout time.Duration
-	// ShardCache caps the cross-run shard cache (least recently
-	// initialized shard evicted first). Zero means DefaultShardCache.
+	// ShardCache caps the cross-run shard cache at this many shards (least
+	// recently used evicted first). Zero means DefaultShardCache.
 	ShardCache int
 }
 
@@ -560,7 +578,11 @@ func (w *Worker) Serve(addr string) error {
 	for i := range engines {
 		engines[i] = gate.NewEngine(ck)
 	}
-	shards := newShardCache(w.ShardCache)
+	capacity := w.ShardCache
+	if capacity < 1 {
+		capacity = DefaultShardCache
+	}
+	shards := qos.NewLRU(int64(capacity)) // hash → *shardEntry, one unit each
 	dim := ck.Params.LWEDimension
 
 	for {

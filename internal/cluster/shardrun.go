@@ -8,6 +8,7 @@ import (
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/exec"
 	"pytfhe/internal/plan"
+	"pytfhe/internal/qos"
 	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
@@ -66,12 +67,18 @@ type ShardReplay struct {
 	Steps   []ShardStep
 }
 
-// shardKey keys the coordinator's per-netlist sharding cache: the same
-// netlist evaluated at a different live-worker count recompiles, the same
-// count reuses the decomposition (and therefore the workers' shard caches).
-type shardKey struct {
-	nl *circuit.Netlist
-	n  int
+// planCacheEntries bounds the coordinator's sharding cache: a daemon
+// serving many programs keeps only the most recently run netlist × worker
+// count decompositions (plan and shards) instead of every one it has seen.
+const planCacheEntries = 16
+
+// shardPlan is one entry of the coordinator's sharding cache, keyed by the
+// netlist's address and the worker count: the same netlist evaluated at a
+// different live-worker count recompiles; the same count reuses the
+// decomposition (and therefore the workers' shard caches).
+type shardPlan struct {
+	nl *circuit.Netlist // pins the address, so no other netlist can take it while the entry lives
+	s  *shard.Sharding
 }
 
 // workerAppError is a worker-reported evaluation failure: the connection
@@ -84,18 +91,15 @@ func (e *workerAppError) Error() string { return "cluster: worker: " + e.msg }
 // sharding returns the cached decomposition of nl into n shards, building
 // (compile → split → verify) on first use.
 func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, error) {
-	key := shardKey{nl: nl, n: n}
-	c.mu.Lock()
-	s := c.plans[key]
-	c.mu.Unlock()
-	if s != nil {
-		return s, nil
+	key := fmt.Sprintf("%p/%d", nl, n)
+	if v, ok := c.plans.Get(key); ok {
+		return v.(*shardPlan).s, nil
 	}
 	p, err := plan.Compile(nl, n)
 	if err != nil {
 		return nil, err
 	}
-	s, err = shard.Split(p, n)
+	s, err := shard.Split(p, n)
 	if err != nil {
 		return nil, err
 	}
@@ -105,12 +109,7 @@ func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, err
 	if _, err := shard.Verify(p, s); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if c.plans == nil {
-		c.plans = make(map[shardKey]*shard.Sharding)
-	}
-	c.plans[key] = s
-	c.mu.Unlock()
+	c.plans.Add(key, &shardPlan{nl: nl, s: s}, 1)
 	return s, nil
 }
 
@@ -235,6 +234,12 @@ func roundTrip(w *workerConn, msg Message, timeout time.Duration) (Message, erro
 	if err := w.enc.Encode(msg); err != nil {
 		return Message{}, fmt.Errorf("cluster: send to %s: %w", w.conn.RemoteAddr(), err)
 	}
+	return receive(w, timeout)
+}
+
+// receive decodes the next message from a worker connection under a read
+// deadline.
+func receive(w *workerConn, timeout time.Duration) (Message, error) {
 	if err := w.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Message{}, fmt.Errorf("cluster: deadline on %s: %w", w.conn.RemoteAddr(), err)
 	}
@@ -512,51 +517,15 @@ type shardEntry struct {
 	rt *shard.Runtime
 }
 
-// shardCache is the worker's cross-run shard cache: least recently
-// initialized out first once capacity is hit.
-type shardCache struct {
-	cap   int
-	ents  map[string]*shardEntry
-	order []string // LRU order, most recent last
-}
-
-func newShardCache(capacity int) *shardCache {
-	if capacity < 1 {
-		capacity = DefaultShardCache
-	}
-	return &shardCache{cap: capacity, ents: make(map[string]*shardEntry)}
-}
-
-func (sc *shardCache) touch(hash string) {
-	for k, h := range sc.order {
-		if h == hash {
-			sc.order = append(sc.order[:k], sc.order[k+1:]...)
-			break
-		}
-	}
-	sc.order = append(sc.order, hash)
-}
-
-func (sc *shardCache) get(hash string) *shardEntry {
-	ent := sc.ents[hash]
-	if ent != nil {
-		sc.touch(hash)
-	}
+// cachedShard returns the resident shard with the given hash, or nil.
+func cachedShard(sc *qos.LRU, hash string) *shardEntry {
+	v, _ := sc.Get(hash)
+	ent, _ := v.(*shardEntry)
 	return ent
 }
 
-func (sc *shardCache) put(hash string, ent *shardEntry) {
-	sc.ents[hash] = ent
-	sc.touch(hash)
-	for len(sc.order) > sc.cap {
-		evict := sc.order[0]
-		sc.order = sc.order[1:]
-		delete(sc.ents, evict)
-	}
-}
-
-func (w *Worker) handleShardInit(sc *shardCache, init *ShardInit) Message {
-	ent := sc.get(init.Hash)
+func (w *Worker) handleShardInit(sc *qos.LRU, init *ShardInit) Message {
+	ent := cachedShard(sc, init.Hash)
 	if ent == nil {
 		return Message{ShardReady: &ShardReady{Hash: init.Hash, Cached: false}}
 	}
@@ -564,13 +533,13 @@ func (w *Worker) handleShardInit(sc *shardCache, init *ShardInit) Message {
 	return Message{ShardReady: &ShardReady{Hash: init.Hash, Cached: true}}
 }
 
-func (w *Worker) handleShardData(sc *shardCache, sh *shard.Shard, dim int) Message {
+func (w *Worker) handleShardData(sc *qos.LRU, sh *shard.Shard, dim int) Message {
 	// The shard came off a socket: its counts size the runtime's value
 	// table and its refs index it, so check them before either happens.
 	if err := sh.Validate(); err != nil {
 		return Message{Error: err.Error()}
 	}
-	sc.put(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)})
+	sc.Add(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)}, 1)
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }
 
@@ -584,8 +553,8 @@ func applyStep(ent *shardEntry, engines []*gate.Engine, st *ShardStep) ([]*lwe.S
 	return ent.rt.RunLevel(engines, st.Level)
 }
 
-func (w *Worker) handleStep(sc *shardCache, engines []*gate.Engine, st *ShardStep) Message {
-	ent := sc.get(st.Hash)
+func (w *Worker) handleStep(sc *qos.LRU, engines []*gate.Engine, st *ShardStep) Message {
+	ent := cachedShard(sc, st.Hash)
 	if ent == nil {
 		return Message{Error: fmt.Sprintf("shard %.16s… not resident (evicted? raise -shard-cache)", st.Hash)}
 	}
@@ -596,8 +565,8 @@ func (w *Worker) handleStep(sc *shardCache, engines []*gate.Engine, st *ShardSte
 	return Message{StepResult: &ShardStepResult{Hash: st.Hash, Level: st.Level, Exports: exports}}
 }
 
-func (w *Worker) handleReplay(sc *shardCache, engines []*gate.Engine, rp *ShardReplay) Message {
-	ent := sc.get(rp.Hash)
+func (w *Worker) handleReplay(sc *qos.LRU, engines []*gate.Engine, rp *ShardReplay) Message {
+	ent := cachedShard(sc, rp.Hash)
 	if ent == nil {
 		return Message{Error: fmt.Sprintf("shard %.16s… not resident for replay", rp.Hash)}
 	}

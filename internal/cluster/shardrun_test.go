@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"pytfhe/internal/backend"
+	"pytfhe/internal/circuit"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
@@ -56,6 +58,67 @@ func TestShardedAdderAndCacheHit(t *testing.T) {
 	tot := coord.Totals()
 	if tot.ShardRuns != 2 || tot.ShardMisses == 0 || tot.ShardHits == 0 {
 		t.Fatalf("totals = %+v", tot)
+	}
+}
+
+// andOf is the AND of k inputs: netlists of different k shard to different
+// content hashes.
+func andOf(k int) *circuit.Netlist {
+	b := circuit.NewBuilder("and", circuit.AllOptimizations())
+	in := b.Inputs("x", k)
+	acc := in[0]
+	for _, x := range in[1:] {
+		acc = b.And(acc, x)
+	}
+	b.Output("o", acc)
+	return b.MustBuild()
+}
+
+// TestShardCachesStayBounded runs more distinct netlists than either cache
+// holds. The coordinator never keeps more than planCacheEntries
+// decompositions, and a worker with ShardCache 2 keeps only the two most
+// recently used shards: the last netlist hits, the first is reshipped.
+func TestShardCachesStayBounded(t *testing.T) {
+	sk, ck := keys(t)
+	coord, err := NewCoordinator(ck, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	w := NewWorker(1)
+	w.ShardCache = 2
+	go func() { _ = w.Serve(coord.Addr()) }()
+	if err := coord.AcceptWorkers(1); err != nil {
+		t.Fatal(err)
+	}
+	run := func(nl *circuit.Netlist) Stats {
+		t.Helper()
+		in := make([]bool, nl.NumInputs)
+		for i := range in {
+			in[i] = true
+		}
+		outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !backend.DecryptOutputs(sk, outs)[0] {
+			t.Fatalf("AND of %d true inputs decrypts false", nl.NumInputs)
+		}
+		return coord.LastStat
+	}
+	nls := make([]*circuit.Netlist, planCacheEntries+4)
+	for i := range nls {
+		nls[i] = andOf(i + 2)
+		run(nls[i])
+		if n := coord.plans.Len(); n > planCacheEntries {
+			t.Fatalf("coordinator caches %d decompositions after %d netlists, want at most %d", n, i+1, planCacheEntries)
+		}
+	}
+	if st := run(nls[len(nls)-1]); st.ShardMisses != 0 {
+		t.Fatalf("most recent shard not resident: %+v", st)
+	}
+	if st := run(nls[0]); st.ShardMisses == 0 {
+		t.Fatalf("first shard still resident on a worker caching 2: %+v", st)
 	}
 }
 
@@ -212,6 +275,56 @@ func TestVersionMismatchRejectedByCoordinator(t *testing.T) {
 	if err := coord.AcceptWorkers(1); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
+}
+
+// requirePeerClosed fails unless the coordinator has closed the far end of
+// conn: a read must see EOF, not its own deadline.
+func requirePeerClosed(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer not closed by the coordinator: read returned %v", err)
+	}
+}
+
+// TestSilentPeerCannotStallJoins: a peer that connects and never sends its
+// Hello is cut off after JobTimeout. AcceptWorkers fails with ErrHandshake
+// instead of hanging, and under ServeJoins a real worker joins while the
+// silent connection is closed rather than pinning a goroutine forever.
+func TestSilentPeerCannotStallJoins(t *testing.T) {
+	_, ck := keys(t)
+	coord, err := NewCoordinator(ck, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	coord.JobTimeout = 200 * time.Millisecond
+
+	silent, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if err := coord.AcceptWorkers(1); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("err = %v, want ErrHandshake", err)
+	}
+	requirePeerClosed(t, silent)
+
+	go coord.ServeJoins()
+	silent2, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent2.Close()
+	go func() { _ = NewWorker(1).Serve(coord.Addr()) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.WaitWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	requirePeerClosed(t, silent2)
 }
 
 // fakeCoordinator accepts one worker and plays a scripted handshake.

@@ -8,8 +8,10 @@ import (
 
 // Pool and Arena recycle ciphertexts. Get hands out a sample the caller
 // owns until it is published into a value table, returned, or handed back
-// with Put — the ownership contract the leaked-ciphertext analyzer of
-// internal/lint enforces statically.
+// with Put. internal/lint checks both contracts statically: its
+// leaked-ciphertext analyzer reports a Get that some return path drops,
+// and unsynced-exec-state a Pool that a goroutine captured instead of
+// owning.
 
 // Pool is the netlist drivers' recycler: a free list fed by State releases,
 // so peak allocation follows the live frontier of the DAG rather than the

@@ -6,31 +6,27 @@ import (
 	"go/types"
 )
 
-// leakedCiphertext verifies acquire/release balance on the ciphertext
-// recycling pools of the executors — the execution core's exec.Pool,
-// exec.Arena, and exec.Memory interface, plus the legacy unexported
-// ciphertextPool/arena shapes older trees used: a sample obtained with
-// Get() must, on every path, either be published into the shared values
-// table (assigned through an index or selector expression), returned to
-// the caller, or handed back with Put() before the function returns. An
-// early `return err` that forgets the put leaks one ciphertext per failing
-// gate — exactly the imbalance that turns a long MNIST run into an OOM.
+// leakedCiphertext verifies acquire/release balance on the execution
+// core's ciphertext recyclers, exec.Pool and exec.Arena: a sample obtained
+// with Get must, on every path, either be published into a value table
+// (assigned through an index or selector expression), returned to the
+// caller, or handed back with Put before the function returns. An early
+// `return err` that forgets the Put leaks one ciphertext per failing gate
+// — exactly the imbalance that turns a long MNIST run into an OOM.
 //
 // The walker is branch-aware but deliberately optimistic: a release on any
 // branch counts as a release, so it only reports paths where no release
 // can be proven anywhere. That keeps it free of false positives on the
-// real executors while still catching the forgotten-put pattern.
+// real drivers while still catching the forgotten Put.
 type leakedCiphertext struct{}
 
 func (*leakedCiphertext) Name() string { return "leaked-ciphertext" }
 func (*leakedCiphertext) Doc() string {
-	return "ciphertext pool get() without put/publish on some return path"
+	return "exec.Pool/exec.Arena Get without Put or publish on some return path"
 }
 
-func (*leakedCiphertext) Match(path string) bool {
-	return pathHasDir(path, "internal/backend") || pathHasDir(path, "internal/plan") ||
-		pathHasDir(path, "internal/exec")
-}
+// Match applies everywhere: the recyclers are identified by type.
+func (*leakedCiphertext) Match(string) bool { return true }
 
 func (a *leakedCiphertext) Check(m *Module, pkg *Package) []Finding {
 	var findings []Finding
@@ -43,7 +39,7 @@ func (a *leakedCiphertext) Check(m *Module, pkg *Package) []Finding {
 				fn:       fb.name,
 				held:     map[*types.Var]token.Pos{},
 			}
-			w.walkBlock(fb.body)
+			w.walkStmts(fb.body.List)
 			// Anything still held when the function body ends fell off the
 			// end of a scope unreleased.
 			for v, pos := range w.held {
@@ -55,7 +51,7 @@ func (a *leakedCiphertext) Check(m *Module, pkg *Package) []Finding {
 	return findings
 }
 
-// leakWalker tracks pool-acquired variables through one function body.
+// leakWalker tracks recycler-acquired variables through one function body.
 type leakWalker struct {
 	m        *Module
 	pkg      *Package
@@ -69,13 +65,9 @@ func (w *leakWalker) report(v *types.Var, acquired token.Pos, what string) {
 	w.findings = append(w.findings, Finding{
 		Analyzer: w.analyzer,
 		Pos:      w.m.Fset.Position(acquired),
-		Message: "ciphertext " + v.Name() + " acquired from the pool is neither published, returned, nor put back (" +
+		Message: "ciphertext " + v.Name() + " acquired from the recycler is neither published, returned, nor put back (" +
 			what + ")",
 	})
-}
-
-func (w *leakWalker) walkBlock(b *ast.BlockStmt) {
-	w.walkStmts(b.List)
 }
 
 func (w *leakWalker) walkStmts(stmts []ast.Stmt) {
@@ -89,9 +81,11 @@ func (w *leakWalker) walkStmt(s ast.Stmt) {
 	case *ast.AssignStmt:
 		w.handleAssign(st)
 	case *ast.ExprStmt:
-		w.handleCallStmt(st.X)
+		if call, ok := st.X.(*ast.CallExpr); ok {
+			w.dischargeCallArgs(call)
+		}
 	case *ast.DeferStmt:
-		w.dischargeCallArgs(st.Call) // defer pool.put(x) releases x
+		w.dischargeCallArgs(st.Call) // defer mem.Put(x) releases x
 	case *ast.ReturnStmt:
 		for _, e := range st.Results {
 			w.dischargeUses(e) // returning x transfers ownership out
@@ -146,7 +140,7 @@ func (w *leakWalker) walkCaseBodies(body *ast.BlockStmt) {
 	}
 }
 
-// handleAssign tracks acquisitions (x := pool.get()) and publications
+// handleAssign tracks acquisitions (x := mem.Get()) and publications
 // (values[id] = x, s.field = x, y = x).
 func (w *leakWalker) handleAssign(st *ast.AssignStmt) {
 	if len(st.Rhs) == 1 && w.isPoolGet(st.Rhs[0]) && len(st.Lhs) == 1 {
@@ -162,8 +156,8 @@ func (w *leakWalker) handleAssign(st *ast.AssignStmt) {
 	// A held variable is published only when it is *stored*: appearing as
 	// a whole right-hand side (values[id] = out, alias := out), inside a
 	// composite literal, or as an append argument. Merely passing it to a
-	// call (err := eng.Binary(kind, out, a, b)) keeps it held — the callee
-	// writes into it and hands it straight back.
+	// call (joined, err := bt.Do(op, out, a, b, c)) keeps it held — the
+	// callee writes into it and hands it straight back.
 	for _, e := range st.Rhs {
 		w.dischargeStores(e)
 	}
@@ -192,21 +186,11 @@ func (w *leakWalker) dischargeStores(e ast.Expr) {
 	}
 }
 
-// handleCallStmt releases arguments of pool.put calls and treats passing a
-// held ciphertext to another function as a potential transfer only for
-// put; other calls (eng.Binary writes into it) keep it held.
-func (w *leakWalker) handleCallStmt(e ast.Expr) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	w.dischargeCallArgs(call)
-}
-
-// dischargeCallArgs releases held variables passed to a pool Put() call.
+// dischargeCallArgs releases held variables passed to a Put call; passing
+// a held ciphertext to any other call (bt.Do writes into it) keeps it held.
 func (w *leakWalker) dischargeCallArgs(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "put" && sel.Sel.Name != "Put") || !w.isPoolExpr(sel.X) {
+	if !ok || sel.Sel.Name != "Put" || !w.isPoolExpr(sel.X) {
 		return
 	}
 	for _, arg := range call.Args {
@@ -229,43 +213,21 @@ func (w *leakWalker) dischargeUses(e ast.Expr) {
 	})
 }
 
-// isPoolGet reports whether e is a Get() call on a recycling pool type.
+// isPoolGet reports whether e is a Get() call on a recycler.
 func (w *leakWalker) isPoolGet(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && (sel.Sel.Name == "get" || sel.Sel.Name == "Get") && w.isPoolExpr(sel.X)
+	return ok && sel.Sel.Name == "Get" && w.isPoolExpr(sel.X)
 }
 
-// isPoolExpr reports whether e has a recycling-pool type (or pointer to
-// one). Pool shapes are matched structurally by defining package and type
-// name — the execution core's exported Pool/Arena/Memory, or the legacy
-// unexported ciphertextPool/arena — so imported uses (backend code holding
-// an exec.Pool) are recognized, not just types declared in the analyzed
-// package.
+// isPoolExpr reports whether e is an exec.Pool or exec.Arena (or a pointer
+// to one), wherever it is used.
 func (w *leakWalker) isPoolExpr(e ast.Expr) bool {
 	t := w.pkg.Info.TypeOf(e)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	switch obj.Name() {
-	case "ciphertextPool", "arena":
-		return pathHasDir(path, "internal/backend") || pathHasDir(path, "internal/plan")
-	case "Pool", "Arena", "Memory":
-		return pathHasDir(path, "internal/exec")
-	}
-	return false
+	return isType(t, "internal/exec", "Pool") || isType(t, "internal/exec", "Arena")
 }
 
 // varOf resolves an identifier to its *types.Var, or nil.

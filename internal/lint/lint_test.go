@@ -1,16 +1,45 @@
 package lint
 
 import (
+	"go/types"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// cachedModule loads a module once for every test that needs it.
+type cachedModule struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+func (c *cachedModule) load(t *testing.T, root string) *Module {
+	t.Helper()
+	c.once.Do(func() { c.m, c.err = LoadModule(root) })
+	if c.err != nil {
+		t.Fatalf("loading module at %s: %v", root, c.err)
+	}
+	return c.m
+}
+
+var fixture, repository cachedModule
+
 func loadFixture(t *testing.T) *Module {
 	t.Helper()
-	m, err := LoadModule(filepath.Join("testdata", "badmod"))
-	if err != nil {
-		t.Fatalf("loading fixture module: %v", err)
+	return fixture.load(t, filepath.Join("testdata", "badmod"))
+}
+
+// loadRepository type-checks the repository module itself.
+func loadRepository(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	m := repository.load(t, filepath.Join("..", ".."))
+	if m.Path != "pytfhe" {
+		t.Fatalf("module path = %q, want pytfhe", m.Path)
 	}
 	return m
 }
@@ -25,19 +54,40 @@ func findingsFor(findings []Finding, analyzer string) []Finding {
 	return out
 }
 
+// requireFindings checks that analyzer reports exactly one finding on the
+// fixture per want entry, each written "<file>: <message substring>".
+func requireFindings(t *testing.T, analyzer string, want ...string) {
+	t.Helper()
+	got := findingsFor(Run(loadFixture(t), Analyzers()), analyzer)
+	if len(got) != len(want) {
+		t.Fatalf("%s findings = %d, want %d:\n%v", analyzer, len(got), len(want), got)
+	}
+	for _, w := range want {
+		file, sub, _ := strings.Cut(w, ": ")
+		found := false
+		for _, f := range got {
+			found = found || filepath.Base(f.Pos.Filename) == file && strings.Contains(f.Message, sub)
+		}
+		if !found {
+			t.Errorf("no %s finding in %s mentioning %q:\n%v", analyzer, file, sub, got)
+		}
+	}
+}
+
 func TestFixtureModuleLoads(t *testing.T) {
 	m := loadFixture(t)
 	if m.Path != "badmod" {
 		t.Fatalf("module path = %q, want badmod", m.Path)
 	}
 	for _, want := range []string{
-		"badmod/internal/tfhe",
+		"badmod/internal/tfhe/gate",
 		"badmod/internal/mathutil",
-		"badmod/internal/backend",
-		"badmod/internal/plan",
 		"badmod/internal/exec",
+		"badmod/internal/plan",
 		"badmod/internal/shard",
-		"badmod/internal/daemon",
+		"badmod/internal/backend",
+		"badmod/internal/cluster",
+		"badmod/internal/serve",
 	} {
 		if m.Packages[want] == nil {
 			t.Errorf("package %s not loaded", want)
@@ -45,151 +95,98 @@ func TestFixtureModuleLoads(t *testing.T) {
 	}
 }
 
+// TestInsecureRandFindings: the gate engine imports math/rand directly,
+// and through mathutil transitively.
 func TestInsecureRandFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "insecure-rand")
-	if len(got) != 2 {
-		t.Fatalf("insecure-rand findings = %d, want 2 (direct + transitive):\n%v", len(got), got)
-	}
-	var files []string
-	for _, f := range got {
-		files = append(files, filepath.Base(f.Pos.Filename))
-	}
-	sort := strings.Join(files, ",")
-	if !strings.Contains(sort, "engine.go") || !strings.Contains(sort, "mathutil.go") {
-		t.Fatalf("findings in %v, want engine.go (direct) and mathutil.go (transitive)", files)
-	}
+	requireFindings(t, "insecure-rand", "gate.go: math/rand", "mathutil.go: math/rand")
 }
 
+// TestDiscardedErrorFindings: a bare call, a blank assignment and a blank
+// error slot in the cluster worker's install path.
 func TestDiscardedErrorFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "discarded-error")
-	if len(got) != 3 {
-		t.Fatalf("discarded-error findings = %d, want 3 (the fourth is suppressed):\n%v", len(got), got)
-	}
-	wantSubstrings := []string{"doWork", "assigned to _", "doTwo"}
-	for _, want := range wantSubstrings {
-		found := false
-		for _, f := range got {
-			if strings.Contains(f.Message, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no finding mentioning %q:\n%v", want, got)
-		}
-	}
+	requireFindings(t, "discarded-error",
+		"worker.go: result of sh.Validate",
+		"worker.go: error value assigned to _",
+		"worker.go: error result of newRuntime assigned to _")
 }
 
-func TestLockedBootstrapFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "locked-bootstrap")
-	if len(got) != 1 {
-		t.Fatalf("locked-bootstrap findings = %d, want 1 (post-unlock call is clean):\n%v", len(got), got)
-	}
-	if !strings.Contains(got[0].Message, "LockedEval") || !strings.Contains(got[0].Message, "Binary") {
-		t.Fatalf("unexpected message: %s", got[0].Message)
-	}
-}
-
-func TestLeakedCiphertextFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "leaked-ciphertext")
-	if len(got) != 3 {
-		t.Fatalf("leaked-ciphertext findings = %d, want 3 (pool + arena + Memory; the balanced counterparts are clean):\n%v", len(got), got)
-	}
-	var files []string
-	for _, f := range got {
-		if !strings.Contains(f.Message, "out") {
-			t.Fatalf("unexpected message: %s", f.Message)
-		}
-		files = append(files, filepath.Base(f.Pos.Filename))
-	}
-	joined := strings.Join(files, ",")
-	if !strings.Contains(joined, "exec.go") || !strings.Contains(joined, "replay.go") || !strings.Contains(joined, "memory.go") {
-		t.Fatalf("findings in %v, want exec.go (ciphertextPool), replay.go (arena), and memory.go (exec.Memory)", files)
-	}
-}
-
-func TestUnsyncedExecStateFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "unsynced-exec-state")
-	if len(got) != 6 {
-		t.Fatalf("unsynced-exec-state findings = %d, want 6 (4 layering + 2 goroutine captures):\n%v", len(got), got)
-	}
-	var daemon, spawn int
-	for _, f := range got {
-		switch filepath.Base(f.Pos.Filename) {
-		case "daemon.go":
-			daemon++
-			if !strings.Contains(f.Message, "executor layers") {
-				t.Errorf("layering finding missing rationale: %s", f.Message)
-			}
-		case "spawn.go":
-			spawn++
-			if !strings.Contains(f.Message, "captured") {
-				t.Errorf("capture finding missing rationale: %s", f.Message)
-			}
-		default:
-			t.Errorf("finding in unexpected file: %v", f)
-		}
-	}
-	if daemon != 4 || spawn != 2 {
-		t.Fatalf("findings split daemon=%d spawn=%d, want 4/2 (SpawnOwned and SpawnRemoteOwned must stay clean):\n%v", daemon, spawn, got)
-	}
-}
-
-func TestBatchAliasFindings(t *testing.T) {
-	m := loadFixture(t)
-	got := findingsFor(Run(m, Analyzers()), "batch-alias")
-	if len(got) != 2 {
-		t.Fatalf("batch-alias findings = %d, want 2 (DisjointBatch must stay clean):\n%v", len(got), got)
-	}
-	for _, f := range got {
-		if filepath.Base(f.Pos.Filename) != "batch.go" {
-			t.Errorf("finding in unexpected file: %v", f)
-		}
-		if !strings.Contains(f.Message, "may alias") || !strings.Contains(f.Message, "outs") {
-			t.Errorf("unexpected message: %s", f.Message)
-		}
-	}
-}
-
-// TestIgnoreDirectiveRequiresReason: a bare //lint:ignore without analyzer
-// and reason is itself reported.
+// TestIgnoreDirectiveSuppresses: the directive above the worker's Close
+// silences that discard and only that one.
 func TestIgnoreDirectiveSuppresses(t *testing.T) {
-	m := loadFixture(t)
-	for _, f := range Run(m, Analyzers()) {
-		if f.Analyzer == "discarded-error" && f.Pos.Line > 0 {
-			// The suppressed discard sits right under the directive; make
-			// sure no finding points at it. It is the only `_ = doWork()`
-			// after the directive comment.
-			if strings.Contains(f.Message, "suppress") {
-				t.Fatalf("suppressed finding leaked through: %v", f)
-			}
+	for _, f := range findingsFor(Run(loadFixture(t), Analyzers()), "discarded-error") {
+		if strings.Contains(f.Message, "Close") {
+			t.Fatalf("suppressed finding leaked through: %v", f)
 		}
 	}
-	got := findingsFor(Run(m, Analyzers()), "discarded-error")
-	if len(got) != 3 {
-		t.Fatalf("suppression failed: %d discarded-error findings, want 3", len(got))
-	}
+}
+
+// TestLockedBootstrapFindings: Shared.worker executing a slice under s.mu,
+// Planned.Run holding p.mu across Submit, and a worker step under its
+// shard-table lock. The slice evaluated after Unlock is clean.
+func TestLockedBootstrapFindings(t *testing.T) {
+	requireFindings(t, "locked-bootstrap",
+		"shared.go: in worker: plan.Runtime.Exec",
+		"shared.go: in Run: backend.Shared.Submit",
+		"worker.go: in step: shard.Runtime.RunLevel")
+}
+
+// TestLeakedCiphertextFindings: RunSequential's error path without Put
+// (exec.Pool) and Interp.Run's operand check after taking a slot
+// (exec.Arena). RunReady and RunReadyOwned put back and are clean.
+func TestLeakedCiphertextFindings(t *testing.T) {
+	requireFindings(t, "leaked-ciphertext",
+		"exec.go: ciphertext out", "replay.go: ciphertext out")
+}
+
+// TestUnsyncedExecStateFindings: four run-state touches from the service
+// layer, then RunReady's captured Pool (Get and Put) and a captured shard
+// runtime's SetRemote. RunReadyOwned's per-worker Pool is clean.
+func TestUnsyncedExecStateFindings(t *testing.T) {
+	requireFindings(t, "unsynced-exec-state",
+		"server.go: exec.State.Values touched",
+		"server.go: exec.Pool.Get touched",
+		"server.go: exec.Pool.Put touched",
+		"server.go: shard.Runtime.SetRemote touched",
+		"exec.go: Get on single-owner exec.Pool mem captured",
+		"exec.go: Put on single-owner exec.Pool mem captured",
+		"worker.go: SetRemote on the remote-input slots of shard.Runtime rt captured")
 }
 
 // TestRepositoryIsClean is the acceptance gate: the suite must exit clean
 // on the repository itself (any genuine finding gets fixed, not ignored).
 func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	m, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("loading repository module: %v", err)
-	}
-	if m.Path != "pytfhe" {
-		t.Fatalf("module path = %q, want pytfhe", m.Path)
-	}
-	findings := Run(m, Analyzers())
-	for _, f := range findings {
+	for _, f := range Run(loadRepository(t), Analyzers()) {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestAnalyzerTargetsExist pins every type and method the analyzers key on
+// to a declaration in the repository, so a rename cannot leave an analyzer
+// watching code that no longer exists.
+func TestAnalyzerTargetsExist(t *testing.T) {
+	m := loadRepository(t)
+	lookup := func(pkg, name string) types.Object {
+		p := m.Packages[m.Path+"/internal/"+pkg]
+		if p == nil {
+			return nil
+		}
+		return p.Types.Scope().Lookup(name)
+	}
+	for _, st := range execStateTypes {
+		if lookup(st.pkg, st.name) == nil {
+			t.Errorf("run-state type %s.%s does not exist", st.pkg, st.name)
+		}
+	}
+	for key := range expensiveCalls {
+		typ, method := key[:strings.LastIndex(key, ".")], key[strings.LastIndex(key, ".")+1:]
+		pkg, name := typ[:strings.LastIndex(typ, ".")], typ[strings.LastIndex(typ, ".")+1:]
+		obj := lookup(pkg, name)
+		if obj == nil {
+			t.Errorf("%s: type %s.%s does not exist", key, pkg, name)
+			continue
+		}
+		if fn, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, obj.Pkg(), method); fn == nil {
+			t.Errorf("%s: %s.%s has no method %s", key, pkg, name, method)
+		}
 	}
 }

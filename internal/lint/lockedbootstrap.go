@@ -3,50 +3,43 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// expensiveOps are the method names that perform (or transitively imply) a
-// gate bootstrap or external product — the tens-of-milliseconds operations
-// of the scheme.
-var expensiveOps = map[string]bool{
-	"Binary":           true,
-	"Mux":              true,
-	"Bootstrap":        true,
-	"BootstrapWoKS":    true,
-	"BootstrapLUT":     true,
-	"BootstrapLUTWoKS": true,
-	"ExternalProduct":  true,
-	"BlindRotate":      true,
+// expensiveCalls are the methods that run gate bootstraps — each a
+// millisecond or more — keyed "<package under internal/>.<receiver
+// type>.<method>": the gate engine's evaluations, exec.Batcher (the one
+// evaluator every executor drives), the plan interpreter and runtime that
+// feed it, a shard level, and a whole plan run on the slice scheduler.
+var expensiveCalls = map[string]bool{
+	"tfhe/gate.Engine.Binary":      true,
+	"tfhe/gate.Engine.Mux":         true,
+	"tfhe/gate.Engine.LUT":         true,
+	"tfhe/gate.Engine.BinaryBatch": true,
+	"tfhe/gate.Engine.OpBatch":     true,
+	"exec.Batcher.Do":              true,
+	"exec.Batcher.Flush":           true,
+	"plan.Interp.Run":              true,
+	"plan.Runtime.Exec":            true,
+	"shard.Runtime.RunLevel":       true,
+	"backend.Shared.Submit":        true,
 }
 
-// concurrencyDirs are the packages whose locks guard executor shared state.
-var concurrencyDirs = []string{
-	"internal/backend",
-	"internal/cluster",
-}
-
-// lockedBootstrap reports bootstrap-class TFHE operations performed while a
-// sync.Mutex/RWMutex is held in the executor packages. A bootstrapped gate
-// takes ~10ms+; running one under a lock serializes every other worker
-// behind it (and invites lock-ordering deadlocks with the coordinator
-// paths), so locks there must only guard bookkeeping. Function literals
-// are analyzed as their own bodies: a goroutine launched under a lock does
-// not itself hold the lock.
+// lockedBootstrap reports calls that run gate bootstraps while a
+// sync.Mutex/RWMutex is held. A bootstrap takes milliseconds; running one
+// under a lock serializes every other worker behind it — the
+// serialization the slice scheduler exists to avoid — so locks must only
+// guard bookkeeping. Function literals are analyzed as their own bodies:
+// a goroutine launched under a lock does not itself hold the lock.
 type lockedBootstrap struct{}
 
 func (*lockedBootstrap) Name() string { return "locked-bootstrap" }
 func (*lockedBootstrap) Doc() string {
-	return "bootstrap/external-product call while holding a mutex in backend/cluster"
+	return "gate evaluation, plan/shard execution or plan submission while holding a mutex"
 }
 
-func (*lockedBootstrap) Match(path string) bool {
-	for _, d := range concurrencyDirs {
-		if pathHasDir(path, d) {
-			return true
-		}
-	}
-	return false
-}
+// Match applies everywhere: the expensive calls are identified by type.
+func (*lockedBootstrap) Match(string) bool { return true }
 
 func (a *lockedBootstrap) Check(m *Module, pkg *Package) []Finding {
 	var findings []Finding
@@ -189,29 +182,41 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !expensiveOps[sel.Sel.Name] {
+		if !ok {
 			return true
 		}
-		if !tfheReceiver(w.pkg.Info, sel) {
+		key := methodKey(w.pkg.Info, sel)
+		if !expensiveCalls[key] {
 			return true
 		}
 		w.findings = append(w.findings, Finding{
 			Analyzer: w.analyzer,
 			Pos:      w.m.Fset.Position(call.Pos()),
-			Message: "in " + w.fn + ": " + sel.Sel.Name +
-				" (bootstrap-class TFHE op) called while holding a mutex; move it outside the critical section",
+			Message: "in " + w.fn + ": " + key +
+				" runs gate bootstraps while holding a mutex; move it outside the critical section",
 		})
 		return true
 	})
 }
 
-// tfheReceiver reports whether the selector's receiver is a type declared
-// under internal/tfhe.
-func tfheReceiver(info *types.Info, sel *ast.SelectorExpr) bool {
-	if s, ok := info.Selections[sel]; ok {
-		return typeFromPackage(s.Recv(), "internal/tfhe")
+// methodKey names the method sel calls as "<package under
+// internal/>.<receiver type>.<method>", or "" when sel is not a method of
+// a named type under internal/.
+func methodKey(info *types.Info, sel *ast.SelectorExpr) string {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return ""
 	}
-	return typeFromPackage(info.TypeOf(sel.X), "internal/tfhe")
+	fn := s.Obj().(*types.Func)
+	n := namedType(fn.Type().(*types.Signature).Recv().Type())
+	if n == nil || n.Obj().Pkg() == nil {
+		return ""
+	}
+	_, pkg, ok := strings.Cut(n.Obj().Pkg().Path(), "internal/")
+	if !ok {
+		return ""
+	}
+	return pkg + "." + n.Obj().Name() + "." + fn.Name()
 }
 
 type mutexCall int

@@ -1,50 +1,47 @@
-// Package plan is the fixture replay runtime: its arena mirrors the real
-// plan package's slot allocator and triggers leaked-ciphertext exactly once.
+// Package plan mirrors the plan interpreter and runtime.
 package plan
 
 import (
-	"badmod/internal/tfhe"
+	"errors"
+
+	"badmod/internal/exec"
+	"badmod/internal/tfhe/gate"
 )
 
-// arena mirrors the real replay arena; the leaked-ciphertext analyzer keys
-// on this type name alongside the executors' ciphertextPool.
-type arena struct {
-	free []*tfhe.Sample
+// Instr mirrors a plan instruction.
+type Instr struct {
+	Op        gate.Op
+	A, B, Out int
 }
 
-func (a *arena) get() *tfhe.Sample {
-	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
-		a.free = a.free[:n-1]
-		return s
-	}
-	return &tfhe.Sample{}
-}
+// Interp mirrors plan.Interp, which every plan runs through.
+type Interp struct{ bt *exec.Batcher }
 
-func (a *arena) put(s *tfhe.Sample) {
-	if s != nil {
-		a.free = append(a.free, s)
+// Run leaks: it takes the output slot from the arena before checking the
+// operands (the real interpreter checks first), so that error path drops
+// the slot.
+func (it *Interp) Run(instrs []Instr, vals []*gate.Ciphertext, mem *exec.Arena) error {
+	for _, ins := range instrs {
+		out := mem.Get() // finding: leaked on the error return
+		a, b := vals[ins.A], vals[ins.B]
+		if a == nil || b == nil {
+			return errors.New("plan: instr reads unwritten slot")
+		}
+		vals[ins.Out] = out
+		if _, err := it.bt.Do(ins.Op, out, a, b); err != nil {
+			return err
+		}
 	}
-}
-
-// LeakSlot triggers leaked-ciphertext: the error path returns without
-// handing the slot back to the arena.
-func LeakSlot(eng *tfhe.Engine, ar *arena, x, y *tfhe.Sample) (*tfhe.Sample, error) {
-	out := ar.get()
-	if err := eng.Binary(5, out, x, y); err != nil {
-		return nil, err // finding: out leaked
-	}
-	return out, nil
-}
-
-// BindSlot is the clean counterpart: the slot is published into the value
-// table on success and put back on failure.
-func BindSlot(eng *tfhe.Engine, ar *arena, vals []*tfhe.Sample, x, y *tfhe.Sample) error {
-	out := ar.get()
-	if err := eng.Binary(6, out, x, y); err != nil {
-		ar.put(out)
-		return err
-	}
-	vals[0] = out
 	return nil
+}
+
+// Runtime mirrors plan.Runtime: a value table over an arena.
+type Runtime struct {
+	pool *exec.Arena
+	vals []*gate.Ciphertext
+}
+
+// Exec evaluates instrs over the runtime's table.
+func (rt *Runtime) Exec(it *Interp, instrs []Instr) error {
+	return it.Run(instrs, rt.vals, rt.pool)
 }

@@ -1,21 +1,20 @@
-// Package shard is the fixture shard layer: its Runtime mirrors the real
-// internal/shard replay runtime, whose remote-input slot table is exec
-// run state held one layer out from internal/exec. The package itself is
-// a sanctioned executor layer, so touching the table here is clean.
+// Package shard mirrors the shard runtime, whose remote-input slots the
+// cluster worker's serve loop owns. It is an executor layer, so touching
+// the table here is clean.
 package shard
 
-import (
-	"badmod/internal/tfhe"
-)
+import "badmod/internal/tfhe/gate"
 
-// Runtime mimics internal/shard.Runtime: a value table whose remote-input
-// slots the data-plane router fills once per run.
-type Runtime struct {
-	Vals []*tfhe.Sample
+// Runtime mirrors shard.Runtime.
+type Runtime struct{ vals []*gate.Ciphertext }
+
+// SetRemote installs a router-delivered ciphertext into a remote slot.
+func (rt *Runtime) SetRemote(slot int32, c *gate.Ciphertext) error {
+	rt.vals[slot] = c
+	return nil
 }
 
-// SetRemote installs a router-delivered ciphertext into a remote-input
-// slot. The serve loop is the single owner of the table.
-func (r *Runtime) SetRemote(slot int, s *tfhe.Sample) {
-	r.Vals[slot] = s
+// RunLevel executes the shard's instructions for one plan level.
+func (rt *Runtime) RunLevel(engines []*gate.Engine, level int) ([]*gate.Ciphertext, error) {
+	return rt.vals[:level], nil
 }

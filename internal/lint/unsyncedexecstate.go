@@ -6,27 +6,25 @@ import (
 )
 
 // unsyncedExecState enforces the ownership discipline around the execution
-// core's run state. internal/exec documents its types with two different
-// contracts — exec.Pool and exec.State are single-owner ("not safe for
-// concurrent use"), exec.Arena carries its own lock — and the executors
-// lean on that split for their no-per-gate-atomics design. Two rules keep
-// the contract machine-checked:
+// core's run state. exec.Pool is single-owner (the ready driver gives each
+// worker its own), exec.Arena carries its own lock, exec.State's value
+// table is written under the drivers' ordering, and a shard.Runtime's
+// remote-input slots belong to the cluster worker's serve loop. Two rules
+// keep that machine-checked:
 //
 //  1. Layering: only the executor layers (internal/exec, internal/backend,
-//     internal/plan, internal/cluster, internal/shard) may touch exec
-//     run-state types — including shard.Runtime, whose remote-input slots
-//     hold router-delivered ciphertexts — at all. A service- or CLI-layer
-//     package reading State.Values or calling Pool.Get reaches around
-//     every invariant the executors maintain (refcounted release,
-//     per-dimension recycling, per-level barriers).
+//     internal/plan, internal/cluster, internal/shard) may touch
+//     exec.State, exec.Pool, exec.Arena or shard.Runtime at all. A
+//     service- or CLI-layer package reading State.Values or calling
+//     Pool.Get reaches around every invariant the executors maintain
+//     (refcounted release, per-dimension recycling, level ordering).
 //
 //  2. Goroutine capture: a function literal launched with `go` must not
-//     call Get/Put on a single-owner pool — or SetRemote on a shard
-//     runtime's remote-input slots — it captured from the enclosing
-//     scope; that silently turns one owner into two. Handing the value in
-//     through the literal's parameter list (ownership transfer, the
-//     pattern the real drivers use) is fine, as is declaring a fresh one
-//     inside the goroutine.
+//     call Get/Put on an exec.Pool — or SetRemote on a shard.Runtime — it
+//     captured from the enclosing scope; that silently turns one owner
+//     into two. Handing the value in through the literal's parameter list
+//     or declaring a fresh one inside the goroutine, as RunReady does with
+//     its per-worker Pool, is fine.
 type unsyncedExecState struct{}
 
 func (*unsyncedExecState) Name() string { return "unsynced-exec-state" }
@@ -93,9 +91,9 @@ func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) 
 	return findings
 }
 
-// checkGoroutines reports Get/Put calls on a captured single-owner pool —
-// and SetRemote calls on a captured shard runtime — inside go-launched
-// function literals.
+// checkGoroutines reports Get/Put calls on a captured exec.Pool — and
+// SetRemote calls on a captured shard.Runtime — inside go-launched function
+// literals.
 func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File) []Finding {
 	var findings []Finding
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -117,17 +115,12 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 				return true
 			}
 			var what string
-			switch sel.Sel.Name {
-			case "Get", "Put", "get", "put":
-				if !singleOwnerPool(pkg.Info.TypeOf(sel.X)) {
-					return true
-				}
-				what = "single-owner pool"
-			case "SetRemote":
-				if !shardRuntime(pkg.Info.TypeOf(sel.X)) {
-					return true
-				}
-				what = "shard runtime remote-input slots of"
+			t := pkg.Info.TypeOf(sel.X)
+			switch {
+			case (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") && isType(t, "internal/exec", "Pool"):
+				what = "single-owner exec.Pool"
+			case sel.Sel.Name == "SetRemote" && isType(t, "internal/shard", "Runtime"):
+				what = "the remote-input slots of shard.Runtime"
 			default:
 				return true
 			}
@@ -155,60 +148,21 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 	return findings
 }
 
-// execStateType reports whether t (or *t) is one of the execution core's
-// run-state types, returning its package-qualified display name. Besides
-// internal/exec's own types it covers shard.Runtime: its remote-input
-// slots hold router-delivered ciphertexts, the same run state one layer
-// out.
+// execStateTypes are the run-state types rule 1 guards, by package under
+// internal/.
+var execStateTypes = [...]struct{ pkg, name string }{
+	{"exec", "State"}, {"exec", "Pool"}, {"exec", "Arena"}, {"shard", "Runtime"},
+}
+
+// execStateType reports whether t (or *t) is one of the run-state types,
+// returning its package-qualified display name.
 func execStateType(t types.Type) (string, bool) {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return "", false
-	}
-	path := n.Obj().Pkg().Path()
-	name := n.Obj().Name()
-	switch {
-	case pathHasDir(path, "internal/exec"):
-		switch name {
-		case "State", "Pool", "Arena", "Memory":
-			return "exec." + name, true
-		}
-	case pathHasDir(path, "internal/shard"):
-		if name == "Runtime" {
-			return "shard." + name, true
+	for _, st := range execStateTypes {
+		if isType(t, "internal/"+st.pkg, st.name) {
+			return st.pkg + "." + st.name, true
 		}
 	}
 	return "", false
-}
-
-// singleOwnerPool reports whether t is a pool type documented as
-// single-owner: the execution core's exec.Pool or the legacy unexported
-// ciphertextPool. exec.Arena is internally locked and exempt.
-func singleOwnerPool(t types.Type) bool {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	path := n.Obj().Pkg().Path()
-	switch n.Obj().Name() {
-	case "Pool":
-		return pathHasDir(path, "internal/exec")
-	case "ciphertextPool":
-		return pathHasDir(path, "internal/backend") || pathHasDir(path, "internal/plan")
-	}
-	return false
-}
-
-// shardRuntime reports whether t is internal/shard's per-shard replay
-// runtime. Its serve loop is the single owner of the remote-input slot
-// table; a goroutine writing slots through a captured runtime races the
-// level execution it feeds.
-func shardRuntime(t types.Type) bool {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == "Runtime" && pathHasDir(n.Obj().Pkg().Path(), "internal/shard")
 }
 
 // rootIdent unwraps selector/index/paren chains to the base identifier, or

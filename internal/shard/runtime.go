@@ -22,9 +22,10 @@ const WorkerBatch = 16
 // plan.Runtime's. A Runtime is single-owner between levels — the worker's
 // serve loop installs fills and drives RunLevel sequentially; only the
 // engine fan-out inside RunLevel is concurrent, and it touches disjoint
-// slots (the plan's level independence carries over to the shard). The
-// unsynced-exec-state analyzer enforces that remote-slot writes never
-// happen on a Runtime captured by a goroutine outside the executor layer.
+// slots (the plan's level independence carries over to the shard).
+// internal/lint's unsynced-exec-state analyzer reports a SetRemote from a
+// goroutine that captured the Runtime, and any use of a Runtime outside
+// the executor layers.
 type Runtime struct {
 	sh    *Shard
 	arena *exec.Arena

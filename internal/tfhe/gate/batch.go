@@ -13,7 +13,9 @@ import (
 // for all members. Every kind must bootstrap (logic.Kind.NeedsBootstrap);
 // free gates are for the caller to evaluate inline via Binary — batching
 // them would waste a kernel slot on a linear operation. Results are
-// bit-exact with per-gate Binary on the same inputs.
+// bit-exact with per-gate Binary on the same inputs. dst may alias any
+// operand, of its own member or another's: every operand is folded into
+// engine scratch before the first output is written.
 func (e *Engine) BinaryBatch(kinds []logic.Kind, dst, a, b []*Ciphertext) error {
 	n := len(kinds)
 	if len(dst) != n || len(a) != n || len(b) != n {

@@ -66,6 +66,7 @@ func (o Op) IsLUT() bool { return o.Arity != 0 }
 // b[m] and — for arity-3 LUTs — c[m]; other members ignore c[m] (which
 // may be nil). Classic members must bootstrap, exactly as in BinaryBatch;
 // per-member results are bit-exact with Binary / LUT on the same inputs.
+// dst may alias any operand, as in BinaryBatch.
 func (e *Engine) OpBatch(ops []Op, dst, a, b, c []*Ciphertext) error {
 	n := len(ops)
 	if len(dst) != n || len(a) != n || len(b) != n || len(c) != n {
