@@ -26,14 +26,14 @@ serve-test:
 	go test -race ./internal/serve/... ./internal/wire/... ./internal/backend/...
 
 # Race-checked QoS + observability subsystem: the weighted fair queue,
-# per-tenant quotas, the byte-accounted plan cache, the Prometheus-text
+# per-tenant quotas and weights, the entry-capped LRU, the Prometheus-text
 # telemetry registry, the shared executor's fairness/key-release
-# behavior, and the pytfhed fairness-under-load, cache-eviction,
-# key-lifecycle, quota, and /metrics end-to-end scenarios.
+# behavior, and the pytfhed fairness-under-load, key-lifecycle, quota,
+# and /metrics end-to-end scenarios.
 qos-test:
 	go test -race ./internal/qos/... ./internal/telemetry/...
 	go test -race -run 'TestShared(FairnessUnderLoad|ReleaseKey)' ./internal/backend/
-	go test -race -run 'TestServe(FairnessUnderLoad|PlanCacheEviction|KeyLifecycleRelease|TenantQuota|MetricsEndpoint)' ./internal/serve/
+	go test -race -run 'TestServe(FairnessUnderLoad|KeyLifecycleRelease|TenantQuota|MetricsEndpoint)|TestTenantWeight' ./internal/serve/
 
 # Race-checked multi-bit LUT path, end to end: truth-table solving and
 # feasibility (logic), the circuit node and asm instruction formats, the

@@ -667,15 +667,8 @@ func cmdServerStats(args []string) error {
 		fmt.Printf("luts: %d multi-input LUT gates evaluated (%d LUT instructions executed locally after plan dedup)\n",
 			st.LUTsEvaluated, st.ExecutorLUTs)
 	}
-	fmt.Printf("plan cache: %d hits, %d misses — %d local replays, arena high water %d ciphertexts\n",
-		st.PlanHits, st.PlanMisses, st.PlanReplays, st.ArenaHighWater)
-	pc := st.PlanCache
-	capStr := "unbounded"
-	if pc.CapBytes > 0 {
-		capStr = fmt.Sprintf("cap %.1f KB", float64(pc.CapBytes)/1024)
-	}
-	fmt.Printf("  plan LRU: %d entries, %.1f KB (%s), %d evicted\n",
-		pc.Entries, float64(pc.Bytes)/1024, capStr, pc.Evictions)
+	fmt.Printf("plans: %d compiled at registration, %d evaluations replayed them, arena high water %d ciphertexts\n",
+		st.PlanMisses, st.PlanHits, st.ArenaHighWater)
 	if st.KeysReleased > 0 {
 		fmt.Printf("keys released: %d (engines freed on last session close)\n", st.KeysReleased)
 	}

@@ -190,7 +190,7 @@ func NewPendingCoordinator(addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	return &Coordinator{ln: ln, plans: qos.NewLRU(planCacheEntries)}, nil
+	return &Coordinator{ln: ln, plans: qos.NewLRU(shardingCacheEntries)}, nil
 }
 
 // SetKey binds the cloud key and completes the handshake of every parked
@@ -582,7 +582,7 @@ func (w *Worker) Serve(addr string) error {
 	if capacity < 1 {
 		capacity = DefaultShardCache
 	}
-	shards := qos.NewLRU(int64(capacity)) // hash → *shardEntry, one unit each
+	shards := qos.NewLRU(capacity) // hash → *shardEntry
 	dim := ck.Params.LWEDimension
 
 	for {

@@ -67,10 +67,10 @@ type ShardReplay struct {
 	Steps   []ShardStep
 }
 
-// planCacheEntries bounds the coordinator's sharding cache: a daemon
+// shardingCacheEntries bounds the coordinator's sharding cache: a daemon
 // serving many programs keeps only the most recently run netlist × worker
 // count decompositions (plan and shards) instead of every one it has seen.
-const planCacheEntries = 16
+const shardingCacheEntries = 16
 
 // shardPlan is one entry of the coordinator's sharding cache, keyed by the
 // netlist's address and the worker count: the same netlist evaluated at a
@@ -109,7 +109,7 @@ func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, err
 	if _, err := shard.Verify(p, s); err != nil {
 		return nil, err
 	}
-	c.plans.Add(key, &shardPlan{nl: nl, s: s}, 1)
+	c.plans.Add(key, &shardPlan{nl: nl, s: s})
 	return s, nil
 }
 
@@ -539,7 +539,7 @@ func (w *Worker) handleShardData(sc *qos.LRU, sh *shard.Shard, dim int) Message 
 	if err := sh.Validate(); err != nil {
 		return Message{Error: err.Error()}
 	}
-	sc.Add(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)}, 1)
+	sc.Add(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)})
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }
 

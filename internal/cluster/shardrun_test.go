@@ -75,7 +75,7 @@ func andOf(k int) *circuit.Netlist {
 }
 
 // TestShardCachesStayBounded runs more distinct netlists than either cache
-// holds. The coordinator never keeps more than planCacheEntries
+// holds. The coordinator never keeps more than shardingCacheEntries
 // decompositions, and a worker with ShardCache 2 keeps only the two most
 // recently used shards: the last netlist hits, the first is reshipped.
 func TestShardCachesStayBounded(t *testing.T) {
@@ -106,12 +106,12 @@ func TestShardCachesStayBounded(t *testing.T) {
 		}
 		return coord.LastStat
 	}
-	nls := make([]*circuit.Netlist, planCacheEntries+4)
+	nls := make([]*circuit.Netlist, shardingCacheEntries+4)
 	for i := range nls {
 		nls[i] = andOf(i + 2)
 		run(nls[i])
-		if n := coord.plans.Len(); n > planCacheEntries {
-			t.Fatalf("coordinator caches %d decompositions after %d netlists, want at most %d", n, i+1, planCacheEntries)
+		if n := coord.plans.Len(); n > shardingCacheEntries {
+			t.Fatalf("coordinator caches %d decompositions after %d netlists, want at most %d", n, i+1, shardingCacheEntries)
 		}
 	}
 	if st := run(nls[len(nls)-1]); st.ShardMisses != 0 {

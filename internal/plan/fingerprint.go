@@ -12,8 +12,7 @@ import (
 // and the input/worker shape. Two plans share a fingerprint exactly when
 // replay would execute the identical schedule, so the hash is the cache
 // key for derived artifacts — internal/shard keys its ship-once shard
-// cache on it the way pytfhed keys its plan cache on program content. The
-// hash is computed once and memoized; a Plan is immutable after Compile,
+// cache on it. The hash is computed once and memoized; a Plan is immutable after Compile,
 // so concurrent callers are safe.
 func (p *Plan) Fingerprint() string {
 	p.fpOnce.Do(func() {

@@ -115,7 +115,7 @@ func TestPlanLUTDedupPermutation(t *testing.T) {
 
 // TestPlanLUTFingerprint asserts the fingerprint covers the truth table:
 // plans identical except for one LUT's table must not collide (they key
-// shard caches and the daemon plan cache).
+// the shard caches).
 func TestPlanLUTFingerprint(t *testing.T) {
 	build := func(tt logic.TT) *Plan {
 		b := circuit.NewBuilder("fp", circuit.NoOptimizations())

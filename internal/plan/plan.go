@@ -129,26 +129,3 @@ func (p *Plan) ArenaSlots() int { return p.stats.ArenaSlots }
 // really was between functionally identical nodes. Read-only by
 // convention.
 func (p *Plan) ExecOf() []int32 { return p.execOf }
-
-// SizeBytes estimates the plan's resident memory: instructions, the
-// per-worker batch slice headers, output refs, and the dedup map. The
-// figure feeds the daemon's byte-accounted plan cache — it is an
-// accounting estimate (struct padding and allocator overhead included as
-// flat constants), not an exact heap measurement.
-func (p *Plan) SizeBytes() int64 {
-	const (
-		instrBytes  = 24 // Kind + Arity + TT + 4×Ref, padded
-		sliceHeader = 24
-		fixed       = 256 // Plan struct, name, stats
-	)
-	size := int64(fixed)
-	size += int64(len(p.execOf)) * 4
-	size += int64(len(p.outputs)) * 4
-	for _, lvl := range p.levels {
-		size += sliceHeader
-		for _, batch := range lvl.Batches {
-			size += sliceHeader + int64(len(batch))*instrBytes
-		}
-	}
-	return size
-}

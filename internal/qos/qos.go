@@ -1,14 +1,15 @@
 // Package qos holds the runtime-layer quality-of-service primitives the
 // serving stack composes: a weighted fair ready queue partitioned by
-// tenant (Fair), per-tenant admission quotas (Quota), and a
-// byte-accounted LRU cache (LRU) for the caches that otherwise grow
-// without bound — compiled execution plans and per-key replay runtimes.
+// tenant (Fair), per-tenant admission quotas (Quota), and an entry-capped
+// LRU cache (LRU) for the cluster's sharding and shard caches, which
+// otherwise grow with every program a long-lived daemon serves.
 //
 // Everything here is policy over the existing execution machinery, in the
 // spirit of CHET's compiler/runtime split: no backend forks, no kernel
 // changes. backend.Shared swaps its single cross-run critical-path heap
-// for a Fair of per-tenant heaps, and pytfhed threads Quota and LRU
-// through admission and its caches.
+// for a Fair of per-tenant heaps, pytfhed threads Quota through
+// admission, and the cluster coordinator and workers bound their caches
+// with LRU.
 package qos
 
 import "errors"

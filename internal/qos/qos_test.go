@@ -218,68 +218,52 @@ func TestQuota(t *testing.T) {
 	}
 }
 
-// TestLRU pins the byte-cap invariant, recency order, and the eviction
-// counters.
+// TestLRU pins the entry cap and the eviction order: the coldest entry
+// goes, and Get and a replacing Add both refresh recency.
 func TestLRU(t *testing.T) {
-	c := NewLRU(100)
-	if ev := c.Add("a", "A", 40); len(ev) != 0 {
-		t.Fatalf("eviction under cap: %v", ev)
-	}
-	c.Add("b", "B", 40)
+	c := NewLRU(2)
+	c.Add("a", "A")
+	c.Add("b", "B")
 	if _, ok := c.Get("a"); !ok { // refresh a: b is now coldest
 		t.Fatal("a missing")
 	}
-	ev := c.Add("c", "C", 40)
-	if len(ev) != 1 || ev[0].Key != "b" {
-		t.Fatalf("evicted %v, want b", ev)
-	}
-	if c.Bytes() != 80 || c.Len() != 2 {
-		t.Fatalf("bytes=%d len=%d after eviction", c.Bytes(), c.Len())
+	c.Add("c", "C")
+	if c.Len() != 2 {
+		t.Fatalf("len = %d after eviction, want the cap 2", c.Len())
 	}
 	if _, ok := c.Get("b"); ok {
-		t.Fatal("evicted entry still cached")
+		t.Fatal("coldest entry b survived an Add past the cap")
 	}
 
-	// Re-adding a key at a larger size forces eviction of the cold entry
-	// (c is most recent; a is coldest).
-	ev = c.Add("c", "C", 80)
-	if len(ev) != 1 || ev[0].Key != "a" {
-		t.Fatalf("resize evicted %v, want a", ev)
+	// Replacing a resident key updates it in place, evicts nothing, and
+	// makes it most recent: a is now coldest.
+	c.Add("c", "C2")
+	if v, ok := c.Get("c"); !ok || v != "C2" || c.Len() != 2 {
+		t.Fatalf("replace: c=%v ok=%v len=%d", v, ok, c.Len())
 	}
-	if c.Bytes() > c.Cap() {
-		t.Fatalf("bytes %d exceed cap %d", c.Bytes(), c.Cap())
+	c.Add("d", "D")
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a survived although c was refreshed after it")
 	}
-
-	// An entry larger than the whole cap is never cached.
-	ev = c.Add("huge", "H", 1000)
-	found := false
-	for _, e := range ev {
-		if e.Key == "huge" {
-			found = true
+	for _, k := range []string{"c", "d"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s evicted out of order", k)
 		}
 	}
-	if !found || c.Bytes() > c.Cap() {
-		t.Fatalf("oversized entry: evicted=%v bytes=%d", ev, c.Bytes())
-	}
 
-	st := c.Stats()
-	if st.Evictions == 0 || st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("eviction/hit/miss counters dead: %+v", st)
-	}
-
-	// Unbounded cache never evicts on Add.
-	u := NewLRU(0)
-	for i := 0; i < 10; i++ {
-		if ev := u.Add(string(rune('a'+i)), i, 1<<20); len(ev) != 0 {
-			t.Fatalf("unbounded cache evicted %v", ev)
-		}
+	// A cap below one still holds the latest entry.
+	one := NewLRU(0)
+	one.Add("x", 1)
+	one.Add("y", 2)
+	if _, ok := one.Get("y"); !ok || one.Len() != 1 {
+		t.Fatalf("cap-0 cache: len %d, latest resident %v", one.Len(), ok)
 	}
 }
 
 // TestLRUConcurrent hammers the cache from several goroutines under
-// -race; the assertion is the byte invariant at the end.
+// -race; the assertion is the entry cap at the end.
 func TestLRUConcurrent(t *testing.T) {
-	c := NewLRU(1000)
+	c := NewLRU(5)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -287,14 +271,14 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := string(rune('a' + (g+i)%16))
-				c.Add(key, i, int64(50+i%100))
+				c.Add(key, i)
 				c.Get(key)
-				c.Add(key, i, int64(60+i%50))
+				c.Add(key, i+1)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Bytes() > c.Cap() {
-		t.Fatalf("bytes %d exceed cap %d after concurrent churn", c.Bytes(), c.Cap())
+	if c.Len() != 5 {
+		t.Fatalf("len %d after concurrent churn, want the cap 5", c.Len())
 	}
 }

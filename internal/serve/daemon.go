@@ -66,7 +66,7 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	noiseParams := fs.String("noise-params", "default128", "parameter set the admission noise analysis assumes: test or default128")
 	minSigmas := fs.Float64("min-sigmas", 0, "sigma margin registered programs must keep under the noise analysis (0: default 4)")
 	noNoise := fs.Bool("no-noise-check", false, "admit programs without the static noise-budget analysis")
-	lut := fs.Bool("lut", false, "re-synthesize registered programs through lut-cluster: gate cones collapse into k-input programmable bootstraps before caching")
+	lut := fs.Bool("lut", false, "re-synthesize registered programs through lut-cluster: gate cones collapse into k-input programmable bootstraps before the plan compile")
 	drainT := fs.Duration("drain-timeout", time.Minute, "grace period for in-flight work on shutdown")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	clusterListen := fs.String("cluster-listen", "", "run a cluster coordinator on this address; pytfhe-worker processes join it and evaluations run as cached plan shards")
@@ -75,11 +75,10 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	clusterAddrFile := fs.String("cluster-addr-file", "", "write the coordinator's worker-join address to this file once listening")
 	metricsAddr := fs.String("metrics-addr", "", "serve a Prometheus-text /metrics endpoint on this address (port 0 picks a free port)")
 	metricsAddrFile := fs.String("metrics-addr-file", "", "write the bound metrics address to this file once listening")
-	planCacheBytes := fs.Int64("plan-cache-bytes", 0, "byte cap on the compiled-plan cache; coldest plans are evicted and recompiled on next use (0: unbounded)")
 	tenantMaxInflight := fs.Int("tenant-max-inflight", 0, "per-tenant cap on concurrently admitted evaluations (0: unlimited)")
 	tenantMaxQueued := fs.Int("tenant-max-queued-gates", 0, "per-tenant cap on the total gate count of admitted evaluations (0: unlimited)")
 	weights := weightFlags{}
-	fs.Var(weights, "tenant-weight", "fair-share weight for a tenant as KEYHASHPREFIX=WEIGHT (repeatable; unmatched tenants weigh 1)")
+	fs.Var(weights, "tenant-weight", "fair-share weight for a tenant as KEYHASHPREFIX=WEIGHT (repeatable; the longest matching prefix wins, unmatched tenants weigh 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,7 +107,6 @@ func RunDaemon(args []string, stdout io.Writer) error {
 		ClusterWorkers:       *clusterWorkers,
 		ClusterJoinWait:      *clusterJoinWait,
 		MetricsAddr:          *metricsAddr,
-		PlanCacheBytes:       *planCacheBytes,
 		TenantMaxInFlight:    *tenantMaxInflight,
 		TenantMaxQueuedGates: *tenantMaxQueued,
 		TenantWeights:        weights,

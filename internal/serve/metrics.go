@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"reflect"
 	"strconv"
+	"strings"
 
 	"pytfhe/internal/telemetry"
 )
@@ -16,73 +18,86 @@ func tenantLabel(keyHash string) string {
 	return keyHash
 }
 
-// metrics is the daemon's telemetry surface. Request counts, latency,
-// and queue wait are observed inline on the request path; everything
-// else is a scrape-time mirror of the counters the daemon already keeps
-// (Server.mirrorMetrics), so the hot path pays nothing for them.
+// metrics holds the families observed inline on the request path. Every
+// other series is declared in scrapeSeries and read at scrape time from one
+// statsSnapshot, the value the Stats RPC returns, so the two can never
+// disagree and the hot path pays nothing for them.
 type metrics struct {
-	// Inline-observed.
 	requests  *telemetry.CounterVec   // {tenant, outcome}
 	latency   *telemetry.HistogramVec // {tenant}, ms, ok requests only
 	queueWait *telemetry.Histogram    // ms waiting for an evaluation slot
+}
 
-	// Scrape-time mirrors.
-	queueDepth    *telemetry.Gauge
-	inflight      *telemetry.Gauge
-	sessions      *telemetry.Counter
-	programs      *telemetry.Gauge
-	evals         *telemetry.Counter
-	rejected      *telemetry.Counter
-	quotaRejected *telemetry.Counter
-	keysReleased  *telemetry.Counter
-	uptime        *telemetry.Gauge
+// statSeries declares one scrape-time family: its name, type and help,
+// and the StatsReply field it reads — dotted for a field of the Cluster
+// sub-struct, which reads 0 while the daemon runs without a cluster. A
+// map field (per-tenant) yields one series per key under label.
+type statSeries struct {
+	name, typ, field, help string
+	label                  string  // map fields only
+	perUnit                float64 // field units per series unit (0: same unit)
+}
 
-	schedPicks  *telemetry.CounterVec // {tenant}
-	schedQueued *telemetry.GaugeVec   // {tenant}
+func counter(name, field, help string) statSeries {
+	return statSeries{name: name, typ: "counter", field: field, help: help}
+}
 
-	workers    *telemetry.Gauge
-	workerBusy *telemetry.Counter // milliseconds
-	execGates  *telemetry.Counter
-	execBoots  *telemetry.Counter
-	execLUTs   *telemetry.Counter
-	lutsEval   *telemetry.Counter
+func gauge(name, field, help string) statSeries {
+	return statSeries{name: name, typ: "gauge", field: field, help: help}
+}
 
-	planHits    *telemetry.Counter
-	planMisses  *telemetry.Counter
-	planReplays *telemetry.Counter
-	arenaHW     *telemetry.Gauge
+var scrapeSeries = []statSeries{
+	gauge("pytfhed_queue_depth", "QueueDepth", "Admitted requests waiting for a slot."),
+	gauge("pytfhed_inflight", "InFlight", "Evaluations currently executing."),
+	counter("pytfhed_sessions_total", "Sessions", "Sessions opened since start."),
+	gauge("pytfhed_programs", "Programs", "Programs in the registry."),
+	counter("pytfhed_evaluations_total", "Evaluations", "Completed evaluations."),
+	counter("pytfhed_rejected_total", "Rejected", "Requests shed by the bounded admission queue."),
+	counter("pytfhed_quota_rejected_total", "QuotaRejected", "Requests refused by per-tenant quotas."),
+	counter("pytfhed_keys_released_total", "KeysReleased", "Cloud keys released after their last session closed."),
+	{name: "pytfhed_uptime_seconds", typ: "gauge", field: "UptimeMs", perUnit: 1e3, help: "Seconds since the daemon started."},
 
-	batches      *telemetry.Counter
-	batchedBoots *telemetry.Counter
-	crossBatches *telemetry.Counter
-	batchFill    *telemetry.Gauge
+	{name: "pytfhed_sched_picks_total", typ: "counter", field: "TenantPicks", label: "tenant", help: "Fair-scheduler picks per tenant."},
+	{name: "pytfhed_sched_queued", typ: "gauge", field: "TenantQueued", label: "tenant", help: "Level slices queued per tenant on the shared executor."},
 
-	cacheBytes     *telemetry.GaugeVec   // {cache}
-	cacheCap       *telemetry.GaugeVec   // {cache}
-	cacheEntries   *telemetry.GaugeVec   // {cache}
-	cacheHits      *telemetry.CounterVec // {cache}
-	cacheMisses    *telemetry.CounterVec // {cache}
-	cacheEvictions *telemetry.CounterVec // {cache}
+	gauge("pytfhed_workers", "Workers", "Executor worker goroutines."),
+	counter("pytfhed_worker_busy_ms_total", "WorkerBusyMs", "Cumulative evaluation time across workers, ms."),
+	counter("pytfhed_executor_gates_total", "ExecutorGates", "Plan instructions executed by the shared executor."),
+	counter("pytfhed_executor_bootstraps_total", "ExecutorBootstraps", "Bootstrapped instructions executed by the shared executor."),
+	counter("pytfhed_executor_luts_total", "ExecutorLUTs", "Multi-input LUT instructions executed by the shared executor."),
+	counter("pytfhed_luts_evaluated_total", "LUTsEvaluated", "Logical LUT gates across completed evaluations, all paths."),
 
-	clusterWorkers   *telemetry.Gauge
-	clusterEvals     *telemetry.Counter
-	clusterFallbacks *telemetry.Counter
-	shardRuns        *telemetry.Counter
-	shardHits        *telemetry.Counter
-	shardMisses      *telemetry.Counter
-	shardReships     *telemetry.Counter
-	wireSent         *telemetry.Counter
-	wireRecv         *telemetry.Counter
-	boundaryBytes    *telemetry.Counter
-	workersLost      *telemetry.Counter
+	counter("pytfhed_plan_hits_total", "PlanHits", "Evaluations served from a registered execution plan."),
+	counter("pytfhed_plan_misses_total", "PlanMisses", "Execution plans compiled, one per newly registered program."),
+	counter("pytfhed_plan_replays_total", "PlanReplays", "Evaluations replayed on the local executor."),
+	gauge("pytfhed_arena_high_water", "ArenaHighWater", "Peak ciphertext count of any one replay arena."),
+
+	counter("pytfhed_batches_total", "Batches", "Amortized bootstrap kernel dispatches."),
+	counter("pytfhed_batched_bootstraps_total", "BatchedBootstraps", "Bootstrapped instructions covered by batched dispatches."),
+	counter("pytfhed_cross_run_batches_total", "CrossRunBatches", "Batches spanning two or more concurrent requests."),
+	gauge("pytfhed_batch_fill", "AvgBatchFill", "Average bootstrapped instructions per batched dispatch."),
+
+	gauge("pytfhed_cluster_workers", "Cluster.Workers", "Workers currently joined to the coordinator."),
+	counter("pytfhed_cluster_evals_total", "Cluster.Evals", "Evaluations dispatched as plan shards."),
+	counter("pytfhed_cluster_fallbacks_total", "Cluster.Fallbacks", "Cluster-eligible evaluations that ran locally."),
+	counter("pytfhed_cluster_shard_runs_total", "Cluster.ShardRuns", "Sharded plan runs."),
+	counter("pytfhed_cluster_shard_hits_total", "Cluster.ShardHits", "Shards found resident on their worker."),
+	counter("pytfhed_cluster_shard_misses_total", "Cluster.ShardMisses", "Shards shipped on first use."),
+	counter("pytfhed_cluster_shard_reships_total", "Cluster.ShardReships", "Shards re-hosted after a worker loss."),
+	counter("pytfhed_cluster_wire_bytes_sent_total", "Cluster.WireBytesSent", "Coordinator bytes sent to workers."),
+	counter("pytfhed_cluster_wire_bytes_recv_total", "Cluster.WireBytesRecv", "Coordinator bytes received from workers."),
+	counter("pytfhed_cluster_boundary_bytes_total", "Cluster.BoundaryBytes", "Bytes of per-run boundary ciphertexts on the wire."),
+	counter("pytfhed_cluster_workers_lost_total", "Cluster.WorkersLost", "Workers lost mid-run."),
 }
 
 // latencyBuckets spans sub-millisecond test-parameter replays up to
 // multi-minute production evaluations: 1ms … ~8.7min, ×2 per bucket.
 var latencyBuckets = telemetry.ExpBuckets(1, 2, 20)
 
-func newMetrics(reg *telemetry.Registry) *metrics {
-	return &metrics{
+// newMetrics registers the inline families, then every scrapeSeries
+// family, all reading the one snapshot each scrape takes.
+func newMetrics(reg *telemetry.Registry, snapshot func() *StatsReply) *metrics {
+	m := &metrics{
 		requests: reg.CounterVec("pytfhed_requests_total",
 			"Evaluation requests by tenant and outcome (outcome is ok or a wire error code).",
 			"tenant", "outcome"),
@@ -92,58 +107,51 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		queueWait: reg.Histogram("pytfhed_queue_wait_ms",
 			"Time admitted requests spent waiting for an evaluation slot.",
 			latencyBuckets),
-
-		queueDepth:    reg.Gauge("pytfhed_queue_depth", "Admitted requests waiting for a slot."),
-		inflight:      reg.Gauge("pytfhed_inflight", "Evaluations currently executing."),
-		sessions:      reg.Counter("pytfhed_sessions_total", "Sessions opened since start."),
-		programs:      reg.Gauge("pytfhed_programs", "Programs in the registry."),
-		evals:         reg.Counter("pytfhed_evaluations_total", "Completed evaluations."),
-		rejected:      reg.Counter("pytfhed_rejected_total", "Requests shed by the bounded admission queue."),
-		quotaRejected: reg.Counter("pytfhed_quota_rejected_total", "Requests refused by per-tenant quotas."),
-		keysReleased:  reg.Counter("pytfhed_keys_released_total", "Cloud keys released after their last session closed."),
-		uptime:        reg.Gauge("pytfhed_uptime_seconds", "Seconds since the daemon started."),
-
-		schedPicks: reg.CounterVec("pytfhed_sched_picks_total",
-			"Fair-scheduler picks per tenant.", "tenant"),
-		schedQueued: reg.GaugeVec("pytfhed_sched_queued",
-			"Level slices queued per tenant on the shared executor.", "tenant"),
-
-		workers:    reg.Gauge("pytfhed_workers", "Executor worker goroutines."),
-		workerBusy: reg.Counter("pytfhed_worker_busy_ms_total", "Cumulative evaluation time across workers, ms."),
-		execGates:  reg.Counter("pytfhed_executor_gates_total", "Plan instructions executed by the shared executor."),
-		execBoots:  reg.Counter("pytfhed_executor_bootstraps_total", "Bootstrapped instructions executed by the shared executor."),
-		execLUTs:   reg.Counter("pytfhed_executor_luts_total", "Multi-input LUT instructions executed by the shared executor."),
-		lutsEval:   reg.Counter("pytfhed_luts_evaluated_total", "Logical LUT gates across completed evaluations, all paths."),
-
-		planHits:    reg.Counter("pytfhed_plan_hits_total", "Evaluations that found a cached execution plan."),
-		planMisses:  reg.Counter("pytfhed_plan_misses_total", "Evaluations that paid a plan compile."),
-		planReplays: reg.Counter("pytfhed_plan_replays_total", "Evaluations replayed on the local executor."),
-		arenaHW:     reg.Gauge("pytfhed_arena_high_water", "Peak ciphertext count of any one replay arena."),
-
-		batches:      reg.Counter("pytfhed_batches_total", "Amortized bootstrap kernel dispatches."),
-		batchedBoots: reg.Counter("pytfhed_batched_bootstraps_total", "Bootstrapped instructions covered by batched dispatches."),
-		crossBatches: reg.Counter("pytfhed_cross_run_batches_total", "Batches spanning two or more concurrent requests."),
-		batchFill:    reg.Gauge("pytfhed_batch_fill", "Average bootstrapped instructions per batched dispatch."),
-
-		cacheBytes:     reg.GaugeVec("pytfhed_cache_bytes", "Accounted bytes resident per cache.", "cache"),
-		cacheCap:       reg.GaugeVec("pytfhed_cache_cap_bytes", "Configured byte cap per cache (0: unbounded).", "cache"),
-		cacheEntries:   reg.GaugeVec("pytfhed_cache_entries", "Entries resident per cache.", "cache"),
-		cacheHits:      reg.CounterVec("pytfhed_cache_hits_total", "Cache lookups that hit.", "cache"),
-		cacheMisses:    reg.CounterVec("pytfhed_cache_misses_total", "Cache lookups that missed.", "cache"),
-		cacheEvictions: reg.CounterVec("pytfhed_cache_evictions_total", "Entries evicted (lifecycle releases included).", "cache"),
-
-		clusterWorkers:   reg.Gauge("pytfhed_cluster_workers", "Workers currently joined to the coordinator."),
-		clusterEvals:     reg.Counter("pytfhed_cluster_evals_total", "Evaluations dispatched as plan shards."),
-		clusterFallbacks: reg.Counter("pytfhed_cluster_fallbacks_total", "Cluster-eligible evaluations that ran locally."),
-		shardRuns:        reg.Counter("pytfhed_cluster_shard_runs_total", "Sharded plan runs."),
-		shardHits:        reg.Counter("pytfhed_cluster_shard_hits_total", "Shards found resident on their worker."),
-		shardMisses:      reg.Counter("pytfhed_cluster_shard_misses_total", "Shards shipped on first use."),
-		shardReships:     reg.Counter("pytfhed_cluster_shard_reships_total", "Shards re-hosted after a worker loss."),
-		wireSent:         reg.Counter("pytfhed_cluster_wire_bytes_sent_total", "Coordinator bytes sent to workers."),
-		wireRecv:         reg.Counter("pytfhed_cluster_wire_bytes_recv_total", "Coordinator bytes received from workers."),
-		boundaryBytes:    reg.Counter("pytfhed_cluster_boundary_bytes_total", "Bytes of per-run boundary ciphertexts on the wire."),
-		workersLost:      reg.Counter("pytfhed_cluster_workers_lost_total", "Workers lost mid-run."),
 	}
+	reg.OnScrape(func() any { return snapshot() })
+	for _, d := range scrapeSeries {
+		var labels []string
+		if d.label != "" {
+			labels = []string{d.label}
+		}
+		reg.Func(d.name, d.help, d.typ, func(snap any) []telemetry.Sample {
+			return d.read(snap.(*StatsReply))
+		}, labels...)
+	}
+	return m
+}
+
+// read returns the series' samples from one snapshot.
+func (d statSeries) read(st *StatsReply) []telemetry.Sample {
+	v := reflect.ValueOf(st)
+	for _, name := range strings.Split(d.field, ".") {
+		if v.IsNil() {
+			return []telemetry.Sample{{}}
+		}
+		v = v.Elem().FieldByName(name)
+	}
+	if v.Kind() == reflect.Map {
+		out := make([]telemetry.Sample, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			out = append(out, telemetry.Sample{Labels: []string{it.Key().String()}, Value: number(it.Value())})
+		}
+		return out
+	}
+	if d.perUnit != 0 {
+		return []telemetry.Sample{{Value: number(v) / d.perUnit}}
+	}
+	return []telemetry.Sample{{Value: number(v)}}
+}
+
+// number reads an integer or float field as a float64.
+func number(v reflect.Value) float64 {
+	switch {
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanUint():
+		return float64(v.Uint())
+	}
+	return v.Float()
 }
 
 // observeRequest records one finished evaluation request. The outcome
@@ -157,70 +165,6 @@ func (m *metrics) observeRequest(tenant string, resp Response, elapsedMs float64
 	m.requests.With(tenant, outcome).Inc()
 	if resp.Err == nil {
 		m.latency.With(tenant).Observe(elapsedMs)
-	}
-}
-
-// mirrorMetrics copies the daemon's counters into the registry; it runs
-// once per scrape via telemetry.Registry.OnScrape.
-func (s *Server) mirrorMetrics() {
-	m := s.met
-	st := s.statsSnapshot()
-	ex := s.exec.Stats()
-
-	m.queueDepth.Set(float64(st.QueueDepth))
-	m.inflight.Set(float64(st.InFlight))
-	m.sessions.Set(int64(st.Sessions))
-	m.programs.Set(float64(st.Programs))
-	m.evals.Set(st.Evaluations)
-	m.rejected.Set(st.Rejected)
-	m.quotaRejected.Set(st.QuotaRejected)
-	m.keysReleased.Set(st.KeysReleased)
-	m.uptime.Set(float64(st.UptimeMs) / 1e3)
-
-	for tenant, picks := range st.TenantPicks {
-		m.schedPicks.With(tenant).Set(picks)
-	}
-	for tenant, queued := range st.TenantQueued {
-		m.schedQueued.With(tenant).Set(float64(queued))
-	}
-
-	m.workers.Set(float64(ex.Workers))
-	m.workerBusy.Set(ex.WorkerBusy.Milliseconds())
-	m.execGates.Set(ex.Gates)
-	m.execBoots.Set(ex.Bootstraps)
-	m.execLUTs.Set(ex.LUTs)
-	m.lutsEval.Set(st.LUTsEvaluated)
-
-	m.planHits.Set(st.PlanHits)
-	m.planMisses.Set(st.PlanMisses)
-	m.planReplays.Set(st.PlanReplays)
-	m.arenaHW.Set(float64(st.ArenaHighWater))
-
-	m.batches.Set(st.Batches)
-	m.batchedBoots.Set(st.BatchedBootstraps)
-	m.crossBatches.Set(st.CrossRunBatches)
-	m.batchFill.Set(st.AvgBatchFill)
-
-	pc := st.PlanCache
-	m.cacheBytes.With("plan").Set(float64(pc.Bytes))
-	m.cacheCap.With("plan").Set(float64(pc.CapBytes))
-	m.cacheEntries.With("plan").Set(float64(pc.Entries))
-	m.cacheHits.With("plan").Set(pc.Hits)
-	m.cacheMisses.With("plan").Set(pc.Misses)
-	m.cacheEvictions.With("plan").Set(pc.Evictions)
-
-	if cs := st.Cluster; cs != nil {
-		m.clusterWorkers.Set(float64(cs.Workers))
-		m.clusterEvals.Set(cs.Evals)
-		m.clusterFallbacks.Set(cs.Fallbacks)
-		m.shardRuns.Set(cs.ShardRuns)
-		m.shardHits.Set(cs.ShardHits)
-		m.shardMisses.Set(cs.ShardMisses)
-		m.shardReships.Set(cs.ShardReships)
-		m.wireSent.Set(cs.WireBytesSent)
-		m.wireRecv.Set(cs.WireBytesRecv)
-		m.boundaryBytes.Set(cs.BoundaryBytes)
-		m.workersLost.Set(cs.WorkersLost)
 	}
 }
 

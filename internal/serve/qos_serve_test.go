@@ -4,8 +4,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,62 +17,29 @@ import (
 	"pytfhe/internal/qos"
 )
 
-// evalOnce registers prog on a fresh connection, opens kp's session, and
-// runs one evaluation, returning the decrypted result.
-func evalOnce(t *testing.T, srv *Server, kpIdx int, width int, a, b uint64) uint64 {
-	t.Helper()
-	kp := tenantKeys(t)[kpIdx]
-	prog := adderProg(t, width)
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+// TestTenantWeight pins -tenant-weight resolution: the longest matching
+// prefix wins whatever the map's iteration order, and a key matching no
+// prefix weighs 1.
+func TestTenantWeight(t *testing.T) {
+	hash := "ab12cd34" + strings.Repeat("e", 56)
+	cases := []struct {
+		name    string
+		weights map[string]float64
+		want    float64
+	}{
+		{"overlapping prefixes", map[string]float64{"ab": 2, "ab12cd34": 4, "ab12": 3, "ff": 8}, 4},
+		{"no match", map[string]float64{"ff": 8, "ab13": 3}, 1},
+		{"no weights", nil, 1},
+		{"full hash as prefix", map[string]float64{"ab": 2, "ab12cd34": 4, hash: 16}, 16},
 	}
-	defer cl.Close()
-	info, err := cl.RegisterProgram(prog.Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.OpenSession(kp.Cloud); err != nil {
-		t.Fatal(err)
-	}
-	outs, err := cl.Evaluate(info.Hash, kp.EncryptBits(append(bitsOf(a, width), bitsOf(b, width)...)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return uintOf(kp.DecryptBits(outs))
-}
-
-// TestServePlanCacheEviction pins the byte-capped plan cache: with a cap
-// that holds roughly one compiled plan, registering and evaluating
-// several programs stays under the cap, evicts the cold plans, and an
-// evicted program still evaluates correctly (transparent recompile).
-func TestServePlanCacheEviction(t *testing.T) {
-	// An adder plan is ~1 KiB accounted; cap the cache below the sum of
-	// the three widths below so later compiles must evict.
-	srv := startServer(t, Config{Workers: 1, PlanCacheBytes: 2 << 10})
-
-	for i, width := range []int{3, 4, 5} {
-		if got := evalOnce(t, srv, 0, width, 2, 3); got != 5 {
-			t.Fatalf("program %d: 2+3 = %d", i, got)
+	for _, tc := range cases {
+		// Map order is random per iteration: repeat so a resolution that
+		// depends on it cannot pass by luck.
+		for i := 0; i < 50; i++ {
+			if got := tenantWeight(tc.weights, hash); got != tc.want {
+				t.Fatalf("%s: weight %v, want %v", tc.name, got, tc.want)
+			}
 		}
-	}
-	st := srv.statsSnapshot()
-	if st.PlanCache.Bytes > st.PlanCache.CapBytes {
-		t.Fatalf("plan cache over cap: %+v", st.PlanCache)
-	}
-	if st.PlanCache.Evictions == 0 {
-		t.Fatalf("no evictions despite %d compiles into a %d-byte cap: %+v",
-			st.PlanMisses, st.PlanCache.CapBytes, st.PlanCache)
-	}
-	misses := st.PlanMisses
-
-	// The width-3 plan was evicted long ago; evaluating it again must
-	// recompile (a fresh PlanMiss) and still be correct.
-	if got := evalOnce(t, srv, 0, 3, 3, 4); got != 7 {
-		t.Fatalf("re-eval after eviction: 3+4 = %d", got)
-	}
-	if st2 := srv.statsSnapshot(); st2.PlanMisses <= misses {
-		t.Fatalf("evicted plan did not recompile: misses %d -> %d", misses, st2.PlanMisses)
 	}
 }
 
@@ -237,10 +206,71 @@ func TestServeTenantQuota(t *testing.T) {
 	}
 }
 
+// metricFamilies is the /metrics surface once traffic has flowed: every
+// family and its type.
+var metricFamilies = []string{
+	"pytfhed_arena_high_water gauge",
+	"pytfhed_batch_fill gauge",
+	"pytfhed_batched_bootstraps_total counter",
+	"pytfhed_batches_total counter",
+	"pytfhed_cluster_boundary_bytes_total counter",
+	"pytfhed_cluster_evals_total counter",
+	"pytfhed_cluster_fallbacks_total counter",
+	"pytfhed_cluster_shard_hits_total counter",
+	"pytfhed_cluster_shard_misses_total counter",
+	"pytfhed_cluster_shard_reships_total counter",
+	"pytfhed_cluster_shard_runs_total counter",
+	"pytfhed_cluster_wire_bytes_recv_total counter",
+	"pytfhed_cluster_wire_bytes_sent_total counter",
+	"pytfhed_cluster_workers gauge",
+	"pytfhed_cluster_workers_lost_total counter",
+	"pytfhed_cross_run_batches_total counter",
+	"pytfhed_evaluations_total counter",
+	"pytfhed_executor_bootstraps_total counter",
+	"pytfhed_executor_gates_total counter",
+	"pytfhed_executor_luts_total counter",
+	"pytfhed_inflight gauge",
+	"pytfhed_keys_released_total counter",
+	"pytfhed_luts_evaluated_total counter",
+	"pytfhed_plan_hits_total counter",
+	"pytfhed_plan_misses_total counter",
+	"pytfhed_plan_replays_total counter",
+	"pytfhed_programs gauge",
+	"pytfhed_queue_depth gauge",
+	"pytfhed_queue_wait_ms histogram",
+	"pytfhed_quota_rejected_total counter",
+	"pytfhed_rejected_total counter",
+	"pytfhed_request_latency_ms histogram",
+	"pytfhed_requests_total counter",
+	"pytfhed_sched_picks_total counter",
+	"pytfhed_sched_queued gauge",
+	"pytfhed_sessions_total counter",
+	"pytfhed_uptime_seconds gauge",
+	"pytfhed_worker_busy_ms_total counter",
+	"pytfhed_workers gauge",
+}
+
+// statField reads a dotted StatsReply field path, a nil sub-struct
+// reading as its zero value.
+func statField(t *testing.T, st *StatsReply, path string) reflect.Value {
+	t.Helper()
+	v := reflect.ValueOf(st)
+	for _, name := range strings.Split(path, ".") {
+		if v.IsNil() {
+			v = reflect.New(v.Type().Elem())
+		}
+		if v = v.Elem().FieldByName(name); !v.IsValid() {
+			t.Fatalf("StatsReply has no field %s", path)
+		}
+	}
+	return v
+}
+
 // TestServeMetricsEndpoint drives the daemon with the /metrics listener
 // on and checks the exposition end to end: the endpoint serves the
-// Prometheus text format, the key series exist, and they move as
-// requests are served.
+// Prometheus text format with exactly the pinned families, the key
+// series move as requests are served, and every scrape-time series
+// equals the Stats RPC field it is declared to read.
 func TestServeMetricsEndpoint(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	prog := adder4Prog(t)
@@ -273,7 +303,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"# TYPE pytfhed_evaluations_total counter",
 		"# TYPE pytfhed_queue_depth gauge",
 		"pytfhed_evaluations_total 0",
-		`pytfhed_cache_bytes{cache="plan"}`,
+		"pytfhed_plan_misses_total 0",
 	} {
 		if !strings.Contains(first, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, first)
@@ -313,25 +343,75 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"pytfhed_plan_misses_total 1",
 		"pytfhed_executor_gates_total",
 		"pytfhed_plan_replays_total 3",
+		"pytfhed_plan_hits_total 3",
 		"pytfhed_uptime_seconds",
 	} {
 		if !strings.Contains(second, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, second)
 		}
 	}
-	// Plan cache hits moved between scrapes (evals 2 and 3 hit).
-	if !strings.Contains(second, `pytfhed_cache_hits_total{cache="plan"} 2`) {
-		t.Fatalf("plan cache hit series did not move:\n%s", second)
-	}
 
 	// Every non-comment line is NAME or NAME{labels}, one float value.
+	var types []string
+	series := map[string]float64{}
 	for _, line := range strings.Split(strings.TrimSpace(second), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types = append(types, typ)
+		}
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
 		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if sp <= 0 || err != nil {
 			t.Fatalf("malformed exposition line %q", line)
+		}
+		series[line[:sp]] = v
+	}
+	want := append([]string(nil), metricFamilies...)
+	sort.Strings(want)
+	sort.Strings(types)
+	if strings.Join(types, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("metric families:\n%s\nwant:\n%s", strings.Join(types, "\n"), strings.Join(want, "\n"))
+	}
+
+	// The daemon is idle, so the scrape and a later Stats RPC agree on
+	// every declared series (uptime only advances).
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	float := reflect.TypeOf(0.0)
+	for _, d := range scrapeSeries {
+		f := statField(t, st, d.field)
+		if f.Kind() == reflect.Map {
+			n := 0
+			for name := range series {
+				if strings.HasPrefix(name, d.name+"{") {
+					n++
+				}
+			}
+			if n != f.Len() {
+				t.Fatalf("%s: %d series, StatsReply.%s has %d keys", d.name, n, d.field, f.Len())
+			}
+			for it := f.MapRange(); it.Next(); {
+				name := d.name + `{` + d.label + `="` + it.Key().String() + `"}`
+				if got, want := series[name], it.Value().Convert(float).Float(); got != want {
+					t.Fatalf("%s = %v, StatsReply.%s = %v", name, got, d.field, want)
+				}
+			}
+			continue
+		}
+		got, ok := series[d.name]
+		want := f.Convert(float).Float()
+		if d.name == "pytfhed_uptime_seconds" {
+			if want /= 1e3; !ok || got > want || got < want-5 {
+				t.Fatalf("uptime scraped %vs, Stats RPC later reports %vs", got, want)
+			}
+			continue
+		}
+		if !ok || got != want {
+			t.Fatalf("%s = %v (present %v), StatsReply.%s = %v", d.name, got, ok, d.field, want)
 		}
 	}
 }
@@ -429,7 +509,7 @@ func TestServeFairnessUnderLoad(t *testing.T) {
 			return time.Duration(lats[(reps-1)*95/100] * float64(time.Millisecond))
 		}
 		const reps = 15
-		p95(3) // warm: plan compile, engines
+		p95(3) // warm: engines, replay runtimes
 		solo := p95(reps)
 		stop := make(chan struct{})
 		wg := flood(t, srv, kps[1], wide, 3, stop)

@@ -126,8 +126,8 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // verifyPlans runs the plan-soundness verifier, under the daemon's own
-// batch size, over every plan the daemon compiled and still caches — so
-// each serve test also checks that what it was served from is sound.
+// batch size, over the plan of every registered program — so each serve
+// test also checks that what it was served from is sound.
 func verifyPlans(t *testing.T, srv *Server) {
 	t.Helper()
 	srv.mu.Lock()
@@ -137,11 +137,7 @@ func verifyPlans(t *testing.T, srv *Server) {
 	}
 	srv.mu.Unlock()
 	for _, e := range entries {
-		v, ok := srv.planCache.Get(e.hash)
-		if !ok {
-			continue
-		}
-		if _, err := plan.VerifyBatch(e.prog.Netlist, v.(*plan.Plan), srv.cfg.Batch); err != nil {
+		if _, err := plan.VerifyBatch(e.prog.Netlist, e.plan, srv.cfg.Batch); err != nil {
 			t.Errorf("plan the daemon compiled for %s does not verify: %v", e.prog.Name, err)
 		}
 	}
@@ -453,10 +449,10 @@ func TestServeBackpressure(t *testing.T) {
 }
 
 // TestServePlanCacheAndLatency drives the same program through repeated
-// evaluations and checks the capture/replay serving path: the first
-// request pays the plan compile (a miss), every later request is a cache
-// hit replaying the plan, and the Stats RPC reports the counters, the
-// arena high-water mark, and per-program latency quantiles.
+// evaluations and checks the capture/replay serving path: registration
+// paid the one plan compile (a miss), every request is a hit replaying
+// the registered plan, and the Stats RPC reports the counters, the arena
+// high-water mark, and per-program latency quantiles.
 func TestServePlanCacheAndLatency(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	prog := adder4Prog(t)
@@ -488,8 +484,8 @@ func TestServePlanCacheAndLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PlanMisses != 1 || st.PlanHits != runs-1 {
-		t.Fatalf("plan cache: %d misses, %d hits; want 1 and %d", st.PlanMisses, st.PlanHits, runs-1)
+	if st.PlanMisses != 1 || st.PlanHits != runs {
+		t.Fatalf("plans: %d misses, %d hits; want 1 and %d", st.PlanMisses, st.PlanHits, runs)
 	}
 	if st.PlanReplays != runs || st.PlanFallbacks != 0 {
 		t.Fatalf("plan execution: %d replays, %d fallbacks; want %d and 0",
@@ -504,6 +500,66 @@ func TestServePlanCacheAndLatency(t *testing.T) {
 	}
 	if lat.P50Ms <= 0 || lat.P95Ms < lat.P50Ms {
 		t.Fatalf("latency quantiles implausible: %+v", lat)
+	}
+}
+
+// TestServeRegistrationCompilesPlan pins where the compile happens:
+// registration compiles the plan (a miss before any evaluation), an
+// evaluation replays it (a hit, no compile), re-registering the same
+// binary compiles nothing, and under -lut the registered plan is the
+// clustered form.
+func TestServeRegistrationCompilesPlan(t *testing.T) {
+	kp := tenantKeys(t)[0]
+	prog := adder4Prog(t)
+	srv := startServer(t, Config{Workers: 1})
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	plans := func(wantMisses, wantHits int64) {
+		t.Helper()
+		if st := srv.statsSnapshot(); st.PlanMisses != wantMisses || st.PlanHits != wantHits {
+			t.Fatalf("plans: %d misses, %d hits; want %d and %d", st.PlanMisses, st.PlanHits, wantMisses, wantHits)
+		}
+	}
+
+	info, err := cl.RegisterProgram(prog.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans(1, 0)
+	if _, err := cl.OpenSession(kp.Cloud); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := cl.Evaluate(info.Hash, kp.EncryptBits(append(bitsOf(6, 4), bitsOf(7, 4)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := uintOf(kp.DecryptBits(outs)); got != 13 {
+		t.Fatalf("6+7 = %d from the registered plan", got)
+	}
+	plans(1, 1)
+	if again, err := cl.RegisterProgram(prog.Binary); err != nil || !again.Cached {
+		t.Fatalf("re-register: %+v, %v", again, err)
+	}
+	plans(1, 1)
+
+	lsrv := startServer(t, Config{Workers: 1, LUT: true})
+	lcl, err := Dial(lsrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lcl.Close()
+	linfo, err := lcl.RegisterProgram(naeProg(t).Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsrv.mu.Lock()
+	entry := lsrv.programs[linfo.Hash]
+	lsrv.mu.Unlock()
+	if n := entry.plan.Stats().ExecLUTs; n == 0 || lsrv.statsSnapshot().PlanMisses != 1 {
+		t.Fatalf("-lut registration compiled a plan with %d LUT instructions", n)
 	}
 }
 

@@ -70,8 +70,8 @@ type Config struct {
 	// programmable bootstraps, so each evaluation executes fewer
 	// bootstraps for the same outputs. The registry key stays the
 	// uploaded binary's content hash — clients address the program they
-	// sent — while the cached program, its plan, its noise analysis, and
-	// the shard exporter all see the multi-bit form. The rewrite is
+	// sent — while the registered program, its plan, its noise analysis,
+	// and the shard exporter all see the multi-bit form. The rewrite is
 	// exact, so results decrypt bit-identically to the LUT-off daemon's.
 	LUT bool
 
@@ -95,10 +95,6 @@ type Config struct {
 	// endpoint on this address (port 0 picks a free port; see
 	// Server.MetricsAddr for the bound address).
 	MetricsAddr string
-	// PlanCacheBytes caps the compiled-plan cache; past it the coldest
-	// plans are evicted and transparently recompiled on next use
-	// (0: unbounded — the pre-cache behavior).
-	PlanCacheBytes int64
 	// TenantMaxInFlight caps one tenant's concurrently admitted
 	// evaluations; past it requests fail fast with qos.ErrQuotaExceeded
 	// instead of consuming queue slots (0: unlimited). A tenant is a
@@ -108,8 +104,9 @@ type Config struct {
 	// admitted evaluations (0: unlimited).
 	TenantMaxQueuedGates int
 	// TenantWeights maps a cloud-key hash prefix (hex) to a fair-share
-	// scheduling weight. Sessions whose key hash matches a prefix get
-	// that weight on the shared executor; everyone else gets 1.
+	// scheduling weight. A session's key gets the weight of the longest
+	// prefix its hash matches on the shared executor; a key matching none
+	// gets 1.
 	TenantWeights map[string]float64
 }
 
@@ -148,20 +145,15 @@ func (c Config) withDefaults() Config {
 // are computed over.
 const latencyWindow = 128
 
-// programEntry is one registry slot: the compiled program, its evaluation
-// hit count, and a latency window. The compiled execution plan itself
-// lives in the server's byte-capped LRU (Server.planCache) under the
-// program hash; the entry only coordinates who compiles it.
+// programEntry is one registry slot: the program, the execution plan
+// registration compiled for it, its evaluation hit count, and a latency
+// window. An entry lives as long as the daemon, like the netlist and
+// binary it already keeps.
 type programEntry struct {
-	hash  string // content hash: the plan cache key
 	prog  *core.Program
+	plan  *plan.Plan
 	noise ProgramNoise // registration-time static noise summary
 	hits  int64        // atomic
-
-	// planMu single-flights the compile: the first evaluation — or the
-	// first after an eviction — compiles the plan (a PlanMiss) and holds
-	// the lock until it is in the plan cache; contemporaries wait for it.
-	planMu sync.Mutex
 
 	latMu sync.Mutex
 	lat   [latencyWindow]float64 // recent latencies, ms
@@ -221,10 +213,6 @@ type Server struct {
 	sessRefs map[string]int                // cloud-key hash → open sessions
 	conns    map[net.Conn]struct{}
 
-	// planCache is the byte-accounted cache (qos.LRU) of compiled plans,
-	// keyed by program hash.
-	planCache *qos.LRU
-
 	quota *qos.Quota[string] // per-tenant admission quotas (nil: unlimited)
 
 	reg        *telemetry.Registry
@@ -255,9 +243,8 @@ type Server struct {
 	clusterEvals     int64 // atomic: evaluations served by the worker pool
 	clusterFallbacks int64 // atomic: cluster-eligible evals that ran locally
 
-	planHits    int64 // atomic: evals that found a cached plan
-	planMisses  int64 // atomic: evals that paid the plan compile
-	planReplays int64 // atomic: evals replayed on the local executor
+	planMisses  int64 // atomic: plans compiled, one per registered program
+	planReplays int64 // atomic: evals replayed from their registered plan
 
 	kickCh chan struct{}  // closed on forced shutdown to unblock slot waiters
 	connWG sync.WaitGroup // connection handler goroutines
@@ -268,21 +255,19 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		exec:      backend.NewShared(cfg.Workers, cfg.Batch),
-		start:     time.Now(),
-		programs:  make(map[string]*programEntry),
-		keys:      make(map[string]*backend.SharedKey),
-		sessRefs:  make(map[string]int),
-		conns:     make(map[net.Conn]struct{}),
-		planCache: qos.NewLRU(cfg.PlanCacheBytes),
-		quota:     qos.NewQuota[string](cfg.TenantMaxInFlight, cfg.TenantMaxQueuedGates),
-		reg:       telemetry.NewRegistry(),
-		slots:     make(chan struct{}, cfg.MaxConcurrent),
-		kickCh:    make(chan struct{}),
+		cfg:      cfg,
+		exec:     backend.NewShared(cfg.Workers, cfg.Batch),
+		start:    time.Now(),
+		programs: make(map[string]*programEntry),
+		keys:     make(map[string]*backend.SharedKey),
+		sessRefs: make(map[string]int),
+		conns:    make(map[net.Conn]struct{}),
+		quota:    qos.NewQuota[string](cfg.TenantMaxInFlight, cfg.TenantMaxQueuedGates),
+		reg:      telemetry.NewRegistry(),
+		slots:    make(chan struct{}, cfg.MaxConcurrent),
+		kickCh:   make(chan struct{}),
 	}
-	s.met = newMetrics(s.reg)
-	s.reg.OnScrape(s.mirrorMetrics)
+	s.met = newMetrics(s.reg, s.statsSnapshot)
 	return s
 }
 
@@ -444,11 +429,12 @@ func hashBytes(b []byte) string {
 }
 
 // handleRegister admits a program binary into the registry: lint, strict
-// load, static noise-budget analysis, cache under the content hash.
-// Malformed or cyclic netlists — and netlists whose worst-case noise
-// cannot keep the configured sigma margin under the server's parameter
-// set — are rejected here, before any ciphertext is ever submitted
-// against them.
+// load, LUT resynthesis under -lut, static noise-budget analysis, and the
+// plan compile, all kept under the content hash — every evaluation then
+// replays that plan and none compiles. Malformed or cyclic netlists — and
+// netlists whose worst-case noise cannot keep the configured sigma margin
+// under the server's parameter set — are rejected here, before any
+// ciphertext is ever submitted against them.
 func (s *Server) handleRegister(req *RegisterProgram) Response {
 	hash := hashBytes(req.Binary)
 	s.mu.Lock()
@@ -470,12 +456,17 @@ func (s *Server) handleRegister(req *RegisterProgram) Response {
 		if err != nil {
 			return Response{Err: toWire(fmt.Errorf("%w: %v", ErrRejected, err))}
 		}
+		p, err := plan.Compile(prog.Netlist, s.cfg.Workers)
+		if err != nil {
+			return Response{Err: toWire(fmt.Errorf("%w: plan compile: %v", ErrRejected, err))}
+		}
 		s.mu.Lock()
 		if existing, ok := s.programs[hash]; ok {
 			entry, cached = existing, true // lost a registration race
 		} else {
-			entry = &programEntry{hash: hash, prog: prog, noise: pn}
+			entry = &programEntry{prog: prog, plan: p, noise: pn}
 			s.programs[hash] = entry
+			atomic.AddInt64(&s.planMisses, 1)
 		}
 		s.mu.Unlock()
 	}
@@ -564,11 +555,7 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 		s.sessRefs[keyHash]++
 		s.mu.Unlock()
 	}
-	for prefix, w := range s.cfg.TenantWeights {
-		if strings.HasPrefix(keyHash, prefix) {
-			s.exec.SetTenantWeight(handle, w)
-		}
-	}
+	s.exec.SetTenantWeight(handle, tenantWeight(s.cfg.TenantWeights, keyHash))
 	if s.coord != nil {
 		s.bindCluster(keyHash, req.Key)
 	}
@@ -580,6 +567,18 @@ func (s *Server) handleOpen(req *OpenSession, sess **session) Response {
 	*sess = &session{handle: handle, keyHash: keyHash}
 	id := atomic.AddUint64(&s.sessions, 1)
 	return Response{Session: &SessionInfo{ID: id, KeyShared: shared}}
+}
+
+// tenantWeight resolves a key hash's fair-share weight: the longest
+// matching prefix in weights wins, and a hash matching none weighs 1.
+func tenantWeight(weights map[string]float64, keyHash string) float64 {
+	w, matched := 1.0, -1
+	for prefix, pw := range weights {
+		if len(prefix) > matched && strings.HasPrefix(keyHash, prefix) {
+			w, matched = pw, len(prefix)
+		}
+	}
+	return w
 }
 
 // closeSession drops one session's claim on its cloud key. The last
@@ -723,44 +722,15 @@ func (s *Server) doEval(sess *session, req *EvalRequest) Response {
 }
 
 // evaluate runs one admitted request: as plan shards on the worker pool
-// when evaluateCluster takes it, otherwise as a replay of the program's
-// compiled plan on the shared executor's fair queue. There is no other
-// local path.
+// when evaluateCluster takes it, otherwise as a replay of the plan
+// registration compiled, on the shared executor's fair queue. There is no
+// other local path.
 func (s *Server) evaluate(ctx context.Context, sess *session, entry *programEntry, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if outs, ok := s.evaluateCluster(sess, entry, inputs); ok {
 		return outs, nil
 	}
-	p, err := s.planFor(entry)
-	if err != nil {
-		return nil, err
-	}
 	atomic.AddInt64(&s.planReplays, 1)
-	return s.exec.Submit(ctx, sess.handle, p, inputs)
-}
-
-// planFor returns the program's compiled plan from the server's byte-capped
-// LRU, keyed by program content hash. A request that finds it is a PlanHit;
-// otherwise the entry's lock single-flights the compile — first use and
-// recompile after an eviction are the same code — and the request that
-// compiles is the PlanMiss, while those that waited behind it hit.
-func (s *Server) planFor(entry *programEntry) (*plan.Plan, error) {
-	if v, ok := s.planCache.Get(entry.hash); ok {
-		atomic.AddInt64(&s.planHits, 1)
-		return v.(*plan.Plan), nil
-	}
-	entry.planMu.Lock()
-	defer entry.planMu.Unlock()
-	if v, ok := s.planCache.Get(entry.hash); ok {
-		atomic.AddInt64(&s.planHits, 1)
-		return v.(*plan.Plan), nil
-	}
-	atomic.AddInt64(&s.planMisses, 1)
-	p, err := plan.Compile(entry.prog.Netlist, s.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	s.planCache.Add(entry.hash, p, p.SizeBytes())
-	return p, nil
+	return s.exec.Submit(ctx, sess.handle, entry.plan, inputs)
 }
 
 // evaluateCluster tries to dispatch one evaluation as plan shards across
@@ -829,8 +799,8 @@ func (s *Server) handleStats() Response {
 }
 
 // statsSnapshot assembles the full statistics reply. It backs both the
-// Stats RPC and the /metrics scrape mirror, so the wire struct and the
-// exported series can never drift apart.
+// Stats RPC and every scrape-time /metrics series, so the wire struct and
+// the exported series can never drift apart.
 func (s *Server) statsSnapshot() *StatsReply {
 	ex := s.exec.Stats()
 	labels := s.tenantLabels()
@@ -853,6 +823,7 @@ func (s *Server) statsSnapshot() *StatsReply {
 	for id, n := range ex.TenantQueued {
 		tq[labelForID(labels, id)] = n
 	}
+	replays := atomic.LoadInt64(&s.planReplays)
 	queued := atomic.LoadInt32(&s.queued)
 	inflight := atomic.LoadInt32(&s.inflight)
 	depth := int(queued - inflight)
@@ -887,18 +858,21 @@ func (s *Server) statsSnapshot() *StatsReply {
 		KeysReleased:     ex.KeysReleased,
 		TenantPicks:      picks,
 		TenantQueued:     tq,
-		PlanCache:        cacheStats(s.planCache.Stats()),
 		GatesPerSec:      ex.GatesPerSec(),
 		BootstrapsPerSec: ex.BootstrapsPerSec(),
 		UptimeMs:         time.Since(s.start).Milliseconds(),
 		PerProgram:       per,
-		ExecutorGates:    ex.Gates,
-		ExecutorLUTs:     ex.LUTs,
-		LUTsEvaluated:    atomic.LoadInt64(&s.lutEvals),
 
-		PlanHits:          atomic.LoadInt64(&s.planHits),
+		Workers:            ex.Workers,
+		WorkerBusyMs:       ex.WorkerBusy.Milliseconds(),
+		ExecutorGates:      ex.Gates,
+		ExecutorBootstraps: ex.Bootstraps,
+		ExecutorLUTs:       ex.LUTs,
+		LUTsEvaluated:      atomic.LoadInt64(&s.lutEvals),
+
+		PlanHits:          replays, // every local replay runs a registered plan
 		PlanMisses:        atomic.LoadInt64(&s.planMisses),
-		PlanReplays:       atomic.LoadInt64(&s.planReplays),
+		PlanReplays:       replays,
 		ArenaHighWater:    ex.ArenaHighWater,
 		PerProgramLatency: lat,
 		ProgramNoise:      noi,
@@ -910,18 +884,6 @@ func (s *Server) statsSnapshot() *StatsReply {
 		AvgBatchFill:      ex.AvgBatchFill(),
 
 		Cluster: cs,
-	}
-}
-
-// cacheStats converts a qos.LRU snapshot to its wire form.
-func cacheStats(st qos.LRUStats) CacheStats {
-	return CacheStats{
-		Entries:   st.Entries,
-		Bytes:     st.Bytes,
-		CapBytes:  st.CapBytes,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
 	}
 }
 

@@ -56,9 +56,9 @@ type Request struct {
 }
 
 // RegisterProgram uploads an assembled PyTFHE binary. The server lints it
-// (asm.Lint via core.LoadStrict), compiles it once, and caches it under
-// its content hash; re-registering an already-cached binary is a cheap
-// cache hit.
+// (asm.Lint via core.LoadStrict), checks its noise budget, compiles its
+// execution plan once, and keeps both under its content hash;
+// re-registering an already-registered binary compiles nothing.
 type RegisterProgram struct {
 	Binary []byte
 }
@@ -153,8 +153,6 @@ type StatsReply struct {
 	// scheduled through that queue.
 	TenantPicks  map[string]int64
 	TenantQueued map[string]int
-	// PlanCache reports the byte-capped LRU cache of compiled plans.
-	PlanCache CacheStats
 	// GatesPerSec is the executor's executed-instruction throughput, free
 	// gates included; BootstrapsPerSec counts only bootstrapped ones (the
 	// figure earlier releases mislabeled GatesPerSec). Both are after plan
@@ -163,7 +161,12 @@ type StatsReply struct {
 	BootstrapsPerSec float64
 	UptimeMs         int64
 	PerProgram       map[string]int64 // hash → evaluation count
-	ExecutorGates    int64            // plan instructions the shared executor ran
+	// Workers is the shared executor's worker count; WorkerBusyMs their
+	// cumulative evaluation time.
+	Workers            int
+	WorkerBusyMs       int64
+	ExecutorGates      int64 // plan instructions the shared executor ran
+	ExecutorBootstraps int64 // bootstrapped ones among them
 	// ExecutorLUTs counts multi-input LUT instructions the shared executor
 	// ran (each one programmable bootstrap, included in its bootstrap
 	// count); LUTsEvaluated counts logical LUT gates across every
@@ -173,10 +176,11 @@ type StatsReply struct {
 	ExecutorLUTs  int64
 	LUTsEvaluated int64
 
-	// Plan cache counters: an eval request that finds its program's
-	// execution plan already compiled is a PlanHit; the request that pays
-	// the compile is a PlanMiss. PlanReplays counts evaluations replayed on
-	// the local executor — every evaluation the worker pool did not take.
+	// Plan counters. Registration compiles a program's execution plan, so
+	// PlanMisses counts compiles — one per newly registered program — and
+	// PlanHits counts evaluations served from a registered plan; no
+	// evaluation compiles. PlanReplays counts evaluations replayed on the
+	// local executor — every evaluation the worker pool did not take.
 	// PlanFallbacks is always 0: there is no other local path. The field
 	// stays on the wire because deployed clients read it.
 	PlanHits      int64
@@ -230,16 +234,6 @@ type ClusterStats struct {
 	WireBytesRecv int64
 	BoundaryBytes int64
 	WorkersLost   int64
-}
-
-// CacheStats is the wire form of one byte-accounted cache's counters.
-type CacheStats struct {
-	Entries   int
-	Bytes     int64
-	CapBytes  int64 // 0: unbounded
-	Hits      int64
-	Misses    int64
-	Evictions int64
 }
 
 // LatencyStats summarizes recent evaluation latencies of one program.

@@ -2,9 +2,11 @@
 // Prometheus text exposition format (version 0.0.4): counters, gauges,
 // and fixed-bucket histograms, optionally labeled, written determin-
 // istically (families in registration order, series sorted by label
-// value) so tests can pin output. pytfhed feeds it from the existing
-// exec.Stats / serve stats / cluster.Totals plumbing and serves it on
-// the -metrics-addr HTTP listener; nothing here imports anything beyond
+// value) so tests can pin output. Series are either updated inline
+// (Counter, Gauge, Histogram) or read at scrape time from one snapshot
+// (Func); pytfhed renders every counter its Stats RPC reports the second
+// way, from the same snapshot the RPC returns, and serves the registry on
+// the -metrics-addr HTTP listener. Nothing here imports anything beyond
 // the standard library.
 package telemetry
 
@@ -21,10 +23,10 @@ import (
 
 // Registry holds metric families and renders them as Prometheus text.
 type Registry struct {
-	mu     sync.Mutex
-	fams   []*family
-	byName map[string]*family
-	hooks  []func()
+	mu       sync.Mutex
+	fams     []*family
+	byName   map[string]*family
+	snapshot func() any
 }
 
 // NewRegistry returns an empty registry.
@@ -32,21 +34,35 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// OnScrape registers a hook run (in registration order) at the start of
-// every WritePrometheus. Hooks are how snapshot-style sources — cumulative
-// atomics in the executor, cache stats structs — are mirrored into the
-// registry right before serialization instead of on every update.
-func (r *Registry) OnScrape(fn func()) {
+// OnScrape sets the snapshot the Func families read: snap runs once at the
+// start of every WritePrometheus, and every Func family of that scrape
+// renders from the one value it returns, so no two of them describe
+// different moments.
+func (r *Registry) OnScrape(snap func() any) {
 	r.mu.Lock()
-	r.hooks = append(r.hooks, fn)
+	r.snapshot = snap
 	r.mu.Unlock()
+}
+
+// Sample is one scrape-time series: its label values, in the family's
+// label order, and its value.
+type Sample struct {
+	Labels []string
+	Value  float64
+}
+
+// Func registers a counter or gauge family (typ "counter" or "gauge")
+// whose series read returns from each scrape's OnScrape snapshot.
+func (r *Registry) Func(name, help, typ string, read func(snap any) []Sample, labels ...string) {
+	r.register(name, help, typ, labels, nil).read = read
 }
 
 // family is one metric name: its metadata plus the labeled series.
 type family struct {
 	name, help, typ string
 	labels          []string
-	buckets         []float64 // histograms only
+	buckets         []float64          // histograms only
+	read            func(any) []Sample // Func families only
 
 	mu     sync.Mutex
 	series map[string]any // joined label values → *Counter/*Gauge/*Histogram
@@ -76,9 +92,7 @@ func (f *family) seriesKey(values []string) string {
 	return strings.Join(values, "\xff")
 }
 
-// Counter is a monotone cumulative count. Set exists for scrape-time
-// mirroring of a total maintained elsewhere (the value must still be
-// monotone over time for Prometheus semantics to hold).
+// Counter is a monotone cumulative count.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -86,9 +100,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be >= 0).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Set rebinds the cumulative total (scrape-hook use).
-func (c *Counter) Set(n int64) { c.v.Store(n) }
 
 // Value reads the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -284,37 +295,43 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus runs the scrape hooks, then renders every family in
-// registration order with series sorted by label values.
+// WritePrometheus takes the OnScrape snapshot, then renders every family
+// in registration order with series sorted by label values.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	hooks := append([]func(){}, r.hooks...)
+	snapshot := r.snapshot
 	fams := append([]*family{}, r.fams...)
 	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
+	var snap any
+	if snapshot != nil {
+		snap = snapshot()
 	}
 	for _, f := range fams {
-		if err := f.write(w); err != nil {
+		if err := f.write(w, snap); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *family) write(w io.Writer) error {
+func (f *family) write(w io.Writer, snap any) error {
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
 	metrics := make(map[string]any, len(f.series))
 	for k, m := range f.series {
 		metrics[k] = m
 	}
 	f.mu.Unlock()
-	if len(keys) == 0 {
+	if f.read != nil {
+		for _, s := range f.read(snap) {
+			metrics[f.seriesKey(s.Labels)] = s.Value
+		}
+	}
+	if len(metrics) == 0 {
 		return nil
+	}
+	keys := make([]string, 0, len(metrics))
+	for k := range metrics {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	if f.help != "" {
@@ -334,6 +351,12 @@ func (f *family) write(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelString(k, ""), formatFloat(m.Value()))
 		case *Histogram:
 			err = f.writeHistogram(w, k, m)
+		case float64: // a Func sample
+			if f.typ == "counter" {
+				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, f.labelString(k, ""), int64(m))
+			} else {
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelString(k, ""), formatFloat(m))
+			}
 		}
 		if err != nil {
 			return err

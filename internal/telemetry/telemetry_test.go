@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -92,17 +93,23 @@ func TestHistogramVecAndQuantile(t *testing.T) {
 	}
 }
 
-// TestScrapeHookAndHandler checks OnScrape mirrors run per scrape and
-// the HTTP handler serves the format with the right content type.
+// TestScrapeHookAndHandler checks each scrape takes one OnScrape snapshot
+// that every Func family reads, and the HTTP handler serves the format
+// with the right content type.
 func TestScrapeHookAndHandler(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("mirrored", "")
 	n := 0
-	r.OnScrape(func() { n++; g.Set(float64(n) * 10) })
+	r.OnScrape(func() any { n++; return n })
+	r.Func("snap_gauge", "", "gauge", func(snap any) []Sample {
+		return []Sample{{Value: float64(snap.(int)) * 10}}
+	})
+	r.Func("snap_total", "", "counter", func(snap any) []Sample {
+		return []Sample{{Labels: []string{"b"}, Value: float64(snap.(int))}, {Labels: []string{"a"}, Value: 7}}
+	}, "k")
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
-	for want := 10.0; want <= 20; want += 10 {
+	for scrape := 1; scrape <= 2; scrape++ {
 		resp, err := srv.Client().Get(srv.URL)
 		if err != nil {
 			t.Fatal(err)
@@ -120,11 +127,10 @@ func TestScrapeHookAndHandler(t *testing.T) {
 			}
 		}
 		resp.Body.Close()
-		if g.Value() != want {
-			t.Fatalf("scrape hook ran %d times, gauge %v", n, g.Value())
-		}
-		if !strings.Contains(sb.String(), "mirrored") {
-			t.Fatalf("body missing gauge:\n%s", sb.String())
+		want := fmt.Sprintf("# TYPE snap_gauge gauge\nsnap_gauge %d\n# TYPE snap_total counter\nsnap_total{k=\"a\"} 7\nsnap_total{k=\"b\"} %d\n",
+			scrape*10, scrape)
+		if n != scrape || sb.String() != want {
+			t.Fatalf("scrape %d took %d snapshots:\n%s\nwant:\n%s", scrape, n, sb.String(), want)
 		}
 	}
 }

@@ -119,26 +119,28 @@ curl -fsS "http://$maddr/metrics" >"$tmp/m1"
 grep -q '^# TYPE pytfhed_evaluations_total counter$' "$tmp/m1"
 grep -q '^pytfhed_evaluations_total 1$' "$tmp/m1"
 grep -q '^# TYPE pytfhed_request_latency_ms histogram$' "$tmp/m1"
-grep -q '^pytfhed_cache_bytes{cache="plan"}' "$tmp/m1"
-# A second evaluation of the same program must hit the server's plan cache:
-# the first request paid the capture (one miss), the repeat replays it.
+# Registration compiled the plan (one miss); evaluations only replay it.
+grep -q '^pytfhed_plan_misses_total 1$' "$tmp/m1"
+# A second evaluation re-registers the same binary, which compiles
+# nothing, and replays the registered plan again.
 out=$("$tmp/pytfhe" eval -server "$addr" -keys "$tmp/keys" \
     -prog "$tmp/prog.ptfhe" -in "$word$word" | grep '^outputs:')
 [ "$out" = "outputs: 0000000" ]
 "$tmp/pytfhe" server-stats -server "$addr" | tee "$tmp/stats"
-grep -q 'plan cache: 1 hits, 1 misses' "$tmp/stats"
+grep -q 'plans: 1 compiled at registration, 2 evaluations replayed them' "$tmp/stats"
 # Registration ran the static noise analysis; its per-program summary
 # must ride the Stats RPC.
 grep -q 'noise: .* bits headroom under default128' "$tmp/stats"
-# The key series moved with the second evaluation, and the plan-cache hit
-# is visible both as a counter and in the JSON stats snapshot.
+# The key series moved with the second evaluation, in /metrics and in
+# the JSON stats snapshot alike.
 curl -fsS "http://$maddr/metrics" >"$tmp/m2"
 grep -q '^pytfhed_evaluations_total 2$' "$tmp/m2"
-grep -q '^pytfhed_cache_hits_total{cache="plan"} 1$' "$tmp/m2"
+grep -q '^pytfhed_plan_misses_total 1$' "$tmp/m2"
+grep -q '^pytfhed_plan_hits_total 2$' "$tmp/m2"
 grep -q 'outcome="ok"} 2$' "$tmp/m2"
 "$tmp/pytfhe" server-stats -server "$addr" -json | tee "$tmp/stats.json"
 grep -q '"Evaluations": 2' "$tmp/stats.json"
-grep -q '"PlanCache"' "$tmp/stats.json"
+grep -q '"PlanHits": 2' "$tmp/stats.json"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
