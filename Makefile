@@ -38,7 +38,7 @@ qos-test:
 # Race-checked multi-bit LUT path, end to end: truth-table solving and
 # feasibility (logic), the circuit node and asm instruction formats, the
 # lut-cluster synthesis pass, the programmable-bootstrap kernel, the LUT
-# noise model, bit-exactness across every executor (sync/async/shared),
+# noise model, bit-exactness across every executor (single/pool/plan/shared),
 # plan compile/dedup/replay, shard hashing, cluster runs, and the
 # pytfhed -lut serving surface.
 lut-test:
@@ -68,12 +68,12 @@ bench-kernel:
 # a batch of N is bit-exact with N single calls and with the
 # naive-convolution oracle (the -short differential test at Test
 # parameters), plus the lock-free twiddle cache and every batching
-# executor: the ready-queue drain (exec matrix, Async), the plan
+# executor: plan replay at batch {1, 2, 8} (exec matrix, Planned), the plan
 # interpreter (replay, shard levels) and the serving scheduler's
 # cross-request top-up.
 batch-test:
 	go test -race -short -run 'Batch|Tables|CMuxRotate|Differential' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/boot/ ./internal/tfhe/gate/
-	go test -race -run 'Batch|Matrix|Shared|Async|Replay|Planned|RuntimeEncrypted' ./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/
+	go test -race -run 'Batch|Matrix|Shared|Replay|Planned|RuntimeEncrypted' ./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/
 	go test -race -run 'TestServeCrossRequestBatching' ./internal/serve/
 
 # Non-test Go lines per internal/* package and the total (informational).

@@ -76,11 +76,9 @@ func agreementTargets(t *testing.T) []checkTarget {
 }
 
 // TestClusterAgreement is the cross-backend acceptance matrix: the
-// cluster at 2 and 4 workers and the dynamic async executor must
-// decrypt to the plaintext interpreter's outputs on the bench netlist and
-// every example circuit. (The reference used to be a backend.Planned run;
-// that is now the scheduler TestSharedAgreement sweeps over these same
-// circuits, so it is not run a second time here.) Multi-thousand-gate targets are skipped under -short
+// cluster at 2 and 4 workers and the local plan executor must decrypt to
+// the plaintext interpreter's outputs on the bench netlist and every
+// example circuit. Multi-thousand-gate targets are skipped under -short
 // and under the race detector (the small targets cover the same code
 // paths; full `go test ./...` and the CI shard job run everything).
 func TestClusterAgreement(t *testing.T) {
@@ -101,11 +99,13 @@ func TestClusterAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			planned := backend.NewPlanned(ck, 2, 1)
+			defer planned.Close()
 			runners := []struct {
 				name string
 				run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 			}{
-				{"async(2)", backend.NewAsync(ck, 2, 1).Run},
+				{"planned(2)", planned.Run},
 				{"cluster(2)", coord2.Run},
 				{"cluster(4)", coord4.Run},
 			}

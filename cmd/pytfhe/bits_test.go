@@ -64,8 +64,6 @@ func TestOutputBitsPinned(t *testing.T) {
 	}{
 		{"single", false, backend.NewSingle(ck).Run},
 		{"pool(2)", false, backend.NewPool(ck, 2).Run},
-		{"async(2) batch 1", false, backend.NewAsync(ck, 2, 1).Run},
-		{"async(2) batch 16", false, backend.NewAsync(ck, 2, 16).Run},
 		{"planned(2) batch 1", true, planned1.Run},
 		{"planned(2) batch 16", true, planned16.Run},
 		{"cluster", true, coord.Run},

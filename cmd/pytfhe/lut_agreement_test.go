@@ -13,8 +13,7 @@ import (
 // TestLUTAgreement is the `-lut` half of the acceptance matrix: for the
 // bench netlist and the examples/lut demo circuit, the LUT-clustered form
 // must decrypt to what the plaintext interpreter computes for the LUT-off
-// netlist on every executor — async, planned replay (the one plan row of
-// the cmd/pytfhe matrices), and the cluster — while
+// netlist on every executor — planned replay and the cluster — while
 // executing strictly fewer bootstraps than it has logical
 // gates (the whole point of clustering).
 func TestLUTAgreement(t *testing.T) {
@@ -55,7 +54,6 @@ func TestLUTAgreement(t *testing.T) {
 				name string
 				run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 			}{
-				{"async(2)", backend.NewAsync(ck, 2, 1).Run},
 				{"planned(2)", planned.Run},
 				{"cluster(2)", coord.Run},
 			}

@@ -5,7 +5,7 @@
 //	pytfhe inspect    -prog prog.ptfhe [-listing]
 //	pytfhe lint       prog.ptfhe  (or -prog prog.ptfhe)
 //	pytfhe check      prog.ptfhe | -bench | -examples [-params test|default128] [-min-sigmas S]
-//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|async:N|plan:N|cluster:addr [-batch N] [-strict] -in 1011,0110,...
+//	pytfhe run        -prog prog.ptfhe -keys keys/ -backend plain|single|pool:N|plan:N|cluster:addr [-batch N] [-strict] -in 1011,0110,...
 //	pytfhe calibrate  -keys keys/ [-samples N]
 //	pytfhe serve      [-listen addr] [-max-concurrent N] [-queue N] [-batch N]   (the pytfhed daemon, in-process)
 //	pytfhe register   -server addr -prog prog.ptfhe
@@ -304,10 +304,10 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	path := fs.String("prog", "", "PyTFHE binary path")
 	keys := fs.String("keys", "keys", "key directory from `pytfhe keygen`")
-	be := fs.String("backend", "auto", "plain, single, pool[:N], async[:N], plan[:N], cluster:addr, or auto")
-	workers := fs.Int("workers", 1, "worker count for auto/pool/async without an explicit :N")
+	be := fs.String("backend", "auto", "plain, single, pool[:N], plan[:N], cluster:addr, or auto")
+	workers := fs.Int("workers", 1, "worker count for auto/pool/plan without an explicit :N")
 	clusterWorkers := fs.Int("cluster-workers", 2, "workers to wait for on the cluster backend")
-	batch := fs.Int("batch", 1, "bootstrap batch size for async/plan backends: each worker fuses up to N ready gates into one amortized blind-rotation dispatch (1: unbatched)")
+	batch := fs.Int("batch", 1, "bootstrap batch size for the plan backend: each worker fuses up to N bootstrapped instructions of a level into one amortized blind-rotation dispatch (1: unbatched)")
 	stats := fs.Bool("stats", false, "print executor statistics after the run")
 	strict := fs.Bool("strict", false, "lint the program and verify its noise budget at load time; refuse to run on any error")
 	lut := fs.Bool("lut", false, "re-synthesize the program through LUT clustering: fanout-free gate cones collapse into k-input programmable bootstraps before execution")
@@ -410,17 +410,17 @@ func cmdRun(args []string) error {
 // backendSpec is a parsed -backend/-workers/-batch selection, kept separate
 // from construction so it can be validated without keys.
 type backendSpec struct {
-	kind    string // "single", "pool", "async", "plan", "cluster"
+	kind    string // "single", "pool", "plan", "cluster"
 	workers int
 	addr    string // listen address for the cluster backend
-	batch   int    // bootstrap batch size (async/plan; 1: unbatched)
+	batch   int    // bootstrap batch size (plan; 1: unbatched)
 }
 
 // parseBackendSpec resolves the -backend flag. "auto" picks the
-// single-core evaluator for one unbatched worker and the barrier-free Async
-// executor otherwise — async is the default whenever more than one worker
-// or a batch is requested; the barriered pool remains selectable as the
-// Algorithm 1 baseline. -batch is rejected where it would be ignored:
+// single-core evaluator for one unbatched worker and plan replay otherwise
+// — the plan is the default whenever more than one worker or a batch is
+// requested; the barriered pool remains selectable as the Algorithm 1
+// baseline. -batch is rejected where it would be ignored:
 // single and pool evaluate gate by gate, and cluster workers batch their
 // own shard levels. The cluster operand is a listen address
 // ("cluster:127.0.0.1:7700"), not a worker count.
@@ -428,7 +428,7 @@ func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 	workers, batch = max(workers, 1), max(batch, 1)
 	kind, arg, hasArg := strings.Cut(s, ":")
 	switch kind {
-	case "auto", "single", "pool", "async", "plan":
+	case "auto", "single", "pool", "plan":
 	case "cluster":
 		if arg == "" {
 			return backendSpec{}, fmt.Errorf("backend cluster needs a listen address, e.g. cluster:127.0.0.1:7700")
@@ -438,7 +438,7 @@ func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 		}
 		return backendSpec{kind: kind, addr: arg, batch: 1}, nil
 	default:
-		return backendSpec{}, fmt.Errorf("unknown backend %q (want plain, single, pool[:N], async[:N], plan[:N], cluster:addr or auto)", s)
+		return backendSpec{}, fmt.Errorf("unknown backend %q (want plain, single, pool[:N], plan[:N], cluster:addr or auto)", s)
 	}
 	count := workers
 	if hasArg {
@@ -451,12 +451,12 @@ func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 	switch kind {
 	case "auto":
 		if count > 1 || batch > 1 {
-			return backendSpec{kind: "async", workers: count, batch: batch}, nil
+			return backendSpec{kind: "plan", workers: count, batch: batch}, nil
 		}
 		return backendSpec{kind: "single", workers: 1, batch: 1}, nil
 	case "single", "pool":
 		if batch > 1 {
-			return backendSpec{}, fmt.Errorf("-batch needs the async or plan backend (got -backend %s)", s)
+			return backendSpec{}, fmt.Errorf("-batch needs the plan backend (got -backend %s)", s)
 		}
 		if kind == "single" {
 			count = 1
@@ -470,8 +470,6 @@ func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
 	switch bs.kind {
 	case "pool":
 		return backend.NewPool(ck, bs.workers)
-	case "async":
-		return backend.NewAsync(ck, bs.workers, bs.batch)
 	case "plan":
 		return backend.NewPlanned(ck, bs.workers, bs.batch)
 	}
@@ -503,20 +501,17 @@ func printRunStats(runner backend.Backend, ctBytes int) {
 	}
 	fmt.Printf("stats: %d gates (%d bootstrapped%s) in %v — %.1f gates/s, %.1f bootstraps/s\n",
 		st.Gates, st.Bootstraps, lutNote, st.Elapsed.Round(time.Millisecond), st.GatesPerSec, st.BootstrapsPerSec)
-	if st.Levels > 0 {
-		fmt.Printf("       %d wavefronts, %d workers\n", st.Levels, st.Workers)
-	}
-	if st.WorkerBusy > 0 {
-		fmt.Printf("       %d workers, %.0f%% utilization, avg queue wait %v\n",
-			st.Workers, 100*st.Utilization, st.AvgQueueWait.Round(time.Microsecond))
+	if st.Workers > 0 {
+		fmt.Printf("       %d workers, %d wavefronts", st.Workers, st.Levels)
+		if st.WorkerBusy > 0 {
+			fmt.Printf(", %.0f%% utilization, avg queue wait %v",
+				100*st.Utilization, st.AvgQueueWait.Round(time.Microsecond))
+		}
+		fmt.Println()
 	}
 	if st.Batches > 0 {
-		fmt.Printf("batch: %d dispatches covering %d bootstraps (avg fill %.1f of %d",
+		fmt.Printf("batch: %d dispatches covering %d bootstraps (avg fill %.1f of %d)\n",
 			st.Batches, st.BatchedBootstraps, st.AvgBatchFill, st.BatchSize)
-		if st.BatchFullFlushes+st.BatchDrainFlushes > 0 {
-			fmt.Printf("; %d full, %d drained early", st.BatchFullFlushes, st.BatchDrainFlushes)
-		}
-		fmt.Println(")")
 	}
 }
 

@@ -77,16 +77,16 @@ func TestParseBackendSpec(t *testing.T) {
 		count   int
 	}{
 		{"auto", 1, 1, "single", 1},
-		{"auto", 4, 1, "async", 4}, // async is the default multi-worker executor
-		{"auto:6", 1, 1, "async", 6},
-		{"auto", 1, 16, "async", 1}, // …and the default batching one: -workers 1 -batch 16 used to die as "got single"
-		{"auto", 4, 16, "async", 4},
+		{"auto", 4, 1, "plan", 4}, // plan replay is the default multi-worker executor
+		{"auto:6", 1, 1, "plan", 6},
+		{"auto", 1, 16, "plan", 1}, // …and the default batching one: -workers 1 -batch 16 used to die as "got single"
+		{"auto", 4, 16, "plan", 4},
 		{"single", 8, 1, "single", 1},
 		{"pool", 3, 1, "pool", 3},
 		{"pool:5", 1, 0, "pool", 5},
-		{"async", 2, 1, "async", 2},
-		{"async:7", 1, 16, "async", 7},
-		{"async", 0, 1, "async", 1},
+		{"plan", 2, 1, "plan", 2},
+		{"plan:7", 1, 16, "plan", 7},
+		{"plan", 0, 1, "plan", 1},
 		{"plan:2", 1, 16, "plan", 2},
 		{"cluster:127.0.0.1:7700", 1, 1, "cluster", 0},
 	}
@@ -99,9 +99,17 @@ func TestParseBackendSpec(t *testing.T) {
 			t.Fatalf("%s/%d/%d -> %+v, want %s:%d", c.in, c.workers, c.batch, spec, c.kind, c.count)
 		}
 	}
-	for _, bad := range []string{"", "ray", "pool:", "pool:x", "async:0", "async:-2", "cluster", "cluster:"} {
+	for _, bad := range []string{"", "ray", "pool:", "pool:x", "plan:0", "plan:-2", "cluster", "cluster:"} {
 		if _, err := parseBackendSpec(bad, 1, 1); err == nil {
 			t.Fatalf("%q accepted", bad)
+		}
+	}
+	// The barrier-free executor is gone: its spelling is an unknown kind,
+	// and the error lists the kinds that exist.
+	for _, gone := range []string{"async", "async:2"} {
+		_, err := parseBackendSpec(gone, 2, 1)
+		if err == nil || !strings.Contains(err.Error(), "unknown backend") || !strings.Contains(err.Error(), "plan[:N]") {
+			t.Fatalf("-backend %s: err = %v", gone, err)
 		}
 	}
 	// A kind that merely starts with "cluster" is unknown, not a cluster

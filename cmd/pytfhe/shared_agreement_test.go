@@ -87,7 +87,7 @@ func TestSharedAgreement(t *testing.T) {
 							if err != nil {
 								return err
 							}
-							outs, err := ex.Submit(context.Background(), key, p, backend.EncryptInputs(sk, r.in))
+							outs, _, err := ex.Submit(context.Background(), key, p, backend.EncryptInputs(sk, r.in))
 							if err != nil {
 								return err
 							}

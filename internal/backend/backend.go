@@ -1,12 +1,12 @@
 // Package backend implements the in-process PyTFHE execution backends, one
-// constructor each. Three run a netlist through a driver of internal/exec:
+// constructor each. Two run a netlist through a driver of internal/exec:
 // Single (sequential, the reference every other executor is compared
-// against), Pool (Algorithm 1 of the paper: a BFS over the gate DAG that
-// submits every ready gate of a level to a worker and barriers per level)
-// and Async (barrier-free: each gate dispatches the moment its operands
-// are produced, longest remaining bootstrap chain first). Two run compiled
-// plans: Shared, the multi-tenant slice scheduler behind pytfhed, and
-// Planned, the capture/replay backend, which is Shared with one tenant.
+// against) and Pool (Algorithm 1 of the paper: a BFS over the gate DAG
+// that submits every ready gate of a level to a worker and barriers per
+// level, the baseline of Fig. 10). Two run compiled plans: Shared, the
+// multi-tenant slice scheduler behind pytfhed, and Planned, the
+// capture/replay backend, which is Shared with one tenant and the
+// multi-worker executor of `pytfhe run`.
 // Plain is the keyless functional reference. Every gate, whichever
 // executor schedules it, is evaluated by exec.Batcher. The distributed
 // multi-node backend lives in internal/cluster; the GPU-simulator backend
@@ -38,8 +38,8 @@ type RunStats = exec.Stats
 // ErrNilInput marks a nil ciphertext among a run's inputs.
 var ErrNilInput = exec.ErrNilInput
 
-// lastRun is embedded by the executors that record metrics — Single, Pool,
-// Async and Planned. Stats holds those of the most recent Run.
+// lastRun is embedded by the executors that record metrics — Single, Pool
+// and Planned. Stats holds those of the most recent Run.
 type lastRun struct{ Stats RunStats }
 
 // LastRun returns the metrics of the most recent Run.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pytfhe/internal/circuit"
+	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/trand"
@@ -42,6 +43,25 @@ func adder4(t testing.TB) *circuit.Netlist {
 		b.Output("s", sum)
 	}
 	b.Output("cout", carry)
+	return b.MustBuild()
+}
+
+// nandChains builds chains independent NAND chains of the given depth:
+// slack for several workers, deep enough that scheduling matters. Every
+// gate reads an input of its own, so no two gates compute the same
+// function and plan deduplication leaves the netlist whole (a chain that
+// NANDs with one fixed input repeats its function every second step).
+func nandChains(chains, depth int) *circuit.Netlist {
+	b := circuit.NewBuilder("nand-chains", circuit.NoOptimizations())
+	ins := b.Inputs("x", chains*(depth+1))
+	for c := 0; c < chains; c++ {
+		own := ins[c*(depth+1) : (c+1)*(depth+1)]
+		cur := own[0]
+		for d := 1; d <= depth; d++ {
+			cur = b.Gate(logic.NAND, cur, own[d])
+		}
+		b.Output("o", cur)
+	}
 	return b.MustBuild()
 }
 
@@ -122,19 +142,32 @@ func TestPoolBackendHomomorphic(t *testing.T) {
 	}
 }
 
+// cpuBackends returns one of each keyed CPU backend — Single, Pool and
+// Planned, the latter two at two workers — and closes the Planned one when
+// the test ends.
+func cpuBackends(t *testing.T, ck *boot.CloudKey) []Backend {
+	planned := NewPlanned(ck, 2, 1)
+	t.Cleanup(planned.Close)
+	return []Backend{NewSingle(ck), NewPool(ck, 2), planned}
+}
+
 func TestInputValidation(t *testing.T) {
 	_, ck := keys(t)
 	nl := adder4(t)
-	be := NewSingle(ck)
-	if _, err := be.Run(nl, nil); err == nil {
-		t.Fatal("missing inputs not rejected")
-	}
-	bad := TrivialInputs(3, bitsOf(0, 8)) // wrong dimension
-	if _, err := be.Run(nl, bad); err == nil {
-		t.Fatal("wrong dimension not rejected")
+	for _, be := range cpuBackends(t, ck) {
+		if _, err := be.Run(nl, nil); err == nil {
+			t.Fatalf("%s: missing inputs not rejected", be.Name())
+		}
+		bad := TrivialInputs(3, bitsOf(0, 8)) // wrong dimension
+		if _, err := be.Run(nl, bad); err == nil {
+			t.Fatalf("%s: wrong dimension not rejected", be.Name())
+		}
 	}
 }
 
+// TestConstOutputBackends: an output folded to a constant and an output
+// that echoes a primary input come back as fresh ciphertexts from every
+// executor.
 func TestConstOutputBackends(t *testing.T) {
 	sk, ck := keys(t)
 	b := circuit.NewBuilder("consts", circuit.AllOptimizations())
@@ -142,13 +175,14 @@ func TestConstOutputBackends(t *testing.T) {
 	b.Output("one", b.Xnor(x, x))
 	b.Output("echo", x)
 	nl := b.MustBuild()
-	be := NewSingle(ck)
-	outs, err := be.Run(nl, EncryptInputs(sk, []bool{false}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := DecryptOutputs(sk, outs)
-	if got[0] != true || got[1] != false {
-		t.Fatalf("const outputs = %v", got)
+	for _, be := range cpuBackends(t, ck) {
+		outs, err := be.Run(nl, EncryptInputs(sk, []bool{false}))
+		if err != nil {
+			t.Fatalf("%s: %v", be.Name(), err)
+		}
+		got := DecryptOutputs(sk, outs)
+		if got[0] != true || got[1] != false {
+			t.Fatalf("%s: const outputs = %v", be.Name(), got)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestSharedLUT(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outs, err := ex.Submit(context.Background(), key, p, EncryptInputs(sk, bits))
+				outs, _, err := ex.Submit(context.Background(), key, p, EncryptInputs(sk, bits))
 				if err != nil {
 					t.Fatal(err)
 				}

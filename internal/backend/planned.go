@@ -13,18 +13,22 @@ import (
 )
 
 // Planned is the capture/replay backend — the CPU analogue of the paper's
-// CUDA-Graph batch scheduling. The first Run of a netlist captures it into
-// an immutable execution plan; every Run — the first included — replays
-// the cached plan with no per-gate scheduling work at all: no ready heap,
-// no per-gate atomics, no refcounting, and no ciphertext allocations (the
-// scheduler pools its arenas).
+// CUDA-Graph batch scheduling, and the one multi-worker in-process
+// executor besides the Algorithm 1 baseline Pool. The first Run of a
+// netlist captures it into an immutable execution plan; every Run — the
+// first included — replays the cached plan with no per-gate scheduling
+// work at all: no per-gate atomics, no refcounting, and no ciphertext
+// allocations (the scheduler pools its arenas).
 //
 // Planned is a one-tenant client of Shared, the scheduler pytfhed serves
 // from: one registered key, one Submit per Run, so a plan is scheduled the
 // same way in the CLI, the benchmarks and the daemon. Run is safe for
 // concurrent use; concurrent runs share the worker set and, at batch > 1,
-// kernel dispatches. Close stops the workers; one that is never closed
-// costs its parked worker goroutines and nothing else.
+// kernel dispatches. Stats is the run's own share of the worker set (busy
+// time, queue wait, batch occupancy: Shared.Submit's RunCounts), so
+// concurrent runs do not count each other's work. Close stops the workers;
+// one that is never closed costs its parked worker goroutines and nothing
+// else.
 //
 // Capture also performs exact functional deduplication, so replay executes
 // only the netlist's distinct boolean functions. Stats reports the
@@ -54,11 +58,23 @@ func NewPlanned(ck *boot.CloudKey, workers, batch int) *Planned {
 	return &Planned{sh: sh, key: key, plans: make(map[*circuit.Netlist]*plan.Plan)}
 }
 
-// NewPlannedBatch is NewPlanned under the name bench/, which may not be
-// edited, compiles against.
+// NewPlannedBatch, NewAsyncSched, Sched and SchedCritical survive only
+// because bench/, which may not be edited, compiles against them: every
+// multi-worker in-process run is a Planned run.
 func NewPlannedBatch(ck *boot.CloudKey, workers, batch int) *Planned {
 	return NewPlanned(ck, workers, batch)
 }
+
+// NewAsyncSched is NewPlanned(ck, workers, 1); see NewPlannedBatch.
+func NewAsyncSched(ck *boot.CloudKey, workers int, _ Sched) *Planned {
+	return NewPlanned(ck, workers, 1)
+}
+
+// Sched is an argument NewAsyncSched ignores; see NewPlannedBatch.
+type Sched uint8
+
+// SchedCritical is the one Sched value; see NewPlannedBatch.
+const SchedCritical Sched = 0
 
 // Name implements Backend.
 func (p *Planned) Name() string {
@@ -93,19 +109,29 @@ func (p *Planned) Plan(nl *circuit.Netlist) (*plan.Plan, error) {
 
 // Run implements Backend.
 func (p *Planned) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+	outs, stats, err := p.run(nl, inputs)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.Stats, p.PlanStats = stats, p.plans[nl].Stats()
+	p.mu.Unlock()
+	return outs, nil
+}
+
+// run is Run returning the run's own metrics, which Stats holds only until
+// the next Run finishes.
+func (p *Planned) run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, RunStats, error) {
 	start := time.Now()
 	compiled, err := p.Plan(nl)
 	if err != nil {
-		return nil, err
+		return nil, RunStats{}, err
 	}
-	batches, batched := p.sh.batches.Load(), p.sh.batched.Load()
-	outs, err := p.sh.Submit(context.Background(), p.key, compiled, inputs)
+	outs, n, err := p.sh.Submit(context.Background(), p.key, compiled, inputs)
 	if err != nil {
-		return nil, err
+		return nil, RunStats{}, err
 	}
 
-	// Batch occupancy is the scheduler's delta over this Run, so it includes
-	// whatever a concurrent Run dispatched meanwhile.
 	st := compiled.Stats()
 	stats := RunStats{
 		Gates:             st.LogicalGates,
@@ -113,13 +139,12 @@ func (p *Planned) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample,
 		LUTs:              st.LogicalLUTs,
 		Levels:            st.Levels,
 		Workers:           p.sh.workers,
+		QueueWait:         n.QueueWait,
+		WorkerBusy:        n.WorkerBusy,
 		BatchSize:         p.sh.batch,
-		Batches:           int(p.sh.batches.Load() - batches),
-		BatchedBootstraps: int(p.sh.batched.Load() - batched),
+		Batches:           int(n.Batches),
+		BatchedBootstraps: int(n.BatchedBootstraps),
 	}
 	stats.Finish(start)
-	p.mu.Lock()
-	p.Stats, p.PlanStats = stats, st
-	p.mu.Unlock()
-	return outs, nil
+	return outs, stats, nil
 }

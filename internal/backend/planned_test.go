@@ -12,7 +12,10 @@ import (
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/plan"
+	"pytfhe/internal/sched"
+	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
+	"pytfhe/internal/trand"
 )
 
 func TestPlannedBackendHomomorphic(t *testing.T) {
@@ -32,8 +35,18 @@ func TestPlannedBackendHomomorphic(t *testing.T) {
 				t.Fatalf("plan(%d) run %d: 11+6 = %d", workers, run, got)
 			}
 		}
-		if be.Stats.Bootstraps == 0 || be.Stats.GatesPerSec <= 0 {
-			t.Fatalf("plan(%d): stats not recorded: %+v", workers, be.Stats)
+		st := be.Stats
+		if st.Bootstraps == 0 || st.GatesPerSec <= 0 {
+			t.Fatalf("plan(%d): stats not recorded: %+v", workers, st)
+		}
+		if st.Workers != workers {
+			t.Fatalf("plan(%d): workers recorded as %d", workers, st.Workers)
+		}
+		if st.WorkerBusy <= 0 || st.Utilization <= 0 || st.Utilization > 1 {
+			t.Fatalf("plan(%d): utilization breakdown wrong: %+v", workers, st)
+		}
+		if st.QueueWait < 0 || st.AvgQueueWait < 0 {
+			t.Fatalf("plan(%d): queue wait negative: %+v", workers, st)
 		}
 		if be.PlanStats.ExecBootstraps == 0 || be.PlanStats.ExecBootstraps > be.PlanStats.LogicalBootstraps {
 			t.Fatalf("plan(%d): implausible plan stats: %+v", workers, be.PlanStats)
@@ -113,11 +126,66 @@ func TestPlannedLifecycle(t *testing.T) {
 	}
 }
 
+// TestPlannedConcurrentRunCounts: two Runs in flight at once on one
+// Planned, at batch 16 on different netlists, each report their own share
+// of the scheduler and nothing of the other's: a run's batched bootstraps
+// never exceed what its own plan executes, and the two reports sum to
+// exactly what the scheduler batched over both.
+func TestPlannedConcurrentRunCounts(t *testing.T) {
+	sk, ck := keys(t)
+	nls := []*circuit.Netlist{adder4(t), nandChains(4, 6)}
+	be := NewPlanned(ck, 2, 16)
+	defer be.Close()
+	inputs := make([][]*lwe.Sample, len(nls))
+	for i, nl := range nls {
+		inputs[i] = EncryptInputs(sk, make([]bool, nl.NumInputs))
+		if _, err := be.Plan(nl); err != nil { // compile outside the race
+			t.Fatal(err)
+		}
+	}
+
+	before := be.sh.Stats()
+	stats := make([]RunStats, len(nls))
+	errs := make([]error, len(nls))
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i, nl := range nls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			_, stats[i], errs[i] = be.run(nl, inputs[i])
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	after := be.sh.Stats()
+
+	sum := 0
+	for i, nl := range nls {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		p, _ := be.Plan(nl)
+		if own := p.Stats().ExecBootstraps; stats[i].BatchedBootstraps > own || stats[i].Batches == 0 {
+			t.Fatalf("%s: %d batched bootstraps in %d dispatches, its plan executes %d",
+				nl.Name, stats[i].BatchedBootstraps, stats[i].Batches, own)
+		}
+		if stats[i].WorkerBusy <= 0 || stats[i].Utilization > 1 {
+			t.Fatalf("%s: utilization breakdown wrong: %+v", nl.Name, stats[i])
+		}
+		sum += stats[i].BatchedBootstraps
+	}
+	if delta := after.BatchedBootstraps - before.BatchedBootstraps; int64(sum) != delta {
+		t.Fatalf("runs report %d batched bootstraps, the scheduler batched %d", sum, delta)
+	}
+}
+
 // TestPlanLivenessMatchesRefcounting checks the compile-time arena
 // assignment against the invariant the dynamic executors enforce with
 // runtime refcounts: the arena is never larger than the peak number of
 // simultaneously live gate ciphertexts (computed here with the same
-// barrier-granularity refcount walk Pool and Async perform at runtime).
+// barrier-granularity refcount walk Pool performs at runtime).
 func TestPlanLivenessMatchesRefcounting(t *testing.T) {
 	nls := []*circuit.Netlist{adder4(t)}
 	rng := rand.New(rand.NewSource(97))
@@ -175,5 +243,64 @@ func TestPlanLivenessMatchesRefcounting(t *testing.T) {
 				t.Fatalf("%s w=%d: dedup grew the program: %+v", nl.Name, workers, st)
 			}
 		}
+	}
+}
+
+// TestPlannedMatchesSimulatedMakespan calibrates sched.Simulate — the
+// level-synchronous model, which is what a plan replay runs: one level's
+// slices, then the next — against the real executor: with the measured
+// single-gate cost plugged into the LocalPool platform, the simulator's
+// predicted makespan must fall within a factor of 3 of backend.Planned's
+// measured wall clock (stated tolerance — generous because CI machines
+// jitter, but tight enough that a simulator ignoring the level structure
+// or the worker count fails).
+func TestPlannedMatchesSimulatedMakespan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration needs wall-clock measurements")
+	}
+	sk, ck := keys(t)
+
+	// A deep-and-wide netlist: 4 independent 8-gate chains, so 2 workers
+	// are busy and every level holds more slices than workers.
+	nl := nandChains(4, 8)
+
+	// Measure the single-core bootstrapped-gate cost with a dedicated
+	// engine (median of a few samples).
+	eng := gate.NewEngine(ck)
+	rng := trand.NewSeeded([]byte("calib"))
+	x := gate.NewCiphertext(ck.Params)
+	y := gate.NewCiphertext(ck.Params)
+	out := gate.NewCiphertext(ck.Params)
+	gate.Encrypt(x, true, sk, rng)
+	gate.Encrypt(y, false, sk, rng)
+	const samples = 5
+	times := make([]time.Duration, samples)
+	for i := range times {
+		t0 := time.Now()
+		if err := eng.Binary(logic.NAND, out, x, y); err != nil {
+			t.Fatal(err)
+		}
+		times[i] = time.Since(t0)
+	}
+	slices.Sort(times)
+	gt := times[samples/2] // median damps warm-up and GC outliers
+
+	const workers = 2
+	predicted := sched.Simulate(nl, sched.LocalPool(workers, gt)).Makespan
+
+	be := NewPlanned(ck, workers, 1)
+	defer be.Close()
+	if _, err := be.Run(nl, EncryptInputs(sk, make([]bool, nl.NumInputs))); err != nil {
+		t.Fatal(err)
+	}
+	if ps := be.PlanStats; ps.ExecBootstraps != ps.LogicalBootstraps {
+		t.Fatalf("deduplication merged the calibration netlist (%d of %d bootstraps left): the model would time gates the plan skips",
+			ps.ExecBootstraps, ps.LogicalBootstraps)
+	}
+	measured := be.Stats.Elapsed
+
+	ratio := float64(measured) / float64(predicted)
+	if ratio < 1.0/3 || ratio > 3 {
+		t.Fatalf("measured %v vs predicted %v (ratio %.2f, tolerance 3x): simulator out of calibration", measured, predicted, ratio)
 	}
 }

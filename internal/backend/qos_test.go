@@ -53,7 +53,7 @@ func chainP95(t *testing.T, ex *Shared, key *SharedKey, nl *plan.Plan, in []bool
 	lats := make([]time.Duration, 0, reps)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if _, err := ex.Submit(context.Background(), key, nl, enc); err != nil {
+		if _, _, err := ex.Submit(context.Background(), key, nl, enc); err != nil {
 			t.Fatalf("chain rep %d: %v", i, err)
 		}
 		lats = append(lats, time.Since(start))
@@ -92,7 +92,7 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 
 	// Warm both tenants first: per-worker engines build lazily on first
 	// use, and that one-time cost must not land in either measurement.
-	if _, err := ex.Submit(context.Background(), hot, flood, EncryptInputs(sk, bitsOf(0xA5, 8))); err != nil {
+	if _, _, err := ex.Submit(context.Background(), hot, flood, EncryptInputs(sk, bitsOf(0xA5, 8))); err != nil {
 		t.Fatal(err)
 	}
 	chainP95(t, ex, light, chain, in, 2)
@@ -119,7 +119,7 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ex.Submit(context.Background(), hot, flood, encFlood); err != nil {
+				if _, _, err := ex.Submit(context.Background(), hot, flood, encFlood); err != nil {
 					if !errors.Is(err, ErrExecutorClosed) {
 						t.Errorf("flood: %v", err)
 					}
@@ -180,17 +180,17 @@ func TestSharedReleaseKey(t *testing.T) {
 	}
 	// Warm both tenants so workers build engines for k1.
 	for _, k := range []*SharedKey{k1, k2} {
-		if _, err := ex.Submit(context.Background(), k, nl, enc); err != nil {
+		if _, _, err := ex.Submit(context.Background(), k, nl, enc); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	ex.ReleaseKey(k1)
 	ex.ReleaseKey(k1) // idempotent: second call is a no-op
-	if _, err := ex.Submit(context.Background(), k1, nl, enc); !errors.Is(err, ErrKeyReleased) {
+	if _, _, err := ex.Submit(context.Background(), k1, nl, enc); !errors.Is(err, ErrKeyReleased) {
 		t.Fatalf("submit on released key: err = %v, want ErrKeyReleased", err)
 	}
-	outs, err := ex.Submit(context.Background(), k2, nl, enc)
+	outs, _, err := ex.Submit(context.Background(), k2, nl, enc)
 	if err != nil {
 		t.Fatalf("live key broken by sibling release: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestSharedReleaseKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(k, func(*SharedKey) { collected.Add(1) })
-		if _, err := ex.Submit(context.Background(), k, free, enc[:1]); err != nil {
+		if _, _, err := ex.Submit(context.Background(), k, free, enc[:1]); err != nil {
 			t.Fatalf("churn key %d: %v", i, err)
 		}
 		ex.ReleaseKey(k)

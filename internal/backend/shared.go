@@ -262,12 +262,26 @@ func (s *Shared) Close() {
 	s.wg.Wait()
 }
 
+// RunCounts is one submission's share of the worker set, as Submit
+// reports it: a round's busy time and dispatches go to the run whose slice
+// the worker popped, and the bootstraps a topped-up slice adds to a batch
+// go to the run that owns that slice.
+type RunCounts struct {
+	WorkerBusy        time.Duration // rounds begun on one of the run's slices
+	QueueWait         time.Duration // summed over the run's slices: pop − push
+	Batches           int64         // batched dispatches of those rounds
+	BatchedBootstraps int64         // the run's bootstraps those dispatches covered
+}
+
 // sharedRun is one submission: a plan bound to a runtime, the level it is
-// on, and the latch that tells Submit when the runtime is quiescent.
+// on, the latch that tells Submit when the runtime is quiescent, and its
+// RunCounts.
 type sharedRun struct {
 	key    *SharedKey
 	levels []plan.Level
 	rt     *plan.Runtime
+
+	busyNs, waitNs, batches, batched atomic.Int64
 
 	// level is the index of the level currently queued; pending counts its
 	// slices not yet evaluated. Only the worker that takes pending to zero
@@ -325,22 +339,23 @@ func (r *sharedRun) settle() {
 
 // Submit replays p on the shared worker set under the given key, blocking
 // until the outputs are ready, the context is done, or the executor
-// closes. It is safe to call from any number of goroutines; the inputs are
-// not modified and the caller keeps ownership of them. A released key
-// fails with ErrKeyReleased. However a run ends, Submit returns — and its
-// runtime goes back to the pool — only after every worker has left it.
-func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+// closes, and reports the run's share of the worker set. It is safe to
+// call from any number of goroutines; the inputs are not modified and the
+// caller keeps ownership of them. A released key fails with
+// ErrKeyReleased. However a run ends, Submit returns — and its runtime goes
+// back to the pool — only after every worker has left it.
+func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, RunCounts, error) {
 	if key == nil || key.owner != s {
-		return nil, fmt.Errorf("backend: key not registered with this executor")
+		return nil, RunCounts{}, fmt.Errorf("backend: key not registered with this executor")
 	}
 	if key.released.Load() {
-		return nil, ErrKeyReleased
+		return nil, RunCounts{}, ErrKeyReleased
 	}
 	dim := key.ck.Params.LWEDimension
 	rt := s.getRuntime(dim)
 	defer s.putRuntime(dim, rt)
 	if err := rt.Bind(p, inputs); err != nil {
-		return nil, err
+		return nil, RunCounts{}, err
 	}
 	defer rt.Unbind()
 
@@ -348,7 +363,7 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrExecutorClosed
+		return nil, RunCounts{}, ErrExecutorClosed
 	}
 	s.runs[r] = struct{}{}
 	s.mu.Unlock()
@@ -363,22 +378,30 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 		}
 	}()
 
-	if len(r.levels) == 0 {
-		return rt.Collect(p)
+	if len(r.levels) > 0 {
+		s.pushLevel(r, 0)
+		select {
+		case <-r.drained:
+		case <-ctx.Done():
+			// Workers drop this run's queued slices from here on; the ones
+			// already inside it finish their dispatch first.
+			r.finish(ctx.Err())
+			<-r.drained
+		}
+		if r.err != nil {
+			return nil, RunCounts{}, r.err
+		}
 	}
-	s.pushLevel(r, 0)
-	select {
-	case <-r.drained:
-	case <-ctx.Done():
-		// Workers drop this run's queued slices from here on; the ones
-		// already inside it finish their dispatch first.
-		r.finish(ctx.Err())
-		<-r.drained
+	outs, err := rt.Collect(p)
+	if err != nil {
+		return nil, RunCounts{}, err
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return rt.Collect(p)
+	return outs, RunCounts{
+		WorkerBusy:        time.Duration(r.busyNs.Load()),
+		QueueWait:         time.Duration(r.waitNs.Load()),
+		Batches:           r.batches.Load(),
+		BatchedBootstraps: r.batched.Load(),
+	}, nil
 }
 
 // getRuntime takes an idle runtime of the given dimension from the pool, or
@@ -416,7 +439,7 @@ func (s *Shared) pushLevel(r *sharedRun, l int) {
 	for _, part := range r.levels[l].Batches {
 		for len(part) > 0 {
 			c := min(len(part), s.batch)
-			s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1)})
+			s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1), pushed: time.Now()})
 			part = part[c:]
 		}
 	}
@@ -446,7 +469,13 @@ func (s *Shared) complete(r *sharedRun) {
 // batching amortizes kernels without distorting cross-tenant fairness.
 func (s *Shared) worker(w int) {
 	defer s.wg.Done()
-	var open []*sharedRun
+	// open holds the runs whose slices this round evaluates, each with the
+	// bootstraps its slices added.
+	type openRun struct {
+		run   *sharedRun
+		boots int64
+	}
+	var open []openRun
 	for {
 		t, _, ok := s.q.Pop()
 		if !ok {
@@ -465,9 +494,9 @@ func (s *Shared) worker(w int) {
 
 		s.busy.Add(1)
 		start := time.Now()
-		open = append(open[:0], r)
-		cross := false
+		r.waitNs.Add(int64(start.Sub(t.pushed)))
 		err := r.rt.Exec(it, t.instrs, false)
+		open = append(open[:0], openRun{r, it.N.Bootstraps})
 		// A worker that is not mid-round is about to take the next slice
 		// itself, and running it in parallel beats folding it into this
 		// batch: top up only while every worker is occupied.
@@ -479,10 +508,10 @@ func (s *Shared) worker(w int) {
 			if !t2.run.enter() {
 				continue
 			}
-			open = append(open, t2.run)
+			t2.run.waitNs.Add(int64(time.Since(t2.pushed)))
 			before := it.N.Bootstraps
 			err = t2.run.rt.Exec(it, t2.instrs, false)
-			cross = cross || (t2.run != r && it.N.Bootstraps > before)
+			open = append(open, openRun{t2.run, it.N.Bootstraps - before})
 		}
 		if err == nil {
 			err = it.Run(nil, nil, nil, true)
@@ -494,22 +523,30 @@ func (s *Shared) worker(w int) {
 		if it.N.Batches > 0 {
 			s.batches.Add(it.N.Batches)
 			s.batched.Add(it.N.Bootstraps)
+			r.batches.Add(it.N.Batches)
+			cross := false
+			for _, o := range open {
+				o.run.batched.Add(o.boots)
+				cross = cross || (o.run != r && o.boots > 0)
+			}
 			if cross {
 				s.crossRun.Add(1)
 			}
 		}
 		it.N = plan.Counts{}
-		s.busyNs.Add(int64(time.Since(start)))
+		busy := int64(time.Since(start))
+		s.busyNs.Add(busy)
+		r.busyNs.Add(busy)
 		s.busy.Add(-1)
 
-		for i, or := range open {
+		for i, o := range open {
 			if err != nil {
-				or.finish(fmt.Errorf("backend: %w", err))
+				o.run.finish(fmt.Errorf("backend: %w", err))
 			} else {
-				s.complete(or)
+				s.complete(o.run)
 			}
-			or.exit()
-			open[i] = nil
+			o.run.exit()
+			open[i] = openRun{}
 		}
 		// A worker with work queued never blocks, so with every P held by
 		// a worker the goroutines that feed it — a submitter just woken, a
@@ -525,4 +562,5 @@ type sharedTask struct {
 	run    *sharedRun
 	instrs []plan.Instr
 	seq    uint64
+	pushed time.Time
 }

@@ -81,7 +81,7 @@ func TestSharedMatchesSingle(t *testing.T) {
 					defer wg.Done()
 					tc := cases[i]
 					in := append(bitsOf(tc[0], 4), bitsOf(tc[1], 4)...)
-					outs, err := ex.Submit(context.Background(), tn.key, nl, EncryptInputs(tn.sk, in))
+					outs, _, err := ex.Submit(context.Background(), tn.key, nl, EncryptInputs(tn.sk, in))
 					if err != nil {
 						t.Errorf("workers=%d batch=%d tenant %d: %v", workers, batch, i, err)
 						return
@@ -122,11 +122,11 @@ func TestSharedContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the run must not start from scratch and hang
 	in := append(bitsOf(1, 4), bitsOf(2, 4)...)
-	if _, err := ex.Submit(ctx, key, nl, EncryptInputs(sk, in)); !errors.Is(err, context.Canceled) {
+	if _, _, err := ex.Submit(ctx, key, nl, EncryptInputs(sk, in)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submit: err = %v, want context.Canceled", err)
 	}
 
-	outs, err := ex.Submit(context.Background(), key, nl, EncryptInputs(sk, in))
+	outs, _, err := ex.Submit(context.Background(), key, nl, EncryptInputs(sk, in))
 	if err != nil {
 		t.Fatalf("executor unusable after cancel: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestSharedCloseFailsInFlight(t *testing.T) {
 	in := EncryptInputs(sk, bitsOf(0x35, 8))
 	done := make(chan error, 1)
 	go func() {
-		_, err := ex.Submit(context.Background(), key, nl, in)
+		_, _, err := ex.Submit(context.Background(), key, nl, in)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the run enter the queue
@@ -158,7 +158,7 @@ func TestSharedCloseFailsInFlight(t *testing.T) {
 	if err != nil && !errors.Is(err, ErrExecutorClosed) {
 		t.Fatalf("in-flight submit after Close: %v", err)
 	}
-	if _, err := ex.Submit(context.Background(), key, nl, in); !errors.Is(err, ErrExecutorClosed) {
+	if _, _, err := ex.Submit(context.Background(), key, nl, in); !errors.Is(err, ErrExecutorClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrExecutorClosed", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 			defer cancel()
 			done := make(chan error, 1)
 			go func() {
-				_, err := ex.Submit(ctx, key, wide, EncryptInputs(sk, bitsOf(0xA53, 12)))
+				_, _, err := ex.Submit(ctx, key, wide, EncryptInputs(sk, bitsOf(0xA53, 12)))
 				done <- err
 			}()
 			for deadline := time.Now().Add(30 * time.Second); ex.Stats().Gates == 0; {
@@ -236,7 +236,7 @@ func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 			}
 
 			if how == "cancel" {
-				outs, err := ex.Submit(context.Background(), key, next, EncryptInputs(sk, in))
+				outs, _, err := ex.Submit(context.Background(), key, next, EncryptInputs(sk, in))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,9 +23,8 @@ func Eval(eng *gate.Engine, op gate.Op, out, a, b, c *lwe.Sample) error {
 
 // Batcher evaluates gate.Ops on one engine, grouping up to batch
 // bootstrapped ops per kernel dispatch (batch ≤ 1: every op evaluates on
-// its own, allocation-free). The ready driver and the plan interpreter —
-// which also runs cluster shards — feed it; what differs between them is
-// only where the operands come from and when they flush. A Batcher belongs to one
+// its own, allocation-free). The plan interpreter feeds it, for local
+// replay, pytfhed and cluster shards alike. A Batcher belongs to one
 // goroutine.
 type Batcher struct {
 	eng   *gate.Engine

@@ -2,22 +2,23 @@
 // backend and the cluster. It holds, exactly once:
 //
 //   - the evaluator: Eval computes one gate.Op now, and Batcher adds the
-//     "join the pending kernel batch, flush at size" logic on top. The ready
-//     driver here and the plan interpreter (plan.Interp, which also runs
-//     cluster shards) evaluate through a Batcher, so batcher.go is the only
-//     file in the executor packages that calls the gate engine;
-//   - the three netlist drivers: RunSequential (the reference every test
-//     compares against), RunLevels (Algorithm 1 of the paper: wavefront and
-//     barrier) and RunReady (dependency-driven, critical-path order, with
-//     optional kernel batching);
+//     "join the pending kernel batch, flush at size" logic on top. The
+//     netlist drivers here call Eval and the plan interpreter (plan.Interp,
+//     which also runs cluster shards) evaluates through a Batcher, so
+//     batcher.go is the only file in the executor packages that calls the
+//     gate engine;
+//   - the two netlist drivers: RunSequential (the reference every test
+//     compares against) and RunLevels (Algorithm 1 of the paper: wavefront
+//     and barrier, the baseline of Fig. 10);
 //   - what they run over: typed input validation, the node→ciphertext value
 //     table with fan-out refcount release (State), ciphertext recycling
 //     (the refcounted free-list Pool of the netlist drivers, the
-//     compile-time liveness Arena of plans), per-worker engine sets, the
-//     blocking ready Queue, Stats and output collection.
+//     compile-time liveness Arena of plans), per-worker engine sets, Stats
+//     and output collection.
 //
-// Compiled plans are scheduled by backend.Shared, not here; the backends of
-// internal/backend are one constructor per way of ordering work.
+// Every other multi-worker run is a compiled plan, scheduled by
+// backend.Shared rather than here; the backends of internal/backend are
+// one constructor per way of ordering work.
 //
 // The split mirrors the compiler/runtime factoring of CHET and MATCHA's
 // treatment of bootstrap scheduling as a policy over a fixed kernel

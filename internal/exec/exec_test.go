@@ -2,86 +2,12 @@ package exec
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/tfhe/lwe"
 )
-
-func TestQueuePriorityOrder(t *testing.T) {
-	prio := []int64{5, 1, 9, 3, 7}
-	q := NewQueue[int32](5, func(a, b int32) bool { return prio[a] > prio[b] })
-	for gi := range prio {
-		q.Push(int32(gi))
-	}
-	want := []int32{2, 4, 0, 3, 1} // descending priority
-	for _, w := range want {
-		gi, ok := q.Pop()
-		if !ok || gi != w {
-			t.Fatalf("pop = %d,%v; want %d", gi, ok, w)
-		}
-	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("try-pop on a drained queue returned an item")
-	}
-	q.Finish()
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop after finish must report done")
-	}
-}
-
-// TestQueueBlockingPop: a Pop blocked on an empty queue is woken by a
-// later Push, and Finish releases all remaining waiters.
-func TestQueueBlockingPop(t *testing.T) {
-	q := NewQueue(1, func(a, b int32) bool { return a < b })
-	var wg sync.WaitGroup
-	got := make(chan int32, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		gi, ok := q.Pop()
-		if ok {
-			got <- gi
-		}
-		// Second pop parks until Finish.
-		if _, ok := q.Pop(); ok {
-			t.Error("second pop should observe finish")
-		}
-	}()
-	q.Push(42)
-	if gi := <-got; gi != 42 {
-		t.Fatalf("blocked pop woke with %d", gi)
-	}
-	q.Finish()
-	wg.Wait()
-}
-
-// TestCriticalDepth: on a chain a→b→c plus a side gate off a, the chain
-// head must carry the full remaining bootstrap count and the side gate a
-// shallower one, so the scheduler prefers the chain.
-func TestCriticalDepth(t *testing.T) {
-	b := circuit.NewBuilder("depth", circuit.NoOptimizations())
-	x := b.Input("x")
-	y := b.Input("y")
-	g0 := b.Gate(logic.NAND, x, y) // chain head, remaining 3
-	g1 := b.Gate(logic.NAND, g0, y)
-	g2 := b.Gate(logic.NAND, g1, y)
-	side := b.Gate(logic.AND, x, y) // independent, remaining 1
-	b.Output("chain", g2)
-	b.Output("side", side)
-	nl := b.MustBuild()
-
-	deps := NewDeps(nl)
-	rem := CriticalDepth(nl, deps.Children)
-	if rem[0] != 3 || rem[1] != 2 || rem[2] != 1 || rem[3] != 1 {
-		t.Fatalf("remaining depths = %v, want [3 2 1 1]", rem)
-	}
-	if got := deps.Ready(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("initial ready set = %v, want [0 3]", got)
-	}
-}
 
 func TestCheckRawInputs(t *testing.T) {
 	good := []*lwe.Sample{lwe.NewSample(4), lwe.NewSample(4)}

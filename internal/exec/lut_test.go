@@ -26,9 +26,9 @@ func lutNetlist() *circuit.Netlist {
 	return b.MustBuild()
 }
 
-// TestLUTDriverAgreement runs a LUT-bearing netlist through every driver ×
-// batch size and checks decryption against the cleartext reference, plus
-// the LUT evaluation counter. (The FIFO ready order it also swept is gone.)
+// TestLUTDriverAgreement runs a LUT-bearing netlist through every driver
+// and plan replay at every batch size, and checks decryption against the
+// cleartext reference, plus the LUT evaluation counter.
 func TestLUTDriverAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	nl := lutNetlist()
@@ -71,8 +71,10 @@ func TestLUTDriverAgreement(t *testing.T) {
 			outs, stats, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in))
 			check(fmt.Sprintf("levels/%dw", w), outs, stats, err)
 			for _, batch := range []int{1, 2, 8} {
-				outs, stats, err := exec.RunReady(ws, nl, backend.EncryptInputs(sk, in), batch)
-				check(fmt.Sprintf("ready-b%d/%dw", batch, w), outs, stats, err)
+				planned := backend.NewPlanned(ck, w, batch)
+				outs, err := planned.Run(nl, backend.EncryptInputs(sk, in))
+				planned.Close()
+				check(fmt.Sprintf("plan-b%d/%dw", batch, w), outs, planned.Stats, err)
 			}
 		}
 	}

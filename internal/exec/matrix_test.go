@@ -66,13 +66,12 @@ func randomDeepNetlist(rng *rand.Rand, nGates int) *circuit.Netlist {
 }
 
 // TestMatrixAgreement is the combinatorial agreement test the execution
-// core makes possible: every netlist driver (sequential, level-barrier,
-// ready at batch {1, 2, 8}) × worker counts {1, 2, 3, 4, 7} must decrypt
-// bit-identically to the plaintext reference on randomized netlists whose
-// outputs are also interior gate operands. Dropped with the knobs: the
-// FIFO ready order and the Arena-backed netlist drivers (a 2×2 sched ×
-// memory sweep) — drivers recycle through the refcounted Pool only, and
-// the Arena is exercised where it is used, by plan replay.
+// core makes possible: every way a netlist runs in process (sequential,
+// level-barrier, plan replay at batch {1, 2, 8}) × worker counts
+// {1, 2, 3, 4, 7} must decrypt bit-identically to the plaintext reference
+// on randomized netlists whose outputs are also interior gate operands.
+// The netlist drivers recycle through the refcounted Pool, plan replay
+// through the Arena.
 func TestMatrixAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	rng := rand.New(rand.NewSource(1234))
@@ -111,21 +110,24 @@ func TestMatrixAgreement(t *testing.T) {
 			check(fmt.Sprintf("levels/%dw", w), outs, err)
 
 			for _, batch := range []int{1, 2, 8} {
-				outs, stats, err := exec.RunReady(ws, nl, backend.EncryptInputs(sk, in), batch)
-				check(fmt.Sprintf("ready-b%d/%dw", batch, w), outs, err)
+				planned := backend.NewPlanned(ck, w, batch)
+				outs, err := planned.Run(nl, backend.EncryptInputs(sk, in))
+				planned.Close()
+				check(fmt.Sprintf("plan-b%d/%dw", batch, w), outs, err)
+				stats := planned.Stats
 				if (stats.Batches > 0) != (batch > 1) {
-					t.Fatalf("ready-b%d/%dw recorded %d batches", batch, w, stats.Batches)
+					t.Fatalf("plan-b%d/%dw recorded %d batches", batch, w, stats.Batches)
 				}
-				if stats.Batches != stats.BatchFullFlushes+stats.BatchDrainFlushes {
-					t.Fatalf("flush counters %d+%d do not sum to %d batches",
-						stats.BatchFullFlushes, stats.BatchDrainFlushes, stats.Batches)
+				if stats.BatchedBootstraps > planned.PlanStats.ExecBootstraps {
+					t.Fatalf("plan-b%d/%dw: %d batched bootstraps, %d executed",
+						batch, w, stats.BatchedBootstraps, planned.PlanStats.ExecBootstraps)
 				}
 			}
 		}
 	}
 }
 
-// TestBackendsAgreeWithPlain runs all five CPU backends through their
+// TestBackendsAgreeWithPlain runs all four CPU backends through their
 // public API against the Plain reference — the end-to-end proof that every
 // backend really executes through the shared core.
 func TestBackendsAgreeWithPlain(t *testing.T) {
@@ -150,7 +152,7 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 		for _, w := range []int{1, 2, 4} {
 			planned := backend.NewPlanned(ck, w, 1)
 			defer planned.Close()
-			backends = append(backends, backend.NewPool(ck, w), backend.NewAsync(ck, w, 1), planned)
+			backends = append(backends, backend.NewPool(ck, w), planned)
 		}
 		for _, be := range backends {
 			outs, err := be.Run(nl, backend.EncryptInputs(sk, in))
@@ -174,7 +176,7 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := sh.Submit(context.Background(), key, compiled, backend.EncryptInputs(sk, in))
+		outs, _, err := sh.Submit(context.Background(), key, compiled, backend.EncryptInputs(sk, in))
 		sh.Close()
 		if err != nil {
 			t.Fatalf("shared: %v", err)
@@ -209,7 +211,6 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 		{"plain", func() error { _, err := backend.Plain{}.Run(nl, bad); return err }},
 		{"single", func() error { _, err := backend.NewSingle(ck).Run(nl, bad); return err }},
 		{"pool", func() error { _, err := backend.NewPool(ck, 2).Run(nl, bad); return err }},
-		{"async", func() error { _, err := backend.NewAsync(ck, 2, 1).Run(nl, bad); return err }},
 		{"plan", func() error {
 			p := backend.NewPlanned(ck, 2, 1)
 			defer p.Close()
@@ -227,7 +228,7 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = sh.Submit(context.Background(), key, compiled, bad)
+			_, _, err = sh.Submit(context.Background(), key, compiled, bad)
 			return err
 		}},
 	}

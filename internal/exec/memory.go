@@ -16,7 +16,8 @@ import (
 // Pool is the netlist drivers' recycler: a free list fed by State releases,
 // so peak allocation follows the live frontier of the DAG rather than the
 // whole program (a 2M-gate MNIST netlist would otherwise hold ~5 GB). Not
-// safe for concurrent use: the ready driver gives each worker its own.
+// safe for concurrent use: RunLevels touches it only between barriers,
+// never from a worker goroutine.
 type Pool struct {
 	dim  int
 	free []*lwe.Sample

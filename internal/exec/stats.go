@@ -11,30 +11,25 @@ type Stats struct {
 	Gates            int           // gates evaluated (including free gates)
 	Bootstraps       int           // bootstrapped gate evaluations
 	LUTs             int           // multi-input LUT evaluations (each one programmable bootstrap, included in Bootstraps)
-	Levels           int           // wavefronts executed (0 for ready-driven drivers)
+	Levels           int           // wavefronts (plan levels for Planned; 0 for RunSequential)
 	Elapsed          time.Duration // wall-clock for the run
 	GatesPerSec      float64       // Gates / Elapsed
 	BootstrapsPerSec float64       // Bootstraps / Elapsed
 
-	// Breakdowns recorded by the concurrent drivers (the level driver
-	// leaves them zero except Workers; the ready driver fills them all).
+	// Breakdowns of the multi-worker runs: RunLevels records Workers only;
+	// backend.Planned fills them all from its run's share of the scheduler.
 	Workers      int           // worker goroutines used
-	QueueWait    time.Duration // cumulative time gates sat in the ready queue
+	QueueWait    time.Duration // cumulative time the run's level slices sat queued
 	AvgQueueWait time.Duration // QueueWait / Gates
 	WorkerBusy   time.Duration // cumulative time workers spent evaluating
 	Utilization  float64       // WorkerBusy / (Elapsed * Workers)
 
-	// Batch occupancy, recorded by the ready driver at batch > 1 (zero
-	// otherwise) and by backend.Planned from its scheduler (full/drain
-	// flushes excepted). A ready-driver dispatch flushes
-	// "full" when it collected the configured batch size and "drain" when
-	// the ready queue ran dry first; the fill average is the amortization
-	// the kernel actually saw.
+	// Batch occupancy, recorded by backend.Planned at batch > 1 (zero
+	// otherwise); the fill average is the amortization the kernel actually
+	// saw.
 	BatchSize         int     // configured batch limit (0 or 1 = unbatched)
 	Batches           int     // batched bootstrap dispatches
-	BatchedBootstraps int     // bootstrapped gates covered by those dispatches
-	BatchFullFlushes  int     // dispatches that filled to BatchSize
-	BatchDrainFlushes int     // dispatches flushed early on an empty queue
+	BatchedBootstraps int     // bootstrapped instructions covered by those dispatches
 	AvgBatchFill      float64 // BatchedBootstraps / Batches
 }
 

@@ -245,16 +245,16 @@ func TestExecutorScalingMeasured(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.Pool.Elapsed <= 0 || r.Async.Elapsed <= 0 || r.Predicted <= 0 {
+		if r.Pool.Elapsed <= 0 || r.Planned.Elapsed <= 0 || r.Predicted <= 0 {
 			t.Fatalf("row not measured: %+v", r)
 		}
-		if r.Async.Utilization <= 0 {
-			t.Fatalf("async utilization not recorded: %+v", r.Async)
+		if r.Planned.Utilization <= 0 || r.Planned.Utilization > 1 {
+			t.Fatalf("plan utilization not recorded: %+v", r.Planned)
 		}
 	}
 	var buf bytes.Buffer
 	RenderExecutorScaling(&buf, nl.Name, rows)
-	if !strings.Contains(buf.String(), "async/pool") {
+	if !strings.Contains(buf.String(), "plan/pool") {
 		t.Fatal("render missing comparison column")
 	}
 }

@@ -132,15 +132,17 @@ func TestLockedBootstrapFindings(t *testing.T) {
 
 // TestLeakedCiphertextFindings: RunSequential's error path without Put
 // (exec.Pool) and Interp.Run's operand check after taking a slot
-// (exec.Arena). RunReady and RunReadyOwned put back and are clean.
+// (exec.Arena). RunLevels and RunLevelsBarriered put back and are clean.
 func TestLeakedCiphertextFindings(t *testing.T) {
 	requireFindings(t, "leaked-ciphertext",
 		"exec.go: ciphertext out", "replay.go: ciphertext out")
 }
 
 // TestUnsyncedExecStateFindings: four run-state touches from the service
-// layer, then RunReady's captured Pool (Get and Put) and a captured shard
-// runtime's SetRemote. RunReadyOwned's per-worker Pool is clean.
+// layer, then the captured Pool (Get and Put) of a RunLevels whose
+// workers claim their own outputs, and a captured shard runtime's
+// SetRemote. RunLevelsBarriered, which uses its Pool only around the
+// barrier, is clean.
 func TestUnsyncedExecStateFindings(t *testing.T) {
 	requireFindings(t, "unsynced-exec-state",
 		"server.go: exec.State.Values touched",

@@ -1,6 +1,6 @@
 // Package exec mirrors the real execution core — the value table, the
 // single-owner Pool, the locked Arena and the one evaluator — with drivers
-// shaped like RunSequential and RunReady.
+// shaped like RunSequential and RunLevels.
 package exec
 
 import (
@@ -70,9 +70,10 @@ func RunSequential(bt *Batcher, st *State, ops []gate.Op) error {
 	return nil
 }
 
-// RunReady shares one Pool among its workers: each goroutine calls Get
-// and Put on the pool it captured.
-func RunReady(engines []*gate.Engine, st *State, ops []gate.Op) {
+// RunLevels takes each gate's output from the pool inside its worker
+// goroutine instead of before the level starts: every worker calls Get and
+// Put on the one pool it captured.
+func RunLevels(engines []*gate.Engine, st *State, ops []gate.Op) {
 	mem := &Pool{}
 	var wg sync.WaitGroup
 	for w, eng := range engines {
@@ -90,22 +91,26 @@ func RunReady(engines []*gate.Engine, st *State, ops []gate.Op) {
 	wg.Wait()
 }
 
-// RunReadyOwned is the real shape and clean: each worker declares its own
-// Pool and puts the output back on the error path.
-func RunReadyOwned(engines []*gate.Engine, st *State, ops []gate.Op) {
+// RunLevelsBarriered is the real shape and clean: output slots are claimed
+// from the pool before the level starts and released after its barrier,
+// so the worker goroutines never touch the pool.
+func RunLevelsBarriered(engines []*gate.Engine, st *State, ops []gate.Op) {
+	mem := &Pool{}
+	for w := range engines {
+		st.Values[w] = mem.Get()
+	}
 	var wg sync.WaitGroup
 	for w, eng := range engines {
 		wg.Add(1)
 		go func(bt *Batcher) {
 			defer wg.Done()
-			mem := &Pool{}
-			out := mem.Get()
-			if _, err := bt.Do(ops[w], out, st.Values[0], st.Values[1]); err != nil {
-				mem.Put(out)
+			if _, err := bt.Do(ops[w], st.Values[w], st.Values[0], st.Values[1]); err != nil {
 				return
 			}
-			st.Values[w] = out
 		}(&Batcher{eng: eng})
 	}
 	wg.Wait()
+	for w := range engines {
+		mem.Put(st.Values[w])
+	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // unsyncedExecState enforces the ownership discipline around the execution
-// core's run state. exec.Pool is single-owner (the ready driver gives each
-// worker its own), exec.Arena carries its own lock, exec.State's value
+// core's run state. exec.Pool is single-owner (RunLevels touches it only
+// between barriers), exec.Arena carries its own lock, exec.State's value
 // table is written under the drivers' ordering, and a shard.Runtime's
 // remote-input slots belong to the cluster worker's serve loop. Two rules
 // keep that machine-checked:
@@ -22,9 +22,10 @@ import (
 //  2. Goroutine capture: a function literal launched with `go` must not
 //     call Get/Put on an exec.Pool — or SetRemote on a shard.Runtime — it
 //     captured from the enclosing scope; that silently turns one owner
-//     into two. Handing the value in through the literal's parameter list
-//     or declaring a fresh one inside the goroutine, as RunReady does with
-//     its per-worker Pool, is fine.
+//     into two. Using it outside the goroutines, as RunLevels does before
+//     and after each level's barrier, handing it in through the literal's
+//     parameter list, or declaring a fresh one inside the goroutine is
+//     fine.
 type unsyncedExecState struct{}
 
 func (*unsyncedExecState) Name() string { return "unsynced-exec-state" }

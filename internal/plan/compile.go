@@ -280,7 +280,7 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 	}
 
 	// Levelize the exec graph and record, per exec node, the last level
-	// that reads it — the compile-time counterpart of the async executor's
+	// that reads it — the compile-time counterpart of the netlist drivers'
 	// runtime fan-out refcounts.
 	level := make([]int32, numInputs+len(gates)) // inputs at level 0
 	lastRead := make([]int32, numInputs+len(gates))

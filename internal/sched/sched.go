@@ -94,10 +94,10 @@ func itoa(v int) string {
 }
 
 // LocalPool models the in-process multi-worker executors (backend.Pool and
-// backend.Async): workers goroutines on one node sharing memory, so gates
+// backend.Planned): workers goroutines on one node sharing memory, so gates
 // pay no network cost and dispatch is a channel operation — negligible next
-// to a bootstrap. Feeding it a measured gate time makes SimulateAsync's
-// makespan directly comparable to backend.Async's wall clock (see the
+// to a bootstrap. Feeding it a measured gate time makes Simulate's
+// makespan directly comparable to backend.Planned's wall clock (see the
 // calibration test in internal/backend).
 func LocalPool(workers int, gateTime time.Duration) Platform {
 	if workers < 1 {

@@ -730,7 +730,8 @@ func (s *Server) evaluate(ctx context.Context, sess *session, entry *programEntr
 		return outs, nil
 	}
 	atomic.AddInt64(&s.planReplays, 1)
-	return s.exec.Submit(ctx, sess.handle, entry.plan, inputs)
+	outs, _, err := s.exec.Submit(ctx, sess.handle, entry.plan, inputs)
+	return outs, err
 }
 
 // evaluateCluster tries to dispatch one evaluation as plan shards across
