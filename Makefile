@@ -58,11 +58,14 @@ bench:
 
 # Kernel hot-path microbenchmarks of the one polynomial engine: the
 # forward/inverse half-complex negacyclic transforms and pointwise
-# multiply-accumulates, and the CMux blind-rotation step at batch sizes
-# 1..64. The gate and batched-bootstrap figures are bench/ probes
-# (gate.binary_ns, boot.batch1_ns, boot.batch16_ns; see bench/README.md).
+# multiply-accumulates, the external product and the CMux blind-rotation
+# step at batch sizes 1..64 (Test and Default128 rings), and the
+# Default128 key switch. They run whichever kernel path the CPU selects
+# (AVX2+FMA or Go). The gate and batched-bootstrap figures are bench/
+# probes (gate.binary_ns, boot.batch1_ns, boot.batch16_ns; see
+# bench/README.md).
 bench-kernel:
-	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/
+	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/lwe/
 
 # Race-checked tests of the bootstrap engine's batch entry points:
 # a batch of N is bit-exact with N single calls and with the

@@ -108,9 +108,7 @@ func (s *Sample) AddTo(src *Sample) {
 
 // SubFrom computes s -= src.
 func (s *Sample) SubFrom(src *Sample) {
-	for i, a := range src.A {
-		s.A[i] -= a
-	}
+	torus.SubFrom(s.A, src.A)
 	s.B -= src.B
 	s.Variance += src.Variance
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pytfhe/internal/params"
 	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
 )
@@ -126,5 +127,26 @@ func TestVarianceTracking(t *testing.T) {
 	a.Clear()
 	if a.Variance != 0 {
 		t.Fatal("clear should reset variance")
+	}
+}
+
+// BenchmarkKernelKeySwitch measures one key switch at the Default128
+// dimensions: an extracted N·k = 1024 sample to the n = 630 gate key with
+// t = 8 digits of 2 bits, i.e. 8 192 row subtractions of 631 words.
+func BenchmarkKernelKeySwitch(b *testing.B) {
+	p := params.Default128()
+	rng := trand.NewSeeded([]byte("lwe-ks-bench"))
+	inKey := NewKey(p.ExtractedLWEDimension(), p.TLWEStdev, rng)
+	outKey := NewKey(p.LWEDimension, p.LWEStdev, rng)
+	ks := NewSwitchKey(inKey, outKey, p.KSLevels, p.KSBaseLog, p.LWEStdev, rng)
+	in := NewSample(inKey.N)
+	Encrypt(in, torus.ModSwitchToTorus32(1, 8), inKey.Stdev, inKey, rng)
+	out := NewSample(outKey.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ks.Apply(out, in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

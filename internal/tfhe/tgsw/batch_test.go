@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/tlwe"
 	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
@@ -90,29 +91,57 @@ func TestCMuxRotateMatchesNaive(t *testing.T) {
 	}
 }
 
-func benchBatchSetup(b *testing.B) (*HalfSample, *trand.Source, *tlwe.Key) {
+// benchRing is one parameter set's ring geometry for the kernel benchmarks.
+type benchRing struct {
+	name string
+	n, k int
+	p    Params
+}
+
+// benchRings are the Test parameters the unit tests use and the Default128
+// ring the paper's gates run on.
+func benchRings() []benchRing {
+	var rings []benchRing
+	for _, gp := range []*params.GateParams{params.Test(), params.Default128()} {
+		rings = append(rings, benchRing{gp.Name, gp.PolyDegree, gp.RingCount,
+			Params{Levels: gp.DecompLevels, BaseLog: gp.DecompBaseLog}})
+	}
+	return rings
+}
+
+// benchBatchSetup returns a half-domain TGSW encryption of 1 on ring r and
+// a sampler of fresh TLWE encryptions of random messages under its key.
+func benchBatchSetup(b *testing.B, r benchRing) (*HalfSample, func() *tlwe.Sample) {
 	b.Helper()
 	rng := trand.NewSeeded([]byte("tgsw-bench"))
-	key := NewKey(testN, testK, math.Pow(2, -30), testParams, rng)
-	g := NewSample(testN, testK, testParams)
+	key := NewKey(r.n, r.k, math.Pow(2, -30), r.p, rng)
+	g := NewSample(r.n, r.k, r.p)
 	Encrypt(g, 1, key.TLWE.Stdev, key, rng)
-	return g.ToHalf(torus.NewProcessor(testN)), rng, key.TLWE
+	fresh := func() *tlwe.Sample {
+		mu := torus.NewTorusPoly(r.n)
+		for i := range mu.Coefs {
+			mu.Coefs[i] = rng.Torus32()
+		}
+		s := tlwe.NewSample(r.n, r.k)
+		tlwe.Encrypt(s, mu, key.TLWE.Stdev, key.TLWE, rng)
+		return s
+	}
+	return g.ToHalf(torus.NewProcessor(r.n)), fresh
 }
 
 func BenchmarkKernelExternalProductAdd(b *testing.B) {
-	fg, rng, tk := benchBatchSetup(b)
-	src := tlwe.NewSample(testN, testK)
-	mu := torus.NewTorusPoly(testN)
-	for i := range mu.Coefs {
-		mu.Coefs[i] = rng.Torus32()
-	}
-	tlwe.Encrypt(src, mu, tk.Stdev, tk, rng)
-	acc := tlwe.NewSample(testN, testK)
-	sc := NewScratch(testN, testK, testParams)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.ExternalProductAdd(acc, fg, src)
+	for _, r := range benchRings() {
+		b.Run(r.name, func(b *testing.B) {
+			fg, fresh := benchBatchSetup(b, r)
+			src := fresh()
+			acc := tlwe.NewSample(r.n, r.k)
+			sc := NewScratch(r.n, r.k, r.p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.ExternalProductAdd(acc, fg, src)
+			}
+		})
 	}
 }
 
@@ -121,39 +150,33 @@ func BenchmarkKernelExternalProductAdd(b *testing.B) {
 // per-op metric is one rotation in both cases, so the gap is what streaming
 // the TGSW sample once per batch saves.
 func BenchmarkKernelCMuxRotate(b *testing.B) {
-	hg, rng, tk := benchBatchSetup(b)
-	mkAcc := func() *tlwe.Sample {
-		mu := torus.NewTorusPoly(testN)
-		for i := range mu.Coefs {
-			mu.Coefs[i] = rng.Torus32()
-		}
-		s := tlwe.NewSample(testN, testK)
-		tlwe.Encrypt(s, mu, tk.Stdev, tk, rng)
-		return s
-	}
-
-	b.Run("single", func(b *testing.B) {
-		sc := NewScratch(testN, testK, testParams)
-		acc := mkAcc()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sc.CMuxRotateInPlace(acc, hg, 1+i%(2*testN-1))
-		}
-	})
-	for _, size := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
-			bs := NewBatchScratch(testN, testK, testParams, size)
-			accs := make([]*tlwe.Sample, size)
-			as := make([]int, size)
-			for m := range accs {
-				accs[m] = mkAcc()
-				as[m] = 1 + m%(2*testN-1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += size {
-				bs.CMuxRotateBatchHalf(accs, hg, as)
+	for _, r := range benchRings() {
+		b.Run(r.name, func(b *testing.B) {
+			hg, fresh := benchBatchSetup(b, r)
+			b.Run("single", func(b *testing.B) {
+				sc := NewScratch(r.n, r.k, r.p)
+				acc := fresh()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sc.CMuxRotateInPlace(acc, hg, 1+i%(2*r.n-1))
+				}
+			})
+			for _, size := range []int{4, 16, 64} {
+				b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+					bs := NewBatchScratch(r.n, r.k, r.p, size)
+					accs := make([]*tlwe.Sample, size)
+					as := make([]int, size)
+					for m := range accs {
+						accs[m] = fresh()
+						as[m] = 1 + m%(2*r.n-1)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i += size {
+						bs.CMuxRotateBatchHalf(accs, hg, as)
+					}
+				})
 			}
 		})
 	}

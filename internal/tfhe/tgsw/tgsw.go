@@ -106,14 +106,9 @@ func DecomposeTLWE(dst []*torus.IntPoly, src *tlwe.Sample, p Params) {
 // digit polynomials: sum_j dst[j]/Bg^(j+1) ≈ src with error below 1/Bg^l.
 func DecomposePoly(dst []*torus.IntPoly, src *torus.TorusPoly, p Params) {
 	offset := p.Offset()
-	mask := uint32(1)<<p.BaseLog - 1
-	halfBase := int32(1) << (p.BaseLog - 1)
-	for i, c := range src.Coefs {
-		v := c + offset
-		for j := 0; j < p.Levels; j++ {
-			shift := 32 - uint(j+1)*uint(p.BaseLog)
-			dst[j].Coefs[i] = int32((v>>shift)&mask) - halfBase
-		}
+	for j := 0; j < p.Levels; j++ {
+		shift := 32 - uint(j+1)*uint(p.BaseLog)
+		torus.GadgetDigit(dst[j].Coefs, src.Coefs, offset, shift, uint(p.BaseLog))
 	}
 }
 

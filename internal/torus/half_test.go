@@ -10,7 +10,9 @@ import (
 // fold both operands, pointwise multiply, inverse — and requires exact
 // agreement with the naive negacyclic convolution, across the ring sizes
 // the parameter sets use (including odd and even log2(N/2) so both the
-// radix-2-tail and pure-radix-4 FFT shapes are covered).
+// radix-2-tail and pure-radix-4 FFT shapes are covered). It runs the public
+// entry points (the AVX2 kernels where the CPU has them) and the Go kernels
+// called directly, so both paths are held to the oracle on an AVX2 host.
 func TestHalfMulMatchesNaive(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048} {
 		t.Run(fmt.Sprintf("N%d", n), func(t *testing.T) {
@@ -22,24 +24,41 @@ func TestHalfMulMatchesNaive(t *testing.T) {
 				a.Coefs[i] = int32(rng.Intn(128)) - 64 // gadget-digit range
 				b.Coefs[i] = Torus32(rng.Uint32())
 			}
-			fa := NewHalfPoly(n / 2)
-			fb := NewHalfPoly(n / 2)
-			p.HalfFoldInt(fa, a)
-			p.HalfFoldTorus(fb, b)
-			facc := NewHalfPoly(n / 2)
-			facc.MulAccTo(fa, fb)
-			got := NewTorusPoly(n)
-			p.AddHalfToTorus(got, facc)
-
 			want := NewTorusPoly(n)
 			MulNaive(want, a, b)
-			for i := 0; i < n; i++ {
-				if got.Coefs[i] != want.Coefs[i] {
-					t.Fatalf("coef %d: half %#x, naive %#x", i, got.Coefs[i], want.Coefs[i])
+			for _, path := range []string{"dispatched", "go"} {
+				got := halfMul(p, a, b, path == "go")
+				for i := 0; i < n; i++ {
+					if got.Coefs[i] != want.Coefs[i] {
+						t.Fatalf("%s path coef %d: half %#x, naive %#x", path, i, got.Coefs[i], want.Coefs[i])
+					}
 				}
 			}
 		})
 	}
+}
+
+// halfMul returns a*b computed through the half pipeline: by the public
+// entry points, or by the portable Go kernels alone when generic is set.
+func halfMul(p *Processor, a *IntPoly, b *TorusPoly, generic bool) *TorusPoly {
+	n, t := p.N(), p.tab
+	fa, fb, facc := NewHalfPoly(n/2), NewHalfPoly(n/2), NewHalfPoly(n/2)
+	got := NewTorusPoly(n)
+	if !generic {
+		p.HalfFoldInt(fa, a)
+		p.HalfFoldTorus(fb, b)
+		facc.MulAccTo(fa, fb)
+		p.AddHalfToTorus(got, facc)
+		return got
+	}
+	t.foldInt(fa.Re, fa.Im, a.Coefs)
+	t.fft(fa.Re, fa.Im)
+	t.foldTorus(fb.Re, fb.Im, b.Coefs)
+	t.fft(fb.Re, fb.Im)
+	mulAcc(facc, fa, fb)
+	t.ifft(facc.Re, facc.Im)
+	t.untwistAdd(got.Coefs, facc.Re, facc.Im)
+	return got
 }
 
 // TestHalfMulAccPair checks the fused two-product accumulate against two

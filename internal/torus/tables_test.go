@@ -1,6 +1,7 @@
 package torus
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -8,8 +9,9 @@ import (
 // TestTablesForConcurrent hammers the twiddle-table cache from 16 goroutines
 // across several ring sizes at once. Run under -race it verifies the
 // lock-free snapshot path: every goroutine must observe one canonical table
-// per size, and concurrent first-time inserts of different sizes must not
-// lose each other's entries.
+// per size — the AVX2 kernels' vector twiddle layout included — and
+// concurrent first-time inserts of different sizes must not lose each
+// other's entries.
 func TestTablesForConcurrent(t *testing.T) {
 	sizes := []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 	const goroutines = 16
@@ -34,6 +36,10 @@ func TestTablesForConcurrent(t *testing.T) {
 					}
 					idx := (s + g) % len(sizes)
 					if seen[idx] == nil {
+						if err := checkVecTw(tab); err != nil {
+							t.Errorf("halfTablesFor(%d): %v", n, err)
+							return
+						}
 						seen[idx] = tab
 					} else if seen[idx] != tab {
 						t.Errorf("halfTablesFor(%d) returned distinct instances", n)
@@ -66,4 +72,31 @@ func TestProcessorSharesTables(t *testing.T) {
 	if a.tab != b.tab {
 		t.Fatal("two processors of the same size got distinct twiddle tables")
 	}
+}
+
+// checkVecTw verifies the AVX2 twiddle layout against the scalar tables:
+// per stage with q >= 4, per group of four j, [w1r w1i w2r w2i w3r w3i]×4.
+func checkVecTw(tab *halfTables) error {
+	want := 0
+	for _, st := range tab.stages {
+		if st.q < 4 {
+			continue
+		}
+		if st.voff != want {
+			return fmt.Errorf("stage s=%d: vector offset %d, want %d", st.s, st.voff, want)
+		}
+		for j := 0; j < st.q; j++ {
+			for r := 0; r < 3; r++ {
+				k := st.voff + (j/4)*24 + r*8 + j%4
+				if tab.vecTw[k] != tab.fwdRe[st.off+3*j+r] || tab.vecTw[k+4] != tab.fwdIm[st.off+3*j+r] {
+					return fmt.Errorf("stage s=%d: w^{%d·%d} misplaced in vecTw", st.s, r+1, j)
+				}
+			}
+		}
+		want += 6 * st.q
+	}
+	if len(tab.vecTw) != want {
+		return fmt.Errorf("vecTw holds %d values, want %d", len(tab.vecTw), want)
+	}
+	return nil
 }

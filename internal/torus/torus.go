@@ -92,8 +92,43 @@ func (p *TorusPoly) AddTo(src *TorusPoly) {
 
 // SubFrom subtracts src from p coefficient-wise.
 func (p *TorusPoly) SubFrom(src *TorusPoly) {
-	for i, c := range src.Coefs {
-		p.Coefs[i] -= c
+	SubFrom(p.Coefs, src.Coefs)
+}
+
+// SubFrom computes dst[i] -= src[i] for every i < len(src). It is the row
+// update of key switching.
+func SubFrom(dst, src []Torus32) {
+	if useAVX2 {
+		subAVX2(dst, src)
+		return
+	}
+	sub(dst, src)
+}
+
+// sub is the portable SubFrom kernel.
+func sub(dst, src []Torus32) {
+	for i, c := range src {
+		dst[i] -= c
+	}
+}
+
+// GadgetDigit sets dst[i] = ((src[i]+offset) >> shift) mod 2^baseLog,
+// minus 2^(baseLog-1), for every i < len(src): one level of a balanced
+// gadget decomposition whose rounding offset is offset.
+func GadgetDigit(dst []int32, src []Torus32, offset uint32, shift, baseLog uint) {
+	if useAVX2 {
+		gadgetDigitAVX2(dst, src, offset, shift, baseLog)
+		return
+	}
+	gadgetDigit(dst, src, offset, shift, baseLog)
+}
+
+// gadgetDigit is the portable GadgetDigit kernel.
+func gadgetDigit(dst []int32, src []Torus32, offset uint32, shift, baseLog uint) {
+	mask := uint32(1)<<baseLog - 1
+	half := int32(1) << (baseLog - 1)
+	for i, c := range src {
+		dst[i] = int32(((c+offset)>>shift)&mask) - half
 	}
 }
 
@@ -109,22 +144,22 @@ func (p *TorusPoly) AddMulZTo(z int32, src *TorusPoly) {
 // 0 <= a < 2N. This is the accumulator update primitive of blind rotation.
 func (p *TorusPoly) MulByXaiMinusOne(a int, src *TorusPoly) {
 	n := p.N()
-	if a &= 2*n - 1; a < n {
-		for i := 0; i < a; i++ {
-			// X^a * X^(i) for i in the wrapped region picks up a sign.
-			p.Coefs[i] = -src.Coefs[i-a+n] - src.Coefs[i]
-		}
-		for i := a; i < n; i++ {
-			p.Coefs[i] = src.Coefs[i-a] - src.Coefs[i]
-		}
-	} else {
-		aa := a - n
-		for i := 0; i < aa; i++ {
-			p.Coefs[i] = src.Coefs[i-aa+n] - src.Coefs[i]
-		}
-		for i := aa; i < n; i++ {
-			p.Coefs[i] = -src.Coefs[i-aa] - src.Coefs[i]
-		}
+	s := src.Coefs[:n]
+	// For a >= N, X^a = -X^(a-N). Multiplying by X^a moves coefficient i to
+	// i+a; the top a coefficients wrap to the bottom with the opposite sign.
+	sign := uint32(1)
+	if a &= 2*n - 1; a >= n {
+		a -= n
+		sign = ^uint32(0) // -1
+	}
+	lo, s0 := p.Coefs[:a], s[:a]
+	wrap := s[n-a:][:len(lo)]
+	for i := range lo {
+		lo[i] = -sign*wrap[i] - s0[i]
+	}
+	hi, straight, s1 := p.Coefs[a:n], s[:n-a], s[a:]
+	for i := range hi {
+		hi[i] = sign*straight[i] - s1[i]
 	}
 }
 
