@@ -15,6 +15,8 @@ package params
 import (
 	"fmt"
 	"math"
+
+	"pytfhe/internal/torus"
 )
 
 // GateParams bundles every parameter needed for TFHE gate bootstrapping.
@@ -100,6 +102,17 @@ func (p *GateParams) CiphertextBytes() int {
 	return (p.LWEDimension + 1) * 4
 }
 
+// ExternalProductBound returns the largest magnitude an external product
+// can reach before its rounding onto the torus: (k+1)·l negacyclic products
+// of N terms, each a gadget digit (|d| ≤ Bg/2) times a torus coefficient
+// (|c| ≤ 2^31), so (Bg/2)·2^31·N·(k+1)·l. Validate rejects a set whose bound
+// reaches torus.RoundExactBound, past which the kernels' rounding is not
+// exact: 2^49.6 at Default128, 2^47.6 at Test.
+func (p *GateParams) ExternalProductBound() float64 {
+	return math.Ldexp(1, p.DecompBaseLog-1+31) * float64(p.PolyDegree) *
+		float64(p.RingCount+1) * float64(p.DecompLevels)
+}
+
 // Validate reports whether the parameter set is internally consistent.
 func (p *GateParams) Validate() error {
 	switch {
@@ -114,6 +127,9 @@ func (p *GateParams) Validate() error {
 		return errf("invalid gadget decomposition l=%d Bgbit=%d", p.DecompLevels, p.DecompBaseLog)
 	case p.DecompLevels*p.DecompBaseLog > 32:
 		return errf("gadget decomposition deeper than the torus: l*Bgbit = %d > 32", p.DecompLevels*p.DecompBaseLog)
+	case p.ExternalProductBound() >= torus.RoundExactBound:
+		return errf("external products reach 2^%.2f, past the exact rounding bound 2^%.2f: lower N, k, l or Bgbit",
+			math.Log2(p.ExternalProductBound()), math.Log2(torus.RoundExactBound))
 	case p.KSLevels <= 0 || p.KSBaseLog <= 0:
 		return errf("invalid key switch t=%d basebit=%d", p.KSLevels, p.KSBaseLog)
 	case p.KSLevels*p.KSBaseLog > 32:
