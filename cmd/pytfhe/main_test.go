@@ -12,6 +12,7 @@ import (
 	"pytfhe/internal/experiments"
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/tfhe/noise"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
@@ -190,7 +191,8 @@ func TestCheckRejectsOverBudget(t *testing.T) {
 
 // TestLoadKeys: a key directory round-trips through the loader, and a
 // cloud.key whose shape does not match its parameters — here the retired
-// full-complex format, N points per polynomial — is refused with the typed
+// full-complex format, N points per polynomial, and the retired
+// key-switching key of one sample per row — is refused with the typed
 // regenerate-keys error before anything bootstraps on it.
 func TestLoadKeys(t *testing.T) {
 	kp, err := core.GenerateKeysSeeded(params.Test(), []byte("load-keys"))
@@ -226,6 +228,24 @@ func TestLoadKeys(t *testing.T) {
 	old.BK[0] = &g
 	if _, err := loadKeys(write(&old)); !errors.Is(err, boot.ErrOldKeyFormat) {
 		t.Fatalf("old-format key: err = %v, want ErrOldKeyFormat", err)
+	}
+	type perRowSwitchKey struct {
+		NIn, NOut, Levels, BaseLog int
+		Rows                       [][][]*lwe.Sample
+	}
+	ks := kp.Cloud.KS
+	perRow := &perRowSwitchKey{NIn: ks.NIn, NOut: ks.NOut, Levels: ks.Levels, BaseLog: ks.BaseLog,
+		Rows: [][][]*lwe.Sample{{{lwe.NewSample(ks.NOut)}}}}
+	dir := write(kp.Cloud)
+	if err := writeGob(filepath.Join(dir, "cloud.key"), struct {
+		Params *params.GateParams
+		BK     []*tgsw.HalfSample
+		KS     *perRowSwitchKey
+	}{kp.Cloud.Params, kp.Cloud.BK, perRow}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadKeys(dir); !errors.Is(err, boot.ErrOldKeyFormat) {
+		t.Fatalf("per-row key-switching key: err = %v, want ErrOldKeyFormat", err)
 	}
 	short := *kp.Cloud
 	short.BK = short.BK[:1]

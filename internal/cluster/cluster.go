@@ -32,10 +32,11 @@ func init() { wire.Register() }
 
 // ProtoVersion is the coordinator↔worker protocol revision. Version 2
 // added the Welcome handshake (version + key-hash check) and the sharded
-// plan-replay messages; version 3 removed per-gate job dispatch. Peers of
-// another version are rejected with a typed error instead of a gob decode
-// failure or an "unexpected message" downstream.
-const ProtoVersion = 3
+// plan-replay messages; version 3 removed per-gate job dispatch; version 4
+// ships the key-switching key as flat rows (and hashes it under the v3
+// KeyHash tag). Peers of another version are rejected with a typed error
+// instead of a gob decode failure or an "unexpected message" downstream.
+const ProtoVersion = 4
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (

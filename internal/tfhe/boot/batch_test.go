@@ -243,3 +243,39 @@ func TestBatchProfileCounters(t *testing.T) {
 		t.Fatalf("Profile.Add dropped batch fields: %+v", sum)
 	}
 }
+
+// TestBootstrapAllocationFree: once an evaluator has grown to a batch, a
+// bootstrap of that batch — blind rotation, extraction and the batched key
+// switch — allocates nothing, single gates included.
+func TestBootstrapAllocationFree(t *testing.T) {
+	rng := trand.NewSeeded([]byte("boot-allocs"))
+	p := params.Test()
+	_, ck, err := GenerateKeys(p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(ck)
+	const b = 16
+	src, dst, mu := make([]*lwe.Sample, b), make([]*lwe.Sample, b), make([]torus.Torus32, b)
+	for m := range src {
+		src[m], dst[m], mu[m] = lwe.NewSample(p.LWEDimension), lwe.NewSample(p.LWEDimension), 1<<29
+		for i := range src[m].A {
+			src[m].A[i] = rng.Torus32()
+		}
+	}
+	for name, fn := range map[string]func() error{
+		"Bootstrap":      func() error { return ev.Bootstrap(dst[0], mu[0], src[0]) },
+		"BootstrapBatch": func() error { return ev.BootstrapBatch(dst, mu, src) },
+	} {
+		if err := fn(); err != nil { // grow the scratch
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per call", name, n)
+		}
+	}
+}

@@ -45,16 +45,19 @@ type CloudKey struct {
 // this is BK itself: no conversion, no second copy.
 func (ck *CloudKey) BKHalf() []*tgsw.HalfSample { return ck.BK }
 
-// ErrOldKeyFormat reports a cloud key whose bootstrapping key still holds
-// the retired full-complex transform (N points per polynomial instead of
-// N/2). Such keys cannot be converted in place; regenerate them.
-var ErrOldKeyFormat = errors.New("boot: cloud key uses the retired full-complex bootstrapping-key format: regenerate keys")
+// ErrOldKeyFormat reports a cloud key in a retired format: a bootstrapping
+// key that still holds the full-complex transform (N points per polynomial
+// instead of N/2), or a key-switching key that still holds one separately
+// allocated sample per row (it decodes with no flat rows). Such keys cannot
+// be converted in place; regenerate them.
+var ErrOldKeyFormat = errors.New("boot: cloud key uses a retired key format: regenerate keys")
 
 // Validate checks that the key's shape matches its parameter set, so that a
 // key from outside the process (an upload, a key file, a cluster handshake)
 // can never index out of range inside a worker: Params are consistent, BK
 // has one entry per LWE key bit with (k+1)·l rows of k+1 polynomials of
-// N/2 points, and KS has the dimensions the bootstrap feeds it.
+// N/2 points, and KS has the dimensions the bootstrap feeds it and exactly
+// the flat length those dimensions imply.
 func (ck *CloudKey) Validate() error {
 	if ck == nil {
 		return errors.New("boot: nil cloud key")
@@ -110,24 +113,14 @@ func (ck *CloudKey) validateKS() error {
 		return fmt.Errorf("boot: key-switching key is %d→%d with t=%d basebit=%d, want %d→%d with t=%d basebit=%d",
 			ks.NIn, ks.NOut, ks.Levels, ks.BaseLog, p.ExtractedLWEDimension(), p.LWEDimension, p.KSLevels, p.KSBaseLog)
 	}
-	if len(ks.Rows) != ks.NIn {
-		return fmt.Errorf("boot: key-switching key has %d planes, want %d", len(ks.Rows), ks.NIn)
-	}
-	base := 1 << ks.BaseLog
-	for i, plane := range ks.Rows {
-		if len(plane) != ks.Levels {
-			return fmt.Errorf("boot: key-switching plane %d has %d levels, want %d", i, len(plane), ks.Levels)
-		}
-		for j, row := range plane {
-			if len(row) != base {
-				return fmt.Errorf("boot: key-switching plane %d level %d has %d digits, want %d", i, j, len(row), base)
-			}
-			for v, s := range row {
-				if s == nil || s.Dimension() != ks.NOut {
-					return fmt.Errorf("boot: key-switching sample [%d][%d][%d] is missing or has the wrong dimension", i, j, v)
-				}
-			}
-		}
+	want := lwe.SwitchKeyWords(ks.NIn, ks.NOut, ks.Levels, ks.BaseLog)
+	switch {
+	case want < 0:
+		return fmt.Errorf("boot: key-switching key shape t=%d basebit=%d has no flat layout", ks.Levels, ks.BaseLog)
+	case len(ks.Flat) == 0 && want > 0:
+		return ErrOldKeyFormat
+	case len(ks.Flat) != want:
+		return fmt.Errorf("boot: key-switching key has %d words, want %d", len(ks.Flat), want)
 	}
 	return nil
 }
@@ -136,6 +129,9 @@ func (ck *CloudKey) validateKS() error {
 func GenerateKeys(p *params.GateParams, rng *trand.Source) (*SecretKey, *CloudKey, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("boot: invalid parameters: %w", err)
+	}
+	if lwe.SwitchKeyWords(p.ExtractedLWEDimension(), p.LWEDimension, p.KSLevels, p.KSBaseLog) < 0 {
+		return nil, nil, fmt.Errorf("boot: invalid parameters: key switch t=%d basebit=%d is too large to store", p.KSLevels, p.KSBaseLog)
 	}
 	gp := tgsw.Params{Levels: p.DecompLevels, BaseLog: p.DecompBaseLog}
 	sk := &SecretKey{

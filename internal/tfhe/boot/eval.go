@@ -31,8 +31,10 @@ type LUT = func(m int) torus.Torus32
 // one accumulator per member, blind-rotate them all in one
 // structure-of-arrays loop (key index outermost, so each bootstrapping-key
 // entry is loaded once and applied to every member before advancing),
-// extract, and optionally key-switch. A single bootstrap is the batch of
-// one, so per-member results never depend on how members were grouped.
+// extract every member, and optionally key-switch the whole batch in one
+// pass over the switching key (row group outermost, for the same reason).
+// A single bootstrap is the batch of one, so per-member results never
+// depend on how members were grouped.
 //
 // An Evaluator is not safe for concurrent use; create one per worker
 // goroutine (they can share the same CloudKey, which is immutable after
@@ -46,7 +48,8 @@ type Evaluator struct {
 	accs     []*tlwe.Sample
 	testvect *torus.TorusPoly
 	rotated  *torus.TorusPoly
-	extr     *lwe.Sample
+	extrs    []*lwe.Sample // per-member extracted samples awaiting the key switch
+	kss      lwe.SwitchScratch
 	bara     []int // member-major [b][n] mod-switched mask coefficients
 	sel      []int
 	selAccs  []*tlwe.Sample
@@ -73,7 +76,6 @@ func NewBatchEvaluator(ck *CloudKey, capacity int) *Evaluator {
 		scratch:  tgsw.NewScratch(p.PolyDegree, p.RingCount, gp),
 		testvect: torus.NewTorusPoly(p.PolyDegree),
 		rotated:  torus.NewTorusPoly(p.PolyDegree),
-		extr:     lwe.NewSample(p.ExtractedLWEDimension()),
 	}
 	e.grow(capacity)
 	return e
@@ -83,6 +85,7 @@ func (e *Evaluator) grow(b int) {
 	p := e.CK.Params
 	for len(e.accs) < b {
 		e.accs = append(e.accs, tlwe.NewSample(p.PolyDegree, p.RingCount))
+		e.extrs = append(e.extrs, lwe.NewSample(p.ExtractedLWEDimension()))
 	}
 	if cap(e.bara) < b*p.LWEDimension {
 		e.bara = make([]int, b*p.LWEDimension)
@@ -151,33 +154,30 @@ func (e *Evaluator) bootstrap(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT,
 	e.program(mu, luts, msize, src)
 	e.blindRotate(src)
 	if e.Profile {
-		e.Prof.BlindRotate += time.Since(start)
+		now := time.Now()
+		e.Prof.BlindRotate += now.Sub(start)
+		start = now
 	}
-	for m := range src {
-		out := dst[m]
-		if keySwitch {
-			out = e.extr
-		}
-		if e.Profile {
-			start = time.Now()
-		}
-		tlwe.ExtractSample(out, e.accs[m])
-		if e.Profile {
-			now := time.Now()
-			e.Prof.Extract += now.Sub(start)
-			start = now
-		}
-		if !keySwitch {
-			continue
-		}
-		if err := e.CK.KS.Apply(dst[m], e.extr); err != nil {
-			return err
-		}
-		if e.Profile {
-			e.Prof.KeySwitch += time.Since(start)
-		}
+	out := dst
+	if keySwitch {
+		out = e.extrs[:b]
 	}
-	if e.Profile && keySwitch {
+	for m, acc := range e.accs[:b] {
+		tlwe.ExtractSample(out[m], acc)
+	}
+	if e.Profile {
+		now := time.Now()
+		e.Prof.Extract += now.Sub(start)
+		start = now
+	}
+	if !keySwitch {
+		return nil
+	}
+	if err := e.CK.KS.ApplyBatch(dst, out, &e.kss); err != nil {
+		return err
+	}
+	if e.Profile {
+		e.Prof.KeySwitch += time.Since(start)
 		e.Prof.Gates += int64(b)
 	}
 	return nil

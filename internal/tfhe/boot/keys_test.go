@@ -53,22 +53,40 @@ func TestGenerateKeysDeterministicAndHalfOnly(t *testing.T) {
 	}
 }
 
-// TestCloudKeyGobSize pins what dropping the full-complex form saves. The
-// parent commit's Test cloud key gob-encoded to 5,726,573 bytes under this
-// seed. The bootstrapping key halves; the key-switching key (about 2.2 MB,
-// 38 % of the old total at Test parameters, format unchanged) does not, so
-// the whole key lands near 0.69×, not at BK's 0.5×.
+// TestCloudKeyGobSize pins what the two format changes save. Under this
+// seed the Test cloud key gob-encoded to 5,726,573 bytes with the
+// full-complex bootstrapping key, which halved when that form was dropped.
+// The key-switching key was then 2,184,106 bytes as one sample per row;
+// the flat rows without digit 0 encode to 2,038,363 (gob writes a random
+// 32-bit word in 5 bytes and a padding word in 1, so the saving in gob is
+// smaller than the quarter of the rows dropped).
 func TestCloudKeyGobSize(t *testing.T) {
-	const parentBytes = 5726573
+	const parentBytes, perRowKSBytes = 5726573, 2184106
 	ck := testCloudKey(t, "boot-gob-size")
 	size := len(gobBytes(t, ck))
 	ks := len(gobBytes(t, ck.KS))
 	if max := parentBytes * 7 / 10; size > max {
 		t.Errorf("cloud key is %d bytes, want at most %d (0.7× the parent's %d)", size, max, parentBytes)
 	}
-	if bk, parentBK := size-ks, parentBytes-ks; bk*100 > parentBK*51 {
+	if bk, parentBK := size-ks, parentBytes-perRowKSBytes; bk*100 > parentBK*51 {
 		t.Errorf("bootstrapping key is %d bytes, want at most 0.51× the parent's %d", bk, parentBK)
 	}
+	if max := perRowKSBytes * 94 / 100; ks > max {
+		t.Errorf("key-switching key is %d bytes, want at most %d (0.94× the per-row form's %d)", ks, max, perRowKSBytes)
+	}
+}
+
+// shortKS replaces ck.KS with a copy whose flat rows are words shorter, or
+// -words longer, than the key's shape implies.
+func shortKS(ck *CloudKey, words int) {
+	ks := *ck.KS
+	ks.Flat = append([]torus.Torus32(nil), ks.Flat...)
+	if words < 0 {
+		ks.Flat = append(ks.Flat, make([]torus.Torus32, -words)...)
+	} else {
+		ks.Flat = ks.Flat[:len(ks.Flat)-words]
+	}
+	ck.KS = &ks
 }
 
 // TestCloudKeyValidate feeds Validate one malformed key per shape rule. Each
@@ -90,11 +108,15 @@ func TestCloudKeyValidate(t *testing.T) {
 		{"ragged poly", func(ck *CloudKey) { hp := ck.BK[2].Rows[1][1]; hp.Im = hp.Im[:len(hp.Im)-1] }},
 		{"nil KS", func(ck *CloudKey) { ck.KS = nil }},
 		{"KS dimensions", func(ck *CloudKey) { ks := *ck.KS; ks.NOut++; ck.KS = &ks }},
-		{"KS planes", func(ck *CloudKey) { ks := *ck.KS; ks.Rows = ks.Rows[1:]; ck.KS = &ks }},
-		{"KS levels", func(ck *CloudKey) { ck.KS.Rows[0] = ck.KS.Rows[0][1:] }},
-		{"KS digits", func(ck *CloudKey) { ck.KS.Rows[1][0] = ck.KS.Rows[1][0][1:] }},
-		{"KS nil sample", func(ck *CloudKey) { ck.KS.Rows[1][1][2] = nil }},
-		{"KS sample dimension", func(ck *CloudKey) { ck.KS.Rows[1][1][3] = lwe.NewSample(3) }},
+		{"KS levels", func(ck *CloudKey) { ks := *ck.KS; ks.Levels++; ck.KS = &ks }},
+		// The flat key short by one input coefficient's rows (a plane), one
+		// digit position's group, one row (a missing sample) or one word (a
+		// sample of the wrong width), and long by one padded row.
+		{"KS planes", func(ck *CloudKey) { shortKS(ck, ck.KS.Levels*(1<<ck.KS.BaseLog-1)*ck.KS.Stride()) }},
+		{"KS digits", func(ck *CloudKey) { shortKS(ck, (1<<ck.KS.BaseLog-1)*ck.KS.Stride()) }},
+		{"KS nil sample", func(ck *CloudKey) { shortKS(ck, ck.KS.Stride()) }},
+		{"KS sample dimension", func(ck *CloudKey) { shortKS(ck, 1) }},
+		{"KS oversized", func(ck *CloudKey) { shortKS(ck, -ck.KS.Stride()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,10 +136,13 @@ func TestCloudKeyValidate(t *testing.T) {
 	}
 }
 
-// TestOldFormatKeyFile: a key file written before this format change gob-
-// decodes without complaint (gob matches fields by name, and the old
-// FourierSample/FourierPoly had the same ones), so Validate is what must
-// notice the N-point polynomials and ask for regeneration.
+// TestOldFormatKeyFile: key files written before either format change
+// gob-decode without complaint, so Validate is what must notice them and
+// ask for regeneration. A full-complex bootstrapping key decodes field for
+// field (the old FourierSample/FourierPoly had the same field names) and
+// shows as N-point polynomials. A key-switching key of one sample per row
+// decodes with its Rows dropped, since gob skips fields the new type lacks,
+// and shows as a switch key with no flat rows.
 func TestOldFormatKeyFile(t *testing.T) {
 	type fourierPoly struct{ Re, Im []float64 }
 	type fourierSample struct {
@@ -125,13 +150,22 @@ func TestOldFormatKeyFile(t *testing.T) {
 		K      int
 		Params tgsw.Params
 	}
-	type oldCloudKey struct {
+	type oldSwitchKey struct {
+		NIn, NOut, Levels, BaseLog int
+		Rows                       [][][]*lwe.Sample
+	}
+	type fullComplexKey struct {
 		Params *params.GateParams
 		BK     []*fourierSample
 		KS     *lwe.SwitchKey
 	}
+	type perRowKey struct {
+		Params *params.GateParams
+		BK     []*tgsw.HalfSample
+		KS     *oldSwitchKey
+	}
 	ck := testCloudKey(t, "boot-old-format")
-	old := oldCloudKey{Params: ck.Params, KS: ck.KS}
+	var fullComplex []*fourierSample
 	for _, g := range ck.BK {
 		fs := &fourierSample{K: g.K, Params: g.Params}
 		for _, row := range g.Rows {
@@ -142,13 +176,33 @@ func TestOldFormatKeyFile(t *testing.T) {
 			}
 			fs.Rows = append(fs.Rows, polys)
 		}
-		old.BK = append(old.BK, fs)
+		fullComplex = append(fullComplex, fs)
 	}
-	var loaded CloudKey
-	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, old))).Decode(&loaded); err != nil {
-		t.Fatalf("old-format key did not decode: %v", err)
+	perRow := &oldSwitchKey{NIn: ck.KS.NIn, NOut: ck.KS.NOut, Levels: ck.KS.Levels, BaseLog: ck.KS.BaseLog}
+	for i := 0; i < perRow.NIn; i++ {
+		plane := make([][]*lwe.Sample, perRow.Levels)
+		for j := range plane {
+			for v := 0; v < 1<<perRow.BaseLog; v++ {
+				plane[j] = append(plane[j], lwe.NewSample(perRow.NOut))
+			}
+		}
+		perRow.Rows = append(perRow.Rows, plane)
 	}
-	if err := loaded.Validate(); !errors.Is(err, ErrOldKeyFormat) {
-		t.Fatalf("Validate = %v, want ErrOldKeyFormat", err)
+	for _, tc := range []struct {
+		name string
+		old  any
+	}{
+		{"full-complex BK", fullComplexKey{ck.Params, fullComplex, ck.KS}},
+		{"per-row KS", perRowKey{ck.Params, ck.BK, perRow}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var loaded CloudKey
+			if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, tc.old))).Decode(&loaded); err != nil {
+				t.Fatalf("old-format key did not decode: %v", err)
+			}
+			if err := loaded.Validate(); !errors.Is(err, ErrOldKeyFormat) {
+				t.Fatalf("Validate = %v, want ErrOldKeyFormat", err)
+			}
+		})
 	}
 }

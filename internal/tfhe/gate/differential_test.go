@@ -22,11 +22,63 @@ import (
 // replace the two it succeeded without moving any ciphertext.
 
 // oracle is an independently generated key set: the same random draws as
-// boot.GenerateKeys, with the bootstrapping key kept as plain TGSW samples.
+// boot.GenerateKeys, with the bootstrapping key kept as plain TGSW samples
+// and the key-switching key as one separately allocated sample per row,
+// digit 0 included.
 type oracle struct {
 	p  *params.GateParams
 	bk []*tgsw.Sample
-	ks *lwe.SwitchKey
+	ks *rowSwitchKey
+}
+
+// rowSwitchKey is the key-switching key in its retired pointer form:
+// rows[i][j][v] encrypts v·s_i/base^(j+1) under the gate key, and the v = 0
+// rows are explicit noiseless zeros, so a switch subtracts one row per
+// digit with no branch.
+type rowSwitchKey struct {
+	levels, baseLog int
+	rows            [][][]*lwe.Sample
+}
+
+// newRowSwitchKey encrypts the rows in the (i, j, v) order boot.GenerateKeys
+// draws them in.
+func newRowSwitchKey(inKey, outKey *lwe.Key, levels, baseLog int, alpha float64, rng *trand.Source) *rowSwitchKey {
+	ks := &rowSwitchKey{levels: levels, baseLog: baseLog, rows: make([][][]*lwe.Sample, inKey.N)}
+	for i := range ks.rows {
+		ks.rows[i] = make([][]*lwe.Sample, levels)
+		for j := range ks.rows[i] {
+			for v := 0; v < 1<<baseLog; v++ {
+				s := lwe.NewSample(outKey.N)
+				if v == 0 {
+					s.NoiselessTrivial(0)
+				} else {
+					mu := uint32(v) * uint32(inKey.Bits[i]) << (32 - (j+1)*baseLog)
+					lwe.Encrypt(s, mu, alpha, outKey, rng)
+				}
+				ks.rows[i][j] = append(ks.rows[i][j], s)
+			}
+		}
+	}
+	return ks
+}
+
+// apply is the per-row key switch: round each coefficient to t·basebit
+// bits, then subtract the row of every digit from the most significant end.
+func (ks *rowSwitchKey) apply(dst, src *lwe.Sample) {
+	prec := uint(ks.levels * ks.baseLog)
+	var roundBit uint32
+	if prec < 32 {
+		roundBit = uint32(1) << (31 - prec)
+	}
+	mask := uint32(1)<<ks.baseLog - 1
+	dst.NoiselessTrivial(src.B)
+	for i, a := range src.A {
+		ai := a + roundBit
+		for j := 0; j < ks.levels; j++ {
+			digit := (ai >> (32 - uint(j+1)*uint(ks.baseLog))) & mask
+			dst.SubFrom(ks.rows[i][j][digit])
+		}
+	}
 }
 
 // newOracle replays boot.GenerateKeys on rng, draw for draw, multiplying
@@ -58,7 +110,7 @@ func newOracle(p *params.GateParams, rng *trand.Source) *oracle {
 		}
 		o.bk[i] = g
 	}
-	o.ks = lwe.NewSwitchKey(ring.ExtractLWEKey(), lweKey, p.KSLevels, p.KSBaseLog, p.LWEStdev, rng)
+	o.ks = newRowSwitchKey(ring.ExtractLWEKey(), lweKey, p.KSLevels, p.KSBaseLog, p.LWEStdev, rng)
 	return o
 }
 
@@ -117,10 +169,41 @@ func (o *oracle) bootstrap(mu torus.Torus32, lut boot.LUT, msize int, src *lwe.S
 func (o *oracle) keySwitch(t *testing.T, extracted *lwe.Sample) *lwe.Sample {
 	t.Helper()
 	out := lwe.NewSample(o.p.LWEDimension)
-	if err := o.ks.Apply(out, extracted); err != nil {
-		t.Fatal(err)
-	}
+	o.ks.apply(out, extracted)
 	return out
+}
+
+// requireSameSwitchKey holds the flat key to the oracle's rows: each
+// non-zero-digit row, mask then body, at its flat offset; zero padding to
+// the stride; the row variance of every encrypted row; and no row for
+// digit 0.
+func requireSameSwitchKey(t *testing.T, ks *lwe.SwitchKey, o *rowSwitchKey) {
+	t.Helper()
+	stride, group := ks.Stride(), 1<<ks.BaseLog-1
+	if len(ks.Flat) != len(o.rows)*ks.Levels*group*stride {
+		t.Fatalf("flat key has %d words, want %d rows of %d", len(ks.Flat), len(o.rows)*ks.Levels*group, stride)
+	}
+	for i, plane := range o.rows {
+		for j, digits := range plane {
+			for v, want := range digits[1:] {
+				row := ks.Flat[((i*ks.Levels+j)*group+v)*stride:][:stride]
+				for c, w := range want.A {
+					if row[c] != w {
+						t.Fatalf("row [%d][%d][%d] mask %d: flat %#x, oracle %#x", i, j, v+1, c, row[c], w)
+					}
+				}
+				if row[ks.NOut] != want.B || ks.RowVariance != want.Variance {
+					t.Fatalf("row [%d][%d][%d]: flat body %#x variance %g, oracle %#x %g",
+						i, j, v+1, row[ks.NOut], ks.RowVariance, want.B, want.Variance)
+				}
+				for c, pad := range row[ks.NOut+1:] {
+					if pad != 0 {
+						t.Fatalf("row [%d][%d][%d] padding word %d is %#x", i, j, v+1, c, pad)
+					}
+				}
+			}
+		}
+	}
 }
 
 // op is the reference of one bootstrapped engine operation.
@@ -190,6 +273,7 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := newOracle(p, trand.NewSeeded(seed))
+	requireSameSwitchKey(t, ck.KS, o.ks)
 	eng := NewEngine(ck)
 	ev := eng.Eval
 	rng := trand.NewSeeded([]byte("gate-differential-inputs"))
@@ -358,6 +442,7 @@ func TestDifferentialDefault128NAND(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := newOracle(p, trand.NewSeeded(seed))
+	requireSameSwitchKey(t, ck.KS, o.ks)
 	rng := trand.NewSeeded([]byte("gate-differential-128-inputs"))
 	a, b, got := NewCiphertext(p), NewCiphertext(p), NewCiphertext(p)
 	Encrypt(a, true, sk, rng)

@@ -109,6 +109,20 @@ func benchRings() []benchRing {
 	return rings
 }
 
+// cloneHalf returns a deep copy of g in memory of its own.
+func cloneHalf(g *HalfSample) *HalfSample {
+	c := &HalfSample{K: g.K, Params: g.Params, Rows: make([][]*torus.HalfPoly, len(g.Rows))}
+	for u, row := range g.Rows {
+		for _, p := range row {
+			q := torus.NewHalfPoly(len(p.Re))
+			copy(q.Re, p.Re)
+			copy(q.Im, p.Im)
+			c.Rows[u] = append(c.Rows[u], q)
+		}
+	}
+	return c
+}
+
 // benchBatchSetup returns a half-domain TGSW encryption of 1 on ring r and
 // a sampler of fresh TLWE encryptions of random messages under its key.
 func benchBatchSetup(b *testing.B, r benchRing) (*HalfSample, func() *tlwe.Sample) {
@@ -148,7 +162,10 @@ func BenchmarkKernelExternalProductAdd(b *testing.B) {
 // BenchmarkKernelCMuxRotate measures one CMux rotation through the single
 // entry point and through the batched one at growing batch sizes; the
 // per-op metric is one rotation in both cases, so the gap is what streaming
-// the TGSW sample once per batch saves.
+// the TGSW sample once per batch saves. single rotates against one
+// cache-hot sample. At Default128, streamed cycles through as many distinct
+// samples as a bootstrapping key has entries (n = 630, 62 MB), as a blind
+// rotation does, so n × streamed is what a bootstrap's rotations cost.
 func BenchmarkKernelCMuxRotate(b *testing.B) {
 	for _, r := range benchRings() {
 		b.Run(r.name, func(b *testing.B) {
@@ -162,6 +179,21 @@ func BenchmarkKernelCMuxRotate(b *testing.B) {
 					sc.CMuxRotateInPlace(acc, hg, 1+i%(2*r.n-1))
 				}
 			})
+			if r.name == params.Default128().Name {
+				b.Run("streamed", func(b *testing.B) {
+					bk := make([]*HalfSample, params.Default128().LWEDimension)
+					for i := range bk {
+						bk[i] = cloneHalf(hg)
+					}
+					sc := NewScratch(r.n, r.k, r.p)
+					acc := fresh()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sc.CMuxRotateInPlace(acc, bk[i%len(bk)], 1+i%(2*r.n-1))
+					}
+				})
+			}
 			for _, size := range []int{4, 16, 64} {
 				b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 					bs := NewBatchScratch(r.n, r.k, r.p, size)

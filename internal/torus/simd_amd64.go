@@ -1,10 +1,11 @@
 package torus
 
 // AVX2+FMA kernels (simd_amd64.s) behind the public transform, pointwise,
-// digit and subtraction entry points. The wrappers below check lengths in
-// Go, hand the assembly element pointers and counts, and route what the
-// vector loops do not cover (rings with M < 8, the q = 1 radix-4 stage of
-// an even log2 M, ragged tails) to the portable kernels.
+// digit, subtraction, rotation and key-switch entry points. The wrappers
+// below check lengths in Go, hand the assembly element pointers and counts,
+// and route what the vector loops do not cover (rings with M < 8, the
+// q = 1 radix-4 stage of an even log2 M, ragged tails) to the portable
+// kernels.
 
 // useAVX2 reports whether this CPU and OS run the AVX2+FMA kernels. It is
 // decided once, here, from CPUID and XGETBV.
@@ -62,6 +63,12 @@ func avx2Digit(dst *int32, src *uint32, n int, offset, mask uint32, half int32, 
 
 //go:noescape
 func avx2Sub(dst, src *uint32, n int)
+
+//go:noescape
+func avx2RotSub(dst, x, y *uint32, n int, sign uint32)
+
+//go:noescape
+func avx2SwitchRows(acc, key, rows, ends *uint32, segs, members, stride int)
 
 func (t *halfTables) foldIntAVX2(re, im []float64, src []int32) {
 	m := t.m
@@ -180,4 +187,22 @@ func subAVX2(dst, src []Torus32) {
 		avx2Sub(&dst[0], &src[0], n)
 	}
 	sub(dst[n:], src[n:])
+}
+
+func rotSubAVX2(dst, x, y []Torus32, sign uint32) {
+	n := len(dst) &^ 7
+	if n > 0 {
+		_, _ = x[n-1], y[n-1]
+		avx2RotSub(&dst[0], &x[0], &y[0], n, sign)
+	}
+	rotSub(dst[n:], x[n:], y[n:], sign)
+}
+
+// switchRowsAVX2 needs a stride that is a multiple of 8 words; SwitchRows
+// has checked every segment end and row offset.
+func switchRowsAVX2(acc, key []Torus32, rows, ends []uint32, members, stride int) {
+	if len(rows) == 0 || len(ends) == 0 {
+		return
+	}
+	avx2SwitchRows(&acc[0], &key[0], &rows[0], &ends[0], len(ends), members, stride)
 }

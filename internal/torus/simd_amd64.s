@@ -628,3 +628,188 @@ subLoop:
 subDone:
 	VZEROUPPER
 	RET
+
+// func avx2RotSub(dst, x, y *uint32, n int, sign uint32)
+//
+// dst[i] = sign·x[i] - y[i] with sign = ±1 (as 1 or 0xFFFFFFFF): VPSIGND
+// negates each x lane by the sign lane, wrapping mod 2^32 as Go does.
+TEXT ·avx2RotSub(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVL         sign+32(FP), AX
+	VMOVD        AX, X3
+	VPBROADCASTD X3, Y3
+	SHRQ         $3, CX
+	JZ           rotSubDone
+	XORQ         AX, AX
+
+rotSubLoop:
+	VMOVDQU (SI)(AX*1), Y0
+	VPSIGND Y3, Y0, Y0
+	VPSUBD  (DX)(AX*1), Y0, Y0
+	VMOVDQU Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     rotSubLoop
+
+rotSubDone:
+	VZEROUPPER
+	RET
+
+// func avx2SwitchRows(acc, key, rows, ends *uint32, segs, members, stride int)
+//
+// Segment s subtracts the key rows at word offsets rows[ends[s-1]:ends[s]]
+// from accumulator s mod members (stride words each, stride a multiple of
+// 8). Each segment walks its accumulator in column chunks held in
+// registers — as many chunks of 8 vectors as fit, then at most one each of
+// 4, 2 and 1 — so the accumulator is loaded and stored once per chunk
+// rather than once per row.
+TEXT ·avx2SwitchRows(SB), NOSPLIT, $24-56
+	MOVQ  acc+0(FP), R13
+	MOVQ  key+8(FP), SI
+	MOVQ  rows+16(FP), R8
+	MOVQ  ends+24(FP), R9
+	MOVQ  segs+32(FP), R10
+	MOVQ  members+40(FP), R11
+	MOVQ  stride+48(FP), R12
+	SHLQ  $2, R12               // stride in bytes
+	IMULQ R12, R11
+	ADDQ  R13, R11
+	MOVQ  R13, accBase-8(SP)
+	MOVQ  R11, accEnd-16(SP)    // past the last accumulator
+	LEAQ  (R9)(R10*4), R10
+	MOVQ  R10, endsEnd-24(SP)   // past the last segment end
+	XORQ  BX, BX                // first row of the segment
+	CMPQ  R9, R10
+	JEQ   switchDone
+
+switchSeg:
+	MOVL (R9), DX               // past the last row of the segment
+	XORQ CX, CX                 // chunk offset in bytes
+	CMPQ BX, DX
+	JEQ  switchNextSeg
+
+switchPass8:
+	MOVQ    R12, AX
+	SUBQ    CX, AX
+	CMPQ    AX, $256
+	JLT     switchPass4
+	VMOVDQU (R13)(CX*1), Y0
+	VMOVDQU 32(R13)(CX*1), Y1
+	VMOVDQU 64(R13)(CX*1), Y2
+	VMOVDQU 96(R13)(CX*1), Y3
+	VMOVDQU 128(R13)(CX*1), Y4
+	VMOVDQU 160(R13)(CX*1), Y5
+	VMOVDQU 192(R13)(CX*1), Y6
+	VMOVDQU 224(R13)(CX*1), Y7
+	LEAQ    (SI)(CX*1), AX      // the chunk's column of row 0
+	MOVQ    BX, DI
+
+switchRow8:
+	MOVL   (R8)(DI*4), R10
+	LEAQ   (AX)(R10*4), R10     // the row's chunk
+	VPSUBD (R10), Y0, Y0
+	VPSUBD 32(R10), Y1, Y1
+	VPSUBD 64(R10), Y2, Y2
+	VPSUBD 96(R10), Y3, Y3
+	VPSUBD 128(R10), Y4, Y4
+	VPSUBD 160(R10), Y5, Y5
+	VPSUBD 192(R10), Y6, Y6
+	VPSUBD 224(R10), Y7, Y7
+	INCQ   DI
+	CMPQ   DI, DX
+	JNE    switchRow8
+	VMOVDQU Y0, (R13)(CX*1)
+	VMOVDQU Y1, 32(R13)(CX*1)
+	VMOVDQU Y2, 64(R13)(CX*1)
+	VMOVDQU Y3, 96(R13)(CX*1)
+	VMOVDQU Y4, 128(R13)(CX*1)
+	VMOVDQU Y5, 160(R13)(CX*1)
+	VMOVDQU Y6, 192(R13)(CX*1)
+	VMOVDQU Y7, 224(R13)(CX*1)
+	ADDQ    $256, CX
+	JMP     switchPass8
+
+switchPass4:
+	CMPQ    AX, $128
+	JLT     switchPass2
+	VMOVDQU (R13)(CX*1), Y0
+	VMOVDQU 32(R13)(CX*1), Y1
+	VMOVDQU 64(R13)(CX*1), Y2
+	VMOVDQU 96(R13)(CX*1), Y3
+	LEAQ    (SI)(CX*1), AX
+	MOVQ    BX, DI
+
+switchRow4:
+	MOVL   (R8)(DI*4), R10
+	LEAQ   (AX)(R10*4), R10     // the row's chunk
+	VPSUBD (R10), Y0, Y0
+	VPSUBD 32(R10), Y1, Y1
+	VPSUBD 64(R10), Y2, Y2
+	VPSUBD 96(R10), Y3, Y3
+	INCQ   DI
+	CMPQ   DI, DX
+	JNE    switchRow4
+	VMOVDQU Y0, (R13)(CX*1)
+	VMOVDQU Y1, 32(R13)(CX*1)
+	VMOVDQU Y2, 64(R13)(CX*1)
+	VMOVDQU Y3, 96(R13)(CX*1)
+	ADDQ    $128, CX
+
+switchPass2:
+	MOVQ    R12, AX
+	SUBQ    CX, AX
+	CMPQ    AX, $64
+	JLT     switchPass1
+	VMOVDQU (R13)(CX*1), Y0
+	VMOVDQU 32(R13)(CX*1), Y1
+	LEAQ    (SI)(CX*1), AX
+	MOVQ    BX, DI
+
+switchRow2:
+	MOVL   (R8)(DI*4), R10
+	LEAQ   (AX)(R10*4), R10     // the row's chunk
+	VPSUBD (R10), Y0, Y0
+	VPSUBD 32(R10), Y1, Y1
+	INCQ   DI
+	CMPQ   DI, DX
+	JNE    switchRow2
+	VMOVDQU Y0, (R13)(CX*1)
+	VMOVDQU Y1, 32(R13)(CX*1)
+	ADDQ    $64, CX
+
+switchPass1:
+	CMPQ    CX, R12
+	JEQ     switchSegDone
+	VMOVDQU (R13)(CX*1), Y0
+	LEAQ    (SI)(CX*1), AX
+	MOVQ    BX, DI
+
+switchRow1:
+	MOVL   (R8)(DI*4), R10
+	LEAQ   (AX)(R10*4), R10     // the row's chunk
+	VPSUBD (R10), Y0, Y0
+	INCQ   DI
+	CMPQ   DI, DX
+	JNE    switchRow1
+	VMOVDQU Y0, (R13)(CX*1)
+
+switchSegDone:
+	MOVQ DX, BX
+
+switchNextSeg:
+	ADDQ R12, R13
+	CMPQ R13, accEnd-16(SP)
+	JNE  switchSameRound
+	MOVQ accBase-8(SP), R13
+
+switchSameRound:
+	ADDQ $4, R9
+	CMPQ R9, endsEnd-24(SP)
+	JNE  switchSeg
+
+switchDone:
+	VZEROUPPER
+	RET

@@ -185,3 +185,67 @@ func TestAVX2IntegerKernelsMatchGo(t *testing.T) {
 		}
 	}
 }
+
+// TestAVX2MulByXaiMinusOneMatchesGo compares the vector rotation with the
+// Go loop at every a in [0, 2N): every split of the wrapped and straight
+// runs, ragged ends included, on the Test and Default128 rings and on a
+// ring below the vector width. The destination starts as garbage, so a
+// word the kernel fails to write shows.
+func TestAVX2MulByXaiMinusOneMatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{4, 256, 1024} {
+		src := randTorusPoly(rng, n)
+		for a := 0; a < 2*n; a++ {
+			want, got := randTorusPoly(rng, n), randTorusPoly(rng, n)
+			mulByXaiMinusOne(want.Coefs, src.Coefs, a, rotSub)
+			mulByXaiMinusOne(got.Coefs, src.Coefs, a, rotSubAVX2)
+			for i := range want.Coefs {
+				if got.Coefs[i] != want.Coefs[i] {
+					t.Fatalf("N=%d a=%d coef %d: avx2 %#x, go %#x", n, a, i, got.Coefs[i], want.Coefs[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAVX2SwitchRowsMatchesGo runs the batched key-switch kernel on random
+// keys, accumulators and row lists — empty segments, strides that exercise
+// every chunk width (8, 4 and 1 vectors) and ragged member counts
+// included — and requires every accumulator word to match the Go loop.
+// The accumulators carry guard words past the last member, which must not
+// be touched.
+func TestAVX2SwitchRowsMatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(7))
+	for _, stride := range []int{8, 32, 64, 72, 96, 120, 632} {
+		key := make([]Torus32, 40*stride)
+		for i := range key {
+			key[i] = rng.Uint32()
+		}
+		for _, members := range []int{1, 2, 3, 5, 16, 17} {
+			for _, blocks := range []int{1, 3} {
+				var rows, ends []uint32
+				for s := 0; s < blocks*members; s++ {
+					for n := rng.Intn(12); n > 0; n-- {
+						rows = append(rows, uint32(rng.Intn(40)*stride))
+					}
+					ends = append(ends, uint32(len(rows)))
+				}
+				want := make([]Torus32, members*stride+8)
+				for i := range want {
+					want[i] = rng.Uint32()
+				}
+				got := append([]Torus32(nil), want...)
+				switchRows(want, key, rows, ends, members, stride)
+				switchRowsAVX2(got, key, rows, ends, members, stride)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("stride=%d members=%d blocks=%d word %d: avx2 %#x, go %#x",
+							stride, members, blocks, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

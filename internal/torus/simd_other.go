@@ -15,9 +15,13 @@ func (t *halfTables) ifftAVX2(dre, dim, sre, sim []float64)         { panic(noAV
 func (t *halfTables) untwistAddAVX2(dst []Torus32, re, im []float64) {
 	panic(noAVX2)
 }
-func mulAccAVX2(f, a, b *HalfPoly)               { panic(noAVX2) }
-func mulAccPairAVX2(f, a1, b1, a2, b2 *HalfPoly) { panic(noAVX2) }
-func subAVX2(dst, src []Torus32)                 { panic(noAVX2) }
+func mulAccAVX2(f, a, b *HalfPoly)                { panic(noAVX2) }
+func mulAccPairAVX2(f, a1, b1, a2, b2 *HalfPoly)  { panic(noAVX2) }
+func subAVX2(dst, src []Torus32)                  { panic(noAVX2) }
+func rotSubAVX2(dst, x, y []Torus32, sign uint32) { panic(noAVX2) }
+func switchRowsAVX2(acc, key []Torus32, rows, ends []uint32, members, stride int) {
+	panic(noAVX2)
+}
 func gadgetDigitAVX2(dst []int32, src []Torus32, offset uint32, shift, baseLog uint) {
 	panic(noAVX2)
 }

@@ -143,8 +143,18 @@ func (p *TorusPoly) AddMulZTo(z int32, src *TorusPoly) {
 // MulByXaiMinusOne sets p = (X^a - 1) * src in T[X]/(X^N+1), with
 // 0 <= a < 2N. This is the accumulator update primitive of blind rotation.
 func (p *TorusPoly) MulByXaiMinusOne(a int, src *TorusPoly) {
-	n := p.N()
-	s := src.Coefs[:n]
+	if useAVX2 {
+		mulByXaiMinusOne(p.Coefs, src.Coefs, a, rotSubAVX2)
+		return
+	}
+	mulByXaiMinusOne(p.Coefs, src.Coefs, a, rotSub)
+}
+
+// mulByXaiMinusOne is MulByXaiMinusOne on coefficient slices, with the
+// two runs it splits into handed to the run kernel given.
+func mulByXaiMinusOne(dst, src []Torus32, a int, run func(dst, x, y []Torus32, sign uint32)) {
+	n := len(dst)
+	s := src[:n]
 	// For a >= N, X^a = -X^(a-N). Multiplying by X^a moves coefficient i to
 	// i+a; the top a coefficients wrap to the bottom with the opposite sign.
 	sign := uint32(1)
@@ -152,14 +162,60 @@ func (p *TorusPoly) MulByXaiMinusOne(a int, src *TorusPoly) {
 		a -= n
 		sign = ^uint32(0) // -1
 	}
-	lo, s0 := p.Coefs[:a], s[:a]
-	wrap := s[n-a:][:len(lo)]
-	for i := range lo {
-		lo[i] = -sign*wrap[i] - s0[i]
+	run(dst[:a], s[n-a:], s[:a], -sign)
+	run(dst[a:], s[:n-a], s[a:], sign)
+}
+
+// rotSub is the portable run kernel of MulByXaiMinusOne: dst[i] =
+// sign·x[i] - y[i] for every i < len(dst), with sign = ±1.
+func rotSub(dst, x, y []Torus32, sign uint32) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	for i := range dst {
+		dst[i] = sign*x[i] - y[i]
 	}
-	hi, straight, s1 := p.Coefs[a:n], s[:n-a], s[a:]
-	for i := range hi {
-		hi[i] = sign*straight[i] - s1[i]
+}
+
+// SwitchRows is the batched key-switch kernel: it subtracts key rows of
+// stride words from members accumulators, acc[m·stride:(m+1)·stride].
+// rows holds word offsets into key, in segments: segment s is
+// rows[ends[s-1]:ends[s]] (from 0 for s = 0) and belongs to member
+// s mod members. A caller that orders segments block by block, every
+// member's rows of one block of the key before the next block, loads each
+// block into the cache once per batch rather than once per member.
+func SwitchRows(acc, key []Torus32, rows, ends []uint32, members, stride int) {
+	if members <= 0 || stride <= 0 || len(ends)%members != 0 || len(acc) < members*stride {
+		panic("torus: SwitchRows accumulator or segment shape mismatch")
+	}
+	pos := uint32(0)
+	for _, end := range ends {
+		if end < pos || int(end) > len(rows) {
+			panic("torus: SwitchRows segment ends out of order")
+		}
+		pos = end
+	}
+	last := uint32(0)
+	for _, r := range rows[:pos] {
+		last = max(last, r)
+	}
+	if pos > 0 && uint64(last)+uint64(stride) > uint64(len(key)) {
+		panic("torus: SwitchRows row past the end of the key")
+	}
+	if useAVX2 && stride%8 == 0 {
+		switchRowsAVX2(acc, key, rows, ends, members, stride)
+		return
+	}
+	switchRows(acc, key, rows, ends, members, stride)
+}
+
+// switchRows is the portable SwitchRows kernel.
+func switchRows(acc, key []Torus32, rows, ends []uint32, members, stride int) {
+	pos := uint32(0)
+	for s, end := range ends {
+		a := acc[s%members*stride:][:stride]
+		for _, r := range rows[pos:end] {
+			sub(a, key[r:][:stride])
+		}
+		pos = end
 	}
 }
 

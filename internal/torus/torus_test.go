@@ -232,3 +232,28 @@ func BenchmarkPolyMulHalf1024(b *testing.B) {
 		proc.AddHalfToTorus(out, fc)
 	}
 }
+
+// TestSwitchRowsRejectsBadShapes: the exported kernel refuses segments out
+// of order, a row past the end of the key and a short accumulator instead
+// of reading or writing beyond them.
+func TestSwitchRowsRejectsBadShapes(t *testing.T) {
+	acc, key := make([]Torus32, 2*8), make([]Torus32, 3*8)
+	rows := []uint32{0, 8, 16}
+	for name, call := range map[string]func(){
+		"row past key":      func() { SwitchRows(acc, key, []uint32{17}, []uint32{1, 1}, 2, 8) },
+		"ends out of order": func() { SwitchRows(acc, key, rows, []uint32{2, 1}, 2, 8) },
+		"ends past rows":    func() { SwitchRows(acc, key, rows, []uint32{2, 4}, 2, 8) },
+		"short acc":         func() { SwitchRows(acc[:15], key, rows, []uint32{1, 3}, 2, 8) },
+		"ragged segments":   func() { SwitchRows(acc, key, rows, []uint32{1, 2, 3}, 2, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SwitchRows did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	SwitchRows(acc, key, rows, []uint32{1, 3}, 2, 8)
+}

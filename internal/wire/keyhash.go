@@ -34,9 +34,10 @@ func KeyHash(ck *boot.CloudKey) (string, error) {
 	h := sha256.New()
 	w := bufio.NewWriter(h)
 	e := keyHasher{w: w}
-	// Domain tag: v1 hashed the retired full-complex bootstrapping key, so a
-	// peer still on that format can never agree on a hash with this one.
-	e.str("pytfhe-cloud-key-v2-half")
+	// Domain tag: v1 hashed the retired full-complex bootstrapping key and v2
+	// the retired one-sample-per-row key-switching key, so a peer still on
+	// either format can never agree on a hash with this one.
+	e.str("pytfhe-cloud-key-v3-flat-ks")
 	e.params(ck.Params)
 	e.u64(uint64(len(ck.BK)))
 	for _, s := range ck.BK {
@@ -66,12 +67,6 @@ func (e keyHasher) u64(v uint64) {
 func (e keyHasher) i64(v int) { e.u64(uint64(int64(v))) }
 
 func (e keyHasher) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e keyHasher) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.w.Write(b[:])
-}
 
 func (e keyHasher) str(s string) {
 	e.i64(len(s))
@@ -126,6 +121,8 @@ func (e keyHasher) bk(s *tgsw.HalfSample) {
 	}
 }
 
+// ks hashes the key-switching key's shape, its row variance and its flat
+// rows as little-endian words, in blocks.
 func (e keyHasher) ks(k *lwe.SwitchKey) {
 	if k == nil {
 		e.u64(0)
@@ -136,28 +133,15 @@ func (e keyHasher) ks(k *lwe.SwitchKey) {
 	e.i64(k.NOut)
 	e.i64(k.Levels)
 	e.i64(k.BaseLog)
-	e.i64(len(k.Rows))
-	for _, plane := range k.Rows {
-		e.i64(len(plane))
-		for _, row := range plane {
-			e.i64(len(row))
-			for _, s := range row {
-				e.sample(s)
-			}
+	e.f64(k.RowVariance)
+	e.i64(len(k.Flat))
+	var b [4096]byte
+	for rest := k.Flat; len(rest) > 0; {
+		n := min(len(rest), len(b)/4)
+		for i, v := range rest[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
 		}
+		e.w.Write(b[:4*n])
+		rest = rest[n:]
 	}
-}
-
-func (e keyHasher) sample(s *lwe.Sample) {
-	if s == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.i64(len(s.A))
-	for _, a := range s.A {
-		e.u32(a)
-	}
-	e.u32(s.B)
-	e.f64(s.Variance)
 }

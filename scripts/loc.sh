@@ -1,15 +1,26 @@
 #!/bin/sh
-# Non-test Go lines per internal/* package (sub-packages included) and the
-# total: the figure the "collapse the execution paths" roadmap item is
-# judged by. Informational — it never fails.
+# Non-test source lines per internal/* package (sub-packages included):
+# Go, assembly (*.s) and their sum, then the totals. This is the figure the
+# "collapse the execution paths" roadmap item is judged by. Informational —
+# it never fails.
 set -eu
 cd "$(dirname "$0")/.."
 
-total=0
+lines() { # lines DIR FIND-ARGS...: lines in the matching files under DIR
+    dir=$1
+    shift
+    find "$dir" "$@" -exec cat {} + | wc -l
+}
+
+printf '%-24s %6s %6s %6s\n' package go asm total
+gototal=0
+asmtotal=0
 for dir in internal/*/; do
     pkg=${dir%/}
-    n=$(find "$pkg" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
-    printf '%-24s %6d\n' "$pkg" "$n"
-    total=$((total + n))
+    g=$(lines "$pkg" -name '*.go' ! -name '*_test.go')
+    a=$(lines "$pkg" -name '*.s')
+    printf '%-24s %6d %6d %6d\n' "$pkg" "$g" "$a" $((g + a))
+    gototal=$((gototal + g))
+    asmtotal=$((asmtotal + a))
 done
-printf '%-24s %6d\n' total "$total"
+printf '%-24s %6d %6d %6d\n' total "$gototal" "$asmtotal" $((gototal + asmtotal))
