@@ -1,7 +1,9 @@
 package circuit
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"pytfhe/internal/logic"
 )
@@ -35,18 +37,48 @@ func NoOptimizations() BuilderOptions {
 	return BuilderOptions{}
 }
 
-type gateKey struct {
-	kind logic.Kind
-	a, b NodeID
+// MaxNodeID is the largest node id a Builder emits. The CSE keys pack
+// operand ids into 30-bit fields, so the bound is what makes them exact: a
+// builder asked for one more node panics with ErrTooManyNodes rather than
+// letting two distinct gates share a key.
+const MaxNodeID = 1<<idBits - 1
+
+const idBits = 30
+
+// ErrTooManyNodes is the panic value of a Builder asked to create a node
+// beyond MaxNodeID.
+var ErrTooManyNodes = errors.New("circuit: netlist exceeds the builder's node-id bound")
+
+// gateKey is the CSE key of a classic gate: the 4-bit kind above two
+// 30-bit operand ids. It is exact because Gate only accepts kinds of the
+// 16-function alphabet and the builder never names a node past MaxNodeID;
+// being one word, it hashes on the map's uint64 fast path.
+type gateKey uint64
+
+func newGateKey(kind logic.Kind, a, b NodeID) gateKey {
+	return gateKey(uint64(kind)<<(2*idBits) | uint64(a)<<idBits | uint64(b))
 }
 
+// lutKey is the CSE key of a LUT gate: operands A and B packed like
+// gateKey's, then C above the 8-bit table. Two words, no padding.
 type lutKey struct {
-	tt      logic.TT
-	a, b, c NodeID
+	ab, ctt uint64
+}
+
+func newLUTKey(tt logic.TT, ops []NodeID) lutKey {
+	return lutKey{
+		ab:  uint64(ops[0])<<idBits | uint64(ops[1]),
+		ctt: uint64(ops[2])<<8 | uint64(tt),
+	}
 }
 
 // Builder constructs a Netlist incrementally. All nodes must be created
 // through the builder so topological order holds by construction.
+//
+// With CSE on, the builder hash-conses gates on a one-word key (gateKey:
+// kind and two 30-bit operand ids), which is exact because the builder
+// never creates a node id past MaxNodeID. Grow reserves room when the
+// caller knows roughly how many gates are coming.
 type Builder struct {
 	name        string
 	opts        BuilderOptions
@@ -69,6 +101,24 @@ func NewBuilder(name string, opts BuilderOptions) *Builder {
 	}
 }
 
+// Grow reserves room for n more gates: in the gate slice and, when CSE is
+// on, in the CSE table, so emitting them neither copies the gates nor
+// rehashes the table. It is a capacity hint only; the netlist built is the
+// same with or without it.
+func (b *Builder) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	b.gates = slices.Grow(b.gates, n)
+	if b.opts.CSE {
+		cse := make(map[gateKey]NodeID, len(b.cse)+n)
+		for k, id := range b.cse {
+			cse[k] = id
+		}
+		b.cse = cse
+	}
+}
+
 // Input adds a named primary input and returns its node id. Inputs must be
 // created before any gate that reads them; creating inputs later is legal
 // but they receive higher indices than existing gates only in the final
@@ -76,6 +126,9 @@ func NewBuilder(name string, opts BuilderOptions) *Builder {
 func (b *Builder) Input(name string) NodeID {
 	if len(b.gates) > 0 {
 		panic("circuit: all inputs must be declared before the first gate")
+	}
+	if b.numInputs >= MaxNodeID {
+		panic(ErrTooManyNodes)
 	}
 	b.numInputs++
 	b.inputNames = append(b.inputNames, name)
@@ -118,8 +171,12 @@ func (b *Builder) notOperand(id NodeID) (NodeID, bool) {
 // id. Operands may be constants; with ConstFold enabled the gate is
 // specialized or eliminated, otherwise constants are materialized as
 // TRUE/FALSE-producing gates over input 1 (matching what gate-level
-// baselines without constant propagation emit).
+// baselines without constant propagation emit). kind must be one of the
+// logic.NumKinds functions of the gate alphabet.
 func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
+	if kind >= logic.NumKinds {
+		panic(fmt.Sprintf("circuit: gate kind %d outside the gate alphabet", kind))
+	}
 	if b.opts.ConstFold {
 		if a.IsConst() && bb.IsConst() {
 			return b.Const(kind.Eval(constVal(a), constVal(bb)))
@@ -234,19 +291,34 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 			kind = kind.SwapInputs()
 			a, bb = bb, a
 		}
-		key := gateKey{kind, a, bb}
-		if id, ok := b.cse[key]; ok {
-			return id
-		}
-		id := b.emit(kind, a, bb)
-		b.cse[key] = id
-		return id
+		return b.cseEmit(kind, a, bb)
 	}
 	return b.emit(kind, a, bb)
 }
 
+// cseEmit returns the existing gate computing kind(a, bb), emitting it
+// first if there is none.
+func (b *Builder) cseEmit(kind logic.Kind, a, bb NodeID) NodeID {
+	key := newGateKey(kind, a, bb)
+	if id, ok := b.cse[key]; ok {
+		return id
+	}
+	id := b.emit(kind, a, bb)
+	b.cse[key] = id
+	return id
+}
+
 func (b *Builder) emit(kind logic.Kind, a, bb NodeID) NodeID {
-	b.gates = append(b.gates, Gate{Kind: kind, A: a, B: bb})
+	return b.push(Gate{Kind: kind, A: a, B: bb})
+}
+
+// push appends a gate and returns its id. Every gate is created here, so
+// this is where the node-id bound is enforced.
+func (b *Builder) push(g Gate) NodeID {
+	if b.numInputs+len(b.gates) >= MaxNodeID {
+		panic(ErrTooManyNodes)
+	}
+	b.gates = append(b.gates, g)
 	return NodeID(b.numInputs + len(b.gates))
 }
 
@@ -362,7 +434,7 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 			tt = tt.Permute(arity, perm)
 			ops = []NodeID{ops[perm[0]], ops[perm[1]], ops[perm[2]]}
 		}
-		key := lutKey{tt: tt, a: ops[0], b: ops[1], c: ops[2]}
+		key := newLUTKey(tt, ops)
 		if id, ok := b.lutCSE[key]; ok {
 			return id
 		}
@@ -374,11 +446,10 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 }
 
 func (b *Builder) emitLUT(tt logic.TT, ops []NodeID) NodeID {
-	b.gates = append(b.gates, Gate{
+	return b.push(Gate{
 		A: ops[0], B: ops[1], C: ops[2],
 		TT: tt, Arity: uint8(len(ops)),
 	})
-	return NodeID(b.numInputs + len(b.gates))
 }
 
 // materializeConst produces a node computing the constant v, anchored on an
@@ -395,13 +466,7 @@ func (b *Builder) materializeConst(v bool, anchor NodeID) NodeID {
 		kind = logic.XNOR // XNOR(x,x) = 1
 	}
 	if b.opts.CSE {
-		key := gateKey{kind, anchor, anchor}
-		if id, ok := b.cse[key]; ok {
-			return id
-		}
-		id := b.emit(kind, anchor, anchor)
-		b.cse[key] = id
-		return id
+		return b.cseEmit(kind, anchor, anchor)
 	}
 	return b.emit(kind, anchor, anchor)
 }
@@ -462,13 +527,16 @@ func (b *Builder) OutputBus(prefix string, ids []NodeID) {
 // NumGates returns the number of gates emitted so far.
 func (b *Builder) NumGates() int { return len(b.gates) }
 
-// Build finalizes the netlist. The builder remains usable afterwards, but
-// the returned netlist does not alias builder state.
+// Build finalizes the netlist. The builder remains usable afterwards. The
+// netlist's gates share the builder's array without copying it: the builder
+// only ever appends, past the netlist's capacity, so neither side sees the
+// other's later changes unless the caller edits the netlist's gates in place.
 func (b *Builder) Build() (*Netlist, error) {
+	n := len(b.gates)
 	nl := &Netlist{
 		Name:        b.name,
 		NumInputs:   b.numInputs,
-		Gates:       append([]Gate(nil), b.gates...),
+		Gates:       b.gates[:n:n],
 		Outputs:     append([]NodeID(nil), b.outputs...),
 		InputNames:  append([]string(nil), b.inputNames...),
 		OutputNames: append([]string(nil), b.outputNames...),

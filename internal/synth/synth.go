@@ -119,6 +119,9 @@ func newRebuilder(src *circuit.Netlist, opts circuit.BuilderOptions) *rebuilder 
 		b:     circuit.NewBuilder(src.Name, opts),
 		remap: make([]circuit.NodeID, src.NumNodes()+1),
 	}
+	// A pass never emits more gates than it replays, so reserving the
+	// source's count up front means the replay never regrows.
+	r.b.Grow(len(src.Gates))
 	for i := 0; i < src.NumInputs; i++ {
 		name := fmt.Sprintf("in[%d]", i)
 		if src.InputNames != nil {
