@@ -72,11 +72,11 @@ bench-kernel:
 # naive-convolution oracle (the -short differential test at Test
 # parameters), plus the lock-free twiddle cache and every batching
 # executor: plan replay at batch {1, 2, 8} (exec matrix, Planned), the plan
-# interpreter (replay, shard levels) and the serving scheduler's
-# cross-request top-up.
+# interpreter (replay), shard levels on the slice scheduler and the serving
+# scheduler's cross-request top-up.
 batch-test:
 	go test -race -short -run 'Batch|Tables|CMuxRotate|Differential' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/boot/ ./internal/tfhe/gate/
-	go test -race -run 'Batch|Matrix|Shared|Replay|Planned|RuntimeEncrypted' ./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/
+	go test -race -run 'Batch|Matrix|Shared|Replay|Planned' ./internal/exec/ ./internal/backend/ ./internal/plan/ ./internal/shard/
 	go test -race -run 'TestServeCrossRequestBatching' ./internal/serve/
 
 # Non-test Go lines per internal/* package and the total (informational).

@@ -16,19 +16,20 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// ErrExecutorClosed is returned by Shared.Submit once Close has been
-// called; in-flight submissions are failed with it too.
+// ErrExecutorClosed is returned by Shared.Run and Submit once Close has
+// been called; in-flight runs are failed with it too.
 var ErrExecutorClosed = errors.New("backend: shared executor closed")
 
-// ErrKeyReleased is returned by Submit for a key handle that has been
-// released with ReleaseKey (the last session under the key closed).
+// ErrKeyReleased is returned by Run and Submit for a key handle that has
+// been released with ReleaseKey (the last session under the key closed).
 var ErrKeyReleased = errors.New("backend: cloud key released")
 
 // Shared is the multi-tenant plan scheduler: one persistent worker set that
 // replays compiled plans from any number of concurrent Submit calls, over
 // any number of cloud keys — the serving-layer analogue of the paper
-// replaying a captured CUDA Graph per batch. Nothing is scheduled per gate:
-// a run is a plan bound to a pooled plan.Runtime, and what the workers pop
+// replaying a captured CUDA Graph per batch. A cluster worker runs its
+// shard levels on it too, through Run. Nothing is scheduled per gate: a
+// run is a list of levels over one plan.Runtime, and what the workers pop
 // is a slice of one level partition, cut to at most one kernel batch of
 // instructions so that no tenant holds a worker for longer than one
 // dispatch. The slice that finishes a level queues the next one; levels
@@ -64,7 +65,7 @@ type Shared struct {
 	keysFreed atomic.Int64
 	batches   atomic.Int64
 	batched   atomic.Int64
-	crossRun  atomic.Int64 // batches whose members spanned ≥2 submissions
+	crossRun  atomic.Int64 // batches whose members spanned ≥2 runs
 }
 
 // SharedKey is a cloud key registered with a Shared executor. It carries
@@ -117,8 +118,8 @@ func NewShared(workers, batch int) *Shared {
 func (s *Shared) Workers() int { return s.workers }
 
 // RegisterKey makes a cloud key available to the worker set and returns
-// the handle Submit requires. Engines for the key are created lazily, one
-// per worker, on first use.
+// the handle Run and Submit require. Engines for the key are created
+// lazily, one per worker, on first use.
 func (s *Shared) RegisterKey(ck *boot.CloudKey) (*SharedKey, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -140,10 +141,10 @@ func (s *Shared) SetTenantWeight(k *SharedKey, w float64) {
 }
 
 // ReleaseKey drops a key registration: the lifecycle hook for "the last
-// session under this cloud key closed". Subsequent Submits with the
+// session under this cloud key closed". Subsequent runs with the
 // handle fail with ErrKeyReleased and the fair scheduler forgets the
 // tenant. In-flight runs under the key are unaffected (the release check
-// is at Submit, not per task).
+// is at Run, not per task).
 func (s *Shared) ReleaseKey(k *SharedKey) {
 	if k == nil || k.owner != s || !k.released.CompareAndSwap(false, true) {
 		return
@@ -156,11 +157,11 @@ func (s *Shared) ReleaseKey(k *SharedKey) {
 type SharedStats struct {
 	Workers    int
 	QueueDepth int           // level slices currently ready and waiting
-	InFlight   int           // submissions currently executing
+	InFlight   int           // runs currently executing
 	Gates      int64         // plan instructions executed since construction
 	Bootstraps int64         // bootstrapped instructions among those
 	LUTs       int64         // multi-input LUT instructions among those (each one programmable bootstrap)
-	Submits    int64         // Submit calls accepted
+	Submits    int64         // runs accepted (Run calls, Submit's included)
 	WorkerBusy time.Duration // cumulative evaluation time across workers
 
 	// Per-tenant fairness accounting, keyed by SharedKey.ID.
@@ -175,7 +176,7 @@ type SharedStats struct {
 	BatchSize         int   // configured batch limit
 	Batches           int64 // batched bootstrap dispatches
 	BatchedBootstraps int64 // bootstrapped instructions covered by those dispatches
-	CrossRunBatches   int64 // batches spanning ≥2 concurrent submissions
+	CrossRunBatches   int64 // batches spanning ≥2 concurrent runs
 }
 
 // AvgBatchFill is the average number of bootstrapped instructions per
@@ -240,7 +241,7 @@ func (s *Shared) Stats() SharedStats {
 	}
 }
 
-// Close shuts the worker set down. In-flight submissions fail with
+// Close shuts the worker set down. In-flight runs fail with
 // ErrExecutorClosed; Close blocks until every worker has exited.
 func (s *Shared) Close() {
 	s.mu.Lock()
@@ -262,8 +263,8 @@ func (s *Shared) Close() {
 	s.wg.Wait()
 }
 
-// RunCounts is one submission's share of the worker set, as Submit
-// reports it: a round's busy time and dispatches go to the run whose slice
+// RunCounts is one run's share of the worker set, as Run and Submit
+// report it: a round's busy time and dispatches go to the run whose slice
 // the worker popped, and the bootstraps a topped-up slice adds to a batch
 // go to the run that owns that slice.
 type RunCounts struct {
@@ -273,8 +274,8 @@ type RunCounts struct {
 	BatchedBootstraps int64         // the run's bootstraps those dispatches covered
 }
 
-// sharedRun is one submission: a plan bound to a runtime, the level it is
-// on, the latch that tells Submit when the runtime is quiescent, and its
+// sharedRun is one Run: its levels over a runtime, the level it is on,
+// the latch that tells Run when the runtime is quiescent, and its
 // RunCounts.
 type sharedRun struct {
 	key    *SharedKey
@@ -337,19 +338,13 @@ func (r *sharedRun) settle() {
 	}
 }
 
-// Submit replays p on the shared worker set under the given key, blocking
-// until the outputs are ready, the context is done, or the executor
-// closes, and reports the run's share of the worker set. It is safe to
-// call from any number of goroutines; the inputs are not modified and the
-// caller keeps ownership of them. A released key fails with
-// ErrKeyReleased. However a run ends, Submit returns — and its runtime goes
-// back to the pool — only after every worker has left it.
+// Submit replays p under the given key: Run over a pooled runtime bound to
+// the inputs, then the outputs collected. It is safe to call from any
+// number of goroutines; the inputs are not modified and the caller keeps
+// ownership of them.
 func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, RunCounts, error) {
-	if key == nil || key.owner != s {
-		return nil, RunCounts{}, fmt.Errorf("backend: key not registered with this executor")
-	}
-	if key.released.Load() {
-		return nil, RunCounts{}, ErrKeyReleased
+	if err := s.check(key); err != nil {
+		return nil, RunCounts{}, err
 	}
 	dim := key.ck.Params.LWEDimension
 	rt := s.getRuntime(dim)
@@ -358,12 +353,31 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 		return nil, RunCounts{}, err
 	}
 	defer rt.Unbind()
+	rc, err := s.Run(ctx, key, p.Levels(), rt)
+	if err != nil {
+		return nil, RunCounts{}, err
+	}
+	outs, err := rt.Collect(p)
+	if err != nil {
+		return nil, RunCounts{}, err
+	}
+	return outs, rc, nil
+}
 
-	r := &sharedRun{key: key, levels: p.Levels(), rt: rt, drained: make(chan struct{})}
+// Run evaluates levels in order over the caller's runtime on the shared
+// worker set under the given key, blocking until the last level is done,
+// the context is done, or the executor closes, and reports the run's share
+// of the worker set. However a run ends, Run returns only after every
+// worker has left rt. A released key fails with ErrKeyReleased.
+func (s *Shared) Run(ctx context.Context, key *SharedKey, levels []plan.Level, rt *plan.Runtime) (RunCounts, error) {
+	if err := s.check(key); err != nil {
+		return RunCounts{}, err
+	}
+	r := &sharedRun{key: key, levels: levels, rt: rt, drained: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, RunCounts{}, ErrExecutorClosed
+		return RunCounts{}, ErrExecutorClosed
 	}
 	s.runs[r] = struct{}{}
 	s.mu.Unlock()
@@ -378,30 +392,35 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 		}
 	}()
 
-	if len(r.levels) > 0 {
-		s.pushLevel(r, 0)
-		select {
-		case <-r.drained:
-		case <-ctx.Done():
-			// Workers drop this run's queued slices from here on; the ones
-			// already inside it finish their dispatch first.
-			r.finish(ctx.Err())
-			<-r.drained
-		}
-		if r.err != nil {
-			return nil, RunCounts{}, r.err
-		}
+	s.advance(r, 0)
+	select {
+	case <-r.drained:
+	case <-ctx.Done():
+		// Workers drop this run's queued slices from here on; the ones
+		// already inside it finish their dispatch first.
+		r.finish(ctx.Err())
+		<-r.drained
 	}
-	outs, err := rt.Collect(p)
-	if err != nil {
-		return nil, RunCounts{}, err
+	if r.err != nil {
+		return RunCounts{}, r.err
 	}
-	return outs, RunCounts{
+	return RunCounts{
 		WorkerBusy:        time.Duration(r.busyNs.Load()),
 		QueueWait:         time.Duration(r.waitNs.Load()),
 		Batches:           r.batches.Load(),
 		BatchedBootstraps: r.batched.Load(),
 	}, nil
+}
+
+// check admits a key: registered here and not released.
+func (s *Shared) check(key *SharedKey) error {
+	if key == nil || key.owner != s {
+		return fmt.Errorf("backend: key not registered with this executor")
+	}
+	if key.released.Load() {
+		return ErrKeyReleased
+	}
+	return nil
 }
 
 // getRuntime takes an idle runtime of the given dimension from the pool, or
@@ -426,36 +445,40 @@ func (s *Shared) putRuntime(dim int, rt *plan.Runtime) {
 	s.free[dim] = append(s.free[dim], rt)
 }
 
-// pushLevel queues level l of r on its tenant's FIFO, each partition cut
-// into slices of at most one kernel batch of instructions. pending is set
-// before the first push: workers start on a slice the moment it is visible.
-func (s *Shared) pushLevel(r *sharedRun, l int) {
-	n := 0
-	for _, part := range r.levels[l].Batches {
-		n += (len(part) + s.batch - 1) / s.batch
-	}
-	r.level = l
-	r.pending.Store(int32(n))
-	for _, part := range r.levels[l].Batches {
-		for len(part) > 0 {
-			c := min(len(part), s.batch)
-			s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1), pushed: time.Now()})
-			part = part[c:]
+// advance queues the first level of r at or after l that has
+// instructions on its tenant's FIFO, each partition cut into slices of at
+// most one kernel batch, or finishes the run when no such level is left.
+// pending is set before the first push: workers start on a slice the
+// moment it is visible.
+func (s *Shared) advance(r *sharedRun, l int) {
+	for ; l < len(r.levels); l++ {
+		n := 0
+		for _, part := range r.levels[l].Batches {
+			n += (len(part) + s.batch - 1) / s.batch
 		}
+		if n == 0 {
+			continue
+		}
+		r.level = l
+		r.pending.Store(int32(n))
+		for _, part := range r.levels[l].Batches {
+			for len(part) > 0 {
+				c := min(len(part), s.batch)
+				s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1), pushed: time.Now()})
+				part = part[c:]
+			}
+		}
+		return
 	}
+	r.finish(nil)
 }
 
 // complete records one evaluated slice of r: the slice that finishes a
 // level queues the next one, or finishes the run.
 func (s *Shared) complete(r *sharedRun) {
-	if r.pending.Add(-1) != 0 {
-		return
+	if r.pending.Add(-1) == 0 {
+		s.advance(r, r.level+1)
 	}
-	if next := r.level + 1; next < len(r.levels) {
-		s.pushLevel(r, next)
-		return
-	}
-	r.finish(nil)
 }
 
 // worker is one persistent evaluation goroutine; only Close stops it. It
@@ -556,7 +579,7 @@ func (s *Shared) worker(w int) {
 	}
 }
 
-// sharedTask is one ready slice of one in-flight submission: at most one
+// sharedTask is one ready slice of one in-flight run: at most one
 // kernel batch of mutually independent instructions from one level.
 type sharedTask struct {
 	run    *sharedRun

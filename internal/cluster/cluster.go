@@ -9,7 +9,8 @@
 // communication profile). See DESIGN.md §14.
 //
 // Messages are framed with encoding/gob. Workers may host multiple slots
-// (cores); each slot owns a gate engine over the shared cloud key.
+// (cores): the backend.Shared a worker runs shard levels on has one
+// scheduler worker, with its own gate engine, per slot.
 package cluster
 
 import (
@@ -17,14 +18,16 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
+	"pytfhe/internal/backend"
 	"pytfhe/internal/qos"
 	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/wire"
 )
 
@@ -488,7 +491,7 @@ type Worker struct {
 const DefaultShardCache = 8
 
 // NewWorker returns a worker that will run shard levels on `slots`
-// parallel engines.
+// scheduler workers, each with its own gate engine.
 func NewWorker(slots int) *Worker {
 	if slots < 1 {
 		slots = 1
@@ -561,8 +564,9 @@ func (w *Worker) handshake(enc *gob.Encoder, dec *gob.Decoder) (*boot.CloudKey, 
 	return keyMsg.Key, nil
 }
 
-// Serve dials the coordinator and serves shard requests until shutdown. It
-// blocks.
+// Serve dials the coordinator and serves shard requests on one
+// backend.Shared until a Bye or the connection closing between frames (nil;
+// a frame that does not decode is an error). It blocks.
 func (w *Worker) Serve(addr string) error {
 	conn, err := w.dial(addr)
 	if err != nil {
@@ -575,34 +579,38 @@ func (w *Worker) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	engines := make([]*gate.Engine, w.slots)
-	for i := range engines {
-		engines[i] = gate.NewEngine(ck)
+	ex := backend.NewShared(w.slots, shard.WorkerBatch)
+	defer ex.Close()
+	key, err := ex.RegisterKey(ck)
+	if err != nil {
+		return err
 	}
 	capacity := w.ShardCache
 	if capacity < 1 {
 		capacity = DefaultShardCache
 	}
-	shards := qos.NewLRU(capacity) // hash → *shardEntry
-	dim := ck.Params.LWEDimension
+	h := &shardHost{shards: qos.NewLRU(capacity), ex: ex, key: key, dim: ck.Params.LWEDimension}
 
 	for {
 		var msg Message
 		if err := dec.Decode(&msg); err != nil {
-			return nil // connection closed: normal shutdown
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) {
+				return nil // closed between frames: normal shutdown
+			}
+			return fmt.Errorf("cluster: worker: malformed message from coordinator: %w", err)
 		}
 		var reply Message
 		switch {
 		case msg.Bye:
 			return nil
 		case msg.ShardInit != nil:
-			reply = w.handleShardInit(shards, msg.ShardInit)
+			reply = h.init(msg.ShardInit)
 		case msg.ShardData != nil:
-			reply = w.handleShardData(shards, msg.ShardData, dim)
+			reply = h.install(msg.ShardData)
 		case msg.Step != nil:
-			reply = w.handleStep(shards, engines, msg.Step)
+			reply = h.step(msg.Step)
 		case msg.Replay != nil:
-			reply = w.handleReplay(shards, engines, msg.Replay)
+			reply = h.replay(msg.Replay)
 		default:
 			reply = Message{Error: "unexpected message"}
 		}

@@ -73,7 +73,7 @@ func uintOf(bits []bool) uint64 {
 
 // startCluster brings up a coordinator and n in-process workers connected
 // over real TCP sockets on localhost.
-func startCluster(t *testing.T, ck *boot.CloudKey, nWorkers, slots int) *Coordinator {
+func startCluster(t testing.TB, ck *boot.CloudKey, nWorkers, slots int) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(ck, "127.0.0.1:0")
 	if err != nil {

@@ -1,16 +1,17 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
+	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/exec"
 	"pytfhe/internal/plan"
 	"pytfhe/internal/qos"
 	"pytfhe/internal/shard"
-	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 )
 
@@ -511,21 +512,56 @@ func (r *shardRun) runLevel(l int) error {
 
 // --- worker side ---
 
-// shardEntry pairs a cached shard with its reusable runtime.
-type shardEntry struct {
-	sh *shard.Shard
-	rt *shard.Runtime
+// shardHost is a worker's per-connection state: the shard cache and the
+// executor every shard level runs on.
+type shardHost struct {
+	shards *qos.LRU // hash → *shardEntry
+	ex     *backend.Shared
+	key    *backend.SharedKey
+	dim    int
 }
 
-// cachedShard returns the resident shard with the given hash, or nil.
-func cachedShard(sc *qos.LRU, hash string) *shardEntry {
-	v, _ := sc.Get(hash)
+// shardEntry pairs a cached shard with its levels, partitioned for the
+// executor, and its value table. A run starts with rt.Reset, so a slot the
+// run has not written reads as unwritten.
+type shardEntry struct {
+	sh     *shard.Shard
+	levels []plan.Level
+	rt     *plan.Runtime
+}
+
+// partition cuts every shard level into one part per executor worker,
+// ceil(len/workers) instructions each, as a compiled plan has one
+// partition per worker: Shared slices each part to at most one kernel
+// batch, so a short level still spreads over up to `workers` workers
+// instead of one slice.
+func partition(levels [][]plan.Instr, workers int) []plan.Level {
+	out := make([]plan.Level, len(levels))
+	for l, instrs := range levels {
+		if len(instrs) == 0 {
+			continue
+		}
+		chunk := (len(instrs) + workers - 1) / workers
+		parts := make([][]plan.Instr, 0, (len(instrs)+chunk-1)/chunk)
+		for len(instrs) > 0 {
+			c := min(chunk, len(instrs))
+			parts = append(parts, instrs[:c:c])
+			instrs = instrs[c:]
+		}
+		out[l].Batches = parts
+	}
+	return out
+}
+
+// cached returns the resident shard with the given hash, or nil.
+func (h *shardHost) cached(hash string) *shardEntry {
+	v, _ := h.shards.Get(hash)
 	ent, _ := v.(*shardEntry)
 	return ent
 }
 
-func (w *Worker) handleShardInit(sc *qos.LRU, init *ShardInit) Message {
-	ent := cachedShard(sc, init.Hash)
+func (h *shardHost) init(init *ShardInit) Message {
+	ent := h.cached(init.Hash)
 	if ent == nil {
 		return Message{ShardReady: &ShardReady{Hash: init.Hash, Cached: false}}
 	}
@@ -533,46 +569,64 @@ func (w *Worker) handleShardInit(sc *qos.LRU, init *ShardInit) Message {
 	return Message{ShardReady: &ShardReady{Hash: init.Hash, Cached: true}}
 }
 
-func (w *Worker) handleShardData(sc *qos.LRU, sh *shard.Shard, dim int) Message {
+func (h *shardHost) install(sh *shard.Shard) Message {
 	// The shard came off a socket: its counts size the runtime's value
-	// table and its refs index it, so check them before either happens.
+	// table, its refs index it, and the scheduler relies on its levels
+	// being independent, so check all three before any of that happens.
 	if err := sh.Validate(); err != nil {
 		return Message{Error: err.Error()}
 	}
-	sc.Add(sh.Hash, &shardEntry{sh: sh, rt: shard.NewRuntime(sh, dim)})
+	rt := plan.NewRuntime(h.dim)
+	rt.Shape(sh.NumRemote, sh.NumLocal)
+	h.shards.Add(sh.Hash, &shardEntry{sh: sh, levels: partition(sh.Levels, h.ex.Workers()), rt: rt})
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }
 
-// applyStep installs a step's fills and executes the level.
-func applyStep(ent *shardEntry, engines []*gate.Engine, st *ShardStep) ([]*lwe.Sample, error) {
+// apply installs a step's fills, runs the level on the executor and
+// returns the level's exports in manifest order.
+func (h *shardHost) apply(ent *shardEntry, st *ShardStep) ([]*lwe.Sample, error) {
+	sh := ent.sh
+	if st.Level < 0 || st.Level >= len(sh.Levels) {
+		return nil, fmt.Errorf("shard %d: level %d outside plan (%d levels)", sh.Index, st.Level, len(sh.Levels))
+	}
 	for _, f := range st.Fills {
-		if err := ent.rt.SetRemote(f.Slot, f.Val); err != nil {
-			return nil, err
+		if err := ent.rt.SetInput(int(f.Slot), f.Val); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 		}
 	}
-	return ent.rt.RunLevel(engines, st.Level)
+	if _, err := h.ex.Run(context.Background(), h.key, ent.levels[st.Level:st.Level+1], ent.rt); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
+	}
+	exp := sh.Exports[st.Level]
+	outs := make([]*lwe.Sample, len(exp))
+	for i, ref := range exp {
+		if outs[i] = ent.rt.Value(ref); outs[i] == nil {
+			return nil, fmt.Errorf("shard %d: level %d exports unwritten slot %d", sh.Index, st.Level, ref)
+		}
+	}
+	return outs, nil
 }
 
-func (w *Worker) handleStep(sc *qos.LRU, engines []*gate.Engine, st *ShardStep) Message {
-	ent := cachedShard(sc, st.Hash)
+func (h *shardHost) step(st *ShardStep) Message {
+	ent := h.cached(st.Hash)
 	if ent == nil {
 		return Message{Error: fmt.Sprintf("shard %.16s… not resident (evicted? raise -shard-cache)", st.Hash)}
 	}
-	exports, err := applyStep(ent, engines, st)
+	exports, err := h.apply(ent, st)
 	if err != nil {
 		return Message{Error: err.Error()}
 	}
 	return Message{StepResult: &ShardStepResult{Hash: st.Hash, Level: st.Level, Exports: exports}}
 }
 
-func (w *Worker) handleReplay(sc *qos.LRU, engines []*gate.Engine, rp *ShardReplay) Message {
-	ent := cachedShard(sc, rp.Hash)
+func (h *shardHost) replay(rp *ShardReplay) Message {
+	ent := h.cached(rp.Hash)
 	if ent == nil {
 		return Message{Error: fmt.Sprintf("shard %.16s… not resident for replay", rp.Hash)}
 	}
 	ent.rt.Reset()
 	for i := range rp.Steps {
-		if _, err := applyStep(ent, engines, &rp.Steps[i]); err != nil {
+		if _, err := h.apply(ent, &rp.Steps[i]); err != nil {
 			return Message{Error: fmt.Sprintf("replay level %d: %v", rp.Steps[i].Level, err)}
 		}
 	}

@@ -4,16 +4,23 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
+	"pytfhe/internal/plan"
+	"pytfhe/internal/qos"
+	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
+	"pytfhe/internal/vipbench"
 )
 
 func TestShardedAdderAndCacheHit(t *testing.T) {
@@ -119,6 +126,124 @@ func TestShardCachesStayBounded(t *testing.T) {
 	}
 	if st := run(nls[0]); st.ShardMisses == 0 {
 		t.Fatalf("first shard still resident on a worker caching 2: %+v", st)
+	}
+}
+
+// TestShardLevelsSpreadOverSlots: a worker with several slots cuts each
+// shard level into one part per slot, as a compiled plan has one partition
+// per worker, so
+// a level shorter than a kernel batch is still served as several slices
+// instead of one slice on one scheduler worker. The parts keep the level's
+// instructions in order.
+func TestShardLevelsSpreadOverSlots(t *testing.T) {
+	sk, ck := keys(t)
+	nl := adder4()
+	p, err := plan.Compile(nl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.Split(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.Shards[0]
+	const slots = 3
+	ex := backend.NewShared(slots, shard.WorkerBatch)
+	defer ex.Close()
+	key, err := ex.RegisterKey(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &shardHost{shards: qos.NewLRU(1), ex: ex, key: key, dim: ck.Params.LWEDimension}
+	if rep := h.install(sh); rep.Error != "" {
+		t.Fatal(rep.Error)
+	}
+	ent := h.cached(sh.Hash)
+	inputs := backend.EncryptInputs(sk, make([]bool, nl.NumInputs))
+	var slices, spread int64
+	for l, instrs := range sh.Levels {
+		parts := ent.levels[l].Batches
+		if len(parts) != min(len(instrs), slots) {
+			t.Fatalf("level %d: %d instructions in %d parts, want %d", l, len(instrs), len(parts), min(len(instrs), slots))
+		}
+		var joined []plan.Instr
+		for _, part := range parts {
+			joined = append(joined, part...)
+			slices += int64((len(part) + shard.WorkerBatch - 1) / shard.WorkerBatch)
+		}
+		if len(instrs) > 0 && !reflect.DeepEqual(joined, instrs) {
+			t.Fatalf("level %d: parts do not concatenate to the level", l)
+		}
+		if len(instrs) > 1 {
+			spread++
+		}
+		var fills []SlotSample
+		for _, f := range s.Fills[0][l] {
+			fills = append(fills, SlotSample{Slot: f.Slot, Val: inputs[f.Input]})
+		}
+		if _, err := h.apply(ent, &ShardStep{Hash: sh.Hash, Level: l, Fills: fills}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spread == 0 {
+		t.Fatal("no shard level has two instructions; the test checks nothing")
+	}
+	if got := ex.Stats().TenantPicks[key.ID()]; got != slices {
+		t.Fatalf("executor served %d slices, want %d", got, slices)
+	}
+}
+
+// BenchmarkWorkerRoundTrip times one coordinator↔worker exchange over
+// loopback TCP: a ShardInit for a resident shard, the smallest request a
+// run sends. A sharded run pays at least one such latency per plan level
+// on its critical path.
+func BenchmarkWorkerRoundTrip(b *testing.B) {
+	sk, ck := keys(b)
+	coord := startCluster(b, ck, 1, 1)
+	nl := adder4()
+	// One run ships the shard; every ShardInit below finds it resident.
+	if _, err := coord.Run(nl, backend.EncryptInputs(sk, make([]bool, nl.NumInputs))); err != nil {
+		b.Fatal(err)
+	}
+	s, err := coord.sharding(nl, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh, w := s.Shards[0], coord.workers[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := roundTrip(w, Message{ShardInit: &ShardInit{PlanHash: sh.PlanHash, Hash: sh.Hash}}, 10*time.Second)
+		if err != nil || rep.ShardReady == nil || !rep.ShardReady.Cached {
+			b.Fatalf("round trip %d: %+v, %v", i, rep, err)
+		}
+	}
+}
+
+// BenchmarkWorkerSlots times a sharded hamming-distance run on one worker
+// at 1 and 2 slots. Most of its shard levels are shorter than two kernel
+// batches, so the 2-slot run is faster only if a level's instructions reach
+// both scheduler workers.
+func BenchmarkWorkerSlots(b *testing.B) {
+	sk, ck := keys(b)
+	nl, err := vipbench.HammingDistance().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := backend.EncryptInputs(sk, make([]bool, nl.NumInputs))
+	for _, slots := range []int{1, 2} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			coord := startCluster(b, ck, 1, slots)
+			if _, err := coord.Run(nl, in); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := coord.Run(nl, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(coord.LastStat.Gates)*float64(b.N)/b.Elapsed().Seconds(), "gates/s")
+		})
 	}
 }
 
@@ -350,6 +475,43 @@ func fakeCoordinator(t *testing.T, script func(enc *gob.Encoder, dec *gob.Decode
 		script(enc, dec)
 	}()
 	return ln.Addr().String()
+}
+
+// TestServeShutdown: after a good handshake, a Bye or the coordinator
+// closing the connection is a clean shutdown, but a frame that does not
+// decode as a Message is an error (pytfhe-worker exits 0 only on the
+// first two). However Serve returns, it closes the scheduler it started at
+// the handshake, so the goroutine count returns to where it was.
+func TestServeShutdown(t *testing.T) {
+	_, ck := keys(t)
+	cases := []struct {
+		name    string
+		end     func(enc *gob.Encoder)
+		wantErr bool
+	}{
+		{"bye", func(enc *gob.Encoder) { _ = enc.Encode(Message{Bye: true}) }, false},
+		{"closed connection", func(*gob.Encoder) {}, false},
+		{"malformed frame", func(enc *gob.Encoder) { _ = enc.Encode(42) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			addr := fakeCoordinator(t, func(enc *gob.Encoder, dec *gob.Decoder) {
+				_ = enc.Encode(Message{Welcome: &Welcome{Version: ProtoVersion}})
+				_ = enc.Encode(Message{Key: ck})
+				tc.end(enc)
+			})
+			if err := NewWorker(4).Serve(addr); (err != nil) != tc.wantErr {
+				t.Fatalf("Serve = %v, want error: %v", err, tc.wantErr)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 5 s after Serve returned, %d before it started", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
 }
 
 func TestVersionMismatchRejectedByWorker(t *testing.T) {

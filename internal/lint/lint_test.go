@@ -121,13 +121,14 @@ func TestIgnoreDirectiveSuppresses(t *testing.T) {
 }
 
 // TestLockedBootstrapFindings: Shared.worker executing a slice under s.mu,
-// Planned.Run holding p.mu across Submit, and a worker step under its
-// shard-table lock. The slice evaluated after Unlock is clean.
+// Planned.Run holding p.mu across Submit, and a worker running a shard
+// level on Shared under its shard-table lock. The slice evaluated after
+// Unlock is clean.
 func TestLockedBootstrapFindings(t *testing.T) {
 	requireFindings(t, "locked-bootstrap",
 		"shared.go: in worker: plan.Runtime.Exec",
 		"shared.go: in Run: backend.Shared.Submit",
-		"worker.go: in step: shard.Runtime.RunLevel")
+		"worker.go: in step: backend.Shared.Run")
 }
 
 // TestLeakedCiphertextFindings: RunSequential's error path without Put
@@ -140,18 +141,18 @@ func TestLeakedCiphertextFindings(t *testing.T) {
 
 // TestUnsyncedExecStateFindings: four run-state touches from the service
 // layer, then the captured Pool (Get and Put) of a RunLevels whose
-// workers claim their own outputs, and a captured shard runtime's
-// SetRemote. RunLevelsBarriered, which uses its Pool only around the
-// barrier, is clean.
+// workers claim their own outputs, and a goroutine filling a captured
+// shard runtime's input slot. RunLevelsBarriered, which uses its Pool
+// only around the barrier, is clean.
 func TestUnsyncedExecStateFindings(t *testing.T) {
 	requireFindings(t, "unsynced-exec-state",
 		"server.go: exec.State.Values touched",
 		"server.go: exec.Pool.Get touched",
 		"server.go: exec.Pool.Put touched",
-		"server.go: shard.Runtime.SetRemote touched",
+		"server.go: plan.Runtime.SetInput touched",
 		"exec.go: Get on single-owner exec.Pool mem captured",
 		"exec.go: Put on single-owner exec.Pool mem captured",
-		"worker.go: SetRemote on the remote-input slots of shard.Runtime rt captured")
+		"worker.go: SetInput on the input slots of plan.Runtime rt captured")
 }
 
 // TestRepositoryIsClean is the acceptance gate: the suite must exit clean

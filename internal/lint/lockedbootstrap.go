@@ -10,7 +10,8 @@ import (
 // millisecond or more — keyed "<package under internal/>.<receiver
 // type>.<method>": the gate engine's evaluations, exec.Batcher (the one
 // evaluator every executor drives), the plan interpreter and runtime that
-// feed it, a shard level, and a whole plan run on the slice scheduler.
+// feed it, and the slice scheduler's two entry points — a level list (a
+// cluster worker's shard level) and a whole plan.
 var expensiveCalls = map[string]bool{
 	"tfhe/gate.Engine.Binary":      true,
 	"tfhe/gate.Engine.Mux":         true,
@@ -21,7 +22,7 @@ var expensiveCalls = map[string]bool{
 	"exec.Batcher.Flush":           true,
 	"plan.Interp.Run":              true,
 	"plan.Runtime.Exec":            true,
-	"shard.Runtime.RunLevel":       true,
+	"backend.Shared.Run":           true,
 	"backend.Shared.Submit":        true,
 }
 
@@ -35,7 +36,7 @@ type lockedBootstrap struct{}
 
 func (*lockedBootstrap) Name() string { return "locked-bootstrap" }
 func (*lockedBootstrap) Doc() string {
-	return "gate evaluation, plan/shard execution or plan submission while holding a mutex"
+	return "gate evaluation, plan execution or a run on the slice scheduler while holding a mutex"
 }
 
 // Match applies everywhere: the expensive calls are identified by type.

@@ -19,6 +19,12 @@ func (s *Shared) Submit(rt *plan.Runtime, it *plan.Interp, instrs []plan.Instr) 
 	return s.worker(rt, it, instrs)
 }
 
+// Run runs a level list over the caller's runtime, as a cluster worker
+// runs a shard level.
+func (s *Shared) Run(rt *plan.Runtime, it *plan.Interp, instrs []plan.Instr) error {
+	return s.worker(rt, it, instrs)
+}
+
 // worker evaluates a slice under s.mu, so every other worker waits out
 // its bootstraps; the second slice runs after Unlock and is clean.
 func (s *Shared) worker(rt *plan.Runtime, it *plan.Interp, instrs []plan.Instr) error {

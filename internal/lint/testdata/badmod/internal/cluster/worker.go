@@ -1,39 +1,32 @@
 // Package cluster mirrors the cluster worker: shard installs whose errors
-// must not be dropped, and level steps that must run neither under a lock
-// nor from a goroutine that captured the runtime.
+// must not be dropped, shard levels that must not run on the slice
+// scheduler under a lock, and fills that must not come from a goroutine
+// that captured the shard's runtime.
 package cluster
 
 import (
-	"errors"
 	"net"
 	"sync"
 
+	"badmod/internal/backend"
+	"badmod/internal/plan"
 	"badmod/internal/shard"
 	"badmod/internal/tfhe/gate"
 )
 
-// Shard mirrors a shard program shipped off a socket.
-type Shard struct{ NumLocal int }
+func newRuntime(sh *shard.Shard) (*plan.Runtime, error) { return &plan.Runtime{}, sh.Validate() }
 
-// Validate rejects a malformed shard.
-func (sh *Shard) Validate() error {
-	if sh.NumLocal < 0 {
-		return errors.New("cluster: negative local slot count")
-	}
-	return nil
-}
-
-func newRuntime(sh *Shard) (*shard.Runtime, error) { return &shard.Runtime{}, sh.Validate() }
-
-// Worker mirrors cluster.Worker with a lock around its shard table.
+// Worker mirrors cluster.Worker's serve state with a lock around its shard
+// table.
 type Worker struct {
 	mu     sync.Mutex
-	shards map[string]*shard.Runtime
+	ex     *backend.Shared
+	shards map[string]*plan.Runtime
 	conn   net.Conn
 }
 
 // install drops the validation error three ways.
-func (w *Worker) install(hash string, sh *Shard) {
+func (w *Worker) install(hash string, sh *shard.Shard) {
 	sh.Validate()           // finding: bare call
 	_ = sh.Validate()       // finding: blank assignment
 	rt, _ := newRuntime(sh) // finding: blank error slot
@@ -46,17 +39,17 @@ func (w *Worker) drop() {
 	w.conn.Close()
 }
 
-// step runs a level with the shard table locked, so every other request
-// on the worker waits out the level's bootstraps.
-func (w *Worker) step(engines []*gate.Engine, hash string, level int) ([]*gate.Ciphertext, error) {
+// step runs a shard level on the executor with the shard table locked, so
+// every other request on the worker waits out the level's bootstraps.
+func (w *Worker) step(hash string, it *plan.Interp, instrs []plan.Instr) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.shards[hash].RunLevel(engines, level) // finding: locked-bootstrap
+	return w.ex.Run(w.shards[hash], it, instrs) // finding: locked-bootstrap
 }
 
 // fill installs a boundary ciphertext from a goroutine that captured rt.
-func fill(rt *shard.Runtime, c *gate.Ciphertext, done chan<- error) {
+func fill(rt *plan.Runtime, c *gate.Ciphertext, done chan<- error) {
 	go func() {
-		done <- rt.SetRemote(0, c) // finding: captured runtime
+		done <- rt.SetInput(0, c) // finding: captured runtime
 	}()
 }

@@ -45,3 +45,10 @@ type Runtime struct {
 func (rt *Runtime) Exec(it *Interp, instrs []Instr) error {
 	return it.Run(instrs, rt.vals, rt.pool)
 }
+
+// SetInput installs one input ciphertext, as a cluster worker fills a
+// shard's remote slots.
+func (rt *Runtime) SetInput(slot int, c *gate.Ciphertext) error {
+	rt.vals[slot] = c
+	return nil
+}

@@ -4,7 +4,7 @@ package serve
 
 import (
 	"badmod/internal/exec"
-	"badmod/internal/shard"
+	"badmod/internal/plan"
 	"badmod/internal/tfhe/gate"
 )
 
@@ -18,7 +18,7 @@ func Recycle(p *exec.Pool) {
 	p.Put(p.Get()) // findings: exec.Pool Put and Get
 }
 
-// InstallRemote writes a shard runtime's remote-input slot.
-func InstallRemote(rt *shard.Runtime, c *gate.Ciphertext) error {
-	return rt.SetRemote(0, c) // finding: shard.Runtime
+// InstallInput writes a plan runtime's input slot.
+func InstallInput(rt *plan.Runtime, c *gate.Ciphertext) error {
+	return rt.SetInput(0, c) // finding: plan.Runtime
 }

@@ -8,19 +8,21 @@ import (
 // unsyncedExecState enforces the ownership discipline around the execution
 // core's run state. exec.Pool is single-owner (RunLevels touches it only
 // between barriers), exec.Arena carries its own lock, exec.State's value
-// table is written under the drivers' ordering, and a shard.Runtime's
-// remote-input slots belong to the cluster worker's serve loop. Two rules
-// keep that machine-checked:
+// table is written under the drivers' ordering, and a plan.Runtime's input
+// slots are written only between runs — by Bind, or by a cluster worker's
+// serve loop filling a shard's remote slots — never while the slice
+// scheduler's workers evaluate over it. Two rules keep that
+// machine-checked:
 //
 //  1. Layering: only the executor layers (internal/exec, internal/backend,
-//     internal/plan, internal/cluster, internal/shard) may touch
-//     exec.State, exec.Pool, exec.Arena or shard.Runtime at all. A
+//     internal/plan, internal/cluster) may touch
+//     exec.State, exec.Pool, exec.Arena or plan.Runtime at all. A
 //     service- or CLI-layer package reading State.Values or calling
 //     Pool.Get reaches around every invariant the executors maintain
 //     (refcounted release, per-dimension recycling, level ordering).
 //
 //  2. Goroutine capture: a function literal launched with `go` must not
-//     call Get/Put on an exec.Pool — or SetRemote on a shard.Runtime — it
+//     call Get/Put on an exec.Pool — or SetInput on a plan.Runtime — it
 //     captured from the enclosing scope; that silently turns one owner
 //     into two. Using it outside the goroutines, as RunLevels does before
 //     and after each level's barrier, handing it in through the literal's
@@ -40,7 +42,6 @@ func (*unsyncedExecState) Match(string) bool { return true }
 // execStateDirs are the sanctioned owners of exec run state.
 var execStateDirs = [...]string{
 	"internal/exec", "internal/backend", "internal/plan", "internal/cluster",
-	"internal/shard",
 }
 
 func inExecLayer(path string) bool {
@@ -93,7 +94,7 @@ func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) 
 }
 
 // checkGoroutines reports Get/Put calls on a captured exec.Pool — and
-// SetRemote calls on a captured shard.Runtime — inside go-launched function
+// SetInput calls on a captured plan.Runtime — inside go-launched function
 // literals.
 func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File) []Finding {
 	var findings []Finding
@@ -120,8 +121,8 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 			switch {
 			case (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") && isType(t, "internal/exec", "Pool"):
 				what = "single-owner exec.Pool"
-			case sel.Sel.Name == "SetRemote" && isType(t, "internal/shard", "Runtime"):
-				what = "the remote-input slots of shard.Runtime"
+			case sel.Sel.Name == "SetInput" && isType(t, "internal/plan", "Runtime"):
+				what = "the input slots of plan.Runtime"
 			default:
 				return true
 			}
@@ -152,7 +153,7 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 // execStateTypes are the run-state types rule 1 guards, by package under
 // internal/.
 var execStateTypes = [...]struct{ pkg, name string }{
-	{"exec", "State"}, {"exec", "Pool"}, {"exec", "Arena"}, {"shard", "Runtime"},
+	{"exec", "State"}, {"exec", "Pool"}, {"exec", "Arena"}, {"plan", "Runtime"},
 }
 
 // execStateType reports whether t (or *t) is one of the run-state types,

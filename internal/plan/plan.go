@@ -23,8 +23,8 @@
 // schedule them and starts no goroutine. Every consumer reads a plan's
 // instructions through one interpreter (Interp, a thin layer over the
 // evaluator it shares with netlists, exec.Batcher): the slice scheduler
-// that runs plans for pytfhed and backend.Planned alike (backend.Shared),
-// the cluster's shard runtimes, and Replay — the sequential oracle the
+// (backend.Shared), which runs plans for pytfhed and backend.Planned and
+// shard levels for cluster workers, and Replay — the sequential oracle the
 // tests here compare compiled plans against.
 package plan
 

@@ -12,7 +12,9 @@ import (
 // resolved value table. It persists across replays — of the same plan or,
 // rebound, of any plan at the same LWE dimension — which is what makes the
 // second and later runs allocation-free (output ciphertexts excepted — the
-// caller owns those). A Runtime serves one replay at a time.
+// caller owns those). A Runtime serves one replay at a time. Shards run
+// over it too: a cluster worker keeps one per cached shard, whose remote
+// slots are its input slots (SetInput) and whose exports it reads (Value).
 type Runtime struct {
 	dim int
 	// pool is the shared execution core's liveness arena: slots are bound
@@ -20,9 +22,9 @@ type Runtime struct {
 	// refcounted at runtime, and the arena's own accounting supplies the
 	// high-water figure.
 	pool *exec.Arena
-	// vals is the ref-indexed value table: the first NumInputs entries are
-	// the caller's input ciphertexts (rebound per replay), the rest are
-	// arena slots allocated lazily the first time a level writes them.
+	// vals is the ref-indexed value table: the first numInputs entries
+	// are the caller's input ciphertexts (rebound per replay), the rest
+	// are arena slots allocated lazily the first time a level writes them.
 	vals      []*lwe.Sample
 	numInputs int
 }
@@ -35,15 +37,16 @@ func NewRuntime(dim int) *Runtime { return &Runtime{dim: dim, pool: exec.NewAren
 // has held live at once across all replays.
 func (rt *Runtime) HighWater() int { return rt.pool.HighWater() }
 
-// Reset releases every arena ciphertext back to the free list, for reuse
-// when the runtime is rebound to a different plan.
+// Reset returns every arena ciphertext to the free list and drops the
+// inputs; the table keeps its shape, so a slot not written since reads as
+// unwritten.
 func (rt *Runtime) Reset() {
-	for i := rt.numInputs; i < len(rt.vals); i++ {
-		rt.pool.Put(rt.vals[i])
+	for i := range rt.vals {
+		if i >= rt.numInputs {
+			rt.pool.Put(rt.vals[i])
+		}
 		rt.vals[i] = nil
 	}
-	rt.vals = rt.vals[:0]
-	rt.numInputs = 0
 }
 
 // Bind validates one run's inputs against p (count, non-nil, LWE
@@ -53,17 +56,46 @@ func (rt *Runtime) Bind(p *Plan, inputs []*lwe.Sample) error {
 	if err := exec.CheckRawInputs(inputs, p.NumInputs, rt.dim); err != nil {
 		return err
 	}
-	if rt.numInputs != len(inputs) {
-		// Input count changed (different plan): slots shift, start over.
-		rt.Reset()
-		rt.numInputs = len(inputs)
-	}
-	n := len(inputs) + p.stats.ArenaSlots
-	for len(rt.vals) < n {
-		rt.vals = append(rt.vals, nil)
-	}
+	rt.Shape(len(inputs), p.stats.ArenaSlots)
 	copy(rt.vals, inputs)
 	return nil
+}
+
+// Shape sizes the value table for numInputs input slots followed by slots
+// arena slots.
+func (rt *Runtime) Shape(numInputs, slots int) {
+	if rt.numInputs != numInputs {
+		// A different program: every slot shifts.
+		rt.Reset()
+		rt.numInputs = numInputs
+	}
+	for len(rt.vals) < numInputs+slots {
+		rt.vals = append(rt.vals, nil)
+	}
+}
+
+// SetInput installs one input ciphertext, checked as Bind checks a run's
+// inputs. The runtime borrows it until Unbind or Reset.
+func (rt *Runtime) SetInput(slot int, v *lwe.Sample) error {
+	switch {
+	case slot < 0 || slot >= rt.numInputs:
+		return fmt.Errorf("plan: input slot %d outside [0,%d)", slot, rt.numInputs)
+	case v == nil:
+		return fmt.Errorf("%w: input slot %d", exec.ErrNilInput, slot)
+	case v.Dimension() != rt.dim:
+		return fmt.Errorf("plan: input slot %d has dimension %d, want %d", slot, v.Dimension(), rt.dim)
+	}
+	rt.vals[slot] = v
+	return nil
+}
+
+// Value returns the ciphertext at ref (still the runtime's), or nil when
+// ref is outside the table or unwritten.
+func (rt *Runtime) Value(ref Ref) *lwe.Sample {
+	if ref < 0 || int(ref) >= len(rt.vals) {
+		return nil
+	}
+	return rt.vals[ref]
 }
 
 // Unbind drops the run's input refs (the caller owns the inputs; holding
@@ -84,12 +116,7 @@ func (rt *Runtime) Exec(it *Interp, instrs []Instr, flush bool) error {
 // Collect materializes p's output ciphertexts from the value table via the
 // shared execution core's collector; every output is a fresh copy.
 func (rt *Runtime) Collect(p *Plan) ([]*lwe.Sample, error) {
-	return exec.CollectOutputs(rt.dim, p.outputs, func(ref Ref) *lwe.Sample {
-		if int(ref) >= len(rt.vals) {
-			return nil
-		}
-		return rt.vals[ref]
-	})
+	return exec.CollectOutputs(rt.dim, p.outputs, rt.Value)
 }
 
 // Counts is what an Interp has executed since its owner last cleared it.
@@ -102,9 +129,10 @@ type Counts struct {
 
 // Interp is the one interpreter of plan instructions: it resolves each
 // instruction's slots in a value table and hands the operation to an
-// exec.Batcher, the evaluator plans share with netlists.
-// Replay, the serving scheduler's workers and shard runtimes all run
-// instructions through it. An Interp belongs to one goroutine.
+// exec.Batcher, the evaluator plans share with netlists. Replay and the
+// slice scheduler's workers (backend.Shared, which runs plans and cluster
+// shard levels alike) run instructions through it. An Interp belongs to
+// one goroutine.
 type Interp struct {
 	bt *exec.Batcher
 

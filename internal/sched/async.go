@@ -7,11 +7,13 @@ import (
 	"pytfhe/internal/circuit"
 )
 
-// SimulateAsync models a barrier-free variant of Algorithm 1: instead of
-// synchronizing at every wavefront, each gate is dispatched the moment its
-// operands are ready, to the earliest-available worker (event-driven list
-// scheduling). This is closer to how a task runtime like Ray actually
-// drains the DAG and bounds what removing the level barrier can buy
+// SimulateAsync models Ray's event-driven dispatch of Algorithm 1: instead
+// of synchronizing at every wavefront, each gate is dispatched the moment
+// its operands are ready, to the earliest-available worker (event-driven
+// list scheduling), the way a task runtime like Ray drains the DAG. It
+// models no executor in this tree — every executor here keeps the level
+// barrier (Pool per wavefront, Shared per plan or shard level) — and
+// bounds what removing that barrier could buy
 // (BenchmarkAblationLevelBarrier). Dispatch overhead is charged to the
 // task's service time.
 func SimulateAsync(nl *circuit.Netlist, p Platform) Result {

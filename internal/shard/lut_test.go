@@ -3,12 +3,9 @@ package shard
 import (
 	"testing"
 
-	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/plan"
-	"pytfhe/internal/tfhe/gate"
-	"pytfhe/internal/tfhe/lwe"
 )
 
 // lutNetlist builds the mixed LUT/classic shape the synthesis pass emits,
@@ -94,81 +91,8 @@ func TestShardHashCoversLUTTable(t *testing.T) {
 	}
 }
 
-// TestRuntimeEncryptedLUT drives the worker runtime homomorphically over a
-// LUT plan split two ways, emulating the router, and checks decryption.
-func TestRuntimeEncryptedLUT(t *testing.T) {
-	sk, ck := keys(t)
-	nl := lutNetlist()
-	p, err := plan.Compile(nl, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Split(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := ck.Params.LWEDimension
-	engines := []*gate.Engine{gate.NewEngine(ck), gate.NewEngine(ck)}
-	rts := make([]*Runtime, len(s.Shards))
-	for w, sh := range s.Shards {
-		rts[w] = NewRuntime(sh, dim)
-	}
-	var boots int64
-	for _, m := range []uint64{0, 6, 11, 15} {
-		inBits := make([]bool, nl.NumInputs)
-		for i := range inBits {
-			inBits[i] = m>>uint(i)&1 == 1
-		}
-		inputs := backend.EncryptInputs(sk, inBits)
-		for _, rt := range rts {
-			rt.Reset()
-		}
-		exports := make([]*lwe.Sample, s.CutEdges)
-		for li := range p.Levels() {
-			for w := range s.Shards {
-				for _, f := range s.Fills[w][li] {
-					var v *lwe.Sample
-					if f.Input >= 0 {
-						v = inputs[f.Input]
-					} else {
-						v = exports[f.Export]
-					}
-					if err := rts[w].SetRemote(f.Slot, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for w := range s.Shards {
-				outs, err := rts[w].RunLevel(engines, li)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k, v := range outs {
-					exports[s.ExportIDs[w][li][k]] = v
-				}
-			}
-		}
-		want, err := nl.Evaluate(inBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, src := range s.Outputs {
-			var got bool
-			switch {
-			case src.Input >= 0:
-				got = backend.DecryptOutputs(sk, []*lwe.Sample{inputs[src.Input]})[0]
-			case src.Export >= 0:
-				got = backend.DecryptOutputs(sk, []*lwe.Sample{exports[src.Export]})[0]
-			default:
-				got = src.Const == plan.ConstTrue
-			}
-			if got != want[i] {
-				t.Fatalf("input %d output %d: sharded %v, reference %v", m, i, got, want[i])
-			}
-		}
-		boots = rts[0].Bootstraps() + rts[1].Bootstraps()
-	}
-	if boots == 0 {
-		t.Fatal("no bootstraps counted")
-	}
+// TestSharedShardEncryptedLUT runs a LUT plan split two ways on the slice
+// scheduler, emulating the router, and checks decryption.
+func TestSharedShardEncryptedLUT(t *testing.T) {
+	runOnShared(t, lutNetlist(), []uint64{0, 6, 11, 15})
 }

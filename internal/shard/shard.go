@@ -31,6 +31,10 @@ import (
 	"pytfhe/internal/plan"
 )
 
+// WorkerBatch is how many bootstrapped instructions of a shard level share
+// one kernel dispatch on a cluster worker — the value pytfhed defaults to.
+const WorkerBatch = 16
+
 // Shard is the self-contained slice of a compiled plan owned by one
 // worker. It is the unit of shipment and caching: Hash keys the worker's
 // cross-run shard cache, so a program evaluated twice ships its shards
@@ -62,10 +66,15 @@ type Shard struct {
 // Validate checks that sh is safe to run: non-negative slot counts no
 // larger than its instructions can use, one export manifest per level,
 // every instruction writing a local slot and reading in-table refs at a
-// LUT arity the engine has, and every export naming a local slot. A shard
-// reaches a worker off a socket, and its counts size the runtime's value
-// table; Validate keeps a malformed one from panicking the worker. It
-// checks shape only — whether the shard computes its plan is Verify's job.
+// LUT arity the engine has, every export naming a local slot, and every
+// level independent — no slot written twice in one level, none read in
+// the level that writes it. A shard reaches a worker off a socket, its
+// counts size the runtime's value table and its refs index it, and the
+// worker's scheduler evaluates a level's instructions in any order and
+// batches them with other runs' (a read of a slot the same level writes
+// would see a pending, uncomputed ciphertext); Validate keeps a malformed
+// shard from panicking the worker or racing on its table. It checks shape
+// only — whether the shard computes its plan is Verify's job.
 func (sh *Shard) Validate() error {
 	if sh.NumRemote < 0 || sh.NumLocal < 0 {
 		return fmt.Errorf("%w: shard %d has %d remote and %d local slots", ErrShape, sh.Index, sh.NumRemote, sh.NumLocal)
@@ -83,7 +92,11 @@ func (sh *Shard) Validate() error {
 		return fmt.Errorf("%w: shard %d has %d remote and %d local slots for %d instrs", ErrShape, sh.Index, sh.NumRemote, sh.NumLocal, instrs)
 	}
 	nRefs := int32(sh.NumRemote + sh.NumLocal)
+	// wrote[ref] is 1 + the last level that wrote ref, so one pass over a
+	// level's outputs and one over its operands check its independence.
+	wrote := make([]int32, nRefs)
 	for li, lv := range sh.Levels {
+		stamp := int32(li + 1)
 		for k, ins := range lv {
 			if ins.Out < int32(sh.NumRemote) || ins.Out >= nRefs {
 				return fmt.Errorf("%w: shard %d level %d instr %d writes ref %d (locals are [%d,%d))",
@@ -99,6 +112,15 @@ func (sh *Shard) Validate() error {
 			if ins.Arity >= 3 && (ins.C < 0 || ins.C >= nRefs) {
 				return fmt.Errorf("%w: shard %d level %d instr %d reads LUT ref %d (valid range [0,%d))",
 					ErrShape, sh.Index, li, k, ins.C, nRefs)
+			}
+			if wrote[ins.Out] == stamp {
+				return fmt.Errorf("%w: shard %d level %d writes ref %d twice", ErrShape, sh.Index, li, ins.Out)
+			}
+			wrote[ins.Out] = stamp
+		}
+		for k, ins := range lv {
+			if wrote[ins.A] == stamp || wrote[ins.B] == stamp || (ins.Arity >= 3 && wrote[ins.C] == stamp) {
+				return fmt.Errorf("%w: shard %d level %d instr %d reads a ref the same level writes", ErrShape, sh.Index, li, k)
 			}
 		}
 		for k, ref := range sh.Exports[li] {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -12,7 +13,6 @@ import (
 	"pytfhe/internal/params"
 	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/trand"
 )
@@ -328,12 +328,15 @@ func TestVerifyCatchesSeededDefects(t *testing.T) {
 	})
 }
 
-// TestRuntimeEncrypted drives per-shard Runtimes through a local router
-// loop over real ciphertexts and checks the decrypted outputs against the
-// netlist — the single-process proof of the worker-side execution path.
-func TestRuntimeEncrypted(t *testing.T) {
+// runOnShared evaluates nl split two ways over real ciphertexts, the way
+// cluster workers and their router do: one plan.Runtime per shard, whose
+// input slots take the router's fills, every shard level run on a
+// backend.Shared, and every export copied off its producer as the wire
+// would. The decrypted outputs must match nl.Evaluate for each input word
+// in ms, and the executor must have counted exactly the plan's bootstraps.
+func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
+	t.Helper()
 	sk, ck := keys(t)
-	nl := nandChains(3, 5)
 	p, err := plan.Compile(nl, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -342,13 +345,19 @@ func TestRuntimeEncrypted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := ck.Params.LWEDimension
-	engines := []*gate.Engine{gate.NewEngine(ck), gate.NewEngine(ck)}
-	rts := make([]*Runtime, len(s.Shards))
-	for w, sh := range s.Shards {
-		rts[w] = NewRuntime(sh, dim)
+	ex := backend.NewShared(2, WorkerBatch)
+	defer ex.Close()
+	key, err := ex.RegisterKey(ck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range []uint64{0, 5, 15} {
+	dim := ck.Params.LWEDimension
+	rts := make([]*plan.Runtime, len(s.Shards))
+	for w, sh := range s.Shards {
+		rts[w] = plan.NewRuntime(dim)
+		rts[w].Shape(sh.NumRemote, sh.NumLocal)
+	}
+	for _, m := range ms {
 		inBits := make([]bool, nl.NumInputs)
 		for i := range inBits {
 			inBits[i] = m>>uint(i)&1 == 1
@@ -359,7 +368,7 @@ func TestRuntimeEncrypted(t *testing.T) {
 		}
 		exports := make([]*lwe.Sample, s.CutEdges)
 		for li := range p.Levels() {
-			for w := range s.Shards {
+			for w, sh := range s.Shards {
 				for _, f := range s.Fills[w][li] {
 					var v *lwe.Sample
 					if f.Input >= 0 {
@@ -367,17 +376,17 @@ func TestRuntimeEncrypted(t *testing.T) {
 					} else {
 						v = exports[f.Export]
 					}
-					if err := rts[w].SetRemote(f.Slot, v); err != nil {
+					if err := rts[w].SetInput(int(f.Slot), v); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			for w := range s.Shards {
-				outs, err := rts[w].RunLevel(engines, li)
-				if err != nil {
+				level := []plan.Level{{Batches: [][]plan.Instr{sh.Levels[li]}}}
+				if _, err := ex.Run(context.Background(), key, level, rts[w]); err != nil {
 					t.Fatal(err)
 				}
-				for k, v := range outs {
+				for k, ref := range sh.Exports[li] {
+					v := lwe.NewSample(dim)
+					v.Copy(rts[w].Value(ref))
 					exports[s.ExportIDs[w][li][k]] = v
 				}
 			}
@@ -401,7 +410,15 @@ func TestRuntimeEncrypted(t *testing.T) {
 			}
 		}
 	}
-	if rts[0].Bootstraps()+rts[1].Bootstraps() == 0 {
-		t.Fatal("no bootstraps counted")
+	boots, want := ex.Stats().Bootstraps, int64(len(ms)*p.Stats().ExecBootstraps)
+	if boots == 0 || boots != want {
+		t.Fatalf("executor counted %d bootstraps, want %d (%d runs)", boots, want, len(ms))
 	}
+}
+
+// TestSharedShardEncrypted is the single-process proof of the worker-side
+// execution path: shard levels on the slice scheduler, routed as the
+// coordinator routes them, decrypt to the netlist's outputs.
+func TestSharedShardEncrypted(t *testing.T) {
+	runOnShared(t, nandChains(3, 5), []uint64{0, 5, 15})
 }
