@@ -39,8 +39,6 @@ func cmdCheck(args []string) error {
 	examples := fs.Bool("examples", false, "also check every examples/* netlist")
 	pname := fs.String("params", "default128", "parameter set the noise analysis assumes: test or default128")
 	minSigmas := fs.Float64("min-sigmas", 0, "sigma margin every gate and output must keep (0: default 4)")
-	workers := fs.Int("workers", 4, "worker count the verified execution plan is compiled for")
-	batch := fs.Int("batch", 16, "bootstrap batch size the plan verifier assumes")
 	fs.Parse(args)
 	if *path == "" && fs.NArg() == 1 {
 		*path = fs.Arg(0)
@@ -82,7 +80,7 @@ func cmdCheck(args []string) error {
 			fmt.Println()
 		}
 		fmt.Printf("== %s ==\n", tg.name)
-		if err := checkNetlist(tg.nl, p, *minSigmas, *workers, *batch); err != nil {
+		if err := checkNetlist(tg.nl, p, *minSigmas); err != nil {
 			fmt.Printf("FAIL %s: %v\n", tg.name, err)
 			failed = append(failed, tg.name)
 		}
@@ -95,7 +93,7 @@ func cmdCheck(args []string) error {
 
 // checkNetlist runs both analyses over one netlist and prints their
 // reports; the returned error is the first analysis failure.
-func checkNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64, workers, batch int) error {
+func checkNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64) error {
 	rep, err := noise.AnalyzeNetlist(nl, p, minSigmas)
 	if err != nil {
 		return err
@@ -104,11 +102,11 @@ func checkNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64, 
 	if err := rep.Err(); err != nil {
 		return err
 	}
-	pl, err := plan.Compile(nl, workers)
+	pl, err := plan.Compile(nl)
 	if err != nil {
 		return fmt.Errorf("plan compile: %w", err)
 	}
-	vrep, err := plan.VerifyBatch(nl, pl, batch)
+	vrep, err := plan.Verify(nl, pl)
 	if err != nil {
 		return err
 	}

@@ -170,7 +170,7 @@ func TestCheckTargets(t *testing.T) {
 		if rep.HeadroomBits <= 0 {
 			t.Fatalf("%s: headroom %.3f bits, want > 0", tg.name, rep.HeadroomBits)
 		}
-		if err := checkNetlist(tg.nl, p, 0, 4, 16); err != nil {
+		if err := checkNetlist(tg.nl, p, 0); err != nil {
 			t.Fatalf("%s: %v", tg.name, err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestCheckRejectsOverBudget(t *testing.T) {
 	degraded := *params.Test()
 	degraded.Name = "degraded"
 	degraded.LWEStdev = math.Exp2(-8)
-	err := checkNetlist(experiments.ImbalancedNetlist(), &degraded, 0, 4, 16)
+	err := checkNetlist(experiments.ImbalancedNetlist(), &degraded, 0)
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("degraded bench netlist: err = %v, want over-budget failure", err)
 	}

@@ -83,7 +83,7 @@ func TestSharedAgreement(t *testing.T) {
 							if err != nil {
 								return err
 							}
-							p, err := plan.Compile(r.nl, cfg.workers)
+							p, err := plan.Compile(r.nl)
 							if err != nil {
 								return err
 							}

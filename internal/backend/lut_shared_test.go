@@ -30,7 +30,7 @@ func TestSharedLUT(t *testing.T) {
 	nl := lutMixNetlist(t)
 	// The executor counts what it runs: the plan's LUT instructions (none
 	// of this netlist's LUTs deduplicate away).
-	p := mustPlan(t, nl, 2)
+	p := mustPlan(t, nl)
 	wantLUTs := int64(p.Stats().ExecLUTs)
 	if wantLUTs == 0 || wantLUTs != int64(nl.ComputeStats().LUTs) {
 		t.Fatalf("setup: plan executes %d LUTs of the netlist's %d", wantLUTs, nl.ComputeStats().LUTs)

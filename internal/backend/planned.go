@@ -99,7 +99,7 @@ func (p *Planned) Plan(nl *circuit.Netlist) (*plan.Plan, error) {
 	if cached, ok := p.plans[nl]; ok {
 		return cached, nil
 	}
-	compiled, err := plan.Compile(nl, p.sh.Workers())
+	compiled, err := plan.Compile(nl)
 	if err != nil {
 		return nil, err
 	}

@@ -227,19 +227,16 @@ func TestPlanLivenessMatchesRefcounting(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{1, 2, 4} {
-			p, err := plan.Compile(nl, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.ArenaSlots() > peak {
-				t.Fatalf("%s w=%d: arena %d exceeds refcounted peak live %d",
-					nl.Name, workers, p.ArenaSlots(), peak)
-			}
-			st := p.Stats()
-			if st.ExecBootstraps > st.LogicalBootstraps {
-				t.Fatalf("%s w=%d: dedup grew the program: %+v", nl.Name, workers, st)
-			}
+		p, err := plan.Compile(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ArenaSlots() > peak {
+			t.Fatalf("%s: arena %d exceeds refcounted peak live %d", nl.Name, p.ArenaSlots(), peak)
+		}
+		st := p.Stats()
+		if st.ExecBootstraps > st.LogicalBootstraps {
+			t.Fatalf("%s: dedup grew the program: %+v", nl.Name, st)
 		}
 	}
 }

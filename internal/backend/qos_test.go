@@ -93,8 +93,8 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 		t.Skip("bootstrapping benchmark-style test; skipped in -short")
 	}
 	sk, ck := keys(t)
-	chain := mustPlan(t, nandChain(t, 8), 2)
-	flood := mustPlan(t, wideXor(t, 8), 2) // 28 independent bootstrapped gates
+	chain := mustPlan(t, nandChain(t, 8))
+	flood := mustPlan(t, wideXor(t, 8)) // 28 independent bootstrapped gates
 	in := bitsOf(0x155, 9)
 	const reps = 12
 
@@ -168,7 +168,7 @@ func TestSharedFairnessUnderLoad(t *testing.T) {
 // sessions opening and closing leaves nothing per key behind.
 func TestSharedReleaseKey(t *testing.T) {
 	sk, ck := keys(t)
-	nl := mustPlan(t, nandChain(t, 2), 2)
+	nl := mustPlan(t, nandChain(t, 2))
 	enc := EncryptInputs(sk, []bool{true, false, true})
 
 	ex := NewShared(2, 1)
@@ -216,7 +216,7 @@ func TestSharedReleaseKey(t *testing.T) {
 	// for each) and release. A free-gate plan keeps it to milliseconds.
 	b := circuit.NewBuilder("not", circuit.NoOptimizations())
 	b.Output("o", b.Not(b.Input("x")))
-	free := mustPlan(t, b.MustBuild(), 2)
+	free := mustPlan(t, b.MustBuild())
 	const churn = 1000
 	var collected atomic.Int32
 	for i := 0; i < churn; i++ {

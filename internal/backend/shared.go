@@ -30,10 +30,11 @@ var ErrKeyReleased = errors.New("backend: cloud key released")
 // replaying a captured CUDA Graph per batch. A cluster worker runs its
 // shard levels on it too, through Run. Nothing is scheduled per gate: a
 // run is a list of levels over one plan.Runtime, and what the workers pop
-// is a slice of one level partition, cut to at most one kernel batch of
-// instructions so that no tenant holds a worker for longer than one
-// dispatch. The slice that finishes a level queues the next one; levels
-// are the only synchronization a plan needs.
+// is a slice of one level: the level is cut into one part per worker
+// (plan.Cut, equal bootstrap counts), and each part into slices of at most
+// one kernel batch of instructions so that no tenant holds a worker for
+// longer than one dispatch. The slice that finishes a level queues the
+// next one; levels are the only synchronization a plan needs.
 //
 // Scheduling is two-level. Each tenant (cloud-key registration) owns a
 // FIFO of its runs' ready slices; across tenants a weighted start-time
@@ -113,9 +114,6 @@ func NewShared(workers, batch int) *Shared {
 	}
 	return s
 }
-
-// Workers returns the size of the worker set.
-func (s *Shared) Workers() int { return s.workers }
 
 // RegisterKey makes a cloud key available to the worker set and returns
 // the handle Run and Submit require. Engines for the key are created
@@ -279,7 +277,7 @@ type RunCounts struct {
 // RunCounts.
 type sharedRun struct {
 	key    *SharedKey
-	levels []plan.Level
+	levels [][]plan.Instr
 	rt     *plan.Runtime
 
 	busyNs, waitNs, batches, batched atomic.Int64
@@ -369,7 +367,7 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 // the context is done, or the executor closes, and reports the run's share
 // of the worker set. However a run ends, Run returns only after every
 // worker has left rt. A released key fails with ErrKeyReleased.
-func (s *Shared) Run(ctx context.Context, key *SharedKey, levels []plan.Level, rt *plan.Runtime) (RunCounts, error) {
+func (s *Shared) Run(ctx context.Context, key *SharedKey, levels [][]plan.Instr, rt *plan.Runtime) (RunCounts, error) {
 	if err := s.check(key); err != nil {
 		return RunCounts{}, err
 	}
@@ -445,28 +443,35 @@ func (s *Shared) putRuntime(dim int, rt *plan.Runtime) {
 	s.free[dim] = append(s.free[dim], rt)
 }
 
-// advance queues the first level of r at or after l that has
-// instructions on its tenant's FIFO, each partition cut into slices of at
-// most one kernel batch, or finishes the run when no such level is left.
-// pending is set before the first push: workers start on a slice the
-// moment it is visible.
+// slices cuts a level into one part per worker (plan.Cut), then each part
+// into slices of at most one kernel batch: a level of up to a batch of
+// instructions still spreads over every worker it can keep busy.
+func (s *Shared) slices(level []plan.Instr) [][]plan.Instr {
+	var out [][]plan.Instr
+	for _, part := range plan.Cut(level, s.workers) {
+		for len(part) > 0 {
+			c := min(len(part), s.batch)
+			out = append(out, part[:c:c])
+			part = part[c:]
+		}
+	}
+	return out
+}
+
+// advance queues the slices of the first level of r at or after l that
+// has instructions on its tenant's FIFO, or finishes the run when no such
+// level is left. pending is set before the first push: workers start on a
+// slice the moment it is visible.
 func (s *Shared) advance(r *sharedRun, l int) {
 	for ; l < len(r.levels); l++ {
-		n := 0
-		for _, part := range r.levels[l].Batches {
-			n += (len(part) + s.batch - 1) / s.batch
-		}
-		if n == 0 {
+		sl := s.slices(r.levels[l])
+		if len(sl) == 0 {
 			continue
 		}
 		r.level = l
-		r.pending.Store(int32(n))
-		for _, part := range r.levels[l].Batches {
-			for len(part) > 0 {
-				c := min(len(part), s.batch)
-				s.q.Push(r.key.id, sharedTask{run: r, instrs: part[:c], seq: s.seq.Add(1), pushed: time.Now()})
-				part = part[c:]
-			}
+		r.pending.Store(int32(len(sl)))
+		for _, instrs := range sl {
+			s.q.Push(r.key.id, sharedTask{run: r, instrs: instrs, seq: s.seq.Add(1), pushed: time.Now()})
 		}
 		return
 	}

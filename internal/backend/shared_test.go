@@ -3,11 +3,13 @@ package backend
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"pytfhe/internal/circuit"
+	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
 	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
@@ -37,9 +39,9 @@ func keys2(t testing.TB) (*boot.SecretKey, *boot.CloudKey) {
 }
 
 // mustPlan compiles nl the way the daemon does before it submits.
-func mustPlan(t testing.TB, nl *circuit.Netlist, workers int) *plan.Plan {
+func mustPlan(t testing.TB, nl *circuit.Netlist) *plan.Plan {
 	t.Helper()
-	p, err := plan.Compile(nl, workers)
+	p, err := plan.Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestSharedMatchesSingle(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 3} {
 		for _, batch := range []int{1, 16} {
-			nl := mustPlan(t, adder4(t), workers)
+			nl := mustPlan(t, adder4(t))
 			ex := NewShared(workers, batch)
 			k1, err := ex.RegisterKey(ck1)
 			if err != nil {
@@ -111,7 +113,7 @@ func TestSharedMatchesSingle(t *testing.T) {
 // context is cancelled and the executor survives to serve later work.
 func TestSharedContextCancel(t *testing.T) {
 	sk, ck := keys(t)
-	nl := mustPlan(t, adder4(t), 1)
+	nl := mustPlan(t, adder4(t))
 	ex := NewShared(1, 1)
 	defer ex.Close()
 	key, err := ex.RegisterKey(ck)
@@ -139,7 +141,7 @@ func TestSharedContextCancel(t *testing.T) {
 // with ErrExecutorClosed rather than leaving them blocked.
 func TestSharedCloseFailsInFlight(t *testing.T) {
 	sk, ck := keys(t)
-	nl := mustPlan(t, adder4(t), 1)
+	nl := mustPlan(t, adder4(t))
 	ex := NewShared(1, 1)
 	key, err := ex.RegisterKey(ck)
 	if err != nil {
@@ -173,9 +175,9 @@ func TestSharedCloseFailsInFlight(t *testing.T) {
 func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 	sk, ck := keys(t)
 	dim := ck.Params.LWEDimension
-	wide := mustPlan(t, wideXor(t, 12), 2) // one level of 66 bootstraps: 17 slices at batch 4
+	wide := mustPlan(t, wideXor(t, 12)) // one level of 66 bootstraps: 18 slices at batch 4 on 2 workers
 	adder := adder4(t)
-	next := mustPlan(t, adder, 2)
+	next := mustPlan(t, adder)
 	in := append(bitsOf(9, 4), bitsOf(5, 4)...)
 	want, err := adder.Evaluate(in)
 	if err != nil {
@@ -253,5 +255,107 @@ func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 			}
 			check(outs)
 		})
+	}
+}
+
+// TestSharedSlicesCutLevels pins how the scheduler spreads a level: cut
+// into one part per worker with equal bootstrap counts (plan.Cut), each
+// part sliced to at most one kernel batch. A level of up to a batch of
+// instructions — a cluster worker's shard level, say — is still served as
+// one slice per worker it can keep busy, not as one slice on one worker;
+// and a real run, cluster-worker style (the plan's levels handed to Run
+// as they are), is served exactly those slices.
+func TestSharedSlicesCutLevels(t *testing.T) {
+	bootIns, freeIns := plan.Instr{Kind: logic.NAND}, plan.Instr{Kind: logic.NOT}
+	for _, workers := range []int{1, 2, 3, 5} {
+		for _, batch := range []int{1, 2, 4, 16} {
+			s := &Shared{workers: workers, batch: batch}
+			for n := 0; n <= 40; n++ {
+				level := make([]plan.Instr, n)
+				for i := range level {
+					if level[i] = bootIns; i%3 == 2 {
+						level[i] = freeIns
+					}
+					level[i].Out = int32(i)
+				}
+				var joined []plan.Instr
+				sl := s.slices(level)
+				for _, instrs := range sl {
+					if len(instrs) == 0 || len(instrs) > batch {
+						t.Fatalf("w=%d b=%d n=%d: slice of %d instructions", workers, batch, n, len(instrs))
+					}
+					joined = append(joined, instrs...)
+				}
+				if len(joined) != n || (n > 0 && !reflect.DeepEqual(joined, level)) {
+					t.Fatalf("w=%d b=%d n=%d: slices do not concatenate to the level", workers, batch, n)
+				}
+				if n <= batch && len(sl) != min(workers, n) {
+					t.Fatalf("w=%d b=%d n=%d: %d slices, want one per busy worker (%d)", workers, batch, n, len(sl), min(workers, n))
+				}
+			}
+		}
+	}
+
+	// Eight bootstraps, then eight free instructions: an even split by
+	// count would put all eight bootstraps on one worker.
+	level := make([]plan.Instr, 16)
+	for i := range level {
+		if level[i] = freeIns; i < 8 {
+			level[i] = bootIns
+		}
+	}
+	sl := (&Shared{workers: 2, batch: 16}).slices(level)
+	if len(sl) != 2 {
+		t.Fatalf("%d slices, want 2", len(sl))
+	}
+	for i, instrs := range sl {
+		boots := 0
+		for _, ins := range instrs {
+			if ins.NeedsBootstrap() {
+				boots++
+			}
+		}
+		if boots != 4 {
+			t.Fatalf("slice %d holds %d bootstraps, want 4", i, boots)
+		}
+	}
+
+	sk, ck := keys(t)
+	nl := adder4(t)
+	p := mustPlan(t, nl)
+	ex := NewShared(3, 16)
+	defer ex.Close()
+	key, err := ex.RegisterKey(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := plan.NewRuntime(ck.Params.LWEDimension)
+	in := append(bitsOf(6, 4), bitsOf(7, 4)...)
+	if err := rt.Bind(p, EncryptInputs(sk, in)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Run(context.Background(), key, p.Levels(), rt); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := rt.Collect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Unbind()
+	if got := uintOf(DecryptOutputs(sk, outs)); got != 13 {
+		t.Fatalf("6+7 = %d", got)
+	}
+	var slices, spread int64
+	for _, lv := range p.Levels() {
+		slices += int64(len(ex.slices(lv)))
+		if len(lv) > 1 {
+			spread++
+		}
+	}
+	if spread == 0 {
+		t.Fatal("no level has two instructions; the run checks nothing")
+	}
+	if got := ex.Stats().TenantPicks[key.ID()]; got != slices {
+		t.Fatalf("executor served %d slices, want %d", got, slices)
 	}
 }

@@ -330,7 +330,7 @@ func TestWorkerRejectsMalformedShard(t *testing.T) {
 	w := coord.workers[0]
 	b := circuit.NewBuilder("nand", circuit.NoOptimizations())
 	b.Output("o", b.Gate(logic.NAND, b.Input("x"), b.Input("y")))
-	p, err := plan.Compile(b.MustBuild(), 1)
+	p, err := plan.Compile(b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,9 @@ const shardingCacheEntries = 16
 
 // shardPlan is one entry of the coordinator's sharding cache, keyed by the
 // netlist's address and the worker count: the same netlist evaluated at a
-// different live-worker count recompiles; the same count reuses the
-// decomposition (and therefore the workers' shard caches).
+// different live-worker count is split again (its plan, which does not
+// depend on the count, compiles to the same fingerprint); the same count
+// reuses the decomposition (and therefore the workers' shard caches).
 type shardPlan struct {
 	nl *circuit.Netlist // pins the address, so no other netlist can take it while the entry lives
 	s  *shard.Sharding
@@ -96,7 +97,7 @@ func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, err
 	if v, ok := c.plans.Get(key); ok {
 		return v.(*shardPlan).s, nil
 	}
-	p, err := plan.Compile(nl, n)
+	p, err := plan.Compile(nl)
 	if err != nil {
 		return nil, err
 	}
@@ -173,8 +174,8 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 		ctBytes:  int64(c.ck.Params.CiphertextBytes()),
 		stats:    &stats,
 	}
-	// Initial placement: shard i on worker i (Split clamps the shard count
-	// to the live worker roster, so the indices line up).
+	// Initial placement: shard i on worker i (Split makes one shard per
+	// live worker).
 	for i := range s.Shards {
 		r.assign[i] = workers[i]
 		r.loads[workers[i]]++
@@ -521,36 +522,11 @@ type shardHost struct {
 	dim    int
 }
 
-// shardEntry pairs a cached shard with its levels, partitioned for the
-// executor, and its value table. A run starts with rt.Reset, so a slot the
-// run has not written reads as unwritten.
+// shardEntry pairs a cached shard with its value table. A run starts
+// with rt.Reset, so a slot the run has not written reads as unwritten.
 type shardEntry struct {
-	sh     *shard.Shard
-	levels []plan.Level
-	rt     *plan.Runtime
-}
-
-// partition cuts every shard level into one part per executor worker,
-// ceil(len/workers) instructions each, as a compiled plan has one
-// partition per worker: Shared slices each part to at most one kernel
-// batch, so a short level still spreads over up to `workers` workers
-// instead of one slice.
-func partition(levels [][]plan.Instr, workers int) []plan.Level {
-	out := make([]plan.Level, len(levels))
-	for l, instrs := range levels {
-		if len(instrs) == 0 {
-			continue
-		}
-		chunk := (len(instrs) + workers - 1) / workers
-		parts := make([][]plan.Instr, 0, (len(instrs)+chunk-1)/chunk)
-		for len(instrs) > 0 {
-			c := min(chunk, len(instrs))
-			parts = append(parts, instrs[:c:c])
-			instrs = instrs[c:]
-		}
-		out[l].Batches = parts
-	}
-	return out
+	sh *shard.Shard
+	rt *plan.Runtime
 }
 
 // cached returns the resident shard with the given hash, or nil.
@@ -578,7 +554,7 @@ func (h *shardHost) install(sh *shard.Shard) Message {
 	}
 	rt := plan.NewRuntime(h.dim)
 	rt.Shape(sh.NumRemote, sh.NumLocal)
-	h.shards.Add(sh.Hash, &shardEntry{sh: sh, levels: partition(sh.Levels, h.ex.Workers()), rt: rt})
+	h.shards.Add(sh.Hash, &shardEntry{sh: sh, rt: rt})
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }
 
@@ -594,7 +570,7 @@ func (h *shardHost) apply(ent *shardEntry, st *ShardStep) ([]*lwe.Sample, error)
 			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 		}
 	}
-	if _, err := h.ex.Run(context.Background(), h.key, ent.levels[st.Level:st.Level+1], ent.rt); err != nil {
+	if _, err := h.ex.Run(context.Background(), h.key, sh.Levels[st.Level:st.Level+1], ent.rt); err != nil {
 		return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
 	exp := sh.Exports[st.Level]

@@ -7,16 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
-	"pytfhe/internal/plan"
-	"pytfhe/internal/qos"
-	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
@@ -126,70 +122,6 @@ func TestShardCachesStayBounded(t *testing.T) {
 	}
 	if st := run(nls[0]); st.ShardMisses == 0 {
 		t.Fatalf("first shard still resident on a worker caching 2: %+v", st)
-	}
-}
-
-// TestShardLevelsSpreadOverSlots: a worker with several slots cuts each
-// shard level into one part per slot, as a compiled plan has one partition
-// per worker, so
-// a level shorter than a kernel batch is still served as several slices
-// instead of one slice on one scheduler worker. The parts keep the level's
-// instructions in order.
-func TestShardLevelsSpreadOverSlots(t *testing.T) {
-	sk, ck := keys(t)
-	nl := adder4()
-	p, err := plan.Compile(nl, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := shard.Split(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := s.Shards[0]
-	const slots = 3
-	ex := backend.NewShared(slots, shard.WorkerBatch)
-	defer ex.Close()
-	key, err := ex.RegisterKey(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &shardHost{shards: qos.NewLRU(1), ex: ex, key: key, dim: ck.Params.LWEDimension}
-	if rep := h.install(sh); rep.Error != "" {
-		t.Fatal(rep.Error)
-	}
-	ent := h.cached(sh.Hash)
-	inputs := backend.EncryptInputs(sk, make([]bool, nl.NumInputs))
-	var slices, spread int64
-	for l, instrs := range sh.Levels {
-		parts := ent.levels[l].Batches
-		if len(parts) != min(len(instrs), slots) {
-			t.Fatalf("level %d: %d instructions in %d parts, want %d", l, len(instrs), len(parts), min(len(instrs), slots))
-		}
-		var joined []plan.Instr
-		for _, part := range parts {
-			joined = append(joined, part...)
-			slices += int64((len(part) + shard.WorkerBatch - 1) / shard.WorkerBatch)
-		}
-		if len(instrs) > 0 && !reflect.DeepEqual(joined, instrs) {
-			t.Fatalf("level %d: parts do not concatenate to the level", l)
-		}
-		if len(instrs) > 1 {
-			spread++
-		}
-		var fills []SlotSample
-		for _, f := range s.Fills[0][l] {
-			fills = append(fills, SlotSample{Slot: f.Slot, Val: inputs[f.Input]})
-		}
-		if _, err := h.apply(ent, &ShardStep{Hash: sh.Hash, Level: l, Fills: fills}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if spread == 0 {
-		t.Fatal("no shard level has two instructions; the test checks nothing")
-	}
-	if got := ex.Stats().TenantPicks[key.ID()]; got != slices {
-		t.Fatalf("executor served %d slices, want %d", got, slices)
 	}
 }
 

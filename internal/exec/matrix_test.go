@@ -172,7 +172,7 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compiled, err := plan.Compile(nl, 2)
+		compiled, err := plan.Compile(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			compiled, err := plan.Compile(nl, 1)
+			compiled, err := plan.Compile(nl)
 			if err != nil {
 				return err
 			}

@@ -198,14 +198,14 @@ func newStructKey(eg *execGate) structKey {
 	}
 }
 
-// Compile captures nl into an execution plan partitioned for the given
-// worker count: validation, the functional-deduplication pass, then level
-// layout — arena slot assignment and worker partitioning.
-func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
+// Compile captures nl into an execution plan: validation, the
+// functional-deduplication pass, then level layout — arena slot
+// assignment and each level's instructions in creation order. The plan
+// does not depend on how many workers will run it (see Cut). The ignored
+// tail is a shim for the benchmark module (bench/), which still passes a
+// worker count.
+func Compile(nl *circuit.Netlist, _ ...int) (*Plan, error) {
 	start := time.Now()
-	if workers < 1 {
-		workers = 1
-	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
@@ -380,15 +380,15 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 	p := &Plan{
 		Name:      nl.Name,
 		NumInputs: numInputs,
-		Workers:   workers,
-		levels:    make([]Level, 0, numLevels),
+		levels:    make([][]Instr, numLevels),
 		outputs:   outputs,
 		execOf:    execOf, // complete after pass 1; read-only from here on
 	}
 
 	// Pass 2 — level layout: arena slot assignment by liveness (a slot
 	// frees one level after its last read, so no reuse can race a reader
-	// across the level boundary) and per-worker batch partitioning.
+	// across the level boundary) and the instructions, one flat array cut
+	// into levels.
 	slotOf := make([]int32, len(gates))
 	refOf := func(id int32) Ref {
 		if id < int32(numInputs) {
@@ -419,11 +419,7 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 	fill = append(fill[:0], freeStart[:numLevels+1]...)
 	freeSlots := make([]int32, 0, len(freed))
 	arena := 0
-	// Per-level scratch for the worker partition: each gate's worker and
-	// each worker's load and instruction count.
-	workerOf := make([]int32, 0, len(gates))
-	load := make([]int, workers)
-	count := make([]int, workers)
+	instrs := make([]Instr, len(gates))
 	for l := 0; l < numLevels; l++ {
 		gs := byLevel(l)
 		freeSlots = append(freeSlots, freed[freeStart[l]:freeStart[l+1]]...)
@@ -444,38 +440,10 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 				fill[lr]++
 			}
 		}
-		// Partition across workers, heaviest-first greedy on bootstrap
-		// weight so no batch ends up with all the expensive gates.
-		clear(load)
-		clear(count)
-		workerOf = workerOf[:0]
-		for _, gi := range gs {
-			w := 0
-			for c := 1; c < workers; c++ {
-				if load[c] < load[w] {
-					w = c
-				}
-			}
-			cost := 1
-			if gates[gi].needsBootstrap() {
-				cost = 1024
-			}
-			load[w] += cost
-			count[w]++
-			workerOf = append(workerOf, int32(w))
-		}
-		instrs := make([]Instr, len(gs))
-		batches := make([][]Instr, workers)
-		off := 0
-		for w, n := range count {
-			if n > 0 {
-				batches[w] = instrs[off : off : off+n]
-				off += n
-			}
-		}
+		lv := instrs[levelStart[l]:levelStart[l+1]:levelStart[l+1]]
 		for k, gi := range gs {
 			g := &gates[gi]
-			ins := Instr{
+			lv[k] = Instr{
 				Kind:  g.kind,
 				Out:   int32(numInputs) + slotOf[gi],
 				A:     refOf(g.a),
@@ -484,12 +452,10 @@ func Compile(nl *circuit.Netlist, workers int) (*Plan, error) {
 				Arity: g.arity,
 			}
 			if g.arity >= 3 {
-				ins.C = refOf(g.c)
+				lv[k].C = refOf(g.c)
 			}
-			w := workerOf[k]
-			batches[w] = append(batches[w], ins)
 		}
-		p.levels = append(p.levels, Level{Batches: batches})
+		p.levels[l] = lv
 	}
 	for i, out := range nl.Outputs {
 		if outputs[i] >= 0 {

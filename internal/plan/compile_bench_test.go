@@ -56,7 +56,7 @@ func BenchmarkCompileMNIST(b *testing.B) {
 	b.Run("plan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Compile(res.Netlist, 2); err != nil {
+			if _, err := plan.Compile(res.Netlist); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -252,34 +252,30 @@ func layeredNetlist(width, depth int) *circuit.Netlist {
 }
 
 // TestCompileAllocationsIndependentOfWidth checks that Compile allocates
-// per program, per level and per worker, never per gate: doubling the
-// width of a fixed-depth netlist leaves its allocation count unchanged.
-// (The widths keep every dedup table within one map table; past that, Go
-// maps allocate one more table per ~900 entries.)
+// per program, never per gate or per level: doubling the width of a
+// fixed-depth netlist leaves its allocation count unchanged, and the count
+// is a fixed part. (The widths keep every dedup table within one map
+// table; past that, Go maps allocate one more table per ~900 entries.)
 func TestCompileAllocationsIndependentOfWidth(t *testing.T) {
 	const depth = 8
-	for _, workers := range []int{1, 3} {
-		allocs := func(width int) float64 {
-			nl := layeredNetlist(width, depth)
-			return testing.AllocsPerRun(5, func() {
-				p, err := Compile(nl, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p.Stats().Levels != depth {
-					t.Fatalf("width %d: %d levels, want %d", width, p.Stats().Levels, depth)
-				}
-			})
-		}
-		narrow, wide := allocs(24), allocs(48)
-		t.Logf("workers %d: %.0f allocations at width 24, %.0f at width 48", workers, narrow, wide)
-		if wide > narrow {
-			t.Errorf("workers %d: %.0f allocations at width 48, %.0f at width 24", workers, wide, narrow)
-		}
-		// A fixed part plus the instruction array and batch list of each
-		// level.
-		if limit := float64(40 + 2*depth); narrow > limit {
-			t.Errorf("workers %d: %.0f allocations for %d levels, want ≤ %.0f", workers, narrow, depth, limit)
-		}
+	allocs := func(width int) float64 {
+		nl := layeredNetlist(width, depth)
+		return testing.AllocsPerRun(5, func() {
+			p, err := Compile(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Stats().Levels != depth {
+				t.Fatalf("width %d: %d levels, want %d", width, p.Stats().Levels, depth)
+			}
+		})
+	}
+	narrow, wide := allocs(24), allocs(48)
+	t.Logf("%.0f allocations at width 24, %.0f at width 48", narrow, wide)
+	if wide > narrow {
+		t.Errorf("%.0f allocations at width 48, %.0f at width 24", wide, narrow)
+	}
+	if limit := 40.0; narrow > limit {
+		t.Errorf("%.0f allocations for %d levels, want ≤ %.0f", narrow, depth, limit)
 	}
 }

@@ -8,25 +8,26 @@ import (
 )
 
 // Fingerprint returns a stable content hash of the compiled plan: the
-// full instruction stream (levels, batches, refs, kinds), the output refs,
-// and the input/worker shape. Two plans share a fingerprint exactly when
-// replay would execute the identical schedule, so the hash is the cache
-// key for derived artifacts — internal/shard keys its ship-once shard
-// cache on it. The hash is computed once and memoized; a Plan is immutable after Compile,
-// so concurrent callers are safe.
+// input count, the full instruction stream (levels, refs, kinds) and the
+// output refs. Two plans share a fingerprint exactly when replay would
+// execute the identical program, so the hash is the cache key for derived
+// artifacts — internal/shard keys its ship-once shard cache on it. The
+// bytes are those of the one-partition-per-level layout plans once had
+// (a partition count of 1 before the levels, and before each level's
+// length), so fingerprints recorded then still match. The hash is
+// computed once and memoized; a Plan is immutable after Compile, so
+// concurrent callers are safe.
 func (p *Plan) Fingerprint() string {
 	p.fpOnce.Do(func() {
 		h := sha256.New()
 		writeHashInt(h, int64(p.NumInputs))
-		writeHashInt(h, int64(p.Workers))
+		writeHashInt(h, 1)
 		writeHashInt(h, int64(len(p.levels)))
 		for _, lv := range p.levels {
-			writeHashInt(h, int64(len(lv.Batches)))
-			for _, instrs := range lv.Batches {
-				writeHashInt(h, int64(len(instrs)))
-				for _, ins := range instrs {
-					h.Write(HashInstrBytes(ins))
-				}
+			writeHashInt(h, 1)
+			writeHashInt(h, int64(len(lv)))
+			for _, ins := range lv {
+				h.Write(HashInstrBytes(ins))
 			}
 		}
 		writeHashInt(h, int64(len(p.outputs)))

@@ -51,13 +51,11 @@ func fuzzNetlist(data []byte) *circuit.Netlist {
 // soleWriteReadLater finds an instruction whose output ref is written
 // exactly once in the whole plan and read by a later level or an output —
 // dropping it is guaranteed to strand a reader (ErrOrder).
-func soleWriteReadLater(p *Plan) (level, worker, idx int, ok bool) {
+func soleWriteReadLater(p *Plan) (level, idx int, ok bool) {
 	writes := map[Ref]int{}
 	for _, lv := range p.levels {
-		for _, instrs := range lv.Batches {
-			for _, ins := range instrs {
-				writes[ins.Out]++
-			}
+		for _, ins := range lv {
+			writes[ins.Out]++
 		}
 	}
 	readLater := map[Ref]bool{}
@@ -67,42 +65,32 @@ func soleWriteReadLater(p *Plan) (level, worker, idx int, ok bool) {
 		}
 	}
 	for li := len(p.levels) - 1; li >= 0; li-- {
-		for w, instrs := range p.levels[li].Batches {
-			for k, ins := range instrs {
-				if writes[ins.Out] == 1 && readLater[ins.Out] {
-					return li, w, k, true
-				}
+		for k, ins := range p.levels[li] {
+			if writes[ins.Out] == 1 && readLater[ins.Out] {
+				return li, k, true
 			}
 		}
-		for _, instrs := range p.levels[li].Batches {
-			for _, ins := range instrs {
-				if ins.A >= Ref(p.NumInputs) {
-					readLater[ins.A] = true
-				}
-				if ins.B >= Ref(p.NumInputs) {
-					readLater[ins.B] = true
-				}
+		for _, ins := range p.levels[li] {
+			if ins.A >= Ref(p.NumInputs) {
+				readLater[ins.A] = true
+			}
+			if ins.B >= Ref(p.NumInputs) {
+				readLater[ins.B] = true
 			}
 		}
 	}
-	return 0, 0, 0, false
+	return 0, 0, false
 }
 
-// crowdedLevel finds a level holding at least two instructions (across
-// all workers) so a write-write collision can be seeded.
-func crowdedLevel(p *Plan) (level int, sites []struct{ w, k int }, ok bool) {
+// crowdedLevel finds a level holding at least two instructions so a
+// write-write collision can be seeded.
+func crowdedLevel(p *Plan) (level int, ok bool) {
 	for li, lv := range p.levels {
-		sites = sites[:0]
-		for w, instrs := range lv.Batches {
-			for k := range instrs {
-				sites = append(sites, struct{ w, k int }{w, k})
-				if len(sites) == 2 {
-					return li, sites, true
-				}
-			}
+		if len(lv) >= 2 {
+			return li, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // distinctFunctionPair finds two netlist gate nodes mapped to different
@@ -163,13 +151,11 @@ func FuzzVerify(f *testing.F) {
 		if err := nl.Validate(); err != nil {
 			t.Fatalf("generated netlist invalid: %v", err)
 		}
-		workers := 1 + int(data[0]>>4)%4
-		batch := 1 + int(data[0]>>2)%4
-		p, err := Compile(nl, workers)
+		p, err := Compile(nl)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		if _, err := VerifyBatch(nl, p, batch); err != nil {
+		if _, err := Verify(nl, p); err != nil {
 			t.Fatalf("compiled plan failed verification: %v", err)
 		}
 
@@ -178,23 +164,23 @@ func FuzzVerify(f *testing.F) {
 		for attempt := 0; attempt < 3; attempt++ {
 			switch (int(data[len(data)-1]) + attempt) % 3 {
 			case 0: // dropped instruction
-				li, w, k, ok := soleWriteReadLater(p)
+				li, k, ok := soleWriteReadLater(p)
 				if !ok {
 					continue
 				}
 				m := clonePlan(p)
-				m.levels[li].Batches[w] = append(m.levels[li].Batches[w][:k], m.levels[li].Batches[w][k+1:]...)
-				if _, err := VerifyBatch(nl, m, batch); !errors.Is(err, ErrOrder) {
+				dropInstr(m, li, k)
+				if _, err := Verify(nl, m); !errors.Is(err, ErrOrder) {
 					t.Fatalf("dropped instruction: got %v, want ErrOrder", err)
 				}
 			case 1: // slot collision within a wavefront
-				li, sites, ok := crowdedLevel(p)
+				li, ok := crowdedLevel(p)
 				if !ok {
 					continue
 				}
 				m := clonePlan(p)
-				m.levels[li].Batches[sites[1].w][sites[1].k].Out = m.levels[li].Batches[sites[0].w][sites[0].k].Out
-				if _, err := VerifyBatch(nl, m, batch); !errors.Is(err, ErrLifetime) {
+				m.levels[li][1].Out = m.levels[li][0].Out
+				if _, err := Verify(nl, m); !errors.Is(err, ErrLifetime) {
 					t.Fatalf("slot collision: got %v, want ErrLifetime", err)
 				}
 			case 2: // wrong dedup merge
@@ -204,7 +190,7 @@ func FuzzVerify(f *testing.F) {
 				}
 				m := clonePlan(p)
 				m.execOf[v] = m.execOf[u]
-				if _, err := VerifyBatch(nl, m, batch); !errors.Is(err, ErrDedup) {
+				if _, err := Verify(nl, m); !errors.Is(err, ErrDedup) {
 					t.Fatalf("wrong dedup merge: got %v, want ErrDedup", err)
 				}
 			}

@@ -29,42 +29,35 @@ func lutNetlist() *circuit.Netlist {
 }
 
 // TestPlanLUTMatchesEvaluate checks, exhaustively, that compiled LUT plans
-// compute the netlist's function, that Verify (plain and batch-grouped)
-// accepts them, and that LUT instructions survive into the stats.
+// compute the netlist's function, that Verify accepts them, and that LUT instructions survive into the stats.
 func TestPlanLUTMatchesEvaluate(t *testing.T) {
 	nl := lutNetlist()
-	for _, workers := range []int{1, 2, 4} {
-		p, err := Compile(nl, workers)
+	p, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().LogicalLUTs != 3 {
+		t.Fatalf("logical LUTs = %d, want 3", p.Stats().LogicalLUTs)
+	}
+	if p.Stats().ExecLUTs == 0 {
+		t.Fatal("exec LUTs = 0, LUT instructions were lost")
+	}
+	if _, err := Verify(nl, p); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	for m := 0; m < 1<<nl.NumInputs; m++ {
+		in := make([]bool, nl.NumInputs)
+		for i := range in {
+			in[i] = m>>i&1 == 1
+		}
+		want, err := nl.Evaluate(in)
 		if err != nil {
-			t.Fatalf("w=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if p.Stats().LogicalLUTs != 3 {
-			t.Fatalf("w=%d logical LUTs = %d, want 3", workers, p.Stats().LogicalLUTs)
-		}
-		if p.Stats().ExecLUTs == 0 {
-			t.Fatalf("w=%d exec LUTs = 0, LUT instructions were lost", workers)
-		}
-		if _, err := Verify(nl, p); err != nil {
-			t.Fatalf("w=%d verify: %v", workers, err)
-		}
-		if _, err := VerifyBatch(nl, p, 4); err != nil {
-			t.Fatalf("w=%d verify batch: %v", workers, err)
-		}
-		for m := 0; m < 1<<nl.NumInputs; m++ {
-			in := make([]bool, nl.NumInputs)
-			for i := range in {
-				in[i] = m>>i&1 == 1
-			}
-			want, err := nl.Evaluate(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := evalPlan(p, in)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("w=%d input %b output %d: plan %v, reference %v",
-						workers, m, i, got[i], want[i])
-				}
+		got := evalPlan(p, in)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("input %b output %d: plan %v, reference %v", m, i, got[i], want[i])
 			}
 		}
 	}
@@ -98,7 +91,7 @@ func TestPlanLUTDedupPermutation(t *testing.T) {
 		}
 	}
 
-	p, err := Compile(nl, 2)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +116,7 @@ func TestPlanLUTFingerprint(t *testing.T) {
 		y := b.Input("y")
 		z := b.Input("z")
 		b.Output("o", b.LUT(tt, x, y, z))
-		p, err := Compile(b.MustBuild(), 1)
+		p, err := Compile(b.MustBuild())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +132,7 @@ func TestPlanLUTFingerprint(t *testing.T) {
 func TestPlanLUTReplayBatch(t *testing.T) {
 	sk, ck := testKeys(t)
 	nl := lutNetlist()
-	p, err := Compile(nl, 2)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}

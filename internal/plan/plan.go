@@ -1,7 +1,7 @@
 // Package plan is the execution-plan capture & replay subsystem — the CPU
 // analogue of the paper's CUDA-Graph batch scheduling. Compile runs once
 // per program and turns a gate netlist into an immutable Plan: levelized
-// gate batches pre-partitioned across workers, a flat ciphertext arena
+// gate wavefronts, a flat ciphertext arena
 // whose slot indices come from compile-time liveness analysis (replacing
 // the executors' runtime refcounting), and precomputed per-instruction
 // operand/output slot references. Replaying a plan needs no ready heap, no
@@ -71,11 +71,44 @@ func (ins Instr) NeedsBootstrap() bool {
 	return ins.Arity != 0 || ins.Kind.NeedsBootstrap()
 }
 
-// Level is one wavefront of the plan: Batches[w] is the w-th partition of the level's instructions. Instructions within a level
-// are mutually independent; finishing a level before starting the next is
-// the only synchronization replay needs.
-type Level struct {
-	Batches [][]Instr
+// Cut splits one level into min(n, len(level)) contiguous, non-empty
+// parts, in instruction order, whose bootstrapped-instruction counts
+// differ by at most one. It is the one placement decision about a plan —
+// which worker (backend.Shared) or which shard (shard.Split) evaluates
+// which instructions of a wavefront — and its callers make it, not
+// Compile, so a plan does not depend on the worker count it runs at.
+// Parts alias level.
+//
+// Each part but the last takes instructions until it holds its share of
+// the remaining bootstraps, ceil(left / parts left), while leaving at
+// least one instruction for every later part; the last takes the rest.
+// A part that has its share stops before the next bootstrapped
+// instruction, so free instructions stay with the bootstrap before them.
+func Cut(level []Instr, n int) [][]Instr {
+	n = min(n, len(level))
+	if n < 1 {
+		return nil
+	}
+	left := 0
+	for _, ins := range level {
+		if ins.NeedsBootstrap() {
+			left++
+		}
+	}
+	parts := make([][]Instr, 0, n)
+	for m := n; m > 1; m-- {
+		share := (left + m - 1) / m
+		k, boots := 0, 0
+		for k < len(level)-(m-1) && (boots < share || !level[k].NeedsBootstrap()) {
+			if level[k].NeedsBootstrap() {
+				boots++
+			}
+			k++
+		}
+		parts = append(parts, level[:k:k])
+		level, left = level[k:], left-boots
+	}
+	return append(parts, level)
 }
 
 // Stats summarizes what capture did to the program.
@@ -97,9 +130,8 @@ type Stats struct {
 type Plan struct {
 	Name      string
 	NumInputs int
-	Workers   int // batch partitions per level
 
-	levels  []Level
+	levels  [][]Instr
 	outputs []Ref
 	stats   Stats
 	execOf  []int32
@@ -108,8 +140,12 @@ type Plan struct {
 	fp     string
 }
 
-// Levels exposes the level list (read-only by convention).
-func (p *Plan) Levels() []Level { return p.levels }
+// Levels exposes the level list (read-only by convention): levels[l] is
+// wavefront l, mutually independent instructions in compile order.
+// Finishing a level before starting the next is the only synchronization
+// replay needs; how a level is spread over workers is Cut's decision, at
+// run time.
+func (p *Plan) Levels() [][]Instr { return p.levels }
 
 // Outputs exposes the output refs (read-only by convention).
 func (p *Plan) Outputs() []Ref { return p.outputs }

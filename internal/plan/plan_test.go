@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -37,18 +38,16 @@ func evalPlan(p *Plan, inputs []bool) []bool {
 	vals := make([]bool, p.NumInputs+p.stats.ArenaSlots)
 	copy(vals, inputs)
 	for _, lv := range p.levels {
-		for _, batch := range lv.Batches {
-			for _, ins := range batch {
-				if ins.IsLUT() {
-					if ins.Arity >= 3 {
-						vals[ins.Out] = ins.TT.EvalBits(vals[ins.A], vals[ins.B], vals[ins.C])
-					} else {
-						vals[ins.Out] = ins.TT.EvalBits(vals[ins.A], vals[ins.B])
-					}
-					continue
+		for _, ins := range lv {
+			if ins.IsLUT() {
+				if ins.Arity >= 3 {
+					vals[ins.Out] = ins.TT.EvalBits(vals[ins.A], vals[ins.B], vals[ins.C])
+				} else {
+					vals[ins.Out] = ins.TT.EvalBits(vals[ins.A], vals[ins.B])
 				}
-				vals[ins.Out] = ins.Kind.Eval(vals[ins.A], vals[ins.B])
+				continue
 			}
+			vals[ins.Out] = ins.Kind.Eval(vals[ins.A], vals[ins.B])
 		}
 	}
 	outs := make([]bool, len(p.outputs))
@@ -115,26 +114,24 @@ func TestPlanMatchesEvaluate(t *testing.T) {
 		nandChains(3, 17),
 	}
 	for _, nl := range netlists {
-		for _, workers := range []int{1, 2, 4} {
-			p, err := Compile(nl, workers)
-			if err != nil {
-				t.Fatalf("%s w=%d: %v", nl.Name, workers, err)
+		p, err := Compile(nl)
+		if err != nil {
+			t.Fatalf("%s: %v", nl.Name, err)
+		}
+		for m := 0; m < 1<<nl.NumInputs; m++ {
+			in := make([]bool, nl.NumInputs)
+			for i := range in {
+				in[i] = m>>i&1 == 1
 			}
-			for m := 0; m < 1<<nl.NumInputs; m++ {
-				in := make([]bool, nl.NumInputs)
-				for i := range in {
-					in[i] = m>>i&1 == 1
-				}
-				want, err := nl.Evaluate(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := evalPlan(p, in)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s w=%d input %b output %d: plan %v, reference %v",
-							nl.Name, workers, m, i, got[i], want[i])
-					}
+			want, err := nl.Evaluate(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := evalPlan(p, in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s input %b output %d: plan %v, reference %v",
+						nl.Name, m, i, got[i], want[i])
 				}
 			}
 		}
@@ -146,7 +143,7 @@ func TestPlanMatchesEvaluate(t *testing.T) {
 // per chain regardless of depth.
 func TestDedupCollapsesPeriodicChains(t *testing.T) {
 	nl := nandChains(7, 30)
-	p, err := Compile(nl, 4)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,72 +168,66 @@ func TestDedupCollapsesPeriodicChains(t *testing.T) {
 func TestArenaLiveness(t *testing.T) {
 	for seed := int64(10); seed < 16; seed++ {
 		nl := randomNetlist(seed, 6, 150)
-		for _, workers := range []int{1, 3, 4} {
-			p, err := Compile(nl, workers)
-			if err != nil {
-				t.Fatal(err)
+		p, err := Compile(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type version struct{ write, lastRead int }
+		var versions []version
+		current := make(map[Ref]int)     // slot ref → live version index
+		outputRefs := make(map[Ref]bool) // pinned until the end
+		for _, ref := range p.Outputs() {
+			if ref >= Ref(p.NumInputs) {
+				outputRefs[ref] = true
 			}
-			type version struct{ write, lastRead int }
-			var versions []version
-			current := make(map[Ref]int)     // slot ref → live version index
-			outputRefs := make(map[Ref]bool) // pinned until the end
-			for _, ref := range p.Outputs() {
-				if ref >= Ref(p.NumInputs) {
-					outputRefs[ref] = true
-				}
-			}
-			for li, lv := range p.Levels() {
-				level := li + 1
-				written := make(map[Ref]bool)
-				for _, batch := range lv.Batches {
-					for _, ins := range batch {
-						for _, op := range [2]Ref{ins.A, ins.B} {
-							if op < Ref(p.NumInputs) {
-								continue
-							}
-							v, ok := current[op]
-							if !ok {
-								t.Fatalf("w=%d level %d reads slot %d before any write", workers, level, op)
-							}
-							versions[v].lastRead = level
-						}
+		}
+		for li, lv := range p.Levels() {
+			level := li + 1
+			written := make(map[Ref]bool)
+			for _, ins := range lv {
+				for _, op := range [2]Ref{ins.A, ins.B} {
+					if op < Ref(p.NumInputs) {
+						continue
 					}
-				}
-				for _, batch := range lv.Batches {
-					for _, ins := range batch {
-						if written[ins.Out] {
-							t.Fatalf("w=%d level %d writes slot %d twice", workers, level, ins.Out)
-						}
-						written[ins.Out] = true
-						if v, ok := current[ins.Out]; ok && versions[v].lastRead >= level {
-							t.Fatalf("w=%d level %d reuses slot %d whose value is read at level %d",
-								workers, level, ins.Out, versions[v].lastRead)
-						}
-						versions = append(versions, version{write: level, lastRead: level})
-						current[ins.Out] = len(versions) - 1
+					v, ok := current[op]
+					if !ok {
+						t.Fatalf("seed %d level %d reads slot %d before any write", seed, level, op)
 					}
+					versions[v].lastRead = level
 				}
 			}
-			// Output slots must still hold their final version (no overwrite
-			// was flagged above), and the arena must not exceed peak liveness.
-			for ref := range outputRefs {
-				versions[current[ref]].lastRead = p.Stats().Levels + 1
-			}
-			peak := 0
-			for l := 1; l <= p.Stats().Levels; l++ {
-				live := 0
-				for _, v := range versions {
-					if v.write <= l && l <= v.lastRead {
-						live++
-					}
+			for _, ins := range lv {
+				if written[ins.Out] {
+					t.Fatalf("seed %d level %d writes slot %d twice", seed, level, ins.Out)
 				}
-				if live > peak {
-					peak = live
+				written[ins.Out] = true
+				if v, ok := current[ins.Out]; ok && versions[v].lastRead >= level {
+					t.Fatalf("seed %d level %d reuses slot %d whose value is read at level %d",
+						seed, level, ins.Out, versions[v].lastRead)
+				}
+				versions = append(versions, version{write: level, lastRead: level})
+				current[ins.Out] = len(versions) - 1
+			}
+		}
+		// Output slots must still hold their final version (no overwrite
+		// was flagged above), and the arena must not exceed peak liveness.
+		for ref := range outputRefs {
+			versions[current[ref]].lastRead = p.Stats().Levels + 1
+		}
+		peak := 0
+		for l := 1; l <= p.Stats().Levels; l++ {
+			live := 0
+			for _, v := range versions {
+				if v.write <= l && l <= v.lastRead {
+					live++
 				}
 			}
-			if p.ArenaSlots() > peak {
-				t.Fatalf("w=%d arena %d exceeds peak liveness %d", workers, p.ArenaSlots(), peak)
+			if live > peak {
+				peak = live
 			}
+		}
+		if p.ArenaSlots() > peak {
+			t.Fatalf("seed %d arena %d exceeds peak liveness %d", seed, p.ArenaSlots(), peak)
 		}
 	}
 }
@@ -248,7 +239,7 @@ func TestArenaLiveness(t *testing.T) {
 func TestReplayHomomorphic(t *testing.T) {
 	sk, ck := testKeys(t)
 	nl := randomNetlist(7, 4, 24)
-	p, err := Compile(nl, 2)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +310,7 @@ func TestReplayEdgeCases(t *testing.T) {
 	b.Output("cf", circuit.ConstFalse)
 	nl := b.MustBuild()
 
-	p, err := Compile(nl, 2)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +358,49 @@ func TestRuntimeReset(t *testing.T) {
 	}
 	if rt.HighWater() != 2 {
 		t.Fatalf("high water after reset = %d, want 2", rt.HighWater())
+	}
+}
+
+// TestCutProperties checks plan.Cut on random levels — every mix of
+// bootstrapped and free instructions, clustered or spread — against its
+// contract: min(n, len) non-empty parts that concatenate to the level in
+// order, with bootstrap counts that differ by at most one.
+func TestCutProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 2000; trial++ {
+		level := make([]Instr, rng.Intn(40))
+		pBoot := rng.Float64()
+		for i := range level {
+			level[i] = Instr{Kind: logic.NOT, Out: Ref(i)}
+			if rng.Float64() < pBoot {
+				level[i].Kind = logic.NAND
+			}
+		}
+		n := 1 + rng.Intn(8)
+		parts := Cut(level, n)
+		if len(parts) != min(n, len(level)) {
+			t.Fatalf("trial %d: %d parts of a %d-instruction level at n=%d", trial, len(parts), len(level), n)
+		}
+		var joined []Instr
+		lo, hi := len(level), 0
+		for j, part := range parts {
+			if len(part) == 0 {
+				t.Fatalf("trial %d: part %d is empty", trial, j)
+			}
+			joined = append(joined, part...)
+			boots := 0
+			for _, ins := range part {
+				if ins.NeedsBootstrap() {
+					boots++
+				}
+			}
+			lo, hi = min(lo, boots), max(hi, boots)
+		}
+		if len(joined) != len(level) || (len(level) > 0 && !reflect.DeepEqual(joined, level)) {
+			t.Fatalf("trial %d: parts do not concatenate to the level", trial)
+		}
+		if len(parts) > 0 && hi-lo > 1 {
+			t.Fatalf("trial %d: part bootstrap counts span %d..%d", trial, lo, hi)
+		}
 	}
 }

@@ -108,7 +108,7 @@ func (rt *Runtime) Unbind() {
 
 // Exec evaluates instrs over the runtime's value table on it (see
 // Interp.Run). Instructions of one level write disjoint slots, so any
-// number of interpreters may Exec partitions of the same level at once.
+// number of interpreters may Exec parts of the same level at once.
 func (rt *Runtime) Exec(it *Interp, instrs []Instr, flush bool) error {
 	return it.Run(instrs, rt.vals, rt.pool, flush)
 }
@@ -213,10 +213,8 @@ func Replay(p *Plan, it *Interp, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Samp
 	}
 	defer rt.Unbind()
 	for _, lv := range p.levels {
-		for _, instrs := range lv.Batches {
-			if err := rt.Exec(it, instrs, true); err != nil {
-				return nil, err
-			}
+		if err := rt.Exec(it, lv, true); err != nil {
+			return nil, err
 		}
 	}
 	return rt.Collect(p)

@@ -13,24 +13,19 @@ import (
 // triaging a failed check) can classify with errors.Is.
 var (
 	// ErrShape: the plan is structurally malformed — ref out of range,
-	// unknown gate kind, worker/level layout inconsistent with the
+	// unknown gate kind, input/output counts inconsistent with the
 	// netlist, or a missing dedup map.
 	ErrShape = errors.New("plan: verify: malformed plan")
 	// ErrOrder: an instruction reads an arena slot no earlier level wrote
 	// (its dependency was dropped or scheduled after it), or an output
 	// names a never-written slot.
 	ErrOrder = errors.New("plan: verify: dependency order violated")
-	// ErrLifetime: two live values share an arena slot within one level —
-	// a double write, or a slot read and rewritten in the same wavefront
-	// (across workers this is a data race; within one worker it reads the
-	// wrong generation).
+	// ErrLifetime: a level is not independent — a slot written twice in
+	// one wavefront, or read and written in the same one. Run time may
+	// cut a level anywhere, spread the parts over workers and batch any
+	// of its bootstraps into one kernel dispatch, so such a read races
+	// the write or sees a pending, uncomputed ciphertext.
 	ErrLifetime = errors.New("plan: verify: arena slot lifetimes overlap")
-	// ErrBatchAlias: within one batched kernel dispatch (Interp.Run groups
-	// bootstrapped instructions up to the batch size, with free
-	// instructions running inline between them), an instruction's input
-	// slot aliases another member's output slot. The grouped dispatch
-	// reorders effects, so such a plan reads values mid-rewrite.
-	ErrBatchAlias = errors.New("plan: verify: batch aliases an input slot with an output slot")
 	// ErrDedup: the compiler merged two netlist nodes that are not
 	// functionally identical (caught by independent cone simulation, not
 	// by trusting the compiler's own truth tables).
@@ -61,29 +56,19 @@ func (r *VerifyReport) String() string {
 }
 
 // Verify re-derives, from scratch, that the compiled plan is equivalent to
-// its source netlist under sequential (unbatched) replay: structural
-// shape, dependency ordering, arena-slot lifetime disjointness, the
-// functional identity of every dedup merge, and input/output equivalence
-// by bit-parallel simulation (exhaustive up to 12 inputs, randomized
-// beyond). It trusts nothing the compiler computed beyond the plan itself
-// and its node→exec map.
+// its source netlist under any run-time schedule: structural shape,
+// dependency ordering, the independence of every level (which makes any
+// cut, order and batching of a level equivalent to sequential replay),
+// the functional identity of every dedup merge, and input/output
+// equivalence by bit-parallel simulation (exhaustive up to 12 inputs,
+// randomized beyond). It trusts nothing the compiler computed beyond the
+// plan itself and its node→exec map.
 func Verify(nl *circuit.Netlist, p *Plan) (*VerifyReport, error) {
-	return VerifyBatch(nl, p, 1)
-}
-
-// VerifyBatch is Verify under the batched replay schedule: it emulates
-// Interp.Run's dispatch grouping for the given batch size and additionally
-// rejects plans where a slot is both read and written within one kernel
-// dispatch (ErrBatchAlias).
-func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: verify: source netlist invalid: %w", err)
 	}
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrShape)
-	}
-	if batch < 1 {
-		batch = 1
 	}
 	np := p.NumInputs
 	if np != nl.NumInputs {
@@ -115,95 +100,64 @@ func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error)
 		}
 	}
 
-	// Structural schedule scan: one forward pass over the levels tracking
-	// which slots earlier levels wrote, plus a per-level collision table
-	// classifying same-wavefront read/write overlap by worker and by
-	// Interp.Run dispatch group.
+	// Structural schedule scan: one forward pass over the levels. stamp[ref]
+	// is 1 + the last level that wrote ref and site[ref] the instruction
+	// that did, so one pass over a level's writes and one over its reads
+	// check its independence and its dependency order.
 	report := &VerifyReport{Levels: len(p.levels), ArenaSlots: arena}
-	written := make([]bool, nRefs) // arena refs written by a strictly earlier level
-	type writeSite struct {
-		worker, group, idx int
-	}
+	stamp := make([]int32, nRefs)
+	site := make([]int32, nRefs)
 	for li, lv := range p.levels {
-		writer := make(map[Ref]writeSite)
-		groups := make([][]int, len(lv.Batches))
-		for w, instrs := range lv.Batches {
-			groups[w] = make([]int, len(instrs))
-			g, pending := 0, 0
-			for k, ins := range instrs {
-				report.Instructions++
-				if ins.IsLUT() {
-					if ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity {
-						return nil, fmt.Errorf("%w: level %d worker %d instr %d has LUT arity %d", ErrShape, li, w, k, ins.Arity)
-					}
-					if ins.TT&^logic.TTMask(int(ins.Arity)) != 0 {
-						return nil, fmt.Errorf("%w: level %d worker %d instr %d has table %#x wider than 2^%d", ErrShape, li, w, k, ins.TT, ins.Arity)
-					}
-					if !logic.LUTFeasible(int(ins.Arity), ins.TT) {
-						return nil, fmt.Errorf("%w: level %d worker %d instr %d has LUT table %#x with no single-bootstrap plan", ErrShape, li, w, k, ins.TT)
-					}
-					if ins.Arity >= 3 && (ins.C < 0 || ins.C >= Ref(nRefs)) {
-						return nil, fmt.Errorf("%w: level %d worker %d instr %d reads ref %d (valid range [0,%d))", ErrShape, li, w, k, ins.C, nRefs)
-					}
-				} else if ins.Kind >= logic.NumKinds {
-					return nil, fmt.Errorf("%w: level %d worker %d instr %d has kind %d", ErrShape, li, w, k, ins.Kind)
+		cur := int32(li + 1)
+		for k, ins := range lv {
+			report.Instructions++
+			if ins.IsLUT() {
+				if ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity {
+					return nil, fmt.Errorf("%w: level %d instr %d has LUT arity %d", ErrShape, li, k, ins.Arity)
 				}
-				if ins.Out < Ref(np) || ins.Out >= Ref(nRefs) {
-					return nil, fmt.Errorf("%w: level %d worker %d instr %d writes ref %d (arena is [%d,%d))", ErrShape, li, w, k, ins.Out, np, nRefs)
+				if ins.TT&^logic.TTMask(int(ins.Arity)) != 0 {
+					return nil, fmt.Errorf("%w: level %d instr %d has table %#x wider than 2^%d", ErrShape, li, k, ins.TT, ins.Arity)
 				}
-				if ins.A < 0 || ins.A >= Ref(nRefs) || ins.B < 0 || ins.B >= Ref(nRefs) {
-					return nil, fmt.Errorf("%w: level %d worker %d instr %d reads refs %d,%d (valid range [0,%d))", ErrShape, li, w, k, ins.A, ins.B, nRefs)
+				if !logic.LUTFeasible(int(ins.Arity), ins.TT) {
+					return nil, fmt.Errorf("%w: level %d instr %d has LUT table %#x with no single-bootstrap plan", ErrShape, li, k, ins.TT)
 				}
-				// Dispatch-group emulation of Interp.Run: bootstrapped
-				// instructions buffer into the open group and flush at the
-				// batch size; free instructions run inline, interleaved
-				// with (and therefore part of) the open group's step.
-				groups[w][k] = g
-				if batch > 1 {
-					if ins.NeedsBootstrap() {
-						if pending++; pending == batch {
-							g, pending = g+1, 0
-						}
-					}
-				} else {
-					g++ // sequential: every instruction is its own step
+				if ins.Arity >= 3 && (ins.C < 0 || ins.C >= Ref(nRefs)) {
+					return nil, fmt.Errorf("%w: level %d instr %d reads ref %d (valid range [0,%d))", ErrShape, li, k, ins.C, nRefs)
 				}
-				if prev, dup := writer[ins.Out]; dup {
-					return nil, fmt.Errorf("%w: level %d: ref %d written by worker %d instr %d and worker %d instr %d",
-						ErrLifetime, li, ins.Out, prev.worker, prev.idx, w, k)
-				}
-				writer[ins.Out] = writeSite{worker: w, group: groups[w][k], idx: k}
+			} else if ins.Kind >= logic.NumKinds {
+				return nil, fmt.Errorf("%w: level %d instr %d has kind %d", ErrShape, li, k, ins.Kind)
 			}
+			if ins.Out < Ref(np) || ins.Out >= Ref(nRefs) {
+				return nil, fmt.Errorf("%w: level %d instr %d writes ref %d (arena is [%d,%d))", ErrShape, li, k, ins.Out, np, nRefs)
+			}
+			if ins.A < 0 || ins.A >= Ref(nRefs) || ins.B < 0 || ins.B >= Ref(nRefs) {
+				return nil, fmt.Errorf("%w: level %d instr %d reads refs %d,%d (valid range [0,%d))", ErrShape, li, k, ins.A, ins.B, nRefs)
+			}
+			if stamp[ins.Out] == cur {
+				return nil, fmt.Errorf("%w: level %d: ref %d written by instr %d and instr %d",
+					ErrLifetime, li, ins.Out, site[ins.Out], k)
+			}
+			stamp[ins.Out], site[ins.Out] = cur, int32(k)
 		}
-		for w, instrs := range lv.Batches {
-			for k, ins := range instrs {
-				reads := [3]Ref{ins.A, ins.B, ins.A}
-				nReads := 2
-				if ins.Arity >= 3 {
-					reads[2] = ins.C
-					nReads = 3
-				}
-				for _, ref := range reads[:nReads] {
-					if ref < Ref(np) {
-						continue // caller-owned input, immutable during replay
-					}
-					if site, sameLevel := writer[ref]; sameLevel {
-						if site.worker == w && site.group == groups[w][k] {
-							return nil, fmt.Errorf("%w: level %d worker %d dispatch group %d: instr %d reads ref %d that instr %d writes",
-								ErrBatchAlias, li, w, site.group, k, ref, site.idx)
-						}
-						return nil, fmt.Errorf("%w: level %d: ref %d read by worker %d instr %d while worker %d instr %d rewrites it",
-							ErrLifetime, li, ref, w, k, site.worker, site.idx)
-					}
-					if !written[ref] {
-						return nil, fmt.Errorf("%w: level %d worker %d instr %d reads ref %d before any level writes it",
-							ErrOrder, li, w, k, ref)
-					}
+		for k, ins := range lv {
+			reads := [3]Ref{ins.A, ins.B, ins.A}
+			nReads := 2
+			if ins.Arity >= 3 {
+				reads[2] = ins.C
+				nReads = 3
+			}
+			for _, ref := range reads[:nReads] {
+				switch {
+				case ref < Ref(np):
+					// caller-owned input, immutable during replay
+				case stamp[ref] == cur:
+					return nil, fmt.Errorf("%w: level %d: ref %d read by instr %d while instr %d rewrites it",
+						ErrLifetime, li, ref, k, site[ref])
+				case stamp[ref] == 0:
+					return nil, fmt.Errorf("%w: level %d instr %d reads ref %d before any level writes it",
+						ErrOrder, li, k, ref)
 				}
 			}
-		}
-		for ref := range writer {
-			written[ref] = true
 		}
 	}
 
@@ -212,7 +166,7 @@ func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error)
 		case ref == ConstFalse || ref == ConstTrue:
 		case ref < 0 || ref >= Ref(nRefs):
 			return nil, fmt.Errorf("%w: output %d names ref %d (valid range [0,%d) or const)", ErrShape, i, ref, nRefs)
-		case ref >= Ref(np) && !written[ref]:
+		case ref >= Ref(np) && stamp[ref] == 0:
 			return nil, fmt.Errorf("%w: output %d reads ref %d that no level writes", ErrOrder, i, ref)
 		}
 	}
@@ -276,17 +230,15 @@ func VerifyBatch(nl *circuit.Netlist, p *Plan, batch int) (*VerifyReport, error)
 			}
 		}
 		for _, lv := range p.levels {
-			for _, instrs := range lv.Batches {
-				for _, ins := range instrs {
-					if ins.IsLUT() {
-						var c uint64
-						if ins.Arity >= 3 {
-							c = planWords[ins.C]
-						}
-						planWords[ins.Out] = EvalWordTT(ins.TT, int(ins.Arity), planWords[ins.A], planWords[ins.B], c)
-					} else {
-						planWords[ins.Out] = EvalWord(ins.Kind, planWords[ins.A], planWords[ins.B])
+			for _, ins := range lv {
+				if ins.IsLUT() {
+					var c uint64
+					if ins.Arity >= 3 {
+						c = planWords[ins.C]
 					}
+					planWords[ins.Out] = EvalWordTT(ins.TT, int(ins.Arity), planWords[ins.A], planWords[ins.B], c)
+				} else {
+					planWords[ins.Out] = EvalWord(ins.Kind, planWords[ins.A], planWords[ins.B])
 				}
 			}
 		}

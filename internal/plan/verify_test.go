@@ -14,25 +14,20 @@ func clonePlan(p *Plan) *Plan {
 	q := &Plan{
 		Name:      p.Name,
 		NumInputs: p.NumInputs,
-		Workers:   p.Workers,
 		outputs:   append([]Ref(nil), p.outputs...),
 		stats:     p.stats,
 		execOf:    append([]int32(nil), p.execOf...),
 	}
 	for _, lv := range p.levels {
-		nb := make([][]Instr, len(lv.Batches))
-		for w, b := range lv.Batches {
-			nb[w] = append([]Instr(nil), b...)
-		}
-		q.levels = append(q.levels, Level{Batches: nb})
+		q.levels = append(q.levels, append([]Instr(nil), lv...))
 	}
 	return q
 }
 
 // mustCompile compiles or fails the test.
-func mustCompile(t *testing.T, nl *circuit.Netlist, workers int) *Plan {
+func mustCompile(t *testing.T, nl *circuit.Netlist) *Plan {
 	t.Helper()
-	p, err := Compile(nl, workers)
+	p, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,20 +42,16 @@ func TestVerifyCompiledPlansPass(t *testing.T) {
 		randomNetlist(13, 20, 200), // >12 inputs: sampled simulation
 	}
 	for _, nl := range nets {
-		for _, workers := range []int{1, 2, 4} {
-			p := mustCompile(t, nl, workers)
-			for _, batch := range []int{1, 3, 16} {
-				r, err := VerifyBatch(nl, p, batch)
-				if err != nil {
-					t.Fatalf("%s/w%d/b%d: compiled plan failed verification: %v", nl.Name, workers, batch, err)
-				}
-				if r.Instructions == 0 || r.Levels != len(p.levels) || r.ArenaSlots != p.stats.ArenaSlots {
-					t.Fatalf("%s/w%d/b%d: implausible report %+v", nl.Name, workers, batch, r)
-				}
-				if (nl.NumInputs <= 12) != r.Exhaustive {
-					t.Fatalf("%s: exhaustive=%v with %d inputs", nl.Name, r.Exhaustive, nl.NumInputs)
-				}
-			}
+		p := mustCompile(t, nl)
+		r, err := Verify(nl, p)
+		if err != nil {
+			t.Fatalf("%s: compiled plan failed verification: %v", nl.Name, err)
+		}
+		if r.Instructions != p.stats.ExecGates || r.Levels != len(p.levels) || r.ArenaSlots != p.stats.ArenaSlots {
+			t.Fatalf("%s: implausible report %+v", nl.Name, r)
+		}
+		if (nl.NumInputs <= 12) != r.Exhaustive {
+			t.Fatalf("%s: exhaustive=%v with %d inputs", nl.Name, r.Exhaustive, nl.NumInputs)
 		}
 	}
 }
@@ -79,7 +70,7 @@ func TestVerifyCountsDedupMerges(t *testing.T) {
 	b.Output("c", g3)
 	b.Output("d", g4)
 	nl := b.MustBuild()
-	p := mustCompile(t, nl, 1)
+	p := mustCompile(t, nl)
 	r, err := Verify(nl, p)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +89,7 @@ func twoGates(t *testing.T) (*circuit.Netlist, *Plan) {
 	b.Output("and", b.Gate(logic.AND, x, y))
 	b.Output("or", b.Gate(logic.OR, x, y))
 	nl := b.MustBuild()
-	return nl, mustCompile(t, nl, 1)
+	return nl, mustCompile(t, nl)
 }
 
 // chain builds x1 -NAND x2-> g1 -NAND x2-> g2 -NAND x2-> g3, output g3.
@@ -112,29 +103,40 @@ func chain(t *testing.T, depth int) (*circuit.Netlist, *Plan) {
 	}
 	b.Output("o", cur)
 	nl := b.MustBuild()
-	return nl, mustCompile(t, nl, 1)
+	return nl, mustCompile(t, nl)
 }
 
 // findInstr locates the single instruction writing ref, failing the test
 // when it is absent.
-func findInstr(t *testing.T, p *Plan, ref Ref) (level, worker, idx int) {
+func findInstr(t *testing.T, p *Plan, ref Ref) (level, idx int) {
 	t.Helper()
 	for li, lv := range p.levels {
-		for w, instrs := range lv.Batches {
-			for k, ins := range instrs {
-				if ins.Out == ref {
-					return li, w, k
-				}
+		for k, ins := range lv {
+			if ins.Out == ref {
+				return li, k
 			}
 		}
 	}
 	t.Fatalf("no instruction writes ref %d", ref)
-	return 0, 0, 0
+	return 0, 0
 }
 
-func wantErr(t *testing.T, nl *circuit.Netlist, p *Plan, batch int, sentinel error, what string) {
+// dropInstr removes instruction k of level li.
+func dropInstr(p *Plan, li, k int) {
+	p.levels[li] = append(p.levels[li][:k], p.levels[li][k+1:]...)
+}
+
+// pullDown moves the first instruction of level li+1 to the end of level
+// li, where its operand is being produced.
+func pullDown(p *Plan, li int) {
+	ins := p.levels[li+1][0]
+	dropInstr(p, li+1, 0)
+	p.levels[li] = append(p.levels[li], ins)
+}
+
+func wantErr(t *testing.T, nl *circuit.Netlist, p *Plan, sentinel error, what string) {
 	t.Helper()
-	_, err := VerifyBatch(nl, p, batch)
+	_, err := Verify(nl, p)
 	if err == nil {
 		t.Fatalf("%s: mutated plan passed verification", what)
 	}
@@ -147,108 +149,82 @@ func TestVerifyShapeDefects(t *testing.T) {
 	nl, p := chain(t, 2)
 
 	m := clonePlan(p)
-	m.levels[0].Batches[0][0].Kind = logic.Kind(99)
-	wantErr(t, nl, m, 1, ErrShape, "unknown kind")
+	m.levels[0][0].Kind = logic.Kind(99)
+	wantErr(t, nl, m, ErrShape, "unknown kind")
 
 	m = clonePlan(p)
-	m.levels[0].Batches[0][0].Out = Ref(m.NumInputs + m.stats.ArenaSlots + 5)
-	wantErr(t, nl, m, 1, ErrShape, "out ref past arena")
+	m.levels[0][0].Out = Ref(m.NumInputs + m.stats.ArenaSlots + 5)
+	wantErr(t, nl, m, ErrShape, "out ref past arena")
 
 	m = clonePlan(p)
-	m.levels[0].Batches[0][0].A = -3
-	wantErr(t, nl, m, 1, ErrShape, "negative operand ref")
+	m.levels[0][0].A = -3
+	wantErr(t, nl, m, ErrShape, "negative operand ref")
 
 	m = clonePlan(p)
 	m.execOf = m.execOf[:len(m.execOf)-1]
-	wantErr(t, nl, m, 1, ErrShape, "truncated dedup map")
+	wantErr(t, nl, m, ErrShape, "truncated dedup map")
 
 	m = clonePlan(p)
 	m.outputs[0] = Ref(m.NumInputs + m.stats.ArenaSlots)
-	wantErr(t, nl, m, 1, ErrShape, "output ref past arena")
+	wantErr(t, nl, m, ErrShape, "output ref past arena")
 
 	m = clonePlan(p)
 	m.NumInputs++
-	wantErr(t, nl, m, 1, ErrShape, "input count mismatch")
+	wantErr(t, nl, m, ErrShape, "input count mismatch")
 }
 
 func TestVerifyDroppedInstruction(t *testing.T) {
 	// Drop the first gate: its consumer now reads a never-written slot.
 	nl, p := chain(t, 3)
-	firstOut := p.levels[0].Batches[0][0].Out
-	li, w, k := findInstr(t, p, firstOut)
+	li, k := findInstr(t, p, p.levels[0][0].Out)
 	m := clonePlan(p)
-	m.levels[li].Batches[w] = append(m.levels[li].Batches[w][:k], m.levels[li].Batches[w][k+1:]...)
-	wantErr(t, nl, m, 1, ErrOrder, "dropped producer")
+	dropInstr(m, li, k)
+	wantErr(t, nl, m, ErrOrder, "dropped producer")
 
 	// Dropping the final gate instead starves the output ref.
 	nl2, p2 := chain(t, 2)
-	li, w, k = findInstr(t, p2, p2.outputs[0])
+	li, k = findInstr(t, p2, p2.outputs[0])
 	m = clonePlan(p2)
-	m.levels[li].Batches[w] = append(m.levels[li].Batches[w][:k], m.levels[li].Batches[w][k+1:]...)
-	wantErr(t, nl2, m, 1, ErrOrder, "dropped output producer")
+	dropInstr(m, li, k)
+	wantErr(t, nl2, m, ErrOrder, "dropped output producer")
 }
 
 func TestVerifyLifetimeOverlap(t *testing.T) {
 	// Two independent gates share level 1; retargeting one onto the
 	// other's slot makes two live values collide in one wavefront.
 	nl, p := twoGates(t)
-	var refs []struct{ w, k int }
-	for w, instrs := range p.levels[0].Batches {
-		for k := range instrs {
-			refs = append(refs, struct{ w, k int }{w, k})
-		}
-	}
-	if len(refs) < 2 {
-		t.Fatalf("expected both gates in level 0, have %d", len(refs))
+	if len(p.levels[0]) < 2 {
+		t.Fatalf("expected both gates in level 0, have %d", len(p.levels[0]))
 	}
 	m := clonePlan(p)
-	a, b := refs[0], refs[1]
-	m.levels[0].Batches[b.w][b.k].Out = m.levels[0].Batches[a.w][a.k].Out
-	wantErr(t, nl, m, 1, ErrLifetime, "double write")
-
-	// Read/write overlap in one wavefront: pull the level-2 consumer down
-	// into level 1, where its operand is being produced. Under sequential
-	// replay that is a lifetime violation (wrong-generation read), not a
-	// batch-dispatch alias.
-	nl2, p2 := chain(t, 2)
-	m = clonePlan(p2)
-	consumer := m.levels[1].Batches[0][0]
-	m.levels[1].Batches[0] = m.levels[1].Batches[0][:0]
-	m.levels[0].Batches[0] = append(m.levels[0].Batches[0], consumer)
-	wantErr(t, nl2, m, 1, ErrLifetime, "same-level read/write")
+	m.levels[0][1].Out = m.levels[0][0].Out
+	wantErr(t, nl, m, ErrLifetime, "double write")
 }
 
+// TestVerifyBatchAlias pins the dispatch-group aliases: a reader placed in
+// the wavefront of the bootstrap it depends on. A batched kernel call
+// would buffer both, so the plan is rejected as a lifetime overlap.
 func TestVerifyBatchAlias(t *testing.T) {
-	// The same collapsed plan — producer and consumer forced into one
-	// worker's sequence — classifies as a dispatch-group alias when the
-	// batched schedule would buffer both bootstraps into one kernel call.
+	// Read/write overlap in one wavefront: pull the level-2 consumer down
+	// into level 1, where its operand is being produced. Whether the two
+	// run in sequence, on two workers or in one batched kernel dispatch
+	// is run time's choice, so every such plan is rejected.
 	nl, p := chain(t, 2)
 	m := clonePlan(p)
-	consumer := m.levels[1].Batches[0][0]
-	m.levels[1].Batches[0] = m.levels[1].Batches[0][:0]
-	m.levels[0].Batches[0] = append(m.levels[0].Batches[0], consumer)
-	wantErr(t, nl, m, 4, ErrBatchAlias, "intra-dispatch alias")
+	pullDown(m, 0)
+	wantErr(t, nl, m, ErrLifetime, "same-level read/write")
 
-	// With batch 1 the same plan is sequential and the defect is a
-	// lifetime overlap instead — the classes stay distinct.
-	wantErr(t, nl, m, 1, ErrLifetime, "sequential classification")
-
-	// A free instruction interleaved with a pending buffered bootstrap it
-	// depends on is the Interp.Run reorder hazard: the kernel's combos form
-	// before the inline free ran... and the free gate reads a slot the
-	// open dispatch group will write.
+	// A free instruction pulled next to the bootstrap it reads: in a
+	// batched dispatch it would run inline before the pending bootstrap
+	// is computed.
 	b := circuit.NewBuilder("free-alias", circuit.NoOptimizations())
 	x, y := b.Input("x"), b.Input("y")
 	g := b.Gate(logic.NAND, x, y)
-	n := b.Gate(logic.NOT, g, g)
-	b.Output("o", n)
+	b.Output("o", b.Gate(logic.NOT, g, g))
 	nl2 := b.MustBuild()
-	p2 := mustCompile(t, nl2, 1)
-	m2 := clonePlan(p2)
-	free := m2.levels[1].Batches[0][0]
-	m2.levels[1].Batches[0] = m2.levels[1].Batches[0][:0]
-	m2.levels[0].Batches[0] = append(m2.levels[0].Batches[0], free)
-	wantErr(t, nl2, m2, 4, ErrBatchAlias, "free instr in open dispatch group")
+	m = clonePlan(mustCompile(t, nl2))
+	pullDown(m, 0)
+	wantErr(t, nl2, m, ErrLifetime, "free instr reads a same-level bootstrap")
 }
 
 func TestVerifyWrongDedupMerge(t *testing.T) {
@@ -260,17 +236,17 @@ func TestVerifyWrongDedupMerge(t *testing.T) {
 	// hash would compile.
 	m := clonePlan(p)
 	andRef := m.outputs[0]
-	li, w, k := findInstr(t, m, m.outputs[1])
-	m.levels[li].Batches[w] = append(m.levels[li].Batches[w][:k], m.levels[li].Batches[w][k+1:]...)
+	li, k := findInstr(t, m, m.outputs[1])
+	dropInstr(m, li, k)
 	m.outputs[1] = andRef
 	m.execOf[orID] = m.execOf[andID]
-	wantErr(t, nl, m, 1, ErrDedup, "wrong merge, instruction dropped")
+	wantErr(t, nl, m, ErrDedup, "wrong merge, instruction dropped")
 
 	// A corrupted dedup record alone (instructions intact) must also be
 	// refuted by the independent cone comparison.
 	m = clonePlan(p)
 	m.execOf[orID] = m.execOf[andID]
-	wantErr(t, nl, m, 1, ErrDedup, "corrupted dedup map")
+	wantErr(t, nl, m, ErrDedup, "corrupted dedup map")
 }
 
 func TestVerifySemanticsDefects(t *testing.T) {
@@ -279,26 +255,19 @@ func TestVerifySemanticsDefects(t *testing.T) {
 	// Swapped output wiring.
 	m := clonePlan(p)
 	m.outputs[0], m.outputs[1] = m.outputs[1], m.outputs[0]
-	wantErr(t, nl, m, 1, ErrSemantics, "swapped outputs")
+	wantErr(t, nl, m, ErrSemantics, "swapped outputs")
 
 	// Swapped instruction output slots (readers and outputs not updated).
 	m = clonePlan(p)
-	var sites []struct{ w, k int }
-	for w, instrs := range m.levels[0].Batches {
-		for k := range instrs {
-			sites = append(sites, struct{ w, k int }{w, k})
-		}
-	}
-	a, b := sites[0], sites[1]
-	m.levels[0].Batches[a.w][a.k].Out, m.levels[0].Batches[b.w][b.k].Out =
-		m.levels[0].Batches[b.w][b.k].Out, m.levels[0].Batches[a.w][a.k].Out
-	wantErr(t, nl, m, 1, ErrSemantics, "swapped slots")
+	lv := m.levels[0]
+	lv[0].Out, lv[1].Out = lv[1].Out, lv[0].Out
+	wantErr(t, nl, m, ErrSemantics, "swapped slots")
 
 	// A silently flipped gate kind.
 	m = clonePlan(p)
-	li, w, k := findInstr(t, m, m.outputs[0])
-	m.levels[li].Batches[w][k].Kind = logic.XOR
-	wantErr(t, nl, m, 1, ErrSemantics, "flipped kind")
+	li, k := findInstr(t, m, m.outputs[0])
+	m.levels[li][k].Kind = logic.XOR
+	wantErr(t, nl, m, ErrSemantics, "flipped kind")
 }
 
 func TestVerifyRejectsInvalidNetlist(t *testing.T) {

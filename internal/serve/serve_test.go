@@ -126,8 +126,8 @@ func startServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
-// verifyPlans runs the plan-soundness verifier, under the daemon's own
-// batch size, over the plan of every registered program — so each serve
+// verifyPlans runs the plan-soundness verifier over the plan of every
+// registered program — so each serve
 // test also checks that what it was served from is sound.
 func verifyPlans(t *testing.T, srv *Server) {
 	t.Helper()
@@ -138,7 +138,7 @@ func verifyPlans(t *testing.T, srv *Server) {
 	}
 	srv.mu.Unlock()
 	for _, e := range entries {
-		if _, err := plan.VerifyBatch(e.prog.Netlist, e.plan, srv.cfg.Batch); err != nil {
+		if _, err := plan.Verify(e.prog.Netlist, e.plan); err != nil {
 			t.Errorf("plan the daemon compiled for %s does not verify: %v", e.prog.Name, err)
 		}
 	}

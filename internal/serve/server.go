@@ -469,7 +469,7 @@ func (s *Server) handleRegister(req *RegisterProgram) Response {
 		if err != nil {
 			return Response{Err: toWire(fmt.Errorf("%w: %v", ErrRejected, err))}
 		}
-		p, err := plan.Compile(prog.Netlist, s.cfg.Workers)
+		p, err := plan.Compile(prog.Netlist)
 		if err != nil {
 			return Response{Err: toWire(fmt.Errorf("%w: plan compile: %v", ErrRejected, err))}
 		}

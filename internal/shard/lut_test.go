@@ -29,34 +29,32 @@ func lutNetlist() *circuit.Netlist {
 // with Verify's independent simulation agreeing.
 func TestSplitLUTMatchesNetlist(t *testing.T) {
 	nl := lutNetlist()
-	for _, workers := range []int{1, 2, 4} {
-		p, err := plan.Compile(nl, workers)
+	p, err := plan.Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 3, 4} {
+		s, err := Split(p, n)
 		if err != nil {
-			t.Fatalf("w=%d: %v", workers, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		for _, n := range []int{1, 2, 3} {
-			s, err := Split(p, n)
+		if _, err := Verify(p, s); err != nil {
+			t.Fatalf("n=%d verify: %v", n, err)
+		}
+		for m := 0; m < 1<<nl.NumInputs; m++ {
+			in := make([]bool, nl.NumInputs)
+			for i := range in {
+				in[i] = m>>i&1 == 1
+			}
+			want, err := nl.Evaluate(in)
 			if err != nil {
-				t.Fatalf("w=%d n=%d: %v", workers, n, err)
+				t.Fatal(err)
 			}
-			if _, err := Verify(p, s); err != nil {
-				t.Fatalf("w=%d n=%d verify: %v", workers, n, err)
-			}
-			for m := 0; m < 1<<nl.NumInputs; m++ {
-				in := make([]bool, nl.NumInputs)
-				for i := range in {
-					in[i] = m>>i&1 == 1
-				}
-				want, err := nl.Evaluate(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := evalSharded(s, in)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("w=%d n=%d input %b output %d: sharded %v, reference %v",
-							workers, n, m, i, got[i], want[i])
-					}
+			got := evalSharded(s, in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d input %b output %d: sharded %v, reference %v",
+						n, m, i, got[i], want[i])
 				}
 			}
 		}
@@ -72,7 +70,7 @@ func TestShardHashCoversLUTTable(t *testing.T) {
 		y := b.Input("y")
 		z := b.Input("z")
 		b.Output("o", b.LUT(tt, x, y, z))
-		p, err := plan.Compile(b.MustBuild(), 1)
+		p, err := plan.Compile(b.MustBuild())
 		if err != nil {
 			t.Fatal(err)
 		}

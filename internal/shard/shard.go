@@ -1,9 +1,11 @@
 // Package shard partitions a compiled plan.Plan into per-worker shards so
 // the cluster coordinator is a data-plane router, not a gate dispatcher.
-// The cut follows the plan's existing static level partition: shard w owns
-// batch columns j ≡ w (mod n) of every level, so the compiler's
-// heaviest-first balance carries over and the split itself is a single
-// linear walk. Each shard is a self-contained replay program — its
+// Shard j owns part j of plan.Cut of every level — contiguous runs of
+// instructions with equal bootstrap counts, the same cut the slice
+// scheduler spreads a level over its workers with — so the shards are
+// balanced level by level, neighbouring instructions (which tend to share
+// operands) stay on one shard, and the split itself is a single linear
+// walk. Each shard is a self-contained replay program — its
 // instructions renumbered into a private value table of remote-input slots
 // (values produced elsewhere: run inputs and cross-shard boundary values)
 // followed by local arena slots — plus a per-level export manifest naming
@@ -188,9 +190,9 @@ type writerRec struct {
 	export int32
 }
 
-// Split decomposes a compiled plan into n shards along its static level
-// partition. n is clamped to the plan's worker count (extra workers would
-// own empty batch columns). The walk maintains, per global arena slot,
+// Split decomposes a compiled plan into n shards: shard j takes part j of
+// plan.Cut(level, n) of every level, and idles through a level with fewer
+// than j+1 instructions. The walk maintains, per global arena slot,
 // which shard wrote its current generation; a read from another shard (or
 // a plan output) lazily creates a boundary export at the producer and a
 // remote-input slot at the consumer, so only values that actually cross
@@ -201,9 +203,6 @@ func Split(p *plan.Plan, n int) (*Sharding, error) {
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d shards", ErrSplit, n)
-	}
-	if n > p.Workers {
-		n = p.Workers
 	}
 	np := plan.Ref(p.NumInputs)
 	levels := p.Levels()
@@ -302,9 +301,8 @@ func Split(p *plan.Plan, n int) (*Sharding, error) {
 	var pends []pending
 	for li, lv := range levels {
 		pends = pends[:0]
-		for j, instrs := range lv.Batches {
-			w := j % n
-			for _, ins := range instrs {
+		for w, part := range plan.Cut(lv, n) {
+			for _, ins := range part {
 				a, err := mapRead(w, li, ins.A)
 				if err != nil {
 					return nil, err

@@ -15,6 +15,7 @@ import (
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/trand"
+	"pytfhe/internal/vipbench"
 )
 
 var (
@@ -119,7 +120,7 @@ func evalSharded(s *Sharding, inputs []bool) []bool {
 }
 
 // TestSplitMatchesNetlist is the cleartext end-to-end proof: for every
-// netlist × worker count × shard count, the routed decomposition computes
+// netlist × shard count, the routed decomposition computes
 // the netlist's function on every input assignment, and Verify agrees.
 func TestSplitMatchesNetlist(t *testing.T) {
 	netlists := []*circuit.Netlist{
@@ -129,37 +130,35 @@ func TestSplitMatchesNetlist(t *testing.T) {
 		nandChains(3, 17),
 	}
 	for _, nl := range netlists {
-		for _, workers := range []int{1, 2, 4} {
-			p, err := plan.Compile(nl, workers)
+		p, err := plan.Compile(nl)
+		if err != nil {
+			t.Fatalf("%s: %v", nl.Name, err)
+		}
+		for _, n := range []int{1, 2, 3, 4, 7} {
+			s, err := Split(p, n)
 			if err != nil {
-				t.Fatalf("%s w=%d: %v", nl.Name, workers, err)
+				t.Fatalf("%s n=%d: %v", nl.Name, n, err)
 			}
-			for _, n := range []int{1, 2, 3, 4, 7} {
-				s, err := Split(p, n)
+			if got := len(s.Shards); got != n {
+				t.Fatalf("%s: %d shards, want %d", nl.Name, got, n)
+			}
+			if _, err := Verify(p, s); err != nil {
+				t.Fatalf("%s n=%d: %v", nl.Name, n, err)
+			}
+			for m := 0; m < 1<<nl.NumInputs; m++ {
+				in := make([]bool, nl.NumInputs)
+				for i := range in {
+					in[i] = m>>i&1 == 1
+				}
+				want, err := nl.Evaluate(in)
 				if err != nil {
-					t.Fatalf("%s w=%d n=%d: %v", nl.Name, workers, n, err)
+					t.Fatal(err)
 				}
-				if got := len(s.Shards); got > workers {
-					t.Fatalf("%s: %d shards from a %d-worker plan", nl.Name, got, workers)
-				}
-				if _, err := Verify(p, s); err != nil {
-					t.Fatalf("%s w=%d n=%d: %v", nl.Name, workers, n, err)
-				}
-				for m := 0; m < 1<<nl.NumInputs; m++ {
-					in := make([]bool, nl.NumInputs)
-					for i := range in {
-						in[i] = m>>i&1 == 1
-					}
-					want, err := nl.Evaluate(in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := evalSharded(s, in)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s w=%d n=%d input %b output %d: sharded %v, reference %v",
-								nl.Name, workers, n, m, i, got[i], want[i])
-						}
+				got := evalSharded(s, in)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d input %b output %d: sharded %v, reference %v",
+							nl.Name, n, m, i, got[i], want[i])
 					}
 				}
 			}
@@ -173,7 +172,7 @@ func TestSplitMatchesNetlist(t *testing.T) {
 // per executed gate).
 func TestCutSmallerThanGates(t *testing.T) {
 	nl := nandChains(7, 30)
-	p, err := plan.Compile(nl, 4)
+	p, err := plan.Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +191,43 @@ func TestCutSmallerThanGates(t *testing.T) {
 	}
 }
 
+// TestSplitCutsEveryKernel splits every VIP-Bench kernel two and four
+// ways, verifies each decomposition, and pins the boundary traffic of two
+// of them. The cut (plan.Cut: contiguous runs with equal bootstrap counts)
+// keeps neighbouring instructions, which share operands, on one shard;
+// the compile-time greedy partition it replaced interleaved them and
+// shipped 3933 (dot-product) and 416 (hamming-distance) boundary
+// ciphertexts per run at n = 2.
+func TestSplitCutsEveryKernel(t *testing.T) {
+	pinned := map[string]int{"dot-product": 186, "hamming-distance": 147}
+	for _, b := range vipbench.All() {
+		nl, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Compile(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{2, 4} {
+			s, err := Split(p, n)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", b.Name, n, err)
+			}
+			if _, err := Verify(p, s); err != nil {
+				t.Fatalf("%s n=%d: %v", b.Name, n, err)
+			}
+			if want, ok := pinned[b.Name]; ok && n == 2 && s.CutEdges != want {
+				t.Errorf("%s n=2: %d cut edges, pinned %d", b.Name, s.CutEdges, want)
+			}
+		}
+	}
+}
+
 // TestShardHashes: the content hash is deterministic across splits, keyed
 // by decomposition shape, and distinct across shards.
 func TestShardHashes(t *testing.T) {
-	p, err := plan.Compile(nandChains(3, 9), 4)
+	p, err := plan.Compile(nandChains(3, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +263,7 @@ func TestShardHashes(t *testing.T) {
 // at a time and requires Verify to reject each with the right class.
 func TestVerifyCatchesSeededDefects(t *testing.T) {
 	build := func() (*plan.Plan, *Sharding) {
-		p, err := plan.Compile(randomNetlist(5, 6, 60), 4)
+		p, err := plan.Compile(randomNetlist(5, 6, 60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +369,7 @@ func TestVerifyCatchesSeededDefects(t *testing.T) {
 func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
 	t.Helper()
 	sk, ck := keys(t)
-	p, err := plan.Compile(nl, 2)
+	p, err := plan.Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +412,7 @@ func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
 						t.Fatal(err)
 					}
 				}
-				level := []plan.Level{{Batches: [][]plan.Instr{sh.Levels[li]}}}
-				if _, err := ex.Run(context.Background(), key, level, rts[w]); err != nil {
+				if _, err := ex.Run(context.Background(), key, sh.Levels[li:li+1], rts[w]); err != nil {
 					t.Fatal(err)
 				}
 				for k, ref := range sh.Exports[li] {

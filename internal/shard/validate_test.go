@@ -17,7 +17,7 @@ import (
 // a shard that writes one slot twice in a level, or reads a slot the same
 // level writes, is refused before it runs.
 func TestValidateRejectsDependentLevel(t *testing.T) {
-	p, err := plan.Compile(nandChains(3, 5), 1)
+	p, err := plan.Compile(nandChains(3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func FuzzShardValidate(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		p, err := plan.Compile(nl, 2)
+		p, err := plan.Compile(nl)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -34,8 +34,8 @@ var (
 	// level produced, a local slot read before written, or export ids
 	// that do not cover [0, CutEdges) exactly once.
 	ErrRouting = errors.New("shard: verify: routing manifest inconsistent")
-	// ErrSemantics: the sharded execution's outputs differ from the source
-	// plan's under some simulated input assignment.
+	// ErrSemantics: a sharded instruction or output differs from the
+	// source plan's under some simulated input assignment.
 	ErrSemantics = errors.New("shard: verify: sharded outputs differ from plan")
 )
 
@@ -62,12 +62,17 @@ func (r *VerifyReport) String() string {
 // that routing the plan through s — filling remote slots level by level,
 // executing each shard's renumbered instructions, gathering exports — is
 // equivalent to replaying the plan directly. Structure first (ref ranges,
-// manifest alignment, export-id coverage), then the same bit-parallel
-// simulation schedule plan.Verify uses (plan.SimRounds/SimFill/EvalWord),
-// emulating the router over 64 packed assignments per word and comparing
-// outputs against the unsharded plan. Definedness is tracked per slot, so
-// a read of a never-filled remote slot or never-written local slot is
-// caught even when its garbage value happens to agree.
+// manifest alignment, export-id coverage, per-level instruction counts),
+// then the same bit-parallel simulation schedule plan.Verify uses
+// (plan.SimRounds/SimFill/EvalWord), emulating the router over 64 packed
+// assignments per word in lockstep with the plan. Split places contiguous
+// runs of each level on shards 0..n-1 in order, so the shards' levels,
+// concatenated in shard order, stand for the plan's level instruction by
+// instruction: every sharded instruction is compared with its plan
+// instruction — a miswired value is caught even where no output observes
+// it — and the outputs with the unsharded plan's. Definedness is tracked
+// per slot, so a read of a never-filled remote slot or never-written local
+// slot is caught even when its garbage value happens to agree.
 func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 	if p == nil || s == nil {
 		return nil, fmt.Errorf("%w: nil plan or sharding", ErrShape)
@@ -143,16 +148,12 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 		}
 	}
 	for li := range levels {
-		planCount := 0
-		for _, instrs := range levels[li].Batches {
-			planCount += len(instrs)
-		}
 		shardCount := 0
 		for _, sh := range s.Shards {
 			shardCount += len(sh.Levels[li])
 		}
-		if planCount != shardCount {
-			return nil, fmt.Errorf("%w: level %d has %d plan instrs but %d sharded", ErrShape, li, planCount, shardCount)
+		if shardCount != len(levels[li]) {
+			return nil, fmt.Errorf("%w: level %d has %d plan instrs but %d sharded", ErrShape, li, len(levels[li]), shardCount)
 		}
 	}
 	for i, src := range s.Outputs {
@@ -199,14 +200,10 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 				defined[w][i] = false
 			}
 		}
-		for _, lv := range levels {
-			for _, instrs := range lv.Batches {
-				for _, ins := range instrs {
-					planWords[ins.Out] = evalInstrWord(ins, planWords[ins.A], planWords[ins.B], planWords, ins.C)
-				}
+		for li, lv := range levels {
+			for _, ins := range lv {
+				planWords[ins.Out] = evalInstrWord(ins, planWords[ins.A], planWords[ins.B], planWords, ins.C)
 			}
-		}
-		for li := range levels {
 			// The router installs every shard's fills for a level before
 			// any shard executes it; the simulation must match, so a fill
 			// consuming a same-level export is caught as unrouteable.
@@ -224,6 +221,7 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 					defined[w][f.Slot] = true
 				}
 			}
+			off := 0 // the plan instruction the next sharded one stands for
 			for w, sh := range s.Shards {
 				for k, ins := range sh.Levels[li] {
 					if !defined[w][ins.A] || !defined[w][ins.B] || (ins.Arity >= 3 && !defined[w][ins.C]) {
@@ -231,6 +229,11 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 					}
 					words[w][ins.Out] = evalInstrWord(ins, words[w][ins.A], words[w][ins.B], words[w], ins.C)
 					defined[w][ins.Out] = true
+					if words[w][ins.Out] != planWords[lv[off].Out] {
+						return nil, fmt.Errorf("%w: shard %d level %d instr %d differs from plan instr %d (round %d)",
+							ErrSemantics, w, li, k, off, r)
+					}
+					off++
 				}
 				for k, ref := range sh.Exports[li] {
 					if !defined[w][ref] {

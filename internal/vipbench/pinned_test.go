@@ -41,16 +41,18 @@ func netlistHash(nl *circuit.Netlist) string {
 }
 
 // pinnedCompile is one row of TestCompilePathPinned: the hashes of a
-// frontend netlist, of its synth.Optimize result, and of the plans
-// compiled from that result at one and two workers. The plan of the raw
-// frontend netlist is pinned too: it leaves all deduplication to the plan.
+// frontend netlist, of its synth.Optimize result, and of the plan
+// compiled from that result. The plan of the raw frontend netlist is
+// pinned too: it leaves all deduplication to the plan. Plans were once
+// compiled for a worker count; planWorkers1 and planFrontend are the
+// one-worker hashes of that time, which the flat plan reproduces.
 type pinnedCompile struct {
-	name                       string
-	build                      func() (*circuit.Netlist, error)
-	optimize                   func(*circuit.Netlist) (*synth.Result, error)
-	frontend, synthesized      string
-	planWorkers1, planWorkers2 string
-	planFrontend               string // the frontend netlist's plan at two workers
+	name                  string
+	build                 func() (*circuit.Netlist, error)
+	optimize              func(*circuit.Netlist) (*synth.Result, error)
+	frontend, synthesized string
+	planWorkers1          string
+	planFrontend          string // the frontend netlist's plan
 }
 
 // TestCompilePathPinned holds the whole compile path — frontend builders,
@@ -78,48 +80,42 @@ func TestCompilePathPinned(t *testing.T) {
 			frontend:     "17ccaa51da28daa840d510d7edd104ae48c2bc50067c8654791248d46cc9fb22",
 			synthesized:  "17ccaa51da28daa840d510d7edd104ae48c2bc50067c8654791248d46cc9fb22",
 			planWorkers1: "21ebda89b02242a1e9af221f609a19f517e6d48e53f549787b065e7e8f6c0ff0",
-			planWorkers2: "9abc4321dcc9d7bcdaeb48e7500abcc03119880142906640b680650d98bd2eea",
-			planFrontend: "9abc4321dcc9d7bcdaeb48e7500abcc03119880142906640b680650d98bd2eea",
+			planFrontend: "21ebda89b02242a1e9af221f609a19f517e6d48e53f549787b065e7e8f6c0ff0",
 		},
 		{
 			name: "chiseltorch-mnist_s@10-lut", build: chiselTorch, optimize: synth.OptimizeLUT,
 			frontend:     "17ccaa51da28daa840d510d7edd104ae48c2bc50067c8654791248d46cc9fb22",
 			synthesized:  "cefeaaefde8c7633272e3ce1ad8698bd257ea9117abeca54d7c583cd073d3e8b",
 			planWorkers1: "3f01aede042b59a7de8013ecdffae3806f879a27d1501f8fb065749f13b0a1f2",
-			planWorkers2: "99af499da0d00be251facfd9ef8b4c16823063e60c0e084ec6a51185f948b89b",
-			planFrontend: "9abc4321dcc9d7bcdaeb48e7500abcc03119880142906640b680650d98bd2eea",
+			planFrontend: "21ebda89b02242a1e9af221f609a19f517e6d48e53f549787b065e7e8f6c0ff0",
 		},
 		{
 			name: "transpiler-mnist_s@10", build: baseline(frameworks.Transpiler()), optimize: synth.Optimize,
 			frontend:     "90d3a3b58ebd09a655443cc5219abd36c6c7541e7aeb7eb336b039d24b9f9256",
 			synthesized:  "2f06ae626613698431e68d4b629789c76f75e44d2458cf410974d7701fd14feb",
 			planWorkers1: "1c57123ca52c4156465f70bd4742d414673fee8ad4889a96ead9ae57cbcbab28",
-			planWorkers2: "e28ea4c834b4cba5f733cdb18e549ed9e237860a354ef5ea91692a47e8fd3e28",
-			planFrontend: "096ac85d3ad2975a330aaacd309a9130463e43fcf78a9214098260dd3b7e8627",
+			planFrontend: "5a0bed9adaac2573301a06ddf8b355f0ef4d97e2c6c5300cbc2d28d6594abebb",
 		},
 		{
 			name: "cingulata-mnist_s@10", build: baseline(frameworks.Cingulata()), optimize: synth.Optimize,
 			frontend:     "1ab1296100f3a34f33b1188328e5164bc3a3261ef6361c1088d078d5b56b69d0",
 			synthesized:  "efc2f91eeb9ee97abfb1902aec4de3b188f7af512c76d31ee039220b0cfeb05f",
 			planWorkers1: "e50c92c2b050ec8e47cfef4d0c545597abc4d92915948f57c094b2a27a6ba0ab",
-			planWorkers2: "c8180211878cf30785583512874e30151aae6e2c147c8c4d065297239954deaa",
-			planFrontend: "1fe40b8ea4526d04856bbab97084a717b41a97076c6a5e07d13f1f00f234c34c",
+			planFrontend: "58b74d716037803b7390d6fe847922e3303e8d9d7e73b38709ca0b4426136e1c",
 		},
 		{
 			name: "e3-mnist_s@10", build: baseline(frameworks.E3()), optimize: synth.Optimize,
 			frontend:     "11f20e38eb9f76b447de3205c84ea89b983c6e3ad2ca1559d9bf25e51796e2fa",
 			synthesized:  "f16f234ee11c1cb7bafd5ea2112db9cc686e28ba54067b52a31c60d78853b15c",
 			planWorkers1: "37302038c546a7617769d082efd4686d9b816d0c58b1c5a0475bd533b9676cfa",
-			planWorkers2: "af8e6e57faf872ffce106b93564021fb051be15c158f14f5267e38b9075aa7b6",
-			planFrontend: "6c3187ed3afdea3f72019f80dda456fe8aacc234176cb6f411ec52f96f99f4ba",
+			planFrontend: "c427943d331e0a2f6dd1a5d48eefc180adf8429eaf6fc269a1e49ddd5ce1af12",
 		},
 		{
 			name: "hamming-distance", build: HammingDistance().Build, optimize: synth.Optimize,
 			frontend:     "28f2a9d1511862a975b441707960be7ecdcd94d22254e6058794c8e9c5b2aa48",
 			synthesized:  "28f2a9d1511862a975b441707960be7ecdcd94d22254e6058794c8e9c5b2aa48",
 			planWorkers1: "3fd2ce959edea0f671c02be957c59ee1c775fe9a88301c5f65fd394a0e8a7ef6",
-			planWorkers2: "139f6abcbb1ea7c68766b33cac80ff585b4d55d0c96b634e1ff57c2030410dac",
-			planFrontend: "139f6abcbb1ea7c68766b33cac80ff585b4d55d0c96b634e1ff57c2030410dac",
+			planFrontend: "3fd2ce959edea0f671c02be957c59ee1c775fe9a88301c5f65fd394a0e8a7ef6",
 		},
 	}
 	for _, r := range rows {
@@ -140,17 +136,18 @@ func TestCompilePathPinned(t *testing.T) {
 			}
 			check("frontend netlist", netlistHash(nl), r.frontend)
 			check("synthesized netlist", netlistHash(res.Netlist), r.synthesized)
-			for _, w := range []struct {
-				workers int
-				want    string
-			}{{1, r.planWorkers1}, {2, r.planWorkers2}} {
-				p, err := plan.Compile(res.Netlist, w.workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("plan fingerprint", p.Fingerprint(), w.want)
+			p, err := plan.Compile(res.Netlist)
+			if err != nil {
+				t.Fatal(err)
 			}
-			p, err := plan.Compile(nl, 2)
+			check("plan fingerprint", p.Fingerprint(), r.planWorkers1)
+			// The worker count bench/ still passes is ignored.
+			p2, err := plan.Compile(res.Netlist, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("plan fingerprint at two workers", p2.Fingerprint(), p.Fingerprint())
+			p, err = plan.Compile(nl)
 			if err != nil {
 				t.Fatal(err)
 			}
