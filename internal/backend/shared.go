@@ -90,6 +90,11 @@ type SharedKey struct {
 // join key for SharedStats.TenantPicks/TenantQueued).
 func (k *SharedKey) ID() int64 { return k.id }
 
+// DefaultBatch is the batch size a shared executor is built with when its
+// owner has no reason to pick another: pytfhed's default and every cluster
+// worker's.
+const DefaultBatch = 16
+
 // NewShared starts a shared executor with the given worker count (minimum
 // 1) that groups up to batch bootstrapped instructions of one tenant —
 // across its concurrent requests — per kernel dispatch (batch <= 1:

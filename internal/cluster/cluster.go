@@ -37,9 +37,10 @@ func init() { wire.Register() }
 // added the Welcome handshake (version + key-hash check) and the sharded
 // plan-replay messages; version 3 removed per-gate job dispatch; version 4
 // ships the key-switching key as flat rows (and hashes it under the v3
-// KeyHash tag). Peers of another version are rejected with a typed error
+// KeyHash tag); version 5 numbers a shard's table densely (one Slots count,
+// fills copied into slots the worker owns). Peers of another version are rejected with a typed error
 // instead of a gob decode failure or an "unexpected message" downstream.
-const ProtoVersion = 4
+const ProtoVersion = 5
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (
@@ -579,7 +580,7 @@ func (w *Worker) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	ex := backend.NewShared(w.slots, shard.WorkerBatch)
+	ex := backend.NewShared(w.slots, backend.DefaultBatch)
 	defer ex.Close()
 	key, err := ex.RegisterKey(ck)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"pytfhe/internal/plan"
 	"pytfhe/internal/shard"
 	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/trand"
 )
 
@@ -323,7 +324,8 @@ func TestKeyBroadcastSize(t *testing.T) {
 // beyond the LUT limit must come back as an error reply (the coordinator
 // turns it into an application error), not panic the worker. A shard the
 // worker accepts is stepped, as the coordinator would; afterwards the same
-// worker must still install and run a well-formed shard.
+// worker must still install a well-formed shard, refuse malformed fills
+// into it, and run it.
 func TestWorkerRejectsMalformedShard(t *testing.T) {
 	sk, ck := keys(t)
 	coord := startCluster(t, ck, 1, 1)
@@ -355,12 +357,11 @@ func TestWorkerRejectsMalformedShard(t *testing.T) {
 		name   string
 		mutate func(*shard.Shard)
 	}{
-		{"negative local count", func(sh *shard.Shard) { sh.NumLocal = -5 }},
-		{"negative remote count", func(sh *shard.Shard) { sh.NumRemote = -1 }},
-		{"unaddressable local count", func(sh *shard.Shard) { sh.NumLocal = 1 << 62 }},
+		{"negative slot count", func(sh *shard.Shard) { sh.Slots = -1 }},
+		{"unaddressable slot count", func(sh *shard.Shard) { sh.Slots = 1 << 62 }},
 		{"operand outside the table", func(sh *shard.Shard) { sh.Levels[0][0].A = 1000 }},
 		{"LUT operand outside the table", func(sh *shard.Shard) { sh.Levels[0][0].Arity, sh.Levels[0][0].C = 3, -1 }},
-		{"output into a remote slot", func(sh *shard.Shard) { sh.Levels[0][0].Out = 0 }},
+		{"output into its operand's slot", func(sh *shard.Shard) { sh.Levels[0][0].Out = sh.Levels[0][0].A }},
 		{"LUT arity 7", func(sh *shard.Shard) { sh.Levels[0][0].Arity = 7 }},
 		{"export outside the table", func(sh *shard.Shard) { sh.Exports[0][0] = 1000 }},
 		{"export manifest missing", func(sh *shard.Shard) { sh.Exports = nil }},
@@ -389,6 +390,27 @@ func TestWorkerRejectsMalformedShard(t *testing.T) {
 
 	if rep, err := install(good); err != nil || rep.ShardReady == nil || !rep.ShardReady.Cached {
 		t.Fatalf("well-formed shard after the malformed ones: %+v, %v", rep, err)
+	}
+	// Fills arrive off the socket too: each malformed one is refused with
+	// an error reply and the connection stays usable.
+	fillCases := []struct {
+		name string
+		fill SlotSample
+	}{
+		{"fill slot past the table", SlotSample{Slot: int32(good.Slots), Val: in[0]}},
+		{"negative fill slot", SlotSample{Slot: -1, Val: in[0]}},
+		{"nil fill value", SlotSample{Slot: fills[0].Slot}},
+		{"fill of the wrong LWE dimension", SlotSample{Slot: fills[0].Slot, Val: lwe.NewSample(ck.Params.LWEDimension + 1)}},
+	}
+	for _, tc := range fillCases {
+		bad := append(slices.Clone(fills[1:]), tc.fill)
+		rep, err := roundTrip(w, Message{Step: &ShardStep{Hash: good.Hash, Fills: bad}}, 10*time.Second)
+		if err != nil {
+			t.Fatalf("%s: worker connection failed: %v", tc.name, err)
+		}
+		if rep.Error == "" {
+			t.Fatalf("%s: worker accepted the fill", tc.name)
+		}
 	}
 	rep, err := step(good)
 	if err != nil || rep.StepResult == nil || len(rep.StepResult.Exports) != 1 {

@@ -35,7 +35,8 @@ type ShardReady struct {
 	Cached bool
 }
 
-// SlotSample installs one ciphertext into a remote-input slot.
+// SlotSample installs one ciphertext into a shard slot (the worker copies
+// it).
 type SlotSample struct {
 	Slot int32
 	Val  *lwe.Sample
@@ -523,7 +524,8 @@ type shardHost struct {
 }
 
 // shardEntry pairs a cached shard with its value table. A run starts
-// with rt.Reset, so a slot the run has not written reads as unwritten.
+// with rt.Reset, so a slot the run has not written or filled reads as
+// unwritten.
 type shardEntry struct {
 	sh *shard.Shard
 	rt *plan.Runtime
@@ -553,7 +555,7 @@ func (h *shardHost) install(sh *shard.Shard) Message {
 		return Message{Error: err.Error()}
 	}
 	rt := plan.NewRuntime(h.dim)
-	rt.Shape(sh.NumRemote, sh.NumLocal)
+	rt.Shape(0, sh.Slots)
 	h.shards.Add(sh.Hash, &shardEntry{sh: sh, rt: rt})
 	return Message{ShardReady: &ShardReady{Hash: sh.Hash, Cached: true}}
 }
@@ -566,7 +568,7 @@ func (h *shardHost) apply(ent *shardEntry, st *ShardStep) ([]*lwe.Sample, error)
 		return nil, fmt.Errorf("shard %d: level %d outside plan (%d levels)", sh.Index, st.Level, len(sh.Levels))
 	}
 	for _, f := range st.Fills {
-		if err := ent.rt.SetInput(int(f.Slot), f.Val); err != nil {
+		if err := ent.rt.Fill(int(f.Slot), f.Val); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 		}
 	}

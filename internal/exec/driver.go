@@ -23,7 +23,7 @@ func applyGate(eng *gate.Engine, st *State, g *circuit.Gate, out *lwe.Sample) er
 
 // releaseOperands drops one fan-out reference per operand slot of g,
 // recycling drained ciphertexts through mem.
-func releaseOperands(st *State, g *circuit.Gate, mem *Pool) {
+func releaseOperands(st *State, g *circuit.Gate, mem *Arena) {
 	for k := 0; k < g.NumOperands(); k++ {
 		st.Release(g.Operand(k), mem)
 	}
@@ -44,12 +44,12 @@ func countGates(nl *circuit.Netlist, stats *Stats) {
 }
 
 // RunSequential is the single-core driver: gates evaluate in netlist
-// order on one engine, recycling operands through a refcounted Pool the
-// moment their fan-out drains. This is the Single backend's policy, and
+// order on one engine, recycling operands through the Arena the moment
+// their fan-out drains. This is the Single backend's policy, and
 // the reference every other executor is compared against.
 func RunSequential(eng *gate.Engine, nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, Stats, error) {
 	dim := eng.Params().LWEDimension
-	mem := NewPool(dim)
+	mem := NewArena(dim)
 	st, err := NewState(nl, inputs, dim)
 	if err != nil {
 		return nil, Stats{}, err
@@ -79,13 +79,13 @@ func RunSequential(eng *gate.Engine, nl *circuit.Netlist, inputs []*lwe.Sample) 
 // RunLevels is the wavefront driver implementing Algorithm 1 of the
 // paper: a BFS over the gate DAG that submits every ready gate of a
 // level to the workers and barriers before the next level. This is the
-// Pool backend's policy. The ciphertext pool is touched only between
-// barriers (output slots are claimed before a level starts, operands
-// released after it completes), so one non-concurrent Pool serves all
-// workers and no worker can free a ciphertext another is still reading.
+// Pool backend's policy. The arena is touched only between barriers
+// (output slots are claimed before a level starts, operands released after
+// it completes), so no worker can free a ciphertext another is still
+// reading.
 func RunLevels(ws *Workers, nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, Stats, error) {
 	dim := ws.Dim()
-	mem := NewPool(dim)
+	mem := NewArena(dim)
 	st, err := NewState(nl, inputs, dim)
 	if err != nil {
 		return nil, Stats{}, err

@@ -11,10 +11,10 @@
 //     compares against) and RunLevels (Algorithm 1 of the paper: wavefront
 //     and barrier, the baseline of Fig. 10);
 //   - what they run over: typed input validation, the node→ciphertext value
-//     table with fan-out refcount release (State), ciphertext recycling
-//     (the refcounted free-list Pool of the netlist drivers, the
-//     compile-time liveness Arena of plans), per-worker engine sets, Stats
-//     and output collection.
+//     table with fan-out refcount release (State), the one ciphertext
+//     recycler (Arena: fed by State releases in the netlist drivers, by
+//     compile-time liveness in plans), per-worker engine sets, Stats and
+//     output collection.
 //
 // Every other multi-worker run is a compiled plan, scheduled by
 // backend.Shared rather than here; the backends of internal/backend are
@@ -64,8 +64,8 @@ func CheckRawInputs(inputs []*lwe.Sample, want, dim int) error {
 // netlist node (inputs installed at construction), plus the atomic fan-out
 // refcounts that drive ciphertext recycling. Inputs are never recycled (the
 // caller owns them) and outputs hold one fan-out reference each
-// (circuit.FanOut counts them), so a result can never be returned to a
-// Pool before Collect reads it, even when the output node also feeds
+// (circuit.FanOut counts them), so a result can never be returned to the
+// Arena before Collect reads it, even when the output node also feeds
 // interior gates.
 type State struct {
 	nl *circuit.Netlist
@@ -99,7 +99,7 @@ func NewState(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) (*State, error
 // number of workers may release concurrently; every reader decrements only
 // after finishing its own evaluation, so nobody can still be reading a
 // slot that reaches zero.
-func (s *State) Release(id circuit.NodeID, mem *Pool) {
+func (s *State) Release(id circuit.NodeID, mem *Arena) {
 	if id <= 0 || s.nl.IsInput(id) {
 		return
 	}

@@ -6,50 +6,19 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// Pool and Arena recycle ciphertexts. Get hands out a sample the caller
-// owns until it is published into a value table, returned, or handed back
-// with Put. internal/lint checks both contracts statically: its
-// leaked-ciphertext analyzer reports a Get that some return path drops,
-// and unsynced-exec-state a Pool that a goroutine captured instead of
-// owning.
-
-// Pool is the netlist drivers' recycler: a free list fed by State releases,
-// so peak allocation follows the live frontier of the DAG rather than the
-// whole program (a 2M-gate MNIST netlist would otherwise hold ~5 GB). Not
-// safe for concurrent use: RunLevels touches it only between barriers,
-// never from a worker goroutine.
-type Pool struct {
-	dim  int
-	free []*lwe.Sample
-}
-
-// NewPool returns a free-list pool allocating ciphertexts of the given LWE
-// dimension.
-func NewPool(dim int) *Pool { return &Pool{dim: dim} }
-
-// Get returns a recycled ciphertext, or a fresh one.
-func (p *Pool) Get() *lwe.Sample {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s
-	}
-	return lwe.NewSample(p.dim)
-}
-
-// Put takes a ciphertext back (nil is ignored).
-func (p *Pool) Put(s *lwe.Sample) {
-	if s != nil {
-		p.free = append(p.free, s)
-	}
-}
-
-// Arena is the plan replay recycler: slots are bound once per plan by the
-// compile-time liveness analysis instead of refcounted at runtime, so it
-// additionally accounts the live population — HighWater is the figure the
-// Planned backend and pytfhed report as arena occupancy. Safe for
-// concurrent use: replay workers share one arena, and the lock is
-// amortized against multi-millisecond bootstraps.
+// Arena is the execution core's one ciphertext recycler: a free list
+// behind a lock, which also accounts the live population. The netlist
+// drivers feed it from State releases, so peak allocation follows the live
+// frontier of the DAG rather than the whole program (a 2M-gate MNIST
+// netlist would otherwise hold ~5 GB); plan runtimes bind its samples to
+// slots once per plan by the compile-time liveness analysis, and HighWater
+// is the figure the Planned backend and pytfhed report as arena occupancy.
+// Safe for concurrent use: the lock is amortized against
+// multi-millisecond bootstraps.
+//
+// Get hands out a sample the caller owns until it is published into a
+// value table, returned, or handed back with Put. internal/lint's
+// leaked-ciphertext analyzer reports a Get that some return path drops.
 type Arena struct {
 	mu        sync.Mutex
 	dim       int
@@ -58,7 +27,7 @@ type Arena struct {
 	highWater int
 }
 
-// NewArena returns a liveness arena allocating ciphertexts of the given
+// NewArena returns an arena allocating ciphertexts of the given
 // LWE dimension.
 func NewArena(dim int) *Arena { return &Arena{dim: dim} }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // leakedCiphertext verifies acquire/release balance on the execution
-// core's ciphertext recyclers, exec.Pool and exec.Arena: a sample obtained
+// core's ciphertext recycler, exec.Arena: a sample obtained
 // with Get must, on every path, either be published into a value table
 // (assigned through an index or selector expression), returned to the
 // caller, or handed back with Put before the function returns. An early
@@ -22,10 +22,10 @@ type leakedCiphertext struct{}
 
 func (*leakedCiphertext) Name() string { return "leaked-ciphertext" }
 func (*leakedCiphertext) Doc() string {
-	return "exec.Pool/exec.Arena Get without Put or publish on some return path"
+	return "exec.Arena Get without Put or publish on some return path"
 }
 
-// Match applies everywhere: the recyclers are identified by type.
+// Match applies everywhere: the recycler is identified by type.
 func (*leakedCiphertext) Match(string) bool { return true }
 
 func (a *leakedCiphertext) Check(m *Module, pkg *Package) []Finding {
@@ -143,7 +143,7 @@ func (w *leakWalker) walkCaseBodies(body *ast.BlockStmt) {
 // handleAssign tracks acquisitions (x := mem.Get()) and publications
 // (values[id] = x, s.field = x, y = x).
 func (w *leakWalker) handleAssign(st *ast.AssignStmt) {
-	if len(st.Rhs) == 1 && w.isPoolGet(st.Rhs[0]) && len(st.Lhs) == 1 {
+	if len(st.Rhs) == 1 && w.isArenaGet(st.Rhs[0]) && len(st.Lhs) == 1 {
 		if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 			if v := w.varOf(id); v != nil {
 				w.held[v] = st.Rhs[0].Pos()
@@ -190,7 +190,7 @@ func (w *leakWalker) dischargeStores(e ast.Expr) {
 // a held ciphertext to any other call (bt.Do writes into it) keeps it held.
 func (w *leakWalker) dischargeCallArgs(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" || !w.isPoolExpr(sel.X) {
+	if !ok || sel.Sel.Name != "Put" || !w.isArenaExpr(sel.X) {
 		return
 	}
 	for _, arg := range call.Args {
@@ -213,21 +213,20 @@ func (w *leakWalker) dischargeUses(e ast.Expr) {
 	})
 }
 
-// isPoolGet reports whether e is a Get() call on a recycler.
-func (w *leakWalker) isPoolGet(e ast.Expr) bool {
+// isArenaGet reports whether e is a Get() call on a recycler.
+func (w *leakWalker) isArenaGet(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Get" && w.isPoolExpr(sel.X)
+	return ok && sel.Sel.Name == "Get" && w.isArenaExpr(sel.X)
 }
 
-// isPoolExpr reports whether e is an exec.Pool or exec.Arena (or a pointer
-// to one), wherever it is used.
-func (w *leakWalker) isPoolExpr(e ast.Expr) bool {
-	t := w.pkg.Info.TypeOf(e)
-	return isType(t, "internal/exec", "Pool") || isType(t, "internal/exec", "Arena")
+// isArenaExpr reports whether e is an exec.Arena (or a pointer to one),
+// wherever it is used.
+func (w *leakWalker) isArenaExpr(e ast.Expr) bool {
+	return isType(w.pkg.Info.TypeOf(e), "internal/exec", "Arena")
 }
 
 // varOf resolves an identifier to its *types.Var, or nil.

@@ -132,27 +132,24 @@ func TestLockedBootstrapFindings(t *testing.T) {
 }
 
 // TestLeakedCiphertextFindings: RunSequential's error path without Put
-// (exec.Pool) and Interp.Run's operand check after taking a slot
-// (exec.Arena). RunLevels and RunLevelsBarriered put back and are clean.
+// and Interp.Run's operand check after taking a slot, both on an
+// exec.Arena. RunLevels puts back on its error path and is clean.
 func TestLeakedCiphertextFindings(t *testing.T) {
 	requireFindings(t, "leaked-ciphertext",
 		"exec.go: ciphertext out", "replay.go: ciphertext out")
 }
 
 // TestUnsyncedExecStateFindings: four run-state touches from the service
-// layer, then the captured Pool (Get and Put) of a RunLevels whose
-// workers claim their own outputs, and a goroutine filling a captured
-// shard runtime's input slot. RunLevelsBarriered, which uses its Pool
-// only around the barrier, is clean.
+// layer, then a goroutine filling a captured shard runtime's slot. The
+// goroutine handed its runtime as a parameter, and RunLevels' workers
+// sharing the locked Arena, are clean.
 func TestUnsyncedExecStateFindings(t *testing.T) {
 	requireFindings(t, "unsynced-exec-state",
 		"server.go: exec.State.Values touched",
-		"server.go: exec.Pool.Get touched",
-		"server.go: exec.Pool.Put touched",
-		"server.go: plan.Runtime.SetInput touched",
-		"exec.go: Get on single-owner exec.Pool mem captured",
-		"exec.go: Put on single-owner exec.Pool mem captured",
-		"worker.go: SetInput on the input slots of plan.Runtime rt captured")
+		"server.go: exec.Arena.Get touched",
+		"server.go: exec.Arena.Put touched",
+		"server.go: plan.Runtime.Fill touched",
+		"worker.go: Fill on the slots of plan.Runtime rt captured")
 }
 
 // TestRepositoryIsClean is the acceptance gate: the suite must exit clean
@@ -178,6 +175,16 @@ func TestAnalyzerTargetsExist(t *testing.T) {
 	for _, st := range execStateTypes {
 		if lookup(st.pkg, st.name) == nil {
 			t.Errorf("run-state type %s.%s does not exist", st.pkg, st.name)
+		}
+	}
+	for _, ct := range captureTargets {
+		obj := lookup(ct.pkg, ct.name)
+		if obj == nil {
+			t.Errorf("capture target %s.%s does not exist", ct.pkg, ct.name)
+			continue
+		}
+		if fn, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, obj.Pkg(), ct.method); fn == nil {
+			t.Errorf("capture target %s.%s has no method %s", ct.pkg, ct.name, ct.method)
 		}
 	}
 	for key := range expensiveCalls {

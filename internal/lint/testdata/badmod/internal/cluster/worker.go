@@ -50,6 +50,13 @@ func (w *Worker) step(hash string, it *plan.Interp, instrs []plan.Instr) error {
 // fill installs a boundary ciphertext from a goroutine that captured rt.
 func fill(rt *plan.Runtime, c *gate.Ciphertext, done chan<- error) {
 	go func() {
-		done <- rt.SetInput(0, c) // finding: captured runtime
+		done <- rt.Fill(0, c) // finding: captured runtime
 	}()
+}
+
+// fillOwned hands the runtime to the goroutine as a parameter: clean.
+func fillOwned(rt *plan.Runtime, c *gate.Ciphertext, done chan<- error) {
+	go func(rt *plan.Runtime) {
+		done <- rt.Fill(0, c)
+	}(rt)
 }

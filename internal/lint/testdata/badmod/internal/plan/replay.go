@@ -46,9 +46,12 @@ func (rt *Runtime) Exec(it *Interp, instrs []Instr) error {
 	return it.Run(instrs, rt.vals, rt.pool)
 }
 
-// SetInput installs one input ciphertext, as a cluster worker fills a
-// shard's remote slots.
-func (rt *Runtime) SetInput(slot int, c *gate.Ciphertext) error {
-	rt.vals[slot] = c
+// Fill copies one ciphertext into an arena slot, as a cluster worker
+// installs the router's values into a shard's slots.
+func (rt *Runtime) Fill(slot int, c *gate.Ciphertext) error {
+	if rt.vals[slot] == nil {
+		rt.vals[slot] = rt.pool.Get()
+	}
+	*rt.vals[slot] = *c
 	return nil
 }

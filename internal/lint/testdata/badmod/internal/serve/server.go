@@ -13,12 +13,12 @@ func Snapshot(st *exec.State) int {
 	return len(st.Values) // finding: exec.State
 }
 
-// Recycle drives the executor's pool.
-func Recycle(p *exec.Pool) {
-	p.Put(p.Get()) // findings: exec.Pool Put and Get
+// Recycle drives the executor's arena.
+func Recycle(a *exec.Arena) {
+	a.Put(a.Get()) // findings: exec.Arena Put and Get
 }
 
-// InstallInput writes a plan runtime's input slot.
+// InstallInput fills a plan runtime's slot.
 func InstallInput(rt *plan.Runtime, c *gate.Ciphertext) error {
-	return rt.SetInput(0, c) // finding: plan.Runtime
+	return rt.Fill(0, c) // finding: plan.Runtime
 }

@@ -6,12 +6,12 @@ package shard
 import "errors"
 
 // Shard mirrors a shard program shipped off a socket.
-type Shard struct{ NumLocal int }
+type Shard struct{ Slots int }
 
 // Validate rejects a malformed shard.
 func (sh *Shard) Validate() error {
-	if sh.NumLocal < 0 {
-		return errors.New("shard: negative local slot count")
+	if sh.Slots < 0 {
+		return errors.New("shard: negative slot count")
 	}
 	return nil
 }

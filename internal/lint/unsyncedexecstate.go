@@ -6,33 +6,31 @@ import (
 )
 
 // unsyncedExecState enforces the ownership discipline around the execution
-// core's run state. exec.Pool is single-owner (RunLevels touches it only
-// between barriers), exec.Arena carries its own lock, exec.State's value
-// table is written under the drivers' ordering, and a plan.Runtime's input
-// slots are written only between runs — by Bind, or by a cluster worker's
-// serve loop filling a shard's remote slots — never while the slice
-// scheduler's workers evaluate over it. Two rules keep that
-// machine-checked:
+// core's run state. exec.Arena carries its own lock, exec.State's value
+// table is written under the drivers' ordering, and a plan.Runtime's slots
+// are filled only between levels — by Bind, or by a cluster worker's serve
+// loop copying the router's values into a shard's slots (Fill) — never
+// while the slice scheduler's workers evaluate over it. Two rules keep
+// that machine-checked:
 //
 //  1. Layering: only the executor layers (internal/exec, internal/backend,
-//     internal/plan, internal/cluster) may touch
-//     exec.State, exec.Pool, exec.Arena or plan.Runtime at all. A
-//     service- or CLI-layer package reading State.Values or calling
-//     Pool.Get reaches around every invariant the executors maintain
-//     (refcounted release, per-dimension recycling, level ordering).
+//     internal/plan, internal/cluster) may touch exec.State, exec.Arena or
+//     plan.Runtime at all. A service- or CLI-layer package reading
+//     State.Values or calling Arena.Get reaches around every invariant
+//     the executors maintain (refcounted release, per-dimension
+//     recycling, level ordering).
 //
 //  2. Goroutine capture: a function literal launched with `go` must not
-//     call Get/Put on an exec.Pool — or SetInput on a plan.Runtime — it
-//     captured from the enclosing scope; that silently turns one owner
-//     into two. Using it outside the goroutines, as RunLevels does before
-//     and after each level's barrier, handing it in through the literal's
-//     parameter list, or declaring a fresh one inside the goroutine is
-//     fine.
+//     call a captureTargets method — Fill on a plan.Runtime — on a value
+//     it captured from the enclosing scope; that silently turns the serve
+//     loop's one writer into two. Handing the runtime in through the
+//     literal's parameter list, or declaring a fresh one inside the
+//     goroutine, is fine.
 type unsyncedExecState struct{}
 
 func (*unsyncedExecState) Name() string { return "unsynced-exec-state" }
 func (*unsyncedExecState) Doc() string {
-	return "exec run state touched outside the executor layers or via a goroutine-captured pool"
+	return "exec run state touched outside the executor layers or filled from a goroutine that captured it"
 }
 
 // Match applies everywhere: rule 1 gates on the package path itself and
@@ -93,9 +91,15 @@ func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) 
 	return findings
 }
 
-// checkGoroutines reports Get/Put calls on a captured exec.Pool — and
-// SetInput calls on a captured plan.Runtime — inside go-launched function
-// literals.
+// captureTargets are the methods rule 2 forbids a goroutine to call on a
+// captured receiver, by package under internal/, type and method, with the
+// state each one writes.
+var captureTargets = [...]struct{ pkg, name, method, what string }{
+	{"plan", "Runtime", "Fill", "the slots of plan.Runtime"},
+}
+
+// checkGoroutines reports captureTargets calls on a captured receiver
+// inside go-launched function literals.
 func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File) []Finding {
 	var findings []Finding
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -118,12 +122,12 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 			}
 			var what string
 			t := pkg.Info.TypeOf(sel.X)
-			switch {
-			case (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") && isType(t, "internal/exec", "Pool"):
-				what = "single-owner exec.Pool"
-			case sel.Sel.Name == "SetInput" && isType(t, "internal/plan", "Runtime"):
-				what = "the input slots of plan.Runtime"
-			default:
+			for _, ct := range captureTargets {
+				if sel.Sel.Name == ct.method && isType(t, "internal/"+ct.pkg, ct.name) {
+					what = ct.what
+				}
+			}
+			if what == "" {
 				return true
 			}
 			root := rootIdent(sel.X)
@@ -153,7 +157,7 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 // execStateTypes are the run-state types rule 1 guards, by package under
 // internal/.
 var execStateTypes = [...]struct{ pkg, name string }{
-	{"exec", "State"}, {"exec", "Pool"}, {"exec", "Arena"}, {"plan", "Runtime"},
+	{"exec", "State"}, {"exec", "Arena"}, {"plan", "Runtime"},
 }
 
 // execStateType reports whether t (or *t) is one of the run-state types,

@@ -1,16 +1,19 @@
 package plan
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"pytfhe/internal/circuit"
+	"pytfhe/internal/exec"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
+	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/trand"
 )
 
@@ -358,6 +361,60 @@ func TestRuntimeReset(t *testing.T) {
 	}
 	if rt.HighWater() != 2 {
 		t.Fatalf("high water after reset = %d, want 2", rt.HighWater())
+	}
+}
+
+// TestRuntimeFill pins Fill, the way a cluster worker installs the
+// router's values: the runtime keeps nothing of the value it is given, a
+// refill reuses the slot's ciphertext, Reset returns filled slots, and an
+// input slot, a slot outside the table, a nil value or a wrong dimension
+// is refused without taking a ciphertext.
+func TestRuntimeFill(t *testing.T) {
+	rt := NewRuntime(4)
+	rt.Shape(1, 2)
+	v := lwe.NewSample(4)
+	v.B = 7
+	if err := rt.Fill(1, v); err != nil {
+		t.Fatal(err)
+	}
+	got := rt.Value(1)
+	if got == nil || got == v {
+		t.Fatal("Fill must copy into a ciphertext the runtime owns")
+	}
+	v.B = 9
+	if got.B != 7 {
+		t.Fatal("a change to the filled value reached the runtime")
+	}
+	if err := rt.Fill(1, v); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Value(1) != got || got.B != 9 || rt.pool.Live() != 1 {
+		t.Fatalf("refill: same ciphertext %v, B = %d, live = %d; want true, 9, 1", rt.Value(1) == got, got.B, rt.pool.Live())
+	}
+	for _, tc := range []struct {
+		name string
+		slot int
+		v    *lwe.Sample
+	}{
+		{"input slot", 0, v},
+		{"past the table", 3, v},
+		{"negative slot", -1, v},
+		{"nil value", 2, nil},
+		{"wrong dimension", 2, lwe.NewSample(5)},
+	} {
+		if err := rt.Fill(tc.slot, tc.v); err == nil {
+			t.Errorf("%s: Fill accepted", tc.name)
+		}
+	}
+	if err := rt.Fill(2, nil); !errors.Is(err, exec.ErrNilInput) {
+		t.Errorf("nil value: %v, want ErrNilInput", err)
+	}
+	if live := rt.pool.Live(); live != 1 || rt.Value(2) != nil {
+		t.Fatalf("refused fills left %d samples live (want 1) or wrote slot 2", live)
+	}
+	rt.Reset()
+	if live := rt.pool.Live(); live != 0 || rt.Value(1) != nil {
+		t.Fatalf("reset left %d samples live, want 0", live)
 	}
 }
 

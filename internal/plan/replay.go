@@ -13,8 +13,9 @@ import (
 // rebound, of any plan at the same LWE dimension — which is what makes the
 // second and later runs allocation-free (output ciphertexts excepted — the
 // caller owns those). A Runtime serves one replay at a time. Shards run
-// over it too: a cluster worker keeps one per cached shard, whose remote
-// slots are its input slots (SetInput) and whose exports it reads (Value).
+// over it too: a cluster worker keeps one per cached shard, with no input
+// slots; the router's values are copied into its slots (Fill) and its
+// exports read back (Value).
 type Runtime struct {
 	dim int
 	// pool is the shared execution core's liveness arena: slots are bound
@@ -24,7 +25,8 @@ type Runtime struct {
 	pool *exec.Arena
 	// vals is the ref-indexed value table: the first numInputs entries
 	// are the caller's input ciphertexts (rebound per replay), the rest
-	// are arena slots allocated lazily the first time a level writes them.
+	// are arena slots allocated lazily the first time a level writes or a
+	// Fill copies into them.
 	vals      []*lwe.Sample
 	numInputs int
 }
@@ -37,9 +39,9 @@ func NewRuntime(dim int) *Runtime { return &Runtime{dim: dim, pool: exec.NewAren
 // has held live at once across all replays.
 func (rt *Runtime) HighWater() int { return rt.pool.HighWater() }
 
-// Reset returns every arena ciphertext to the free list and drops the
-// inputs; the table keeps its shape, so a slot not written since reads as
-// unwritten.
+// Reset returns every arena ciphertext (filled slots included) to the free
+// list and drops the inputs; the table keeps its shape, so a slot not
+// written or filled since reads as unwritten.
 func (rt *Runtime) Reset() {
 	for i := range rt.vals {
 		if i >= rt.numInputs {
@@ -74,18 +76,24 @@ func (rt *Runtime) Shape(numInputs, slots int) {
 	}
 }
 
-// SetInput installs one input ciphertext, checked as Bind checks a run's
-// inputs. The runtime borrows it until Unbind or Reset.
-func (rt *Runtime) SetInput(slot int, v *lwe.Sample) error {
+// Fill copies v into arena slot slot, reusing the ciphertext the slot
+// already holds; the runtime keeps nothing of v. The slot, v and its LWE
+// dimension are checked, as Bind checks a run's inputs.
+func (rt *Runtime) Fill(slot int, v *lwe.Sample) error {
 	switch {
-	case slot < 0 || slot >= rt.numInputs:
-		return fmt.Errorf("plan: input slot %d outside [0,%d)", slot, rt.numInputs)
+	case slot < rt.numInputs || slot >= len(rt.vals):
+		return fmt.Errorf("plan: fill slot %d outside [%d,%d)", slot, rt.numInputs, len(rt.vals))
 	case v == nil:
-		return fmt.Errorf("%w: input slot %d", exec.ErrNilInput, slot)
+		return fmt.Errorf("%w: fill slot %d", exec.ErrNilInput, slot)
 	case v.Dimension() != rt.dim:
-		return fmt.Errorf("plan: input slot %d has dimension %d, want %d", slot, v.Dimension(), rt.dim)
+		return fmt.Errorf("plan: fill slot %d has dimension %d, want %d", slot, v.Dimension(), rt.dim)
 	}
-	rt.vals[slot] = v
+	out := rt.vals[slot]
+	if out == nil {
+		out = rt.pool.Get()
+		rt.vals[slot] = out
+	}
+	out.Copy(v)
 	return nil
 }
 

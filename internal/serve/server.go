@@ -124,7 +124,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultTimeout = 5 * time.Minute
 	}
 	if c.Batch < 1 {
-		c.Batch = 16
+		c.Batch = backend.DefaultBatch
 	}
 	if c.NoiseParams == nil {
 		c.NoiseParams = params.Default128()

@@ -20,8 +20,7 @@ func (sh *Shard) contentHash() string {
 	io.WriteString(h, sh.PlanHash) // sha256.Write cannot fail
 	writeShardInt(h, int64(sh.Index))
 	writeShardInt(h, int64(sh.Count))
-	writeShardInt(h, int64(sh.NumRemote))
-	writeShardInt(h, int64(sh.NumLocal))
+	writeShardInt(h, int64(sh.Slots))
 	writeShardInt(h, int64(len(sh.Levels)))
 	for li := range sh.Levels {
 		writeShardInt(h, int64(len(sh.Levels[li])))

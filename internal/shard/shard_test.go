@@ -75,7 +75,7 @@ func nandChains(chains, depth int) *circuit.Netlist {
 func evalSharded(s *Sharding, inputs []bool) []bool {
 	vals := make([][]bool, len(s.Shards))
 	for w, sh := range s.Shards {
-		vals[w] = make([]bool, sh.NumRemote+sh.NumLocal)
+		vals[w] = make([]bool, sh.Slots)
 	}
 	exports := make([]bool, s.CutEdges)
 	for li := range s.Plan.Levels() {
@@ -302,6 +302,40 @@ func TestVerifyCatchesSeededDefects(t *testing.T) {
 			t.Fatalf("dropped fill: got %v, want routing or semantics error", err)
 		}
 	})
+	t.Run("dropped-refill", func(t *testing.T) {
+		// A refill targets a slot that already holds an older value of the
+		// same plan ref — the shard's own write or an earlier fill — so
+		// dropping it leaves the slot defined but stale: only the operand
+		// comparison can catch it. Drop each such refill in turn.
+		_, s := build()
+		type at struct{ w, li, k int }
+		var refills []at
+		for w, sh := range s.Shards {
+			touched := make([]bool, sh.Slots)
+			for li := range sh.Levels {
+				for k, f := range s.Fills[w][li] {
+					if touched[f.Slot] {
+						refills = append(refills, at{w, li, k})
+					}
+					touched[f.Slot] = true
+				}
+				for _, ins := range sh.Levels[li] {
+					touched[ins.Out] = true
+				}
+			}
+		}
+		if len(refills) == 0 {
+			t.Fatal("no refill in decomposition")
+		}
+		for _, rf := range refills {
+			p, s := build()
+			fs := s.Fills[rf.w][rf.li]
+			s.Fills[rf.w][rf.li] = append(fs[:rf.k:rf.k], fs[rf.k+1:]...)
+			if _, err := Verify(p, s); !errors.Is(err, ErrRouting) {
+				t.Fatalf("dropped refill of shard %d level %d: got %v, want routing error", rf.w, rf.li, err)
+			}
+		}
+	})
 	t.Run("mutated-kind", func(t *testing.T) {
 		// Flip one instruction's kind at a time (rebuilding between
 		// attempts); at least one flip must land on a live instruction and
@@ -362,7 +396,7 @@ func TestVerifyCatchesSeededDefects(t *testing.T) {
 
 // runOnShared evaluates nl split two ways over real ciphertexts, the way
 // cluster workers and their router do: one plan.Runtime per shard, whose
-// input slots take the router's fills, every shard level run on a
+// slots take copies of the router's fills, every shard level run on a
 // backend.Shared, and every export copied off its producer as the wire
 // would. The decrypted outputs must match nl.Evaluate for each input word
 // in ms, and the executor must have counted exactly the plan's bootstraps.
@@ -377,7 +411,7 @@ func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := backend.NewShared(2, WorkerBatch)
+	ex := backend.NewShared(2, backend.DefaultBatch)
 	defer ex.Close()
 	key, err := ex.RegisterKey(ck)
 	if err != nil {
@@ -387,7 +421,7 @@ func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
 	rts := make([]*plan.Runtime, len(s.Shards))
 	for w, sh := range s.Shards {
 		rts[w] = plan.NewRuntime(dim)
-		rts[w].Shape(sh.NumRemote, sh.NumLocal)
+		rts[w].Shape(0, sh.Slots)
 	}
 	for _, m := range ms {
 		inBits := make([]bool, nl.NumInputs)
@@ -408,7 +442,7 @@ func runOnShared(t *testing.T, nl *circuit.Netlist, ms []uint64) {
 					} else {
 						v = exports[f.Export]
 					}
-					if err := rts[w].SetInput(int(f.Slot), v); err != nil {
+					if err := rts[w].Fill(int(f.Slot), v); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -61,8 +61,8 @@ func TestValidateRejectsDependentLevel(t *testing.T) {
 
 // FuzzShardValidate decodes a shard the way a worker does — gob off the
 // socket — and, for every shard Validate accepts, re-checks with its own
-// loop what the worker then relies on: every ref inside the value table,
-// outputs and exports local, LUT arities the engine has, and each level
+// loop what the worker then relies on: every ref, output and export inside
+// the value table, LUT arities the engine has, and each level
 // independent. Seeds are the two-way splits of two VIP-Bench kernels.
 func FuzzShardValidate(f *testing.F) {
 	for _, b := range []vipbench.Benchmark{vipbench.HammingDistance(), vipbench.DotProduct()} {
@@ -91,16 +91,14 @@ func FuzzShardValidate(f *testing.F) {
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&sh) != nil || sh.Validate() != nil {
 			return
 		}
-		refs := sh.NumRemote + sh.NumLocal
-		inTable := func(r int32) bool { return r >= 0 && int(r) < refs }
-		local := func(r int32) bool { return inTable(r) && int(r) >= sh.NumRemote }
+		inTable := func(r int32) bool { return r >= 0 && int(r) < sh.Slots }
 		if len(sh.Exports) != len(sh.Levels) {
 			t.Fatalf("accepted %d levels with %d export manifests", len(sh.Levels), len(sh.Exports))
 		}
 		for li, lv := range sh.Levels {
 			writes := make(map[int32]bool, len(lv))
 			for k, ins := range lv {
-				if !local(ins.Out) || writes[ins.Out] {
+				if !inTable(ins.Out) || writes[ins.Out] {
 					t.Fatalf("level %d instr %d: accepted write of ref %d", li, k, ins.Out)
 				}
 				writes[ins.Out] = true
@@ -120,7 +118,7 @@ func FuzzShardValidate(f *testing.F) {
 				}
 			}
 			for k, r := range sh.Exports[li] {
-				if !local(r) {
+				if !inTable(r) {
 					t.Fatalf("level %d export %d: accepted ref %d", li, k, r)
 				}
 			}

@@ -29,9 +29,10 @@ var (
 	// counts inconsistent with the plan, refs out of range, or manifest
 	// slices misaligned.
 	ErrShape = errors.New("shard: verify: malformed sharding")
-	// ErrRouting: the routing manifest is unsound — a remote slot read
-	// before any fill installs it, a fill consuming an export no earlier
-	// level produced, a local slot read before written, or export ids
+	// ErrRouting: the routing manifest is unsound — a slot read before
+	// any fill or instruction sets it, an operand reading a value other
+	// than the one the plan reads there (a missing or miswired fill), a
+	// fill consuming an export no earlier level produced, or export ids
 	// that do not cover [0, CutEdges) exactly once.
 	ErrRouting = errors.New("shard: verify: routing manifest inconsistent")
 	// ErrSemantics: a sharded instruction or output differs from the
@@ -44,7 +45,7 @@ type VerifyReport struct {
 	Shards       int
 	Instructions int
 	CutEdges     int // boundary ciphertexts routed per run
-	Fills        int // remote-slot installs per run (inputs + boundary)
+	Fills        int // slot installs per run (inputs + boundary)
 	Vectors      int
 	Exhaustive   bool
 }
@@ -59,7 +60,7 @@ func (r *VerifyReport) String() string {
 }
 
 // Verify extends plan verification to a shard decomposition: it re-derives
-// that routing the plan through s — filling remote slots level by level,
+// that routing the plan through s — filling slots level by level,
 // executing each shard's renumbered instructions, gathering exports — is
 // equivalent to replaying the plan directly. Structure first (ref ranges,
 // manifest alignment, export-id coverage, per-level instruction counts),
@@ -68,11 +69,13 @@ func (r *VerifyReport) String() string {
 // assignments per word in lockstep with the plan. Split places contiguous
 // runs of each level on shards 0..n-1 in order, so the shards' levels,
 // concatenated in shard order, stand for the plan's level instruction by
-// instruction: every sharded instruction is compared with its plan
-// instruction — a miswired value is caught even where no output observes
-// it — and the outputs with the unsharded plan's. Definedness is tracked
-// per slot, so a read of a never-filled remote slot or never-written local
-// slot is caught even when its garbage value happens to agree.
+// instruction: every operand a sharded instruction reads is compared with
+// the value its plan instruction reads, and its result with the plan's —
+// a miswired value is caught even where no output observes it — and the
+// outputs with the unsharded plan's. A slot keeps whatever it last held,
+// so a missing refill reads a stale value the operand comparison catches;
+// definedness is tracked per slot too, so a read of a slot nothing has set
+// this run is caught even when its leftover value happens to agree.
 func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 	if p == nil || s == nil {
 		return nil, fmt.Errorf("%w: nil plan or sharding", ErrShape)
@@ -123,9 +126,9 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 			}
 			for _, f := range s.Fills[w][li] {
 				report.Fills++
-				if f.Slot < 0 || f.Slot >= int32(sh.NumRemote) {
-					return nil, fmt.Errorf("%w: shard %d level %d fill targets slot %d (remotes are [0,%d))",
-						ErrShape, w, li, f.Slot, sh.NumRemote)
+				if f.Slot < 0 || f.Slot >= int32(sh.Slots) {
+					return nil, fmt.Errorf("%w: shard %d level %d fill targets slot %d (valid range [0,%d))",
+						ErrShape, w, li, f.Slot, sh.Slots)
 				}
 				switch {
 				case f.Input >= 0 && f.Export < 0:
@@ -186,8 +189,8 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 	words := make([][]uint64, n)
 	defined := make([][]bool, n)
 	for w, sh := range s.Shards {
-		words[w] = make([]uint64, sh.NumRemote+sh.NumLocal)
-		defined[w] = make([]bool, sh.NumRemote+sh.NumLocal)
+		words[w] = make([]uint64, sh.Slots)
+		defined[w] = make([]bool, sh.Slots)
 	}
 	for r := 0; r < rounds; r++ {
 		plan.SimFill(inWords, r, exhaustive, rng)
@@ -224,12 +227,18 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 			off := 0 // the plan instruction the next sharded one stands for
 			for w, sh := range s.Shards {
 				for k, ins := range sh.Levels[li] {
+					pi := lv[off]
 					if !defined[w][ins.A] || !defined[w][ins.B] || (ins.Arity >= 3 && !defined[w][ins.C]) {
 						return nil, fmt.Errorf("%w: shard %d level %d instr %d reads an undefined slot", ErrRouting, w, li, k)
 					}
+					if words[w][ins.A] != planWords[pi.A] || words[w][ins.B] != planWords[pi.B] ||
+						(ins.Arity >= 3 && words[w][ins.C] != planWords[pi.C]) {
+						return nil, fmt.Errorf("%w: shard %d level %d instr %d reads a value plan instr %d does not (round %d)",
+							ErrRouting, w, li, k, off, r)
+					}
 					words[w][ins.Out] = evalInstrWord(ins, words[w][ins.A], words[w][ins.B], words[w], ins.C)
 					defined[w][ins.Out] = true
-					if words[w][ins.Out] != planWords[lv[off].Out] {
+					if words[w][ins.Out] != planWords[pi.Out] {
 						return nil, fmt.Errorf("%w: shard %d level %d instr %d differs from plan instr %d (round %d)",
 							ErrSemantics, w, li, k, off, r)
 					}
