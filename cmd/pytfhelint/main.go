@@ -9,9 +9,13 @@
 // reports crypto-safety and concurrency-hygiene defects with five
 // analyzers: insecure-rand, discarded-error, locked-bootstrap,
 // leaked-ciphertext and unsynced-exec-state (DESIGN.md §8 names the bug
-// planted in the tree that each one reports). Exit status is 0 when no
-// findings survive, 1 when findings are reported, 2 on usage or load
-// errors.
+// planted in the tree that each one reports). The analyzers find what
+// they guard through //pytfhe: directives in the doc comments of the
+// guarded declarations; a malformed or misplaced directive
+// (pytfhe-directive) and a //lint:ignore that names no analyzer or
+// suppresses nothing (ignore-directive) are findings too. Exit status is
+// 0 when no findings survive, 1 when findings are reported, 2 on usage or
+// load errors.
 package main
 
 import (

@@ -32,6 +32,8 @@
 // arity 3 and the all-ones marker for arity 2, and field2 holds the truth
 // table (bit x₀·2^(k-1)|…|x₍k₋₁₎ = f(x₀..x₍k₋₁₎), at most 2^arity bits).
 // The header's gate count stays the count of logical gates, not words.
+//
+//pytfhe:errorcritical
 package asm
 
 import (

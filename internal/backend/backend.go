@@ -11,6 +11,9 @@
 // executor schedules it, is evaluated by exec.Batcher. The distributed
 // multi-node backend lives in internal/cluster; the GPU-simulator backend
 // in internal/gpu.
+//
+//pytfhe:errorcritical
+//pytfhe:execlayer
 package backend
 
 import (

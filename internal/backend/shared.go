@@ -345,6 +345,8 @@ func (r *sharedRun) settle() {
 // the inputs, then the outputs collected. It is safe to call from any
 // number of goroutines; the inputs are not modified and the caller keeps
 // ownership of them.
+//
+//pytfhe:bootstraps
 func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, RunCounts, error) {
 	if err := s.check(key); err != nil {
 		return nil, RunCounts{}, err
@@ -372,6 +374,8 @@ func (s *Shared) Submit(ctx context.Context, key *SharedKey, p *plan.Plan, input
 // the context is done, or the executor closes, and reports the run's share
 // of the worker set. However a run ends, Run returns only after every
 // worker has left rt. A released key fails with ErrKeyReleased.
+//
+//pytfhe:bootstraps
 func (s *Shared) Run(ctx context.Context, key *SharedKey, levels [][]plan.Instr, rt *plan.Runtime) (RunCounts, error) {
 	if err := s.check(key); err != nil {
 		return RunCounts{}, err

@@ -11,6 +11,9 @@
 // Messages are framed with encoding/gob. Workers may host multiple slots
 // (cores): the backend.Shared a worker runs shard levels on has one
 // scheduler worker, with its own gate engine, per slot.
+//
+//pytfhe:errorcritical
+//pytfhe:execlayer
 package cluster
 
 import (

@@ -4,6 +4,8 @@
 // and the command-line tools build on; the subsystems it composes live in
 // the sibling packages (tfhe/*, circuit, synth, asm, backend, cluster,
 // gpu, chiseltorch, vipbench, frameworks).
+//
+//pytfhe:cryptoroot
 package core
 
 import (

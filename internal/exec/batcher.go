@@ -54,6 +54,8 @@ func (bt *Batcher) Pending() int { return len(bt.ops) }
 // batch (joined is true): its operands must stay untouched and out is
 // final only once the batch has been dispatched, which Do does itself when
 // the batch fills — Pending is 0 afterwards — and Flush does on demand.
+//
+//pytfhe:bootstraps
 func (bt *Batcher) Do(op gate.Op, out, a, b, c *lwe.Sample) (joined bool, err error) {
 	if op.Arity > logic.MaxLUTArity || !op.IsLUT() && op.Kind >= logic.NumKinds {
 		// Shard instructions arrive off a socket, and the engine indexes by
@@ -76,6 +78,8 @@ func (bt *Batcher) Do(op gate.Op, out, a, b, c *lwe.Sample) (joined bool, err er
 
 // Flush dispatches the pending batch, if any, as one kernel call. The batch
 // is empty afterwards whether or not the dispatch failed.
+//
+//pytfhe:bootstraps
 func (bt *Batcher) Flush() error {
 	if len(bt.ops) == 0 {
 		return nil

@@ -23,6 +23,8 @@
 // The split mirrors the compiler/runtime factoring of CHET and MATCHA's
 // treatment of bootstrap scheduling as a policy over a fixed kernel
 // substrate: many compiled forms, one runtime that evaluates them.
+//
+//pytfhe:execlayer
 package exec
 
 import (
@@ -67,6 +69,8 @@ func CheckRawInputs(inputs []*lwe.Sample, want, dim int) error {
 // (circuit.FanOut counts them), so a result can never be returned to the
 // Arena before Collect reads it, even when the output node also feeds
 // interior gates.
+//
+//pytfhe:runstate
 type State struct {
 	nl *circuit.Netlist
 	// Values is the node-indexed ciphertext table; drivers publish each

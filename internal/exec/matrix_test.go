@@ -70,8 +70,8 @@ func randomDeepNetlist(rng *rand.Rand, nGates int) *circuit.Netlist {
 // level-barrier, plan replay at batch {1, 2, 8}) × worker counts
 // {1, 2, 3, 4, 7} must decrypt bit-identically to the plaintext reference
 // on randomized netlists whose outputs are also interior gate operands.
-// The netlist drivers recycle through the refcounted Pool, plan replay
-// through the Arena.
+// The netlist drivers, which release operands by refcount, and plan replay
+// both recycle through the Arena.
 func TestMatrixAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	rng := rand.New(rand.NewSource(1234))

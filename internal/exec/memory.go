@@ -19,6 +19,8 @@ import (
 // Get hands out a sample the caller owns until it is published into a
 // value table, returned, or handed back with Put. internal/lint's
 // leaked-ciphertext analyzer reports a Get that some return path drops.
+//
+//pytfhe:runstate
 type Arena struct {
 	mu        sync.Mutex
 	dim       int
@@ -32,6 +34,8 @@ type Arena struct {
 func NewArena(dim int) *Arena { return &Arena{dim: dim} }
 
 // Get returns a recycled ciphertext, or a fresh one, and counts it live.
+//
+//pytfhe:acquire
 func (a *Arena) Get() *lwe.Sample {
 	a.mu.Lock()
 	a.live++
@@ -49,6 +53,8 @@ func (a *Arena) Get() *lwe.Sample {
 }
 
 // Put takes a ciphertext back (nil is ignored).
+//
+//pytfhe:release
 func (a *Arena) Put(s *lwe.Sample) {
 	if s == nil {
 		return

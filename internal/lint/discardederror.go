@@ -5,37 +5,24 @@ import (
 	"go/types"
 )
 
-// errorCriticalDirs are the packages where a silently dropped error means a
-// corrupted program binary, a wrong homomorphic result, or a wedged
-// cluster — never an acceptable shortcut.
-var errorCriticalDirs = []string{
-	"internal/asm",
-	"internal/backend",
-	"internal/cluster",
-}
-
-// discardedError reports discarded error returns in the error-critical
-// packages: bare call statements whose results include an error, and
-// assignments of an error result to the blank identifier. Deferred and
-// go-routine calls are exempt (there is no local control flow to act on
-// the error), as are the fmt print family.
+// discardedError reports discarded error returns in the
+// //pytfhe:errorcritical packages, where a silently dropped error means a
+// corrupted program binary, a wrong homomorphic result or a wedged cluster:
+// bare call statements whose results include an error, and assignments of
+// an error result to the blank identifier. Deferred and go-routine calls
+// are exempt (there is no local control flow to act on the error), as are
+// the fmt print family.
 type discardedError struct{}
 
 func (*discardedError) Name() string { return "discarded-error" }
 func (*discardedError) Doc() string {
-	return "error return silently discarded in asm/backend/cluster"
-}
-
-func (*discardedError) Match(path string) bool {
-	for _, d := range errorCriticalDirs {
-		if pathHasDir(path, d) {
-			return true
-		}
-	}
-	return false
+	return "error return silently discarded in a //pytfhe:errorcritical package"
 }
 
 func (a *discardedError) Check(m *Module, pkg *Package) []Finding {
+	if !m.marked("errorcritical", pkg.Types) {
+		return nil
+	}
 	var findings []Finding
 	report := func(n ast.Node, msg string) {
 		findings = append(findings, Finding{

@@ -2,33 +2,21 @@ package lint
 
 import "strings"
 
-// cryptoRoots name the package directories whose code (and transitive
-// module-internal dependencies) must never touch math/rand: the TFHE
-// scheme itself, torus arithmetic, the secure sampler, and the key
-// generation surface. All randomness on these paths must come from
-// internal/trand, which is seeded from crypto/rand.
-var cryptoRoots = []string{
-	"internal/tfhe",
-	"internal/torus",
-	"internal/trand",
-	"internal/core",
-}
-
-// insecureRand reports math/rand imports in any package reachable from the
-// crypto roots. math/rand is deterministic and seedable; using it for key
-// material or ciphertext noise silently destroys the security of the
-// scheme (the classic TFHE deployment defect TFHE-Coder catalogues), so
-// the rule is reachability-based rather than per-package: a helper package
-// pulled into a key-generation path is held to the same standard.
+// insecureRand reports math/rand imports in any package reachable from a
+// //pytfhe:cryptoroot package: the TFHE scheme, torus arithmetic, the
+// secure sampler and the key-generation surface, whose randomness must all
+// come from a crypto/rand-seeded source. math/rand is deterministic and
+// seedable; using it for key material or ciphertext noise silently
+// destroys the security of the scheme (the classic TFHE deployment defect
+// TFHE-Coder catalogues), so the rule is reachability-based rather than
+// per-package: a helper package pulled into a key-generation path is held
+// to the same standard.
 type insecureRand struct{}
 
 func (*insecureRand) Name() string { return "insecure-rand" }
 func (*insecureRand) Doc() string {
-	return "math/rand imported by code reachable from the TFHE/torus/keygen packages"
+	return "math/rand imported by code reachable from a //pytfhe:cryptoroot package"
 }
-
-// Match accepts every package; reachability is decided in Check.
-func (*insecureRand) Match(string) bool { return true }
 
 func (a *insecureRand) Check(m *Module, pkg *Package) []Finding {
 	if !reachableFromCryptoRoots(m)[pkg.Path] {
@@ -42,7 +30,7 @@ func (a *insecureRand) Check(m *Module, pkg *Package) []Finding {
 				findings = append(findings, Finding{
 					Analyzer: a.Name(),
 					Pos:      m.Fset.Position(imp.Pos()),
-					Message:  "package on a crypto path imports " + path + "; use internal/trand (crypto/rand-seeded) instead",
+					Message:  "package on a crypto path imports " + path + "; draw from a crypto/rand-seeded source instead",
 				})
 			}
 		}
@@ -60,25 +48,18 @@ func reachableFromCryptoRoots(m *Module) map[string]bool {
 	reach := map[string]bool{}
 	var visit func(path string)
 	visit = func(path string) {
-		if reach[path] {
-			return
-		}
 		pkg, ok := m.Packages[path]
-		if !ok {
+		if reach[path] || !ok {
 			return
 		}
 		reach[path] = true
-		for _, imp := range pkg.Imports {
-			if imp == m.Path || strings.HasPrefix(imp, m.Path+"/") {
-				visit(imp)
-			}
+		for _, imp := range pkg.Types.Imports() {
+			visit(imp.Path())
 		}
 	}
-	for path := range m.Packages {
-		for _, root := range cryptoRoots {
-			if pathHasDir(path, root) {
-				visit(path)
-			}
+	for path, pkg := range m.Packages {
+		if m.marked("cryptoroot", pkg.Types) {
+			visit(path)
 		}
 	}
 	m.cryptoReach = reach

@@ -6,27 +6,24 @@ import (
 	"go/types"
 )
 
-// leakedCiphertext verifies acquire/release balance on the execution
-// core's ciphertext recycler, exec.Arena: a sample obtained
-// with Get must, on every path, either be published into a value table
-// (assigned through an index or selector expression), returned to the
-// caller, or handed back with Put before the function returns. An early
-// `return err` that forgets the Put leaks one ciphertext per failing gate
-// — exactly the imbalance that turns a long MNIST run into an OOM.
+// leakedCiphertext verifies acquire/release balance on the ciphertext
+// recycler: a sample obtained from a //pytfhe:acquire call must, on every
+// path, either be published into a value table (assigned through an index
+// or selector expression), returned to the caller, or handed to a
+// //pytfhe:release call before the function returns. An early
+// `return err` that forgets the release leaks one ciphertext per failing
+// gate — exactly the imbalance that turns a long MNIST run into an OOM.
 //
 // The walker is branch-aware but deliberately optimistic: a release on any
 // branch counts as a release, so it only reports paths where no release
 // can be proven anywhere. That keeps it free of false positives on the
-// real drivers while still catching the forgotten Put.
+// real drivers while still catching the forgotten release.
 type leakedCiphertext struct{}
 
 func (*leakedCiphertext) Name() string { return "leaked-ciphertext" }
 func (*leakedCiphertext) Doc() string {
-	return "exec.Arena Get without Put or publish on some return path"
+	return "//pytfhe:acquire result neither released nor published on some return path"
 }
-
-// Match applies everywhere: the recycler is identified by type.
-func (*leakedCiphertext) Match(string) bool { return true }
 
 func (a *leakedCiphertext) Check(m *Module, pkg *Package) []Finding {
 	var findings []Finding
@@ -79,13 +76,19 @@ func (w *leakWalker) walkStmts(stmts []ast.Stmt) {
 func (w *leakWalker) walkStmt(s ast.Stmt) {
 	switch st := s.(type) {
 	case *ast.AssignStmt:
-		w.handleAssign(st)
+		w.handleAssign(st.Lhs, st.Rhs)
+	case *ast.DeclStmt:
+		for _, spec := range st.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Names) == 1 {
+				w.handleAssign([]ast.Expr{vs.Names[0]}, vs.Values) // var x = acquire()
+			}
+		}
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
 			w.dischargeCallArgs(call)
 		}
 	case *ast.DeferStmt:
-		w.dischargeCallArgs(st.Call) // defer mem.Put(x) releases x
+		w.dischargeCallArgs(st.Call) // defer release(x) releases x
 	case *ast.ReturnStmt:
 		for _, e := range st.Results {
 			w.dischargeUses(e) // returning x transfers ownership out
@@ -95,9 +98,7 @@ func (w *leakWalker) walkStmt(s ast.Stmt) {
 			delete(w.held, v) // one report per acquisition
 		}
 	case *ast.IfStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
+		w.walkStmt(st.Init)
 		w.walkStmt(st.Body)
 		if st.Else != nil {
 			w.walkStmt(st.Else)
@@ -105,16 +106,12 @@ func (w *leakWalker) walkStmt(s ast.Stmt) {
 	case *ast.BlockStmt:
 		w.walkStmts(st.List)
 	case *ast.ForStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
+		w.walkStmt(st.Init)
 		w.walkStmt(st.Body)
 	case *ast.RangeStmt:
 		w.walkStmt(st.Body)
 	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
+		w.walkStmt(st.Init)
 		w.walkCaseBodies(st.Body)
 	case *ast.TypeSwitchStmt:
 		w.walkCaseBodies(st.Body)
@@ -140,13 +137,13 @@ func (w *leakWalker) walkCaseBodies(body *ast.BlockStmt) {
 	}
 }
 
-// handleAssign tracks acquisitions (x := mem.Get()) and publications
-// (values[id] = x, s.field = x, y = x).
-func (w *leakWalker) handleAssign(st *ast.AssignStmt) {
-	if len(st.Rhs) == 1 && w.isArenaGet(st.Rhs[0]) && len(st.Lhs) == 1 {
-		if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+// handleAssign tracks acquisitions (x := acquire()) and publications
+// (values[id] = x, s.field = x, y = x) of an assignment or var spec.
+func (w *leakWalker) handleAssign(lhs, rhs []ast.Expr) {
+	if len(rhs) == 1 && w.isAcquire(rhs[0]) && len(lhs) == 1 {
+		if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
 			if v := w.varOf(id); v != nil {
-				w.held[v] = st.Rhs[0].Pos()
+				w.held[v] = rhs[0].Pos()
 				return
 			}
 		}
@@ -156,9 +153,9 @@ func (w *leakWalker) handleAssign(st *ast.AssignStmt) {
 	// A held variable is published only when it is *stored*: appearing as
 	// a whole right-hand side (values[id] = out, alias := out), inside a
 	// composite literal, or as an append argument. Merely passing it to a
-	// call (joined, err := bt.Do(op, out, a, b, c)) keeps it held — the
-	// callee writes into it and hands it straight back.
-	for _, e := range st.Rhs {
+	// call (err := eval(op, out, a, b)) keeps it held — the callee writes
+	// into it and hands it straight back.
+	for _, e := range rhs {
 		w.dischargeStores(e)
 	}
 }
@@ -186,11 +183,11 @@ func (w *leakWalker) dischargeStores(e ast.Expr) {
 	}
 }
 
-// dischargeCallArgs releases held variables passed to a Put call; passing
-// a held ciphertext to any other call (bt.Do writes into it) keeps it held.
+// dischargeCallArgs releases held variables passed to a release call;
+// passing a held ciphertext to any other call (an evaluation writes into
+// it) keeps it held.
 func (w *leakWalker) dischargeCallArgs(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" || !w.isArenaExpr(sel.X) {
+	if !w.m.marked("release", callee(w.pkg.Info, call)) {
 		return
 	}
 	for _, arg := range call.Args {
@@ -213,20 +210,13 @@ func (w *leakWalker) dischargeUses(e ast.Expr) {
 	})
 }
 
-// isArenaGet reports whether e is a Get() call on a recycler.
-func (w *leakWalker) isArenaGet(e ast.Expr) bool {
+// isAcquire reports whether e is a call of a //pytfhe:acquire function.
+func (w *leakWalker) isAcquire(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Get" && w.isArenaExpr(sel.X)
-}
-
-// isArenaExpr reports whether e is an exec.Arena (or a pointer to one),
-// wherever it is used.
-func (w *leakWalker) isArenaExpr(e ast.Expr) bool {
-	return isType(w.pkg.Info.TypeOf(e), "internal/exec", "Arena")
+	return w.m.marked("acquire", callee(w.pkg.Info, call))
 }
 
 // varOf resolves an identifier to its *types.Var, or nil.

@@ -1,11 +1,19 @@
 // Package lint is the PyTFHE static-analysis suite. It machine-checks the
-// two correctness-critical layers of the repository that go vet does not
-// cover: the crypto/concurrency Go code (secure randomness, error
-// discipline, lock hygiene around bootstrapping, ciphertext-pool balance,
-// exec run-state ownership) and — through internal/circuit and
-// internal/asm — the assembled gate netlists themselves. Each analyzer
+// crypto/concurrency Go code of the repository that go vet does not cover:
+// secure randomness, error discipline, lock hygiene around bootstrapping,
+// ciphertext-recycler balance and run-state ownership. Each analyzer
 // targets a hazard in code that exists: DESIGN.md §8 names, for every
 // one, the bug planted in the tree that makes it fire.
+//
+// The analyzers name no package, type or method of the code they check.
+// They find their targets through //pytfhe: directives in the doc comments
+// of the real declarations (see directives), so a rename or a move carries
+// the mark with it:
+//
+//	// Eval evaluates one gate.
+//	//
+//	//pytfhe:bootstraps
+//	func (e *Evaluator) Eval(...)
 //
 // The suite is pure standard library (go/parser, go/ast, go/types, with
 // module-internal imports resolved by walking the module and everything
@@ -17,7 +25,8 @@
 //
 //	//lint:ignore <analyzer-name> <reason>
 //
-// The reason is mandatory; an ignore without one is itself a finding.
+// The reason is mandatory. An ignore without one, one naming no analyzer of
+// the suite, and one that suppresses no finding are findings themselves.
 package lint
 
 import (
@@ -26,7 +35,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -46,10 +54,8 @@ type Analyzer interface {
 	Name() string
 	// Doc is a one-line description of what the analyzer reports.
 	Doc() string
-	// Match reports whether the analyzer applies to the package at the
-	// given import path.
-	Match(pkgPath string) bool
-	// Check analyzes one package of the module and returns its findings.
+	// Check analyzes one package of the module and returns its findings;
+	// it returns none for a package the property does not apply to.
 	Check(m *Module, pkg *Package) []Finding
 }
 
@@ -64,10 +70,20 @@ func Analyzers() []Analyzer {
 	}
 }
 
-// Run applies every analyzer to every matching package of the module and
-// returns the surviving findings sorted by position. Findings on lines
-// carrying a valid ignore directive for that analyzer are dropped.
+// Run applies the analyzers to every package of the module and returns the
+// surviving findings, with the module's directive errors, sorted by
+// position. A finding on a line that an ignore for its analyzer covers is
+// dropped. An ignore that names no analyzer of the suite is reported, and
+// so is one that names an analyzer in analyzers but suppresses none of its
+// findings.
 func Run(m *Module, analyzers []Analyzer) []Finding {
+	known, ran := map[string]bool{}, map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name()] = true
+	}
+	for _, a := range analyzers {
+		ran[a.Name()] = true
+	}
 	paths := make([]string, 0, len(m.Packages))
 	for p := range m.Packages {
 		paths = append(paths, p)
@@ -77,17 +93,28 @@ func Run(m *Module, analyzers []Analyzer) []Finding {
 	var findings []Finding
 	for _, path := range paths {
 		pkg := m.Packages[path]
-		ignores := collectIgnores(m.Fset, pkg)
-		findings = append(findings, ignores.malformed...)
+		findings = append(findings, pkg.malformed...)
+		used := map[*ignore]bool{}
 		for _, a := range analyzers {
-			if !a.Match(path) {
-				continue
-			}
 			for _, f := range a.Check(m, pkg) {
-				if !ignores.covers(a.Name(), f.Pos) {
+				if ig := pkg.ignoreFor(a.Name(), f.Pos); ig != nil {
+					used[ig] = true
+				} else {
 					findings = append(findings, f)
 				}
 			}
+		}
+		for _, ig := range pkg.ignores {
+			msg := ""
+			switch {
+			case !known[ig.analyzer]:
+				msg = "lint:ignore names " + ig.analyzer + ", which is not an analyzer of the suite"
+			case ran[ig.analyzer] && !used[ig]:
+				msg = "lint:ignore " + ig.analyzer + " suppresses no finding; delete it"
+			default:
+				continue
+			}
+			findings = append(findings, Finding{Analyzer: ignoreAnalyzer, Pos: ig.pos, Message: msg})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -103,55 +130,6 @@ func Run(m *Module, analyzers []Analyzer) []Finding {
 	return findings
 }
 
-// ignoreSet records //lint:ignore directives by file, line and analyzer.
-type ignoreSet struct {
-	byLine    map[string]map[int]map[string]bool // file -> line -> analyzer
-	malformed []Finding
-}
-
-const ignorePrefix = "//lint:ignore "
-
-func collectIgnores(fset *token.FileSet, pkg *Package) *ignoreSet {
-	s := &ignoreSet{byLine: map[string]map[int]map[string]bool{}}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
-				if len(fields) < 2 {
-					s.malformed = append(s.malformed, Finding{
-						Analyzer: "ignore-directive",
-						Pos:      pos,
-						Message:  "lint:ignore directive needs an analyzer name and a reason",
-					})
-					continue
-				}
-				lines := s.byLine[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					s.byLine[pos.Filename] = lines
-				}
-				// The directive covers its own line (trailing comment) and
-				// the next line (comment above the statement).
-				for _, ln := range [2]int{pos.Line, pos.Line + 1} {
-					if lines[ln] == nil {
-						lines[ln] = map[string]bool{}
-					}
-					lines[ln][fields[0]] = true
-				}
-			}
-		}
-	}
-	return s
-}
-
-func (s *ignoreSet) covers(analyzer string, pos token.Position) bool {
-	return s.byLine[pos.Filename][pos.Line][analyzer]
-}
-
 // ---- shared helpers used by several analyzers ----
 
 var errorType = types.Universe.Lookup("error").Type()
@@ -161,8 +139,8 @@ func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, errorType)
 }
 
-// namedType returns the named type underlying t, unwrapping one level of
-// pointer, or nil.
+// namedType returns the generic origin of the named type underlying t,
+// unwrapping one level of pointer, or nil.
 func namedType(t types.Type) *types.Named {
 	if t == nil {
 		return nil
@@ -171,24 +149,37 @@ func namedType(t types.Type) *types.Named {
 		t = p.Elem()
 	}
 	n, _ := t.(*types.Named)
+	if n != nil {
+		n = n.Origin()
+	}
 	return n
 }
 
-// isType reports whether t (or *t) is the named type name declared in a
-// package whose import path ends in dir (e.g. "internal/exec").
-func isType(t types.Type, dir, name string) bool {
-	n := namedType(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Name() == name && pathHasDir(n.Obj().Pkg().Path(), dir)
+// callee returns the function or method that call names, or nil when it
+// calls a func value, converts or calls a builtin.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn != nil {
+		fn = fn.Origin()
+	}
+	return fn
 }
 
-// pathHasDir reports whether the import path contains dir as a complete
-// path element sequence (e.g. "internal/backend" matches
-// "pytfhe/internal/backend" but not "pytfhe/internal/backendx").
-func pathHasDir(path, dir string) bool {
-	return path == dir ||
-		strings.HasSuffix(path, "/"+dir) ||
-		strings.Contains(path, "/"+dir+"/") ||
-		strings.HasPrefix(path, dir+"/")
+// funcName renders fn as "pkg.Func" or "pkg.Type.Method", the package by
+// its name.
+func funcName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		name = namedType(recv.Type()).Obj().Name() + "." + name
+	}
+	return fn.Pkg().Name() + "." + name
 }
 
 // funcBodies yields every function body in the file — declarations and

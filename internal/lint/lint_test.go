@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/types"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -28,7 +27,7 @@ var fixture, repository cachedModule
 
 func loadFixture(t *testing.T) *Module {
 	t.Helper()
-	return fixture.load(t, filepath.Join("testdata", "badmod"))
+	return fixture.load(t, filepath.Join("testdata", "plants"))
 }
 
 // loadRepository type-checks the repository module itself.
@@ -76,41 +75,34 @@ func requireFindings(t *testing.T, analyzer string, want ...string) {
 
 func TestFixtureModuleLoads(t *testing.T) {
 	m := loadFixture(t)
-	if m.Path != "badmod" {
-		t.Fatalf("module path = %q, want badmod", m.Path)
+	if m.Path != "plants" {
+		t.Fatalf("module path = %q, want plants", m.Path)
 	}
-	for _, want := range []string{
-		"badmod/internal/tfhe/gate",
-		"badmod/internal/mathutil",
-		"badmod/internal/exec",
-		"badmod/internal/plan",
-		"badmod/internal/shard",
-		"badmod/internal/backend",
-		"badmod/internal/cluster",
-		"badmod/internal/serve",
-	} {
-		if m.Packages[want] == nil {
-			t.Errorf("package %s not loaded", want)
+	for _, want := range []string{"engine", "jitter", "core", "node", "service"} {
+		if m.Packages["plants/"+want] == nil {
+			t.Errorf("package plants/%s not loaded", want)
 		}
 	}
 }
 
-// TestInsecureRandFindings: the gate engine imports math/rand directly,
-// and through mathutil transitively.
+// TestInsecureRandFindings: the crypto root imports math/rand directly,
+// and through jitter transitively. The service package, on no crypto path,
+// imports it cleanly.
 func TestInsecureRandFindings(t *testing.T) {
-	requireFindings(t, "insecure-rand", "gate.go: math/rand", "mathutil.go: math/rand")
+	requireFindings(t, "insecure-rand", "engine.go: math/rand", "jitter.go: math/rand")
 }
 
 // TestDiscardedErrorFindings: a bare call, a blank assignment and a blank
-// error slot in the cluster worker's install path.
+// error slot in the worker's install path. The service package is not
+// error-critical.
 func TestDiscardedErrorFindings(t *testing.T) {
 	requireFindings(t, "discarded-error",
-		"worker.go: result of sh.Validate",
-		"worker.go: error value assigned to _",
-		"worker.go: error result of newRuntime assigned to _")
+		"node.go: result of sh.Validate",
+		"node.go: error value assigned to _",
+		"node.go: error result of newRuntime assigned to _")
 }
 
-// TestIgnoreDirectiveSuppresses: the directive above the worker's Close
+// TestIgnoreDirectiveSuppresses: the ignore above the worker's Close
 // silences that discard and only that one.
 func TestIgnoreDirectiveSuppresses(t *testing.T) {
 	for _, f := range findingsFor(Run(loadFixture(t), Analyzers()), "discarded-error") {
@@ -120,36 +112,57 @@ func TestIgnoreDirectiveSuppresses(t *testing.T) {
 	}
 }
 
-// TestLockedBootstrapFindings: Shared.worker executing a slice under s.mu,
-// Planned.Run holding p.mu across Submit, and a worker running a shard
-// level on Shared under its shard-table lock. The slice evaluated after
-// Unlock is clean.
-func TestLockedBootstrapFindings(t *testing.T) {
-	requireFindings(t, "locked-bootstrap",
-		"shared.go: in worker: plan.Runtime.Exec",
-		"shared.go: in Run: backend.Shared.Submit",
-		"worker.go: in step: backend.Shared.Run")
+// TestIgnoreDirectiveFindings: an ignore naming a misspelt analyzer, and one
+// that covers no finding, are reported.
+func TestIgnoreDirectiveFindings(t *testing.T) {
+	requireFindings(t, "ignore-directive",
+		"node.go: lint:ignore names discarded-errors, which is not an analyzer",
+		"node.go: lint:ignore discarded-error suppresses no finding")
 }
 
-// TestLeakedCiphertextFindings: RunSequential's error path without Put
-// and Interp.Run's operand check after taking a slot, both on an
-// exec.Arena. RunLevels puts back on its error path and is clean.
+// TestDirectiveFindings: a directive with an unknown name, one on the wrong
+// kind of declaration and one on no declaration are reported.
+func TestDirectiveFindings(t *testing.T) {
+	requireFindings(t, "pytfhe-directive",
+		"directives.go: unknown directive //pytfhe:bootstrap",
+		"directives.go: //pytfhe:runstate goes on a type declaration, not a function or method declaration",
+		"directives.go: //pytfhe:bootstraps is not in the doc comment of a declaration")
+}
+
+// TestLockedBootstrapFindings: Shared.worker executing a slice under s.mu,
+// Planned.Run holding p.mu across Submit, and a worker running a shard
+// level on Shared under its shard-table lock, in a return and in a var
+// declaration. The slice evaluated after Unlock is clean.
+func TestLockedBootstrapFindings(t *testing.T) {
+	requireFindings(t, "locked-bootstrap",
+		"core.go: in worker: core.Runtime.Exec",
+		"core.go: in Run: core.Shared.Submit",
+		"node.go: in step: core.Shared.Run",
+		"node.go: in stepVar: core.Shared.Run")
+}
+
+// TestLeakedCiphertextFindings: RunSequential's error path without Put, the
+// same leak from a var declaration, and Interp.Run's operand check after
+// taking a slot. RunLevels puts back on its error path and Runtime.Fill
+// publishes its slot: both clean.
 func TestLeakedCiphertextFindings(t *testing.T) {
 	requireFindings(t, "leaked-ciphertext",
-		"exec.go: ciphertext out", "replay.go: ciphertext out")
+		"core.go: ciphertext out acquired from the recycler is neither published, returned, nor put back (leaked on return in RunSequential)",
+		"core.go: (leaked on return in RunVar)",
+		"core.go: (leaked on return in Run)")
 }
 
 // TestUnsyncedExecStateFindings: four run-state touches from the service
-// layer, then a goroutine filling a captured shard runtime's slot. The
-// goroutine handed its runtime as a parameter, and RunLevels' workers
-// sharing the locked Arena, are clean.
+// layer, then a goroutine filling a captured runtime's slot. The goroutine
+// handed its runtime as a parameter, and RunLevels' workers sharing the
+// captured Arena, are clean.
 func TestUnsyncedExecStateFindings(t *testing.T) {
 	requireFindings(t, "unsynced-exec-state",
-		"server.go: exec.State.Values touched",
-		"server.go: exec.Arena.Get touched",
-		"server.go: exec.Arena.Put touched",
-		"server.go: plan.Runtime.Fill touched",
-		"worker.go: Fill on the slots of plan.Runtime rt captured")
+		"service.go: core.State.Values touched",
+		"service.go: core.Arena.Get touched",
+		"service.go: core.Arena.Put touched",
+		"service.go: core.Runtime.Fill touched",
+		"node.go: goroutine calls core.Runtime.Fill on rt captured")
 }
 
 // TestRepositoryIsClean is the acceptance gate: the suite must exit clean
@@ -160,43 +173,13 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerTargetsExist pins every type and method the analyzers key on
-// to a declaration in the repository, so a rename cannot leave an analyzer
-// watching code that no longer exists.
+// TestAnalyzerTargetsExist: every directive an analyzer reads marks at
+// least one declaration in the repository, so no rule watches nothing.
 func TestAnalyzerTargetsExist(t *testing.T) {
 	m := loadRepository(t)
-	lookup := func(pkg, name string) types.Object {
-		p := m.Packages[m.Path+"/internal/"+pkg]
-		if p == nil {
-			return nil
-		}
-		return p.Types.Scope().Lookup(name)
-	}
-	for _, st := range execStateTypes {
-		if lookup(st.pkg, st.name) == nil {
-			t.Errorf("run-state type %s.%s does not exist", st.pkg, st.name)
-		}
-	}
-	for _, ct := range captureTargets {
-		obj := lookup(ct.pkg, ct.name)
-		if obj == nil {
-			t.Errorf("capture target %s.%s does not exist", ct.pkg, ct.name)
-			continue
-		}
-		if fn, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, obj.Pkg(), ct.method); fn == nil {
-			t.Errorf("capture target %s.%s has no method %s", ct.pkg, ct.name, ct.method)
-		}
-	}
-	for key := range expensiveCalls {
-		typ, method := key[:strings.LastIndex(key, ".")], key[strings.LastIndex(key, ".")+1:]
-		pkg, name := typ[:strings.LastIndex(typ, ".")], typ[strings.LastIndex(typ, ".")+1:]
-		obj := lookup(pkg, name)
-		if obj == nil {
-			t.Errorf("%s: type %s.%s does not exist", key, pkg, name)
-			continue
-		}
-		if fn, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, obj.Pkg(), method); fn == nil {
-			t.Errorf("%s: %s.%s has no method %s", key, pkg, name, method)
+	for name := range directives {
+		if len(m.marks[name]) == 0 {
+			t.Errorf("no declaration carries //pytfhe:%s", name)
 		}
 	}
 }

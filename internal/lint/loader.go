@@ -18,12 +18,14 @@ import (
 // Only non-test files are loaded: the analyzers check shipped code, and
 // test files legitimately use math/rand, discard errors, and so on.
 type Package struct {
-	Path    string // import path, e.g. "pytfhe/internal/backend"
-	Dir     string // absolute directory
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
-	Imports []string // direct imports of the non-test files
+	Path  string // import path, e.g. "example.com/mod/pkg"
+	Dir   string // absolute directory
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+
+	ignores   []*ignore // its //lint:ignore directives
+	malformed []Finding // its directive errors
 }
 
 // Module is a loaded Go module: every buildable package under the module
@@ -38,7 +40,8 @@ type Module struct {
 	std  types.ImporterFrom
 	pkgs map[string]*types.Package // type-checker cache (module + stdlib)
 
-	cryptoReach map[string]bool // lazy cache for the insecure-rand analyzer
+	marks       map[string]map[any]bool // directive name -> marked declarations
+	cryptoReach map[string]bool         // lazy cache for the insecure-rand analyzer
 }
 
 // LoadModule discovers, parses and type-checks every package under root.
@@ -64,6 +67,7 @@ func LoadModule(root string) (*Module, error) {
 		Packages: map[string]*Package{},
 		dirs:     map[string]string{},
 		pkgs:     map[string]*types.Package{},
+		marks:    map[string]map[any]bool{},
 	}
 	m.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 
@@ -146,13 +150,6 @@ func (m *Module) load(path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-	for _, f := range pkg.Files {
-		for _, imp := range f.Imports {
-			pkg.Imports = append(pkg.Imports, strings.Trim(imp.Path.Value, `"`))
-		}
-	}
-	sort.Strings(pkg.Imports)
-
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -165,6 +162,7 @@ func (m *Module) load(path string) (*Package, error) {
 		return nil, err
 	}
 	pkg.Types = tpkg
+	m.scanComments(pkg)
 	m.Packages[path] = pkg
 	m.pkgs[path] = tpkg
 	return pkg, nil

@@ -3,44 +3,21 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// expensiveCalls are the methods that run gate bootstraps — each a
-// millisecond or more — keyed "<package under internal/>.<receiver
-// type>.<method>": the gate engine's evaluations, exec.Batcher (the one
-// evaluator every executor drives), the plan interpreter and runtime that
-// feed it, and the slice scheduler's two entry points — a level list (a
-// cluster worker's shard level) and a whole plan.
-var expensiveCalls = map[string]bool{
-	"tfhe/gate.Engine.Binary":      true,
-	"tfhe/gate.Engine.Mux":         true,
-	"tfhe/gate.Engine.LUT":         true,
-	"tfhe/gate.Engine.BinaryBatch": true,
-	"tfhe/gate.Engine.OpBatch":     true,
-	"exec.Batcher.Do":              true,
-	"exec.Batcher.Flush":           true,
-	"plan.Interp.Run":              true,
-	"plan.Runtime.Exec":            true,
-	"backend.Shared.Run":           true,
-	"backend.Shared.Submit":        true,
-}
-
-// lockedBootstrap reports calls that run gate bootstraps while a
-// sync.Mutex/RWMutex is held. A bootstrap takes milliseconds; running one
-// under a lock serializes every other worker behind it — the
-// serialization the slice scheduler exists to avoid — so locks must only
-// guard bookkeeping. Function literals are analyzed as their own bodies:
-// a goroutine launched under a lock does not itself hold the lock.
+// lockedBootstrap reports calls of a //pytfhe:bootstraps function — one
+// that runs gate bootstraps — while a sync.Mutex/RWMutex is held. A
+// bootstrap takes milliseconds; running one under a lock serializes every
+// other worker behind it — the serialization the slice scheduler exists to
+// avoid — so locks must only guard bookkeeping. Function literals are
+// analyzed as their own bodies: a goroutine launched under a lock does not
+// itself hold the lock.
 type lockedBootstrap struct{}
 
 func (*lockedBootstrap) Name() string { return "locked-bootstrap" }
 func (*lockedBootstrap) Doc() string {
-	return "gate evaluation, plan execution or a run on the slice scheduler while holding a mutex"
+	return "call of a //pytfhe:bootstraps function while holding a mutex"
 }
-
-// Match applies everywhere: the expensive calls are identified by type.
-func (*lockedBootstrap) Match(string) bool { return true }
 
 func (a *lockedBootstrap) Check(m *Module, pkg *Package) []Finding {
 	var findings []Finding
@@ -85,7 +62,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 				return
 			}
 		}
-		w.scanExpr(st.X)
+		w.scan(st.X)
 	case *ast.DeferStmt:
 		// `defer mu.Unlock()` extends the critical section to the end of
 		// the function, so it must not decrement; the deferred call itself
@@ -94,15 +71,13 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		// The goroutine body runs without this function's locks; its
 		// FuncLit is analyzed separately by funcBodies.
 		for _, arg := range st.Call.Args {
-			w.scanExpr(arg)
+			w.scan(arg)
 		}
 	case *ast.BlockStmt:
 		w.walkStmts(st.List)
 	case *ast.IfStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		w.scanExpr(st.Cond)
+		w.walkStmt(st.Init)
+		w.scan(st.Cond)
 		entry := w.depth
 		w.walkStmt(st.Body)
 		w.depth = entry
@@ -111,27 +86,19 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 			w.depth = entry
 		}
 	case *ast.ForStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Cond != nil {
-			w.scanExpr(st.Cond)
-		}
+		w.walkStmt(st.Init)
+		w.scan(st.Cond)
 		entry := w.depth
 		w.walkStmt(st.Body)
 		w.depth = entry
 	case *ast.RangeStmt:
-		w.scanExpr(st.X)
+		w.scan(st.X)
 		entry := w.depth
 		w.walkStmt(st.Body)
 		w.depth = entry
 	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Tag != nil {
-			w.scanExpr(st.Tag)
-		}
+		w.walkStmt(st.Init)
+		w.scan(st.Tag)
 		w.walkCases(st.Body)
 	case *ast.TypeSwitchStmt:
 		w.walkCases(st.Body)
@@ -139,18 +106,18 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 		w.walkCases(st.Body)
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
-			w.scanExpr(e)
+			w.scan(e)
 		}
 	case *ast.ReturnStmt:
 		for _, e := range st.Results {
-			w.scanExpr(e)
+			w.scan(e)
 		}
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt:
-		// no calls of interest
+	case *ast.DeclStmt:
+		w.scan(st.Decl) // var x = f()
 	case *ast.LabeledStmt:
 		w.walkStmt(st.Stmt)
 	case *ast.SendStmt:
-		w.scanExpr(st.Value)
+		w.scan(st.Value)
 	}
 }
 
@@ -167,14 +134,14 @@ func (w *lockWalker) walkCases(body *ast.BlockStmt) {
 	}
 }
 
-// scanExpr reports expensive TFHE calls inside e when a lock is held.
+// scan reports bootstrapping calls inside n when a lock is held.
 // Function literals are skipped: they execute later, outside this critical
 // section, and are checked as independent bodies.
-func (w *lockWalker) scanExpr(e ast.Expr) {
-	if w.depth == 0 || e == nil {
+func (w *lockWalker) scan(n ast.Node) {
+	if w.depth == 0 || n == nil {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
+	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -182,42 +149,18 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		key := methodKey(w.pkg.Info, sel)
-		if !expensiveCalls[key] {
+		fn := callee(w.pkg.Info, call)
+		if !w.m.marked("bootstraps", fn) {
 			return true
 		}
 		w.findings = append(w.findings, Finding{
 			Analyzer: w.analyzer,
 			Pos:      w.m.Fset.Position(call.Pos()),
-			Message: "in " + w.fn + ": " + key +
+			Message: "in " + w.fn + ": " + funcName(fn) +
 				" runs gate bootstraps while holding a mutex; move it outside the critical section",
 		})
 		return true
 	})
-}
-
-// methodKey names the method sel calls as "<package under
-// internal/>.<receiver type>.<method>", or "" when sel is not a method of
-// a named type under internal/.
-func methodKey(info *types.Info, sel *ast.SelectorExpr) string {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return ""
-	}
-	fn := s.Obj().(*types.Func)
-	n := namedType(fn.Type().(*types.Signature).Recv().Type())
-	if n == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	_, pkg, ok := strings.Cut(n.Obj().Pkg().Path(), "internal/")
-	if !ok {
-		return ""
-	}
-	return pkg + "." + n.Obj().Name() + "." + fn.Name()
 }
 
 type mutexCall int

@@ -6,54 +6,32 @@ import (
 )
 
 // unsyncedExecState enforces the ownership discipline around the execution
-// core's run state. exec.Arena carries its own lock, exec.State's value
-// table is written under the drivers' ordering, and a plan.Runtime's slots
-// are filled only between levels — by Bind, or by a cluster worker's serve
-// loop copying the router's values into a shard's slots (Fill) — never
-// while the slice scheduler's workers evaluate over it. Two rules keep
-// that machine-checked:
+// core's run state: the value tables, the recycler and the plan runtimes a
+// slice scheduler evaluates over, whose slots are filled only between
+// levels — never while the scheduler's workers run. Two rules keep that
+// machine-checked:
 //
-//  1. Layering: only the executor layers (internal/exec, internal/backend,
-//     internal/plan, internal/cluster) may touch exec.State, exec.Arena or
-//     plan.Runtime at all. A service- or CLI-layer package reading
-//     State.Values or calling Arena.Get reaches around every invariant
-//     the executors maintain (refcounted release, per-dimension
-//     recycling, level ordering).
+//  1. Layering: only a //pytfhe:execlayer package may touch a
+//     //pytfhe:runstate type at all. A service- or CLI-layer package
+//     reading a value table or taking from the recycler reaches around
+//     every invariant the executors maintain (refcounted release,
+//     per-dimension recycling, level ordering).
 //
 //  2. Goroutine capture: a function literal launched with `go` must not
-//     call a captureTargets method — Fill on a plan.Runtime — on a value
-//     it captured from the enclosing scope; that silently turns the serve
-//     loop's one writer into two. Handing the runtime in through the
-//     literal's parameter list, or declaring a fresh one inside the
-//     goroutine, is fine.
+//     call a //pytfhe:singlewriter method on a value it captured from the
+//     enclosing scope; that silently turns its one writer into two.
+//     Handing the value in through the literal's parameter list, or
+//     declaring a fresh one inside the goroutine, is fine.
 type unsyncedExecState struct{}
 
 func (*unsyncedExecState) Name() string { return "unsynced-exec-state" }
 func (*unsyncedExecState) Doc() string {
-	return "exec run state touched outside the executor layers or filled from a goroutine that captured it"
-}
-
-// Match applies everywhere: rule 1 gates on the package path itself and
-// rule 2 is a per-function property.
-func (*unsyncedExecState) Match(string) bool { return true }
-
-// execStateDirs are the sanctioned owners of exec run state.
-var execStateDirs = [...]string{
-	"internal/exec", "internal/backend", "internal/plan", "internal/cluster",
-}
-
-func inExecLayer(path string) bool {
-	for _, d := range execStateDirs {
-		if pathHasDir(path, d) {
-			return true
-		}
-	}
-	return false
+	return "run state touched outside the executor layers or written from a goroutine that captured it"
 }
 
 func (a *unsyncedExecState) Check(m *Module, pkg *Package) []Finding {
 	var findings []Finding
-	sanctioned := inExecLayer(pkg.Path)
+	sanctioned := m.marked("execlayer", pkg.Types)
 	for _, f := range pkg.Files {
 		if !sanctioned {
 			findings = append(findings, a.checkLayering(m, pkg, f)...)
@@ -63,8 +41,8 @@ func (a *unsyncedExecState) Check(m *Module, pkg *Package) []Finding {
 	return findings
 }
 
-// checkLayering reports every field or method selection on an exec
-// run-state type in a package outside the executor layers.
+// checkLayering reports every field or method selection on a run-state
+// type in a package outside the executor layers.
 func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) []Finding {
 	var findings []Finding
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -76,14 +54,15 @@ func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) 
 		if !ok {
 			return true // package qualifier, not a field/method selection
 		}
-		name, ok := execStateType(selection.Recv())
-		if !ok {
+		named := namedType(selection.Recv())
+		if named == nil || !m.marked("runstate", named.Obj()) {
 			return true
 		}
+		obj := named.Obj()
 		findings = append(findings, Finding{
 			Analyzer: a.Name(),
 			Pos:      m.Fset.Position(sel.Sel.Pos()),
-			Message: name + "." + sel.Sel.Name + " touched from " + pkg.Path +
+			Message: obj.Pkg().Name() + "." + obj.Name() + "." + sel.Sel.Name + " touched from " + pkg.Path +
 				": only the executor layers may hold exec run state",
 		})
 		return true
@@ -91,14 +70,7 @@ func (a *unsyncedExecState) checkLayering(m *Module, pkg *Package, f *ast.File) 
 	return findings
 }
 
-// captureTargets are the methods rule 2 forbids a goroutine to call on a
-// captured receiver, by package under internal/, type and method, with the
-// state each one writes.
-var captureTargets = [...]struct{ pkg, name, method, what string }{
-	{"plan", "Runtime", "Fill", "the slots of plan.Runtime"},
-}
-
-// checkGoroutines reports captureTargets calls on a captured receiver
+// checkGoroutines reports single-writer calls on a captured receiver
 // inside go-launched function literals.
 func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File) []Finding {
 	var findings []Finding
@@ -117,17 +89,8 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			var what string
-			t := pkg.Info.TypeOf(sel.X)
-			for _, ct := range captureTargets {
-				if sel.Sel.Name == ct.method && isType(t, "internal/"+ct.pkg, ct.name) {
-					what = ct.what
-				}
-			}
-			if what == "" {
+			fn := callee(pkg.Info, call)
+			if !ok || !m.marked("singlewriter", fn) {
 				return true
 			}
 			root := rootIdent(sel.X)
@@ -144,7 +107,7 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 			findings = append(findings, Finding{
 				Analyzer: a.Name(),
 				Pos:      m.Fset.Position(sel.Sel.Pos()),
-				Message: "goroutine calls " + sel.Sel.Name + " on " + what + " " + root.Name +
+				Message: "goroutine calls " + funcName(fn) + " on " + root.Name +
 					" captured from the enclosing scope; pass it through the func literal's parameters instead",
 			})
 			return true
@@ -152,23 +115,6 @@ func (a *unsyncedExecState) checkGoroutines(m *Module, pkg *Package, f *ast.File
 		return true
 	})
 	return findings
-}
-
-// execStateTypes are the run-state types rule 1 guards, by package under
-// internal/.
-var execStateTypes = [...]struct{ pkg, name string }{
-	{"exec", "State"}, {"exec", "Arena"}, {"plan", "Runtime"},
-}
-
-// execStateType reports whether t (or *t) is one of the run-state types,
-// returning its package-qualified display name.
-func execStateType(t types.Type) (string, bool) {
-	for _, st := range execStateTypes {
-		if isType(t, "internal/"+st.pkg, st.name) {
-			return st.pkg + "." + st.name, true
-		}
-	}
-	return "", false
 }
 
 // rootIdent unwraps selector/index/paren chains to the base identifier, or

@@ -26,6 +26,8 @@
 // (backend.Shared), which runs plans for pytfhed and backend.Planned and
 // shard levels for cluster workers, and Replay — the sequential oracle the
 // tests here compare compiled plans against.
+//
+//pytfhe:execlayer
 package plan
 
 import (

@@ -16,6 +16,8 @@ import (
 // over it too: a cluster worker keeps one per cached shard, with no input
 // slots; the router's values are copied into its slots (Fill) and its
 // exports read back (Value).
+//
+//pytfhe:runstate
 type Runtime struct {
 	dim int
 	// pool is the shared execution core's liveness arena: slots are bound
@@ -79,6 +81,8 @@ func (rt *Runtime) Shape(numInputs, slots int) {
 // Fill copies v into arena slot slot, reusing the ciphertext the slot
 // already holds; the runtime keeps nothing of v. The slot, v and its LWE
 // dimension are checked, as Bind checks a run's inputs.
+//
+//pytfhe:singlewriter
 func (rt *Runtime) Fill(slot int, v *lwe.Sample) error {
 	switch {
 	case slot < rt.numInputs || slot >= len(rt.vals):
@@ -117,6 +121,8 @@ func (rt *Runtime) Unbind() {
 // Exec evaluates instrs over the runtime's value table on it (see
 // Interp.Run). Instructions of one level write disjoint slots, so any
 // number of interpreters may Exec parts of the same level at once.
+//
+//pytfhe:bootstraps
 func (rt *Runtime) Exec(it *Interp, instrs []Instr, flush bool) error {
 	return it.Run(instrs, rt.vals, rt.pool, flush)
 }
@@ -169,6 +175,8 @@ func (it *Interp) Pending() int { return it.bt.Pending() }
 // batch stays pending so a later Run — on any table whose instructions are
 // independent of these — can fill it; Run(nil, nil, nil, true) dispatches
 // it. On error the pending batch is dropped.
+//
+//pytfhe:bootstraps
 func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush bool) (err error) {
 	defer func() {
 		it.N.Batches += it.bt.Batches

@@ -5,6 +5,8 @@
 //
 // The package also exposes a Profile so callers can attribute time to blind
 // rotation versus key switching — the breakdown the paper reports in Fig. 7.
+//
+//pytfhe:cryptoroot
 package boot
 
 import (

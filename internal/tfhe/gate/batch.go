@@ -16,6 +16,8 @@ import (
 // bit-exact with per-gate Binary on the same inputs. dst may alias any
 // operand, of its own member or another's: every operand is folded into
 // engine scratch before the first output is written.
+//
+//pytfhe:bootstraps
 func (e *Engine) BinaryBatch(kinds []logic.Kind, dst, a, b []*Ciphertext) error {
 	n := len(kinds)
 	if len(dst) != n || len(a) != n || len(b) != n {

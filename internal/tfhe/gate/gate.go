@@ -4,6 +4,8 @@
 // XNOR, ANDNY, ANDYN, ORNY, ORYN) cost one bootstrap each; NOT, COPY and
 // the constants are linear and essentially free; MUX costs two bootstraps
 // and one key switch, exactly as in the reference TFHE library.
+//
+//pytfhe:cryptoroot
 package gate
 
 import (
@@ -132,6 +134,8 @@ func PlanCoefficients(kind logic.Kind) (ca, cb int32, ok bool) {
 }
 
 // Binary evaluates dst = kind(a, b) homomorphically. dst may alias a or b.
+//
+//pytfhe:bootstraps
 func (e *Engine) Binary(kind logic.Kind, dst, a, b *Ciphertext) error {
 	switch kind {
 	case logic.False:
@@ -178,6 +182,8 @@ func (e *Engine) Constant(dst *Ciphertext, v bool) { Trivial(dst, v) }
 // Mux computes dst = sel ? a : b using two bootstraps and one key switch,
 // following the reference library: u1 = BS(sel AND a), u2 = BS(¬sel AND b),
 // dst = KS(u1 + u2 + 1/8).
+//
+//pytfhe:bootstraps
 func (e *Engine) Mux(dst, sel, a, b *Ciphertext) error {
 	// u1 ≈ ±1/8 encoding (sel ∧ a)
 	e.tmp.NoiselessTrivial(-mu18)

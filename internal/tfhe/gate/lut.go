@@ -33,6 +33,8 @@ func lutTestVector(plan logic.LUTPlan) boot.LUT {
 // one programmable bootstrap. dst may alias any input. The table must
 // have a single-bootstrap plan (logic.SolveLUT); infeasible tables are
 // the synthesizer's job to decompose, not the kernel's.
+//
+//pytfhe:bootstraps
 func (e *Engine) LUT(arity int, tt logic.TT, dst *Ciphertext, ins ...*Ciphertext) error {
 	if len(ins) != arity {
 		return fmt.Errorf("gate: LUT arity %d with %d operands", arity, len(ins))
@@ -67,6 +69,8 @@ func (o Op) IsLUT() bool { return o.Arity != 0 }
 // may be nil). Classic members must bootstrap, exactly as in BinaryBatch;
 // per-member results are bit-exact with Binary / LUT on the same inputs.
 // dst may alias any operand, as in BinaryBatch.
+//
+//pytfhe:bootstraps
 func (e *Engine) OpBatch(ops []Op, dst, a, b, c []*Ciphertext) error {
 	n := len(ops)
 	if len(dst) != n || len(a) != n || len(b) != n || len(c) != n {

@@ -3,6 +3,8 @@
 // the homomorphic linear operations TFHE gates are built from, and the
 // key-switching procedure that maps extracted (N·k)-dimensional samples
 // back to the n-dimensional gate key.
+//
+//pytfhe:cryptoroot
 package lwe
 
 import (

@@ -9,6 +9,8 @@
 // correct while the phase error stays below 1/16 (the half-width of the
 // ±1/8 message slots), i.e. roughly while stdev < 1/48 for a 3-sigma
 // margin.
+//
+//pytfhe:cryptoroot
 package noise
 
 import (

@@ -5,6 +5,8 @@
 // evaluation keys ship with encoding/gob (see internal/cluster), which
 // handles their nested structure; the formats here are for the small,
 // high-frequency payloads where framing overhead matters.
+//
+//pytfhe:cryptoroot
 package serial
 
 import (

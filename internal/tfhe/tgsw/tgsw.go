@@ -8,6 +8,8 @@
 // transforms of the decomposed accumulator, pointwise multiply-accumulates,
 // and the inverse transforms. One kernel — Scratch.ExternalProductAdd —
 // serves every CMux, single or batched.
+//
+//pytfhe:cryptoroot
 package tgsw
 
 import (

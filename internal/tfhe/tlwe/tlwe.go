@@ -3,6 +3,8 @@
 // homomorphic ring operations used during blind rotation, and the sample
 // extraction that converts coefficient 0 of a TLWE phase into a scalar LWE
 // sample.
+//
+//pytfhe:cryptoroot
 package tlwe
 
 import (

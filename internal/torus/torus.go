@@ -7,6 +7,8 @@
 // provided both as a naive O(N^2) negacyclic convolution (the reference
 // used by tests) and as an O(N log N) half-complex FFT evaluated at the
 // odd 2N-th roots of unity (the production path, see half.go).
+//
+//pytfhe:cryptoroot
 package torus
 
 // Torus32 is one element of the discretized torus: the uint32 value t

@@ -6,6 +6,8 @@
 // crypto/rand it is suitable for the semi-honest threat model of the paper;
 // seeded from an explicit value it makes every test and benchmark
 // reproducible. Only the Go standard library is used.
+//
+//pytfhe:cryptoroot
 package trand
 
 import (
