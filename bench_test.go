@@ -292,25 +292,3 @@ func BenchmarkAblationAdderDepth(b *testing.B) {
 		b.ReportMetric(float64(len(cla.Gates))/float64(len(ripple.Gates)), "cla/ripple-gates")
 	}
 }
-
-// BenchmarkAblationLevelBarrier compares the level-synchronous wavefront
-// schedule of Algorithm 1 against barrier-free event-driven dispatch.
-func BenchmarkAblationLevelBarrier(b *testing.B) {
-	ws, err := benchCfg.VIPWorkloads()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Use an imbalanced mid-size workload where barriers actually cost.
-	var nl *circuit.Netlist
-	for _, w := range ws {
-		if w.Name == "edit-distance" {
-			nl = w.Netlist
-		}
-	}
-	p := sched.XeonNode(1, 15*time.Millisecond)
-	for i := 0; i < b.N; i++ {
-		syncRes := sched.Simulate(nl, p)
-		asyncRes := sched.SimulateAsync(nl, p)
-		b.ReportMetric(float64(syncRes.Makespan)/float64(asyncRes.Makespan), "barrier/async")
-	}
-}

@@ -48,6 +48,7 @@ func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sampl
 		if _, err := pool.Run(nl, inputs); err != nil {
 			return nil, fmt.Errorf("experiments: pool(%d): %w", w, err)
 		}
+		// Unbatched, like Pool: Fig. 10 compares schedulers, not kernels.
 		planned := backend.NewPlanned(ck, w, 1)
 		_, err := planned.Run(nl, inputs)
 		planned.Close()

@@ -153,50 +153,11 @@ func TestLocalPoolPlatform(t *testing.T) {
 	}
 	// No network, no dispatch model: a wide workload approaches the ideal.
 	nl := wideNetlist(64, 4)
-	r := SimulateAsync(nl, p)
+	r := Simulate(nl, p)
 	if sp := r.Speedup(); sp < 3.5 || sp > 4.0 {
-		t.Fatalf("local-pool async speedup %f, want near the 4-worker ideal", sp)
+		t.Fatalf("local-pool speedup %f, want near the 4-worker ideal", sp)
 	}
 	if r.Comm != 0 || r.Overhead != 0 {
 		t.Fatalf("local pool should pay no comm/dispatch: %+v", r)
-	}
-}
-
-func TestAsyncNeverSlowerThanLevelSync(t *testing.T) {
-	// Removing the barrier can only help (same dispatch model).
-	for _, nl := range []*struct {
-		name string
-		n    func() *circuit.Netlist
-	}{
-		{"wide", func() *circuit.Netlist { return wideNetlist(100, 5) }},
-		{"serial", func() *circuit.Netlist { return serialNetlist(40) }},
-	} {
-		net := nl.n()
-		p := XeonNode(1, gt)
-		sync := Simulate(net, p)
-		async := SimulateAsync(net, p)
-		if async.Makespan > sync.Makespan*11/10 {
-			t.Fatalf("%s: async (%v) should not be slower than barriered (%v)", nl.name, async.Makespan, sync.Makespan)
-		}
-	}
-}
-
-func TestAsyncRespectsCriticalPath(t *testing.T) {
-	nl := serialNetlist(30)
-	r := SimulateAsync(nl, XeonNode(1, gt))
-	// A pure chain cannot beat depth * gate time.
-	if r.Makespan < 30*gt {
-		t.Fatalf("async makespan %v below the critical path %v", r.Makespan, 30*gt)
-	}
-	if sp := r.Speedup(); sp > 1.1 {
-		t.Fatalf("chain speedup %f should be ~1", sp)
-	}
-}
-
-func TestAsyncUsesAllWorkers(t *testing.T) {
-	nl := wideNetlist(180, 4)
-	r := SimulateAsync(nl, XeonNode(1, gt))
-	if sp := r.Speedup(); sp < 10 {
-		t.Fatalf("wide workload async speedup %f, want near 18-worker ideal", sp)
 	}
 }
