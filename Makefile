@@ -1,4 +1,4 @@
-.PHONY: build test lint check verify serve-test bench bench-kernel batch-test qos-test lut-test loc
+.PHONY: build test lint check verify serve-test bench bench-kernel bench-compile batch-test qos-test lut-test loc
 
 build:
 	go build ./...
@@ -67,6 +67,15 @@ bench:
 # gate.batch16_ns; see bench/README.md).
 bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/lwe/ ./internal/tfhe/boot/
+
+# Compile-path benchmark of a 14×14 MNIST_S (BenchmarkCompileMNIST): the
+# ChiselTorch lowering, one synth.Optimize, plan.Compile, and core — the
+# sequence the mnist_compile workload's child runs after the lowering
+# (core.Compile, core.Load, plan.Compile). Reports ns/gate per stage.
+# BENCHTIME=1x runs each stage once (CI does, so the benchmark cannot rot).
+BENCHTIME ?= 1s
+bench-compile:
+	go test -run '^$$' -bench 'CompileMNIST' -benchtime $(BENCHTIME) -benchmem ./internal/plan/
 
 # Race-checked tests of the bootstrap engine's batch entry points:
 # a batch of N is bit-exact with N single calls and with the

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -37,10 +38,10 @@ func NoOptimizations() BuilderOptions {
 	return BuilderOptions{}
 }
 
-// MaxNodeID is the largest node id a Builder emits. The CSE keys pack
-// operand ids into 30-bit fields, so the bound is what makes them exact: a
-// builder asked for one more node panics with ErrTooManyNodes rather than
-// letting two distinct gates share a key.
+// MaxNodeID is the largest node id a Builder emits. The CSE hashes pack
+// operand ids into 30-bit fields and the CSE index holds gate positions in
+// 32 bits, so a builder asked for one more node panics with ErrTooManyNodes
+// rather than outgrowing either.
 const MaxNodeID = 1<<idBits - 1
 
 const idBits = 30
@@ -49,18 +50,18 @@ const idBits = 30
 // beyond MaxNodeID.
 var ErrTooManyNodes = errors.New("circuit: netlist exceeds the builder's node-id bound")
 
-// gateKey is the CSE key of a classic gate: the 4-bit kind above two
-// 30-bit operand ids. It is exact because Gate only accepts kinds of the
-// 16-function alphabet and the builder never names a node past MaxNodeID;
-// being one word, it hashes on the map's uint64 fast path.
+// gateKey is what the CSE index hashes for a classic gate: the 4-bit kind
+// above two 30-bit operand ids, one word. It is exact because Gate only
+// accepts kinds of the 16-function alphabet and the builder never names a
+// node past MaxNodeID.
 type gateKey uint64
 
 func newGateKey(kind logic.Kind, a, b NodeID) gateKey {
 	return gateKey(uint64(kind)<<(2*idBits) | uint64(a)<<idBits | uint64(b))
 }
 
-// lutKey is the CSE key of a LUT gate: operands A and B packed like
-// gateKey's, then C above the 8-bit table. Two words, no padding.
+// lutKey is what the CSE index hashes for a LUT gate: operands A and B
+// packed like gateKey's, then C above the 8-bit table. Two words.
 type lutKey struct {
 	ab, ctt uint64
 }
@@ -75,10 +76,17 @@ func newLUTKey(tt logic.TT, ops []NodeID) lutKey {
 // Builder constructs a Netlist incrementally. All nodes must be created
 // through the builder so topological order holds by construction.
 //
-// With CSE on, the builder hash-conses gates on a one-word key (gateKey:
-// kind and two 30-bit operand ids), which is exact because the builder
-// never creates a node id past MaxNodeID. Grow reserves room when the
-// caller knows roughly how many gates are coming.
+// With CSE on, the builder hash-conses classic and LUT gates in one Index
+// of gate positions: a candidate is confirmed against the gate it names, so
+// the table stores no keys. Grow reserves room when the caller knows
+// roughly how many gates are coming.
+//
+// The builder counts the simplification rules that fire (Rewrites): every
+// constant fold, same-input or degenerate-kind reduction, COPY elimination,
+// absorbed or cancelled inverter, unary-form normalization and LUT support
+// reduction or decomposition. Commutative reordering and CSE merges are not
+// rewrites; they only pick the canonical form of a gate that is emitted
+// anyway.
 type Builder struct {
 	name        string
 	opts        BuilderOptions
@@ -87,37 +95,38 @@ type Builder struct {
 	gates       []Gate
 	outputs     []NodeID
 	outputNames []string
-	cse         map[gateKey]NodeID
-	lutCSE      map[lutKey]NodeID
+	cse         Index // gate positions, with CSE on
+	rewrites    int
 }
 
 // NewBuilder returns a builder with the given options.
 func NewBuilder(name string, opts BuilderOptions) *Builder {
-	return &Builder{
-		name:   name,
-		opts:   opts,
-		cse:    make(map[gateKey]NodeID),
-		lutCSE: make(map[lutKey]NodeID),
+	b := &Builder{name: name, opts: opts}
+	if opts.CSE {
+		b.cse = NewIndex(0)
 	}
+	return b
 }
 
 // Grow reserves room for n more gates: in the gate slice and, when CSE is
-// on, in the CSE table, so emitting them neither copies the gates nor
-// rehashes the table. It is a capacity hint only; the netlist built is the
-// same with or without it.
+// on, in the CSE index, so emitting them neither copies the gates nor
+// regrows the index. It is a capacity hint only; the netlist built is the
+// same with or without it, and an index that was not reserved doubles as
+// it fills.
 func (b *Builder) Grow(n int) {
 	if n <= 0 {
 		return
 	}
 	b.gates = slices.Grow(b.gates, n)
 	if b.opts.CSE {
-		cse := make(map[gateKey]NodeID, len(b.cse)+n)
-		for k, id := range b.cse {
-			cse[k] = id
-		}
-		b.cse = cse
+		b.cse.Reserve(n)
 	}
 }
+
+// Rewrites returns how many simplification rules have fired so far (see
+// Builder). A replay through a builder that reports zero emitted every
+// gate as given, up to operand order, or merged it with an equal one.
+func (b *Builder) Rewrites() int { return b.rewrites }
 
 // Input adds a named primary input and returns its node id. Inputs must be
 // created before any gate that reads them; creating inputs later is legal
@@ -179,7 +188,11 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 	}
 	if b.opts.ConstFold {
 		if a.IsConst() && bb.IsConst() {
+			b.rewrites++
 			return b.Const(kind.Eval(constVal(a), constVal(bb)))
+		}
+		if a.IsConst() || bb.IsConst() {
+			b.rewrites++
 		}
 		if a.IsConst() {
 			// Restrict the truth table to f(const, b).
@@ -201,12 +214,15 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 		}
 		// Degenerate kinds after specialization.
 		if kind.IsConst() {
+			b.rewrites++
 			return b.Const(kind.ConstValue())
 		}
 		switch kind {
 		case logic.COPY:
+			b.rewrites++
 			return a
 		case logic.COPYB:
+			b.rewrites++
 			return bb
 		}
 	}
@@ -214,6 +230,7 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 		// No constant folding: materialize the constant as a gate so the
 		// netlist stays within the binary format (which has no immediate
 		// operands). TRUE = XNOR(x,x), FALSE = XOR(x,x).
+		b.rewrites++
 		if a.IsConst() {
 			a = b.materializeConst(constVal(a), bb)
 		}
@@ -222,8 +239,10 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 		}
 	}
 
-	if b.opts.SameInput && a == bb {
-		// f(x, x): truth table restricted to the diagonal.
+	if b.opts.SameInput && a == bb && kind != logic.NOT {
+		// f(x, x): truth table restricted to the diagonal. (A NOT already
+		// has its operand in both slots; its diagonal is itself.)
+		b.rewrites++
 		f00 := kind.Eval(false, false)
 		f11 := kind.Eval(true, true)
 		switch {
@@ -241,22 +260,27 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 
 	if b.opts.PushNot && kind != logic.NOT && kind != logic.COPY {
 		if x, ok := b.notOperand(a); ok {
+			b.rewrites++
 			kind = kind.NegateA()
 			a = x
 		}
 		if x, ok := b.notOperand(bb); ok {
+			b.rewrites++
 			kind = kind.NegateB()
 			bb = x
 		}
 		// The rewrite may have produced a degenerate kind.
 		if b.opts.ConstFold {
 			if kind.IsConst() {
+				b.rewrites++
 				return b.Const(kind.ConstValue())
 			}
 			switch kind {
 			case logic.COPY:
+				b.rewrites++
 				return a
 			case logic.COPYB:
+				b.rewrites++
 				return bb
 			}
 		}
@@ -265,17 +289,24 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 	// Normalize unary forms so NOT always has its operand in A.
 	switch kind {
 	case logic.NOTB:
+		b.rewrites++
 		kind, a = logic.NOT, bb
 	case logic.COPYB:
+		b.rewrites++
 		kind, a = logic.COPY, bb
 	}
 	if kind == logic.NOT || kind == logic.COPY {
-		bb = a
+		if bb != a {
+			b.rewrites++
+			bb = a
+		}
 		if b.opts.ConstFold && kind == logic.COPY {
+			b.rewrites++
 			return a // a buffer computes nothing
 		}
 		if b.opts.PushNot && kind == logic.NOT {
 			if x, ok := b.notOperand(a); ok {
+				b.rewrites++
 				return x // ¬¬x = x
 			}
 		}
@@ -299,12 +330,25 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 // cseEmit returns the existing gate computing kind(a, bb), emitting it
 // first if there is none.
 func (b *Builder) cseEmit(kind logic.Kind, a, bb NodeID) NodeID {
-	key := newGateKey(kind, a, bb)
-	if id, ok := b.cse[key]; ok {
-		return id
+	return b.hashCons(Gate{Kind: kind, A: a, B: bb}, b.cse.HashWord(uint64(newGateKey(kind, a, bb))))
+}
+
+// hashCons returns the existing gate equal to g, pushing g first if there
+// is none; h is the hash of g's key. Candidates are gate positions, each
+// confirmed against the gate itself.
+func (b *Builder) hashCons(g Gate, h uint64) NodeID {
+	p := b.cse.Probe(h)
+	for {
+		i, ok := b.cse.Next(&p)
+		if !ok {
+			break
+		}
+		if b.gates[i] == g {
+			return NodeID(b.numInputs + 1 + int(i))
+		}
 	}
-	id := b.emit(kind, a, bb)
-	b.cse[key] = id
+	id := b.push(g)
+	b.cse.Insert(&p, int32(len(b.gates)-1))
 	return id
 }
 
@@ -336,7 +380,10 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 	if arity < 1 || arity > logic.MaxLUTArity {
 		panic(fmt.Sprintf("circuit: LUT arity %d outside [1,%d]", arity, logic.MaxLUTArity))
 	}
-	tt &= logic.TTMask(arity)
+	if m := tt & logic.TTMask(arity); m != tt {
+		b.rewrites++
+		tt = m
+	}
 	ops := append([]NodeID(nil), ins...)
 
 	// Reduce to minimal support: fold constants into the table, merge
@@ -371,6 +418,9 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 		}
 	}
 
+	if arity < len(ins) || arity < 3 {
+		b.rewrites++ // a reduced support, or a table that is no LUT node
+	}
 	switch arity {
 	case 0:
 		return b.Const(tt&1 == 1)
@@ -393,6 +443,7 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 		negated := false
 		for i := 0; i < arity; i++ {
 			if x, ok := b.notOperand(ops[i]); ok {
+				b.rewrites++
 				tt = tt.FlipInput(arity, i)
 				ops[i] = x
 				negated = true
@@ -414,6 +465,7 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 	if !logic.LUTFeasible(arity, tt) {
 		// No single-bootstrap plan: Shannon-expand on the first operand.
 		// Both cofactors are 2-input functions, recombined with a mux.
+		b.rewrites++
 		hi := b.LUT(tt.Restrict(arity, 0, true), ops[1], ops[2])
 		lo := b.LUT(tt.Restrict(arity, 0, false), ops[1], ops[2])
 		return b.Mux(ops[0], hi, lo)
@@ -435,21 +487,16 @@ func (b *Builder) LUT(tt logic.TT, ins ...NodeID) NodeID {
 			ops = []NodeID{ops[perm[0]], ops[perm[1]], ops[perm[2]]}
 		}
 		key := newLUTKey(tt, ops)
-		if id, ok := b.lutCSE[key]; ok {
-			return id
-		}
-		id := b.emitLUT(tt, ops)
-		b.lutCSE[key] = id
-		return id
+		var kb [16]byte
+		binary.LittleEndian.PutUint64(kb[:8], key.ab)
+		binary.LittleEndian.PutUint64(kb[8:], key.ctt)
+		return b.hashCons(lutGate(tt, ops), b.cse.HashBytes(kb[:]))
 	}
-	return b.emitLUT(tt, ops)
+	return b.push(lutGate(tt, ops))
 }
 
-func (b *Builder) emitLUT(tt logic.TT, ops []NodeID) NodeID {
-	return b.push(Gate{
-		A: ops[0], B: ops[1], C: ops[2],
-		TT: tt, Arity: uint8(len(ops)),
-	})
+func lutGate(tt logic.TT, ops []NodeID) Gate {
+	return Gate{A: ops[0], B: ops[1], C: ops[2], TT: tt, Arity: uint8(len(ops))}
 }
 
 // materializeConst produces a node computing the constant v, anchored on an

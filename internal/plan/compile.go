@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -198,6 +199,31 @@ func newStructKey(eg *execGate) structKey {
 	}
 }
 
+func (k structKey) hash(x *circuit.Index) uint64 {
+	var b [16]byte
+	binary.LittleEndian.PutUint32(b[0:], k.shape)
+	binary.LittleEndian.PutUint32(b[4:], uint32(k.a))
+	binary.LittleEndian.PutUint32(b[8:], uint32(k.b))
+	binary.LittleEndian.PutUint32(b[12:], uint32(k.c))
+	return x.HashBytes(b[:])
+}
+
+// findStruct looks k up in x, whose ids are exec nodes with gates
+// gates[id-numInputs]. It returns the exec node whose gate has key k, or -1
+// and the probe that ends where a new node for k is inserted.
+func findStruct(x *circuit.Index, gates []execGate, numInputs int, k structKey) (circuit.Probe, int32) {
+	p := x.Probe(k.hash(x))
+	for {
+		id, ok := x.Next(&p)
+		if !ok {
+			return p, -1
+		}
+		if newStructKey(&gates[int(id)-numInputs]) == k {
+			return p, id
+		}
+	}
+}
+
 // Compile captures nl into an execution plan: validation, the
 // functional-deduplication pass, then level layout — arena slot
 // assignment and each level's instructions in creation order. The plan
@@ -205,6 +231,12 @@ func newStructKey(eg *execGate) structKey {
 // tail is a shim for the benchmark module (bench/), which still passes a
 // worker count.
 func Compile(nl *circuit.Netlist, _ ...int) (*Plan, error) {
+	return compile(nl, circuit.NewIndex)
+}
+
+// compile is Compile with its hash-consing indexes made by newIndex, which
+// tests point at circuit.NewCollidingIndex.
+func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, error) {
 	start := time.Now()
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
@@ -233,11 +265,15 @@ func Compile(nl *circuit.Netlist, _ ...int) (*Plan, error) {
 	execOf := make([]int32, nl.NumNodes()+1) // logical node id → exec id
 	fns := make([]fn, numInputs, numInputs+len(nl.Gates))
 	gates := make([]execGate, 0, len(nl.Gates))
-	fnIndex := make(map[fn]int32, numInputs+len(nl.Gates))
-	structIndex := make(map[structKey]int32, len(nl.Gates))
+	// fnIndex hash-conses functions: its ids are exec nodes, confirmed
+	// against fns. structIndex, confirmed against gates, serves the
+	// support-overflow fallback only, so it allocates nothing until the
+	// first overflow and grows as it fills.
+	fnIndex := newIndex(numInputs + len(nl.Gates))
+	structIndex := newIndex(0)
 	for i := 0; i < numInputs; i++ {
 		fns[i] = identityFn(int32(i))
-		fnIndex[fns[i]] = int32(i)
+		fnIndex.Add(fns[i].hash(&fnIndex), int32(i))
 		execOf[i+1] = int32(i)
 	}
 	for i := range nl.Gates {
@@ -279,25 +315,26 @@ func Compile(nl *circuit.Netlist, _ ...int) (*Plan, error) {
 		}
 		var id int32
 		if f, ok := combineGate(&eg, fns); ok {
-			if hit, seen := fnIndex[f]; seen {
+			p, hit := findFn(&fnIndex, fns, &f)
+			if hit >= 0 {
 				execOf[nl.GateID(i)] = hit
 				continue
 			}
 			id = newExec(&gates, &fns, eg, f)
-			fnIndex[f] = id
+			fnIndex.Insert(&p, id)
 		} else {
 			// Support overflow: fall back to structural hash-consing (the
 			// key covers the truth table, so distinct LUTs never merge),
 			// and let the new node be a frontier variable for its readers.
-			skey := newStructKey(&eg)
-			if hit, seen := structIndex[skey]; seen {
+			p, hit := findStruct(&structIndex, gates, numInputs, newStructKey(&eg))
+			if hit >= 0 {
 				execOf[nl.GateID(i)] = hit
 				continue
 			}
 			id = newExec(&gates, &fns, eg, fn{})
 			fns[id] = identityFn(id)
-			fnIndex[fns[id]] = id
-			structIndex[skey] = id
+			fnIndex.Add(fns[id].hash(&fnIndex), id) // a fresh variable: no equal key
+			structIndex.Insert(&p, id)
 		}
 		execOf[nl.GateID(i)] = id
 	}
@@ -467,6 +504,33 @@ func Compile(nl *circuit.Netlist, _ ...int) (*Plan, error) {
 	stats.CompileTime = time.Since(start)
 	p.stats = stats
 	return p, nil
+}
+
+// hash returns f's hash under x's seed, over f's 40 bytes.
+func (f *fn) hash(x *circuit.Index) uint64 {
+	var b [40]byte
+	binary.LittleEndian.PutUint64(b[0:], f.table)
+	for i, v := range f.vars {
+		binary.LittleEndian.PutUint32(b[8+4*i:], uint32(v))
+	}
+	binary.LittleEndian.PutUint64(b[32:], uint64(f.n))
+	return x.HashBytes(b[:])
+}
+
+// findFn looks f up in x, whose ids are exec nodes with functions in fns.
+// It returns the exec node that computes f, or -1 and the probe that ends
+// where a new node for f is inserted.
+func findFn(x *circuit.Index, fns []fn, f *fn) (circuit.Probe, int32) {
+	p := x.Probe(f.hash(x))
+	for {
+		id, ok := x.Next(&p)
+		if !ok {
+			return p, -1
+		}
+		if fns[id] == *f {
+			return p, id
+		}
+	}
 }
 
 // newExec appends an exec gate and its function, returning the node id.

@@ -23,11 +23,13 @@ type Pass struct {
 }
 
 // StandardPasses returns the default pipeline in application order.
-func StandardPasses() []Pass {
+func StandardPasses() []Pass { return standardPasses(CSE) }
+
+func standardPasses(cse func(*circuit.Netlist) (*circuit.Netlist, error)) []Pass {
 	return []Pass{
 		{Name: "const-fold", Run: ConstFold},
 		{Name: "absorb-not", Run: AbsorbInverters},
-		{Name: "cse", Run: CSE},
+		{Name: "cse", Run: cse},
 		{Name: "dce", Run: DeadGateElimination},
 	}
 }
@@ -58,10 +60,35 @@ type Result struct {
 	Deltas     []PassDelta // one entry per pass application
 }
 
-// Optimize runs the standard pipeline repeatedly until the gate count stops
-// improving (or maxIter pipeline iterations, whichever first).
+// Optimize runs the standard pipeline to its fixed point, for at most 8
+// rounds. It stops after a round that did not shrink the netlist, as
+// OptimizeWith does, and also after a round whose cse replay fired no
+// builder rule (Builder.Rewrites is zero: every gate was emitted as given
+// or merged with an equal one). Such a round is provably final, so the
+// netlist is the one OptimizeWith(nl, StandardPasses(), 8) returns, one
+// confirming round sooner:
+//
+//   - const-fold and absorb-not output is closed under their own rules:
+//     it has no constant operand, and no gate reads a NOT;
+//   - a cse replay that fired no rule found no constant operand, no
+//     same-input pair and no degenerate or non-canonical kind, and its
+//     merges create none of these: a gate merges only with an equal one,
+//     so a NOT operand stays a NOT operand and any same-input pair a
+//     merge creates shows up in the same replay;
+//   - dce removes gates and renumbers the rest monotonically, which
+//     keeps every operand order and enables no rule.
+//
+// So the next round's const-fold, absorb-not and cse replays fire nothing
+// and merge nothing, and its dce finds nothing dead: it is the identity.
 func Optimize(nl *circuit.Netlist) (*Result, error) {
-	return OptimizeWith(nl, StandardPasses(), 8)
+	rewrites := 0
+	cse := func(nl *circuit.Netlist) (*circuit.Netlist, error) {
+		r := newRebuilder(nl, cseOptions)
+		out, err := r.replayAll()
+		rewrites = r.b.Rewrites()
+		return out, err
+	}
+	return optimize(nl, standardPasses(cse), 8, func() bool { return rewrites == 0 })
 }
 
 // OptimizeLUT runs the standard pipeline plus lut-cluster to a fixed point.
@@ -69,8 +96,15 @@ func OptimizeLUT(nl *circuit.Netlist) (*Result, error) {
 	return OptimizeWith(nl, LUTPasses(), 8)
 }
 
-// OptimizeWith runs the given passes to a fixed point.
+// OptimizeWith runs the given passes repeatedly until the gate count stops
+// improving (or maxIter rounds, whichever first).
 func OptimizeWith(nl *circuit.Netlist, passes []Pass, maxIter int) (*Result, error) {
+	return optimize(nl, passes, maxIter, func() bool { return false })
+}
+
+// optimize is OptimizeWith that also stops after a round for which final
+// reports true.
+func optimize(nl *circuit.Netlist, passes []Pass, maxIter int, final func() bool) (*Result, error) {
 	res := &Result{Netlist: nl, GatesIn: len(nl.Gates)}
 	for iter := 0; iter < maxIter; iter++ {
 		before := len(res.Netlist.Gates)
@@ -96,7 +130,7 @@ func OptimizeWith(nl *circuit.Netlist, passes []Pass, maxIter int) (*Result, err
 			})
 		}
 		res.Iterations++
-		if len(res.Netlist.Gates) >= before {
+		if len(res.Netlist.Gates) >= before || final() {
 			break
 		}
 	}
@@ -182,11 +216,13 @@ func ConstFold(nl *circuit.Netlist) (*circuit.Netlist, error) {
 	return r.replayAll()
 }
 
+// cseOptions are the builder options of the CSE pass.
+var cseOptions = circuit.BuilderOptions{CSE: true, ConstFold: true, SameInput: true}
+
 // CSE performs global common-subexpression elimination with commutative
 // normalization: structurally identical gates merge into one.
 func CSE(nl *circuit.Netlist) (*circuit.Netlist, error) {
-	r := newRebuilder(nl, circuit.BuilderOptions{CSE: true, ConstFold: true, SameInput: true})
-	return r.replayAll()
+	return newRebuilder(nl, cseOptions).replayAll()
 }
 
 // AbsorbInverters rewrites consumers of NOT gates to negate the

@@ -17,7 +17,7 @@ func BubbleSort() Benchmark {
 		Desc:       "bubble sort network over 8 bytes",
 		InputBits:  repeatBits(8, n),
 		OutputBits: repeatBits(8, n),
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("bubble_sort")
 			xs := make([]hdl.Bus, n)
 			for i := range xs {
@@ -33,7 +33,7 @@ func BubbleSort() Benchmark {
 			for i, x := range xs {
 				m.OutputBus(fmt.Sprintf("y%d", i), x)
 			}
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			out := append([]uint64(nil), in...)
@@ -59,7 +59,7 @@ func Kadane() Benchmark {
 		InputBits:  repeatBits(8, n),
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("kadane")
 			xs := make([]hdl.Bus, n)
 			for i := range xs {
@@ -72,7 +72,7 @@ func Kadane() Benchmark {
 				best = m.MaxS(best, cur)
 			}
 			m.OutputBus("best", best)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			cur := signExt(in[0], 8)
@@ -103,7 +103,7 @@ func EditDistance() Benchmark {
 		Desc:       "Levenshtein distance of two 8-char strings",
 		InputBits:  repeatBits(4, 2*n),
 		OutputBits: []int{w},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("edit_distance")
 			a := make([]hdl.Bus, n)
 			b := make([]hdl.Bus, n)
@@ -132,7 +132,7 @@ func EditDistance() Benchmark {
 				prev = cur
 			}
 			m.OutputBus("dist", prev[n])
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			a, b := in[:n], in[n:]
@@ -176,7 +176,7 @@ func DotProduct() Benchmark {
 		Desc:       "inner product of two encrypted 8-vectors",
 		InputBits:  repeatBits(8, 2*n),
 		OutputBits: []int{w},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("dot_product")
 			as := make([]hdl.Bus, n)
 			bs := make([]hdl.Bus, n)
@@ -190,7 +190,7 @@ func DotProduct() Benchmark {
 				acc = m.Add(acc, m.SignExtend(prod, w))
 			}
 			m.OutputBus("dot", acc)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			var acc int64
@@ -230,7 +230,7 @@ func LinearRegression() Benchmark {
 		Desc:       "least-squares slope/intercept over 8 points",
 		InputBits:  repeatBits(8, n),
 		OutputBits: []int{w, w},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("linear_regression")
 			ys := make([]hdl.Bus, n)
 			for i := 0; i < n; i++ {
@@ -244,7 +244,7 @@ func LinearRegression() Benchmark {
 			}
 			m.OutputBus("slope", slope)
 			m.OutputBus("intercept", icept)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			var s, c int64
@@ -268,7 +268,7 @@ func KNN() Benchmark {
 		Desc:       "nearest neighbor among 8 points (Manhattan)",
 		InputBits:  []int{8, 8},
 		OutputBits: []int{3},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("knn")
 			qx := m.SignExtend(m.InputBus("qx", 8), w)
 			qy := m.SignExtend(m.InputBus("qy", 8), w)
@@ -287,7 +287,7 @@ func KNN() Benchmark {
 				bestIdx = m.Mux(closer, m.ConstBus(uint64(i), 3), bestIdx)
 			}
 			m.OutputBus("idx", bestIdx)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			qx, qy := signExt(in[0], 8), signExt(in[1], 8)
@@ -324,7 +324,7 @@ func EulersApprox() Benchmark {
 		InputBits:  []int{3},
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("eulers_approx")
 			n := m.InputBus("n", 3)
 			acc := m.ConstBus(0, w)
@@ -334,7 +334,7 @@ func EulersApprox() Benchmark {
 				acc = m.Add(acc, term)
 			}
 			m.OutputBus("e", acc)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			var acc int64
@@ -359,7 +359,7 @@ func GradientDescent() Benchmark {
 		InputBits:  []int{w, w, w}, // w0, x, y
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("gradient_descent")
 			wgt := m.InputBus("w0", w)
 			x := m.InputBus("x", w)
@@ -372,7 +372,7 @@ func GradientDescent() Benchmark {
 				wgt = m.Sub(wgt, m.AshrConst(grad, lrShift))
 			}
 			m.OutputBus("w", wgt)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			wgt := signExt(in[0], w)
@@ -402,7 +402,7 @@ func NRSolver() Benchmark {
 		InputBits:  []int{w, w}, // a, x0
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("nr_solver")
 			a := m.InputBus("a", w)
 			x := m.InputBus("x0", w)
@@ -413,7 +413,7 @@ func NRSolver() Benchmark {
 				x = m.Slice(m.MulS(x, t), frac, frac+w)
 			}
 			m.OutputBus("x", x)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			a := signExt(in[0], w)
@@ -442,7 +442,7 @@ func KeplerCalc() Benchmark {
 		InputBits:  []int{w}, // mean anomaly M
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("kepler_calc")
 			M := m.InputBus("M", w)
 			E := M
@@ -456,7 +456,7 @@ func KeplerCalc() Benchmark {
 				E = m.Add(M, scaled)
 			}
 			m.OutputBus("E", E)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			M := signExt(in[0], w)
@@ -487,7 +487,7 @@ func Parrondo() Benchmark {
 		InputBits:  repeatBits(1, rounds),
 		OutputBits: []int{w},
 		Serial:     true,
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("parrondo")
 			coins := make([]circuit.NodeID, rounds)
 			for i := range coins {
@@ -504,7 +504,7 @@ func Parrondo() Benchmark {
 				capital = m.Mux(win, up, down)
 			}
 			m.OutputBus("capital", capital)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			var capital int64
@@ -534,7 +534,7 @@ func RobertsCross() Benchmark {
 		Desc:       "Roberts-Cross edge detection over an 8x8 image",
 		InputBits:  repeatBits(8, size*size),
 		OutputBits: repeatBits(w, (size-1)*(size-1)),
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("roberts_cross")
 			img := make([]hdl.Bus, size*size)
 			for i := range img {
@@ -547,7 +547,7 @@ func RobertsCross() Benchmark {
 					m.OutputBus(fmt.Sprintf("e%d_%d", y, x), m.Add(g1, g2))
 				}
 			}
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			abs := func(v int64) int64 {

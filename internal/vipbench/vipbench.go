@@ -32,10 +32,25 @@ type Benchmark struct {
 	// the ones the paper observes scale poorly (NR-Solver, Parrondo,
 	// Euler, Kadane, gradient descent, Kepler).
 	Serial bool
-	// Build synthesizes the optimized netlist.
-	Build func() (*circuit.Netlist, error)
+	// Lower describes the kernel in the hdl library: the module Build
+	// lowers to gates and optimizes.
+	Lower func() *hdl.Module
 	// Ref computes the same function on plaintext words.
 	Ref func(in []uint64) []uint64
+}
+
+// Build lowers the kernel's module to gates and returns the optimized
+// netlist.
+func (b Benchmark) Build() (*circuit.Netlist, error) {
+	nl, err := b.Lower().Build()
+	if err != nil {
+		return nil, err
+	}
+	res, err := synth.Optimize(nl)
+	if err != nil {
+		return nil, err
+	}
+	return res.Netlist, nil
 }
 
 // EncodeInputs packs logical input words into the netlist's input bits.
@@ -72,19 +87,6 @@ func (b Benchmark) DecodeOutputs(bits []bool) ([]uint64, error) {
 		off += w
 	}
 	return out, nil
-}
-
-// finish optimizes and returns the module's netlist.
-func finish(m *hdl.Module) (*circuit.Netlist, error) {
-	nl, err := m.Build()
-	if err != nil {
-		return nil, err
-	}
-	res, err := synth.Optimize(nl)
-	if err != nil {
-		return nil, err
-	}
-	return res.Netlist, nil
 }
 
 func signExt(v uint64, w int) int64 {
@@ -148,12 +150,12 @@ func HammingDistance() Benchmark {
 		Desc:       "popcount of the XOR of two 64-bit words",
 		InputBits:  []int{64, 64},
 		OutputBits: []int{7},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("hamming_distance")
 			a := m.InputBus("a", 64)
 			b := m.InputBus("b", 64)
 			m.OutputBus("dist", m.PopCount(m.Xor(a, b)))
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			x := in[0] ^ in[1]
@@ -176,7 +178,7 @@ func FanControl() Benchmark {
 		Desc:       "threshold ladder selecting a fan speed",
 		InputBits:  []int{8},
 		OutputBits: []int{2},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("fan_control")
 			t := m.InputBus("t", 8)
 			out := m.ConstBus(speeds[0], 2)
@@ -185,7 +187,7 @@ func FanControl() Benchmark {
 				out = m.Mux(ge, m.ConstBus(speeds[i+1], 2), out)
 			}
 			m.OutputBus("speed", out)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			s := speeds[0]
@@ -207,7 +209,7 @@ func Primality() Benchmark {
 		Desc:       "primality of a 6-bit value by comparison ladder",
 		InputBits:  []int{6},
 		OutputBits: []int{1},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("primality")
 			n := m.InputBus("n", 6)
 			hits := make(hdl.Bus, 0, len(primes))
@@ -215,7 +217,7 @@ func Primality() Benchmark {
 				hits = append(hits, m.Eq(n, m.ConstBus(p, 6)))
 			}
 			m.Output("prime", m.OrReduce(hits))
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			for _, p := range primes {
@@ -236,7 +238,7 @@ func Distinctness() Benchmark {
 		Desc:       "pairwise distinctness of 8 bytes",
 		InputBits:  repeatBits(8, n),
 		OutputBits: []int{1},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("distinctness")
 			xs := make([]hdl.Bus, n)
 			for i := range xs {
@@ -249,7 +251,7 @@ func Distinctness() Benchmark {
 				}
 			}
 			m.Output("distinct", m.AndReduce(pairs))
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			for i := 0; i < n; i++ {
@@ -274,7 +276,7 @@ func StringSearch() Benchmark {
 		Desc:       "constant needle search over an encrypted string",
 		InputBits:  repeatBits(4, hay),
 		OutputBits: []int{1},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("string_search")
 			cs := make([]hdl.Bus, hay)
 			for i := range cs {
@@ -289,7 +291,7 @@ func StringSearch() Benchmark {
 				hits = append(hits, m.AndReduce(eqs))
 			}
 			m.Output("found", m.OrReduce(hits))
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			for off := 0; off+len(needle) <= hay; off++ {
@@ -318,7 +320,7 @@ func FilteredQuery() Benchmark {
 		Desc:       "SELECT SUM(value) WHERE key = q over 16 records",
 		InputBits:  append(repeatBits(4, n+1), repeatBits(8, n)...),
 		OutputBits: []int{12},
-		Build: func() (*circuit.Netlist, error) {
+		Lower: func() *hdl.Module {
 			m := hdl.New("filtered_query")
 			q := m.InputBus("q", 4)
 			keys := make([]hdl.Bus, n)
@@ -336,7 +338,7 @@ func FilteredQuery() Benchmark {
 				sum = m.Add(sum, masked)
 			}
 			m.OutputBus("sum", sum)
-			return finish(m)
+			return m
 		},
 		Ref: func(in []uint64) []uint64 {
 			q := in[0]

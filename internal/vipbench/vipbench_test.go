@@ -66,8 +66,8 @@ func TestSuiteHas18Benchmarks(t *testing.T) {
 			t.Fatalf("duplicate benchmark %q", b.Name)
 		}
 		seen[b.Name] = true
-		if b.Build == nil || b.Ref == nil {
-			t.Fatalf("%s missing Build or Ref", b.Name)
+		if b.Lower == nil || b.Ref == nil {
+			t.Fatalf("%s missing Lower or Ref", b.Name)
 		}
 	}
 	// The paper's named examples must be present.

@@ -54,7 +54,7 @@ go_test_selections() {
         }'
 }
 {
-    go_test_selections Makefile "serve-test qos-test lut-test batch-test"
+    go_test_selections Makefile "serve-test qos-test lut-test batch-test bench-compile"
     go_test_selections .github/workflows/ci.yml ""
 } | while read -r pat pkgs; do
     # shellcheck disable=SC2086 # pkgs is a word list
