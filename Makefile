@@ -69,13 +69,17 @@ bench-kernel:
 	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/lwe/ ./internal/tfhe/boot/
 
 # Compile-path benchmark of a 14×14 MNIST_S (BenchmarkCompileMNIST): the
-# ChiselTorch lowering, one synth.Optimize, plan.Compile, and core — the
-# sequence the mnist_compile workload's child runs after the lowering
-# (core.Compile, core.Load, plan.Compile). Reports ns/gate per stage.
+# ChiselTorch lowering, one synth.Optimize of the unsynthesized lowering,
+# plan.Compile, and core — the sequence the mnist_compile workload's child
+# runs after the lowering (core.Compile, core.Load, plan.Compile). Reports
+# ns/gate per stage.
+# Then BenchmarkIndexHash: one hash-consing index hash of each key layout
+# the compile path uses (word, 16-byte, 40-byte), ns/op.
 # BENCHTIME=1x runs each stage once (CI does, so the benchmark cannot rot).
 BENCHTIME ?= 1s
 bench-compile:
 	go test -run '^$$' -bench 'CompileMNIST' -benchtime $(BENCHTIME) -benchmem ./internal/plan/
+	go test -run '^$$' -bench 'IndexHash' -benchtime $(BENCHTIME) ./internal/circuit/
 
 # Race-checked tests of the bootstrap engine's batch entry points:
 # a batch of N is bit-exact with N single calls and with the

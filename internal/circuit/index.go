@@ -14,16 +14,17 @@ import (
 // key (a gate, a function), so no key is stored twice. The index keeps its
 // load at most one half and doubles when an insert would pass that.
 //
-// Hashes are maphash's under a seed drawn per index, so which keys share a
-// probe chain differs from table to table and cannot be chosen by whoever
-// supplies the keys (a tenant uploading a program, say). Nothing the caller
-// builds depends on the seed: an id is found or not regardless of where it
-// sits in the table.
+// Hashes are a wyhash-style multiply-fold (Mix) keyed by two odd words drawn
+// from a maphash seed made per index, so which keys share a probe chain
+// differs from table to table and cannot be chosen by whoever supplies the
+// keys (a tenant uploading a program, say). Nothing the caller builds
+// depends on the keys: an id is found or not regardless of where it sits in
+// the table.
 type Index struct {
-	slots []uint64 // tag<<32 | id+1; 0 is an empty slot
-	used  int
-	seed  maphash.Seed
-	keep  uint64 // bits of every hash kept: all of them, unless a test forces collisions
+	slots  []uint64 // tag<<32 | id+1; 0 is an empty slot
+	used   int
+	k0, k1 uint64 // hash keys, odd
+	keep   uint64 // bits of every hash kept: all of them, unless a test forces collisions
 }
 
 // minIndexSlots is the smallest table an index allocates.
@@ -32,7 +33,12 @@ const minIndexSlots = 16
 // NewIndex returns an empty index that holds n ids without growing, under a
 // fresh random seed. With n ≤ 0 it allocates nothing until the first insert.
 func NewIndex(n int) Index {
-	x := Index{seed: maphash.MakeSeed(), keep: ^uint64(0)}
+	seed := maphash.MakeSeed()
+	x := Index{
+		k0:   maphash.Bytes(seed, []byte{0}) | 1,
+		k1:   maphash.Bytes(seed, []byte{1}) | 1,
+		keep: ^uint64(0),
+	}
 	x.Reserve(n)
 	return x
 }
@@ -61,16 +67,47 @@ func (x *Index) Reserve(n int) {
 	}
 }
 
-// HashWord returns the hash of a one-word key.
-func (x *Index) HashWord(k uint64) uint64 {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], k)
-	return maphash.Bytes(x.seed, b[:]) & x.keep
+// Mix multiplies a and b into 128 bits and folds the halves together
+// (wyhash's mum): every bit of the result depends on every bit of both
+// operands. It is the step of every keyed hash of the compile path.
+func Mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
-// HashBytes returns the hash of a key laid out as bytes.
+// HashWord returns the hash of a one-word key: the key against both index
+// keys, folded, then folded once more so the tag's bits mix every key bit.
+func (x *Index) HashWord(k uint64) uint64 {
+	return Mix(Mix(k^x.k0, k^x.k1)^x.k0, x.k1) & x.keep
+}
+
+// HashBytes returns the hash of a key laid out as bytes: each 16-byte
+// chunk (the last one zero-padded) is folded into a running hash that
+// starts from the key's length, and the result is folded once more.
 func (x *Index) HashBytes(b []byte) uint64 {
-	return maphash.Bytes(x.seed, b) & x.keep
+	h := x.k1 ^ uint64(len(b))
+	for ; len(b) >= 16; b = b[16:] {
+		h = Mix(binary.LittleEndian.Uint64(b)^x.k0, binary.LittleEndian.Uint64(b[8:])^h)
+	}
+	if len(b) > 0 {
+		var lo, hi uint64
+		if len(b) >= 8 {
+			lo, hi = binary.LittleEndian.Uint64(b), partialWord(b[8:])
+		} else {
+			lo = partialWord(b)
+		}
+		h = Mix(lo^x.k0, hi^h)
+	}
+	return Mix(h^x.k0, x.k1) & x.keep
+}
+
+// partialWord reads fewer than 8 bytes as a little-endian word.
+func partialWord(b []byte) uint64 {
+	var w uint64
+	for i, c := range b {
+		w |= uint64(c) << (8 * i)
+	}
+	return w
 }
 
 // Probe is one lookup's walk along a probe chain.

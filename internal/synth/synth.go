@@ -80,7 +80,16 @@ type Result struct {
 //
 // So the next round's const-fold, absorb-not and cse replays fire nothing
 // and merge nothing, and its dce finds nothing dead: it is the identity.
+//
+// Optimize remembers the fingerprints of the netlists it returns after such
+// a final round in a small process-wide set. Given one of them again (the
+// frontends optimize, and core.Compile optimizes their output), it returns
+// the input with zero rounds: gate for gate what the identity round would
+// return. OptimizeLUT and OptimizeWith neither consult nor fill the set.
 func Optimize(nl *circuit.Netlist) (*Result, error) {
+	if fixedPoints.has(fixedPoints.fingerprint(nl)) {
+		return &Result{Netlist: nl, GatesIn: len(nl.Gates), GatesOut: len(nl.Gates)}, nil
+	}
 	rewrites := 0
 	cse := func(nl *circuit.Netlist) (*circuit.Netlist, error) {
 		r := newRebuilder(nl, cseOptions)
@@ -88,7 +97,11 @@ func Optimize(nl *circuit.Netlist) (*Result, error) {
 		rewrites = r.b.Rewrites()
 		return out, err
 	}
-	return optimize(nl, standardPasses(cse), 8, func() bool { return rewrites == 0 })
+	res, fixed, err := optimize(nl, standardPasses(cse), 8, func() bool { return rewrites == 0 })
+	if fixed {
+		fixedPoints.add(fixedPoints.fingerprint(res.Netlist))
+	}
+	return res, err
 }
 
 // OptimizeLUT runs the standard pipeline plus lut-cluster to a fixed point.
@@ -99,20 +112,21 @@ func OptimizeLUT(nl *circuit.Netlist) (*Result, error) {
 // OptimizeWith runs the given passes repeatedly until the gate count stops
 // improving (or maxIter rounds, whichever first).
 func OptimizeWith(nl *circuit.Netlist, passes []Pass, maxIter int) (*Result, error) {
-	return optimize(nl, passes, maxIter, func() bool { return false })
+	res, _, err := optimize(nl, passes, maxIter, func() bool { return false })
+	return res, err
 }
 
 // optimize is OptimizeWith that also stops after a round for which final
-// reports true.
-func optimize(nl *circuit.Netlist, passes []Pass, maxIter int, final func() bool) (*Result, error) {
-	res := &Result{Netlist: nl, GatesIn: len(nl.Gates)}
+// reports true, and then reports fixed.
+func optimize(nl *circuit.Netlist, passes []Pass, maxIter int, final func() bool) (res *Result, fixed bool, err error) {
+	res = &Result{Netlist: nl, GatesIn: len(nl.Gates)}
 	for iter := 0; iter < maxIter; iter++ {
 		before := len(res.Netlist.Gates)
 		for _, p := range passes {
 			nGatesBefore := len(res.Netlist.Gates)
 			out, err := p.Run(res.Netlist)
 			if err != nil {
-				return nil, fmt.Errorf("synth: pass %s: %w", p.Name, err)
+				return nil, false, fmt.Errorf("synth: pass %s: %w", p.Name, err)
 			}
 			res.Netlist = out
 			luts := 0
@@ -130,12 +144,12 @@ func optimize(nl *circuit.Netlist, passes []Pass, maxIter int, final func() bool
 			})
 		}
 		res.Iterations++
-		if len(res.Netlist.Gates) >= before || final() {
+		if fixed = final(); fixed || len(res.Netlist.Gates) >= before {
 			break
 		}
 	}
 	res.GatesOut = len(res.Netlist.Gates)
-	return res, nil
+	return res, fixed, nil
 }
 
 // rebuilder replays a netlist through a fresh optimizing or literal builder
