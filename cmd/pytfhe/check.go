@@ -30,8 +30,8 @@ type checkTarget struct {
 // runs the noise-budget dataflow analysis (internal/tfhe/noise) and the
 // plan-soundness verifier (internal/plan), printing both reports and
 // failing the command if any target is over budget or compiles to an
-// unsound plan. Program binaries additionally pass the strict structural
-// lint (asm.Lint) at load time.
+// unsound plan. Program binaries are loaded with core.Load, which rejects
+// every binary asm.Lint rejects.
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	path := fs.String("prog", "", "PyTFHE binary path (or pass it as the argument)")
@@ -57,7 +57,7 @@ func cmdCheck(args []string) error {
 		if err != nil {
 			return err
 		}
-		prog, err := core.LoadStrict(bin)
+		prog, err := core.Load(bin)
 		if err != nil {
 			return err
 		}

@@ -309,7 +309,7 @@ func cmdRun(args []string) error {
 	clusterWorkers := fs.Int("cluster-workers", 2, "workers to wait for on the cluster backend")
 	batch := fs.Int("batch", runBatchDefault, "bootstrap batch size for the plan backend: each worker fuses up to N bootstrapped instructions of a level into one amortized blind-rotation dispatch (0: the default, "+strconv.Itoa(backend.DefaultBatch)+"; 1: unbatched, and with one worker auto picks single)")
 	stats := fs.Bool("stats", false, "print executor statistics after the run")
-	strict := fs.Bool("strict", false, "lint the program and verify its noise budget at load time; refuse to run on any error")
+	strict := fs.Bool("strict", false, "verify the program's noise budget before running it; refuse to run one over budget")
 	lut := fs.Bool("lut", false, "re-synthesize the program through LUT clustering: fanout-free gate cones collapse into k-input programmable bootstraps before execution")
 	in := fs.String("in", "", "input bits as 0/1 characters (LSB first), e.g. 10110")
 	fs.Parse(args)
@@ -320,11 +320,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	load := core.Load
-	if *strict {
-		load = core.LoadStrict
-	}
-	prog, err := load(bin)
+	prog, err := core.Load(bin)
 	if err != nil {
 		return err
 	}

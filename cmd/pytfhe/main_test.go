@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -247,6 +248,39 @@ func TestCheckRejectsOverBudget(t *testing.T) {
 	err := checkNetlist(experiments.ImbalancedNetlist(), &degraded, 0)
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("degraded bench netlist: err = %v, want over-budget failure", err)
+	}
+}
+
+// TestRunStrictRejectsOverBudget: `run -strict` is the noise check. A
+// program over the cloud key's noise budget is refused before any gate
+// is evaluated.
+func TestRunStrictRejectsOverBudget(t *testing.T) {
+	kp, err := core.GenerateKeysSeeded(params.Test(), []byte("run-strict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := *kp.Cloud
+	degraded := *ck.Params
+	degraded.LWEStdev = math.Exp2(-8)
+	ck.Params = &degraded
+	dir := t.TempDir()
+	if err := writeGob(filepath.Join(dir, "secret.key"), kp.Secret); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeGob(filepath.Join(dir, "cloud.key"), &ck); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Compile(experiments.ImbalancedNetlist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "prog.ptfhe")
+	if err := os.WriteFile(path, prog.Binary, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdRun([]string{"-prog", path, "-keys", dir, "-strict", "-in", strings.Repeat("0", prog.Stats.Inputs)})
+	if err == nil || !strings.Contains(err.Error(), "over budget") {
+		t.Fatalf("run -strict under a degraded key: err = %v, want over-budget refusal", err)
 	}
 }
 

@@ -33,6 +33,12 @@
 // table (bit x₀·2^(k-1)|…|x₍k₋₁₎ = f(x₀..x₍k₋₁₎), at most 2^arity bits).
 // The header's gate count stays the count of logical gates, not words.
 //
+// One decoder reads the format: a single pass that keeps going past bad
+// records and returns the recovered netlist with every binary-level
+// defect, each wrapping one of the sentinels below. Disassemble (and so
+// core.Load), Inspect, Listing and Lint all stand on it, so a binary the
+// linter rejects never loads and one it passes always does.
+//
 //pytfhe:errorcritical
 package asm
 
@@ -40,6 +46,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
@@ -115,7 +122,9 @@ func (k Kind) String() string {
 
 // Classify determines the instruction kind from its markers. The header is
 // positional (first instruction) and cannot be distinguished by content
-// alone, so Classify never returns KindHeader.
+// alone, so Classify never returns KindHeader. Every other marker record
+// (F1 all ones) classifies as KindOutput; the decoder rejects those whose
+// type nibble is not the output marker 0x3.
 func (in Instruction) Classify() Kind {
 	if in.F1 == allOnes62 {
 		if in.Type == 0xF && in.F2 == allOnes62 {
@@ -262,7 +271,107 @@ func decodeLUTExt(ext Instruction, at int) (circuit.NodeID, logic.TT, uint8, err
 	return third, logic.TT(ext.F2), uint8(arity), nil
 }
 
-// Info summarizes a program binary without fully decoding it.
+// defect is one binary-level finding of the decoder: its lint code and
+// an error wrapping the matching sentinel.
+type defect struct {
+	code string
+	err  error
+}
+
+// decodeProgram is the one decoder of the program format: a single pass
+// over bin that keeps going past bad records, returning the recovered
+// netlist (unnamed, ports unnamed), its LUT count, and every binary-level
+// defect in stream order. A framing defect (truncation, no header, bad
+// header) stops it before any record is read and leaves nl nil. Disassemble,
+// Inspect, Listing and Lint all stand on it, so they accept the same
+// binaries.
+func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect) {
+	fail := func(code string, err error) { defects = append(defects, defect{code, err}) }
+	if len(bin)%InstructionSize != 0 {
+		fail(CodeTruncated, fmt.Errorf("%w: %d bytes is not a multiple of %d", ErrTruncated, len(bin), InstructionSize))
+		return nil, 0, defects
+	}
+	n := len(bin) / InstructionSize
+	if n == 0 {
+		fail(CodeEmpty, ErrEmpty)
+		return nil, 0, defects
+	}
+	header := decode(bin)
+	if header.F1 != 0 || header.Type != 0 {
+		fail(CodeBadHeader, fmt.Errorf("%w: F1=%d type=%#x", ErrBadHeader, header.F1, header.Type))
+		return nil, 0, defects
+	}
+	// Presized to what the stream can hold, so a well-formed program
+	// allocates its gates once and a lying header cannot inflate it.
+	nl = &circuit.Netlist{Gates: make([]circuit.Gate, 0, min(header.F2, uint64(n-1)))}
+	phase := KindInput
+	for i := 1; i < n; i++ {
+		inst := decode(bin[i*InstructionSize:])
+		switch inst.Classify() {
+		case KindInput:
+			if phase != KindInput {
+				fail(CodeBadLayout, fmt.Errorf("%w: instruction %d: input record after the input section; indices cannot be assigned", ErrBadLayout, i))
+				continue
+			}
+			nl.NumInputs++
+		case KindOutput:
+			if inst.Type != 0x3 {
+				fail(circuit.CodeBadGateType, fmt.Errorf("%w: instruction %d: marker record with type nibble %#x is neither an input (0xF, F2 all ones) nor an output (0x3)", ErrBadLayout, i, inst.Type))
+				continue
+			}
+			phase = KindOutput
+			nl.Outputs = append(nl.Outputs, circuit.NodeID(inst.F2))
+		default:
+			if phase == KindOutput {
+				fail(CodeBadLayout, fmt.Errorf("%w: instruction %d: gate record after the output section", ErrBadLayout, i))
+				continue
+			}
+			phase = KindGate
+			g := circuit.Gate{Kind: logic.Kind(inst.Type), A: circuit.NodeID(inst.F1), B: circuit.NodeID(inst.F2)}
+			if inst.Type == 0x0 {
+				// LUT lead: the next word is its extension, consumed
+				// positionally (it may carry marker-looking field values).
+				if i+1 >= n {
+					fail(CodeLUTTruncated, fmt.Errorf("%w: instruction %d ends the program", ErrLUTTruncated, i))
+					continue
+				}
+				var err error
+				g.C, g.TT, g.Arity, err = decodeLUTExt(decode(bin[(i+1)*InstructionSize:]), i+1)
+				if errors.Is(err, ErrLUTTruncated) {
+					// The next record is a marker, not an extension:
+					// report it and let it reparse as itself.
+					fail(CodeLUTTruncated, err)
+					continue
+				}
+				i++ // the extension word is consumed whatever it holds
+				if err != nil {
+					code := circuit.CodeBadLUTArity
+					if errors.Is(err, ErrLUTTable) {
+						code = circuit.CodeWideLUTTable
+					}
+					fail(code, err)
+					continue
+				}
+				luts++
+			}
+			nl.Gates = append(nl.Gates, g)
+		}
+	}
+	if uint64(len(nl.Gates)) != header.F2 {
+		fail(CodeGateCount, fmt.Errorf("%w: header declares %d gates, stream holds %d", ErrGateCount, header.F2, len(nl.Gates)))
+	}
+	return nl, luts, defects
+}
+
+// firstErr is the error of the first defect, nil for a well-formed stream.
+func firstErr(defects []defect) error {
+	if len(defects) == 0 {
+		return nil
+	}
+	return defects[0].err
+}
+
+// Info summarizes a program binary without validating its gate graph.
 type Info struct {
 	Instructions int
 	Inputs       int
@@ -273,108 +382,34 @@ type Info struct {
 
 // Inspect validates the framing of a program binary and returns counts.
 func Inspect(bin []byte) (Info, error) {
-	var info Info
-	if len(bin)%InstructionSize != 0 {
-		return info, fmt.Errorf("%w: %d bytes is not a multiple of %d", ErrTruncated, len(bin), InstructionSize)
+	nl, luts, defects := decodeProgram(bin)
+	if nl == nil {
+		return Info{}, firstErr(defects)
 	}
-	n := len(bin) / InstructionSize
-	if n == 0 {
-		return info, ErrEmpty
-	}
-	info.Instructions = n
-	header := decode(bin[:InstructionSize])
-	if header.F1 != 0 || header.Type != 0 {
-		return info, fmt.Errorf("%w: F1=%d type=%#x", ErrBadHeader, header.F1, header.Type)
-	}
-	declaredGates := header.F2
-
-	i := 1
-	for ; i < n; i++ {
-		if decode(bin[i*InstructionSize:]).Classify() != KindInput {
-			break
-		}
-		info.Inputs++
-	}
-	for ; i < n; i++ {
-		inst := decode(bin[i*InstructionSize:])
-		if inst.Classify() != KindGate {
-			break
-		}
-		info.Gates++
-		if inst.Type == 0x0 {
-			// LUT lead: consume and validate the extension word.
-			if i+1 >= n {
-				return info, fmt.Errorf("%w: instruction %d ends the program", ErrLUTTruncated, i)
-			}
-			ext := decode(bin[(i+1)*InstructionSize:])
-			if _, _, _, err := decodeLUTExt(ext, i+1); err != nil {
-				return info, err
-			}
-			info.LUTs++
-			i++
-		}
-	}
-	for ; i < n; i++ {
-		inst := decode(bin[i*InstructionSize:])
-		if inst.Classify() != KindOutput {
-			return info, fmt.Errorf("%w: instruction %d: expected output instruction, got %v", ErrBadLayout, i, inst.Classify())
-		}
-		info.Outputs++
-	}
-	if uint64(info.Gates) != declaredGates {
-		return info, fmt.Errorf("%w: header declares %d gates, found %d", ErrGateCount, declaredGates, info.Gates)
-	}
-	return info, nil
+	return Info{
+		Instructions: len(bin) / InstructionSize,
+		Inputs:       nl.NumInputs,
+		Gates:        len(nl.Gates),
+		LUTs:         luts,
+		Outputs:      len(nl.Outputs),
+	}, firstErr(defects)
 }
 
 // Disassemble decodes a program binary back into a netlist. Port names are
 // synthesized (in[i], out[i]) since the format does not carry them.
 func Disassemble(bin []byte) (*circuit.Netlist, error) {
-	info, err := Inspect(bin)
-	if err != nil {
+	nl, _, defects := decodeProgram(bin)
+	if err := firstErr(defects); err != nil {
 		return nil, err
 	}
-	nl := &circuit.Netlist{
-		Name:        "disassembled",
-		NumInputs:   info.Inputs,
-		Gates:       make([]circuit.Gate, 0, info.Gates),
-		Outputs:     make([]circuit.NodeID, 0, info.Outputs),
-		InputNames:  make([]string, info.Inputs),
-		OutputNames: make([]string, info.Outputs),
-	}
+	nl.Name = "disassembled"
+	nl.InputNames = make([]string, nl.NumInputs)
 	for i := range nl.InputNames {
 		nl.InputNames[i] = fmt.Sprintf("in[%d]", i)
 	}
+	nl.OutputNames = make([]string, len(nl.Outputs))
 	for i := range nl.OutputNames {
 		nl.OutputNames[i] = fmt.Sprintf("out[%d]", i)
-	}
-	at := 1 + info.Inputs
-	for g := 0; g < info.Gates; g++ {
-		inst := decode(bin[at*InstructionSize:])
-		at++
-		if inst.Type == 0x0 {
-			// Inspect already validated the extension word.
-			ext := decode(bin[at*InstructionSize:])
-			at++
-			third, tt, arity, err := decodeLUTExt(ext, at-1)
-			if err != nil {
-				return nil, err
-			}
-			nl.Gates = append(nl.Gates, circuit.Gate{
-				A: circuit.NodeID(inst.F1), B: circuit.NodeID(inst.F2), C: third,
-				TT: tt, Arity: arity,
-			})
-			continue
-		}
-		nl.Gates = append(nl.Gates, circuit.Gate{
-			Kind: logic.Kind(inst.Type),
-			A:    circuit.NodeID(inst.F1),
-			B:    circuit.NodeID(inst.F2),
-		})
-	}
-	for i := 0; i < info.Outputs; i++ {
-		inst := decode(bin[(at+i)*InstructionSize:])
-		nl.Outputs = append(nl.Outputs, circuit.NodeID(inst.F2))
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
@@ -382,40 +417,31 @@ func Disassemble(bin []byte) (*circuit.Netlist, error) {
 	return nl, nil
 }
 
-// Listing renders a human-readable disassembly, one instruction per line.
+// Listing renders a human-readable disassembly, one instruction per line
+// (a LUT's two words share one line).
 func Listing(bin []byte) (string, error) {
-	info, err := Inspect(bin)
-	if err != nil {
+	nl, _, defects := decodeProgram(bin)
+	if err := firstErr(defects); err != nil {
 		return "", err
 	}
-	out := fmt.Sprintf("header  gates=%d\n", info.Gates)
-	idx := 1
-	for i := 1; i < info.Instructions; i++ {
-		inst := decode(bin[i*InstructionSize:])
-		switch inst.Classify() {
-		case KindInput:
-			out += fmt.Sprintf("input   #%d\n", idx)
-			idx++
-		case KindGate:
-			if inst.Type == 0x0 {
-				ext := decode(bin[(i+1)*InstructionSize:])
-				third, tt, arity, err := decodeLUTExt(ext, i+1)
-				if err != nil {
-					return "", err
-				}
-				if arity >= 3 {
-					out += fmt.Sprintf("lut%d    #%d = %#x(%d, %d, %d)\n", arity, idx, uint8(tt), inst.F1, inst.F2, third)
-				} else {
-					out += fmt.Sprintf("lut%d    #%d = %#x(%d, %d)\n", arity, idx, uint8(tt), inst.F1, inst.F2)
-				}
-				i++
-			} else {
-				out += fmt.Sprintf("gate    #%d = %s(%d, %d)\n", idx, logic.Kind(inst.Type), inst.F1, inst.F2)
-			}
-			idx++
-		case KindOutput:
-			out += fmt.Sprintf("output  <- #%d\n", inst.F2)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "header  gates=%d\n", len(nl.Gates))
+	for i := 1; i <= nl.NumInputs; i++ {
+		fmt.Fprintf(&sb, "input   #%d\n", i)
+	}
+	for i := range nl.Gates {
+		g, id := &nl.Gates[i], nl.GateID(i)
+		switch {
+		case g.Arity >= 3:
+			fmt.Fprintf(&sb, "lut%d    #%d = %#x(%d, %d, %d)\n", g.Arity, id, uint8(g.TT), g.A, g.B, g.C)
+		case g.IsLUT():
+			fmt.Fprintf(&sb, "lut%d    #%d = %#x(%d, %d)\n", g.Arity, id, uint8(g.TT), g.A, g.B)
+		default:
+			fmt.Fprintf(&sb, "gate    #%d = %s(%d, %d)\n", id, g.Kind, g.A, g.B)
 		}
 	}
-	return out, nil
+	for _, o := range nl.Outputs {
+		fmt.Fprintf(&sb, "output  <- #%d\n", o)
+	}
+	return sb.String(), nil
 }

@@ -1,12 +1,6 @@
 package asm
 
-import (
-	"errors"
-	"fmt"
-
-	"pytfhe/internal/circuit"
-	"pytfhe/internal/logic"
-)
+import "pytfhe/internal/circuit"
 
 // Binary-level diagnostic codes, complementing the graph-level codes of
 // internal/circuit.
@@ -21,115 +15,23 @@ const (
 
 // Lint statically verifies a program binary without executing it — the
 // pre-flight check before committing a cluster to a multi-hour FHE run.
-// Unlike Inspect/Disassemble, which stop at the first framing violation,
-// Lint is tolerant: it decodes as much structure as it can, reports every
-// binary-level defect (truncation, bad header, out-of-order records,
-// header/stream gate-count disagreement), then hands the recovered gate
-// graph to circuit.Lint for cycle, wiring, gate-type, output and dead-code
-// analysis plus the depth/fan-out report.
+// It reports every binary-level defect the decoder meets (truncation, bad
+// header, out-of-order or unknown records, LUT framing, header/stream
+// gate-count disagreement), then hands the recovered gate graph to
+// circuit.Lint for cycle, wiring, gate-type, output and dead-code analysis
+// plus the depth/fan-out report. Lint(bin).Err() is nil exactly when
+// Disassemble(bin) succeeds.
 func Lint(bin []byte) *circuit.Report {
-	rep := &circuit.Report{Name: "program"}
-	diag := func(sev circuit.Severity, code, msg string) {
-		rep.Diags = append(rep.Diags, circuit.Diagnostic{Severity: sev, Code: code, Message: msg})
+	nl, _, defects := decodeProgram(bin)
+	rep := &circuit.Report{}
+	if nl != nil {
+		rep = circuit.Lint(nl)
 	}
-
-	if len(bin)%InstructionSize != 0 {
-		diag(circuit.SevError, CodeTruncated, ErrTruncated.Error())
-		return rep
-	}
-	n := len(bin) / InstructionSize
-	if n == 0 {
-		diag(circuit.SevError, CodeEmpty, ErrEmpty.Error())
-		return rep
-	}
-	header := decode(bin[:InstructionSize])
-	if header.F1 != 0 || header.Type != 0 {
-		diag(circuit.SevError, CodeBadHeader, ErrBadHeader.Error())
-		return rep
-	}
-
-	// Tolerant decode: classify every instruction, note records that break
-	// the header/inputs/gates/outputs layout, and recover the gate graph.
-	nl := &circuit.Netlist{Name: "program"}
-	phase := KindInput
-	var binDiags []circuit.Diagnostic
-	addBin := func(sev circuit.Severity, code, msg string) {
-		binDiags = append(binDiags, circuit.Diagnostic{Severity: sev, Code: code, Message: msg})
-	}
-	for i := 1; i < n; i++ {
-		inst := decode(bin[i*InstructionSize:])
-		switch k := inst.Classify(); k {
-		case KindInput:
-			if phase != KindInput {
-				addBin(circuit.SevError, CodeBadLayout,
-					fmt.Sprintf("instruction %d: input record after the input section; indices cannot be assigned", i))
-				continue
-			}
-			nl.NumInputs++
-		case KindGate:
-			if phase == KindOutput {
-				addBin(circuit.SevError, CodeBadLayout,
-					fmt.Sprintf("instruction %d: gate record after the output section", i))
-				continue
-			}
-			phase = KindGate
-			if inst.Type == 0x0 {
-				// LUT lead: the next word is its extension, consumed
-				// positionally (it may carry marker-looking field values).
-				if i+1 >= n {
-					addBin(circuit.SevError, CodeLUTTruncated,
-						fmt.Sprintf("instruction %d: LUT lead ends the program without its extension word", i))
-					continue
-				}
-				ext := decode(bin[(i+1)*InstructionSize:])
-				third, tt, arity, err := decodeLUTExt(ext, i+1)
-				if err != nil {
-					switch {
-					case errors.Is(err, ErrLUTTruncated):
-						// The following record is a marker, not an
-						// extension: report and let it reparse as itself.
-						addBin(circuit.SevError, CodeLUTTruncated, err.Error())
-					case errors.Is(err, ErrLUTTable):
-						addBin(circuit.SevError, circuit.CodeWideLUTTable, err.Error())
-						i++
-					default:
-						addBin(circuit.SevError, circuit.CodeBadLUTArity, err.Error())
-						i++
-					}
-					continue
-				}
-				i++
-				nl.Gates = append(nl.Gates, circuit.Gate{
-					A: circuit.NodeID(inst.F1), B: circuit.NodeID(inst.F2), C: third,
-					TT: tt, Arity: arity,
-				})
-				continue
-			}
-			nl.Gates = append(nl.Gates, circuit.Gate{
-				Kind: logic.Kind(inst.Type),
-				A:    circuit.NodeID(inst.F1),
-				B:    circuit.NodeID(inst.F2),
-			})
-		case KindOutput:
-			// Classify buckets every F1=all-ones record that is not a
-			// well-formed input here, so marker records with an unknown
-			// type nibble surface as bad gate types.
-			if inst.Type != 0x3 {
-				addBin(circuit.SevError, circuit.CodeBadGateType,
-					fmt.Sprintf("instruction %d: marker record with unknown type nibble %#x (want input 0xF or output 0x3)", i, inst.Type))
-				continue
-			}
-			phase = KindOutput
-			nl.Outputs = append(nl.Outputs, circuit.NodeID(inst.F2))
-		}
-	}
-	if uint64(len(nl.Gates)) != header.F2 {
-		addBin(circuit.SevError, CodeGateCount,
-			fmt.Sprintf("header declares %d gates, stream holds %d", header.F2, len(nl.Gates)))
-	}
-
-	rep = circuit.Lint(nl)
 	rep.Name = "program"
-	rep.Diags = append(binDiags, rep.Diags...)
+	diags := make([]circuit.Diagnostic, 0, len(defects)+len(rep.Diags))
+	for _, d := range defects {
+		diags = append(diags, circuit.Diagnostic{Severity: circuit.SevError, Code: d.code, Message: d.err.Error()})
+	}
+	rep.Diags = append(diags, rep.Diags...)
 	return rep
 }

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"pytfhe/internal/circuit"
@@ -80,9 +81,41 @@ func TestAssembleIndexSpace(t *testing.T) {
 	}
 }
 
-// FuzzInspect throws arbitrary bytes at the three decoders. Nothing may
-// panic, and a program that Lint passes without error-severity findings
-// must also survive the strict Disassemble path.
+// TestLyingHeaderBoundedAlloc: a 3-record stream whose header declares
+// MaxIndex gates is a gate-count error, and the decoder sizes its gate
+// slice by the records in the stream, never by the header.
+func TestLyingHeaderBoundedAlloc(t *testing.T) {
+	bin := craft(
+		Instruction{F1: 0, F2: MaxIndex, Type: 0},
+		Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF},
+		Instruction{F1: allOnes62, F2: 1, Type: 0x3},
+	)
+	for name, decode := range map[string]func([]byte) error{
+		"Inspect":     func(b []byte) error { _, err := Inspect(b); return err },
+		"Disassemble": func(b []byte) error { _, err := Disassemble(b); return err },
+		"Listing":     func(b []byte) error { _, err := Listing(b); return err },
+	} {
+		if err := decode(bin); !errors.Is(err, ErrGateCount) {
+			t.Errorf("%s: got %v, want ErrGateCount", name, err)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Disassemble(bin); err == nil {
+			t.Fatal("lying header accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 32*uint64(len(bin)) {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes", len(bin), perRun)
+	}
+}
+
+// FuzzInspect throws arbitrary bytes at the decoder's four entry points.
+// Nothing may panic, and load and lint must agree: Disassemble succeeds
+// exactly when Lint finds no error-severity defect.
 func FuzzInspect(f *testing.F) {
 	good, err := Assemble(halfAdderForFuzz())
 	if err != nil {
@@ -121,15 +154,26 @@ func FuzzInspect(f *testing.F) {
 	f.Add(lutProgram(func(in []Instruction) { in[5].Type = 0x9 })) // arity over max
 	f.Add(lutProgram(func(in []Instruction) { in[5].F2 = 0x100 })) // wide table
 	f.Add(lutProgram(func(in []Instruction) { in[5].F2 = 0x80 }))  // infeasible AND3
+	f.Add(lutProgram(func(in []Instruction) { in[5].F2 = 0xFF }))  // constant table
+	f.Add(craft(                                                   // output record re-typed to an unknown marker nibble
+		Instruction{F1: 0, F2: 1, Type: 0},
+		Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF},
+		Instruction{F1: 1, F2: 1, Type: 8},
+		Instruction{F1: allOnes62, F2: 2, Type: 0x7},
+	))
+	f.Add(craft( // input-nibble marker whose F2 is not all ones
+		Instruction{F1: 0, F2: 1, Type: 0},
+		Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF},
+		Instruction{F1: 1, F2: 1, Type: 8},
+		Instruction{F1: allOnes62, F2: 2, Type: 0xF},
+	))
 
 	f.Fuzz(func(t *testing.T, bin []byte) {
 		Inspect(bin)
-		Disassemble(bin)
-		rep := Lint(bin)
-		if rep.Err() == nil {
-			if _, err := Disassemble(bin); err != nil {
-				t.Fatalf("Lint passed but Disassemble failed: %v", err)
-			}
+		Listing(bin)
+		_, err := Disassemble(bin)
+		if lintErr := Lint(bin).Err(); (err == nil) != (lintErr == nil) {
+			t.Fatalf("load and lint disagree: Disassemble: %v; Lint: %v", err, lintErr)
 		}
 	})
 }

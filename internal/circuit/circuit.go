@@ -140,52 +140,21 @@ func (nl *Netlist) IsInput(id NodeID) bool {
 	return id >= 1 && int(id) <= nl.NumInputs
 }
 
-// Validate checks the structural invariants: every gate reads only nodes
-// with strictly smaller indices (topological order), no gate reads a
-// constant sentinel, and every output names a valid node or constant.
+// Validate checks the structural invariants of a runnable netlist — the
+// rules of check, shared with Lint — and returns the first error-severity
+// violation: every gate reads only nodes with strictly smaller indices
+// (topological order), no gate reads a constant sentinel, every LUT has a
+// single-bootstrap plan, and every output names a valid node or constant.
 func (nl *Netlist) Validate() error {
-	if nl.NumInputs < 0 {
-		return fmt.Errorf("circuit: negative input count %d", nl.NumInputs)
-	}
-	if nl.InputNames != nil && len(nl.InputNames) != nl.NumInputs {
-		return fmt.Errorf("circuit: %d input names for %d inputs", len(nl.InputNames), nl.NumInputs)
-	}
-	if nl.OutputNames != nil && len(nl.OutputNames) != len(nl.Outputs) {
-		return fmt.Errorf("circuit: %d output names for %d outputs", len(nl.OutputNames), len(nl.Outputs))
-	}
-	for i := range nl.Gates {
-		g := &nl.Gates[i]
-		id := nl.GateID(i)
-		if g.IsLUT() {
-			if g.Arity < 2 || int(g.Arity) > logic.MaxLUTArity {
-				return fmt.Errorf("circuit: gate %d: LUT arity %d outside [2,%d]", id, g.Arity, logic.MaxLUTArity)
-			}
-			if g.TT != g.TT&logic.TTMask(int(g.Arity)) {
-				return fmt.Errorf("circuit: gate %d: truth table %#x wider than 2^%d bits", id, g.TT, g.Arity)
-			}
-			if !logic.LUTFeasible(int(g.Arity), g.TT) {
-				return fmt.Errorf("circuit: gate %d: LUT table %#x has no single-bootstrap plan", id, g.TT)
-			}
+	var err error
+	nl.check(func(sev Severity, _, format string, args ...any) bool {
+		if sev != SevError {
+			return true
 		}
-		for k := 0; k < g.NumOperands(); k++ {
-			in := g.Operand(k)
-			if in <= 0 {
-				return fmt.Errorf("circuit: gate %d (%v) reads invalid node %d", id, g.Kind, in)
-			}
-			if in >= id {
-				return fmt.Errorf("circuit: gate %d (%v) reads node %d, violating topological order", id, g.Kind, in)
-			}
-		}
-	}
-	for i, out := range nl.Outputs {
-		if out.IsConst() {
-			continue
-		}
-		if out <= 0 || int(out) > nl.NumNodes() {
-			return fmt.Errorf("circuit: output %d names invalid node %d", i, out)
-		}
-	}
-	return nil
+		err = fmt.Errorf("circuit: "+format, args...)
+		return false
+	})
+	return err
 }
 
 // Evaluate runs the netlist on cleartext inputs, returning the output bits.

@@ -110,22 +110,23 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Lint statically verifies a netlist before execution. Unlike Validate —
-// which enforces the builder's invariants and assumes topological order —
-// Lint treats the netlist as an untrusted general graph (the shape a
-// hand-crafted or corrupted program binary can take) and reports every
-// defect it can find rather than stopping at the first:
+// Lint statically verifies a netlist before execution. It applies the
+// rules Validate enforces (see check) but reports every violation rather
+// than the first, and then treats the netlist as an untrusted general
+// graph (the shape a hand-crafted or corrupted program binary can take):
 //
-//   - dependency cycles over the gate DAG (cycle)
 //   - operands that no instruction drives (undriven-wire) and operands
-//     defined after their reader (forward-ref)
-//   - gate types outside the 4-bit alphabet (bad-gate-type) and constant
-//     gates that synthesis should have folded (const-gate)
+//     defined after their reader (forward-ref), plus dependency cycles
+//     over the gate DAG (cycle)
+//   - gate types outside the 4-bit alphabet (bad-gate-type), constant
+//     gates that synthesis should have folded (const-gate) and LUT
+//     defects (bad-lut-arity, wide-lut-table, infeasible-lut)
 //   - output ports naming nonexistent nodes (dangling-output), duplicate
 //     exports (dup-output), and programs with no outputs at all
 //   - gates whose results can never reach an output (dead-gates)
 //
-// plus a depth / wavefront / fan-out structure report.
+// plus a depth / wavefront / fan-out structure report. A netlist has an
+// error-severity finding exactly when Validate rejects it.
 func Lint(nl *Netlist) *Report {
 	r := &Report{
 		Name:    nl.Name,
@@ -133,69 +134,21 @@ func Lint(nl *Netlist) *Report {
 		Gates:   len(nl.Gates),
 		Outputs: len(nl.Outputs),
 	}
-	diag := func(sev Severity, code, format string, args ...any) {
+	diag := func(sev Severity, code, format string, args ...any) bool {
 		r.Diags = append(r.Diags, Diagnostic{sev, code, fmt.Sprintf(format, args...)})
+		return true
 	}
-
+	nl.check(diag)
 	if nl.NumInputs < 0 {
-		diag(SevError, CodeShapeMismatch, "negative input count %d", nl.NumInputs)
 		return r
-	}
-	if nl.InputNames != nil && len(nl.InputNames) != nl.NumInputs {
-		diag(SevError, CodeShapeMismatch, "%d input names for %d inputs", len(nl.InputNames), nl.NumInputs)
-	}
-	if nl.OutputNames != nil && len(nl.OutputNames) != len(nl.Outputs) {
-		diag(SevError, CodeShapeMismatch, "%d output names for %d outputs", len(nl.OutputNames), len(nl.Outputs))
 	}
 
 	numNodes := NodeID(nl.NumNodes())
-
-	// Per-gate wiring and type checks.
-	for i, g := range nl.Gates {
-		id := nl.GateID(i)
-		nOps := 2
-		if g.IsLUT() {
-			if g.Arity < 2 || int(g.Arity) > logic.MaxLUTArity {
-				diag(SevError, CodeBadLUTArity, "gate %d is a LUT with arity %d, outside [2, %d]", id, g.Arity, logic.MaxLUTArity)
-			} else {
-				nOps = int(g.Arity)
-				if g.TT != g.TT&logic.TTMask(nOps) {
-					diag(SevError, CodeWideLUTTable, "gate %d holds truth table %#x, wider than the 2^%d bits arity %d allows", id, g.TT, 1<<nOps, g.Arity)
-				} else if c, _ := g.TT.IsConst(nOps); c {
-					diag(SevWarning, CodeConstGate, "gate %d is a constant LUT (table %#x); synthesis should have folded it", id, g.TT)
-				} else if !logic.LUTFeasible(nOps, g.TT) {
-					diag(SevError, CodeInfeasibleLUT, "gate %d: LUT table %#x has no single-bootstrap plan at arity %d", id, g.TT, g.Arity)
-				}
-			}
-		} else if g.Kind >= logic.NumKinds {
-			diag(SevError, CodeBadGateType, "gate %d has type %d, outside the 4-bit gate alphabet", id, g.Kind)
-		} else if g.Kind.IsConst() {
-			diag(SevWarning, CodeConstGate, "gate %d is constant %s; synthesis should have folded it", id, g.Kind)
-		}
-		for k := 0; k < nOps; k++ {
-			in := g.Operand(k)
-			switch {
-			case in <= 0:
-				diag(SevError, CodeUndrivenWire, "gate %d (%s) reads node %d, which no instruction drives", id, gateName(&g), in)
-			case in > numNodes:
-				diag(SevError, CodeUndrivenWire, "gate %d (%s) reads node %d, past the last defined node %d", id, gateName(&g), in, numNodes)
-			case in >= id:
-				diag(SevError, CodeForwardRef, "gate %d (%s) reads node %d, defined at or after it", id, gateName(&g), in)
-			}
-		}
-	}
-
-	// Output port checks.
 	seen := map[NodeID][]int{}
 	for i, out := range nl.Outputs {
-		if out.IsConst() {
-			continue
+		if !out.IsConst() && out > 0 && out <= numNodes {
+			seen[out] = append(seen[out], i)
 		}
-		if out <= 0 || out > numNodes {
-			diag(SevError, CodeDanglingOut, "output %d names nonexistent node %d", i, out)
-			continue
-		}
-		seen[out] = append(seen[out], i)
 	}
 	dups := make([]NodeID, 0, len(seen))
 	for id, ports := range seen {
@@ -228,7 +181,7 @@ func Lint(nl *Netlist) *Report {
 		}
 		// Depth/wavefront/fan-out passes index by node id and assume a
 		// defect-free graph; skip them when wiring errors were found.
-		if wellFormed(r) {
+		if r.Err() == nil {
 			stats := nl.ComputeStats()
 			r.Depth, r.Levels, r.MaxWidth = stats.Depth, stats.Levels, stats.MaxWidth
 			for id, f := range nl.FanOut() {
@@ -241,6 +194,70 @@ func Lint(nl *Netlist) *Report {
 	return r
 }
 
+// check applies the netlist, gate and output rules Validate and Lint
+// share, in netlist order, handing each violation to emit; it stops as
+// soon as emit returns false. Validate stops at the first error and Lint
+// collects them all, so the two cannot disagree on which netlists are
+// well-formed.
+func (nl *Netlist) check(emit func(sev Severity, code, format string, args ...any) bool) {
+	if nl.NumInputs < 0 {
+		emit(SevError, CodeShapeMismatch, "negative input count %d", nl.NumInputs)
+		return
+	}
+	if nl.InputNames != nil && len(nl.InputNames) != nl.NumInputs &&
+		!emit(SevError, CodeShapeMismatch, "%d input names for %d inputs", len(nl.InputNames), nl.NumInputs) {
+		return
+	}
+	if nl.OutputNames != nil && len(nl.OutputNames) != len(nl.Outputs) &&
+		!emit(SevError, CodeShapeMismatch, "%d output names for %d outputs", len(nl.OutputNames), len(nl.Outputs)) {
+		return
+	}
+	numNodes := NodeID(nl.NumNodes())
+	for i := range nl.Gates {
+		g := &nl.Gates[i]
+		id := nl.GateID(i)
+		nOps := g.NumOperands()
+		keep := true
+		switch {
+		case !g.IsLUT() && g.Kind >= logic.NumKinds:
+			keep = emit(SevError, CodeBadGateType, "gate %d has type %d, outside the 4-bit gate alphabet", id, g.Kind)
+		case !g.IsLUT() && g.Kind.IsConst():
+			keep = emit(SevWarning, CodeConstGate, "gate %d is constant %s; synthesis should have folded it", id, g.Kind)
+		case !g.IsLUT():
+		case g.Arity < 2 || int(g.Arity) > logic.MaxLUTArity:
+			keep = emit(SevError, CodeBadLUTArity, "gate %d is a LUT with arity %d, outside [2, %d]", id, g.Arity, logic.MaxLUTArity)
+			nOps = 2
+		case g.TT != g.TT&logic.TTMask(nOps):
+			keep = emit(SevError, CodeWideLUTTable, "gate %d holds truth table %#x, wider than the %d bits arity %d allows", id, g.TT, 1<<nOps, g.Arity)
+		case logic.LUTFeasible(nOps, g.TT):
+		case g.TT == 0 || g.TT == logic.TTMask(nOps):
+			// A constant table has no single-bootstrap plan either.
+			keep = emit(SevError, CodeConstGate, "gate %d is a constant LUT (table %#x) with no single-bootstrap plan; synthesis should have folded it", id, g.TT)
+		default:
+			keep = emit(SevError, CodeInfeasibleLUT, "gate %d: LUT table %#x has no single-bootstrap plan at arity %d", id, g.TT, g.Arity)
+		}
+		for k := 0; keep && k < nOps; k++ {
+			switch in := g.Operand(k); {
+			case in <= 0:
+				keep = emit(SevError, CodeUndrivenWire, "gate %d (%s) reads node %d, which no instruction drives", id, gateName(g), in)
+			case in > numNodes:
+				keep = emit(SevError, CodeUndrivenWire, "gate %d (%s) reads node %d, past the last defined node %d, violating topological order", id, gateName(g), in, numNodes)
+			case in >= id:
+				keep = emit(SevError, CodeForwardRef, "gate %d (%s) reads node %d, defined at or after it, violating topological order", id, gateName(g), in)
+			}
+		}
+		if !keep {
+			return
+		}
+	}
+	for i, out := range nl.Outputs {
+		if !out.IsConst() && (out <= 0 || out > numNodes) &&
+			!emit(SevError, CodeDanglingOut, "output %d names nonexistent node %d", i, out) {
+			return
+		}
+	}
+}
+
 // gateName renders a gate's function for diagnostics: the kind mnemonic
 // for classic gates, "lutK(table)" for LUT nodes.
 func gateName(g *Gate) string {
@@ -248,17 +265,6 @@ func gateName(g *Gate) string {
 		return fmt.Sprintf("lut%d(%#x)", g.Arity, g.TT)
 	}
 	return g.Kind.String()
-}
-
-// wellFormed reports whether the report so far has no error diagnostics —
-// the precondition for running the order-assuming Stats passes.
-func wellFormed(r *Report) bool {
-	for _, d := range r.Diags {
-		if d.Severity == SevError {
-			return false
-		}
-	}
-	return true
 }
 
 // findCycle runs an iterative three-color DFS over the gate dependency

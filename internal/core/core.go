@@ -111,18 +111,10 @@ func ApplyLUT(p *Program) (*Program, error) {
 	return CompileLUT(p.Netlist)
 }
 
-// LoadStrict decodes a PyTFHE binary after running the full static lint
-// suite (asm.Lint: framing, cycles, wiring, gate types, outputs) over it.
-// Any error-severity diagnostic rejects the program — the pre-flight gate
-// for long homomorphic runs, exposed as `pytfhe run -strict`.
-func LoadStrict(bin []byte) (*Program, error) {
-	if err := asm.Lint(bin).Err(); err != nil {
-		return nil, fmt.Errorf("core: strict load rejected: %w", err)
-	}
-	return Load(bin)
-}
-
-// Load decodes a PyTFHE binary back into a runnable program.
+// Load decodes a PyTFHE binary back into a runnable program. It accepts
+// exactly the binaries `asm.Lint` passes without an error-severity
+// finding (framing, record layout, wiring, gate types, LUT tables,
+// outputs), so no separate lint pass is needed before a run.
 func Load(bin []byte) (*Program, error) {
 	nl, err := asm.Disassemble(bin)
 	if err != nil {

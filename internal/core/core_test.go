@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"pytfhe/internal/asm"
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/params"
@@ -97,6 +99,31 @@ func TestLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load([]byte("not a program")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadRejectsUnknownMarker: a marker record (F1 all ones) is an input
+// only with nibble 0xF and F2 all ones, and an output only with nibble
+// 0x3. Re-typing the last output record to any other marker must be a
+// layout error for both the disassembler and Load, as it is for the linter.
+func TestLoadRejectsUnknownMarker(t *testing.T) {
+	prog, err := Compile(comparator4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(prog.Binary) - asm.InstructionSize
+	for _, nibble := range []byte{0x7, 0xF} {
+		bin := append([]byte(nil), prog.Binary...)
+		bin[last] = bin[last]&0xF0 | nibble // the type nibble is the low 4 bits
+		if _, err := asm.Disassemble(bin); !errors.Is(err, asm.ErrBadLayout) {
+			t.Errorf("nibble %#x: Disassemble err %v, want ErrBadLayout", nibble, err)
+		}
+		if _, err := Load(bin); !errors.Is(err, asm.ErrBadLayout) {
+			t.Errorf("nibble %#x: Load err %v, want ErrBadLayout", nibble, err)
+		}
+		if asm.Lint(bin).Err() == nil {
+			t.Errorf("nibble %#x: Lint passed", nibble)
+		}
 	}
 }
 

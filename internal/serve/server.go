@@ -441,9 +441,10 @@ func hashBytes(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// handleRegister admits a program binary into the registry: lint, strict
-// load, LUT resynthesis under -lut, static noise-budget analysis, and the
-// plan compile, all kept under the content hash — every evaluation then
+// handleRegister admits a program binary into the registry: one decode
+// (core.Load, which rejects every binary asm.Lint rejects), LUT
+// resynthesis under -lut, static noise-budget analysis, and the plan
+// compile, all kept under the content hash — every evaluation then
 // replays that plan and none compiles. Malformed or cyclic netlists — and
 // netlists whose worst-case noise cannot keep the configured sigma margin
 // under the server's parameter set — are rejected here, before any
@@ -454,7 +455,7 @@ func (s *Server) handleRegister(req *RegisterProgram) Response {
 	entry, cached := s.programs[hash]
 	s.mu.Unlock()
 	if !cached {
-		prog, err := core.LoadStrict(req.Binary)
+		prog, err := core.Load(req.Binary)
 		if err != nil {
 			return Response{Err: toWire(fmt.Errorf("%w: %v", ErrRejected, err))}
 		}

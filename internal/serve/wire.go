@@ -55,10 +55,11 @@ type Request struct {
 	Bye      bool
 }
 
-// RegisterProgram uploads an assembled PyTFHE binary. The server lints it
-// (asm.Lint via core.LoadStrict), checks its noise budget, compiles its
-// execution plan once, and keeps both under its content hash;
-// re-registering an already-registered binary compiles nothing.
+// RegisterProgram uploads an assembled PyTFHE binary. The server decodes
+// it with core.Load (one pass that rejects every binary asm.Lint
+// rejects), checks its noise budget, compiles its execution plan once,
+// and keeps both under its content hash; re-registering an
+// already-registered binary compiles nothing.
 type RegisterProgram struct {
 	Binary []byte
 }

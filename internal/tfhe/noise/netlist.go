@@ -11,12 +11,13 @@ import (
 	"pytfhe/internal/tfhe/gate"
 )
 
-// DefaultMinSigmas is the sigma margin `pytfhe check`, strict loading, and
-// pytfhed registration demand between the worst phase-error stdev and the
-// decryption margin. Four sigmas bound the per-gate failure probability by
-// erfc(4/√2) ≈ 6.3e-5; the built-in default128 set clears it with ~0.24
-// bits of headroom, so any regression in the parameter file or the noise
-// model trips the check before it trips a decryption.
+// DefaultMinSigmas is the sigma margin `pytfhe check`, the noise check of
+// `pytfhe run -strict`, and pytfhed registration demand between the worst
+// phase-error stdev and the decryption margin. Four sigmas bound the
+// per-gate failure probability by erfc(4/√2) ≈ 6.3e-5; the built-in
+// default128 set clears it with ~0.24 bits of headroom, so any regression
+// in the parameter file or the noise model trips the check before it
+// trips a decryption.
 const DefaultMinSigmas = 4.0
 
 // GateNoise is the analysis result for one bootstrapped gate: the
