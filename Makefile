@@ -70,9 +70,10 @@ bench-kernel:
 
 # Compile-path benchmark of a 14×14 MNIST_S (BenchmarkCompileMNIST): the
 # ChiselTorch lowering, one synth.Optimize of the unsynthesized lowering,
-# plan.Compile, and core — the sequence the mnist_compile workload's child
-# runs after the lowering (core.Compile, core.Load, plan.Compile). Reports
-# ns/gate per stage.
+# plan.Compile, core.Load of the binary alone (its B/op is what loading a
+# program allocates), and core — the sequence the mnist_compile workload's
+# child runs after the lowering (core.Compile, core.Load, plan.Compile).
+# Reports ns/gate and B/op per stage.
 # Then BenchmarkIndexHash: one hash-consing index hash of each key layout
 # the compile path uses (word, 16-byte, 40-byte), ns/op.
 # BENCHTIME=1x runs each stage once (CI does, so the benchmark cannot rot).

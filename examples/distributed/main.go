@@ -100,11 +100,12 @@ func main() {
 	}
 	fmt.Println("edge map matches the plaintext reference. OK")
 
-	// Compare against the in-process single-core backend.
-	single := backend.NewSingle(kp.Cloud)
+	// Compare against the in-process backend `pytfhe run` builds by default.
+	local := backend.NewPlanned(kp.Cloud, 1, backend.DefaultBatch)
+	defer local.Close()
 	start = time.Now()
-	if _, err := single.Run(nl, kp.EncryptBits(bits)); err != nil {
+	if _, err := local.Run(nl, kp.EncryptBits(bits)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("single-core reference: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("in-process reference: %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -66,7 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	be := backend.NewSingle(kp.Cloud)
+	be := backend.NewPlanned(kp.Cloud, 1, backend.DefaultBatch) // what `pytfhe run` builds by default
+	defer be.Close()
 
 	for _, m := range []uint64{0b10110101, 0b00001111, 0b11100111} {
 		bits := make([]bool, 8)

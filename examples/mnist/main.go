@@ -75,7 +75,9 @@ func main() {
 	}
 
 	start := time.Now()
-	outs, err := core.Run(prog, backend.NewPool(kp.Cloud, 4), kp.EncryptBits(bits))
+	be := backend.NewPlanned(kp.Cloud, 1, backend.DefaultBatch) // what `pytfhe run` builds by default
+	defer be.Close()
+	outs, err := core.Run(prog, be, kp.EncryptBits(bits))
 	if err != nil {
 		log.Fatal(err)
 	}

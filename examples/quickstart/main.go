@@ -55,7 +55,9 @@ func main() {
 
 	// --- server side: evaluate over ciphertexts only --------------------
 	start := time.Now()
-	outs, err := core.Run(prog, backend.NewPool(kp.Cloud, 4), inputs)
+	be := backend.NewPlanned(kp.Cloud, 1, backend.DefaultBatch) // what `pytfhe run` builds by default
+	defer be.Close()
+	outs, err := core.Run(prog, be, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

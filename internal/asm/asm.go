@@ -2,7 +2,9 @@
 // (Fig. 5): a sequence of 128-bit instructions — one header, one input
 // instruction per primary input, one gate instruction per gate, and one
 // output instruction per output — using a sequential gate-indexing scheme
-// that supports up to 2^62 gates.
+// that supports up to 2^62 gates. In memory a node id is 32 bits, so this
+// package assembles and loads programs of up to circuit.MaxNodeID nodes
+// and rejects any id past that bound with ErrIndexSpace.
 //
 // Instruction layout (bit 127 .. bit 0):
 //
@@ -66,8 +68,8 @@ var (
 	ErrBadLayout = errors.New("asm: instruction stream out of order")
 	// ErrGateCount: the header's gate count disagrees with the stream.
 	ErrGateCount = errors.New("asm: header gate count mismatch")
-	// ErrIndexSpace: the program needs indices past the 62-bit limit.
-	ErrIndexSpace = errors.New("asm: program exceeds the 2^62 index space")
+	// ErrIndexSpace: a node id, or the node count, past circuit.MaxNodeID.
+	ErrIndexSpace = errors.New("asm: program exceeds the circuit.MaxNodeID node space")
 	// ErrMalformed: the decoded program violates netlist invariants
 	// (dangling references, forward references, bad ports).
 	ErrMalformed = errors.New("asm: decoded program is malformed")
@@ -83,8 +85,9 @@ var (
 // InstructionSize is the size of one encoded instruction in bytes.
 const InstructionSize = 16
 
-// MaxIndex is the largest encodable node index (2^62 - 2; the all-ones
-// value is the input/output marker).
+// MaxIndex is the largest node index the format can encode (2^62 - 2; the
+// all-ones value is the input/output marker). Programs are further bounded
+// by circuit.MaxNodeID.
 const MaxIndex = allOnes62 - 1
 
 const allOnes62 = uint64(1)<<62 - 1
@@ -159,6 +162,9 @@ func decode(src []byte) Instruction {
 // XOR/XNOR(x, x) gates since the format has no immediate operands; this
 // requires at least one primary input.
 func Assemble(nl *circuit.Netlist) ([]byte, error) {
+	if err := checkNodeCount(nl.NumInputs, len(nl.Gates)); err != nil {
+		return nil, err
+	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("asm: %w", err)
 	}
@@ -197,8 +203,8 @@ func Assemble(nl *circuit.Netlist) ([]byte, error) {
 		}
 	}
 
-	if uint64(nl.NumInputs)+uint64(len(gates)) > MaxIndex {
-		return nil, fmt.Errorf("%w: %d inputs + %d gates", ErrIndexSpace, nl.NumInputs, len(gates))
+	if err := checkNodeCount(nl.NumInputs, len(gates)); err != nil {
+		return nil, err // the materialized constants pushed it past the bound
 	}
 
 	luts := 0
@@ -220,7 +226,8 @@ func Assemble(nl *circuit.Netlist) ([]byte, error) {
 	for i := 0; i < nl.NumInputs; i++ {
 		put(Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF})
 	}
-	for _, g := range gates {
+	for i := range gates {
+		g := &gates[i]
 		switch {
 		case g.IsLUT():
 			put(Instruction{F1: uint64(g.A), F2: uint64(g.B), Type: 0x0})
@@ -243,10 +250,18 @@ func Assemble(nl *circuit.Netlist) ([]byte, error) {
 	return buf, nil
 }
 
+// checkNodeCount refuses a netlist of more than circuit.MaxNodeID nodes.
+func checkNodeCount(inputs, gates int) error {
+	if inputs+gates > circuit.MaxNodeID {
+		return fmt.Errorf("%w: %d inputs + %d gates exceed %d nodes", ErrIndexSpace, inputs, gates, circuit.MaxNodeID)
+	}
+	return nil
+}
+
 // decodeLUTExt validates the extension word following a LUT lead and
-// returns the decoded (third operand, table, arity). The third operand is
-// 0 for arity-2 LUTs.
-func decodeLUTExt(ext Instruction, at int) (circuit.NodeID, logic.TT, uint8, error) {
+// returns the decoded (third operand field, table, arity). The third
+// operand field is 0 for arity-2 LUTs; the caller range-checks it.
+func decodeLUTExt(ext Instruction, at int) (uint64, logic.TT, uint8, error) {
 	arity := int(ext.Type)
 	switch {
 	case ext.F1 == allOnes62 && ext.Type == 0x3:
@@ -264,9 +279,9 @@ func decodeLUTExt(ext Instruction, at int) (circuit.NodeID, logic.TT, uint8, err
 	case ext.F2 > uint64(logic.TTMask(arity)):
 		return 0, 0, 0, fmt.Errorf("%w: instruction %d: table %#x exceeds the %d-bit mask of arity %d", ErrLUTTable, at, ext.F2, 1<<arity, arity)
 	}
-	var third circuit.NodeID
+	var third uint64
 	if arity >= 3 {
-		third = circuit.NodeID(ext.F1)
+		third = ext.F1
 	}
 	return third, logic.TT(ext.F2), uint8(arity), nil
 }
@@ -287,6 +302,18 @@ type defect struct {
 // binaries.
 func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect) {
 	fail := func(code string, err error) { defects = append(defects, defect{code, err}) }
+	// nodeID narrows a 62-bit field to a node id. A value past MaxNodeID
+	// is an index-space defect and decodes as Invalid, which the netlist
+	// checks then report as unwired, so it can never alias a real node.
+	// The decoder stops before the node count passes MaxNodeID, so such
+	// an id also dangles: the defect wraps ErrMalformed as well.
+	nodeID := func(v uint64, at int, what string) circuit.NodeID {
+		if v > circuit.MaxNodeID {
+			fail(circuit.CodeIndexSpace, fmt.Errorf("%w: instruction %d: %s %d names no node (%w)", ErrIndexSpace, at, what, v, ErrMalformed))
+			return circuit.Invalid
+		}
+		return circuit.NodeID(v)
+	}
 	if len(bin)%InstructionSize != 0 {
 		fail(CodeTruncated, fmt.Errorf("%w: %d bytes is not a multiple of %d", ErrTruncated, len(bin), InstructionSize))
 		return nil, 0, defects
@@ -307,7 +334,14 @@ func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect)
 	phase := KindInput
 	for i := 1; i < n; i++ {
 		inst := decode(bin[i*InstructionSize:])
-		switch inst.Classify() {
+		kind := inst.Classify()
+		if kind != KindOutput && nl.NumNodes() == circuit.MaxNodeID {
+			// An input or gate record past this one would be node
+			// MaxNodeID+1, which no netlist may hold.
+			fail(circuit.CodeIndexSpace, fmt.Errorf("%w: instruction %d: more than %d input and gate records", ErrIndexSpace, i, circuit.MaxNodeID))
+			return nl, luts, defects
+		}
+		switch kind {
 		case KindInput:
 			if phase != KindInput {
 				fail(CodeBadLayout, fmt.Errorf("%w: instruction %d: input record after the input section; indices cannot be assigned", ErrBadLayout, i))
@@ -320,14 +354,14 @@ func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect)
 				continue
 			}
 			phase = KindOutput
-			nl.Outputs = append(nl.Outputs, circuit.NodeID(inst.F2))
+			nl.Outputs = append(nl.Outputs, nodeID(inst.F2, i, "output"))
 		default:
 			if phase == KindOutput {
 				fail(CodeBadLayout, fmt.Errorf("%w: instruction %d: gate record after the output section", ErrBadLayout, i))
 				continue
 			}
 			phase = KindGate
-			g := circuit.Gate{Kind: logic.Kind(inst.Type), A: circuit.NodeID(inst.F1), B: circuit.NodeID(inst.F2)}
+			g := circuit.Gate{Kind: logic.Kind(inst.Type), A: nodeID(inst.F1, i, "operand"), B: nodeID(inst.F2, i, "operand")}
 			if inst.Type == 0x0 {
 				// LUT lead: the next word is its extension, consumed
 				// positionally (it may carry marker-looking field values).
@@ -335,8 +369,7 @@ func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect)
 					fail(CodeLUTTruncated, fmt.Errorf("%w: instruction %d ends the program", ErrLUTTruncated, i))
 					continue
 				}
-				var err error
-				g.C, g.TT, g.Arity, err = decodeLUTExt(decode(bin[(i+1)*InstructionSize:]), i+1)
+				third, tt, arity, err := decodeLUTExt(decode(bin[(i+1)*InstructionSize:]), i+1)
 				if errors.Is(err, ErrLUTTruncated) {
 					// The next record is a marker, not an extension:
 					// report it and let it reparse as itself.
@@ -352,6 +385,7 @@ func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect)
 					fail(code, err)
 					continue
 				}
+				g.C, g.TT, g.Arity = nodeID(third, i, "third operand"), tt, arity
 				luts++
 			}
 			nl.Gates = append(nl.Gates, g)

@@ -67,17 +67,73 @@ func TestDisassembleTypedErrors(t *testing.T) {
 	}
 }
 
-// TestAssembleIndexSpace: a netlist that would need indices past the
-// 62-bit limit is refused before any buffer is sized.
+// TestAssembleIndexSpace: a netlist that would need node ids past
+// circuit.MaxNodeID is refused before any buffer is sized — whether its
+// own gates or the constant outputs Assemble materializes push it there.
 func TestAssembleIndexSpace(t *testing.T) {
-	nl := &circuit.Netlist{
-		Name:      "huge",
-		NumInputs: int(MaxIndex), // indices 1..2^62-2 consumed by inputs
-		Gates:     []circuit.Gate{{Kind: logic.AND, A: 1, B: 2}},
-		Outputs:   []circuit.NodeID{circuit.NodeID(MaxIndex) + 1},
+	for name, nl := range map[string]*circuit.Netlist{
+		"gates": {
+			Name:      "huge",
+			NumInputs: circuit.MaxNodeID, // ids 1..MaxNodeID consumed by inputs
+			Gates:     []circuit.Gate{{Kind: logic.AND, A: 1, B: 2}},
+			Outputs:   []circuit.NodeID{circuit.MaxNodeID + 1},
+		},
+		"constant output": {
+			Name:      "full",
+			NumInputs: circuit.MaxNodeID - 1, // the gate is node MaxNodeID
+			Gates:     []circuit.Gate{{Kind: logic.AND, A: 1, B: 2}},
+			Outputs:   []circuit.NodeID{circuit.MaxNodeID, circuit.ConstTrue},
+		},
+	} {
+		if _, err := Assemble(nl); !errors.Is(err, ErrIndexSpace) {
+			t.Errorf("%s: index-space overflow: got %v, want ErrIndexSpace", name, err)
+		}
 	}
-	if _, err := Assemble(nl); !errors.Is(err, ErrIndexSpace) {
-		t.Errorf("index-space overflow: got %v, want ErrIndexSpace", err)
+}
+
+// indexSpaceBinaries are programs that are well formed except for one
+// node id past circuit.MaxNodeID. Truncated to 32 bits, the operand
+// 2^32+1 would alias input 1 and the output 2^31 would wrap negative.
+var indexSpaceBinaries = []struct {
+	name string
+	bin  []byte
+}{
+	{"operand 2^32+1", craft(
+		Instruction{F1: 0, F2: 1, Type: 0},
+		Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF},
+		Instruction{F1: 1<<32 + 1, F2: 1, Type: uint8(logic.AND)},
+		Instruction{F1: allOnes62, F2: 2, Type: 0x3},
+	)},
+	{"output 2^31", craft(
+		Instruction{F1: 0, F2: 1, Type: 0},
+		Instruction{F1: allOnes62, F2: allOnes62, Type: 0xF},
+		Instruction{F1: 1, F2: 1, Type: uint8(logic.AND)},
+		Instruction{F1: allOnes62, F2: 1 << 31, Type: 0x3},
+	)},
+	{"LUT third operand past MaxNodeID", lutProgram(func(in []Instruction) { in[5].F1 = circuit.MaxNodeID + 1 })},
+}
+
+// TestDecodeIndexSpace: a node id past circuit.MaxNodeID is an
+// ErrIndexSpace defect for every entry point of the one decoder, and Lint
+// reports it as an index-space error.
+func TestDecodeIndexSpace(t *testing.T) {
+	for _, tc := range indexSpaceBinaries {
+		if _, err := Disassemble(tc.bin); !errors.Is(err, ErrIndexSpace) {
+			t.Errorf("%s: Disassemble: got %v, want ErrIndexSpace", tc.name, err)
+		}
+		if _, err := Inspect(tc.bin); !errors.Is(err, ErrIndexSpace) {
+			t.Errorf("%s: Inspect: got %v, want ErrIndexSpace", tc.name, err)
+		}
+		if _, err := Listing(tc.bin); !errors.Is(err, ErrIndexSpace) {
+			t.Errorf("%s: Listing: got %v, want ErrIndexSpace", tc.name, err)
+		}
+		rep := Lint(tc.bin)
+		if rep.Err() == nil || len(rep.Diags) == 0 {
+			t.Fatalf("%s: Lint found no error:\n%s", tc.name, rep)
+		}
+		if d := rep.Diags[0]; d.Severity != circuit.SevError || d.Code != circuit.CodeIndexSpace {
+			t.Errorf("%s: Lint's first finding is %s, want an %s error", tc.name, d, circuit.CodeIndexSpace)
+		}
 	}
 }
 
@@ -167,6 +223,10 @@ func FuzzInspect(f *testing.F) {
 		Instruction{F1: 1, F2: 1, Type: 8},
 		Instruction{F1: allOnes62, F2: 2, Type: 0xF},
 	))
+
+	for _, tc := range indexSpaceBinaries {
+		f.Add(tc.bin)
+	}
 
 	f.Fuzz(func(t *testing.T, bin []byte) {
 		Inspect(bin)

@@ -38,14 +38,6 @@ func NoOptimizations() BuilderOptions {
 	return BuilderOptions{}
 }
 
-// MaxNodeID is the largest node id a Builder emits. The CSE hashes pack
-// operand ids into 30-bit fields and the CSE index holds gate positions in
-// 32 bits, so a builder asked for one more node panics with ErrTooManyNodes
-// rather than outgrowing either.
-const MaxNodeID = 1<<idBits - 1
-
-const idBits = 30
-
 // ErrTooManyNodes is the panic value of a Builder asked to create a node
 // beyond MaxNodeID.
 var ErrTooManyNodes = errors.New("circuit: netlist exceeds the builder's node-id bound")
@@ -169,7 +161,7 @@ func (b *Builder) notOperand(id NodeID) (NodeID, bool) {
 	if gi < 0 || gi >= len(b.gates) {
 		return 0, false
 	}
-	g := b.gates[gi]
+	g := &b.gates[gi]
 	if g.Kind == logic.NOT {
 		return g.A, true
 	}

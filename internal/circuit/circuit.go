@@ -18,7 +18,18 @@ import (
 // NodeID names a node in the DAG. Valid node ids are positive; the two
 // negative sentinels represent the boolean constants, which exist only
 // during construction (the builder folds them away) and at output ports.
-type NodeID int64
+// Ids are 32-bit so a Gate is 20 bytes: every netlist is bounded by
+// MaxNodeID nodes, far inside the type.
+type NodeID int32
+
+// MaxNodeID is the largest node id of any netlist: the one bound the
+// Builder enforces as it emits nodes, Validate checks as the node count,
+// and the program decoder checks on every id it reads. The Builder's CSE
+// keys pack operand ids into 30-bit fields and its index holds gate
+// positions in 32 bits, so neither can outgrow it.
+const MaxNodeID = 1<<idBits - 1
+
+const idBits = 30
 
 // Constant sentinels. They never appear as gate operands in a built
 // Netlist; they may appear in Outputs when an output is statically known.
@@ -142,9 +153,10 @@ func (nl *Netlist) IsInput(id NodeID) bool {
 
 // Validate checks the structural invariants of a runnable netlist — the
 // rules of check, shared with Lint — and returns the first error-severity
-// violation: every gate reads only nodes with strictly smaller indices
-// (topological order), no gate reads a constant sentinel, every LUT has a
-// single-bootstrap plan, and every output names a valid node or constant.
+// violation: the netlist has at most MaxNodeID nodes, every gate reads only
+// nodes with strictly smaller indices (topological order), no gate reads a
+// constant sentinel, every LUT has a single-bootstrap plan, and every
+// output names a valid node or constant.
 func (nl *Netlist) Validate() error {
 	var err error
 	nl.check(func(sev Severity, _, format string, args ...any) bool {
@@ -187,23 +199,27 @@ func (nl *Netlist) Evaluate(inputs []bool) ([]bool, error) {
 	return outs, nil
 }
 
+// operandMax returns the largest of vals over g's operands: the per-node
+// level or depth arrays below all propagate this way.
+func operandMax(vals []int32, g *Gate) int32 {
+	var m int32
+	for k := 0; k < g.NumOperands(); k++ {
+		m = max(m, vals[g.Operand(k)])
+	}
+	return m
+}
+
 // Levels partitions the gates into wavefronts: level L contains every gate
 // whose operands are all inputs or gates of level < L. The slices hold gate
-// indices (not node ids). This is the schedule structure of Algorithm 1.
+// indices (not node ids). This is the schedule structure of Algorithm 1,
+// for the executors that walk it; ComputeStats only counts it.
 func (nl *Netlist) Levels() [][]int {
-	level := make([]int, nl.NumNodes()+1) // inputs have level 0
+	level := make([]int32, nl.NumNodes()+1) // inputs have level 0
 	var levels [][]int
 	for i := range nl.Gates {
-		g := &nl.Gates[i]
-		l := 0
-		for k := 0; k < g.NumOperands(); k++ {
-			if lv := level[g.Operand(k)]; lv > l {
-				l = lv
-			}
-		}
-		l++
+		l := operandMax(level, &nl.Gates[i]) + 1
 		level[nl.GateID(i)] = l
-		for len(levels) < l {
+		for len(levels) < int(l) {
 			levels = append(levels, nil)
 		}
 		levels[l-1] = append(levels[l-1], i)
@@ -214,25 +230,18 @@ func (nl *Netlist) Levels() [][]int {
 // Depth returns the length of the critical path in bootstrapped gates:
 // gates that bootstrap count 1, free gates (NOT) count 0.
 func (nl *Netlist) Depth() int {
-	depth := make([]int, nl.NumNodes()+1)
-	max := 0
+	depth := make([]int32, nl.NumNodes()+1)
+	var deepest int32
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
-		d := 0
-		for k := 0; k < g.NumOperands(); k++ {
-			if dv := depth[g.Operand(k)]; dv > d {
-				d = dv
-			}
-		}
+		d := operandMax(depth, g)
 		if g.NeedsBootstrap() {
 			d++
 		}
 		depth[nl.GateID(i)] = d
-		if d > max {
-			max = d
-		}
+		deepest = max(deepest, d)
 	}
-	return max
+	return int(deepest)
 }
 
 // Stats summarizes a netlist for reports and the gate-distribution figure.
@@ -250,14 +259,19 @@ type Stats struct {
 	ByKind       [logic.NumKinds]int // classic gates only; LUTs counted in LUTs
 }
 
-// ComputeStats gathers Stats in one pass.
+// ComputeStats gathers Stats in one pass over the gates. Depth and the
+// wavefronts come from two per-node int32 arrays (bootstrap depth and
+// level) and one gate count per level, so it allocates 8 bytes per node
+// plus the level counts and never materializes Levels.
 func (nl *Netlist) ComputeStats() Stats {
 	s := Stats{
 		Inputs:  nl.NumInputs,
 		Outputs: len(nl.Outputs),
 		Gates:   len(nl.Gates),
-		Depth:   nl.Depth(),
 	}
+	depth := make([]int32, nl.NumNodes()+1)
+	level := make([]int32, nl.NumNodes()+1)
+	var width []int32 // gates per level; width[l-1] for level l
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
 		if g.IsLUT() {
@@ -266,26 +280,34 @@ func (nl *Netlist) ComputeStats() Stats {
 		} else {
 			s.ByKind[g.Kind]++
 		}
+		id := nl.GateID(i)
+		d := operandMax(depth, g)
 		if g.NeedsBootstrap() {
 			s.Bootstrapped++
+			d++
 		} else {
 			s.Free++
 		}
-	}
-	levels := nl.Levels()
-	s.Levels = len(levels)
-	for _, l := range levels {
-		if len(l) > s.MaxWidth {
-			s.MaxWidth = len(l)
+		depth[id] = d
+		s.Depth = max(s.Depth, int(d))
+		l := operandMax(level, g) + 1
+		level[id] = l
+		if int(l) > len(width) {
+			width = append(width, 0)
 		}
+		width[l-1]++
+	}
+	s.Levels = len(width)
+	for _, w := range width {
+		s.MaxWidth = max(s.MaxWidth, int(w))
 	}
 	return s
 }
 
 // FanOut returns, for every node id, how many gate operands and outputs
 // read it. Index 0 is unused.
-func (nl *Netlist) FanOut() []int {
-	fan := make([]int, nl.NumNodes()+1)
+func (nl *Netlist) FanOut() []int32 {
+	fan := make([]int32, nl.NumNodes()+1)
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
 		for k := 0; k < g.NumOperands(); k++ {

@@ -56,6 +56,7 @@ const (
 	CodeBadLUTArity   = "bad-lut-arity"   // LUT arity outside [2, logic.MaxLUTArity]
 	CodeWideLUTTable  = "wide-lut-table"  // LUT truth table wider than 2^arity bits
 	CodeInfeasibleLUT = "infeasible-lut"  // LUT table with no single-bootstrap plan
+	CodeIndexSpace    = "index-space"     // a node id or the node count past MaxNodeID
 )
 
 // Report is the result of linting one netlist: diagnostics plus the
@@ -139,7 +140,7 @@ func Lint(nl *Netlist) *Report {
 		return true
 	}
 	nl.check(diag)
-	if nl.NumInputs < 0 {
+	if nl.NumInputs < 0 || nl.NumNodes() > MaxNodeID {
 		return r
 	}
 
@@ -170,7 +171,8 @@ func Lint(nl *Netlist) *Report {
 		diag(SevError, CodeCycle, "gate dependency cycle: %s", formatCycle(cycle))
 	} else {
 		// The structure summary is only meaningful on an acyclic graph.
-		for _, g := range nl.Gates {
+		for i := range nl.Gates {
+			g := &nl.Gates[i]
 			if g.IsLUT() || (g.Kind < logic.NumKinds && g.Kind.NeedsBootstrap()) {
 				r.Bootstrapped++
 			}
@@ -185,8 +187,8 @@ func Lint(nl *Netlist) *Report {
 			stats := nl.ComputeStats()
 			r.Depth, r.Levels, r.MaxWidth = stats.Depth, stats.Levels, stats.MaxWidth
 			for id, f := range nl.FanOut() {
-				if f > r.MaxFanOut {
-					r.MaxFanOut, r.MaxFanOutID = f, NodeID(id)
+				if int(f) > r.MaxFanOut {
+					r.MaxFanOut, r.MaxFanOutID = int(f), NodeID(id)
 				}
 			}
 		}
@@ -202,6 +204,11 @@ func Lint(nl *Netlist) *Report {
 func (nl *Netlist) check(emit func(sev Severity, code, format string, args ...any) bool) {
 	if nl.NumInputs < 0 {
 		emit(SevError, CodeShapeMismatch, "negative input count %d", nl.NumInputs)
+		return
+	}
+	if nl.NumNodes() > MaxNodeID {
+		// Past the bound, GateID would wrap; nothing below is meaningful.
+		emit(SevError, CodeIndexSpace, "%d inputs + %d gates exceed the %d-node bound", nl.NumInputs, len(nl.Gates), MaxNodeID)
 		return
 	}
 	if nl.InputNames != nil && len(nl.InputNames) != nl.NumInputs &&
@@ -282,7 +289,7 @@ func findCycle(nl *Netlist) []NodeID {
 
 	operands := func(gi int) []int {
 		var ops []int
-		g := nl.Gates[gi]
+		g := &nl.Gates[gi]
 		for k := 0; k < g.NumOperands(); k++ {
 			if j := nl.GateIndex(g.Operand(k)); j >= 0 {
 				ops = append(ops, j)
@@ -354,7 +361,7 @@ func countDeadGates(nl *Netlist) int {
 	for len(stack) > 0 {
 		gi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := nl.Gates[gi]
+		g := &nl.Gates[gi]
 		for k := 0; k < g.NumOperands(); k++ {
 			mark(g.Operand(k))
 		}

@@ -89,11 +89,7 @@ func NewState(nl *circuit.Netlist, inputs []*lwe.Sample, dim int) (*State, error
 	for i, in := range inputs {
 		st.Values[i+1] = in
 	}
-	fan := nl.FanOut()
-	st.refs = make([]int32, len(fan))
-	for i, f := range fan {
-		st.refs[i] = int32(f)
-	}
+	st.refs = nl.FanOut()
 	return st, nil
 }
 
@@ -124,7 +120,7 @@ func (s *State) Collect(dim int) ([]*lwe.Sample, error) {
 // circuit node IDs or plan refs (both use the ConstFalse=-1 / ConstTrue=-2
 // sentinels), lookup resolves a non-constant id to its table entry, and
 // every output is copied into a fresh ciphertext the caller owns.
-func CollectOutputs[Ref ~int32 | ~int64](dim int, ids []Ref, lookup func(Ref) *lwe.Sample) ([]*lwe.Sample, error) {
+func CollectOutputs[Ref ~int32](dim int, ids []Ref, lookup func(Ref) *lwe.Sample) ([]*lwe.Sample, error) {
 	outs := make([]*lwe.Sample, len(ids))
 	for i, id := range ids {
 		out := lwe.NewSample(dim)

@@ -19,9 +19,11 @@ import (
 // the benchmark's mnist_compile child does after the lowering:
 // core.Compile (whose synth.Optimize finds the frontend's netlist among its
 // fixed points and runs no round), core.Load of the binary, and
-// plan.Compile of the loaded netlist. ns/gate divides by the gates the
-// stage reads (the frontend's gates out for chiseltorch and core, the
-// lowering's for synth).
+// plan.Compile of the loaded netlist. load is core.Load of the frontend's
+// binary alone; its B/op is the memory a program load costs (the netlist,
+// the binary copy and ComputeStats). ns/gate divides by the gates the
+// stage reads (the frontend's gates out for chiseltorch, load and core,
+// the lowering's for synth).
 func BenchmarkCompileMNIST(b *testing.B) {
 	spec := models.MNISTS().Scaled(14)
 	w, err := vipbench.CompileMNIST(spec, nil)
@@ -59,6 +61,20 @@ func BenchmarkCompileMNIST(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Compile(frontend); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perGate(b, len(frontend.Gates))
+	})
+	b.Run("load", func(b *testing.B) {
+		prog, err := core.Compile(frontend)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Load(prog.Binary); err != nil {
 				b.Fatal(err)
 			}
 		}

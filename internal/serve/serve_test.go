@@ -376,7 +376,33 @@ func TestServeNoiseAdmission(t *testing.T) {
 func TestServeBackpressure(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	prog := adder4Prog(t)
-	srv := startServer(t, Config{Workers: 1, MaxConcurrent: 1, QueueCap: 1})
+	const burst = 8
+
+	// The first evaluation holds its slot until every request of the
+	// burst has reached admission — admitted (queued counts it) or shed
+	// (rejected does) — so the burst overlaps one evaluation however fast
+	// the host evaluates. A request leaves queued only for rejected or on
+	// completion, and none completes while the first is held, so the sum
+	// reaches burst exactly when all have arrived. The deadline only
+	// bounds a broken run.
+	srv := New(Config{Workers: 1, MaxConcurrent: 1, QueueCap: 1})
+	var hold sync.Once
+	srv.beforeEval = func() {
+		hold.Do(func() {
+			for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if int64(atomic.LoadInt32(&srv.queued))+atomic.LoadInt64(&srv.rejected) >= burst {
+					return
+				}
+			}
+		})
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		verifyPlans(t, srv)
+		srv.Close()
+	})
 
 	cl, err := Dial(srv.Addr())
 	if err != nil {
@@ -388,7 +414,6 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const burst = 8
 	var overloaded, succeeded atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {

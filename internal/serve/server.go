@@ -249,6 +249,10 @@ type Server struct {
 	kickCh chan struct{}  // closed on forced shutdown to unblock slot waiters
 	connWG sync.WaitGroup // connection handler goroutines
 	evalWG sync.WaitGroup // evaluations in flight (response write included)
+
+	// beforeEval, when a test sets it before Start, runs at the start of
+	// every admitted evaluation, while it holds its evaluation slot.
+	beforeEval func()
 }
 
 // New builds a server; call Start to begin listening.
@@ -740,6 +744,9 @@ func (s *Server) doEval(sess *session, req *EvalRequest) Response {
 // registration compiled, on the shared executor's fair queue. There is no
 // other local path.
 func (s *Server) evaluate(ctx context.Context, sess *session, entry *programEntry, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+	if s.beforeEval != nil {
+		s.beforeEval()
+	}
 	if outs, ok := s.evaluateCluster(sess, entry, inputs); ok {
 		return outs, nil
 	}

@@ -45,7 +45,7 @@ func LUTCluster(nl *circuit.Netlist) (*circuit.Netlist, error) {
 
 	// Fanout: number of distinct consumers (gates dedup their own operand
 	// slots, so unary kinds with A == B count once) plus output references.
-	fanout := make([]int, nl.NumNodes()+1)
+	fanout := make([]int32, nl.NumNodes()+1)
 	isOutput := make([]bool, nl.NumNodes()+1)
 	for i := range nl.Gates {
 		g := &nl.Gates[i]

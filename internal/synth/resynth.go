@@ -64,14 +64,15 @@ func Resynthesize(nl *circuit.Netlist) (*circuit.Netlist, error) {
 		return a.tt.Eval(x, y)
 	}
 
-	for i, g := range nl.Gates {
+	for i := range nl.Gates {
+		g := &nl.Gates[i]
 		oldID := nl.GateID(i)
 		if g.IsLUT() {
 			// Multi-input LUT nodes are opaque to the 2-variable
 			// annotation machinery: replay them and let the result act
 			// as a fresh variable (LUTCluster is the pass that rewrites
 			// cones around LUTs).
-			newID := r.replayGate(&nl.Gates[i])
+			newID := r.replayGate(g)
 			r.remap[oldID] = newID
 			if !newID.IsConst() {
 				if _, ok := ann[newID]; !ok {

@@ -176,7 +176,7 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 
 	// variance[id] and bdepth[id] for node ids 1..NumNodes (0 unused).
 	variance := make([]float64, nl.NumNodes()+1)
-	bdepth := make([]int, nl.NumNodes()+1)
+	bdepth := make([]int32, nl.NumNodes()+1)
 	for i := 1; i <= nl.NumInputs; i++ {
 		variance[i] = b.FreshVariance
 	}
@@ -200,11 +200,12 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 			r.OverBudget = append(r.OverBudget, gn)
 		}
 		variance[gn.ID] = b.BootstrapVariance
-		bdepth[gn.ID] = gn.Depth
+		bdepth[gn.ID] = int32(gn.Depth)
 	}
 
 	worstSigmas := math.Inf(1)
-	for i, g := range nl.Gates {
+	for i := range nl.Gates {
+		g := &nl.Gates[i]
 		id := nl.GateID(i)
 		if g.IsLUT() {
 			// A k-input LUT is one programmable bootstrap of the weighted
@@ -218,16 +219,14 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 			r.Bootstrapped++
 			r.LUTs++
 			var pre float64
-			d := 0
+			var d int32
 			for k := 0; k < int(g.Arity); k++ {
 				op := g.Operand(k)
 				c := float64(pl.Weights[k])
 				pre += c * c * variance[op]
-				if bdepth[op] > d {
-					d = bdepth[op]
-				}
+				d = max(d, bdepth[op])
 			}
-			record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Arity: g.Arity, TT: g.TT, Depth: d + 1}, pre, &worstSigmas)
+			record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Arity: g.Arity, TT: g.TT, Depth: int(d) + 1}, pre, &worstSigmas)
 			continue
 		}
 		if g.Kind >= logic.NumKinds {
@@ -254,11 +253,8 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 		}
 		r.Bootstrapped++
 		pre := float64(ca)*float64(ca)*variance[g.A] + float64(cb)*float64(cb)*variance[g.B]
-		d := bdepth[g.A]
-		if bdepth[g.B] > d {
-			d = bdepth[g.B]
-		}
-		record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Depth: d + 1}, pre, &worstSigmas)
+		d := max(bdepth[g.A], bdepth[g.B])
+		record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Depth: int(d) + 1}, pre, &worstSigmas)
 	}
 
 	// Outputs decode by phase sign, so the margin is the full ±1/8
