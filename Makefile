@@ -39,8 +39,8 @@ qos-test:
 # feasibility (logic), the circuit node and asm instruction formats, the
 # lut-cluster synthesis pass, the programmable-bootstrap kernel, the LUT
 # noise model, bit-exactness across every executor (single/pool/plan/shared),
-# plan compile/dedup/replay, shard hashing, cluster runs, and the
-# pytfhed -lut serving surface.
+# plan compile/dedup/replay, shard hashing, cluster runs, and pytfhed
+# serving a `compile -lut` binary as compiled.
 lut-test:
 	go test -race -run 'LUT' ./internal/logic/ ./internal/circuit/ ./internal/asm/ \
 		./internal/synth/ ./internal/tfhe/boot/ ./internal/tfhe/gate/ ./internal/tfhe/noise/ \

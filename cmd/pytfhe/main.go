@@ -1,7 +1,7 @@
 // Command pytfhe is the PyTFHE command-line toolchain:
 //
 //	pytfhe keygen     -params test|default128 -out keys/
-//	pytfhe compile    -bench <vip-bench name> | -mnist S|M|L [-image N] -out prog.ptfhe [-verilog prog.v]
+//	pytfhe compile    -bench <vip-bench name> | -mnist S|M|L [-image N] [-lut] -out prog.ptfhe [-verilog prog.v]
 //	pytfhe inspect    -prog prog.ptfhe [-listing]
 //	pytfhe lint       prog.ptfhe  (or -prog prog.ptfhe)
 //	pytfhe check      prog.ptfhe | -bench | -examples [-params test|default128] [-min-sigmas S]
@@ -13,7 +13,9 @@
 //	pytfhe server-stats -server addr [-json]
 //
 // Programs are PyTFHE binaries (the 128-bit instruction format of the
-// paper); keys serialize with encoding/gob.
+// paper); keys serialize with encoding/gob. LUT clustering is chosen at
+// compile time (`compile -lut`); run, serve and register execute a binary
+// exactly as it was compiled.
 package main
 
 import (
@@ -310,7 +312,6 @@ func cmdRun(args []string) error {
 	batch := fs.Int("batch", runBatchDefault, "bootstrap batch size for the plan backend: each worker fuses up to N bootstrapped instructions of a level into one amortized blind-rotation dispatch (0: the default, "+strconv.Itoa(backend.DefaultBatch)+"; 1: unbatched, and with one worker auto picks single)")
 	stats := fs.Bool("stats", false, "print executor statistics after the run")
 	strict := fs.Bool("strict", false, "verify the program's noise budget before running it; refuse to run one over budget")
-	lut := fs.Bool("lut", false, "re-synthesize the program through LUT clustering: fanout-free gate cones collapse into k-input programmable bootstraps before execution")
 	in := fs.String("in", "", "input bits as 0/1 characters (LSB first), e.g. 10110")
 	fs.Parse(args)
 	if *path == "" {
@@ -323,14 +324,6 @@ func cmdRun(args []string) error {
 	prog, err := core.Load(bin)
 	if err != nil {
 		return err
-	}
-	if *lut {
-		before := prog.Stats
-		if prog, err = core.ApplyLUT(prog); err != nil {
-			return err
-		}
-		fmt.Printf("lut: %d gates (%d bootstrapped) -> %d gates (%d bootstrapped, %d LUTs)\n",
-			before.Gates, before.Bootstrapped, prog.Stats.Gates, prog.Stats.Bootstrapped, prog.Stats.LUTs)
 	}
 	bits, err := parseBits(*in)
 	if err != nil {

@@ -3,7 +3,10 @@
 // once, evaluate it many times), per-session cloud keys, a bounded
 // admission queue with ErrOverloaded backpressure, and one shared executor
 // replaying every request's plan, interleaved slice by slice. A program's
-// plan is compiled when it is registered; no evaluation compiles.
+// plan is compiled when it is registered; no evaluation compiles, on the
+// local executor or the worker pool. The daemon runs the binary it was
+// sent: a program with multi-input LUT records is compiled that way by
+// `pytfhe compile -lut`.
 //
 //	pytfhed -listen 127.0.0.1:7701 -workers 8 -max-concurrent 16 -queue 64
 //

@@ -14,11 +14,15 @@ import (
 
 // Planned is the capture/replay backend — the CPU analogue of the paper's
 // CUDA-Graph batch scheduling, and the one multi-worker in-process
-// executor besides the Algorithm 1 baseline Pool. The first Run of a
-// netlist captures it into an immutable execution plan; every Run — the
-// first included — replays the cached plan with no per-gate scheduling
-// work at all: no per-gate atomics, no refcounting, and no ciphertext
-// allocations (the scheduler pools its arenas).
+// executor besides the Algorithm 1 baseline Pool. Every Run captures the
+// netlist into an immutable execution plan and replays it with no
+// per-gate scheduling work at all: no per-gate atomics, no refcounting,
+// and no ciphertext allocations (the scheduler pools its arenas). The
+// capture is a fraction of a millisecond per thousand gates, next to
+// milliseconds per bootstrap, and it ties the plan to the netlist's
+// content: a netlist edited between two Runs runs as edited. A caller
+// that runs one program many times compiles its plan once and submits
+// it to Shared itself, as pytfhed does.
 //
 // Planned is a one-tenant client of Shared, the scheduler pytfhed serves
 // from: one registered key, one Submit per Run, so a plan is scheduled the
@@ -39,8 +43,7 @@ type Planned struct {
 	sh  *Shared
 	key *SharedKey
 
-	mu    sync.Mutex // guards plans, Stats and PlanStats
-	plans map[*circuit.Netlist]*plan.Plan
+	mu sync.Mutex // guards Stats and PlanStats
 
 	lastRun
 	PlanStats plan.Stats
@@ -55,7 +58,7 @@ func NewPlanned(ck *boot.CloudKey, workers, batch int) *Planned {
 	if err != nil {
 		panic(err) // only a closed executor refuses a key
 	}
-	return &Planned{sh: sh, key: key, plans: make(map[*circuit.Netlist]*plan.Plan)}
+	return &Planned{sh: sh, key: key}
 }
 
 // NewPlannedBatch, NewAsyncSched, Sched and SchedCritical survive only
@@ -93,44 +96,30 @@ func (p *Planned) Close() { p.sh.Close() }
 // ArenaHighWater returns the most arena ciphertexts any one run has held.
 func (p *Planned) ArenaHighWater() int { return p.sh.Stats().ArenaHighWater }
 
-// Plan returns the cached plan for nl, compiling it if needed.
-func (p *Planned) Plan(nl *circuit.Netlist) (*plan.Plan, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cached, ok := p.plans[nl]; ok {
-		return cached, nil
-	}
-	compiled, err := plan.Compile(nl)
-	if err != nil {
-		return nil, err
-	}
-	p.plans[nl] = compiled
-	return compiled, nil
-}
-
 // Run implements Backend.
 func (p *Planned) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := p.run(nl, inputs)
+	outs, stats, ps, err := p.run(nl, inputs)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.Stats, p.PlanStats = stats, p.plans[nl].Stats()
+	p.Stats, p.PlanStats = stats, ps
 	p.mu.Unlock()
 	return outs, nil
 }
 
-// run is Run returning the run's own metrics, which Stats holds only until
-// the next Run finishes.
-func (p *Planned) run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, RunStats, error) {
+// run is Run returning the run's own metrics and its plan's capture
+// summary, which Stats and PlanStats hold only until the next Run
+// finishes.
+func (p *Planned) run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, RunStats, plan.Stats, error) {
 	start := time.Now()
-	compiled, err := p.Plan(nl)
+	compiled, err := plan.Compile(nl)
 	if err != nil {
-		return nil, RunStats{}, err
+		return nil, RunStats{}, plan.Stats{}, err
 	}
 	outs, n, err := p.sh.Submit(context.Background(), p.key, compiled, inputs)
 	if err != nil {
-		return nil, RunStats{}, err
+		return nil, RunStats{}, plan.Stats{}, err
 	}
 
 	st := compiled.Stats()
@@ -147,5 +136,5 @@ func (p *Planned) run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample,
 		BatchedBootstraps: int(n.BatchedBootstraps),
 	}
 	stats.Finish(start)
-	return outs, stats, nil
+	return outs, stats, st, nil
 }

@@ -22,7 +22,7 @@ func TestPlannedBackendHomomorphic(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		be := NewPlanned(ck, workers, 1)
 		defer be.Close()
-		for run := 0; run < 2; run++ { // second run replays the cached plan
+		for run := 0; run < 2; run++ { // each run compiles and replays its own plan
 			in := append(bitsOf(11, 4), bitsOf(6, 4)...)
 			outs, err := be.Run(nl, EncryptInputs(sk, in))
 			if err != nil {
@@ -124,6 +124,34 @@ func TestPlannedLifecycle(t *testing.T) {
 	}
 }
 
+// TestPlannedRunsEditedNetlist: a netlist edited in place between two
+// Runs is run as edited. A plan cached by the netlist's address would
+// replay AND where the netlist now says OR.
+func TestPlannedRunsEditedNetlist(t *testing.T) {
+	sk, ck := keys(t)
+	b := circuit.NewBuilder("and", circuit.NoOptimizations())
+	x, y := b.Input("x"), b.Input("y")
+	b.Output("o", b.And(x, y))
+	nl := b.MustBuild()
+	be := NewPlanned(ck, 1, 1)
+	defer be.Close()
+	in := []bool{true, false}
+	for _, kind := range []logic.Kind{logic.AND, logic.OR} {
+		nl.Gates[0].Kind = kind
+		want, err := nl.Evaluate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := be.Run(nl, EncryptInputs(sk, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecryptOutputs(sk, outs); got[0] != want[0] {
+			t.Fatalf("%v(1, 0) decrypts %v, Netlist.Evaluate says %v", kind, got[0], want[0])
+		}
+	}
+}
+
 // TestPlannedConcurrentRunCounts: two Runs in flight at once on one
 // Planned, at batch 16 on different netlists, each report their own share
 // of the scheduler and nothing of the other's: a run's batched bootstraps
@@ -137,13 +165,11 @@ func TestPlannedConcurrentRunCounts(t *testing.T) {
 	inputs := make([][]*lwe.Sample, len(nls))
 	for i, nl := range nls {
 		inputs[i] = EncryptInputs(sk, make([]bool, nl.NumInputs))
-		if _, err := be.Plan(nl); err != nil { // compile outside the race
-			t.Fatal(err)
-		}
 	}
 
 	before := be.sh.Stats()
 	stats := make([]RunStats, len(nls))
+	plans := make([]plan.Stats, len(nls))
 	errs := make([]error, len(nls))
 	var start, wg sync.WaitGroup
 	start.Add(1)
@@ -152,7 +178,7 @@ func TestPlannedConcurrentRunCounts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			_, stats[i], errs[i] = be.run(nl, inputs[i])
+			_, stats[i], plans[i], errs[i] = be.run(nl, inputs[i])
 		}()
 	}
 	start.Done()
@@ -164,8 +190,7 @@ func TestPlannedConcurrentRunCounts(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		p, _ := be.Plan(nl)
-		if own := p.Stats().ExecBootstraps; stats[i].BatchedBootstraps > own || stats[i].Batches == 0 {
+		if own := plans[i].ExecBootstraps; stats[i].BatchedBootstraps > own || stats[i].Batches == 0 {
 			t.Fatalf("%s: %d batched bootstraps in %d dispatches, its plan executes %d",
 				nl.Name, stats[i].BatchedBootstraps, stats[i].Batches, own)
 		}

@@ -34,8 +34,6 @@ import (
 	"pytfhe/internal/wire"
 )
 
-func init() { wire.Register() }
-
 // ProtoVersion is the coordinator↔worker protocol revision. Version 2
 // added the Welcome handshake (version + key-hash check) and the sharded
 // plan-replay messages; version 3 removed per-gate job dispatch; version 4
@@ -157,7 +155,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	workers  []*workerConn
 	pending  []*workerConn // greeted before the key was bound (serve path)
-	plans    *qos.LRU      // "<netlist address>/<worker count>" → *shardPlan
+	plans    *qos.LRU      // "<plan fingerprint>/<worker count>" → *shard.Sharding
 	totals   Totals
 	LastStat Stats
 	// JobTimeout is the read deadline of one exchange with a worker (its

@@ -70,19 +70,9 @@ type ShardReplay struct {
 }
 
 // shardingCacheEntries bounds the coordinator's sharding cache: a daemon
-// serving many programs keeps only the most recently run netlist × worker
-// count decompositions (plan and shards) instead of every one it has seen.
+// serving many programs keeps only the most recently run plan × worker
+// count decompositions instead of every one it has seen.
 const shardingCacheEntries = 16
-
-// shardPlan is one entry of the coordinator's sharding cache, keyed by the
-// netlist's address and the worker count: the same netlist evaluated at a
-// different live-worker count is split again (its plan, which does not
-// depend on the count, compiles to the same fingerprint); the same count
-// reuses the decomposition (and therefore the workers' shard caches).
-type shardPlan struct {
-	nl *circuit.Netlist // pins the address, so no other netlist can take it while the entry lives
-	s  *shard.Sharding
-}
 
 // workerAppError is a worker-reported evaluation failure: the connection
 // is healthy, retrying elsewhere would fail identically, so the run aborts
@@ -91,16 +81,15 @@ type workerAppError struct{ msg string }
 
 func (e *workerAppError) Error() string { return "cluster: worker: " + e.msg }
 
-// sharding returns the cached decomposition of nl into n shards, building
-// (compile → split → verify) on first use.
-func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, error) {
-	key := fmt.Sprintf("%p/%d", nl, n)
+// sharding returns the decomposition of p into n shards, splitting and
+// verifying it on first use. The cache is keyed by the plan's content
+// fingerprint — the key the workers' shard caches use — and the worker
+// count, so equal plans share an entry whatever their address, and a
+// different live-worker count splits again.
+func (c *Coordinator) sharding(p *plan.Plan, n int) (*shard.Sharding, error) {
+	key := fmt.Sprintf("%s/%d", p.Fingerprint(), n)
 	if v, ok := c.plans.Get(key); ok {
-		return v.(*shardPlan).s, nil
-	}
-	p, err := plan.Compile(nl)
-	if err != nil {
-		return nil, err
+		return v.(*shard.Sharding), nil
 	}
 	s, err := shard.Split(p, n)
 	if err != nil {
@@ -112,7 +101,7 @@ func (c *Coordinator) sharding(nl *circuit.Netlist, n int) (*shard.Sharding, err
 	if _, err := shard.Verify(p, s); err != nil {
 		return nil, err
 	}
-	c.plans.Add(key, &shardPlan{nl: nl, s: s})
+	c.plans.Add(key, s)
 	return s, nil
 }
 
@@ -130,30 +119,40 @@ type shardRun struct {
 	stats    *Stats
 }
 
-// Run executes the netlist by sharded plan replay across the connected
-// workers; it implements the backend.Backend contract. The first run of a
-// netlist compiles, splits, verifies and ships; later runs at the same
-// worker count reuse the workers' shard caches and stream only input and
-// boundary ciphertexts. Lost workers are recovered by re-installing their
-// shards on the least-loaded survivor and replaying through the last
-// completed level.
+// Run compiles the netlist and executes it with RunPlan; it implements
+// the backend.Backend contract. The compile ties the run to the netlist's
+// content, so a netlist edited in place runs as edited, and equal
+// netlists share the coordinator's sharding and the workers' shard caches.
 func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+	p, err := plan.Compile(nl)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunPlan(p, inputs)
+}
+
+// RunPlan executes a compiled plan by sharded replay across the connected
+// workers. The first run of a plan at a worker count splits, verifies and
+// ships it; later runs of an equal plan at the same count reuse the
+// workers' shard caches and stream only input and boundary ciphertexts.
+// Lost workers are recovered by re-installing their shards on the
+// least-loaded survivor and replaying through the last completed level.
+func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if c.ck == nil {
 		return nil, fmt.Errorf("%w: run before SetKey", ErrHandshake)
 	}
 	dim := c.ck.Params.LWEDimension
-	if err := exec.CheckRawInputs(inputs, nl.NumInputs, dim); err != nil {
+	if err := exec.CheckRawInputs(inputs, p.NumInputs, dim); err != nil {
 		return nil, err
 	}
 	workers, totalSlots, timeout, err := c.roster()
 	if err != nil {
 		return nil, err
 	}
-	s, err := c.sharding(nl, len(workers))
+	s, err := c.sharding(p, len(workers))
 	if err != nil {
 		return nil, err
 	}
-	p := s.Plan
 	start := time.Now()
 	snaps := c.snapMeters()
 	ps := p.Stats()

@@ -13,6 +13,8 @@ import (
 
 	"pytfhe/internal/backend"
 	"pytfhe/internal/circuit"
+	"pytfhe/internal/logic"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
 	"pytfhe/internal/torus"
@@ -125,6 +127,77 @@ func TestShardCachesStayBounded(t *testing.T) {
 	}
 }
 
+// TestRunKeysShardingByContent: the coordinator's sharding cache follows
+// a netlist's content, not its address. Two equal netlists built apart
+// share one entry, and a netlist edited in place between two Runs runs as
+// edited — an entry keyed by address would replay AND where the netlist
+// now says OR.
+func TestRunKeysShardingByContent(t *testing.T) {
+	sk, ck := keys(t)
+	coord := startCluster(t, ck, 1, 1)
+	in := []bool{true, false}
+	run := func(nl *circuit.Netlist) {
+		t.Helper()
+		want, err := nl.Evaluate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := backend.DecryptOutputs(sk, outs); got[0] != want[0] {
+			t.Fatalf("%v(1, 0) decrypts %v, Netlist.Evaluate says %v", nl.Gates[0].Kind, got[0], want[0])
+		}
+	}
+	and := func() *circuit.Netlist {
+		b := circuit.NewBuilder("and", circuit.NoOptimizations())
+		x, y := b.Input("x"), b.Input("y")
+		b.Output("o", b.And(x, y))
+		return b.MustBuild()
+	}
+	first, second := and(), and()
+	run(first)
+	run(second)
+	if n := coord.plans.Len(); n != 1 {
+		t.Fatalf("two equal netlists hold %d sharding entries, want 1", n)
+	}
+	if st := coord.LastStat; st.ShardMisses != 0 {
+		t.Fatalf("equal netlist reshipped its shard: %+v", st)
+	}
+	first.Gates[0].Kind = logic.OR
+	run(first)
+	if n := coord.plans.Len(); n != 2 {
+		t.Fatalf("edited netlist: %d sharding entries, want 2", n)
+	}
+}
+
+// TestRunPlanShardsItsPlan: RunPlan splits the plan it is given and
+// compiles nothing, so a caller holding a compiled plan (pytfhed, which
+// compiles each program once at registration) pays no second compile.
+func TestRunPlanShardsItsPlan(t *testing.T) {
+	sk, ck := keys(t)
+	coord := startCluster(t, ck, 2, 1)
+	p, err := plan.Compile(adder4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := coord.RunPlan(p, backend.EncryptInputs(sk, append(bitsOf(6, 4), bitsOf(7, 4)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := uintOf(backend.DecryptOutputs(sk, outs)); got != 13 {
+		t.Fatalf("6+7 = %d from RunPlan", got)
+	}
+	s, err := coord.sharding(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Plan != p || coord.plans.Len() != 1 {
+		t.Fatalf("RunPlan sharded another plan (%d entries)", coord.plans.Len())
+	}
+}
+
 // BenchmarkWorkerRoundTrip times one coordinator↔worker exchange over
 // loopback TCP: a ShardInit for a resident shard, the smallest request a
 // run sends. A sharded run pays at least one such latency per plan level
@@ -132,12 +205,15 @@ func TestShardCachesStayBounded(t *testing.T) {
 func BenchmarkWorkerRoundTrip(b *testing.B) {
 	sk, ck := keys(b)
 	coord := startCluster(b, ck, 1, 1)
-	nl := adder4()
-	// One run ships the shard; every ShardInit below finds it resident.
-	if _, err := coord.Run(nl, backend.EncryptInputs(sk, make([]bool, nl.NumInputs))); err != nil {
+	p, err := plan.Compile(adder4())
+	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := coord.sharding(nl, 1)
+	// One run ships the shard; every ShardInit below finds it resident.
+	if _, err := coord.RunPlan(p, backend.EncryptInputs(sk, make([]bool, p.NumInputs))); err != nil {
+		b.Fatal(err)
+	}
+	s, err := coord.sharding(p, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,29 +64,21 @@ type Program struct {
 // Compile optimizes a netlist through the synthesis pipeline and assembles
 // the PyTFHE binary.
 func Compile(nl *circuit.Netlist) (*Program, error) {
-	res, err := synth.Optimize(nl)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	bin, err := asm.Assemble(res.Netlist)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &Program{
-		Name:    nl.Name,
-		Netlist: res.Netlist,
-		Binary:  bin,
-		Stats:   res.Netlist.ComputeStats(),
-	}, nil
+	return compile(nl, synth.Optimize)
 }
 
 // CompileLUT is Compile through the LUT-clustering pipeline: after the
 // standard passes converge, fanout-free cones of 2-input gates collapse
 // into k-input programmable bootstraps (synth.OptimizeLUT), so the binary
 // carries multi-input LUT records and every executor pays one bootstrap
-// per cone instead of one per gate.
+// per cone instead of one per gate. It is the only place a program gains
+// LUT records: loaders, executors and pytfhed run a binary as compiled.
 func CompileLUT(nl *circuit.Netlist) (*Program, error) {
-	res, err := synth.OptimizeLUT(nl)
+	return compile(nl, synth.OptimizeLUT)
+}
+
+func compile(nl *circuit.Netlist, optimize func(*circuit.Netlist) (*synth.Result, error)) (*Program, error) {
+	res, err := optimize(nl)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -100,15 +92,6 @@ func CompileLUT(nl *circuit.Netlist) (*Program, error) {
 		Binary:  bin,
 		Stats:   res.Netlist.ComputeStats(),
 	}, nil
-}
-
-// ApplyLUT re-synthesizes an already-loaded program through the LUT
-// pipeline, reassembling the binary so downstream consumers (inspect,
-// daemon registration, the shard exporter) see the multi-bit form. The
-// rewrite is exact: lut-cluster only merges cones whose truth tables it
-// re-derives, so outputs decrypt bit-identically to the source program's.
-func ApplyLUT(p *Program) (*Program, error) {
-	return CompileLUT(p.Netlist)
 }
 
 // Load decodes a PyTFHE binary back into a runnable program. It accepts

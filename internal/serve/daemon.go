@@ -66,7 +66,6 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	noiseParams := fs.String("noise-params", "default128", "parameter set the admission noise analysis assumes: test or default128")
 	minSigmas := fs.Float64("min-sigmas", 0, "sigma margin registered programs must keep under the noise analysis (0: default 4)")
 	noNoise := fs.Bool("no-noise-check", false, "admit programs without the static noise-budget analysis")
-	lut := fs.Bool("lut", false, "re-synthesize registered programs through lut-cluster: gate cones collapse into k-input programmable bootstraps before the plan compile")
 	drainT := fs.Duration("drain-timeout", time.Minute, "grace period for in-flight work on shutdown")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	clusterListen := fs.String("cluster-listen", "", "run a cluster coordinator on this address; pytfhe-worker processes join it and evaluations run as cached plan shards")
@@ -102,7 +101,6 @@ func RunDaemon(args []string, stdout io.Writer) error {
 		NoiseParams:          np,
 		NoiseMinSigmas:       *minSigmas,
 		DisableNoiseCheck:    *noNoise,
-		LUT:                  *lut,
 		ClusterListen:        *clusterListen,
 		ClusterWorkers:       *clusterWorkers,
 		ClusterJoinWait:      *clusterJoinWait,
@@ -114,8 +112,8 @@ func RunDaemon(args []string, stdout io.Writer) error {
 	if err := srv.Start(*listen); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "pytfhed: serving on %s (workers=%d, max-concurrent=%d, queue=%d, batch=%d, lut=%v)\n",
-		srv.Addr(), srv.cfg.Workers, srv.cfg.MaxConcurrent, srv.cfg.QueueCap, srv.cfg.Batch, srv.cfg.LUT)
+	fmt.Fprintf(stdout, "pytfhed: serving on %s (workers=%d, max-concurrent=%d, queue=%d, batch=%d)\n",
+		srv.Addr(), srv.cfg.Workers, srv.cfg.MaxConcurrent, srv.cfg.QueueCap, srv.cfg.Batch)
 	if ca := srv.ClusterAddr(); ca != "" {
 		fmt.Fprintf(stdout, "pytfhed: cluster coordinator on %s (join with pytfhe-worker, waiting for %d)\n",
 			ca, srv.cfg.ClusterWorkers)

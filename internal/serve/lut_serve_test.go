@@ -7,11 +7,12 @@ import (
 	"pytfhe/internal/core"
 )
 
-// naeProg compiles a classic 2-input-gate circuit full of clusterable
-// cones: two not-all-equal detectors NAE(a,b,c) = (a⊕b)∨(b⊕c) over
-// disjoint inputs, combined by an XOR. Under a -lut daemon each NAE cone
-// collapses into one 0x7E programmable bootstrap at registration.
-func naeProg(t testing.TB) *core.Program {
+// naeProgs compiles a classic 2-input-gate circuit full of clusterable
+// cones twice: classically, and through core.CompileLUT, where each
+// not-all-equal detector NAE(a,b,c) = (a⊕b)∨(b⊕c) over disjoint inputs
+// collapses into one 0x7E programmable bootstrap. The two NAEs are
+// combined by an XOR.
+func naeProgs(t testing.TB) (classic, lut *core.Program) {
 	t.Helper()
 	b := circuit.NewBuilder("nae-pair", circuit.AllOptimizations())
 	xs := b.Inputs("x", 6)
@@ -22,37 +23,43 @@ func naeProg(t testing.TB) *core.Program {
 	n2 := nae(xs[3], xs[4], xs[5])
 	b.Output("n1", n1)
 	b.Output("agree", b.Xor(n1, n2))
-	return compile(t, b)
+	classic = compile(t, b)
+	lut, err := core.CompileLUT(classic.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return classic, lut
 }
 
-// TestServeLUT registers a classic binary with a -lut daemon and checks
-// the whole surface: the program is re-synthesized into multi-bit form at
-// admission (fewer bootstraps, LUTs > 0 in ProgramInfo) under the
-// uploaded binary's hash, evaluations decrypt bit-identically to the
-// classic netlist, and the Stats RPC reports the LUT counts.
+// TestServeLUT registers a core.CompileLUT binary with a default daemon
+// and checks the whole surface: the daemon keeps the program it was sent
+// under that binary's hash (LUTs > 0 and fewer bootstraps than the classic
+// build in ProgramInfo), evaluations decrypt bit-identically to the
+// classic netlist, and the Stats RPC reports the LUT counts. The classic
+// binary of the same circuit, registered next to it, evaluates no LUT.
 func TestServeLUT(t *testing.T) {
 	kp := tenantKeys(t)[0]
-	prog := naeProg(t)
+	prog, lprog := naeProgs(t)
 	if prog.Stats.LUTs != 0 {
 		t.Fatalf("setup: classic binary already has %d LUTs", prog.Stats.LUTs)
 	}
 
-	srv := startServer(t, Config{Workers: 2, LUT: true})
+	srv := startServer(t, Config{Workers: 2})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	info, err := c.RegisterProgram(prog.Binary)
+	info, err := c.RegisterProgram(lprog.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hash != hashBytes(prog.Binary) {
+	if info.Hash != hashBytes(lprog.Binary) {
 		t.Fatalf("registry key %s is not the uploaded binary's hash", info.Hash)
 	}
-	if info.LUTs == 0 {
-		t.Fatalf("lut daemon admitted %q without clustering: %+v", info.Name, info)
+	if info.LUTs == 0 || info.LUTs != lprog.Stats.LUTs {
+		t.Fatalf("daemon admitted %q with %d LUTs, the binary has %d: %+v", info.Name, info.LUTs, lprog.Stats.LUTs, info)
 	}
 	if info.Bootstrapped >= prog.Stats.Bootstrapped {
 		t.Fatalf("clustering did not reduce bootstraps: %d -> %d",
@@ -61,7 +68,7 @@ func TestServeLUT(t *testing.T) {
 	if !info.Noise.Checked {
 		t.Fatal("noise analysis did not run on the clustered form")
 	}
-	if again, err := c.RegisterProgram(prog.Binary); err != nil || !again.Cached {
+	if again, err := c.RegisterProgram(lprog.Binary); err != nil || !again.Cached {
 		t.Fatalf("re-register: cached=%v err=%v", again != nil && again.Cached, err)
 	}
 
@@ -99,43 +106,36 @@ func TestServeLUT(t *testing.T) {
 		t.Fatalf("stats report %d LUTs evaluated, want %d", st.LUTsEvaluated, want)
 	}
 
-	// The same binary on a LUT-off daemon serves the classic form — and
-	// still decrypts to the same bits, since the rewrite is exact.
-	off := startServer(t, Config{Workers: 2})
-	oc, err := Dial(off.Addr())
+	// The classic binary is a different program under its own hash: the
+	// daemon serves it as sent, with no LUT, and it decrypts to the same
+	// bits.
+	oinfo, err := c.RegisterProgram(prog.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oc.Close()
-	oinfo, err := oc.RegisterProgram(prog.Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oinfo.LUTs != 0 {
-		t.Fatalf("lut-off daemon reports %d LUTs", oinfo.LUTs)
-	}
-	if _, err := oc.OpenSession(kp.Cloud); err != nil {
-		t.Fatal(err)
+	if oinfo.Hash == info.Hash || oinfo.LUTs != 0 {
+		t.Fatalf("classic binary registered as %s with %d LUTs", oinfo.Hash, oinfo.LUTs)
 	}
 	bits := bitsOf(0b101101, 6)
 	want, err := prog.Netlist.Evaluate(bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := oc.Evaluate(oinfo.Hash, kp.EncryptBits(bits))
+	outs, err := c.Evaluate(oinfo.Hash, kp.EncryptBits(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range kp.DecryptBits(outs) {
 		if g != want[i] {
-			t.Fatalf("lut-off output %d: got %v, want %v", i, g, want[i])
+			t.Fatalf("classic output %d: got %v, want %v", i, g, want[i])
 		}
 	}
-	ost, err := oc.Stats()
+	ost, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ost.LUTsEvaluated != 0 || ost.ExecutorLUTs != 0 {
-		t.Fatalf("lut-off daemon counted LUTs: %+v", ost)
+	if ost.LUTsEvaluated != st.LUTsEvaluated || ost.ExecutorLUTs != st.ExecutorLUTs {
+		t.Fatalf("classic evaluation counted LUTs: %d -> %d evaluated, %d -> %d executed",
+			st.LUTsEvaluated, ost.LUTsEvaluated, st.ExecutorLUTs, ost.ExecutorLUTs)
 	}
 }

@@ -532,8 +532,8 @@ func TestServePlanCacheAndLatency(t *testing.T) {
 // TestServeRegistrationCompilesPlan pins where the compile happens:
 // registration compiles the plan (a miss before any evaluation), an
 // evaluation replays it (a hit, no compile), re-registering the same
-// binary compiles nothing, and under -lut the registered plan is the
-// clustered form.
+// binary compiles nothing, and a core.CompileLUT binary registers a plan
+// with its LUT instructions.
 func TestServeRegistrationCompilesPlan(t *testing.T) {
 	kp := tenantKeys(t)[0]
 	prog := adder4Prog(t)
@@ -571,13 +571,14 @@ func TestServeRegistrationCompilesPlan(t *testing.T) {
 	}
 	plans(1, 1)
 
-	lsrv := startServer(t, Config{Workers: 1, LUT: true})
+	lsrv := startServer(t, Config{Workers: 1})
 	lcl, err := Dial(lsrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lcl.Close()
-	linfo, err := lcl.RegisterProgram(naeProg(t).Binary)
+	_, lprog := naeProgs(t)
+	linfo, err := lcl.RegisterProgram(lprog.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +586,7 @@ func TestServeRegistrationCompilesPlan(t *testing.T) {
 	entry := lsrv.programs[linfo.Hash]
 	lsrv.mu.Unlock()
 	if n := entry.plan.Stats().ExecLUTs; n == 0 || lsrv.statsSnapshot().PlanMisses != 1 {
-		t.Fatalf("-lut registration compiled a plan with %d LUT instructions", n)
+		t.Fatalf("LUT binary registration compiled a plan with %d LUT instructions", n)
 	}
 }
 

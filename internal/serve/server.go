@@ -64,16 +64,6 @@ type Config struct {
 	NoiseMinSigmas float64
 	// DisableNoiseCheck admits programs without the static noise analysis.
 	DisableNoiseCheck bool
-	// LUT re-synthesizes every registered program through the
-	// LUT-clustering pipeline (synth.OptimizeLUT via core.ApplyLUT) at
-	// admission: fanout-free cones of classic gates collapse into k-input
-	// programmable bootstraps, so each evaluation executes fewer
-	// bootstraps for the same outputs. The registry key stays the
-	// uploaded binary's content hash — clients address the program they
-	// sent — while the registered program, its plan, its noise analysis,
-	// and the shard exporter all see the multi-bit form. The rewrite is
-	// exact, so results decrypt bit-identically to the LUT-off daemon's.
-	LUT bool
 
 	// ClusterListen, when non-empty, runs a cluster coordinator on this
 	// address. pytfhe-worker processes join it at any time (late joiners
@@ -445,11 +435,13 @@ func hashBytes(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// handleRegister admits a program binary into the registry: one decode
-// (core.Load, which rejects every binary asm.Lint rejects), LUT
-// resynthesis under -lut, static noise-budget analysis, and the plan
-// compile, all kept under the content hash — every evaluation then
-// replays that plan and none compiles. Malformed or cyclic netlists — and
+// handleRegister admits a program binary into the registry exactly as
+// compiled: one decode (core.Load, which rejects every binary asm.Lint
+// rejects), static noise-budget analysis, and the plan compile, all kept
+// under the content hash — every evaluation then replays that plan, on
+// the local executor or the worker pool, and none compiles. LUT records
+// come from the compiler (core.CompileLUT, `pytfhe compile -lut`).
+// Malformed or cyclic netlists — and
 // netlists whose worst-case noise cannot keep the configured sigma margin
 // under the server's parameter set — are rejected here, before any
 // ciphertext is ever submitted against them.
@@ -462,13 +454,6 @@ func (s *Server) handleRegister(req *RegisterProgram) Response {
 		prog, err := core.Load(req.Binary)
 		if err != nil {
 			return Response{Err: toWire(fmt.Errorf("%w: %v", ErrRejected, err))}
-		}
-		if s.cfg.LUT {
-			// The noise analysis below then runs on the clustered netlist,
-			// so admission vets the form the daemon actually executes.
-			if prog, err = core.ApplyLUT(prog); err != nil {
-				return Response{Err: toWire(fmt.Errorf("%w: lut resynthesis: %v", ErrRejected, err))}
-			}
 		}
 		pn, err := s.analyzeNoise(prog)
 		if err != nil {
@@ -780,7 +765,7 @@ func (s *Server) evaluateCluster(sess *session, entry *programEntry, inputs []*l
 		atomic.AddInt64(&s.clusterFallbacks, 1)
 		return nil, false
 	}
-	outs, err := s.coord.Run(entry.prog.Netlist, inputs)
+	outs, err := s.coord.RunPlan(entry.plan, inputs)
 	if err != nil {
 		atomic.AddInt64(&s.clusterFallbacks, 1)
 		return nil, false

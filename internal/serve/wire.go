@@ -15,10 +15,7 @@ import (
 	"pytfhe/internal/qos"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
-	"pytfhe/internal/wire"
 )
-
-func init() { wire.Register() }
 
 // Typed request failures. The wire carries a stable code for each; the
 // client rehydrates them so callers can classify with errors.Is.
@@ -101,8 +98,8 @@ type ProgramInfo struct {
 	Inputs, Gates, Bootstrapped, Outputs,
 	Depth int
 	// LUTs counts the program's multi-input LUT gates — non-zero when the
-	// daemon runs with -lut and the registered circuit had clusterable
-	// cones (or the uploaded binary already carried LUT instructions).
+	// uploaded binary carries LUT records (`pytfhe compile -lut`,
+	// core.CompileLUT).
 	LUTs int
 	// Noise is the static noise-budget summary computed at registration
 	// (zero Checked when the server was configured with the check off).
@@ -172,7 +169,7 @@ type StatsReply struct {
 	// ran (each one programmable bootstrap, included in its bootstrap
 	// count); LUTsEvaluated counts logical LUT gates across every
 	// completed evaluation regardless of path — local replay or cluster
-	// dispatch. Both stay zero on a LUT-off daemon serving classic
+	// dispatch. Both stay zero while the daemon serves only classic
 	// binaries.
 	ExecutorLUTs  int64
 	LUTsEvaluated int64

@@ -1,3 +1,15 @@
+// Package wire holds what PyTFHE's two TCP protocols — the cluster
+// coordinator↔worker link and the pytfhed client↔daemon link — share
+// beyond their gob-framed envelopes: a content hash of the cloud key that
+// every peer computes alike (KeyHash) and byte counters on a connection
+// (Meter). No envelope has an interface-typed field, so gob needs no type
+// registration.
+//
+// The package also pins the serialized ciphertext size. The paper's Fig. 7
+// communication profile charges ≈2.46 KB per ciphertext — (n+1) 4-byte
+// torus elements at n = 630 — and the coordinator's BytesSent accounting
+// relies on params.CiphertextBytes matching that figure. A regression test
+// here keeps both the raw figure and gob's framing overhead honest.
 package wire
 
 import (

@@ -31,7 +31,6 @@ func TestCiphertextWireSize(t *testing.T) {
 // bytes of framing. A regression past +45% would mean the wire format
 // stopped matching the paper's communication model.
 func TestCiphertextGobOverhead(t *testing.T) {
-	Register()
 	p := params.Default128()
 	sample := func(seed uint32) *lwe.Sample {
 		s := lwe.NewSample(p.LWEDimension)

@@ -188,28 +188,29 @@ done
 worker_pids=
 
 # End-to-end multi-bit LUT serving: compile a clusterable VIP-Bench
-# kernel classically, then register it with a -lut daemon. Admission
-# re-synthesizes it into k-input programmable bootstraps (the stats
-# surface must show a nonzero LUT count) and the encrypted outputs must
-# match a local classic run bit for bit — the rewrite is exact.
+# kernel classically and with `compile -lut`, then register the LUT
+# binary with a default daemon, which runs it as compiled: the stats
+# surface must show a nonzero LUT count, and the encrypted outputs must
+# match a local classic run bit for bit — the clustering is exact.
 go run ./cmd/pytfhe compile -bench parrondo -out "$tmp/parrondo.ptfhe"
+go run ./cmd/pytfhe compile -bench parrondo -lut -out "$tmp/parrondo-lut.ptfhe"
 pin=101101110010
 ref=$("$tmp/pytfhe" run -prog "$tmp/parrondo.ptfhe" -keys "$tmp/keys" \
     -in "$pin" | grep '^outputs:')
-"$tmp/pytfhed" -listen 127.0.0.1:0 -addr-file "$tmp/addr3" -workers 2 -lut &
+"$tmp/pytfhed" -listen 127.0.0.1:0 -addr-file "$tmp/addr3" -workers 2 &
 daemon_pid=$!
 i=0
 while [ ! -s "$tmp/addr3" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "pytfhed -lut never wrote its address" >&2
+        echo "pytfhed (LUT serving) never wrote its address" >&2
         exit 1
     fi
     sleep 0.1
 done
 addr=$(cat "$tmp/addr3")
 out=$("$tmp/pytfhe" eval -server "$addr" -keys "$tmp/keys" \
-    -prog "$tmp/parrondo.ptfhe" -in "$pin" | grep '^outputs:')
+    -prog "$tmp/parrondo-lut.ptfhe" -in "$pin" | grep '^outputs:')
 [ "$out" = "$ref" ]
 "$tmp/pytfhe" server-stats -server "$addr" | tee "$tmp/lstats"
 grep -Eq '^luts: [1-9][0-9]* multi-input LUT gates evaluated' "$tmp/lstats"
