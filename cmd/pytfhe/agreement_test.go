@@ -175,8 +175,8 @@ func dyingShardWorker(t *testing.T, addr string) <-chan struct{} {
 }
 
 // TestClusterAgreementWorkerLoss injects a worker crash mid-run: one
-// real worker plus one that dies on its first step. The run must re-host
-// the dead worker's shard and still decrypt to the plaintext interpreter's
+// real worker plus one that dies on its first step. The run must rerun the
+// plan on the survivor and still decrypt to the plaintext interpreter's
 // outputs on the bench netlist.
 func TestClusterAgreementWorkerLoss(t *testing.T) {
 	sk, ck := agreeKeys(t)

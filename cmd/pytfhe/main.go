@@ -522,7 +522,7 @@ func printClusterStats(st cluster.Stats, ctBytes int) {
 	fmt.Printf("stats: %d workers (%d slots), %d gates (%d bootstrapped) over %d levels in %v — %.1f bootstraps/s\n",
 		st.Workers, st.Slots, st.Gates, st.Bootstraps, st.Levels, st.Elapsed.Round(time.Millisecond), boots)
 	if st.WorkersLost > 0 {
-		fmt.Printf("       %d workers lost mid-run, shards re-hosted on survivors\n", st.WorkersLost)
+		fmt.Printf("       %d workers lost mid-run, plan rerun on the survivors\n", st.WorkersLost)
 	}
 	fmt.Printf("wire:  %d samples out, %d back at %.2f KB/ciphertext — estimate %.1f KB, measured %.1f KB out / %.1f KB in\n",
 		st.SamplesSent, st.SamplesReceived, float64(ctBytes)/1024,

@@ -15,7 +15,7 @@ import (
 
 // TestSharedAgreement is the serving scheduler's differential matrix: every
 // examples/ circuit and every VIP-Bench kernel, in its classic form and
-// LUT-clustered (what `pytfhed -lut` registers), replayed through
+// LUT-clustered (what `pytfhe compile -lut` emits), replayed through
 // backend.Shared against the plaintext interpreter. The two forms run
 // concurrently under one key on complementary inputs, so each
 // configuration also exercises two same-key runs whose level slices share

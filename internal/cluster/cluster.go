@@ -39,16 +39,19 @@ import (
 // plan-replay messages; version 3 removed per-gate job dispatch; version 4
 // ships the key-switching key as flat rows (and hashes it under the v3
 // KeyHash tag); version 5 numbers a shard's table densely (one Slots count,
-// fills copied into slots the worker owns). Peers of another version are rejected with a typed error
-// instead of a gob decode failure or an "unexpected message" downstream.
-const ProtoVersion = 5
+// fills copied into slots the worker owns); version 6 drops the replay message
+// that rebuilt a lost worker's shard on a survivor: the run now starts
+// again on the survivors.
+// Peers of another version are rejected with a typed error instead of a
+// gob decode failure or an "unexpected message" downstream.
+const ProtoVersion = 6
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (
 	// ErrWorkerLost marks a worker that died mid-run (connection error or
-	// a missed read deadline). The coordinator drops the worker and
-	// re-hosts its shards on the survivors; the error only surfaces when
-	// no workers remain.
+	// a missed read deadline). The coordinator drops the worker and runs
+	// the plan again from level 0 on the survivors; the error only
+	// surfaces when no workers remain.
 	ErrWorkerLost = errors.New("cluster: worker lost")
 	// ErrDial marks a worker that exhausted its dial-retry budget without
 	// ever reaching the coordinator.
@@ -85,7 +88,6 @@ type Message struct {
 	ShardReady *ShardReady
 	Step       *ShardStep
 	StepResult *ShardStepResult
-	Replay     *ShardReplay
 
 	Error string
 	Bye   bool
@@ -118,7 +120,7 @@ type Stats struct {
 	Levels      int
 	Gates       int
 	Bootstraps  int
-	WorkersLost int // workers dropped mid-run (their shards re-hosted on survivors)
+	WorkersLost int // workers dropped mid-run (the plan reran on the survivors)
 	Elapsed     time.Duration
 	BytesSent   int64 // ciphertext payload shipped to workers (estimate)
 
@@ -129,7 +131,7 @@ type Stats struct {
 
 	ShardHits         int   // shards already resident on their worker
 	ShardMisses       int   // shards shipped because the worker lacked them
-	ShardReships      int   // shards re-installed on a survivor after a loss
+	ShardReships      int   // shards installed after a loss (by a rerun on the survivors)
 	ShardBytesShipped int64 // measured bytes of shard program shipment
 	BoundaryBytes     int64 // estimated input+boundary ciphertext traffic
 }
@@ -159,10 +161,10 @@ type Coordinator struct {
 	totals   Totals
 	LastStat Stats
 	// JobTimeout is the read deadline of one exchange with a worker (its
-	// Hello, a shard install or one level step; a recovery replay gets one
-	// per replayed level). A peer that misses it in the handshake is
-	// rejected; a worker that misses it mid-run is declared lost and its
-	// shards are re-hosted on the survivors. Zero means DefaultJobTimeout.
+	// Hello, a shard install or one level step). A peer that misses it in
+	// the handshake is rejected; a worker that misses it mid-run is
+	// declared lost and the plan reruns on the survivors. Zero means
+	// DefaultJobTimeout.
 	JobTimeout time.Duration
 }
 
@@ -611,8 +613,6 @@ func (w *Worker) Serve(addr string) error {
 			reply = h.install(msg.ShardData)
 		case msg.Step != nil:
 			reply = h.step(msg.Step)
-		case msg.Replay != nil:
-			reply = h.replay(msg.Replay)
 		default:
 			reply = Message{Error: "unexpected message"}
 		}

@@ -265,9 +265,9 @@ func deadAfterFirstRequest(t *testing.T, addr string) <-chan struct{} {
 }
 
 // TestWorkerLostMidRunRequeues kills one of two workers as its shard is
-// being installed and checks that the coordinator re-hosts the dead
-// worker's shard on the survivor, drops it from the roster, and still
-// produces the right sum, rather than blocking forever or failing the run.
+// being installed and checks that the coordinator drops it from the
+// roster, reruns the plan on the survivor, and still produces the right
+// sum, rather than blocking forever or failing the run.
 func TestWorkerLostMidRunRequeues(t *testing.T) {
 	sk, ck := keys(t)
 	coord, err := NewCoordinator(ck, "127.0.0.1:0")
@@ -290,7 +290,7 @@ func TestWorkerLostMidRunRequeues(t *testing.T) {
 		t.Fatalf("run with one dead worker: %v", err)
 	}
 	if got := uintOf(backend.DecryptOutputs(sk, outs)); got != 15 {
-		t.Fatalf("9+6 = %d after re-hosting", got)
+		t.Fatalf("9+6 = %d after the rerun", got)
 	}
 	<-dead
 	if coord.WorkerCount() != 1 {

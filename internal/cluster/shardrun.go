@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -50,23 +53,11 @@ type ShardStep struct {
 	Fills []SlotSample
 }
 
-// ShardStepResult returns a step's exports in manifest order. A result
-// answering a ShardReplay carries no exports (the coordinator retained
-// them) and Level echoes the replay horizon.
+// ShardStepResult returns a step's exports in manifest order.
 type ShardStepResult struct {
 	Hash    string
 	Level   int
 	Exports []*lwe.Sample
-}
-
-// ShardReplay rebuilds a shard's state on a new worker after a loss: the
-// worker re-executes the listed steps (levels 0..Through that the shard is
-// active in, with the coordinator's retained fills) and discards the
-// exports, leaving the runtime ready to continue from Through+1.
-type ShardReplay struct {
-	Hash    string
-	Through int
-	Steps   []ShardStep
 }
 
 // shardingCacheEntries bounds the coordinator's sharding cache: a daemon
@@ -75,8 +66,8 @@ type ShardReplay struct {
 const shardingCacheEntries = 16
 
 // workerAppError is a worker-reported evaluation failure: the connection
-// is healthy, retrying elsewhere would fail identically, so the run aborts
-// instead of treating the worker as lost.
+// is healthy, rerunning on the survivors would fail identically, so the
+// run aborts instead of treating the worker as lost.
 type workerAppError struct{ msg string }
 
 func (e *workerAppError) Error() string { return "cluster: worker: " + e.msg }
@@ -105,14 +96,13 @@ func (c *Coordinator) sharding(p *plan.Plan, n int) (*shard.Sharding, error) {
 	return s, nil
 }
 
-// shardRun is the per-run routing state of Run.
+// shardRun is one attempt at a run: shard i of s runs on workers[i].
 type shardRun struct {
-	c        *Coordinator
 	s        *shard.Sharding
+	workers  []*workerConn
 	inputs   []*lwe.Sample
 	exported []*lwe.Sample // boundary values by export id, retained all run
-	assign   []*workerConn // shard index → hosting worker (nil = needs a host)
-	loads    map[*workerConn]int
+	recovery bool          // a rerun after a loss: installs count as reships
 	timeout  time.Duration
 	ctBytes  int64
 	statMu   sync.Mutex
@@ -135,8 +125,8 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 // workers. The first run of a plan at a worker count splits, verifies and
 // ships it; later runs of an equal plan at the same count reuse the
 // workers' shard caches and stream only input and boundary ciphertexts.
-// Lost workers are recovered by re-installing their shards on the
-// least-loaded survivor and replaying through the last completed level.
+// A worker lost mid-run is dropped and the plan runs again from level 0,
+// sharded over the survivors.
 func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
 	if c.ck == nil {
 		return nil, fmt.Errorf("%w: run before SetKey", ErrHandshake)
@@ -146,10 +136,6 @@ func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample
 		return nil, err
 	}
 	workers, totalSlots, timeout, err := c.roster()
-	if err != nil {
-		return nil, err
-	}
-	s, err := c.sharding(p, len(workers))
 	if err != nil {
 		return nil, err
 	}
@@ -163,31 +149,38 @@ func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample
 		Gates:      ps.ExecGates,
 		Bootstraps: ps.ExecBootstraps,
 	}
-	r := &shardRun{
-		c:        c,
-		s:        s,
-		inputs:   inputs,
-		exported: make([]*lwe.Sample, s.CutEdges),
-		assign:   make([]*workerConn, len(s.Shards)),
-		loads:    make(map[*workerConn]int),
-		timeout:  timeout,
-		ctBytes:  int64(c.ck.Params.CiphertextBytes()),
-		stats:    &stats,
-	}
-	// Initial placement: shard i on worker i (Split makes one shard per
-	// live worker).
-	for i := range s.Shards {
-		r.assign[i] = workers[i]
-		r.loads[workers[i]]++
-	}
-	for i := range s.Shards {
-		if err := r.ensure(i, -1); err != nil {
+	// Every failed attempt drops at least one worker, so a run makes at
+	// most as many attempts as it started with workers.
+	var r *shardRun
+	for {
+		s, err := c.sharding(p, len(workers))
+		if err != nil {
 			return nil, err
 		}
-	}
-	for l := range p.Levels() {
-		if err := r.runLevel(l); err != nil {
+		r = &shardRun{
+			s:        s,
+			workers:  workers,
+			inputs:   inputs,
+			exported: make([]*lwe.Sample, s.CutEdges),
+			recovery: stats.WorkersLost > 0,
+			timeout:  timeout,
+			ctBytes:  int64(c.ck.Params.CiphertextBytes()),
+			stats:    &stats,
+		}
+		lost, err := r.run(len(p.Levels()))
+		for _, w := range lost {
+			c.dropWorker(w)
+			workers = slices.DeleteFunc(workers, func(x *workerConn) bool { return x == w })
+		}
+		stats.WorkersLost += len(lost)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrWorkerLost) {
 			return nil, err
+		}
+		if len(workers) == 0 {
+			return nil, fmt.Errorf("cluster: no workers left: %w", err)
 		}
 	}
 
@@ -195,7 +188,7 @@ func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample
 	// sentinels and aliasing match every other backend bit for bit.
 	refs := p.Outputs()
 	byRef := make(map[plan.Ref]*lwe.Sample, len(refs))
-	for i, src := range s.Outputs {
+	for i, src := range r.s.Outputs {
 		switch {
 		case src.Input >= 0:
 			byRef[refs[i]] = inputs[src.Input]
@@ -231,7 +224,7 @@ func (c *Coordinator) RunSharded(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*
 
 // roundTrip performs one request/response exchange on a worker connection
 // under a read deadline. The caller owns the connection for the duration
-// (per-worker goroutines during a level, the main goroutine otherwise).
+// (one goroutine per shard during a phase of a run).
 func roundTrip(w *workerConn, msg Message, timeout time.Duration) (Message, error) {
 	if err := w.enc.Encode(msg); err != nil {
 		return Message{}, fmt.Errorf("cluster: send to %s: %w", w.conn.RemoteAddr(), err)
@@ -256,31 +249,69 @@ func receive(w *workerConn, timeout time.Duration) (Message, error) {
 	return rep, nil
 }
 
-// lose drops a dead worker from the run and the roster; every shard it
-// hosted goes back to "needs a host".
-func (r *shardRun) lose(w *workerConn) {
-	r.c.dropWorker(w)
-	delete(r.loads, w)
-	for i := range r.assign {
-		if r.assign[i] == w {
-			r.assign[i] = nil
+// run installs every shard, then drives the plan's levels. It stops after
+// the first phase in which a worker failed and returns the workers lost in
+// it, with an error wrapping ErrWorkerLost unless a worker also reported
+// an application error.
+func (r *shardRun) run(levels int) ([]*workerConn, error) {
+	all := make([]int, len(r.s.Shards))
+	for i := range all {
+		all[i] = i
+	}
+	if lost, err := r.each(all, r.install); err != nil {
+		return lost, err
+	}
+	for l := range levels {
+		var active []int
+		for i, sh := range r.s.Shards {
+			if len(sh.Levels[l]) > 0 {
+				active = append(active, i)
+			}
+		}
+		if lost, err := r.each(active, func(i int) error { return r.step(i, l) }); err != nil {
+			return lost, err
 		}
 	}
-	r.stats.WorkersLost++
+	return nil, nil
 }
 
-// leastLoaded picks the live worker hosting the fewest shards.
-func (r *shardRun) leastLoaded() *workerConn {
-	r.c.mu.Lock()
-	live := append([]*workerConn(nil), r.c.workers...)
-	r.c.mu.Unlock()
-	var best *workerConn
-	for _, w := range live {
-		if best == nil || r.loads[w] < r.loads[best] {
-			best = w
+// each runs fn on the listed shards concurrently, one goroutine per shard
+// and so per worker, and waits for all of them, so every surviving
+// connection is idle when it returns. A Message{Error} reply is an
+// application error: the connection is healthy and a rerun would fail
+// alike, so it is returned as is. Any other failure — a send or receive
+// error, a missed deadline, a reply that breaks the protocol — loses the
+// shard's worker.
+func (r *shardRun) each(shards []int, fn func(i int) error) (lost []*workerConn, err error) {
+	errs := make([]error, len(r.workers))
+	var wg sync.WaitGroup
+	for _, i := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	var appErr, lostErr error
+	for i, e := range errs {
+		var app *workerAppError
+		switch {
+		case e == nil:
+		case errors.As(e, &app):
+			appErr = cmp.Or(appErr, e)
+		default:
+			lost = append(lost, r.workers[i])
+			lostErr = cmp.Or(lostErr, e)
 		}
 	}
-	return best
+	if appErr != nil {
+		return lost, appErr
+	}
+	if lostErr != nil {
+		return lost, fmt.Errorf("%w: %w", ErrWorkerLost, lostErr)
+	}
+	return nil, nil
 }
 
 // fillsFor materializes the router manifest for one shard level: input
@@ -304,35 +335,10 @@ func (r *shardRun) fillsFor(i, level int) []SlotSample {
 	return out
 }
 
-// ensure makes shard i resident and caught up through level `through` on
-// its assigned worker, electing a new host (least loaded survivor) as
-// often as needed. through < 0 means ship only, no replay.
-func (r *shardRun) ensure(i, through int) error {
-	sh := r.s.Shards[i]
-	for {
-		w := r.assign[i]
-		if w == nil {
-			w = r.leastLoaded()
-			if w == nil {
-				return fmt.Errorf("cluster: no workers left to host shard %d: %w", i, ErrWorkerLost)
-			}
-			r.assign[i] = w
-			r.loads[w]++
-		}
-		err := r.install(w, i, sh, through)
-		if err == nil {
-			return nil
-		}
-		if app, ok := err.(*workerAppError); ok {
-			return app
-		}
-		r.lose(w)
-	}
-}
-
-// install ships shard sh to w if not cached there and replays it through
-// the given level using retained fills.
-func (r *shardRun) install(w *workerConn, idx int, sh *shard.Shard, through int) error {
+// install makes shard i resident on its worker, shipping it if the
+// worker's cache lacks it.
+func (r *shardRun) install(i int) error {
+	w, sh := r.workers[i], r.s.Shards[i]
 	rep, err := roundTrip(w, Message{ShardInit: &ShardInit{PlanHash: sh.PlanHash, Hash: sh.Hash}}, r.timeout)
 	if err != nil {
 		return err
@@ -349,54 +355,34 @@ func (r *shardRun) install(w *workerConn, idx int, sh *shard.Shard, through int)
 	} else {
 		r.stats.ShardMisses++
 	}
-	if through >= 0 {
+	if r.recovery {
 		r.stats.ShardReships++
 	}
 	r.statMu.Unlock()
-	if !rep.ShardReady.Cached {
-		w0 := w.meter.BytesWritten()
-		rep, err = roundTrip(w, Message{ShardData: sh}, r.timeout)
-		if err != nil {
-			return err
-		}
-		if rep.Error != "" {
-			return &workerAppError{msg: rep.Error}
-		}
-		if rep.ShardReady == nil || !rep.ShardReady.Cached {
-			return fmt.Errorf("cluster: worker %s: shard %s not resident after shipment", w.conn.RemoteAddr(), sh.Hash[:16])
-		}
-		r.statMu.Lock()
-		r.stats.ShardBytesShipped += w.meter.BytesWritten() - w0
-		r.statMu.Unlock()
-	}
-	if through < 0 {
+	if rep.ShardReady.Cached {
 		return nil
 	}
-	replay := &ShardReplay{Hash: sh.Hash, Through: through}
-	for lv := 0; lv <= through; lv++ {
-		if len(sh.Levels[lv]) == 0 {
-			continue
-		}
-		replay.Steps = append(replay.Steps, ShardStep{Hash: sh.Hash, Level: lv, Fills: r.fillsFor(idx, lv)})
-	}
-	// The replay deadline scales with the number of re-executed levels:
-	// rebuilding a deep prefix legitimately takes many level-times.
-	rep, err = roundTrip(w, Message{Replay: replay}, r.timeout*time.Duration(len(replay.Steps)+1))
+	w0 := w.meter.BytesWritten()
+	rep, err = roundTrip(w, Message{ShardData: sh}, r.timeout)
 	if err != nil {
 		return err
 	}
 	if rep.Error != "" {
 		return &workerAppError{msg: rep.Error}
 	}
-	if rep.StepResult == nil || rep.StepResult.Hash != sh.Hash {
-		return fmt.Errorf("cluster: worker %s: malformed replay reply", w.conn.RemoteAddr())
+	if rep.ShardReady == nil || !rep.ShardReady.Cached {
+		return fmt.Errorf("cluster: worker %s: shard %s not resident after shipment", w.conn.RemoteAddr(), sh.Hash[:16])
 	}
+	r.statMu.Lock()
+	r.stats.ShardBytesShipped += w.meter.BytesWritten() - w0
+	r.statMu.Unlock()
 	return nil
 }
 
-// step drives one level of one shard and returns its exports.
-func (r *shardRun) step(w *workerConn, i, level int) ([]*lwe.Sample, error) {
-	sh := r.s.Shards[i]
+// step drives one level of shard i and retains its exports. Shards export
+// disjoint ids, so concurrent steps write disjoint entries.
+func (r *shardRun) step(i, level int) error {
+	w, sh := r.workers[i], r.s.Shards[i]
 	fills := r.fillsFor(i, level)
 	r.statMu.Lock()
 	r.stats.SamplesSent += int64(len(fills))
@@ -405,109 +391,22 @@ func (r *shardRun) step(w *workerConn, i, level int) ([]*lwe.Sample, error) {
 	r.statMu.Unlock()
 	rep, err := roundTrip(w, Message{Step: &ShardStep{Hash: sh.Hash, Level: level, Fills: fills}}, r.timeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rep.Error != "" {
-		return nil, &workerAppError{msg: rep.Error}
+		return &workerAppError{msg: rep.Error}
 	}
 	res := rep.StepResult
 	if res == nil || res.Hash != sh.Hash || res.Level != level || len(res.Exports) != len(sh.Exports[level]) {
-		return nil, fmt.Errorf("cluster: worker %s: malformed step result for shard %d level %d", w.conn.RemoteAddr(), i, level)
+		return fmt.Errorf("cluster: worker %s: malformed step result for shard %d level %d", w.conn.RemoteAddr(), i, level)
+	}
+	for k, id := range r.s.ExportIDs[i][level] {
+		r.exported[id] = res.Exports[k]
 	}
 	r.statMu.Lock()
 	r.stats.SamplesReceived += int64(len(res.Exports))
 	r.stats.BoundaryBytes += r.ctBytes * int64(len(res.Exports))
 	r.statMu.Unlock()
-	return res.Exports, nil
-}
-
-// runLevel drives one global plan level across every shard active in it,
-// re-hosting and replaying the shards of any worker lost along the way.
-func (r *shardRun) runLevel(l int) error {
-	var pending []int
-	for i, sh := range r.s.Shards {
-		if len(sh.Levels[l]) > 0 {
-			pending = append(pending, i)
-		}
-	}
-	for len(pending) > 0 {
-		byWorker := make(map[*workerConn][]int)
-		for _, i := range pending {
-			w := r.assign[i]
-			byWorker[w] = append(byWorker[w], i)
-		}
-		type levelReply struct {
-			w      *workerConn
-			done   map[int][]*lwe.Sample
-			failed []int // shards not completed because the worker died
-			err    error
-		}
-		ch := make(chan levelReply, len(byWorker))
-		for w, list := range byWorker {
-			// One goroutine per worker: a connection carries one exchange
-			// at a time, shards sharing a worker run back to back.
-			go func(w *workerConn, list []int) {
-				done := make(map[int][]*lwe.Sample, len(list))
-				for k, i := range list {
-					exports, err := r.step(w, i, l)
-					if err != nil {
-						if app, ok := err.(*workerAppError); ok {
-							ch <- levelReply{w: w, done: done, err: app}
-						} else {
-							ch <- levelReply{w: w, done: done, failed: list[k:], err: err}
-						}
-						return
-					}
-					done[i] = exports
-				}
-				ch <- levelReply{w: w, done: done}
-			}(w, list)
-		}
-		var next []int
-		var appErr error
-		var lost []*workerConn
-		redo := make(map[int]bool)
-		for range byWorker {
-			rep := <-ch
-			for i, exports := range rep.done {
-				for k, id := range r.s.ExportIDs[i][l] {
-					r.exported[id] = exports[k]
-				}
-			}
-			if len(rep.failed) > 0 {
-				lost = append(lost, rep.w)
-				next = append(next, rep.failed...)
-				for _, i := range rep.failed {
-					redo[i] = true
-				}
-			} else if rep.err != nil {
-				appErr = rep.err
-			}
-		}
-		if appErr != nil {
-			return appErr
-		}
-		for _, w := range lost {
-			r.lose(w)
-		}
-		// Re-host every orphaned shard. Shards that already finished this
-		// level (or idle through it) replay through l — their exports are
-		// retained, only their runtime state needs rebuilding. Shards still
-		// owed this level replay through l-1 and then rejoin the loop.
-		for i := range r.assign {
-			if r.assign[i] != nil {
-				continue
-			}
-			through := l
-			if redo[i] {
-				through = l - 1
-			}
-			if err := r.ensure(i, through); err != nil {
-				return err
-			}
-		}
-		pending = next
-	}
 	return nil
 }
 
@@ -594,18 +493,4 @@ func (h *shardHost) step(st *ShardStep) Message {
 		return Message{Error: err.Error()}
 	}
 	return Message{StepResult: &ShardStepResult{Hash: st.Hash, Level: st.Level, Exports: exports}}
-}
-
-func (h *shardHost) replay(rp *ShardReplay) Message {
-	ent := h.cached(rp.Hash)
-	if ent == nil {
-		return Message{Error: fmt.Sprintf("shard %.16s… not resident for replay", rp.Hash)}
-	}
-	ent.rt.Reset()
-	for i := range rp.Steps {
-		if _, err := h.apply(ent, &rp.Steps[i]); err != nil {
-			return Message{Error: fmt.Sprintf("replay level %d: %v", rp.Steps[i].Level, err)}
-		}
-	}
-	return Message{StepResult: &ShardStepResult{Hash: rp.Hash, Level: rp.Through}}
 }

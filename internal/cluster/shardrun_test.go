@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -258,6 +259,13 @@ func BenchmarkWorkerSlots(b *testing.B) {
 // shardWorkerDiesOnFirstStep joins as a protocol-correct worker, accepts
 // its shard, then drops the connection the moment real work arrives.
 func shardWorkerDiesOnFirstStep(t *testing.T, addr string) <-chan struct{} {
+	return fakeShardWorker(t, addr, nil)
+}
+
+// fakeShardWorker joins as a protocol-correct worker and accepts every
+// shard. It answers each ShardStep with stepReply, or, when stepReply is
+// nil, drops the connection at the first one.
+func fakeShardWorker(t *testing.T, addr string, stepReply *Message) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -266,6 +274,7 @@ func shardWorkerDiesOnFirstStep(t *testing.T, addr string) <-chan struct{} {
 		if err != nil {
 			return
 		}
+		defer conn.Close()
 		enc := gob.NewEncoder(conn)
 		dec := gob.NewDecoder(conn)
 		if err := enc.Encode(Message{Hello: &Hello{Slots: 1, Version: ProtoVersion}}); err != nil {
@@ -283,19 +292,18 @@ func shardWorkerDiesOnFirstStep(t *testing.T, addr string) <-chan struct{} {
 			if err := dec.Decode(&msg); err != nil {
 				return
 			}
+			var reply Message
 			switch {
 			case msg.ShardInit != nil:
-				if err := enc.Encode(Message{ShardReady: &ShardReady{Hash: msg.ShardInit.Hash, Cached: false}}); err != nil {
-					return
-				}
+				reply = Message{ShardReady: &ShardReady{Hash: msg.ShardInit.Hash, Cached: false}}
 			case msg.ShardData != nil:
-				if err := enc.Encode(Message{ShardReady: &ShardReady{Hash: msg.ShardData.Hash, Cached: true}}); err != nil {
-					return
-				}
-			case msg.Step != nil:
-				conn.Close()
+				reply = Message{ShardReady: &ShardReady{Hash: msg.ShardData.Hash, Cached: true}}
+			case msg.Step != nil && stepReply != nil:
+				reply = *stepReply
+			default: // a step to die on, or Bye
 				return
-			case msg.Bye:
+			}
+			if err := enc.Encode(reply); err != nil {
 				return
 			}
 		}
@@ -303,9 +311,68 @@ func shardWorkerDiesOnFirstStep(t *testing.T, addr string) <-chan struct{} {
 	return done
 }
 
+// workerDiesAtLevel joins a real worker through a relay that cuts both
+// links at the first ShardStep of level `level` or later, and sends that
+// step's level on the returned channel: a worker that crashes after doing
+// real work.
+func workerDiesAtLevel(t *testing.T, coordAddr string, level int) <-chan int {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() { _ = NewWorker(1).Serve(ln.Addr().String()) }()
+	died := make(chan int, 1)
+	go func() {
+		wc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer wc.Close()
+		cc, err := net.Dial("tcp", coordAddr)
+		if err != nil {
+			return
+		}
+		defer cc.Close()
+		wenc, wdec := gob.NewEncoder(wc), gob.NewDecoder(wc)
+		cenc, cdec := gob.NewEncoder(cc), gob.NewDecoder(cc)
+		relay := func(dec *gob.Decoder, enc *gob.Encoder) (Message, error) {
+			var msg Message
+			if err := dec.Decode(&msg); err != nil {
+				return msg, err
+			}
+			if msg.Step != nil && msg.Step.Level >= level {
+				died <- msg.Step.Level
+				return msg, io.EOF
+			}
+			return msg, enc.Encode(msg)
+		}
+		// Hello up, then Welcome and the key down.
+		if _, err := relay(wdec, cenc); err != nil {
+			return
+		}
+		for range 2 {
+			if _, err := relay(cdec, wenc); err != nil {
+				return
+			}
+		}
+		for {
+			msg, err := relay(cdec, wenc)
+			if err != nil || msg.Bye {
+				return
+			}
+			if _, err := relay(wdec, cenc); err != nil {
+				return
+			}
+		}
+	}()
+	return died
+}
+
 // TestShardedWorkerLostRecovers kills one of two workers at its first step
-// and checks the survivor absorbs the lost shard (reship + replay) and the
-// run still produces the right sum.
+// and checks the plan reruns on the survivor (its install counted as a
+// reship) and the run still produces the right sum.
 func TestShardedWorkerLostRecovers(t *testing.T) {
 	sk, ck := keys(t)
 	coord, err := NewCoordinator(ck, "127.0.0.1:0")
@@ -336,9 +403,94 @@ func TestShardedWorkerLostRecovers(t *testing.T) {
 		t.Fatalf("stats.WorkersLost = %d, want 1", st.WorkersLost)
 	}
 	if coord.Totals().ShardReships == 0 && st.ShardMisses < 3 {
-		// The orphaned shard must have been re-installed on the survivor:
-		// either as a tracked reship (post-level-0 loss) or as an extra miss.
+		// The survivor must have installed the rerun's shard: as a tracked
+		// reship or as an extra miss.
 		t.Fatalf("no reship recorded: %+v", st)
+	}
+}
+
+// TestTwoWorkersLostInOneRun loses two of three workers mid-run at
+// different levels: the first loss reruns the plan on two workers, the
+// second on the last one, whose outputs must still be the plaintext
+// interpreter's.
+func TestTwoWorkersLostInOneRun(t *testing.T) {
+	sk, ck := keys(t)
+	coord, err := NewCoordinator(ck, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	coord.JobTimeout = 10 * time.Second
+
+	// Join one at a time so roster order, and with it shard placement,
+	// is fixed.
+	go func() { _ = NewWorker(1).Serve(coord.Addr()) }()
+	if err := coord.AcceptWorkers(1); err != nil {
+		t.Fatal(err)
+	}
+	first := workerDiesAtLevel(t, coord.Addr(), 1)
+	if err := coord.AcceptWorkers(2); err != nil {
+		t.Fatal(err)
+	}
+	second := workerDiesAtLevel(t, coord.Addr(), 3)
+	if err := coord.AcceptWorkers(3); err != nil {
+		t.Fatal(err)
+	}
+
+	nl := adder4()
+	in := append(bitsOf(11, 4), bitsOf(7, 4)...)
+	want, err := nl.Evaluate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := coord.Run(nl, backend.EncryptInputs(sk, in))
+	if err != nil {
+		t.Fatalf("run losing two of three workers: %v", err)
+	}
+	if got := backend.DecryptOutputs(sk, outs); !slices.Equal(got, want) {
+		t.Fatalf("outputs %v after two losses, Netlist.Evaluate says %v", got, want)
+	}
+	l1, l2 := <-first, <-second
+	if l1 == l2 {
+		t.Fatalf("both workers died at level %d, want two different levels", l1)
+	}
+	t.Logf("workers died at levels %d and %d", l1, l2)
+	if st := coord.LastStat; st.WorkersLost != 2 {
+		t.Fatalf("stats.WorkersLost = %d, want 2", st.WorkersLost)
+	}
+	if coord.Totals().ShardReships == 0 {
+		t.Fatalf("no reship counted: %+v", coord.Totals())
+	}
+	if n := coord.WorkerCount(); n != 1 {
+		t.Fatalf("%d workers on the roster, want the one survivor", n)
+	}
+}
+
+// TestStepErrorIsNotRetried: a worker that answers a ShardStep with an
+// error reply is healthy, and a rerun would fail alike. The run fails with
+// that error, not ErrWorkerLost, and the worker stays on the roster.
+func TestStepErrorIsNotRetried(t *testing.T) {
+	sk, ck := keys(t)
+	coord, err := NewCoordinator(ck, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	coord.JobTimeout = 10 * time.Second
+	fakeShardWorker(t, coord.Addr(), &Message{Error: "level failed"})
+	if err := coord.AcceptWorkers(1); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = coord.Run(adder4(), backend.EncryptInputs(sk, bitsOf(0, 8)))
+	if err == nil || errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("err = %v, want the worker's application error", err)
+	}
+	if lost := coord.LastStat.WorkersLost + int(coord.Totals().WorkersLost); lost != 0 {
+		t.Fatalf("%d workers counted lost after an error reply", lost)
+	}
+	if n := coord.WorkerCount(); n != 1 {
+		t.Fatalf("%d workers on the roster, want the one that replied", n)
 	}
 }
 

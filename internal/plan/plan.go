@@ -157,13 +157,3 @@ func (p *Plan) Stats() Stats { return p.stats }
 
 // ArenaSlots returns the arena size liveness analysis assigned.
 func (p *Plan) ArenaSlots() int { return p.stats.ArenaSlots }
-
-// ExecOf exposes the compiler's deduplication map: entry id holds the exec
-// node the logical netlist node id was merged onto (inputs 1..NumInputs map
-// to exec ids 0..NumInputs-1; entry 0 is unused, mirroring circuit node
-// numbering). Exec ids below NumInputs are inputs; higher ids are
-// deduplicated gates in creation order. Verify uses it to re-check, with
-// an independent cone simulation, that every merge the compiler performed
-// really was between functionally identical nodes. Read-only by
-// convention.
-func (p *Plan) ExecOf() []int32 { return p.execOf }

@@ -83,7 +83,7 @@ var scrapeSeries = []statSeries{
 	counter("pytfhed_cluster_shard_runs_total", "Cluster.ShardRuns", "Sharded plan runs."),
 	counter("pytfhed_cluster_shard_hits_total", "Cluster.ShardHits", "Shards found resident on their worker."),
 	counter("pytfhed_cluster_shard_misses_total", "Cluster.ShardMisses", "Shards shipped on first use."),
-	counter("pytfhed_cluster_shard_reships_total", "Cluster.ShardReships", "Shards re-hosted after a worker loss."),
+	counter("pytfhed_cluster_shard_reships_total", "Cluster.ShardReships", "Shards installed by a rerun after a worker loss."),
 	counter("pytfhed_cluster_wire_bytes_sent_total", "Cluster.WireBytesSent", "Coordinator bytes sent to workers."),
 	counter("pytfhed_cluster_wire_bytes_recv_total", "Cluster.WireBytesRecv", "Coordinator bytes received from workers."),
 	counter("pytfhed_cluster_boundary_bytes_total", "Cluster.BoundaryBytes", "Bytes of per-run boundary ciphertexts on the wire."),

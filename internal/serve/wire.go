@@ -221,7 +221,7 @@ type ClusterStats struct {
 	Fallbacks int64 // cluster-eligible evaluations that ran locally
 	// Shard shipping: a ShardRun replays cached shards; hits found the
 	// shard resident on its worker, misses paid the one-time shipment,
-	// reships re-hosted a shard after its worker was lost.
+	// reships were installed by a rerun on the survivors after a loss.
 	ShardRuns    int64
 	ShardHits    int64
 	ShardMisses  int64
