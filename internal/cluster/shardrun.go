@@ -127,7 +127,7 @@ func (c *Coordinator) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sam
 // workers' shard caches and stream only input and boundary ciphertexts.
 // A worker lost mid-run is dropped and the plan runs again from level 0,
 // sharded over the survivors.
-func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
+func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) (outs []*lwe.Sample, err error) {
 	if c.ck == nil {
 		return nil, fmt.Errorf("%w: run before SetKey", ErrHandshake)
 	}
@@ -149,6 +149,8 @@ func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample
 		Gates:      ps.ExecGates,
 		Bootstraps: ps.ExecBootstraps,
 	}
+	// Every exit from here on, a failed run's too, settles into the totals.
+	defer func() { c.settleRun(snaps, &stats, start, err == nil) }()
 	// Every failed attempt drops at least one worker, so a run makes at
 	// most as many attempts as it started with workers.
 	var r *shardRun
@@ -196,24 +198,29 @@ func (c *Coordinator) RunPlan(p *plan.Plan, inputs []*lwe.Sample) ([]*lwe.Sample
 			byRef[refs[i]] = r.exported[src.Export]
 		}
 	}
-	outs, err := exec.CollectOutputs(dim, refs, func(ref plan.Ref) *lwe.Sample { return byRef[ref] })
-	if err != nil {
-		return nil, err
-	}
+	return exec.CollectOutputs(dim, refs, func(ref plan.Ref) *lwe.Sample { return byRef[ref] })
+}
+
+// settleRun adds a run's wire bytes and lost workers to the totals, whether
+// it completed or not; a completed run also becomes LastStat and adds its
+// shard counts.
+func (c *Coordinator) settleRun(snaps []meterSnap, stats *Stats, start time.Time, completed bool) {
 	stats.Elapsed = time.Since(start)
-	settleMeters(snaps, &stats)
+	settleMeters(snaps, stats)
 	c.mu.Lock()
-	c.LastStat = stats
+	defer c.mu.Unlock()
+	c.totals.WireBytesSent += stats.WireBytesSent
+	c.totals.WireBytesRecv += stats.WireBytesRecv
+	c.totals.WorkersLost += int64(stats.WorkersLost)
+	if !completed {
+		return
+	}
+	c.LastStat = *stats
 	c.totals.ShardRuns++
 	c.totals.ShardHits += int64(stats.ShardHits)
 	c.totals.ShardMisses += int64(stats.ShardMisses)
 	c.totals.ShardReships += int64(stats.ShardReships)
-	c.totals.WireBytesSent += stats.WireBytesSent
-	c.totals.WireBytesRecv += stats.WireBytesRecv
 	c.totals.BoundaryBytes += stats.BoundaryBytes
-	c.totals.WorkersLost += int64(stats.WorkersLost)
-	c.mu.Unlock()
-	return outs, nil
 }
 
 // RunSharded is Run under its pre-v3 name, which the benchmark module

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -406,6 +407,39 @@ func TestShardedWorkerLostRecovers(t *testing.T) {
 		// The survivor must have installed the rerun's shard: as a tracked
 		// reship or as an extra miss.
 		t.Fatalf("no reship recorded: %+v", st)
+	}
+}
+
+// TestLastWorkerLostIsCounted loses the only worker at its first step: the
+// run fails with no workers left, and the lost worker and the failed
+// attempt's wire bytes still reach the coordinator's totals.
+func TestLastWorkerLostIsCounted(t *testing.T) {
+	sk, ck := keys(t)
+	coord, err := NewCoordinator(ck, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	coord.JobTimeout = 10 * time.Second
+	dead := shardWorkerDiesOnFirstStep(t, coord.Addr())
+	if err := coord.AcceptWorkers(1); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = coord.Run(adder4(), backend.EncryptInputs(sk, bitsOf(0, 8)))
+	if err == nil || !strings.Contains(err.Error(), "no workers left") {
+		t.Fatalf("err = %v, want no workers left", err)
+	}
+	<-dead
+	if n := coord.WorkerCount(); n != 0 {
+		t.Fatalf("%d workers on the roster, want 0", n)
+	}
+	tot := coord.Totals()
+	if tot.WorkersLost != 1 {
+		t.Fatalf("Totals().WorkersLost = %d, want 1", tot.WorkersLost)
+	}
+	if tot.WireBytesSent == 0 || tot.ShardRuns != 0 {
+		t.Fatalf("totals after the failed run: %+v, want its wire bytes and no completed run", tot)
 	}
 }
 

@@ -8,7 +8,58 @@ import (
 // Kernel-hot-path microbenchmarks (run via `make bench-kernel`): forward and
 // inverse half-complex transforms and the pointwise multiply-accumulates, at
 // the two ring degrees used by the Test and Default128 parameter sets. These
-// pin a baseline for future kernel PRs.
+// pin a baseline for future kernel PRs. N<n> times the public entry point
+// (the best tier this CPU runs); <tier>/N<n> calls one tier directly, so
+// every tier keeps a number on a CPU that also runs a faster one.
+
+// kernelTier is one implementation of the transform and the paired
+// multiply-add; missing names the CPU feature it needs and this CPU lacks.
+type kernelTier struct {
+	name           string
+	missing        string
+	halfFoldInt    func(p *Processor, dst *HalfPoly, src *IntPoly)
+	addHalfToTorus func(p *Processor, dst *TorusPoly, src *HalfPoly)
+	mulAccPair     func(f, a1, b1, a2, b2 *HalfPoly)
+}
+
+// kernelTiers starts with the portable Go kernels; the vector tiers are
+// appended by the architecture's test file.
+var kernelTiers = []kernelTier{{
+	name: "go",
+	halfFoldInt: func(p *Processor, dst *HalfPoly, src *IntPoly) {
+		p.tab.foldInt(dst.Re, dst.Im, src.Coefs)
+		p.tab.fft(dst.Re, dst.Im)
+	},
+	addHalfToTorus: func(p *Processor, dst *TorusPoly, src *HalfPoly) {
+		copy(p.scRe, src.Re)
+		copy(p.scIm, src.Im)
+		p.tab.ifft(p.scRe, p.scIm)
+		p.tab.untwistAdd(dst.Coefs, p.scRe, p.scIm)
+	},
+	mulAccPair: mulAccPair,
+}}
+
+// benchTiers runs body as the sub-benchmark N<n> and once per tier as
+// <tier>/N<n>, skipping the tiers this CPU lacks.
+func benchTiers(b *testing.B, n int, public func(), body func(kernelTier)) {
+	b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			public()
+		}
+	})
+	for _, tier := range kernelTiers {
+		b.Run(fmt.Sprintf("%s/N%d", tier.name, n), func(b *testing.B) {
+			if tier.missing != "" {
+				b.Skip("CPU lacks " + tier.missing)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body(tier)
+			}
+		})
+	}
+}
 
 func benchPolys(n int) (*IntPoly, *IntPoly) {
 	a := NewIntPoly(n)
@@ -22,49 +73,37 @@ func benchPolys(n int) (*IntPoly, *IntPoly) {
 
 func BenchmarkKernelHalfFoldInt(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _ := benchPolys(n)
-			dst := NewHalfPoly(n / 2)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.HalfFoldInt(dst, a)
-			}
-		})
+		p := NewProcessor(n)
+		a, _ := benchPolys(n)
+		dst := NewHalfPoly(n / 2)
+		benchTiers(b, n, func() { p.HalfFoldInt(dst, a) },
+			func(tier kernelTier) { tier.halfFoldInt(p, dst, a) })
 	}
 }
 
 func BenchmarkKernelAddHalfToTorus(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			a, _ := benchPolys(n)
-			f := NewHalfPoly(n / 2)
-			p.HalfFoldInt(f, a)
-			dst := NewTorusPoly(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.AddHalfToTorus(dst, f)
-			}
-		})
+		p := NewProcessor(n)
+		a, _ := benchPolys(n)
+		f := NewHalfPoly(n / 2)
+		p.HalfFoldInt(f, a)
+		dst := NewTorusPoly(n)
+		benchTiers(b, n, func() { p.AddHalfToTorus(dst, f) },
+			func(tier kernelTier) { tier.addHalfToTorus(p, dst, f) })
 	}
 }
 
 func BenchmarkKernelHalfMulAccPair(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			p := NewProcessor(n)
-			pa, pb := benchPolys(n)
-			f1 := NewHalfPoly(n / 2)
-			f2 := NewHalfPoly(n / 2)
-			p.HalfFoldInt(f1, pa)
-			p.HalfFoldInt(f2, pb)
-			acc := NewHalfPoly(n / 2)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				acc.MulAccPairTo(f1, f2, f2, f1)
-			}
-		})
+		p := NewProcessor(n)
+		pa, pb := benchPolys(n)
+		f1 := NewHalfPoly(n / 2)
+		f2 := NewHalfPoly(n / 2)
+		p.HalfFoldInt(f1, pa)
+		p.HalfFoldInt(f2, pb)
+		acc := NewHalfPoly(n / 2)
+		benchTiers(b, n, func() { acc.MulAccPairTo(f1, f2, f2, f1) },
+			func(tier kernelTier) { tier.mulAccPair(acc, f1, f2, f2, f1) })
 	}
 }
 

@@ -35,16 +35,20 @@ import (
 // twiddles are stored flat in access order, so the inner loops are
 // sequential in memory.
 //
-// Two implementations sit behind every public entry point: the Go loops in
-// this file (the portable path, and the oracle the tests hold the other to)
-// and AVX2+FMA assembly (simd_amd64.s), chosen once at package init from
-// CPUID. The assembly runs the same stages in the same order four points
-// per instruction, with its own twiddle layout (halfTables.vecTw) and the
-// last radix-4 stage fused with the radix-2 tail.
+// Three tiers sit behind every public entry point, chosen once at package
+// init from CPUID: the Go loops in this file (the portable path, and the
+// oracle the tests hold the others to), AVX2+FMA assembly (simd_amd64.s),
+// and on CPUs with AVX-512F the same assembly's eight-lane loops for the
+// transform and MulAccPairTo. The assembly runs the same stages in the
+// same order four or eight points per instruction, with its own twiddle
+// layouts (halfTables.vecTw, vecTw8) and the last radix-4 stage fused with
+// the radix-2 tail. Every AVX-512 lane runs the AVX2 butterflies with the
+// same FMA contractions, so those two tiers give the same bits; the Go
+// loops round differently (no FMA) but within the same exactness bound.
 //
 // Exactness: the kernels compute integer convolutions whose floating-point
 // error stays far below 0.5, so after rounding to the torus the results
-// equal MulNaive coefficient-for-coefficient on either path, within the
+// equal MulNaive coefficient-for-coefficient on every tier, within the
 // magnitude bound RoundExactBound.
 
 // HalfPoly is a polynomial of ring degree N held as M = N/2 half-complex
@@ -112,16 +116,16 @@ func mulAccPair(f, a1, b1, a2, b2 *HalfPoly) {
 }
 
 // halfStage describes one radix-4 pass: block size s, quarter q = s/4, the
-// offset of its twiddles in the flat tables and, for q >= 4, in the vector
-// layout of the AVX2 kernels.
+// offset of its twiddles in the flat tables and in the vector layouts of
+// the AVX2 kernels (q >= 4) and the AVX-512 kernels (q >= 8).
 type halfStage struct {
-	s, q, off, voff int
+	s, q, off, voff, voff8 int
 }
 
 // halfTables holds the immutable per-N precomputed data of the half
 // transform: fold twiddles e^{±iπj/N} and the per-stage FFT twiddles, in
-// the scalar layout of the Go kernels and the vector layout of the AVX2
-// kernels (simd_amd64.s).
+// the scalar layout of the Go kernels and the 4- and 8-lane vector layouts
+// of the AVX2 and AVX-512 kernels (simd_amd64.s).
 type halfTables struct {
 	n, m   int
 	foldRe []float64 // cos(πj/N), j < M
@@ -139,6 +143,12 @@ type halfTables struct {
 	// radix2 and M >= 8) as four 4-lane vectors: re and im of the lanes
 	// (y0, y0, y2, y2) at j = (0, 1, 0, 1), then of (y1, y1, y3, y3).
 	tailTw [16]float64
+	// vecTw8 and tailTw8 are vecTw (stages with q >= 8, groups of eight j,
+	// 48 values per group) and tailTw for the AVX-512 kernels: tailTw8
+	// holds re then im of the lanes (y0, y0, y1, y1, y2, y2, y3, y3) at
+	// j = (0, 1, …).
+	vecTw8  []float64
+	tailTw8 [16]float64
 }
 
 var (
@@ -212,19 +222,13 @@ func newHalfTables(n int) *halfTables {
 
 	for i := range t.stages {
 		st := &t.stages[i]
-		if st.q < 4 {
-			continue
+		if st.q >= 4 {
+			st.voff = len(t.vecTw)
+			t.vecTw = t.appendVecTw(t.vecTw, *st, 4)
 		}
-		st.voff = len(t.vecTw)
-		for g := 0; g < st.q; g += 4 {
-			for r := 0; r < 3; r++ {
-				for lane := 0; lane < 4; lane++ {
-					t.vecTw = append(t.vecTw, t.fwdRe[st.off+3*(g+lane)+r])
-				}
-				for lane := 0; lane < 4; lane++ {
-					t.vecTw = append(t.vecTw, t.fwdIm[st.off+3*(g+lane)+r])
-				}
-			}
+		if st.q >= 8 {
+			st.voff8 = len(t.vecTw8)
+			t.vecTw8 = t.appendVecTw(t.vecTw8, *st, 8)
 		}
 	}
 	if t.radix2 && m >= 8 {
@@ -242,8 +246,28 @@ func newHalfTables(n int) *halfTables {
 		for lane, jr := range [4][2]int{{0, 1}, {1, 1}, {0, 3}, {1, 3}} {
 			t.tailTw[8+lane], t.tailTw[12+lane] = w(jr[0], jr[1])
 		}
+		for lane := 0; lane < 8; lane++ {
+			t.tailTw8[lane], t.tailTw8[8+lane] = w(lane%2, lane/2)
+		}
 	}
 	return t
+}
+
+// appendVecTw appends the twiddles of stage st to tw in the load order of a
+// vector kernel of the given width: per group of that many consecutive j,
+// [w1r w1i w2r w2i w3r w3i], one vector each.
+func (t *halfTables) appendVecTw(tw []float64, st halfStage, lanes int) []float64 {
+	for g := 0; g < st.q; g += lanes {
+		for r := 0; r < 3; r++ {
+			for lane := 0; lane < lanes; lane++ {
+				tw = append(tw, t.fwdRe[st.off+3*(g+lane)+r])
+			}
+			for lane := 0; lane < lanes; lane++ {
+				tw = append(tw, t.fwdIm[st.off+3*(g+lane)+r])
+			}
+		}
+	}
+	return tw
 }
 
 // fft is the forward M-point transform (ω = e^{-2πi/M}), leaving the
@@ -454,10 +478,10 @@ func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
 }
 
 // RoundExactBound is the largest magnitude a transform result may have for
-// its rounding onto the torus to be exact on both kernel paths. The AVX2
-// path rounds by adding 1.5·2^52, which leaves round(r) mod 2^32 in the low
-// mantissa bits only while |r| < 2^51; the Go path (roundTorus) is exact to
-// 2^53. An external product sums (k+1)·l negacyclic products of a digit
+// its rounding onto the torus to be exact on every kernel tier. The AVX2
+// and AVX-512 loops round by adding 1.5·2^52, which leaves round(r) mod
+// 2^32 in the low mantissa bits only while |r| < 2^51; the Go path
+// (roundTorus) is exact to 2^53. An external product sums (k+1)·l negacyclic products of a digit
 // polynomial (|digit| ≤ Bg/2) and a torus polynomial (|coefficient| ≤ 2^31)
 // of N terms each, so its results are bounded by (Bg/2)·2^31·N·(k+1)·l —
 // 2^49.6 at Default128 — and params.GateParams.Validate rejects every
@@ -466,7 +490,7 @@ func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
 // argument (digits
 // and coefficients are uniform, so results are ~2^41 RMS and the error is
 // orders of magnitude below 0.5); the differential tests against MulNaive
-// check it on both paths.
+// check it on every tier.
 const RoundExactBound = 1<<51 - 1
 
 // roundTorus rounds a real value to the nearest 32-bit torus element,

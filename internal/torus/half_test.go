@@ -11,8 +11,9 @@ import (
 // agreement with the naive negacyclic convolution, across the ring sizes
 // the parameter sets use (including odd and even log2(N/2) so both the
 // radix-2-tail and pure-radix-4 FFT shapes are covered). It runs the public
-// entry points (the AVX2 kernels where the CPU has them) and the Go kernels
-// called directly, so both paths are held to the oracle on an AVX2 host.
+// entry points (the fastest vector tier the CPU has) and the Go kernels
+// called directly, so both are held to the oracle on a vector host;
+// TestVecTiersMatchNaive holds each vector tier to it directly.
 func TestHalfMulMatchesNaive(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048} {
 		t.Run(fmt.Sprintf("N%d", n), func(t *testing.T) {

@@ -1,9 +1,11 @@
 #include "textflag.h"
 
 // AVX2+FMA kernels of the half-complex transform (see half.go for the
-// math and simd_amd64.go for the Go-side checks). Every loop handles four
-// float64 points, or eight 32-bit words, per iteration; the callers pass
-// counts that are multiples of the vector width. Every vector instruction is
+// math and simd_amd64.go for the Go-side checks), then the AVX-512F tier of
+// the transform and the paired multiply-add. Every AVX2 loop handles four
+// float64 points, or eight 32-bit words, per iteration, every AVX-512 loop
+// eight float64 points; the callers pass counts that are multiples of the
+// vector width. Every vector instruction is
 // VEX-encoded (VMOVD, not MOVQ, into an XMM register): one legacy-SSE move
 // made the digit loop 4.5× slower on a 2-vCPU Xeon.
 
@@ -811,5 +813,498 @@ switchSameRound:
 	JNE  switchSeg
 
 switchDone:
+	VZEROUPPER
+	RET
+
+// AVX-512F tier: the transform stages, both tails, the fold, the
+// untwist-add and the paired multiply-add, eight points per instruction.
+// Every lane runs the butterflies of the AVX2 loops above, in the same
+// order and with the same FMA contractions, so the results are the AVX2
+// ones bit for bit.
+
+// 8-lane sign vectors: [+ + + + - - - -], [+ + - - - - + +] and
+// [+ - + - + - + -].
+DATA signHalf8<>+0(SB)/8, $0x3ff0000000000000
+DATA signHalf8<>+8(SB)/8, $0x3ff0000000000000
+DATA signHalf8<>+16(SB)/8, $0x3ff0000000000000
+DATA signHalf8<>+24(SB)/8, $0x3ff0000000000000
+DATA signHalf8<>+32(SB)/8, $0xbff0000000000000
+DATA signHalf8<>+40(SB)/8, $0xbff0000000000000
+DATA signHalf8<>+48(SB)/8, $0xbff0000000000000
+DATA signHalf8<>+56(SB)/8, $0xbff0000000000000
+GLOBL signHalf8<>(SB), RODATA|NOPTR, $64
+
+DATA signMix8<>+0(SB)/8, $0x3ff0000000000000
+DATA signMix8<>+8(SB)/8, $0x3ff0000000000000
+DATA signMix8<>+16(SB)/8, $0xbff0000000000000
+DATA signMix8<>+24(SB)/8, $0xbff0000000000000
+DATA signMix8<>+32(SB)/8, $0xbff0000000000000
+DATA signMix8<>+40(SB)/8, $0xbff0000000000000
+DATA signMix8<>+48(SB)/8, $0x3ff0000000000000
+DATA signMix8<>+56(SB)/8, $0x3ff0000000000000
+GLOBL signMix8<>(SB), RODATA|NOPTR, $64
+
+DATA signAlt8<>+0(SB)/8, $0x3ff0000000000000
+DATA signAlt8<>+8(SB)/8, $0xbff0000000000000
+DATA signAlt8<>+16(SB)/8, $0x3ff0000000000000
+DATA signAlt8<>+24(SB)/8, $0xbff0000000000000
+DATA signAlt8<>+32(SB)/8, $0x3ff0000000000000
+DATA signAlt8<>+40(SB)/8, $0xbff0000000000000
+DATA signAlt8<>+48(SB)/8, $0x3ff0000000000000
+DATA signAlt8<>+56(SB)/8, $0xbff0000000000000
+GLOBL signAlt8<>(SB), RODATA|NOPTR, $64
+
+// VPERMT2PD indices over (re, im) = lanes 0-7, 8-15, gathering the 2-lane
+// blocks [re₁ im₃ re₁ im₃] and [im₁ re₃ im₁ re₃].
+DATA pickReIm<>+0(SB)/8, $2
+DATA pickReIm<>+8(SB)/8, $3
+DATA pickReIm<>+16(SB)/8, $14
+DATA pickReIm<>+24(SB)/8, $15
+DATA pickReIm<>+32(SB)/8, $2
+DATA pickReIm<>+40(SB)/8, $3
+DATA pickReIm<>+48(SB)/8, $14
+DATA pickReIm<>+56(SB)/8, $15
+GLOBL pickReIm<>(SB), RODATA|NOPTR, $64
+
+DATA pickImRe<>+0(SB)/8, $10
+DATA pickImRe<>+8(SB)/8, $11
+DATA pickImRe<>+16(SB)/8, $6
+DATA pickImRe<>+24(SB)/8, $7
+DATA pickImRe<>+32(SB)/8, $10
+DATA pickImRe<>+40(SB)/8, $11
+DATA pickImRe<>+48(SB)/8, $6
+DATA pickImRe<>+56(SB)/8, $7
+GLOBL pickImRe<>(SB), RODATA|NOPTR, $64
+
+// func avx512FoldInt(re, im *float64, src *int32, cos, sin *float64, m int)
+//
+// avx2FoldInt eight points at a time.
+TEXT ·avx512FoldInt(SB), NOSPLIT, $0-48
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ src+16(FP), R8
+	MOVQ cos+24(FP), R9
+	MOVQ sin+32(FP), R10
+	MOVQ m+40(FP), CX
+	LEAQ (R8)(CX*4), R11 // a_{j+m}
+	SHRQ $3, CX
+	JZ   fold8Done
+	XORQ AX, AX          // float64 byte offset
+	XORQ BX, BX          // int32 byte offset
+
+fold8Loop:
+	VCVTDQ2PD    (R8)(BX*1), Z0  // a
+	VCVTDQ2PD    (R11)(BX*1), Z1 // b
+	VMOVUPD      (R9)(AX*1), Z4  // cos
+	VMOVUPD      (R10)(AX*1), Z5 // sin
+	VMULPD       Z5, Z1, Z2
+	VFMSUB231PD  Z4, Z0, Z2      // re = a·cos - b·sin
+	VMULPD       Z4, Z1, Z3
+	VFNMSUB231PD Z5, Z0, Z3      // im = -a·sin - b·cos
+	VMOVUPD      Z2, (DI)(AX*1)
+	VMOVUPD      Z3, (SI)(AX*1)
+	ADDQ         $64, AX
+	ADDQ         $32, BX
+	DECQ         CX
+	JNZ          fold8Loop
+
+fold8Done:
+	VZEROUPPER
+	RET
+
+// func avx512FoldTorus(re, im *float64, src *uint32, cos, sin *float64, m int)
+TEXT ·avx512FoldTorus(SB), NOSPLIT, $0-48
+	JMP ·avx512FoldInt(SB)
+
+// func avx512FwdStage(re, im *float64, blocks, q int, tw *float64)
+//
+// avx2FwdStage for q >= 8, eight j per group. tw is the stage's vecTw8:
+// per group of eight j, [w1r w1i w2r w2i w3r w3i].
+TEXT ·avx512FwdStage(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	MOVQ q+24(FP), DX
+	MOVQ tw+32(FP), R8
+	MOVQ DX, R9
+	SHRQ $3, R9             // groups per block
+	SHLQ $3, DX             // q in bytes
+	LEAQ (DX)(DX*2), BX     // 3q in bytes
+	TESTQ CX, CX
+	JZ   fwd8Done
+
+fwd8Block:
+	MOVQ R8, R10
+	MOVQ R9, R11
+
+fwd8Group:
+	VMOVUPD (DI), Z0
+	VMOVUPD (SI), Z1
+	VMOVUPD (DI)(DX*1), Z2
+	VMOVUPD (SI)(DX*1), Z3
+	VMOVUPD (DI)(DX*2), Z4
+	VMOVUPD (SI)(DX*2), Z5
+	VMOVUPD (DI)(BX*1), Z6
+	VMOVUPD (SI)(BX*1), Z7
+	VADDPD  Z4, Z0, Z8      // a = x0 + x2
+	VSUBPD  Z4, Z0, Z0      // b = x0 - x2
+	VADDPD  Z5, Z1, Z9
+	VSUBPD  Z5, Z1, Z1
+	VADDPD  Z6, Z2, Z10     // c = x1 + x3
+	VSUBPD  Z6, Z2, Z2      // d = x1 - x3
+	VADDPD  Z7, Z3, Z11
+	VSUBPD  Z7, Z3, Z3
+	VADDPD  Z10, Z8, Z4     // y0 = a + c
+	VADDPD  Z11, Z9, Z5
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, (SI)
+	VSUBPD  Z10, Z8, Z8     // t2 = a - c
+	VSUBPD  Z11, Z9, Z9
+	VADDPD  Z3, Z0, Z10     // t1 = b - i·d
+	VSUBPD  Z2, Z1, Z11
+	VSUBPD  Z3, Z0, Z0      // t3 = b + i·d
+	VADDPD  Z2, Z1, Z1
+
+	// y1 = t1·w1
+	VMULPD      64(R10), Z11, Z12
+	VFMSUB231PD (R10), Z10, Z12
+	VMULPD      64(R10), Z10, Z13
+	VFMADD231PD (R10), Z11, Z13
+	VMOVUPD     Z12, (DI)(DX*1)
+	VMOVUPD     Z13, (SI)(DX*1)
+
+	// y2 = t2·w2
+	VMULPD      192(R10), Z9, Z12
+	VFMSUB231PD 128(R10), Z8, Z12
+	VMULPD      192(R10), Z8, Z13
+	VFMADD231PD 128(R10), Z9, Z13
+	VMOVUPD     Z12, (DI)(DX*2)
+	VMOVUPD     Z13, (SI)(DX*2)
+
+	// y3 = t3·w3
+	VMULPD      320(R10), Z1, Z12
+	VFMSUB231PD 256(R10), Z0, Z12
+	VMULPD      320(R10), Z0, Z13
+	VFMADD231PD 256(R10), Z1, Z13
+	VMOVUPD     Z12, (DI)(BX*1)
+	VMOVUPD     Z13, (SI)(BX*1)
+
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $384, R10
+	DECQ R11
+	JNZ  fwd8Group
+
+	ADDQ BX, DI             // skip the block's other three quarters
+	ADDQ BX, SI
+	DECQ CX
+	JNZ  fwd8Block
+
+fwd8Done:
+	VZEROUPPER
+	RET
+
+// func avx512InvStage(re, im *float64, blocks, q int, tw *float64)
+//
+// avx2InvStage for q >= 8 over vecTw8.
+TEXT ·avx512InvStage(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	MOVQ q+24(FP), DX
+	MOVQ tw+32(FP), R8
+	MOVQ DX, R9
+	SHRQ $3, R9
+	SHLQ $3, DX
+	LEAQ (DX)(DX*2), BX
+	TESTQ CX, CX
+	JZ   inv8Done
+
+inv8Block:
+	MOVQ R8, R10
+	MOVQ R9, R11
+
+inv8Group:
+	VMOVUPD (DI), Z0
+	VMOVUPD (SI), Z1
+	VMOVUPD (DI)(DX*1), Z2
+	VMOVUPD (SI)(DX*1), Z3
+	VMOVUPD (DI)(DX*2), Z4
+	VMOVUPD (SI)(DX*2), Z5
+	VMOVUPD (DI)(BX*1), Z6
+	VMOVUPD (SI)(BX*1), Z7
+
+	// z1 = y1·conj(w1)
+	VMULPD      64(R10), Z3, Z8
+	VFMADD231PD (R10), Z2, Z8
+	VMULPD      64(R10), Z2, Z9
+	VFMSUB231PD (R10), Z3, Z9
+
+	// z2 = y2·conj(w2)
+	VMULPD      192(R10), Z5, Z2
+	VFMADD231PD 128(R10), Z4, Z2
+	VMULPD      192(R10), Z4, Z3
+	VFMSUB231PD 128(R10), Z5, Z3
+
+	// z3 = y3·conj(w3)
+	VMULPD      320(R10), Z7, Z4
+	VFMADD231PD 256(R10), Z6, Z4
+	VMULPD      320(R10), Z6, Z5
+	VFMSUB231PD 256(R10), Z7, Z5
+
+	VADDPD Z2, Z0, Z6       // a = y0 + z2
+	VADDPD Z3, Z1, Z7
+	VSUBPD Z2, Z0, Z0       // b = y0 - z2
+	VSUBPD Z3, Z1, Z1
+	VADDPD Z4, Z8, Z2       // c = z1 + z3
+	VADDPD Z5, Z9, Z3
+	VSUBPD Z4, Z8, Z8       // e = z1 - z3; d = i·e
+	VSUBPD Z5, Z9, Z9
+
+	VADDPD  Z2, Z6, Z10     // a + c
+	VADDPD  Z3, Z7, Z11
+	VMOVUPD Z10, (DI)
+	VMOVUPD Z11, (SI)
+	VSUBPD  Z2, Z6, Z10     // a - c
+	VSUBPD  Z3, Z7, Z11
+	VMOVUPD Z10, (DI)(DX*2)
+	VMOVUPD Z11, (SI)(DX*2)
+	VSUBPD  Z9, Z0, Z10     // b + d
+	VADDPD  Z8, Z1, Z11
+	VMOVUPD Z10, (DI)(DX*1)
+	VMOVUPD Z11, (SI)(DX*1)
+	VADDPD  Z9, Z0, Z10     // b - d
+	VSUBPD  Z8, Z1, Z11
+	VMOVUPD Z10, (DI)(BX*1)
+	VMOVUPD Z11, (SI)(BX*1)
+
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $384, R10
+	DECQ R11
+	JNZ  inv8Group
+
+	ADDQ BX, DI
+	ADDQ BX, SI
+	DECQ CX
+	JNZ  inv8Block
+
+inv8Done:
+	VZEROUPPER
+	RET
+
+// func avx512FwdTail(re, im *float64, blocks int, tw *float64)
+//
+// avx2FwdTail on one 8-point block per re/im register pair, in 2-lane
+// (j = 0, 1) blocks. Two 256-bit broadcast loads put x[0..3] and x[4..7]
+// in both halves, so P = [a c | b d] = x[0..3] ± x[4..7] takes one FMA;
+// the blocks [a b a b] and [c d_i c d_i] (re) or [c d_r c d_r] (im) are
+// then gathered across re and im, and Q = [y0 y1 y2 y3] comes out in
+// store order. tw is tailTw8; the radix-2 pass pairs adjacent lanes, as
+// in avx2FwdTail.
+TEXT ·avx512FwdTail(SB), NOSPLIT, $0-32
+	MOVQ      re+0(FP), DI
+	MOVQ      im+8(FP), SI
+	MOVQ      blocks+16(FP), CX
+	MOVQ      tw+24(FP), R8
+	VMOVUPD   (R8), Z20       // twiddles, re
+	VMOVUPD   64(R8), Z21     // twiddles, im
+	VMOVUPD   signHalf8<>(SB), Z22
+	VMOVUPD   signMix8<>(SB), Z23
+	VMOVUPD   signAlt8<>(SB), Z24
+	VMOVDQU64 pickReIm<>(SB), Z25
+	VMOVDQU64 pickImRe<>(SB), Z26
+	TESTQ     CX, CX
+	JZ        fwdTail8Done
+
+fwdTail8Loop:
+	VBROADCASTF64X4 (DI), Z0    // x[0..3] in both halves
+	VBROADCASTF64X4 32(DI), Z1  // x[4..7]
+	VBROADCASTF64X4 (SI), Z2
+	VBROADCASTF64X4 32(SI), Z3
+	VFMADD231PD     Z22, Z1, Z0 // [a c | b d] = x[0..3] ± x[4..7]
+	VFMADD231PD     Z22, Z3, Z2
+
+	VSHUFF64X2  $0x88, Z0, Z0, Z4 // [a b a b]
+	VSHUFF64X2  $0x88, Z2, Z2, Z5
+	VMOVAPD     Z0, Z6
+	VPERMT2PD   Z2, Z25, Z6       // [c_r d_i c_r d_i]
+	VPERMT2PD   Z2, Z26, Z0       // [c_i d_r c_i d_r]
+	VFMADD231PD Z22, Z6, Z4       // Q = [a + c, b - i·d, a - c, b + i·d]
+	VFMADD231PD Z23, Z0, Z5
+
+	// Q·tw
+	VMULPD      Z21, Z5, Z6
+	VFMSUB231PD Z20, Z4, Z6
+	VMULPD      Z21, Z4, Z7
+	VFMADD231PD Z20, Z5, Z7
+
+	// radix-2 on adjacent lanes: x·[1 -1 …] + swap(x)
+	VPERMILPD   $0x55, Z6, Z8
+	VFMADD231PD Z24, Z6, Z8
+	VPERMILPD   $0x55, Z7, Z9
+	VFMADD231PD Z24, Z7, Z9
+	VMOVUPD     Z8, (DI)
+	VMOVUPD     Z9, (SI)
+
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  fwdTail8Loop
+
+fwdTail8Done:
+	VZEROUPPER
+	RET
+
+// func avx512InvTail(dre, dim, sre, sim *float64, blocks int, tw *float64)
+//
+// avx2InvTail on one 8-point block per re/im register pair, reading s
+// and writing d: radix-2, Z = [y0 z1 z2 z3] = x·conj(tw), P = [a c | b e]
+// from Z and its swapped halves, then x = [a + c, b + d, a - c, b - d]
+// with d = i·e from the same gathers as avx512FwdTail.
+TEXT ·avx512InvTail(SB), NOSPLIT, $0-48
+	MOVQ      dre+0(FP), DI
+	MOVQ      dim+8(FP), SI
+	MOVQ      sre+16(FP), R9
+	MOVQ      sim+24(FP), R10
+	MOVQ      blocks+32(FP), CX
+	MOVQ      tw+40(FP), R8
+	VMOVUPD   (R8), Z20
+	VMOVUPD   64(R8), Z21
+	VMOVUPD   signHalf8<>(SB), Z22
+	VMOVUPD   signMix8<>(SB), Z23
+	VMOVUPD   signAlt8<>(SB), Z24
+	VMOVDQU64 pickReIm<>(SB), Z25
+	VMOVDQU64 pickImRe<>(SB), Z26
+	TESTQ     CX, CX
+	JZ        invTail8Done
+
+invTail8Loop:
+	VMOVUPD     (R9), Z0
+	VMOVUPD     (R10), Z1
+	VPERMILPD   $0x55, Z0, Z2
+	VFMADD231PD Z24, Z0, Z2    // radix-2 on adjacent lanes
+	VPERMILPD   $0x55, Z1, Z3
+	VFMADD231PD Z24, Z1, Z3
+
+	// Z = x·conj(tw)
+	VMULPD      Z21, Z3, Z4
+	VFMADD231PD Z20, Z2, Z4
+	VMULPD      Z21, Z2, Z5
+	VFMSUB231PD Z20, Z3, Z5
+
+	VSHUFF64X2  $0x4e, Z4, Z4, Z6 // [z2 z3 | y0 z1]
+	VFMADD231PD Z22, Z4, Z6       // [a c | b e]
+	VSHUFF64X2  $0x4e, Z5, Z5, Z7
+	VFMADD231PD Z22, Z5, Z7
+
+	VSHUFF64X2  $0x88, Z6, Z6, Z8 // [a b a b]
+	VSHUFF64X2  $0x88, Z7, Z7, Z9
+	VMOVAPD     Z6, Z10
+	VPERMT2PD   Z7, Z25, Z10      // [c_r e_i c_r e_i]
+	VPERMT2PD   Z7, Z26, Z6       // [c_i e_r c_i e_r]
+	VFMADD231PD Z23, Z10, Z8      // re: [a + c, b - e_i, a - c, b + e_i]
+	VFMADD231PD Z22, Z6, Z9       // im: [a + c, b + e_r, a - c, b - e_r]
+	VMOVUPD     Z8, (DI)
+	VMOVUPD     Z9, (SI)
+
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, R10
+	DECQ CX
+	JNZ  invTail8Loop
+
+invTail8Done:
+	VZEROUPPER
+	RET
+
+// func avx512UntwistAdd(dst *uint32, re, im, cos, sin *float64, m int, scale float64)
+//
+// avx2UntwistAdd eight points at a time; VPMOVQD keeps the low dword of
+// each rounded qword.
+TEXT ·avx512UntwistAdd(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         re+8(FP), SI
+	MOVQ         im+16(FP), DX
+	MOVQ         cos+24(FP), R9
+	MOVQ         sin+32(FP), R10
+	MOVQ         m+40(FP), CX
+	VBROADCASTSD scale+48(FP), Z15
+	VBROADCASTSD roundMagic<>(SB), Z14
+	LEAQ         (DI)(CX*4), R11
+	SHRQ         $3, CX
+	JZ           untwist8Done
+	XORQ         AX, AX // float64 byte offset
+	XORQ         BX, BX // uint32 byte offset
+
+untwist8Loop:
+	VMULPD      (SI)(AX*1), Z15, Z0 // c·scale
+	VMULPD      (DX)(AX*1), Z15, Z1
+	VMULPD      (R10)(AX*1), Z1, Z2
+	VFMSUB231PD (R9)(AX*1), Z0, Z2  // Re = cr·cos - ci·sin
+	VMULPD      (R10)(AX*1), Z0, Z3
+	VFMADD231PD (R9)(AX*1), Z1, Z3  // Im = ci·cos + cr·sin
+	VADDPD      Z14, Z2, Z2
+	VADDPD      Z14, Z3, Z3
+	VPMOVQD     Z2, Y2
+	VPMOVQD     Z3, Y3
+	VPADDD      (DI)(BX*1), Y2, Y2
+	VMOVDQU     Y2, (DI)(BX*1)
+	VMOVDQU     (R11)(BX*1), Y4
+	VPSUBD      Y3, Y4, Y4
+	VMOVDQU     Y4, (R11)(BX*1)
+	ADDQ        $64, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         untwist8Loop
+
+untwist8Done:
+	VZEROUPPER
+	RET
+
+// func avx512MulAccPair(fr, fi, a1r, a1i, b1r, b1i, a2r, a2i, b2r, b2i *float64, n int)
+TEXT ·avx512MulAccPair(SB), NOSPLIT, $0-88
+	MOVQ fr+0(FP), DI
+	MOVQ fi+8(FP), SI
+	MOVQ a1r+16(FP), R8
+	MOVQ a1i+24(FP), R9
+	MOVQ b1r+32(FP), R10
+	MOVQ b1i+40(FP), R11
+	MOVQ a2r+48(FP), R12
+	MOVQ a2i+56(FP), R13
+	MOVQ b2r+64(FP), R14
+	MOVQ b2i+72(FP), BX
+	MOVQ n+80(FP), CX
+	SHRQ $3, CX
+	JZ   mulAccPair8Done
+	XORQ AX, AX
+
+mulAccPair8Loop:
+	VMOVUPD      (DI)(AX*1), Z0
+	VMOVUPD      (SI)(AX*1), Z1
+	VMOVUPD      (R8)(AX*1), Z2
+	VMOVUPD      (R9)(AX*1), Z3
+	VMOVUPD      (R10)(AX*1), Z4
+	VMOVUPD      (R11)(AX*1), Z5
+	VMOVUPD      (R12)(AX*1), Z6
+	VMOVUPD      (R13)(AX*1), Z7
+	VMOVUPD      (R14)(AX*1), Z8
+	VMOVUPD      (BX)(AX*1), Z9
+	VFMADD231PD  Z4, Z2, Z0 // fr += a1r·b1r
+	VFNMADD231PD Z5, Z3, Z0 // fr -= a1i·b1i
+	VFMADD231PD  Z5, Z2, Z1 // fi += a1r·b1i
+	VFMADD231PD  Z4, Z3, Z1 // fi += a1i·b1r
+	VFMADD231PD  Z8, Z6, Z0 // fr += a2r·b2r
+	VFNMADD231PD Z9, Z7, Z0 // fr -= a2i·b2i
+	VFMADD231PD  Z9, Z6, Z1 // fi += a2r·b2i
+	VFMADD231PD  Z8, Z7, Z1 // fi += a2i·b2r
+	VMOVUPD      Z0, (DI)(AX*1)
+	VMOVUPD      Z1, (SI)(AX*1)
+	ADDQ         $64, AX
+	DECQ         CX
+	JNZ          mulAccPair8Loop
+
+mulAccPair8Done:
 	VZEROUPPER
 	RET

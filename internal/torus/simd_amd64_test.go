@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// Differential tests of the AVX2+FMA kernels against the portable Go
-// kernels they replace, called side by side on the same inputs. The float
-// stages agree within rounding (FMA contracts differently); everything that
-// produces integers must agree exactly.
+// Differential tests of the vector kernels (the *AVX2 wrappers, which take
+// the AVX-512 loops where the CPU has them) against the portable Go kernels
+// they replace, called side by side on the same inputs. The float stages
+// agree within rounding (FMA contracts differently); everything that
+// produces integers must agree exactly. The AVX-512 tier is held to the
+// AVX2 one bit for bit further down.
 
-func requireAVX2(t *testing.T) {
+func requireAVX2(t testing.TB) {
 	t.Helper()
 	if !useAVX2 {
 		t.Skip("CPU lacks AVX2+FMA: only the Go kernels run here")
@@ -247,5 +249,243 @@ func TestAVX2SwitchRowsMatchesGo(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Differential tests of the AVX-512 tier against the AVX2 one. Every zmm
+// lane runs the ymm butterflies with the same contractions, so here every
+// value must agree bit for bit, not within a tolerance.
+
+func requireAVX512(t testing.TB) {
+	t.Helper()
+	requireAVX2(t)
+	if !useAVX512 {
+		t.Skip("CPU or OS lacks AVX-512F (with ZMM state in XCR0): only the AVX2 tier runs here")
+	}
+}
+
+// TestKernelTier logs the kernel tier CPUID chose and checks that the
+// AVX-512 tier is only ever chosen with AVX2 and with the ZMM state saved
+// by the OS.
+func TestKernelTier(t *testing.T) {
+	tier := "go"
+	switch {
+	case useAVX512:
+		tier = "avx512"
+	case useAVX2:
+		tier = "avx2"
+	}
+	t.Logf("kernel tier: %s", tier)
+	if !useAVX512 {
+		return
+	}
+	if !useAVX2 {
+		t.Fatal("AVX-512 tier chosen without AVX2+FMA")
+	}
+	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
+		t.Fatalf("AVX-512 tier chosen with XCR0 = %#x: the OS does not save ZMM state", xcr0)
+	}
+	if _, ebx, _, _ := cpuid(7, 0); ebx&(1<<16) == 0 {
+		t.Fatal("AVX-512 tier chosen without CPUID AVX512F")
+	}
+}
+
+// sameBits fails unless got and want are equal bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: avx512 %v (%#x), avx2 %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestAVX512MatchesAVX2 runs both tiers on the same inputs: the folds, each
+// forward stage (the q = 2 + radix-2 tail included) and each inverse pass
+// from the same state, both whole transforms, the untwist-add and the
+// paired multiply-add. N = 4 and 8 have M < 8 and must fall back.
+func TestAVX512MatchesAVX2(t *testing.T) {
+	requireAVX512(t)
+	for n := 4; n <= 2048; n *= 2 {
+		t.Run(fmt.Sprintf("N%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n) + 11))
+			tab := halfTablesFor(n)
+			m := n / 2
+			ip := randIntPoly(rng, n, 64)
+			tp := randTorusPoly(rng, n)
+			yre, yim := make([]float64, m), make([]float64, m)
+			zre, zim := make([]float64, m), make([]float64, m)
+			tab.foldIntVec(yre, yim, ip.Coefs, false)
+			tab.foldIntVec(zre, zim, ip.Coefs, true)
+			sameBits(t, "foldInt re", zre, yre)
+			sameBits(t, "foldInt im", zim, yim)
+			tab.foldTorusVec(yre, yim, tp.Coefs, false)
+			tab.foldTorusVec(zre, zim, tp.Coefs, true)
+			sameBits(t, "foldTorus re", zre, yre)
+			sameBits(t, "foldTorus im", zim, yim)
+
+			if m >= 8 {
+				for _, st := range tab.stages {
+					tab.fwdStageVec(st, yre, yim, false)
+					tab.fwdStageVec(st, zre, zim, true)
+					sameBits(t, fmt.Sprintf("fwd stage q=%d re", st.q), zre, yre)
+					sameBits(t, fmt.Sprintf("fwd stage q=%d im", st.q), zim, yim)
+				}
+				src := randHalf(rng, m)
+				tab.invFirstVec(yre, yim, src.Re, src.Im, false)
+				tab.invFirstVec(zre, zim, src.Re, src.Im, true)
+				sameBits(t, "inverse first pass re", zre, yre)
+				sameBits(t, "inverse first pass im", zim, yim)
+				for si := len(tab.stages) - 2; si >= 0; si-- {
+					st := tab.stages[si]
+					tab.invStageVec(st, yre, yim, false)
+					tab.invStageVec(st, zre, zim, true)
+					sameBits(t, fmt.Sprintf("inv stage q=%d re", st.q), zre, yre)
+					sameBits(t, fmt.Sprintf("inv stage q=%d im", st.q), zim, yim)
+				}
+			}
+
+			tab.foldIntVec(yre, yim, ip.Coefs, false)
+			copy(zre, yre)
+			copy(zim, yim)
+			tab.fftVec(yre, yim, false)
+			tab.fftVec(zre, zim, true)
+			sameBits(t, "fft re", zre, yre)
+			sameBits(t, "fft im", zim, yim)
+			src := randHalf(rng, m)
+			tab.ifftVec(yre, yim, src.Re, src.Im, false)
+			tab.ifftVec(zre, zim, src.Re, src.Im, true)
+			sameBits(t, "ifft re", zre, yre)
+			sameBits(t, "ifft im", zim, yim)
+
+			// Untwist-add of the inverse output (×M, so it reaches the
+			// rounding with values up to ~2^40) onto a random accumulator.
+			for k := range yre {
+				yre[k] *= 1 << 20
+				yim[k] *= 1 << 20
+			}
+			ydst := randTorusPoly(rng, n).Coefs
+			zdst := append([]Torus32(nil), ydst...)
+			tab.untwistAddVec(ydst, yre, yim, false)
+			tab.untwistAddVec(zdst, yre, yim, true)
+			for i := range ydst {
+				if zdst[i] != ydst[i] {
+					t.Fatalf("untwistAdd coef %d: avx512 %#x, avx2 %#x", i, zdst[i], ydst[i])
+				}
+			}
+
+			a1, b1, a2, b2 := randHalf(rng, m), randHalf(rng, m), randHalf(rng, m), randHalf(rng, m)
+			yAcc, zAcc := randHalf(rng, m), NewHalfPoly(m)
+			copy(zAcc.Re, yAcc.Re)
+			copy(zAcc.Im, yAcc.Im)
+			mulAccPairVec(yAcc, a1, b1, a2, b2, false)
+			mulAccPairVec(zAcc, a1, b1, a2, b2, true)
+			sameBits(t, "MulAccPairTo re", zAcc.Re, yAcc.Re)
+			sameBits(t, "MulAccPairTo im", zAcc.Im, yAcc.Im)
+		})
+	}
+}
+
+// TestVecTiersMatchNaive holds each vector tier, called directly, to the
+// naive negacyclic product: fold both operands, multiply-add, inverse and
+// round, as the public entry points do.
+func TestVecTiersMatchNaive(t *testing.T) {
+	requireAVX2(t)
+	for _, zmm := range []bool{false, true} {
+		name := map[bool]string{false: "avx2", true: "avx512"}[zmm]
+		t.Run(name, func(t *testing.T) {
+			if zmm {
+				requireAVX512(t)
+			}
+			for n := 4; n <= 2048; n *= 2 {
+				rng := rand.New(rand.NewSource(int64(n)))
+				tab := halfTablesFor(n)
+				m := n / 2
+				a := randIntPoly(rng, n, 64)
+				b := randTorusPoly(rng, n)
+				want := NewTorusPoly(n)
+				MulNaive(want, a, b)
+				fa, fb, acc := NewHalfPoly(m), NewHalfPoly(m), NewHalfPoly(m)
+				tab.foldIntVec(fa.Re, fa.Im, a.Coefs, zmm)
+				tab.fftVec(fa.Re, fa.Im, zmm)
+				tab.foldTorusVec(fb.Re, fb.Im, b.Coefs, zmm)
+				tab.fftVec(fb.Re, fb.Im, zmm)
+				// a·b + 0·b through the paired kernel.
+				mulAccPairVec(acc, fa, fb, NewHalfPoly(m), fb, zmm)
+				re, im := make([]float64, m), make([]float64, m)
+				tab.ifftVec(re, im, acc.Re, acc.Im, zmm)
+				got := NewTorusPoly(n)
+				tab.untwistAddVec(got.Coefs, re, im, zmm)
+				for i := range want.Coefs {
+					if got.Coefs[i] != want.Coefs[i] {
+						t.Fatalf("N=%d coef %d: %s %#x, naive %#x", n, i, name, got.Coefs[i], want.Coefs[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+func init() {
+	tier := func(name, missing string, zmm bool) kernelTier {
+		return kernelTier{
+			name:    name,
+			missing: missing,
+			halfFoldInt: func(p *Processor, dst *HalfPoly, src *IntPoly) {
+				p.tab.foldIntVec(dst.Re, dst.Im, src.Coefs, zmm)
+				p.tab.fftVec(dst.Re, dst.Im, zmm)
+			},
+			addHalfToTorus: func(p *Processor, dst *TorusPoly, src *HalfPoly) {
+				p.tab.ifftVec(p.scRe, p.scIm, src.Re, src.Im, zmm)
+				p.tab.untwistAddVec(dst.Coefs, p.scRe, p.scIm, zmm)
+			},
+			mulAccPair: func(f, a1, b1, a2, b2 *HalfPoly) { mulAccPairVec(f, a1, b1, a2, b2, zmm) },
+		}
+	}
+	avx2, avx512 := "", ""
+	if !useAVX2 {
+		avx2 = "AVX2+FMA"
+	}
+	if !useAVX512 {
+		avx512 = "AVX-512F (with ZMM state in XCR0)"
+	}
+	kernelTiers = append(kernelTiers, tier("avx2", avx2, false), tier("avx512", avx512, true))
+}
+
+// BenchmarkKernelTransformStages times each piece of the transform on each
+// vector tier at the Default128 ring (N = 1024): the fold, every forward
+// stage, the fused tails, every inverse stage and the untwist-add. Pieces a
+// tier runs with the other tier's loop (q = 4 on zmm) time that loop.
+func BenchmarkKernelTransformStages(b *testing.B) {
+	const n = 1024
+	tab := halfTablesFor(n)
+	m := n / 2
+	ip, _ := benchPolys(n)
+	re, im := make([]float64, m), make([]float64, m)
+	dst := make([]Torus32, n)
+	for _, tier := range kernelTiers[1:] {
+		zmm := tier.name == "avx512"
+		run := func(name string, body func()) {
+			b.Run(tier.name+"/"+name, func(b *testing.B) {
+				if tier.missing != "" {
+					b.Skip("CPU lacks " + tier.missing)
+				}
+				tab.foldIntVec(re, im, ip.Coefs, zmm)
+				for i := 0; i < b.N; i++ {
+					body()
+				}
+			})
+		}
+		run("fold", func() { tab.foldIntVec(re, im, ip.Coefs, zmm) })
+		for _, st := range tab.stages {
+			run(fmt.Sprintf("fwd-q%d", st.q), func() { tab.fwdStageVec(st, re, im, zmm) })
+		}
+		run("inv-first", func() { tab.invFirstVec(re, im, re, im, zmm) })
+		for si := len(tab.stages) - 2; si >= 0; si-- {
+			st := tab.stages[si]
+			run(fmt.Sprintf("inv-q%d", st.q), func() { tab.invStageVec(st, re, im, zmm) })
+		}
+		run("untwist", func() { tab.untwistAddVec(dst, re, im, zmm) })
 	}
 }

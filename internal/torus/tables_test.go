@@ -9,7 +9,7 @@ import (
 // TestTablesForConcurrent hammers the twiddle-table cache from 16 goroutines
 // across several ring sizes at once. Run under -race it verifies the
 // lock-free snapshot path: every goroutine must observe one canonical table
-// per size — the AVX2 kernels' vector twiddle layout included — and
+// per size — both vector twiddle layouts included — and
 // concurrent first-time inserts of different sizes must not lose each
 // other's entries.
 func TestTablesForConcurrent(t *testing.T) {
@@ -74,29 +74,39 @@ func TestProcessorSharesTables(t *testing.T) {
 	}
 }
 
-// checkVecTw verifies the AVX2 twiddle layout against the scalar tables:
-// per stage with q >= 4, per group of four j, [w1r w1i w2r w2i w3r w3i]×4.
+// checkVecTw verifies the vector twiddle layouts against the scalar
+// tables: per stage with q >= 4 (AVX2) or q >= 8 (AVX-512), per group of
+// four or eight j, [w1r w1i w2r w2i w3r w3i] one vector each.
 func checkVecTw(tab *halfTables) error {
-	want := 0
-	for _, st := range tab.stages {
-		if st.q < 4 {
-			continue
-		}
-		if st.voff != want {
-			return fmt.Errorf("stage s=%d: vector offset %d, want %d", st.s, st.voff, want)
-		}
-		for j := 0; j < st.q; j++ {
-			for r := 0; r < 3; r++ {
-				k := st.voff + (j/4)*24 + r*8 + j%4
-				if tab.vecTw[k] != tab.fwdRe[st.off+3*j+r] || tab.vecTw[k+4] != tab.fwdIm[st.off+3*j+r] {
-					return fmt.Errorf("stage s=%d: w^{%d·%d} misplaced in vecTw", st.s, r+1, j)
+	for _, v := range []struct {
+		lanes int
+		tw    []float64
+		off   func(halfStage) int
+	}{
+		{4, tab.vecTw, func(st halfStage) int { return st.voff }},
+		{8, tab.vecTw8, func(st halfStage) int { return st.voff8 }},
+	} {
+		want := 0
+		for _, st := range tab.stages {
+			if st.q < v.lanes {
+				continue
+			}
+			if v.off(st) != want {
+				return fmt.Errorf("%d lanes, stage s=%d: vector offset %d, want %d", v.lanes, st.s, v.off(st), want)
+			}
+			for j := 0; j < st.q; j++ {
+				for r := 0; r < 3; r++ {
+					k := want + (j/v.lanes)*6*v.lanes + 2*r*v.lanes + j%v.lanes
+					if v.tw[k] != tab.fwdRe[st.off+3*j+r] || v.tw[k+v.lanes] != tab.fwdIm[st.off+3*j+r] {
+						return fmt.Errorf("%d lanes, stage s=%d: w^{%d·%d} misplaced", v.lanes, st.s, r+1, j)
+					}
 				}
 			}
+			want += 6 * st.q
 		}
-		want += 6 * st.q
-	}
-	if len(tab.vecTw) != want {
-		return fmt.Errorf("vecTw holds %d values, want %d", len(tab.vecTw), want)
+		if len(v.tw) != want {
+			return fmt.Errorf("%d-lane layout holds %d values, want %d", v.lanes, len(v.tw), want)
+		}
 	}
 	return nil
 }
