@@ -285,10 +285,10 @@ func TestRunStrictRejectsOverBudget(t *testing.T) {
 }
 
 // TestLoadKeys: a key directory round-trips through the loader, and a
-// cloud.key whose shape does not match its parameters — here the retired
-// full-complex format, N points per polynomial, and the retired
-// key-switching key of one sample per row — is refused with the typed
-// regenerate-keys error before anything bootstraps on it.
+// cloud.key in a retired format — a bootstrapping key of one polynomial per
+// row, full-complex (N points) or half-complex (N/2), or a key-switching
+// key of one sample per row — is refused with the typed regenerate-keys
+// error before anything bootstraps on it.
 func TestLoadKeys(t *testing.T) {
 	kp, err := core.GenerateKeysSeeded(params.Test(), []byte("load-keys"))
 	if err != nil {
@@ -312,17 +312,32 @@ func TestLoadKeys(t *testing.T) {
 		t.Fatalf("loaded %d BK entries, wrote %d", len(loaded.Cloud.BK), len(kp.Cloud.BK))
 	}
 
-	old := *kp.Cloud
-	old.BK = append([]*tgsw.HalfSample(nil), kp.Cloud.BK...)
-	g := *old.BK[0]
-	g.Rows = nil
-	for range old.BK[0].Rows {
-		n := old.Params.PolyDegree
-		g.Rows = append(g.Rows, []*torus.HalfPoly{torus.NewHalfPoly(n), torus.NewHalfPoly(n)})
+	// The per-row bootstrapping-key forms, as they were gob-encoded.
+	type perRowSample struct {
+		Rows   [][]*torus.HalfPoly
+		K      int
+		Params tgsw.Params
 	}
-	old.BK[0] = &g
-	if _, err := loadKeys(write(&old)); !errors.Is(err, boot.ErrOldKeyFormat) {
-		t.Fatalf("old-format key: err = %v, want ErrOldKeyFormat", err)
+	for _, points := range []int{kp.Cloud.Params.PolyDegree, kp.Cloud.Params.PolyDegree / 2} {
+		var bk []*perRowSample
+		for _, g := range kp.Cloud.BK {
+			old := &perRowSample{K: g.K, Params: g.Params}
+			for u := 0; u < g.RowCount(); u++ {
+				old.Rows = append(old.Rows, []*torus.HalfPoly{torus.NewHalfPoly(points), torus.NewHalfPoly(points)})
+			}
+			bk = append(bk, old)
+		}
+		dir := write(kp.Cloud)
+		if err := writeGob(filepath.Join(dir, "cloud.key"), struct {
+			Params *params.GateParams
+			BK     []*perRowSample
+			KS     *lwe.SwitchKey
+		}{kp.Cloud.Params, bk, kp.Cloud.KS}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadKeys(dir); !errors.Is(err, boot.ErrOldKeyFormat) {
+			t.Fatalf("per-row bootstrapping key of %d-point polynomials: err = %v, want ErrOldKeyFormat", points, err)
+		}
 	}
 	type perRowSwitchKey struct {
 		NIn, NOut, Levels, BaseLog int

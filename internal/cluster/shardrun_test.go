@@ -19,7 +19,6 @@ import (
 	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
-	"pytfhe/internal/torus"
 	"pytfhe/internal/vipbench"
 )
 
@@ -733,12 +732,10 @@ func TestKeyMismatchRejectedByWorker(t *testing.T) {
 // without the check the first job would index out of range in the worker.
 func TestMalformedKeyRejectedByWorker(t *testing.T) {
 	_, ck := keys(t)
+	// A per-row bootstrapping key, full- or half-complex, decodes with no
+	// flat data.
 	fullComplex := *ck.BK[0]
-	n := ck.Params.PolyDegree
-	fullComplex.Rows = nil
-	for range ck.BK[0].Rows {
-		fullComplex.Rows = append(fullComplex.Rows, []*torus.HalfPoly{torus.NewHalfPoly(n), torus.NewHalfPoly(n)})
-	}
+	fullComplex.Flat = nil
 	cases := []struct {
 		name string
 		key  *boot.CloudKey

@@ -19,7 +19,6 @@ import (
 	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/tgsw"
-	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
 )
 
@@ -795,12 +794,12 @@ func TestServeHostileKeyUpload(t *testing.T) {
 		ck := *good
 		ck.BK = append([]*tgsw.HalfSample(nil), good.BK...)
 		g := *good.BK[0]
-		g.Rows = append([][]*torus.HalfPoly(nil), g.Rows...)
 		edit(&g)
 		ck.BK[0] = &g
 		return &ck
 	}
 	n := good.Params.PolyDegree
+	k := good.Params.RingCount
 	cases := []struct {
 		name string
 		key  *boot.CloudKey
@@ -808,14 +807,13 @@ func TestServeHostileKeyUpload(t *testing.T) {
 	}{
 		{"nil params", &boot.CloudKey{BK: good.BK, KS: good.KS}, "without parameters"},
 		{"short BK", &boot.CloudKey{Params: good.Params, BK: good.BK[:5], KS: good.KS}, "entries"},
-		{"wrong row count", mangled(func(g *tgsw.HalfSample) { g.Rows = g.Rows[1:] }), "rows"},
-		{"wrong poly count", mangled(func(g *tgsw.HalfSample) { g.Rows[0] = g.Rows[0][:1] }), "polynomials"},
-		{"wrong poly length", mangled(func(g *tgsw.HalfSample) {
-			g.Rows[0] = []*torus.HalfPoly{torus.NewHalfPoly(3), g.Rows[0][1]}
-		}), "points"},
-		{"old full-complex format", mangled(func(g *tgsw.HalfSample) {
-			g.Rows[0] = []*torus.HalfPoly{torus.NewHalfPoly(n), g.Rows[0][1]}
-		}), "regenerate keys"},
+		// Entry 0's flat data short by one row, by one polynomial and by one
+		// point, and missing, as a per-row key (full- or half-complex)
+		// decodes.
+		{"wrong row count", mangled(func(g *tgsw.HalfSample) { g.Flat = g.Flat[(k+1)*n:] }), "rows"},
+		{"wrong poly count", mangled(func(g *tgsw.HalfSample) { g.Flat = g.Flat[n:] }), "polynomials"},
+		{"wrong poly length", mangled(func(g *tgsw.HalfSample) { g.Flat = g.Flat[1:] }), "points"},
+		{"old full-complex format", mangled(func(g *tgsw.HalfSample) { g.Flat = nil }), "regenerate keys"},
 		{"no key-switching key", &boot.CloudKey{Params: good.Params, BK: good.BK}, "key-switching"},
 	}
 	srv := startServer(t, Config{Workers: 1})

@@ -48,18 +48,18 @@ type CloudKey struct {
 func (ck *CloudKey) BKHalf() []*tgsw.HalfSample { return ck.BK }
 
 // ErrOldKeyFormat reports a cloud key in a retired format: a bootstrapping
-// key that still holds the full-complex transform (N points per polynomial
-// instead of N/2), or a key-switching key that still holds one separately
-// allocated sample per row (it decodes with no flat rows). Such keys cannot
-// be converted in place; regenerate them.
+// key that still holds one separately allocated polynomial per row, in the
+// full-complex or the half-complex transform, or a key-switching key that
+// still holds one separately allocated sample per row. Either decodes with
+// no flat data. Such keys cannot be converted in place; regenerate them.
 var ErrOldKeyFormat = errors.New("boot: cloud key uses a retired key format: regenerate keys")
 
 // Validate checks that the key's shape matches its parameter set, so that a
 // key from outside the process (an upload, a key file, a cluster handshake)
 // can never index out of range inside a worker: Params are consistent, BK
-// has one entry per LWE key bit with (k+1)·l rows of k+1 polynomials of
-// N/2 points, and KS has the dimensions the bootstrap feeds it and exactly
-// the flat length those dimensions imply.
+// has one entry per LWE key bit, each flat with (k+1)·l rows of k+1
+// polynomials of N/2 points, and KS has the dimensions the bootstrap feeds
+// it and exactly the flat length those dimensions imply.
 func (ck *CloudKey) Validate() error {
 	if ck == nil {
 		return errors.New("boot: nil cloud key")
@@ -83,24 +83,12 @@ func (ck *CloudKey) Validate() error {
 			return fmt.Errorf("boot: bootstrapping key entry %d has geometry k=%d l=%d Bgbit=%d, want k=%d l=%d Bgbit=%d",
 				i, g.K, g.Params.Levels, g.Params.BaseLog, k, l, p.DecompBaseLog)
 		}
-		if len(g.Rows) != (k+1)*l {
-			return fmt.Errorf("boot: bootstrapping key entry %d has %d rows, want %d", i, len(g.Rows), (k+1)*l)
-		}
-		for u, row := range g.Rows {
-			if len(row) != k+1 {
-				return fmt.Errorf("boot: bootstrapping key entry %d row %d has %d polynomials, want %d", i, u, len(row), k+1)
-			}
-			for c, poly := range row {
-				switch {
-				case poly == nil:
-					return fmt.Errorf("boot: bootstrapping key entry %d row %d polynomial %d is nil", i, u, c)
-				case len(poly.Re) == 2*m && len(poly.Im) == 2*m:
-					return ErrOldKeyFormat
-				case len(poly.Re) != m || len(poly.Im) != m:
-					return fmt.Errorf("boot: bootstrapping key entry %d row %d polynomial %d has %d/%d points, want %d",
-						i, u, c, len(poly.Re), len(poly.Im), m)
-				}
-			}
+		switch want := (k + 1) * l * (k + 1) * 2 * m; {
+		case len(g.Flat) == 0:
+			return ErrOldKeyFormat
+		case len(g.Flat) != want:
+			return fmt.Errorf("boot: bootstrapping key entry %d holds %d floats, want %d: %d rows of %d polynomials of %d points",
+				i, len(g.Flat), want, (k+1)*l, k+1, m)
 		}
 	}
 	return ck.validateKS()

@@ -44,7 +44,7 @@ func TestGenerateKeysDeterministicAndHalfOnly(t *testing.T) {
 		t.Fatalf("BKHalf has %d entries, BK %d", len(half), len(a.BK))
 	}
 	for i := range half {
-		if half[i] != a.BK[i] || &half[i].Rows[0][0].Re[0] != &a.BK[i].Rows[0][0].Re[0] {
+		if half[i] != a.BK[i] || &half[i].Flat[0] != &a.BK[i].Flat[0] {
 			t.Fatalf("BKHalf()[%d] does not alias BK[%d]", i, i)
 		}
 	}
@@ -76,6 +76,18 @@ func TestCloudKeyGobSize(t *testing.T) {
 	}
 }
 
+// shortBK replaces ck.BK[i] with a copy whose flat data is floats shorter,
+// or -floats longer, than the key's shape implies.
+func shortBK(ck *CloudKey, i, floats int) {
+	g := *ck.BK[i]
+	if floats < 0 {
+		g.Flat = append(append([]float64(nil), g.Flat...), make([]float64, -floats)...)
+	} else {
+		g.Flat = g.Flat[:len(g.Flat)-floats]
+	}
+	ck.BK[i] = &g
+}
+
 // shortKS replaces ck.KS with a copy whose flat rows are words shorter, or
 // -words longer, than the key's shape implies.
 func shortKS(ck *CloudKey, words int) {
@@ -101,11 +113,13 @@ func TestCloudKeyValidate(t *testing.T) {
 		{"short BK", func(ck *CloudKey) { ck.BK = ck.BK[:len(ck.BK)-1] }},
 		{"nil BK entry", func(ck *CloudKey) { ck.BK[3] = nil }},
 		{"wrong BK geometry", func(ck *CloudKey) { g := *ck.BK[0]; g.Params.Levels++; ck.BK[0] = &g }},
-		{"wrong row count", func(ck *CloudKey) { g := *ck.BK[1]; g.Rows = g.Rows[1:]; ck.BK[1] = &g }},
-		{"wrong poly count", func(ck *CloudKey) { ck.BK[2].Rows[0] = ck.BK[2].Rows[0][:1] }},
-		{"nil poly", func(ck *CloudKey) { ck.BK[2].Rows[1][0] = nil }},
-		{"short poly", func(ck *CloudKey) { ck.BK[2].Rows[1][1] = torus.NewHalfPoly(ck.Params.PolyDegree/2 - 1) }},
-		{"ragged poly", func(ck *CloudKey) { hp := ck.BK[2].Rows[1][1]; hp.Im = hp.Im[:len(hp.Im)-1] }},
+		// A flat entry short by one row, one polynomial, one polynomial's
+		// imaginary half or one point, and long by one point.
+		{"wrong row count", func(ck *CloudKey) { shortBK(ck, 1, (ck.Params.RingCount+1)*ck.Params.PolyDegree) }},
+		{"wrong poly count", func(ck *CloudKey) { shortBK(ck, 2, ck.Params.PolyDegree) }},
+		{"nil poly", func(ck *CloudKey) { shortBK(ck, 2, ck.Params.PolyDegree/2) }},
+		{"short poly", func(ck *CloudKey) { shortBK(ck, 2, 1) }},
+		{"ragged poly", func(ck *CloudKey) { shortBK(ck, 2, -1) }},
 		{"nil KS", func(ck *CloudKey) { ck.KS = nil }},
 		{"KS dimensions", func(ck *CloudKey) { ks := *ck.KS; ks.NOut++; ck.KS = &ks }},
 		{"KS levels", func(ck *CloudKey) { ks := *ck.KS; ks.Levels++; ck.KS = &ks }},
@@ -136,13 +150,14 @@ func TestCloudKeyValidate(t *testing.T) {
 	}
 }
 
-// TestOldFormatKeyFile: key files written before either format change
-// gob-decode without complaint, so Validate is what must notice them and
-// ask for regeneration. A full-complex bootstrapping key decodes field for
-// field (the old FourierSample/FourierPoly had the same field names) and
-// shows as N-point polynomials. A key-switching key of one sample per row
-// decodes with its Rows dropped, since gob skips fields the new type lacks,
-// and shows as a switch key with no flat rows.
+// TestOldFormatKeyFile: key files written before any of the format
+// changes gob-decode without complaint, so Validate is what must notice
+// them and ask for regeneration. A bootstrapping key of one polynomial per
+// row — the full-complex FourierSample/FourierPoly, or the half-complex
+// HalfSample before its flat layout — decodes with its Rows dropped, since
+// gob skips fields the new type lacks, and shows as entries with no flat
+// data. A key-switching key of one sample per row likewise shows as a
+// switch key with no flat rows.
 func TestOldFormatKeyFile(t *testing.T) {
 	type fourierPoly struct{ Re, Im []float64 }
 	type fourierSample struct {
@@ -154,29 +169,39 @@ func TestOldFormatKeyFile(t *testing.T) {
 		NIn, NOut, Levels, BaseLog int
 		Rows                       [][][]*lwe.Sample
 	}
-	type fullComplexKey struct {
+	type perRowBKKey struct {
 		Params *params.GateParams
 		BK     []*fourierSample
 		KS     *lwe.SwitchKey
 	}
-	type perRowKey struct {
+	type perRowKSKey struct {
 		Params *params.GateParams
 		BK     []*tgsw.HalfSample
 		KS     *oldSwitchKey
 	}
 	ck := testCloudKey(t, "boot-old-format")
-	var fullComplex []*fourierSample
-	for _, g := range ck.BK {
-		fs := &fourierSample{K: g.K, Params: g.Params}
-		for _, row := range g.Rows {
-			var polys []*fourierPoly
-			for range row {
-				n := ck.Params.PolyDegree
-				polys = append(polys, &fourierPoly{Re: make([]float64, n), Im: make([]float64, n)})
+	// perRowBK returns ck's bootstrapping key with one polynomial of the
+	// given number of points per row: N for the full-complex form, N/2 for
+	// the per-row half-complex form (these carry ck's own spectra).
+	perRowBK := func(points int) []*fourierSample {
+		var bk []*fourierSample
+		for _, g := range ck.BK {
+			fs := &fourierSample{K: g.K, Params: g.Params}
+			for u := 0; u < g.RowCount(); u++ {
+				var polys []*fourierPoly
+				for c := 0; c <= g.K; c++ {
+					fp := &fourierPoly{Re: make([]float64, points), Im: make([]float64, points)}
+					if hp := g.Poly(u, c); len(hp.Re) == points {
+						copy(fp.Re, hp.Re)
+						copy(fp.Im, hp.Im)
+					}
+					polys = append(polys, fp)
+				}
+				fs.Rows = append(fs.Rows, polys)
 			}
-			fs.Rows = append(fs.Rows, polys)
+			bk = append(bk, fs)
 		}
-		fullComplex = append(fullComplex, fs)
+		return bk
 	}
 	perRow := &oldSwitchKey{NIn: ck.KS.NIn, NOut: ck.KS.NOut, Levels: ck.KS.Levels, BaseLog: ck.KS.BaseLog}
 	for i := 0; i < perRow.NIn; i++ {
@@ -188,12 +213,14 @@ func TestOldFormatKeyFile(t *testing.T) {
 		}
 		perRow.Rows = append(perRow.Rows, plane)
 	}
+	n := ck.Params.PolyDegree
 	for _, tc := range []struct {
 		name string
 		old  any
 	}{
-		{"full-complex BK", fullComplexKey{ck.Params, fullComplex, ck.KS}},
-		{"per-row KS", perRowKey{ck.Params, ck.BK, perRow}},
+		{"full-complex BK", perRowBKKey{ck.Params, perRowBK(n), ck.KS}},
+		{"per-row half BK", perRowBKKey{ck.Params, perRowBK(n / 2), ck.KS}},
+		{"per-row KS", perRowKSKey{ck.Params, ck.BK, perRow}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var loaded CloudKey
@@ -204,5 +231,62 @@ func TestOldFormatKeyFile(t *testing.T) {
 				t.Fatalf("Validate = %v, want ErrOldKeyFormat", err)
 			}
 		})
+	}
+}
+
+// TestDecodedKeyIsFlat: a cloud key that went through gob — as every key
+// file, pytfhed upload and cluster join does — comes back with each
+// bootstrapping-key entry one flat slice of the generated length, and a
+// batch-16 bootstrap under it equals the generated key's output bit for
+// bit.
+func TestDecodedKeyIsFlat(t *testing.T) {
+	rng := trand.NewSeeded([]byte("boot-decoded-flat"))
+	p := params.Test()
+	_, ck, err := GenerateKeys(p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded CloudKey
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, ck))).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	if err := decoded.Validate(); err != nil {
+		t.Fatalf("decoded key does not validate: %v", err)
+	}
+	want := (p.RingCount + 1) * p.DecompLevels * (p.RingCount + 1) * p.PolyDegree
+	for i, g := range decoded.BK {
+		if len(g.Flat) != want || g.PolyLen() != p.PolyDegree {
+			t.Fatalf("decoded entry %d holds %d floats, want %d", i, len(g.Flat), want)
+		}
+	}
+
+	const b = 16
+	src, mu := make([]*lwe.Sample, b), make([]torus.Torus32, b)
+	outs := [2][]*lwe.Sample{make([]*lwe.Sample, b), make([]*lwe.Sample, b)}
+	for m := range src {
+		src[m] = lwe.NewSample(p.LWEDimension)
+		for i := range src[m].A {
+			src[m].A[i] = rng.Torus32()
+		}
+		src[m].B = rng.Torus32()
+		mu[m] = rng.Torus32()
+		outs[0][m], outs[1][m] = lwe.NewSample(p.LWEDimension), lwe.NewSample(p.LWEDimension)
+	}
+	for i, key := range []*CloudKey{ck, &decoded} {
+		if err := NewBatchEvaluator(key, b).BootstrapBatch(outs[i], mu, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := range src {
+		got, want := outs[1][m], outs[0][m]
+		if got.B != want.B || got.Variance != want.Variance {
+			t.Fatalf("member %d: decoded key B %#x variance %g, generated key B %#x variance %g",
+				m, got.B, got.Variance, want.B, want.Variance)
+		}
+		for i := range want.A {
+			if got.A[i] != want.A[i] {
+				t.Fatalf("member %d: decoded key A[%d] %#x, generated key %#x", m, i, got.A[i], want.A[i])
+			}
+		}
 	}
 }

@@ -111,16 +111,7 @@ func benchRings() []benchRing {
 
 // cloneHalf returns a deep copy of g in memory of its own.
 func cloneHalf(g *HalfSample) *HalfSample {
-	c := &HalfSample{K: g.K, Params: g.Params, Rows: make([][]*torus.HalfPoly, len(g.Rows))}
-	for u, row := range g.Rows {
-		for _, p := range row {
-			q := torus.NewHalfPoly(len(p.Re))
-			copy(q.Re, p.Re)
-			copy(q.Im, p.Im)
-			c.Rows[u] = append(c.Rows[u], q)
-		}
-	}
-	return c
+	return &HalfSample{K: g.K, Params: g.Params, Flat: append([]float64(nil), g.Flat...)}
 }
 
 // benchBatchSetup returns a half-domain TGSW encryption of 1 on ring r and

@@ -116,24 +116,45 @@ func DecomposePoly(dst []*torus.IntPoly, src *torus.TorusPoly, p Params) {
 
 // HalfSample is a TGSW sample with every row polynomial in the half-complex
 // domain: N/2 points per polynomial. It is the only stored form of the
-// bootstrapping key.
+// bootstrapping key, and it is flat, in the order the external product
+// reads it.
 type HalfSample struct {
-	// Rows[u][c] is the transform of polynomial c of TLWE row u.
-	Rows   [][]*torus.HalfPoly
+	// Flat holds polynomial c of TLWE row u as the (u·(K+1) + c)-th
+	// polynomial of a flat run (torus.HalfAt): N floats apiece, the N/2
+	// real parts, then the N/2 imaginary parts. Rows are the Params.Levels
+	// gadget levels of block 0, then of block 1, and so on.
+	Flat   []float64
 	K      int
 	Params Params
+}
+
+// RowCount returns the number of TLWE rows, (K+1)·l.
+func (h *HalfSample) RowCount() int { return (h.K + 1) * h.Params.Levels }
+
+// PolyLen returns the floats one polynomial takes in Flat, N, or -1 when
+// Flat does not hold a whole number of them.
+func (h *HalfSample) PolyLen() int {
+	polys := h.RowCount() * (h.K + 1)
+	if polys <= 0 || len(h.Flat)%polys != 0 || len(h.Flat)/polys%2 != 0 {
+		return -1
+	}
+	return len(h.Flat) / polys
+}
+
+// Poly returns polynomial c of row u: a view into Flat, not a copy.
+func (h *HalfSample) Poly(u, c int) *torus.HalfPoly {
+	hp := torus.HalfAt(h.Flat, h.PolyLen()/2, u*(h.K+1)+c)
+	return &hp
 }
 
 // ToHalf transforms a coefficient-domain TGSW sample into the half-complex
 // domain using proc.
 func (s *Sample) ToHalf(proc *torus.Processor) *HalfSample {
-	h := &HalfSample{K: s.K, Params: s.Params, Rows: make([][]*torus.HalfPoly, len(s.Rows))}
+	n := proc.N()
+	h := &HalfSample{K: s.K, Params: s.Params, Flat: make([]float64, len(s.Rows)*(s.K+1)*n)}
 	for u, row := range s.Rows {
-		h.Rows[u] = make([]*torus.HalfPoly, s.K+1)
 		for c, poly := range row.A {
-			hp := torus.NewHalfPoly(poly.N() / 2)
-			proc.HalfFoldTorus(hp, poly)
-			h.Rows[u][c] = hp
+			proc.HalfFoldTorus(h.Poly(u, c), poly)
 		}
 	}
 	return h
@@ -143,32 +164,21 @@ func (s *Sample) ToHalf(proc *torus.Processor) *HalfSample {
 // loop performs no allocation. A Scratch (and its Processor) must not be
 // shared between goroutines.
 type Scratch struct {
-	Proc   *torus.Processor
-	decomp []*torus.IntPoly // (k+1)*l digit polynomials
-	spec1  *torus.HalfPoly  // spectra of two digit polynomials
-	spec2  *torus.HalfPoly
-	facc   []*torus.HalfPoly // k+1 accumulators
-	diff   *tlwe.Sample
+	Proc *torus.Processor
+	spec []float64 // (k+1)·l digit spectra, a flat run
+	facc []float64 // k+1 accumulator spectra, a flat run
+	diff *tlwe.Sample
 }
 
 // NewScratch allocates scratch space for ring degree n, k masks and gadget
 // parameters p.
 func NewScratch(n, k int, p Params) *Scratch {
-	s := &Scratch{
-		Proc:   torus.NewProcessor(n),
-		decomp: make([]*torus.IntPoly, (k+1)*p.Levels),
-		spec1:  torus.NewHalfPoly(n / 2),
-		spec2:  torus.NewHalfPoly(n / 2),
-		facc:   make([]*torus.HalfPoly, k+1),
-		diff:   tlwe.NewSample(n, k),
+	return &Scratch{
+		Proc: torus.NewProcessor(n),
+		spec: make([]float64, (k+1)*p.Levels*n),
+		facc: make([]float64, (k+1)*n),
+		diff: tlwe.NewSample(n, k),
 	}
-	for i := range s.decomp {
-		s.decomp[i] = torus.NewIntPoly(n)
-	}
-	for i := range s.facc {
-		s.facc[i] = torus.NewHalfPoly(n / 2)
-	}
-	return s
 }
 
 // NewBatchScratch returns the scratch for batched rotations. The kernel
@@ -181,33 +191,23 @@ func NewBatchScratch(n, k int, p Params, capacity int) *Scratch {
 
 // ExternalProductAdd computes acc += g ⊡ src, where g is a half-domain TGSW
 // sample and src a coefficient-domain TLWE sample. acc and src may not
-// alias. Each digit polynomial gets its own half-size transform and the
-// products accumulate two rows at a time through the fused MulAccPairTo
-// pass. The result equals the exact integer convolutions: floating-point
-// error stays far below the rounding threshold (see torus/half.go).
+// alias. Two fused kernels do the work between the inverse transforms:
+// HalfDigits decomposes each polynomial of src and transforms its l digit
+// polynomials, and MulAccRows sums every spectrum against g's rows for all
+// k+1 outputs at once, reading g.Flat in storage order. The result equals
+// the exact integer convolutions: floating-point error stays far below the
+// rounding threshold (see torus/half.go).
 func (sc *Scratch) ExternalProductAdd(acc *tlwe.Sample, g *HalfSample, src *tlwe.Sample) {
-	DecomposeTLWE(sc.decomp, src, g.Params)
-	for _, f := range sc.facc {
-		f.Clear()
+	n := sc.Proc.N()
+	l := g.Params.Levels
+	offset, baseLog := g.Params.Offset(), uint(g.Params.BaseLog)
+	for c, poly := range src.A {
+		sc.Proc.HalfDigits(sc.spec[c*l*n:(c+1)*l*n], poly, offset, baseLog)
 	}
-	u := 0
-	for ; u+1 < len(sc.decomp); u += 2 {
-		sc.Proc.HalfFoldInt(sc.spec1, sc.decomp[u])
-		sc.Proc.HalfFoldInt(sc.spec2, sc.decomp[u+1])
-		rowA, rowB := g.Rows[u], g.Rows[u+1]
-		for c, f := range sc.facc {
-			f.MulAccPairTo(sc.spec1, rowA[c], sc.spec2, rowB[c])
-		}
-	}
-	if u < len(sc.decomp) { // odd (k+1)*l: one leftover row
-		sc.Proc.HalfFoldInt(sc.spec1, sc.decomp[u])
-		row := g.Rows[u]
-		for c, f := range sc.facc {
-			f.MulAccTo(sc.spec1, row[c])
-		}
-	}
-	for c, f := range sc.facc {
-		sc.Proc.AddHalfToTorus(acc.A[c], f)
+	sc.Proc.MulAccRows(sc.facc, sc.spec[:len(src.A)*l*n], g.Flat)
+	for c := range src.A {
+		f := torus.HalfAt(sc.facc, n/2, c)
+		sc.Proc.AddHalfToTorus(acc.A[c], &f)
 	}
 	acc.Variance += src.Variance // coarse tracking; exact analysis in docs
 }

@@ -39,17 +39,39 @@ import (
 // init from CPUID: the Go loops in this file (the portable path, and the
 // oracle the tests hold the others to), AVX2+FMA assembly (simd_amd64.s),
 // and on CPUs with AVX-512F the same assembly's eight-lane loops for the
-// transform and MulAccPairTo. The assembly runs the same stages in the
-// same order four or eight points per instruction, with its own twiddle
-// layouts (halfTables.vecTw, vecTw8) and the last radix-4 stage fused with
-// the radix-2 tail. Every AVX-512 lane runs the AVX2 butterflies with the
-// same FMA contractions, so those two tiers give the same bits; the Go
-// loops round differently (no FMA) but within the same exactness bound.
+// transform, MulAccPairTo and the external product's two entry points. The
+// assembly runs the same stages in the same order four or eight points per
+// instruction, with its own twiddle layouts (halfTables.vecTw, vecTw8) and
+// the last radix-4 stage fused with the radix-2 tail. Every AVX-512 lane
+// runs the AVX2 butterflies with the same FMA contractions, so those two
+// tiers give the same bits; the Go loops round differently (no FMA) but
+// within the same exactness bound.
+//
+// An external product enters through HalfDigits (gadget digits, fold and
+// transform of one torus polynomial) and MulAccRows (every digit spectrum
+// against every row of a bootstrapping-key entry). Only the AVX-512 tier
+// fuses them: one pass extracts all levels' digits and folds them, and one
+// pass keeps each output's sum in registers over all rows. The AVX2 and Go
+// tiers compose the kernels below (GadgetDigit, the fold and transform,
+// MulAccPairTo and MulAccTo), and the fused loops run those kernels' exact
+// operations, so every tier's spectra are the composed ones bit for bit.
 //
 // Exactness: the kernels compute integer convolutions whose floating-point
 // error stays far below 0.5, so after rounding to the torus the results
 // equal MulNaive coefficient-for-coefficient on every tier, within the
 // magnitude bound RoundExactBound.
+
+// KernelTier names the tier every public entry point runs on this CPU:
+// "avx512", "avx2" or "go".
+func KernelTier() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX2:
+		return "avx2"
+	}
+	return "go"
+}
 
 // HalfPoly is a polynomial of ring degree N held as M = N/2 half-complex
 // evaluation points in the digit-reversed order of the half transform.
@@ -416,20 +438,22 @@ func (t *halfTables) untwistAdd(dst []Torus32, re, im []float64) {
 // the twiddle tables are shared and immutable. A Processor is not safe for
 // concurrent use: obtain one per goroutine with NewProcessor.
 type Processor struct {
-	n    int
-	tab  *halfTables
-	scRe []float64 // inverse-transform scratch, M points
-	scIm []float64
+	n      int
+	tab    *halfTables
+	scRe   []float64 // inverse-transform scratch, M points
+	scIm   []float64
+	digits []int32 // one level's gadget digits where HalfDigits composes kernels
 }
 
 // NewProcessor returns a transform processor for ring degree n (a power of
 // two, at least 4). Twiddle tables are computed once per size and shared.
 func NewProcessor(n int) *Processor {
 	return &Processor{
-		n:    n,
-		tab:  halfTablesFor(n),
-		scRe: make([]float64, n/2),
-		scIm: make([]float64, n/2),
+		n:      n,
+		tab:    halfTablesFor(n),
+		scRe:   make([]float64, n/2),
+		scIm:   make([]float64, n/2),
+		digits: make([]int32, n),
 	}
 }
 
@@ -475,6 +499,88 @@ func (p *Processor) AddHalfToTorus(dst *TorusPoly, src *HalfPoly) {
 	copy(p.scIm, src.Im)
 	t.ifft(p.scRe, p.scIm)
 	t.untwistAdd(dst.Coefs, p.scRe, p.scIm)
+}
+
+// The external product works on flat runs of half-complex polynomials: its
+// digit spectra, its accumulators and every bootstrapping-key entry are each
+// one []float64 holding polynomials of ring degree N back to back, N floats
+// apiece. Polynomial u of a run with M = N/2 points has its real parts at
+// [uN, uN+M) and its imaginary parts at [uN+M, (u+1)N).
+
+// HalfAt returns polynomial u of the flat run f of polynomials with m
+// points. It is a view into f, not a copy.
+func HalfAt(f []float64, m, u int) HalfPoly {
+	o := 2 * m * u
+	return HalfPoly{Re: f[o : o+m : o+m], Im: f[o+m : o+2*m : o+2*m]}
+}
+
+// HalfDigits gadget-decomposes the torus polynomial src and transforms the
+// digit polynomials into the flat run dst, one per level: level j < l =
+// len(dst)/N holds the balanced digits ((c + offset) >> (32 - (j+1)·baseLog))
+// mod 2^baseLog - 2^(baseLog-1) of every coefficient c. The spectra equal
+// GadgetDigit then HalfFoldInt level by level, bit for bit.
+func (p *Processor) HalfDigits(dst []float64, src *TorusPoly, offset uint32, baseLog uint) {
+	levels := len(dst) / p.n
+	if levels*p.n != len(dst) || len(src.Coefs) != p.n {
+		panic("torus: HalfDigits shape mismatch")
+	}
+	if useAVX2 {
+		p.halfDigitsVec(dst, src.Coefs, levels, offset, baseLog, useAVX512)
+		return
+	}
+	p.halfDigits(dst, src.Coefs, levels, offset, baseLog)
+}
+
+// halfDigits is the portable HalfDigits: each level's digits, fold and
+// transform in turn.
+func (p *Processor) halfDigits(dst []float64, src []Torus32, levels int, offset uint32, baseLog uint) {
+	t := p.tab
+	for j := 0; j < levels; j++ {
+		gadgetDigit(p.digits, src, offset, 32-uint(j+1)*baseLog, baseLog)
+		f := HalfAt(dst, t.m, j)
+		t.foldInt(f.Re, f.Im, p.digits)
+		t.fft(f.Re, f.Im)
+	}
+}
+
+// MulAccRows sets every polynomial c of the flat run dst to the pointwise
+// sum over the polynomials u of spec of spec[u]·key[u·C + c], C being the
+// number of polynomials in dst: the multiply-accumulate of an external
+// product, with spec its digit spectra and key a bootstrapping-key entry
+// stored row by row. Each sum runs the FMA chain of MulAccPairTo over the
+// rows in order from a cleared accumulator (that of MulAccTo for an odd
+// last row), so it equals those calls bit for bit.
+func (p *Processor) MulAccRows(dst, spec, key []float64) {
+	outs, rows := len(dst)/p.n, len(spec)/p.n
+	if outs*p.n != len(dst) || rows*p.n != len(spec) || len(key) != rows*outs*p.n {
+		panic("torus: MulAccRows shape mismatch")
+	}
+	if useAVX2 {
+		mulAccRowsVec(dst, spec, key, p.tab.m, rows, outs, useAVX512)
+		return
+	}
+	mulAccRows(dst, spec, key, p.tab.m, rows, outs)
+}
+
+// mulAccRows is the portable MulAccRows: MulAccPairTo's kernel over the
+// row pairs and MulAccTo's over an odd last row.
+func mulAccRows(dst, spec, key []float64, m, rows, outs int) {
+	clear(dst)
+	u := 0
+	for ; u+1 < rows; u += 2 {
+		a1, a2 := HalfAt(spec, m, u), HalfAt(spec, m, u+1)
+		for c := 0; c < outs; c++ {
+			f, b1, b2 := HalfAt(dst, m, c), HalfAt(key, m, u*outs+c), HalfAt(key, m, (u+1)*outs+c)
+			mulAccPair(&f, &a1, &b1, &a2, &b2)
+		}
+	}
+	if u < rows {
+		a := HalfAt(spec, m, u)
+		for c := 0; c < outs; c++ {
+			f, b := HalfAt(dst, m, c), HalfAt(key, m, u*outs+c)
+			mulAcc(&f, &a, &b)
+		}
+	}
 }
 
 // RoundExactBound is the largest magnitude a transform result may have for

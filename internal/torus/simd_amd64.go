@@ -4,13 +4,16 @@ package torus
 // digit, subtraction, rotation and key-switch entry points, in two tiers
 // picked once from CPUID: AVX2+FMA (four float64 or eight 32-bit lanes)
 // everywhere, and on CPUs with AVX-512F an eight-lane tier for the
-// transform (fold, radix-4 stages with q >= 8, both tails, untwist-add)
-// and the paired multiply-add. The *AVX2 wrappers below check lengths in
-// Go, hand the assembly element pointers and counts, take the zmm loop
-// where useAVX512 is set and the ymm loop otherwise, and route what the
-// vector loops do not cover (rings with M < 8, the q = 1 radix-4 stage of
-// an even log2 M, ragged tails) to the portable kernels. The two tiers
-// give the same bits: every zmm lane runs the ymm butterflies.
+// transform (fold, radix-4 stages with q >= 8, both tails, untwist-add),
+// the paired multiply-add and the external product's fused entry points
+// (HalfDigits' digit-and-fold pass, MulAccRows). The *AVX2 and *Vec
+// wrappers below check lengths in Go, hand the assembly element pointers
+// and counts, take the zmm loop where useAVX512 is set and the ymm loop
+// otherwise, and route what the vector loops do not cover (rings with
+// M < 8, the q = 1 radix-4 stage of an even log2 M, ragged tails) to the
+// portable kernels. On the ymm tier HalfDigits and MulAccRows compose the
+// digit, fold, transform and multiply-add kernels. The two tiers give the
+// same bits: every zmm lane runs the ymm butterflies and FMA chains.
 
 // useAVX2 reports whether this CPU and OS run the AVX2+FMA kernels. It is
 // decided once, here, from CPUID and XGETBV.
@@ -104,6 +107,12 @@ func avx512UntwistAdd(dst *uint32, re, im, cos, sin *float64, m int, scale float
 
 //go:noescape
 func avx512MulAccPair(fr, fi, a1r, a1i, b1r, b1i, a2r, a2i, b2r, b2i *float64, n int)
+
+//go:noescape
+func avx512DigitsFold(dst *float64, src *uint32, cos, sin *float64, m, levels int, offset, mask uint32, half int32, shift, step uint32)
+
+//go:noescape
+func avx512MulAccRows(dst, spec, key *float64, m, rows, outs int)
 
 //go:noescape
 func avx2Digit(dst *int32, src *uint32, n int, offset, mask uint32, half int32, shift uint32)
@@ -285,6 +294,59 @@ func mulAccPairVec(f, a1, b1, a2, b2 *HalfPoly, zmm bool) {
 	if n < len(f.Re) {
 		tail := func(p *HalfPoly) *HalfPoly { return &HalfPoly{p.Re[n:], p.Im[n:]} }
 		mulAccPair(tail(f), tail(a1), tail(b1), tail(a2), tail(b2))
+	}
+}
+
+// halfDigitsVec is HalfDigits on the vector tiers. The zmm tier extracts
+// every level's digits and folds them in one pass (avx512DigitsFold), then
+// transforms each level; the ymm tier, and rings the zmm pass does not
+// cover, compose GadgetDigit and HalfFoldInt's kernels level by level.
+func (p *Processor) halfDigitsVec(dst []float64, src []Torus32, levels int, offset uint32, baseLog uint, zmm bool) {
+	t := p.tab
+	m := t.m
+	if zmm && m%8 == 0 {
+		_, _ = dst[levels*2*m-1], src[2*m-1]
+		avx512DigitsFold(&dst[0], &src[0], &t.foldRe[0], &t.foldIm[0], m, levels,
+			offset, uint32(1)<<baseLog-1, int32(1)<<(baseLog-1), uint32(32-baseLog), uint32(baseLog))
+		for j := 0; j < levels; j++ {
+			f := HalfAt(dst, m, j)
+			t.fftVec(f.Re, f.Im, zmm)
+		}
+		return
+	}
+	for j := 0; j < levels; j++ {
+		gadgetDigitAVX2(p.digits, src, offset, 32-uint(j+1)*baseLog, baseLog)
+		f := HalfAt(dst, m, j)
+		t.foldIntVec(f.Re, f.Im, p.digits, zmm)
+		t.fftVec(f.Re, f.Im, zmm)
+	}
+}
+
+// mulAccRowsVec is MulAccRows on the vector tiers: on the zmm tier one
+// pass keeps every output's sum in registers over all rows
+// (avx512MulAccRows); elsewhere it composes the MulAccPairTo and MulAccTo
+// kernels as mulAccRows does.
+func mulAccRowsVec(dst, spec, key []float64, m, rows, outs int, zmm bool) {
+	if zmm && m%32 == 0 {
+		_, _, _ = dst[outs*2*m-1], spec[rows*2*m-1], key[rows*outs*2*m-1]
+		avx512MulAccRows(&dst[0], &spec[0], &key[0], m, rows, outs)
+		return
+	}
+	clear(dst)
+	u := 0
+	for ; u+1 < rows; u += 2 {
+		a1, a2 := HalfAt(spec, m, u), HalfAt(spec, m, u+1)
+		for c := 0; c < outs; c++ {
+			f, b1, b2 := HalfAt(dst, m, c), HalfAt(key, m, u*outs+c), HalfAt(key, m, (u+1)*outs+c)
+			mulAccPairVec(&f, &a1, &b1, &a2, &b2, zmm)
+		}
+	}
+	if u < rows {
+		a := HalfAt(spec, m, u)
+		for c := 0; c < outs; c++ {
+			f, b := HalfAt(dst, m, c), HalfAt(key, m, u*outs+c)
+			mulAccAVX2(&f, &a, &b)
+		}
 	}
 }
 

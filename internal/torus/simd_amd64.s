@@ -2,7 +2,10 @@
 
 // AVX2+FMA kernels of the half-complex transform (see half.go for the
 // math and simd_amd64.go for the Go-side checks), then the AVX-512F tier of
-// the transform and the paired multiply-add. Every AVX2 loop handles four
+// the transform and the paired multiply-add, and last the AVX-512F fused
+// external-product loops: avx512DigitsFold (every gadget level's digits
+// and the fold in one pass) and avx512MulAccRows (all rows and outputs
+// multiply-accumulated in registers). Every AVX2 loop handles four
 // float64 points, or eight 32-bit words, per iteration, every AVX-512 loop
 // eight float64 points; the callers pass counts that are multiples of the
 // vector width. Every vector instruction is
@@ -817,7 +820,8 @@ switchDone:
 	RET
 
 // AVX-512F tier: the transform stages, both tails, the fold, the
-// untwist-add and the paired multiply-add, eight points per instruction.
+// untwist-add, the paired multiply-add and the fused external-product
+// loops, eight points per instruction.
 // Every lane runs the butterflies of the AVX2 loops above, in the same
 // order and with the same FMA contractions, so the results are the AVX2
 // ones bit for bit.
@@ -1306,5 +1310,292 @@ mulAccPair8Loop:
 	JNZ          mulAccPair8Loop
 
 mulAccPair8Done:
+	VZEROUPPER
+	RET
+
+// func avx512DigitsFold(dst *float64, src *uint32, cos, sin *float64, m, levels int, offset, mask uint32, half int32, shift, step uint32)
+//
+// The front end of an external product for one torus polynomial: per block
+// of eight j, every level's gadget digits of a = src[j] and b = src[j+m],
+// ((x + offset) >> shift) & mask - half with shift dropping by step per
+// level (avx2Digit), converted and twisted as in avx512FoldInt into
+// polynomial `level` of the flat run dst (re at +0, im at +8m bytes). The
+// offset is added and cos and sin are loaded once per block for all levels.
+TEXT ·avx512DigitsFold(SB), NOSPLIT, $0-68
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         cos+16(FP), R9
+	MOVQ         sin+24(FP), R10
+	MOVQ         m+32(FP), CX
+	MOVQ         levels+40(FP), R12
+	MOVL         offset+48(FP), AX
+	VMOVD        AX, X1
+	VPBROADCASTD X1, Y1
+	MOVL         mask+52(FP), AX
+	VMOVD        AX, X2
+	VPBROADCASTD X2, Y2
+	MOVL         half+56(FP), AX
+	VMOVD        AX, X3
+	VPBROADCASTD X3, Y3
+	MOVL         shift+60(FP), AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10
+	MOVL         step+64(FP), AX
+	VMOVD        AX, X9
+	VPBROADCASTD X9, Y9
+	LEAQ         (CX*4), R11    // b = a + 4m bytes
+	MOVQ         CX, DX
+	SHLQ         $3, DX         // 8m: a polynomial's im offset
+	LEAQ         (DX)(DX*1), R8 // 16m: the polynomial stride
+	SHRQ         $3, CX
+	JZ           digitsFoldDone
+	XORQ         AX, AX         // float64 byte offset
+
+digitsFoldBlock:
+	VMOVDQU (SI), Y6
+	VPADDD  Y1, Y6, Y6          // a + offset
+	VMOVDQU (SI)(R11*1), Y7
+	VPADDD  Y1, Y7, Y7          // b + offset
+	VMOVUPD (R9)(AX*1), Z4      // cos
+	VMOVUPD (R10)(AX*1), Z5     // sin
+	VMOVDQU Y10, Y8             // the first level's shift
+	LEAQ    (DI)(AX*1), R13
+	MOVQ    R12, R14
+
+digitsFoldLevel:
+	VPSRLVD      Y8, Y6, Y12
+	VPAND        Y2, Y12, Y12
+	VPSUBD       Y3, Y12, Y12   // digit of a
+	VPSRLVD      Y8, Y7, Y13
+	VPAND        Y2, Y13, Y13
+	VPSUBD       Y3, Y13, Y13   // digit of b
+	VCVTDQ2PD    Y12, Z16
+	VCVTDQ2PD    Y13, Z17
+	VMULPD       Z5, Z17, Z18
+	VFMSUB231PD  Z4, Z16, Z18   // re = a·cos - b·sin
+	VMULPD       Z4, Z17, Z19
+	VFNMSUB231PD Z5, Z16, Z19   // im = -a·sin - b·cos
+	VMOVUPD      Z18, (R13)
+	VMOVUPD      Z19, (R13)(DX*1)
+	ADDQ         R8, R13
+	VPSUBD       Y9, Y8, Y8
+	DECQ         R14
+	JNZ          digitsFoldLevel
+
+	ADDQ $32, SI
+	ADDQ $64, AX
+	DECQ CX
+	JNZ  digitsFoldBlock
+
+digitsFoldDone:
+	VZEROUPPER
+	RET
+
+// func avx512MulAccRows(dst, spec, key *float64, m, rows, outs int)
+//
+// dst[c] = Σ_u spec[u]·key[u·outs + c] over flat runs of polynomials with
+// m points (m a multiple of 32). Per block of 32 points (four vectors) the
+// sums of two outputs at a time, then of a last odd one, stay in registers
+// over all rows, starting from zero and running avx512MulAccPair's FMA
+// chain row by row, and are stored once. Four independent vectors per sum
+// keep the FMA chains from stalling on their latency. Registers: CX = 8m
+// (im offset; 16m = CX*2 is the next polynomial), R10 = 24m (the second
+// output's im), R11 = outs·16m (the key's row stride).
+TEXT ·avx512MulAccRows(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  spec+8(FP), SI
+	MOVQ  key+16(FP), DX
+	MOVQ  m+24(FP), CX
+	MOVQ  outs+40(FP), R11
+	MOVQ  CX, BX
+	SHRQ  $5, BX                // blocks
+	SHLQ  $3, CX                // 8m
+	LEAQ  (CX)(CX*2), R10       // 24m
+	IMULQ CX, R11
+	SHLQ  $1, R11               // outs·16m
+	TESTQ BX, BX
+	JZ    mulAccRowsDone
+
+mulAccRowsBlock:
+	MOVQ outs+40(FP), R12       // outputs left
+	MOVQ DX, R13                // key (0, c)
+	MOVQ DI, R14                // dst c
+
+mulAccRowsPair:
+	CMPQ R12, $2
+	JLT  mulAccRowsOne
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ SI, R9                 // spec u
+	MOVQ R13, AX                // key (u, c)
+	MOVQ rows+32(FP), R8
+
+mulAccRowsPairRow:
+	VMOVUPD      (R9), Z24         // spec re
+	VMOVUPD      (R9)(CX*1), Z25   // spec im
+	VMOVUPD      (AX), Z26         // key (u, c) re
+	VMOVUPD      (AX)(CX*1), Z27   // key (u, c) im
+	VMOVUPD      (AX)(CX*2), Z28   // key (u, c+1) re
+	VMOVUPD      (AX)(R10*1), Z29  // key (u, c+1) im
+	VFMADD231PD  Z26, Z24, Z0        // re_c += sr·kr
+	VFNMADD231PD Z27, Z25, Z0        // re_c -= si·ki
+	VFMADD231PD  Z27, Z24, Z4        // im_c += sr·ki
+	VFMADD231PD  Z26, Z25, Z4        // im_c += si·kr
+	VFMADD231PD  Z28, Z24, Z8
+	VFNMADD231PD Z29, Z25, Z8
+	VFMADD231PD  Z29, Z24, Z12
+	VFMADD231PD  Z28, Z25, Z12
+	VMOVUPD      64(R9), Z24         // spec re
+	VMOVUPD      64(R9)(CX*1), Z25   // spec im
+	VMOVUPD      64(AX), Z26         // key (u, c) re
+	VMOVUPD      64(AX)(CX*1), Z27   // key (u, c) im
+	VMOVUPD      64(AX)(CX*2), Z28   // key (u, c+1) re
+	VMOVUPD      64(AX)(R10*1), Z29  // key (u, c+1) im
+	VFMADD231PD  Z26, Z24, Z1        // re_c += sr·kr
+	VFNMADD231PD Z27, Z25, Z1        // re_c -= si·ki
+	VFMADD231PD  Z27, Z24, Z5        // im_c += sr·ki
+	VFMADD231PD  Z26, Z25, Z5        // im_c += si·kr
+	VFMADD231PD  Z28, Z24, Z9
+	VFNMADD231PD Z29, Z25, Z9
+	VFMADD231PD  Z29, Z24, Z13
+	VFMADD231PD  Z28, Z25, Z13
+	VMOVUPD      128(R9), Z24         // spec re
+	VMOVUPD      128(R9)(CX*1), Z25   // spec im
+	VMOVUPD      128(AX), Z26         // key (u, c) re
+	VMOVUPD      128(AX)(CX*1), Z27   // key (u, c) im
+	VMOVUPD      128(AX)(CX*2), Z28   // key (u, c+1) re
+	VMOVUPD      128(AX)(R10*1), Z29  // key (u, c+1) im
+	VFMADD231PD  Z26, Z24, Z2        // re_c += sr·kr
+	VFNMADD231PD Z27, Z25, Z2        // re_c -= si·ki
+	VFMADD231PD  Z27, Z24, Z6        // im_c += sr·ki
+	VFMADD231PD  Z26, Z25, Z6        // im_c += si·kr
+	VFMADD231PD  Z28, Z24, Z10
+	VFNMADD231PD Z29, Z25, Z10
+	VFMADD231PD  Z29, Z24, Z14
+	VFMADD231PD  Z28, Z25, Z14
+	VMOVUPD      192(R9), Z24         // spec re
+	VMOVUPD      192(R9)(CX*1), Z25   // spec im
+	VMOVUPD      192(AX), Z26         // key (u, c) re
+	VMOVUPD      192(AX)(CX*1), Z27   // key (u, c) im
+	VMOVUPD      192(AX)(CX*2), Z28   // key (u, c+1) re
+	VMOVUPD      192(AX)(R10*1), Z29  // key (u, c+1) im
+	VFMADD231PD  Z26, Z24, Z3        // re_c += sr·kr
+	VFNMADD231PD Z27, Z25, Z3        // re_c -= si·ki
+	VFMADD231PD  Z27, Z24, Z7        // im_c += sr·ki
+	VFMADD231PD  Z26, Z25, Z7        // im_c += si·kr
+	VFMADD231PD  Z28, Z24, Z11
+	VFNMADD231PD Z29, Z25, Z11
+	VFMADD231PD  Z29, Z24, Z15
+	VFMADD231PD  Z28, Z25, Z15
+	LEAQ (R9)(CX*2), R9
+	ADDQ R11, AX
+	DECQ R8
+	JNZ  mulAccRowsPairRow
+
+	VMOVUPD Z0, (R14)
+	VMOVUPD Z1, 64(R14)
+	VMOVUPD Z2, 128(R14)
+	VMOVUPD Z3, 192(R14)
+	VMOVUPD Z4, (R14)(CX*1)
+	VMOVUPD Z5, 64(R14)(CX*1)
+	VMOVUPD Z6, 128(R14)(CX*1)
+	VMOVUPD Z7, 192(R14)(CX*1)
+	VMOVUPD Z8, (R14)(CX*2)
+	VMOVUPD Z9, 64(R14)(CX*2)
+	VMOVUPD Z10, 128(R14)(CX*2)
+	VMOVUPD Z11, 192(R14)(CX*2)
+	VMOVUPD Z12, (R14)(R10*1)
+	VMOVUPD Z13, 64(R14)(R10*1)
+	VMOVUPD Z14, 128(R14)(R10*1)
+	VMOVUPD Z15, 192(R14)(R10*1)
+	LEAQ (R13)(CX*4), R13
+	LEAQ (R14)(CX*4), R14
+	SUBQ $2, R12
+	JMP  mulAccRowsPair
+
+mulAccRowsOne:
+	TESTQ R12, R12
+	JZ    mulAccRowsNext
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ  SI, R9
+	MOVQ  R13, AX
+	MOVQ  rows+32(FP), R8
+
+mulAccRowsOneRow:
+	VMOVUPD      (R9), Z24
+	VMOVUPD      (R9)(CX*1), Z25
+	VMOVUPD      (AX), Z26
+	VMOVUPD      (AX)(CX*1), Z27
+	VFMADD231PD  Z26, Z24, Z0
+	VFNMADD231PD Z27, Z25, Z0
+	VFMADD231PD  Z27, Z24, Z4
+	VFMADD231PD  Z26, Z25, Z4
+	VMOVUPD      64(R9), Z24
+	VMOVUPD      64(R9)(CX*1), Z25
+	VMOVUPD      64(AX), Z26
+	VMOVUPD      64(AX)(CX*1), Z27
+	VFMADD231PD  Z26, Z24, Z1
+	VFNMADD231PD Z27, Z25, Z1
+	VFMADD231PD  Z27, Z24, Z5
+	VFMADD231PD  Z26, Z25, Z5
+	VMOVUPD      128(R9), Z24
+	VMOVUPD      128(R9)(CX*1), Z25
+	VMOVUPD      128(AX), Z26
+	VMOVUPD      128(AX)(CX*1), Z27
+	VFMADD231PD  Z26, Z24, Z2
+	VFNMADD231PD Z27, Z25, Z2
+	VFMADD231PD  Z27, Z24, Z6
+	VFMADD231PD  Z26, Z25, Z6
+	VMOVUPD      192(R9), Z24
+	VMOVUPD      192(R9)(CX*1), Z25
+	VMOVUPD      192(AX), Z26
+	VMOVUPD      192(AX)(CX*1), Z27
+	VFMADD231PD  Z26, Z24, Z3
+	VFNMADD231PD Z27, Z25, Z3
+	VFMADD231PD  Z27, Z24, Z7
+	VFMADD231PD  Z26, Z25, Z7
+	LEAQ (R9)(CX*2), R9
+	ADDQ R11, AX
+	DECQ R8
+	JNZ  mulAccRowsOneRow
+
+	VMOVUPD Z0, (R14)
+	VMOVUPD Z1, 64(R14)
+	VMOVUPD Z2, 128(R14)
+	VMOVUPD Z3, 192(R14)
+	VMOVUPD Z4, (R14)(CX*1)
+	VMOVUPD Z5, 64(R14)(CX*1)
+	VMOVUPD Z6, 128(R14)(CX*1)
+	VMOVUPD Z7, 192(R14)(CX*1)
+
+mulAccRowsNext:
+	ADDQ $256, DI
+	ADDQ $256, SI
+	ADDQ $256, DX
+	DECQ BX
+	JNZ  mulAccRowsBlock
+
+mulAccRowsDone:
 	VZEROUPPER
 	RET

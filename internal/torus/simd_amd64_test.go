@@ -440,7 +440,14 @@ func init() {
 				p.tab.ifftVec(p.scRe, p.scIm, src.Re, src.Im, zmm)
 				p.tab.untwistAddVec(dst.Coefs, p.scRe, p.scIm, zmm)
 			},
+			mulAcc:     mulAccAVX2,
 			mulAccPair: func(f, a1, b1, a2, b2 *HalfPoly) { mulAccPairVec(f, a1, b1, a2, b2, zmm) },
+			halfDigits: func(p *Processor, dst []float64, src *TorusPoly, offset uint32, baseLog uint) {
+				p.halfDigitsVec(dst, src.Coefs, len(dst)/p.n, offset, baseLog, zmm)
+			},
+			mulAccRows: func(p *Processor, dst, spec, key []float64) {
+				mulAccRowsVec(dst, spec, key, p.tab.m, len(spec)/p.n, len(dst)/p.n, zmm)
+			},
 		}
 	}
 	avx2, avx512 := "", ""

@@ -24,6 +24,7 @@ import (
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/lwe"
 	"pytfhe/internal/tfhe/tgsw"
+	"pytfhe/internal/torus"
 )
 
 // KeyHash content-addresses a cloud key by streaming a canonical encoding
@@ -103,6 +104,10 @@ func (e keyHasher) params(p *params.GateParams) {
 	e.i64(p.KSBaseLog)
 }
 
+// bk hashes one bootstrapping-key entry as its rows of polynomials, each
+// real parts then imaginary parts: the stream the per-row layout hashed,
+// so the flat layout kept every key's hash. An entry whose flat data is no
+// whole number of polynomials hashes as -1 rows and its raw floats.
 func (e keyHasher) bk(s *tgsw.HalfSample) {
 	if s == nil {
 		e.u64(0)
@@ -112,24 +117,29 @@ func (e keyHasher) bk(s *tgsw.HalfSample) {
 	e.i64(s.K)
 	e.i64(s.Params.Levels)
 	e.i64(s.Params.BaseLog)
-	e.i64(len(s.Rows))
-	for _, row := range s.Rows {
-		e.i64(len(row))
-		for _, p := range row {
-			if p == nil {
-				e.u64(0)
-				continue
-			}
+	n := s.PolyLen()
+	if n < 0 {
+		e.i64(-1)
+		e.floats(s.Flat)
+		return
+	}
+	e.i64(s.RowCount())
+	for u := 0; u < s.RowCount(); u++ {
+		e.i64(s.K + 1)
+		for c := 0; c <= s.K; c++ {
+			p := torus.HalfAt(s.Flat, n/2, u*(s.K+1)+c)
 			e.u64(1)
-			e.i64(len(p.Re))
-			for _, v := range p.Re {
-				e.f64(v)
-			}
-			e.i64(len(p.Im))
-			for _, v := range p.Im {
-				e.f64(v)
-			}
+			e.floats(p.Re)
+			e.floats(p.Im)
 		}
+	}
+}
+
+// floats hashes a length-prefixed run of float64s.
+func (e keyHasher) floats(v []float64) {
+	e.i64(len(v))
+	for _, x := range v {
+		e.f64(x)
 	}
 }
 

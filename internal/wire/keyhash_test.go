@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"runtime"
 	"testing"
 
 	"pytfhe/internal/params"
 	"pytfhe/internal/tfhe/boot"
+	"pytfhe/internal/torus"
 	"pytfhe/internal/trand"
 )
 
@@ -100,5 +102,31 @@ func TestKeyHashNil(t *testing.T) {
 	}
 	if h1 == h2 {
 		t.Fatal("params presence not reflected in hash")
+	}
+}
+
+// TestKeyHashPinned pins the hash of one seeded Test cloud key, so a change
+// to how the key is held in memory (its bootstrapping-key layout, say) can
+// be shown to leave the hash — and so every peer's handshake — unchanged.
+// The bootstrapping key is floating point, so its bits are those of the
+// transform tier that made it: the AVX2 and AVX-512 tiers agree with each
+// other, and the portable loops on amd64, which do not contract to FMA,
+// give the second value. Other architectures may contract, so they skip.
+func TestKeyHashPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("no pinned key bits for " + runtime.GOARCH)
+	}
+	const vector = "0c7bd11c0b3107db71cb98cdcebdf96dfa425cce38dcb01c0a1b93eb40dfb230"
+	want := map[string]string{
+		"avx512": vector,
+		"avx2":   vector,
+		"go":     "95135cb70d25940a6f1688197f351c30f10c9a2e2d4eab8900901b5c968d983a",
+	}[torus.KernelTier()]
+	got, err := KeyHash(testKey(t, "keyhash-golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("KeyHash on the %s tier = %s, pinned %s", torus.KernelTier(), got, want)
 	}
 }
