@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
-	"pytfhe/internal/logic"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
 )
@@ -14,11 +11,7 @@ import (
 // kind or LUT arity is handled here for netlists, plans and cluster shards
 // alike.
 func Eval(eng *gate.Engine, op gate.Op, out, a, b, c *lwe.Sample) error {
-	if op.IsLUT() {
-		ins := [logic.MaxLUTArity]*lwe.Sample{a, b, c}
-		return eng.LUT(int(op.Arity), op.TT, out, ins[:op.Arity]...)
-	}
-	return eng.Binary(op.Kind, out, a, b)
+	return eng.Apply(op, out, a, b, c)
 }
 
 // Batcher evaluates gate.Ops on one engine, grouping up to batch
@@ -57,12 +50,9 @@ func (bt *Batcher) Pending() int { return len(bt.ops) }
 //
 //pytfhe:bootstraps
 func (bt *Batcher) Do(op gate.Op, out, a, b, c *lwe.Sample) (joined bool, err error) {
-	if op.Arity > logic.MaxLUTArity || !op.IsLUT() && op.Kind >= logic.NumKinds {
-		// Shard instructions arrive off a socket, and the engine indexes by
-		// kind and slices by arity.
-		return false, fmt.Errorf("exec: no such gate (kind %d, arity %d)", op.Kind, op.Arity)
-	}
-	if bt.batch <= 1 || !(op.IsLUT() || op.Kind.NeedsBootstrap()) {
+	if bt.batch <= 1 || !op.Bootstraps() {
+		// Malformed ops evaluate now too (shard instructions arrive off a
+		// socket): the engine refuses them with gate.ErrNoPlan.
 		return false, Eval(bt.eng, op, out, a, b, c)
 	}
 	bt.ops = append(bt.ops, op)

@@ -1,9 +1,11 @@
-// Multi-input LUT gates. A k-input LUT (k ≤ MaxLUTArity) names an
-// arbitrary boolean function by its truth table and is evaluated
-// homomorphically with a single programmable bootstrap: the k boolean
-// ciphertexts (phases ±1/8) are combined with small integer weights, so
-// the sum's phase lands on one of eight torus cells m/8, and the
-// bootstrap's test vector reads the function value off the cell.
+// Multi-input LUT gates and the one bootstrap plan every gate runs. A
+// k-input LUT (k ≤ MaxLUTArity) names an arbitrary boolean function by its
+// truth table and is evaluated homomorphically with a single programmable
+// bootstrap, just as a classic 2-input gate is: the operands (phases ±1/8)
+// are combined with a bias and small integer weights, so the sum's phase
+// lands in one of eight torus cells m/8, and the bootstrap's test vector
+// reads the function value off the cell. Plan is that recipe, and PlanOf
+// looks it up by (arity, table) for classic kinds and LUTs alike.
 //
 // Not every truth table is reachable this way. Integer-weighted sums of
 // ±1/8 stay on the 1/8 grid — eight cells, not 2^k distinct points — and
@@ -11,9 +13,9 @@
 // lut(m+4 mod 8) = −lut(m). A table is feasible exactly when some weight
 // vector c ∈ {±1,±2,±3}^k separates it: assignments that share a cell
 // must want the same output, and assignments on opposite cells (m and
-// m+4) must want opposite outputs. SolveLUT searches weight vectors in
+// m+4) must want opposite outputs. The solver searches weight vectors in
 // order of increasing Σc² (the pre-bootstrap noise amplification) and
-// returns the cheapest plan, or reports the table unreachable — AND is
+// keeps the cheapest plan, or reports the table unreachable — AND is
 // (1,1), XOR needs (2,1), majority is (1,1,1), and 3-input parity needs
 // (1,2,2); 3-input AND has no plan at all (every weight vector puts two
 // want-false assignments on antipodal cells).
@@ -29,11 +31,6 @@ import (
 // half-width of 1/16 — the same internal decryption margin the 2-input
 // gates use — which caps useful arity at three.
 const MaxLUTArity = 3
-
-// LUTMsize is the programmable-bootstrap message space LUT evaluation
-// uses: eight torus cells, of which the negacyclic half-torus convention
-// (see internal/tfhe/boot) samples the lower four.
-const LUTMsize = 8
 
 // TT is a truth table over up to MaxLUTArity inputs, one bit per input
 // assignment. The bit index is the assignment read MSB-first — for
@@ -185,21 +182,36 @@ func (t TT) IsConst(arity int) (bool, bool) {
 	return false, false
 }
 
-// LUTPlan is the single-bootstrap recipe for a feasible LUT: the
-// per-input integer weights of the linear combination and the resolved
-// test-vector cell signs (+1 encrypts true, −1 false; antiperiodic, so
-// Cells[m+4] = −Cells[m]).
-type LUTPlan struct {
-	Arity   int
-	Weights [MaxLUTArity]int32
-	Cells   [LUTMsize]int8
+// Plan is the one-bootstrap recipe of a gate, classic kind or LUT alike.
+// The bootstrap input is a noiseless bias plus the weighted operands, each
+// a ±1/8 ciphertext,
+//
+//	tmp = Bias + Σᵢ Weights[i]·xᵢ   (i < Arity),
+//
+// and the bootstrap reads the gate's value off a test vector given by its
+// lower half-torus cells: Cells[c] is +1 (true, +1/8) or −1 (false, −1/8)
+// for phases in [c/8, (c+1)/8), and the negacyclic ring reads −Cells[c] a
+// half-turn on. Every phase a plan produces lies at least 1/16 from the
+// nearest cell of the other sign: the margin the noise analysis charges.
+type Plan struct {
+	Arity   int                // operands read: 2 for a classic kind, the table's arity for a LUT
+	Bias    uint32             // torus units of 2^-32
+	Weights [MaxLUTArity]int32 // zero from Arity on
+	Cells   [PlanCells]int8
 }
+
+// PlanCells is the number of test-vector cells in a Plan: the lower half
+// of the eight-cell 1/8 grid integer-weighted sums of ±1/8 land on.
+const PlanCells = gridCells / 2
+
+// gridCells is the number of 1/8-wide phase cells on the torus.
+const gridCells = 8
 
 // WeightNormSq is Σc², the factor the input noise variance is amplified
 // by before the bootstrap refreshes it. The noise analysis divides the
 // 1/16 internal margin by the square root of this times the input
 // variance.
-func (p LUTPlan) WeightNormSq() int {
+func (p Plan) WeightNormSq() int {
 	n := 0
 	for _, c := range p.Weights {
 		n += int(c * c)
@@ -207,15 +219,47 @@ func (p LUTPlan) WeightNormSq() int {
 	return n
 }
 
+// String renders the plan for diagnostics.
+func (p Plan) String() string {
+	return fmt.Sprintf("plan%d bias %#x weights %v cells %v (Σc²=%d)", p.Arity, p.Bias, p.Weights[:p.Arity], p.Cells, p.WeightNormSq())
+}
+
+// classicPlans holds the ten bootstrapped classic kinds, as gate
+// bootstrapping in the TFHE library computes them: true sums land in
+// [0, 1/2), false ones in [1/2, 1), and the test vector is the constant
+// +1/8. Free kinds hold the zero Plan (Arity 0: no plan).
+var classicPlans = [NumKinds]Plan{
+	NAND:  classic(1, -1, -1),
+	AND:   classic(-1, 1, 1),
+	OR:    classic(1, 1, 1),
+	NOR:   classic(-1, -1, -1),
+	XOR:   classic(2, 2, 2),
+	XNOR:  classic(-2, -2, -2),
+	ANDNY: classic(-1, -1, 1),
+	ANDYN: classic(-1, 1, -1),
+	ORNY:  classic(1, -1, 1),
+	ORYN:  classic(1, 1, -1),
+}
+
+// classic is the plan eighths·1/8 + ca·a + cb·b read by the constant test
+// vector.
+func classic(eighths, ca, cb int32) Plan {
+	return Plan{Arity: 2, Bias: uint32(eighths) << 29, Weights: [MaxLUTArity]int32{ca, cb}, Cells: [PlanCells]int8{1, 1, 1, 1}}
+}
+
+// lutBias is the bias of every LUT plan: 1/16, half a cell, so a weighted
+// sum m/8 reads the middle of cell m.
+const lutBias = 1 << 28
+
 // lutWeightChoices is the per-input weight alphabet, ordered so the
 // lexicographic sweep below visits small magnitudes (and positive signs)
 // first.
 var lutWeightChoices = []int32{1, -1, 2, -2, 3, -3}
 
-// solveLUTSearch runs the exhaustive weight search for one table.
-func solveLUTSearch(arity int, tt TT) (LUTPlan, bool) {
-	tt &= TTMask(arity)
-	best := LUTPlan{}
+// solveLUT runs the exhaustive weight search for one table and returns
+// the cheapest plan, or the zero Plan when no weight vector separates it.
+func solveLUT(arity int, tt TT) Plan {
+	best := Plan{}
 	bestNorm := -1
 	var weights [MaxLUTArity]int32
 	var sweep func(i int)
@@ -230,7 +274,7 @@ func solveLUTSearch(arity int, tt TT) (LUTPlan, bool) {
 				norm += int(weights[j] * weights[j])
 			}
 			if bestNorm < 0 || norm < bestNorm {
-				best = LUTPlan{Arity: arity, Weights: weights, Cells: cells}
+				best = Plan{Arity: arity, Bias: lutBias, Weights: weights, Cells: cells}
 				bestNorm = norm
 			}
 			return
@@ -242,15 +286,16 @@ func solveLUTSearch(arity int, tt TT) (LUTPlan, bool) {
 		weights[i] = 0
 	}
 	sweep(0)
-	return best, bestNorm >= 0
+	return best
 }
 
 // lutCells checks one weight vector against the table: every assignment
 // is dropped onto its phase cell, and the induced cell signs must be
-// self-consistent and antiperiodic. Unconstrained cells are filled
-// arbitrarily (the bootstrap never lands on them).
-func lutCells(arity int, tt TT, weights [MaxLUTArity]int32) ([LUTMsize]int8, bool) {
-	var cells [LUTMsize]int8
+// self-consistent and antiperiodic. It returns the lower half; cells no
+// assignment lands on (nor on their opposite) are filled arbitrarily, as
+// the bootstrap never reads them.
+func lutCells(arity int, tt TT, weights [MaxLUTArity]int32) ([PlanCells]int8, bool) {
+	var cells [gridCells]int8
 	for v := 0; v < 1<<arity; v++ {
 		sum := int32(0)
 		for i := 0; i < arity; i++ {
@@ -260,64 +305,65 @@ func lutCells(arity int, tt TT, weights [MaxLUTArity]int32) ([LUTMsize]int8, boo
 			}
 			sum += weights[i] * s
 		}
-		cell := ((sum % LUTMsize) + LUTMsize) % LUTMsize
+		cell := ((sum % gridCells) + gridCells) % gridCells
 		want := int8(-1)
 		if tt.Eval(uint8(v)) {
 			want = 1
 		}
-		opp := (cell + LUTMsize/2) % LUTMsize
+		opp := (cell + PlanCells) % gridCells
 		if cells[cell] == -want || cells[opp] == want {
-			return cells, false
+			return [PlanCells]int8{}, false
 		}
 		cells[cell] = want
 		cells[opp] = -want
 	}
-	for m := 0; m < LUTMsize/2; m++ {
-		if cells[m] == 0 {
-			cells[m] = 1
-			cells[m+LUTMsize/2] = -1
+	var lower [PlanCells]int8
+	for m := range lower {
+		lower[m] = cells[m]
+		if lower[m] == 0 {
+			lower[m] = 1
 		}
 	}
-	return cells, true
+	return lower, true
 }
 
 // lutPlans caches the search results: 16 arity-2 and 256 arity-3 tables,
-// computed once on first use.
+// computed once on first use. An infeasible table holds the zero Plan.
 var lutPlans struct {
-	once  sync.Once
-	plan  [MaxLUTArity + 1][1 << (1 << MaxLUTArity)]LUTPlan
-	valid [MaxLUTArity + 1][1 << (1 << MaxLUTArity)]bool
+	once sync.Once
+	plan [MaxLUTArity + 1][1 << (1 << MaxLUTArity)]Plan
 }
 
 func lutSolveAll() {
 	for arity := 2; arity <= MaxLUTArity; arity++ {
 		for tt := 0; tt < 1<<(1<<arity); tt++ {
-			p, ok := solveLUTSearch(arity, TT(tt))
-			lutPlans.plan[arity][tt] = p
-			lutPlans.valid[arity][tt] = ok
+			lutPlans.plan[arity][tt] = solveLUT(arity, TT(tt))
 		}
 	}
 }
 
-// SolveLUT returns the cheapest single-bootstrap plan for the table, or
-// ok=false when no weight vector in {±1,±2,±3}^arity separates it.
-// Results are memoized; the call is a table lookup after first use.
-func SolveLUT(arity int, tt TT) (LUTPlan, bool) {
-	if arity < 2 || arity > MaxLUTArity {
-		return LUTPlan{}, false
+// PlanOf returns the bootstrap plan of a gate in the encoding the netlist
+// IR, the binary format and the gate engine share: arity 0 is a classic
+// gate whose table is its Kind nibble, arity 2..MaxLUTArity a LUT. ok is
+// false for a kind that does not bootstrap or lies outside the alphabet,
+// for any other arity, and for a table no weight vector in
+// {±1,±2,±3}^arity separates. LUT results are memoized: the call is a
+// table lookup after first use.
+func PlanOf(arity int, tt TT) (Plan, bool) {
+	var p Plan
+	switch {
+	case arity == 0 && tt < NumKinds:
+		p = classicPlans[tt]
+	case arity >= 2 && arity <= MaxLUTArity:
+		lutPlans.once.Do(lutSolveAll)
+		p = lutPlans.plan[arity][tt&TTMask(arity)]
 	}
-	lutPlans.once.Do(lutSolveAll)
-	tt &= TTMask(arity)
-	return lutPlans.plan[arity][tt], lutPlans.valid[arity][tt]
+	return p, p.Arity != 0
 }
 
-// LUTFeasible reports whether the table has a single-bootstrap plan.
+// LUTFeasible reports whether the table has a single-bootstrap plan at
+// LUT arity (2..MaxLUTArity).
 func LUTFeasible(arity int, tt TT) bool {
-	_, ok := SolveLUT(arity, tt)
-	return ok
-}
-
-// String renders the plan for diagnostics.
-func (p LUTPlan) String() string {
-	return fmt.Sprintf("lut%d weights %v (Σc²=%d)", p.Arity, p.Weights[:p.Arity], p.WeightNormSq())
+	_, ok := PlanOf(arity, tt)
+	return ok && arity != 0
 }

@@ -35,7 +35,7 @@ func TestSolveLUTKnownPlans(t *testing.T) {
 		{"XOR_SPREAD", 3, 0x7E, 3}, // (a⊕b) ∨ (a⊕c)
 	}
 	for _, c := range cases {
-		p, ok := SolveLUT(c.arity, c.tt)
+		p, ok := PlanOf(c.arity, c.tt)
 		if !ok {
 			t.Fatalf("%s: no plan found", c.name)
 		}
@@ -47,19 +47,18 @@ func TestSolveLUTKnownPlans(t *testing.T) {
 
 // TestSolveLUTCellsMatchTable replays every feasible plan through the
 // cell model: for each assignment the weighted phase sum must land on a
-// cell whose sign encodes exactly the table's output, and the cell array
-// must be antiperiodic (the negacyclic test-vector constraint).
+// cell whose sign encodes exactly the table's output, reading the upper
+// half of the torus as the negated lower half (the negacyclic test-vector
+// constraint), and the bias must put the sum mid-cell.
 func TestSolveLUTCellsMatchTable(t *testing.T) {
 	for arity := 2; arity <= MaxLUTArity; arity++ {
 		feasible := 0
 		for tt := TT(0); ; tt++ {
-			p, ok := SolveLUT(arity, tt)
+			p, ok := PlanOf(arity, tt)
 			if ok {
 				feasible++
-				for m := 0; m < LUTMsize/2; m++ {
-					if p.Cells[m] != -p.Cells[m+LUTMsize/2] {
-						t.Fatalf("arity %d tt %#x: cells not antiperiodic: %v", arity, tt, p.Cells)
-					}
+				if p.Bias != 1<<28 || p.Arity != arity {
+					t.Fatalf("arity %d tt %#x: plan %v, want arity %d and bias 1/16", arity, tt, p, arity)
 				}
 				for v := 0; v < 1<<arity; v++ {
 					sum := int32(0)
@@ -70,8 +69,11 @@ func TestSolveLUTCellsMatchTable(t *testing.T) {
 						}
 						sum += p.Weights[i] * s
 					}
-					cell := ((sum % LUTMsize) + LUTMsize) % LUTMsize
-					got := p.Cells[cell] > 0
+					cell := ((sum % 8) + 8) % 8
+					got := p.Cells[cell%PlanCells] > 0
+					if cell >= PlanCells { // the upper half reads the negated cell
+						got = !got
+					}
 					if got != tt.Eval(uint8(v)) {
 						t.Fatalf("arity %d tt %#x assignment %d: cell %d decodes %v, table says %v",
 							arity, tt, v, cell, got, tt.Eval(uint8(v)))
@@ -105,7 +107,7 @@ func TestSolveLUTInfeasible(t *testing.T) {
 		{"NAND3", 0x7F},
 		{"MUX", 0xCA}, // a ? b : c
 	} {
-		if p, ok := SolveLUT(3, c.tt); ok {
+		if p, ok := PlanOf(3, c.tt); ok {
 			t.Errorf("%s (tt %#x) unexpectedly has plan %v", c.name, c.tt, p)
 		}
 	}
@@ -118,7 +120,7 @@ func TestSolveLUTInfeasible(t *testing.T) {
 // never bootstrap anyway.)
 func TestSolveLUTEveryArity2(t *testing.T) {
 	for k := Kind(0); k < NumKinds; k++ {
-		_, ok := SolveLUT(2, TTOf(k))
+		_, ok := PlanOf(2, TTOf(k))
 		if k.IsConst() {
 			if ok {
 				t.Errorf("%v: constant table unexpectedly has a plan", k)
@@ -131,10 +133,11 @@ func TestSolveLUTEveryArity2(t *testing.T) {
 	}
 }
 
-// TestSolveLUTBounds rejects out-of-range arities.
+// TestSolveLUTBounds rejects out-of-range arities. Arity 0 names a classic
+// kind, and 0xFF lies outside the alphabet.
 func TestSolveLUTBounds(t *testing.T) {
 	for _, arity := range []int{0, 1, MaxLUTArity + 1} {
-		if _, ok := SolveLUT(arity, 0xFF); ok {
+		if _, ok := PlanOf(arity, 0xFF); ok {
 			t.Errorf("arity %d: unexpectedly solvable", arity)
 		}
 	}

@@ -71,7 +71,8 @@ func TestBootstrapBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBootstrapBatchWoKSMatchesSingle covers the no-key-switch variant.
+// TestBootstrapBatchWoKSMatchesSingle covers the no-key-switch form of the
+// batch path against single BootstrapWoKS calls.
 func TestBootstrapBatchWoKSMatchesSingle(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-batch-woks"))
 	p := params.Test()
@@ -100,7 +101,11 @@ func TestBootstrapBatchWoKSMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batch.BootstrapBatchWoKS(got, mu, src); err != nil {
+	tvs := make([]TestVector, b)
+	for m := range tvs {
+		tvs[m] = mu[m : m+1]
+	}
+	if err := batch.BootstrapMany(got, tvs, src, false); err != nil {
 		t.Fatal(err)
 	}
 	for m := 0; m < b; m++ {
@@ -116,7 +121,7 @@ func TestBootstrapBatchWoKSMatchesSingle(t *testing.T) {
 }
 
 // TestBootstrapLUTBatchMatchesSingle checks a batch of programmable members
-// against per-member BootstrapLUT, covering lower-half messages and the
+// against per-member BootstrapOne, covering lower-half messages and the
 // negacyclic upper-half wraparound.
 func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-batch-lut"))
@@ -130,11 +135,9 @@ func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 
 	const msize = 8
 	table := []int32{3, 0, 6, 5}
-	lut := func(m int) torus.Torus32 {
-		if m < len(table) {
-			return torus.ModSwitchToTorus32(table[m], msize)
-		}
-		return 0
+	tv := make(TestVector, len(table))
+	for m, v := range table {
+		tv[m] = torus.ModSwitchToTorus32(v, msize)
 	}
 
 	// One member per message slot, including upper-half (wraparound) slots.
@@ -142,18 +145,19 @@ func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 	src := make([]*lwe.Sample, b)
 	want := make([]*lwe.Sample, b)
 	got := make([]*lwe.Sample, b)
-	luts := make([]LUT, b)
+	tvs := make([]TestVector, b)
 	for m := 0; m < b; m++ {
-		luts[m] = lut
+		tvs[m] = tv
 		src[m] = lwe.NewSample(p.LWEDimension)
 		lwe.Encrypt(src[m], torus.ModSwitchToTorus32(int32(m), msize), p.LWEStdev, sk.LWE, rng)
+		src[m].B += halfSlot(msize)
 		want[m] = lwe.NewSample(p.LWEDimension)
 		got[m] = lwe.NewSample(p.LWEDimension)
-		if err := single.BootstrapLUT(want[m], lut, msize, src[m]); err != nil {
+		if err := single.BootstrapOne(want[m], tv, src[m], true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := batch.BootstrapMixedBatch(got, make([]torus.Torus32, b), luts, msize, src); err != nil {
+	if err := batch.BootstrapMany(got, tvs, src, true); err != nil {
 		t.Fatal(err)
 	}
 	for m := 0; m < b; m++ {
@@ -177,7 +181,8 @@ func TestBootstrapLUTBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBootstrapLUTBatchValidation mirrors the single-path validation.
+// TestBootstrapLUTBatchValidation mirrors the single-path validation: every
+// member's test vector has 1..N cells, and there is one per member.
 func TestBootstrapLUTBatchValidation(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-batch-lut-bad"))
 	p := params.Test()
@@ -188,16 +193,14 @@ func TestBootstrapLUTBatchValidation(t *testing.T) {
 	batch := NewBatchEvaluator(ck, 1)
 	in := []*lwe.Sample{lwe.NewSample(p.LWEDimension)}
 	out := []*lwe.Sample{lwe.NewSample(p.LWEDimension)}
-	luts := []LUT{func(m int) torus.Torus32 { return 0 }}
-	mu := []torus.Torus32{0}
-	if err := batch.BootstrapMixedBatch(out, mu, luts, 7, in); err == nil {
-		t.Fatal("odd message space accepted")
+	if err := batch.BootstrapMany(out, []TestVector{{}}, in, true); err == nil {
+		t.Fatal("empty test vector accepted")
 	}
-	if err := batch.BootstrapMixedBatch(out, mu, luts, 4*p.PolyDegree, in); err == nil {
-		t.Fatal("oversized message space accepted")
+	if err := batch.BootstrapMany(out, []TestVector{make(TestVector, p.PolyDegree+1)}, in, true); err == nil {
+		t.Fatal("oversized test vector accepted")
 	}
-	if err := batch.BootstrapMixedBatch(out, mu, nil, 8, in); err == nil {
-		t.Fatal("luts length mismatch accepted")
+	if err := batch.BootstrapMany(out, nil, in, true); err == nil {
+		t.Fatal("test vector count mismatch accepted")
 	}
 	if err := batch.BootstrapBatch(out, nil, in); err == nil {
 		t.Fatal("mu length mismatch accepted")

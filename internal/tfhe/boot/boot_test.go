@@ -86,7 +86,7 @@ func TestBootstrapChecksDimensionsUpFront(t *testing.T) {
 	eval.Profile = true
 	n, ext := p.LWEDimension, p.ExtractedLWEDimension()
 	mu := torus.Torus32(1) << 29
-	lut := func(int) torus.Torus32 { return mu }
+	tv := TestVector{mu, -mu, mu, -mu}
 	one := func(s *lwe.Sample) []*lwe.Sample { return []*lwe.Sample{s} }
 	mus := []torus.Torus32{mu}
 	cases := []struct {
@@ -96,13 +96,15 @@ func TestBootstrapChecksDimensionsUpFront(t *testing.T) {
 	}{
 		{"Bootstrap", func(d, s *lwe.Sample) error { return eval.Bootstrap(d, mu, s) }, ext},
 		{"BootstrapWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapWoKS(d, mu, s) }, n},
-		{"BootstrapLUT", func(d, s *lwe.Sample) error { return eval.BootstrapLUT(d, lut, 8, s) }, ext},
-		{"BootstrapLUTWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapLUTWoKS(d, lut, 8, s) }, n},
+		{"BootstrapOne", func(d, s *lwe.Sample) error { return eval.BootstrapOne(d, tv, s, true) }, ext},
+		{"BootstrapOne/WoKS", func(d, s *lwe.Sample) error { return eval.BootstrapOne(d, tv, s, false) }, n},
 		{"BootstrapBatch", func(d, s *lwe.Sample) error { return eval.BootstrapBatch(one(d), mus, one(s)) }, ext},
-		{"BootstrapBatchWoKS", func(d, s *lwe.Sample) error { return eval.BootstrapBatchWoKS(one(d), mus, one(s)) }, n},
-		{"BootstrapMixedBatch", func(d, s *lwe.Sample) error {
-			return eval.BootstrapMixedBatch(one(d), mus, []LUT{lut}, 8, one(s))
+		{"BootstrapMany", func(d, s *lwe.Sample) error {
+			return eval.BootstrapMany(one(d), []TestVector{tv}, one(s), true)
 		}, ext},
+		{"BootstrapMany/WoKS", func(d, s *lwe.Sample) error {
+			return eval.BootstrapMany(one(d), []TestVector{tv}, one(s), false)
+		}, n},
 	}
 	for _, tc := range cases {
 		good := n + ext - tc.dst // the right output dimension is the other one
@@ -113,11 +115,11 @@ func TestBootstrapChecksDimensionsUpFront(t *testing.T) {
 			t.Errorf("%s accepted input dimension %d", tc.name, n+1)
 		}
 	}
+	if err := eval.BootstrapOne(lwe.NewSample(n), nil, lwe.NewSample(n), true); err == nil {
+		t.Error("BootstrapOne accepted an empty test vector")
+	}
 	if eval.Prof != (Profile{}) {
 		t.Fatalf("rejected calls did kernel work: %+v", eval.Prof)
-	}
-	if err := eval.BootstrapLUT(lwe.NewSample(n), nil, 8, lwe.NewSample(n)); err == nil {
-		t.Error("BootstrapLUT accepted a nil LUT")
 	}
 }
 
@@ -135,12 +137,13 @@ func TestSingleEntryPointsAreNotBatches(t *testing.T) {
 	eval.Profile = true
 	in := lwe.NewSample(p.LWEDimension)
 	out, extr := lwe.NewSample(p.LWEDimension), lwe.NewSample(p.ExtractedLWEDimension())
-	lut := func(int) torus.Torus32 { return 1 << 29 }
+	mu := torus.Torus32(1) << 29
+	tv := TestVector{mu, mu, -mu, mu}
 	for _, err := range []error{
 		eval.Bootstrap(out, 1<<29, in),
 		eval.BootstrapWoKS(extr, 1<<29, in),
-		eval.BootstrapLUT(out, lut, 8, in),
-		eval.BootstrapLUTWoKS(extr, lut, 8, in),
+		eval.BootstrapOne(out, tv, in, true),
+		eval.BootstrapOne(extr, tv, in, false),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +210,14 @@ func TestFullParamGate(t *testing.T) {
 	}
 }
 
+// halfSlot is half of one of msize message slots: the offset that puts an
+// encrypted message m/msize in the middle of its test-vector cell, which
+// a gate plan's bias supplies for the gates.
+func halfSlot(msize int) torus.Torus32 { return torus.Torus32((uint64(1) << 32) / uint64(2*msize)) }
+
 // TestBootstrapLUT exercises programmable bootstrapping: an arbitrary
-// lookup table evaluated during the noise refresh (§II.B of the paper).
+// lookup table evaluated during the noise refresh (§II.B of the paper), as
+// a multi-valued test vector over the msize/2 lower-half cells.
 func TestBootstrapLUT(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-lut"))
 	p := params.Test()
@@ -220,18 +229,17 @@ func TestBootstrapLUT(t *testing.T) {
 
 	const msize = 8
 	table := []int32{3, 0, 6, 5} // arbitrary f over [0, msize/2)
-	lut := func(m int) torus.Torus32 {
-		if m < len(table) {
-			return torus.ModSwitchToTorus32(table[m], msize)
-		}
-		return 0
+	tv := make(TestVector, len(table))
+	for m, v := range table {
+		tv[m] = torus.ModSwitchToTorus32(v, msize)
 	}
 
 	for m := int32(0); m < msize/2; m++ {
 		in := lwe.NewSample(p.LWEDimension)
 		lwe.Encrypt(in, torus.ModSwitchToTorus32(m, msize), p.LWEStdev, sk.LWE, rng)
+		in.B += halfSlot(msize)
 		out := lwe.NewSample(p.LWEDimension)
-		if err := eval.BootstrapLUT(out, lut, msize, in); err != nil {
+		if err := eval.BootstrapOne(out, tv, in, true); err != nil {
 			t.Fatal(err)
 		}
 		got := lwe.Decrypt(out, sk.LWE, msize)
@@ -251,12 +259,14 @@ func TestBootstrapLUTNegacyclicWraparound(t *testing.T) {
 	eval := NewEvaluator(ck)
 
 	const msize = 8
-	lut := func(m int) torus.Torus32 { return torus.ModSwitchToTorus32(1, msize) }
+	one := torus.ModSwitchToTorus32(1, msize)
+	tv := TestVector{one, one, one, one}
 	// A message in the upper half decrypts to the negated table entry.
 	in := lwe.NewSample(p.LWEDimension)
 	lwe.Encrypt(in, torus.ModSwitchToTorus32(5, msize), p.LWEStdev, sk.LWE, rng)
+	in.B += halfSlot(msize)
 	out := lwe.NewSample(p.LWEDimension)
-	if err := eval.BootstrapLUT(out, lut, msize, in); err != nil {
+	if err := eval.BootstrapOne(out, tv, in, true); err != nil {
 		t.Fatal(err)
 	}
 	got := lwe.Decrypt(out, sk.LWE, msize)
@@ -265,6 +275,7 @@ func TestBootstrapLUTNegacyclicWraparound(t *testing.T) {
 	}
 }
 
+// TestBootstrapLUTValidation: a test vector has 1..N cells.
 func TestBootstrapLUTValidation(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-lut-bad"))
 	p := params.Test()
@@ -275,11 +286,13 @@ func TestBootstrapLUTValidation(t *testing.T) {
 	eval := NewEvaluator(ck)
 	in := lwe.NewSample(p.LWEDimension)
 	out := lwe.NewSample(p.LWEDimension)
-	lut := func(m int) torus.Torus32 { return 0 }
-	if err := eval.BootstrapLUT(out, lut, 7, in); err == nil {
-		t.Fatal("odd message space accepted")
+	if err := eval.BootstrapOne(out, TestVector{}, in, true); err == nil {
+		t.Fatal("empty test vector accepted")
 	}
-	if err := eval.BootstrapLUT(out, lut, 4*p.PolyDegree, in); err == nil {
-		t.Fatal("oversized message space accepted")
+	if err := eval.BootstrapOne(out, make(TestVector, p.PolyDegree+1), in, true); err == nil {
+		t.Fatal("test vector with more than N cells accepted")
+	}
+	if err := eval.BootstrapOne(out, make(TestVector, p.PolyDegree), in, true); err != nil {
+		t.Fatalf("test vector with N cells refused: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package boot
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,30 +10,27 @@ import (
 	"pytfhe/internal/torus"
 )
 
-// LUT is a programmable-bootstrap test function: the torus value the
-// bootstrap outputs for message m.
-//
-// TFHE's blind rotation evaluates an arbitrary lookup table *during* the
-// noise refresh (the property the paper's §II.B highlights). The test
-// vector is programmed so that coefficient 0 of the rotated accumulator is
-// lut(m) when the input phase encodes message m. Because the ring is
-// negacyclic (X^N = -1), a test vector can only represent a function over
-// half the torus directly: inputs must encode messages in [0, msize/2), or
-// the function must satisfy the antiperiodic condition
-// f(m + msize/2) = -f(m). The LUT entry points implement the half-torus
-// convention: messages in the upper half decrypt to -lut(m - msize/2).
-type LUT = func(m int) torus.Torus32
+// TestVector is a bootstrap's test vector, given by its cells over the
+// lower half of the torus: with c cells, a phase in [i/2c, (i+1)/2c) reads
+// tv[i] — coefficient j of the ring test polynomial holds tv[⌊j·c/N⌋] — and,
+// the ring being negacyclic (X^N = −1), a phase half a turn further reads
+// −tv[i]. One cell is the constant test vector of gate bootstrapping: +mu
+// on the lower half-torus, −mu on the upper. Programmable bootstrapping
+// (the property the paper's §II.B highlights: a lookup table evaluated
+// during the noise refresh) is any other vector; the caller places its
+// messages mid-cell, as a gate plan's bias does. 1 ≤ c ≤ N.
+type TestVector []torus.Torus32
 
 // Evaluator performs bootstrapping with preallocated scratch space. Every
-// entry point — single or batched, constant test vector or programmable,
-// with or without the final key switch — runs the same pipeline: program
-// one accumulator per member, blind-rotate them all in one
-// structure-of-arrays loop (key index outermost, so each bootstrapping-key
-// entry is loaded once and applied to every member before advancing),
-// extract every member, and optionally key-switch the whole batch in one
-// pass over the switching key (row group outermost, for the same reason).
-// A single bootstrap is the batch of one, so per-member results never
-// depend on how members were grouped.
+// entry point — single or batched, with or without the final key switch —
+// runs the same pipeline: program one accumulator per member with its
+// test vector, blind-rotate them all in one structure-of-arrays loop (key
+// index outermost, so each bootstrapping-key entry is loaded once and
+// applied to every member before advancing), extract every member, and
+// optionally key-switch the whole batch in one pass over the switching key
+// (row group outermost, for the same reason). A single bootstrap is the
+// batch of one, so per-member results never depend on how members were
+// grouped.
 //
 // An Evaluator is not safe for concurrent use; create one per worker
 // goroutine (they can share the same CloudKey, which is immutable after
@@ -54,11 +50,12 @@ type Evaluator struct {
 	sel      []int
 	selAccs  []*tlwe.Sample
 
-	// One-member argument slices for the single-gate entry points (one), so
-	// they reach the shared pipeline without allocating.
+	// Argument scratch, so the single-member and constant-vector entry
+	// points reach the shared pipeline without allocating.
 	dst1, src1 [1]*lwe.Sample
+	tv1        [1]TestVector
 	mu1        [1]torus.Torus32
-	lut1       [1]LUT
+	mus        []TestVector // BootstrapBatch's one-cell vectors
 }
 
 // NewEvaluator returns an evaluator bound to ck.
@@ -104,11 +101,10 @@ func modSwitch2N(phase torus.Torus32, twoN int) int {
 
 // check validates a call before any rotation runs: slice lengths agree,
 // every input has the gate-key dimension, every output the dimension the
-// requested form lives under, and — when any member is programmable — the
-// message space fits the ring.
-func (e *Evaluator) check(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msize int, src []*lwe.Sample, keySwitch bool) error {
-	if len(dst) != len(src) || len(mu) != len(src) {
-		return fmt.Errorf("boot: batch length mismatch: dst=%d mu=%d src=%d", len(dst), len(mu), len(src))
+// requested form lives under, and every test vector has 1..N cells.
+func (e *Evaluator) check(dst []*lwe.Sample, tvs []TestVector, src []*lwe.Sample, keySwitch bool) error {
+	if len(dst) != len(src) || len(tvs) != len(src) {
+		return fmt.Errorf("boot: batch length mismatch: dst=%d tv=%d src=%d", len(dst), len(tvs), len(src))
 	}
 	p := e.CK.Params
 	outDim := p.ExtractedLWEDimension()
@@ -122,24 +118,17 @@ func (e *Evaluator) check(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msi
 		if dst[m].Dimension() != outDim {
 			return fmt.Errorf("boot: batch member %d: output dimension %d, want %d", m, dst[m].Dimension(), outDim)
 		}
-	}
-	if luts != nil {
-		if msize <= 0 || msize%2 != 0 {
-			return fmt.Errorf("boot: LUT message space must be a positive even number, got %d", msize)
-		}
-		if msize > 2*p.PolyDegree {
-			return fmt.Errorf("boot: LUT message space %d exceeds 2N = %d", msize, 2*p.PolyDegree)
+		if c := len(tvs[m]); c < 1 || c > p.PolyDegree {
+			return fmt.Errorf("boot: batch member %d: test vector has %d cells, want 1..%d", m, c, p.PolyDegree)
 		}
 	}
 	return nil
 }
 
-// bootstrap is the pipeline behind every entry point. Member m is a classic
-// gate bootstrap with the constant test vector mu[m] when luts is nil or
-// luts[m] is nil, and a programmable bootstrap of luts[m] over msize
-// message slots otherwise.
-func (e *Evaluator) bootstrap(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msize int, src []*lwe.Sample, keySwitch bool) error {
-	if err := e.check(dst, mu, luts, msize, src, keySwitch); err != nil {
+// bootstrap is the pipeline behind every entry point: member m bootstraps
+// src[m] with the test vector tvs[m].
+func (e *Evaluator) bootstrap(dst []*lwe.Sample, tvs []TestVector, src []*lwe.Sample, keySwitch bool) error {
+	if err := e.check(dst, tvs, src, keySwitch); err != nil {
 		return err
 	}
 	b := len(src)
@@ -151,7 +140,7 @@ func (e *Evaluator) bootstrap(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT,
 	if e.Profile {
 		start = time.Now()
 	}
-	e.program(mu, luts, msize, src)
+	e.program(tvs, src)
 	e.blindRotate(src)
 	if e.Profile {
 		now := time.Now()
@@ -184,26 +173,22 @@ func (e *Evaluator) bootstrap(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT,
 }
 
 // program initializes accumulator m with member m's test vector rotated by
-// its mod-switched body. For a programmable member the input phase is
-// offset by half a slot so message v occupies ring positions
-// [v·2N/msize, (v+1)·2N/msize) — this keeps v = 0 robust against negative
-// noise — and coefficient j then holds lut(floor(j·msize/2N)).
-func (e *Evaluator) program(mu []torus.Torus32, luts []LUT, msize int, src []*lwe.Sample) {
+// its mod-switched body.
+func (e *Evaluator) program(tvs []TestVector, src []*lwe.Sample) {
 	n := e.CK.Params.PolyDegree
 	twoN := 2 * n
+	coefs := e.testvect.Coefs
 	for m, s := range src {
-		body := s.B
-		if luts == nil || luts[m] == nil {
-			for j := range e.testvect.Coefs {
-				e.testvect.Coefs[j] = mu[m]
+		tv := tvs[m]
+		c := len(tv)
+		for i, v := range tv {
+			// Cell i holds the coefficients j with ⌊j·c/N⌋ = i.
+			lo, hi := (i*n+c-1)/c, ((i+1)*n+c-1)/c
+			for j := lo; j < hi; j++ {
+				coefs[j] = v
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				e.testvect.Coefs[j] = luts[m](j * msize / twoN)
-			}
-			body += torus.Torus32((uint64(1) << 32) / uint64(2*msize))
 		}
-		if barb := modSwitch2N(body, twoN); barb != 0 {
+		if barb := modSwitch2N(s.B, twoN); barb != 0 {
 			e.rotated.MulByXai(twoN-barb, e.testvect)
 		} else {
 			e.rotated.Copy(e.testvect)
@@ -238,9 +223,22 @@ func (e *Evaluator) blindRotate(src []*lwe.Sample) {
 	}
 }
 
-// batch runs a batch entry point and records it as one batched dispatch.
-func (e *Evaluator) batch(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msize int, src []*lwe.Sample, keySwitch bool) error {
-	err := e.bootstrap(dst, mu, luts, msize, src, keySwitch)
+// BootstrapOne bootstraps src with the test vector tv: blind rotation,
+// extraction and, when keySwitch is set, the key switch back to the
+// n-dimensional gate key. dst has dimension n with the key switch and N·k
+// (the extracted key) without it. It runs as the batch of one but does not
+// count as a batched dispatch.
+func (e *Evaluator) BootstrapOne(dst *lwe.Sample, tv TestVector, src *lwe.Sample, keySwitch bool) error {
+	e.dst1[0], e.tv1[0], e.src1[0] = dst, tv, src
+	return e.bootstrap(e.dst1[:], e.tv1[:], e.src1[:], keySwitch)
+}
+
+// BootstrapMany bootstraps src[m] with tvs[m] for every member in one
+// pass, as BootstrapOne does one, and records the call as one batched
+// dispatch. Each member's output is bit-exact with BootstrapOne on the
+// same input.
+func (e *Evaluator) BootstrapMany(dst []*lwe.Sample, tvs []TestVector, src []*lwe.Sample, keySwitch bool) error {
+	err := e.bootstrap(dst, tvs, src, keySwitch)
 	if err == nil && e.Profile && len(src) > 0 {
 		e.Prof.Batches++
 		e.Prof.BatchedGates += int64(len(src))
@@ -248,75 +246,31 @@ func (e *Evaluator) batch(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msi
 	return err
 }
 
-// one runs a single-gate entry point as the batch of one.
-func (e *Evaluator) one(dst *lwe.Sample, mu torus.Torus32, lut LUT, msize int, src *lwe.Sample, keySwitch bool) error {
-	e.dst1[0], e.mu1[0], e.lut1[0], e.src1[0] = dst, mu, lut, src
-	var luts []LUT
-	if lut != nil {
-		luts = e.lut1[:]
-	}
-	return e.bootstrap(e.dst1[:], e.mu1[:], luts, msize, e.src1[:], keySwitch)
-}
-
-// Bootstrap performs the full gate bootstrap: blind rotation with the
-// constant test vector mu, extraction, and key switch back to the
-// n-dimensional gate key. dst decrypts to +mu when the phase of src lies in
-// [0, 1/2) and to -mu otherwise.
+// Bootstrap is BootstrapOne with the constant test vector mu, key-switched:
+// dst decrypts to +mu when the phase of src lies in [0, 1/2) and to -mu
+// otherwise.
 func (e *Evaluator) Bootstrap(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) error {
-	return e.one(dst, mu, nil, 0, src, true)
+	e.mu1[0] = mu
+	return e.BootstrapOne(dst, e.mu1[:], src, true)
 }
 
 // BootstrapWoKS is Bootstrap without the final key switch: the result lives
 // under the extracted key, so dst must have dimension N·k.
 func (e *Evaluator) BootstrapWoKS(dst *lwe.Sample, mu torus.Torus32, src *lwe.Sample) error {
-	return e.one(dst, mu, nil, 0, src, false)
+	e.mu1[0] = mu
+	return e.BootstrapOne(dst, e.mu1[:], src, false)
 }
 
-// BootstrapLUT evaluates dst = Enc(lut(m)) for an input encrypting message
-// m in a space of msize slots (phase m/msize). msize must be even, at most
-// 2N, and the encrypted message must lie in [0, msize/2) (see LUT). The
-// output is key-switched to the gate key like a normal gate bootstrap.
-func (e *Evaluator) BootstrapLUT(dst *lwe.Sample, lut LUT, msize int, src *lwe.Sample) error {
-	if lut == nil {
-		return errNilLUT
-	}
-	return e.one(dst, 0, lut, msize, src, true)
-}
-
-// BootstrapLUTWoKS is BootstrapLUT without the final key switch: the
-// result lives under the extracted (N·k-dimensional) key.
-func (e *Evaluator) BootstrapLUTWoKS(dst *lwe.Sample, lut LUT, msize int, src *lwe.Sample) error {
-	if lut == nil {
-		return errNilLUT
-	}
-	return e.one(dst, 0, lut, msize, src, false)
-}
-
-var errNilLUT = errors.New("boot: programmable bootstrap with a nil LUT")
-
-// BootstrapBatch performs full gate bootstraps of the whole batch with
-// constant test vectors mu[m]. Each member's output is bit-exact with
-// Bootstrap on the same input.
+// BootstrapBatch is BootstrapMany with the constant test vectors mu[m],
+// key-switched. Each member's output is bit-exact with Bootstrap on the
+// same input.
 func (e *Evaluator) BootstrapBatch(dst []*lwe.Sample, mu []torus.Torus32, src []*lwe.Sample) error {
-	return e.batch(dst, mu, nil, 0, src, true)
-}
-
-// BootstrapBatchWoKS is BootstrapBatch without the key switch: every dst[m]
-// must have dimension N·k.
-func (e *Evaluator) BootstrapBatchWoKS(dst []*lwe.Sample, mu []torus.Torus32, src []*lwe.Sample) error {
-	return e.batch(dst, mu, nil, 0, src, false)
-}
-
-// BootstrapMixedBatch bootstraps a batch mixing classic gate bootstraps and
-// programmable members in one blind rotation: members with luts[m] == nil
-// use the constant test vector mu[m] (bit-exact with Bootstrap), members
-// with luts[m] != nil are programmed from their own test function over the
-// msize message space (bit-exact with BootstrapLUT). The per-member
-// accumulator initialization is the only divergence; the expensive
-// key-streaming rotation is shared.
-func (e *Evaluator) BootstrapMixedBatch(dst []*lwe.Sample, mu []torus.Torus32, luts []LUT, msize int, src []*lwe.Sample) error {
-	if len(luts) != len(src) {
-		return fmt.Errorf("boot: mixed batch length mismatch: luts=%d src=%d", len(luts), len(src))
+	if len(mu) != len(src) {
+		return fmt.Errorf("boot: batch length mismatch: mu=%d src=%d", len(mu), len(src))
 	}
-	return e.batch(dst, mu, luts, msize, src, true)
+	e.mus = e.mus[:0]
+	for m := range mu {
+		e.mus = append(e.mus, mu[m:m+1])
+	}
+	return e.BootstrapMany(dst, e.mus, src, true)
 }

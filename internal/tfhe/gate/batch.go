@@ -24,18 +24,11 @@ func (e *Engine) BinaryBatch(kinds []logic.Kind, dst, a, b []*Ciphertext) error 
 		return fmt.Errorf("gate: batch length mismatch: kinds=%d dst=%d a=%d b=%d",
 			n, len(dst), len(a), len(b))
 	}
-	if n == 0 {
-		return nil
-	}
 	e.growBatch(n)
 	for m, kind := range kinds {
-		if !kind.NeedsBootstrap() {
-			return fmt.Errorf("gate: batch member %d: %v does not bootstrap", m, kind)
+		if err := e.prepare(m, Op{Kind: kind}, a[m], b[m], nil); err != nil {
+			return fmt.Errorf("gate: batch member %d: %w", m, err)
 		}
-		pl := plans[kind]
-		e.btmp[m].NoiselessTrivial(pl.bias)
-		e.btmp[m].AddMulTo(pl.ca, a[m])
-		e.btmp[m].AddMulTo(pl.cb, b[m])
 	}
-	return e.Eval.BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
+	return e.Eval.BootstrapMany(dst, e.btv[:n], e.btmp[:n], true)
 }

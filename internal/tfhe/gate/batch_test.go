@@ -1,6 +1,8 @@
 package gate
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"pytfhe/internal/logic"
@@ -124,7 +126,7 @@ type aliasMember struct {
 
 // checkAliasedBatch runs one batch whose outputs alias operands through the
 // sample table and requires every member to be bit-exact with a single
-// Binary/LUT call on copies of the original operands.
+// Apply call on copies of the original operands.
 func checkAliasedBatch(t *testing.T, ms []aliasMember, batch func(e *Engine, ops []Op, dst, a, b, c []*Ciphertext) error) {
 	t.Helper()
 	sk, ck := keys(t)
@@ -143,14 +145,7 @@ func checkAliasedBatch(t *testing.T, ms []aliasMember, batch func(e *Engine, ops
 	dst, a, b, c := make([]*Ciphertext, n), make([]*Ciphertext, n), make([]*Ciphertext, n), make([]*Ciphertext, n)
 	for m, mb := range ms {
 		ops[m], want[m] = mb.op, NewCiphertext(sk.Params)
-		var err error
-		if mb.op.IsLUT() {
-			ins := []*Ciphertext{orig[mb.a], orig[mb.b], orig[mb.c]}
-			err = single.LUT(int(mb.op.Arity), mb.op.TT, want[m], ins[:mb.op.Arity]...)
-		} else {
-			err = single.Binary(mb.op.Kind, want[m], orig[mb.a], orig[mb.b])
-		}
-		if err != nil {
+		if err := single.Apply(mb.op, want[m], orig[mb.a], orig[mb.b], orig[mb.c]); err != nil {
 			t.Fatal(err)
 		}
 		dst[m], a[m], b[m] = vals[m], vals[mb.a], vals[mb.b]
@@ -196,4 +191,40 @@ func TestBatchOutputsMayAliasOperands(t *testing.T) {
 			return e.BinaryBatch(kinds, dst, a, b)
 		})
 	})
+}
+
+// TestNoPlanIsTypedError: an op with no bootstrap plan — a kind outside
+// the 4-bit alphabet, a LUT arity outside 2..3, a table no weight vector
+// separates — is refused with ErrNoPlan by every entry point, before any
+// kernel work, and never indexes out of range.
+func TestNoPlanIsTypedError(t *testing.T) {
+	sk, ck := keys(t)
+	e := NewEngine(ck)
+	e.Eval.Profile = true
+	ins := make([]*Ciphertext, 4)
+	for i := range ins {
+		ins[i] = NewCiphertext(sk.Params)
+	}
+	one := ins[:1]
+	calls := map[string]func() error{}
+	for _, kind := range []logic.Kind{16, 200} {
+		calls[fmt.Sprintf("Binary/kind-%d", kind)] = func() error { return e.Binary(kind, ins[0], ins[1], ins[2]) }
+		calls[fmt.Sprintf("BinaryBatch/kind-%d", kind)] = func() error { return e.BinaryBatch([]logic.Kind{kind}, one, one, one) }
+		calls[fmt.Sprintf("OpBatch/kind-%d", kind)] = func() error { return e.OpBatch([]Op{{Kind: kind}}, one, one, one, one) }
+	}
+	for _, arity := range []int{1, 4} {
+		calls[fmt.Sprintf("LUT/arity-%d", arity)] = func() error { return e.LUT(arity, 0x6, ins[0], ins[:arity]...) }
+		calls[fmt.Sprintf("OpBatch/arity-%d", arity)] = func() error {
+			return e.OpBatch([]Op{{TT: 0x6, Arity: uint8(arity)}}, one, one, one, one)
+		}
+	}
+	calls["LUT/AND3"] = func() error { return e.LUT(3, 0x80, ins[0], ins[:3]...) }
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrNoPlan) {
+			t.Errorf("%s: err = %v, want ErrNoPlan", name, err)
+		}
+	}
+	if e.Eval.Prof != (boot.Profile{}) {
+		t.Fatalf("refused ops did kernel work: %+v", e.Eval.Prof)
+	}
 }

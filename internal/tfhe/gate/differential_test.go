@@ -119,25 +119,17 @@ func (o *oracle) modSwitch(phase torus.Torus32) int {
 	return int((uint64(phase)*uint64(twoN)+(1<<31))>>32) & (twoN - 1)
 }
 
-// bootstrap is the reference programmable bootstrap without key switch: a
-// constant test vector mu when lut is nil, the LUT's test vector with its
-// half-slot body offset otherwise.
-func (o *oracle) bootstrap(mu torus.Torus32, lut boot.LUT, msize int, src *lwe.Sample) *lwe.Sample {
+// bootstrap is the reference bootstrap without key switch: the test
+// vector holds tv's lower-half cells, coefficient j being tv[j·len(tv)/N].
+func (o *oracle) bootstrap(tv []torus.Torus32, src *lwe.Sample) *lwe.Sample {
 	n, k := o.p.PolyDegree, o.p.RingCount
 	gp := o.bk[0].Params
 	testvect := torus.NewTorusPoly(n)
-	body := src.B
 	for j := range testvect.Coefs {
-		testvect.Coefs[j] = mu
-		if lut != nil {
-			testvect.Coefs[j] = lut(j * msize / (2 * n))
-		}
-	}
-	if lut != nil {
-		body += torus.Torus32((uint64(1) << 32) / uint64(2*msize))
+		testvect.Coefs[j] = tv[j*len(tv)/n]
 	}
 	rotated := torus.NewTorusPoly(n)
-	rotated.MulByXai(2*n-o.modSwitch(body), testvect)
+	rotated.MulByXai(2*n-o.modSwitch(src.B), testvect)
 	acc := tlwe.NewSample(n, k)
 	acc.NoiselessTrivial(rotated)
 
@@ -206,26 +198,24 @@ func requireSameSwitchKey(t *testing.T, ks *lwe.SwitchKey, o *rowSwitchKey) {
 	}
 }
 
-// op is the reference of one bootstrapped engine operation.
+// op is the reference of one bootstrapped engine operation, on the plan
+// logic.PlanOf gives it.
 func (o *oracle) op(t *testing.T, op Op, ins ...*Ciphertext) *Ciphertext {
 	t.Helper()
-	tmp := lwe.NewSample(o.p.LWEDimension)
-	if !op.IsLUT() {
-		pl := plans[op.Kind]
-		tmp.NoiselessTrivial(pl.bias)
-		tmp.AddMulTo(pl.ca, ins[0])
-		tmp.AddMulTo(pl.cb, ins[1])
-		return o.keySwitch(t, o.bootstrap(mu18, nil, 0, tmp))
-	}
-	plan, ok := logic.SolveLUT(int(op.Arity), op.TT)
+	pl, ok := logic.PlanOf(int(op.Arity), op.table())
 	if !ok {
-		t.Fatalf("table %#x has no plan at arity %d", op.TT, op.Arity)
+		t.Fatalf("%+v has no plan", op)
 	}
-	tmp.NoiselessTrivial(0)
-	for i := 0; i < int(op.Arity); i++ {
-		tmp.AddMulTo(plan.Weights[i], ins[i])
+	tmp := lwe.NewSample(o.p.LWEDimension)
+	tmp.NoiselessTrivial(pl.Bias)
+	for i := 0; i < pl.Arity; i++ {
+		tmp.AddMulTo(pl.Weights[i], ins[i])
 	}
-	return o.keySwitch(t, o.bootstrap(0, lutTestVector(plan), logic.LUTMsize, tmp))
+	tv := make([]torus.Torus32, len(pl.Cells))
+	for i, c := range pl.Cells {
+		tv[i] = torus.Torus32(int32(c)) * mu18
+	}
+	return o.keySwitch(t, o.bootstrap(tv, tmp))
 }
 
 // mux is the reference of Engine.Mux.
@@ -235,11 +225,11 @@ func (o *oracle) mux(t *testing.T, sel, a, b *Ciphertext) *Ciphertext {
 	tmp.NoiselessTrivial(-mu18)
 	tmp.AddMulTo(1, sel)
 	tmp.AddMulTo(1, a)
-	u1 := o.bootstrap(mu18, nil, 0, tmp)
+	u1 := o.bootstrap([]torus.Torus32{mu18}, tmp)
 	tmp.NoiselessTrivial(-mu18)
 	tmp.AddMulTo(-1, sel)
 	tmp.AddMulTo(1, b)
-	u2 := o.bootstrap(mu18, nil, 0, tmp)
+	u2 := o.bootstrap([]torus.Torus32{mu18}, tmp)
 	sum := lwe.NewSample(o.p.ExtractedLWEDimension())
 	sum.NoiselessTrivial(mu18)
 	sum.AddTo(u1)
@@ -281,16 +271,22 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 
 	// 16 members with uniformly random masks and bodies — rotations no gate
 	// input would produce included — and per-member test-vector amplitudes.
-	// Odd members are programmable in the mixed batches.
+	// Odd members are programmable in the mixed batches: a four-cell test
+	// vector read at their input shifted by half a cell.
 	const members = 16
 	const msize = 8
-	lut := func(m int) torus.Torus32 { return torus.ModSwitchToTorus32(int32(3*m+1), msize) }
+	lut := make(boot.TestVector, msize/2)
+	for m := range lut {
+		lut[m] = torus.ModSwitchToTorus32(int32(3*m+1), msize)
+	}
 	src := make([]*lwe.Sample, members)
 	mu := make([]torus.Torus32, members)
-	luts := make([]boot.LUT, members)
-	wantWoKS := make([]*lwe.Sample, members)  // constant test vector, extracted key
-	wantKS := make([]*lwe.Sample, members)    // … key-switched
-	wantMixed := make([]*lwe.Sample, members) // LUT on odd members, key-switched
+	consts := make([]boot.TestVector, members) // mu[m] as a one-cell vector
+	mixed := make([]boot.TestVector, members)  // lut on odd members
+	mixedSrc := make([]*lwe.Sample, members)   // … read half a cell on
+	wantWoKS := make([]*lwe.Sample, members)   // constant test vector, extracted key
+	wantKS := make([]*lwe.Sample, members)     // … key-switched
+	wantMixed := make([]*lwe.Sample, members)  // lut on odd members, key-switched
 	for m := range src {
 		src[m] = lwe.NewSample(n)
 		for i := range src[m].A {
@@ -298,12 +294,16 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 		}
 		src[m].B = rng.Torus32()
 		mu[m] = rng.Torus32()
-		wantWoKS[m] = o.bootstrap(mu[m], nil, 0, src[m])
+		consts[m] = mu[m : m+1]
+		wantWoKS[m] = o.bootstrap(consts[m], src[m])
 		wantKS[m] = o.keySwitch(t, wantWoKS[m])
-		wantMixed[m] = wantKS[m]
+		mixed[m], mixedSrc[m], wantMixed[m] = consts[m], src[m], wantKS[m]
 		if m%2 == 1 {
-			luts[m] = lut
-			wantMixed[m] = o.keySwitch(t, o.bootstrap(0, lut, msize, src[m]))
+			mixed[m] = lut
+			mixedSrc[m] = lwe.NewSample(n)
+			mixedSrc[m].Copy(src[m])
+			mixedSrc[m].B += 1 << 28 // 1/16, half of a 1/8 cell
+			wantMixed[m] = o.keySwitch(t, o.bootstrap(lut, mixedSrc[m]))
 		}
 	}
 	fresh := func(dim, count int) []*lwe.Sample {
@@ -324,14 +324,14 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSame(t, "BootstrapWoKS", gotExt, wantWoKS[0])
-		if err := ev.BootstrapLUT(got, lut, msize, src[1]); err != nil {
+		if err := ev.BootstrapOne(got, lut, mixedSrc[1], true); err != nil {
 			t.Fatal(err)
 		}
-		requireSame(t, "BootstrapLUT", got, wantMixed[1])
-		if err := ev.BootstrapLUTWoKS(gotExt, lut, msize, src[1]); err != nil {
+		requireSame(t, "BootstrapOne", got, wantMixed[1])
+		if err := ev.BootstrapOne(gotExt, lut, mixedSrc[1], false); err != nil {
 			t.Fatal(err)
 		}
-		requireSame(t, "BootstrapLUTWoKS", o.keySwitch(t, gotExt), wantMixed[1])
+		requireSame(t, "BootstrapOne without key switch", o.keySwitch(t, gotExt), wantMixed[1])
 	})
 	for _, b := range []int{1, 3, members} {
 		t.Run(fmt.Sprintf("Evaluator/batch-%d", b), func(t *testing.T) {
@@ -343,17 +343,17 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 				requireSame(t, fmt.Sprintf("BootstrapBatch member %d", m), got[m], wantKS[m])
 			}
 			gotExt := fresh(ext, b)
-			if err := ev.BootstrapBatchWoKS(gotExt, mu[:b], src[:b]); err != nil {
+			if err := ev.BootstrapMany(gotExt, consts[:b], src[:b], false); err != nil {
 				t.Fatal(err)
 			}
 			for m := range gotExt {
-				requireSame(t, fmt.Sprintf("BootstrapBatchWoKS member %d", m), gotExt[m], wantWoKS[m])
+				requireSame(t, fmt.Sprintf("BootstrapMany without key switch, member %d", m), gotExt[m], wantWoKS[m])
 			}
-			if err := ev.BootstrapMixedBatch(got, mu[:b], luts[:b], msize, src[:b]); err != nil {
+			if err := ev.BootstrapMany(got, mixed[:b], mixedSrc[:b], true); err != nil {
 				t.Fatal(err)
 			}
 			for m := range got {
-				requireSame(t, fmt.Sprintf("BootstrapMixedBatch member %d", m), got[m], wantMixed[m])
+				requireSame(t, fmt.Sprintf("BootstrapMany mixed member %d", m), got[m], wantMixed[m])
 			}
 		})
 	}
@@ -386,8 +386,12 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 	t.Run("Engine/single", func(t *testing.T) {
 		got := NewCiphertext(p)
 		for m, op := range ops {
+			if err := eng.Apply(op, got, as[m], bs[m], cs[m]); err != nil {
+				t.Fatal(err)
+			}
+			requireSame(t, fmt.Sprintf("Apply member %d (%+v)", m, op), got, want[m])
 			var err error
-			if op.IsLUT() {
+			if op.Arity != 0 {
 				err = eng.LUT(int(op.Arity), op.TT, got, []*Ciphertext{as[m], bs[m], cs[m]}[:op.Arity]...)
 			} else {
 				err = eng.Binary(op.Kind, got, as[m], bs[m])

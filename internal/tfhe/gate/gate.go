@@ -1,14 +1,18 @@
 // Package gate provides the bootstrapped-gate API of PyTFHE: encryption and
 // decryption of single bits, and homomorphic evaluation of every gate kind
-// in the logic alphabet. Ten two-input gates (AND, NAND, OR, NOR, XOR,
-// XNOR, ANDNY, ANDYN, ORNY, ORYN) cost one bootstrap each; NOT, COPY and
-// the constants are linear and essentially free; MUX costs two bootstraps
-// and one key switch, exactly as in the reference TFHE library.
+// in the logic alphabet and of multi-input LUTs. Every bootstrapped
+// operation runs one path: its logic.Plan forms bias + Σ wᵢ·xᵢ from the
+// operands, and one bootstrap reads the result off the plan's test vector.
+// The ten two-input gates (AND, NAND, OR, NOR, XOR, XNOR, ANDNY, ANDYN,
+// ORNY, ORYN) and each feasible LUT cost one bootstrap; NOT, COPY and the
+// constants are linear and essentially free; MUX costs two bootstraps and
+// one key switch, exactly as in the reference TFHE library.
 //
 //pytfhe:cryptoroot
 package gate
 
 import (
+	"errors"
 	"fmt"
 
 	"pytfhe/internal/logic"
@@ -55,6 +59,12 @@ func Trivial(dst *Ciphertext, bit bool) {
 	dst.NoiselessTrivial(mu)
 }
 
+// ErrNoPlan marks an operation with no one-bootstrap plan: a gate kind
+// outside the alphabet, a free kind where a bootstrap is due (a batch
+// member), a LUT arity out of range, or a table no weight vector
+// separates (logic.PlanOf).
+var ErrNoPlan = errors.New("gate: no bootstrap plan")
+
 // Engine evaluates homomorphic gates. It owns per-worker scratch and is not
 // safe for concurrent use; construct one Engine per goroutine over a shared
 // CloudKey.
@@ -62,28 +72,28 @@ type Engine struct {
 	Eval *boot.Evaluator
 
 	p    *params.GateParams
-	tmp  *lwe.Sample // gate linear combination, dimension n
 	u1   *lwe.Sample // MUX intermediate, extracted dimension
 	u2   *lwe.Sample
 	musm *lwe.Sample // MUX sum before final key switch
 
-	// Batched path (BinaryBatch/OpBatch) scratch, grown on first use.
-	btmp  []*lwe.Sample   // per-member linear combinations
-	bmu   []torus.Torus32 // per-member bootstrap targets (always 1/8)
-	bluts []boot.LUT      // per-member LUT programs (nil = classic gate)
+	// Per-member bootstrap inputs and test vectors, grown on first use;
+	// single operations use member 0.
+	btmp []*lwe.Sample
+	btv  []boot.TestVector
 }
 
 // NewEngine returns a gate engine bound to ck.
 func NewEngine(ck *boot.CloudKey) *Engine {
 	ext := ck.Params.ExtractedLWEDimension()
-	return &Engine{
+	e := &Engine{
 		Eval: boot.NewEvaluator(ck),
 		p:    ck.Params,
-		tmp:  lwe.NewSample(ck.Params.LWEDimension),
 		u1:   lwe.NewSample(ext),
 		u2:   lwe.NewSample(ext),
 		musm: lwe.NewSample(ext),
 	}
+	e.growBatch(1)
+	return e
 }
 
 // Params returns the engine's parameter set.
@@ -94,80 +104,88 @@ func (e *Engine) Params() *params.GateParams { return e.p }
 // profiling is enabled on the evaluator).
 func (e *Engine) BootstrapCount() int64 { return e.Eval.Prof.Gates }
 
-// gatePlan describes the linear combination feeding the bootstrap for one
-// two-input gate: tmp = bias + ca*a + cb*b, followed by bootstrap(1/8).
-type gatePlan struct {
-	bias   torus.Torus32
-	ca, cb int32
+// growBatch sizes the per-member scratch.
+func (e *Engine) growBatch(n int) {
+	for len(e.btmp) < n {
+		e.btmp = append(e.btmp, lwe.NewSample(e.p.LWEDimension))
+		e.btv = append(e.btv, make(boot.TestVector, logic.PlanCells))
+	}
 }
 
-// plans indexes gate plans by logic.Kind. Kinds that do not bootstrap have
-// a zero plan and are handled separately.
-var plans = func() [logic.NumKinds]gatePlan {
-	var p [logic.NumKinds]gatePlan
-	q := mu18 // 1/8
-	p[logic.NAND] = gatePlan{bias: q, ca: -1, cb: -1}
-	p[logic.AND] = gatePlan{bias: -q, ca: 1, cb: 1}
-	p[logic.OR] = gatePlan{bias: q, ca: 1, cb: 1}
-	p[logic.NOR] = gatePlan{bias: -q, ca: -1, cb: -1}
-	p[logic.XOR] = gatePlan{bias: 2 * q, ca: 2, cb: 2}
-	p[logic.XNOR] = gatePlan{bias: -(2 * q), ca: -2, cb: -2}
-	p[logic.ANDNY] = gatePlan{bias: -q, ca: -1, cb: 1}
-	p[logic.ANDYN] = gatePlan{bias: -q, ca: 1, cb: -1}
-	p[logic.ORNY] = gatePlan{bias: q, ca: -1, cb: 1}
-	p[logic.ORYN] = gatePlan{bias: q, ca: 1, cb: -1}
-	return p
-}()
-
-// PlanCoefficients exposes the linear-combination coefficients of a
-// bootstrapped gate's plan (tmp = bias + ca*a + cb*b): the inputs noise
-// analysis needs to bound the pre-bootstrap variance with the exact
-// multipliers the engine uses, rather than re-deriving its own table that
-// could drift. ok is false for the free kinds (constants, COPY, NOT) and
-// out-of-range values, which never feed a bootstrap.
-func PlanCoefficients(kind logic.Kind) (ca, cb int32, ok bool) {
-	if kind >= logic.NumKinds || !kind.NeedsBootstrap() {
-		return 0, 0, false
+// prepare is the one member-preparation step of every bootstrapped
+// operation: it forms member m's bootstrap input bias + Σ wᵢ·xᵢ over the
+// operands (a, b, c) the plan reads, and its test vector, ±1/8 per cell.
+// It writes engine scratch only, so an output written after every member
+// is prepared may alias any operand.
+func (e *Engine) prepare(m int, op Op, a, b, c *Ciphertext) error {
+	pl, ok := logic.PlanOf(int(op.Arity), op.table())
+	if !ok {
+		return fmt.Errorf("%w for %+v", ErrNoPlan, op)
 	}
-	pl := plans[kind]
-	return pl.ca, pl.cb, true
+	tmp, tv := e.btmp[m], e.btv[m]
+	tmp.NoiselessTrivial(pl.Bias)
+	ins := [logic.MaxLUTArity]*Ciphertext{a, b, c}
+	for i, x := range ins[:pl.Arity] {
+		if x == nil {
+			return fmt.Errorf("gate: %+v: operand %d is nil", op, i)
+		}
+		tmp.AddMulTo(pl.Weights[i], x)
+	}
+	for i, s := range pl.Cells {
+		tv[i] = mu18
+		if s < 0 {
+			tv[i] = -mu18
+		}
+	}
+	return nil
+}
+
+// Apply evaluates dst = op(a, b, c) now: a free classic kind (constants,
+// COPY, NOT) linearly, any other op with one bootstrap of its plan. Only
+// arity-3 LUTs read c, which may be nil otherwise. dst may alias any
+// operand.
+//
+//pytfhe:bootstraps
+func (e *Engine) Apply(op Op, dst, a, b, c *Ciphertext) error {
+	if op.Arity == 0 {
+		switch op.Kind {
+		case logic.False:
+			Trivial(dst, false)
+			return nil
+		case logic.True:
+			Trivial(dst, true)
+			return nil
+		case logic.COPY:
+			dst.Copy(a)
+			return nil
+		case logic.COPYB:
+			dst.Copy(b)
+			return nil
+		case logic.NOT:
+			if dst != a {
+				dst.Copy(a)
+			}
+			dst.Negate()
+			return nil
+		case logic.NOTB:
+			if dst != b {
+				dst.Copy(b)
+			}
+			dst.Negate()
+			return nil
+		}
+	}
+	if err := e.prepare(0, op, a, b, c); err != nil {
+		return err
+	}
+	return e.Eval.BootstrapOne(dst, e.btv[0], e.btmp[0], true)
 }
 
 // Binary evaluates dst = kind(a, b) homomorphically. dst may alias a or b.
 //
 //pytfhe:bootstraps
 func (e *Engine) Binary(kind logic.Kind, dst, a, b *Ciphertext) error {
-	switch kind {
-	case logic.False:
-		Trivial(dst, false)
-		return nil
-	case logic.True:
-		Trivial(dst, true)
-		return nil
-	case logic.COPY:
-		dst.Copy(a)
-		return nil
-	case logic.COPYB:
-		dst.Copy(b)
-		return nil
-	case logic.NOT:
-		if dst != a {
-			dst.Copy(a)
-		}
-		dst.Negate()
-		return nil
-	case logic.NOTB:
-		if dst != b {
-			dst.Copy(b)
-		}
-		dst.Negate()
-		return nil
-	}
-	pl := plans[kind]
-	e.tmp.NoiselessTrivial(pl.bias)
-	e.tmp.AddMulTo(pl.ca, a)
-	e.tmp.AddMulTo(pl.cb, b)
-	return e.Eval.Bootstrap(dst, mu18, e.tmp)
+	return e.Apply(Op{Kind: kind}, dst, a, b, nil)
 }
 
 // Not computes dst = ¬a without bootstrapping.
@@ -180,25 +198,23 @@ func (e *Engine) Copy(dst, a *Ciphertext) { _ = e.Binary(logic.COPY, dst, a, a) 
 func (e *Engine) Constant(dst *Ciphertext, v bool) { Trivial(dst, v) }
 
 // Mux computes dst = sel ? a : b using two bootstraps and one key switch,
-// following the reference library: u1 = BS(sel AND a), u2 = BS(¬sel AND b),
+// following the reference library: u1 = BS(sel AND a), u2 = BS(¬sel AND b)
+// — the AND and ANDNY plans without their key switch — and
 // dst = KS(u1 + u2 + 1/8).
 //
 //pytfhe:bootstraps
 func (e *Engine) Mux(dst, sel, a, b *Ciphertext) error {
-	// u1 ≈ ±1/8 encoding (sel ∧ a)
-	e.tmp.NoiselessTrivial(-mu18)
-	e.tmp.AddMulTo(1, sel)
-	e.tmp.AddMulTo(1, a)
-	if err := e.Eval.BootstrapWoKS(e.u1, mu18, e.tmp); err != nil {
-		return fmt.Errorf("gate: mux: %w", err)
-	}
-
-	// u2 ≈ ±1/8 encoding (¬sel ∧ b)
-	e.tmp.NoiselessTrivial(-mu18)
-	e.tmp.AddMulTo(-1, sel)
-	e.tmp.AddMulTo(1, b)
-	if err := e.Eval.BootstrapWoKS(e.u2, mu18, e.tmp); err != nil {
-		return fmt.Errorf("gate: mux: %w", err)
+	for _, half := range []struct {
+		kind logic.Kind
+		in   *Ciphertext
+		out  *lwe.Sample
+	}{{logic.AND, a, e.u1}, {logic.ANDNY, b, e.u2}} {
+		if err := e.prepare(0, Op{Kind: half.kind}, sel, half.in, nil); err != nil {
+			return err
+		}
+		if err := e.Eval.BootstrapOne(half.out, e.btv[0], e.btmp[0], false); err != nil {
+			return fmt.Errorf("gate: mux: %w", err)
+		}
 	}
 
 	// dst = u1 + u2 + 1/8, key-switched to the gate key. Exactly one of

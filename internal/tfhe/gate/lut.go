@@ -4,71 +4,68 @@ import (
 	"fmt"
 
 	"pytfhe/internal/logic"
-	"pytfhe/internal/tfhe/boot"
-	"pytfhe/internal/tfhe/lwe"
-	"pytfhe/internal/torus"
 )
 
 // Multi-input LUT gates: k boolean ciphertexts (k ≤ logic.MaxLUTArity)
-// are combined with the small integer weights of the table's
-// logic.LUTPlan, dropping the sum's phase onto one of logic.LUTMsize
-// torus cells, and a single programmable bootstrap reads the function
-// value off the cell — one bootstrap where a cone of 2-input gates would
-// cost several. Only tables logic.SolveLUT separates are evaluable; the
+// are combined with the bias and small integer weights of the table's
+// logic.Plan, dropping the sum's phase into one of eight 1/8-wide torus
+// cells, and a single programmable bootstrap reads the function value off
+// the cell — one bootstrap where a cone of 2-input gates would cost
+// several. Only tables logic.PlanOf separates are evaluable; the
 // synthesizer never emits others.
-
-// lutTestVector returns the programmable-bootstrap test function of a
-// plan: cell m encrypts +1/8 when the plan marks it true, -1/8 otherwise.
-func lutTestVector(plan logic.LUTPlan) boot.LUT {
-	cells := plan.Cells
-	return func(m int) torus.Torus32 {
-		if cells[m] > 0 {
-			return mu18
-		}
-		return -mu18
-	}
-}
 
 // LUT evaluates dst = tt(ins[0], …, ins[arity-1]) homomorphically with
 // one programmable bootstrap. dst may alias any input. The table must
-// have a single-bootstrap plan (logic.SolveLUT); infeasible tables are
-// the synthesizer's job to decompose, not the kernel's.
+// have a single-bootstrap plan (logic.PlanOf); infeasible tables are the
+// synthesizer's job to decompose, not the kernel's.
 //
 //pytfhe:bootstraps
 func (e *Engine) LUT(arity int, tt logic.TT, dst *Ciphertext, ins ...*Ciphertext) error {
 	if len(ins) != arity {
 		return fmt.Errorf("gate: LUT arity %d with %d operands", arity, len(ins))
 	}
-	plan, ok := logic.SolveLUT(arity, tt)
-	if !ok {
-		return fmt.Errorf("gate: LUT table %#x has no single-bootstrap plan at arity %d", tt, arity)
+	if arity < 2 || arity > logic.MaxLUTArity {
+		return fmt.Errorf("%w for a LUT of arity %d", ErrNoPlan, arity)
 	}
-	e.tmp.NoiselessTrivial(0)
-	for i := 0; i < arity; i++ {
-		e.tmp.AddMulTo(plan.Weights[i], ins[i])
-	}
-	return e.Eval.BootstrapLUT(dst, lutTestVector(plan), logic.LUTMsize, e.tmp)
+	var x [logic.MaxLUTArity]*Ciphertext
+	copy(x[:], ins)
+	return e.Apply(Op{TT: tt, Arity: uint8(arity)}, dst, x[0], x[1], x[2])
 }
 
-// Op names one bootstrapped operation for the mixed batch path: a classic
-// 2-input gate (Arity 0, function in Kind) or a k-input LUT (Arity 2..3,
-// function in TT). The field meanings mirror circuit.Gate so executors
-// can describe either without importing the IR into this package.
+// Op names one operation for Apply and the batch path: a classic 2-input
+// gate (Arity 0, function in Kind) or a k-input LUT (Arity 2..3, function
+// in TT). The field meanings mirror circuit.Gate so executors can describe
+// either without importing the IR into this package.
 type Op struct {
 	Kind  logic.Kind
 	TT    logic.TT
 	Arity uint8
 }
 
-// IsLUT reports whether the op is a multi-input LUT.
-func (o Op) IsLUT() bool { return o.Arity != 0 }
+// table is the op's truth table in the encoding logic.PlanOf reads: the
+// Kind nibble at arity 0.
+func (o Op) table() logic.TT {
+	if o.Arity == 0 {
+		return logic.TTOf(o.Kind)
+	}
+	return o.TT
+}
 
-// OpBatch evaluates a mixed batch of bootstrapped classic gates and LUT
-// gates with one batched blind rotation. Member m reads operands a[m],
+// Bootstraps reports whether the op has a bootstrap plan. Free kinds
+// (constants, COPY, NOT) do not, and neither do malformed ops, which Apply
+// and OpBatch reject with ErrNoPlan.
+func (o Op) Bootstraps() bool {
+	_, ok := logic.PlanOf(int(o.Arity), o.table())
+	return ok
+}
+
+// OpBatch evaluates a batch of bootstrapped ops, classic gates and LUTs
+// alike, with one batched blind rotation. Member m reads operands a[m],
 // b[m] and — for arity-3 LUTs — c[m]; other members ignore c[m] (which
-// may be nil). Classic members must bootstrap, exactly as in BinaryBatch;
-// per-member results are bit-exact with Binary / LUT on the same inputs.
-// dst may alias any operand, as in BinaryBatch.
+// may be nil). Every member must bootstrap (Op.Bootstraps); per-member
+// results are bit-exact with Apply on the same inputs. dst may alias any
+// operand, of its own member or another's: every operand is folded into
+// engine scratch before the first output is written.
 //
 //pytfhe:bootstraps
 func (e *Engine) OpBatch(ops []Op, dst, a, b, c []*Ciphertext) error {
@@ -77,52 +74,11 @@ func (e *Engine) OpBatch(ops []Op, dst, a, b, c []*Ciphertext) error {
 		return fmt.Errorf("gate: batch length mismatch: ops=%d dst=%d a=%d b=%d c=%d",
 			n, len(dst), len(a), len(b), len(c))
 	}
-	if n == 0 {
-		return nil
-	}
 	e.growBatch(n)
-	hasLUT := false
 	for m, op := range ops {
-		if op.IsLUT() {
-			plan, ok := logic.SolveLUT(int(op.Arity), op.TT)
-			if !ok {
-				return fmt.Errorf("gate: batch member %d: LUT table %#x has no plan at arity %d", m, op.TT, op.Arity)
-			}
-			e.btmp[m].NoiselessTrivial(0)
-			e.btmp[m].AddMulTo(plan.Weights[0], a[m])
-			e.btmp[m].AddMulTo(plan.Weights[1], b[m])
-			if op.Arity >= 3 {
-				if c[m] == nil {
-					return fmt.Errorf("gate: batch member %d: arity-3 LUT with nil third operand", m)
-				}
-				e.btmp[m].AddMulTo(plan.Weights[2], c[m])
-			}
-			e.bluts[m] = lutTestVector(plan)
-			hasLUT = true
-			continue
+		if err := e.prepare(m, op, a[m], b[m], c[m]); err != nil {
+			return fmt.Errorf("gate: batch member %d: %w", m, err)
 		}
-		if !op.Kind.NeedsBootstrap() {
-			return fmt.Errorf("gate: batch member %d: %v does not bootstrap", m, op.Kind)
-		}
-		pl := plans[op.Kind]
-		e.btmp[m].NoiselessTrivial(pl.bias)
-		e.btmp[m].AddMulTo(pl.ca, a[m])
-		e.btmp[m].AddMulTo(pl.cb, b[m])
-		e.bluts[m] = nil
 	}
-	if !hasLUT {
-		return e.Eval.BootstrapBatch(dst, e.bmu[:n], e.btmp[:n])
-	}
-	return e.Eval.BootstrapMixedBatch(dst, e.bmu[:n], e.bluts[:n], logic.LUTMsize, e.btmp[:n])
-}
-
-// growBatch sizes the per-member batch scratch.
-func (e *Engine) growBatch(n int) {
-	for len(e.btmp) < n {
-		e.btmp = append(e.btmp, lwe.NewSample(e.p.LWEDimension))
-		e.bmu = append(e.bmu, mu18)
-	}
-	for len(e.bluts) < n {
-		e.bluts = append(e.bluts, nil)
-	}
+	return e.Eval.BootstrapMany(dst, e.btv[:n], e.btmp[:n], true)
 }

@@ -112,7 +112,7 @@ func TestOpBatchMixed(t *testing.T) {
 	}
 	for m, op := range ops {
 		var want bool
-		if op.IsLUT() {
+		if op.Arity != 0 {
 			want = op.TT.EvalBits(bits[m][:op.Arity]...)
 			ins := []*Ciphertext{a[m], b[m], c[m]}
 			if err := single.LUT(int(op.Arity), op.TT, sref[m], ins[:op.Arity]...); err != nil {

@@ -9,9 +9,9 @@ import (
 	"pytfhe/internal/params"
 )
 
-// TestAnalyzeLUTNetlist checks the LUT branch of the dataflow: LUT gates
-// are counted, their pre-bootstrap variance is the solver's Σc² times the
-// operand variance (no bias term), and the worst feasible table — PARITY3
+// TestAnalyzeLUTNetlist checks LUT gates in the dataflow: they are
+// counted, their pre-bootstrap variance is the plan's Σc² times the
+// operand variance (the bias is noiseless), and the worst feasible table — PARITY3
 // with Σc² = 9 — still clears the default margin under default128, which
 // is what lets lut-cluster run without a weight-norm cap.
 func TestAnalyzeLUTNetlist(t *testing.T) {
@@ -43,7 +43,7 @@ func TestAnalyzeLUTNetlist(t *testing.T) {
 	// The worst-case check directly: a PARITY3 whose operands all carry
 	// bootstrap variance amplifies by exactly Σc² = 9.
 	bud := Analyze(p)
-	pl, ok := logic.SolveLUT(3, 0x96)
+	pl, ok := logic.PlanOf(3, 0x96)
 	if !ok {
 		t.Fatal("PARITY3 unexpectedly infeasible")
 	}

@@ -8,7 +8,6 @@ import (
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/logic"
 	"pytfhe/internal/params"
-	"pytfhe/internal/tfhe/gate"
 )
 
 // DefaultMinSigmas is the sigma margin `pytfhe check`, the noise check of
@@ -32,7 +31,7 @@ type GateNoise struct {
 	Depth int      // bootstrap depth: refreshes on the longest path into this gate
 
 	// PreVariance is the variance of the bootstrap input tmp = bias +
-	// ca*a + cb*b (torus units). Sigmas is DecryptionMargin/stdev, and
+	// Σ wᵢ·xᵢ of the gate's logic.Plan (torus units). Sigmas is DecryptionMargin/stdev, and
 	// FailureProb = erfc(Sigmas/√2) bounds the probability the blind
 	// rotation reads the wrong message slot.
 	PreVariance float64
@@ -142,10 +141,10 @@ func (r *NetlistReport) String() string {
 // AnalyzeNetlist propagates worst-case noise variance gate by gate through
 // nl under parameter set p: inputs carry the fresh encryption variance,
 // free gates pass their operand variance through unchanged (NOT negates,
-// COPY copies — neither amplifies), and each bootstrapped gate first forms
-// the linear combination ca*a + cb*b (variances add with squared
-// coefficients; the bias is noiseless) and then resets its output to the
-// bootstrap variance. Every pre-bootstrap combination and every output
+// COPY copies — neither amplifies), and each bootstrapped gate, classic or
+// LUT, first forms its plan's combination bias + Σ wᵢ·xᵢ (variances add
+// with the squared weights; the bias is noiseless) and then resets its
+// output to the bootstrap variance. Every pre-bootstrap combination and every output
 // wire must keep minSigmas standard deviations below its decryption
 // margin; minSigmas <= 0 selects DefaultMinSigmas.
 //
@@ -207,32 +206,7 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
 		id := nl.GateID(i)
-		if g.IsLUT() {
-			// A k-input LUT is one programmable bootstrap of the weighted
-			// combination Σ cᵢ·xᵢ with no bias; the solver's weights give
-			// the exact variance amplification, and the msize-8 test vector
-			// keeps the same 1/16 cell half-width the classic gates use.
-			pl, ok := logic.SolveLUT(int(g.Arity), g.TT)
-			if !ok {
-				return nil, fmt.Errorf("noise: gate %d: LUT arity %d table %#02x has no single-bootstrap plan", i, g.Arity, uint8(g.TT))
-			}
-			r.Bootstrapped++
-			r.LUTs++
-			var pre float64
-			var d int32
-			for k := 0; k < int(g.Arity); k++ {
-				op := g.Operand(k)
-				c := float64(pl.Weights[k])
-				pre += c * c * variance[op]
-				d = max(d, bdepth[op])
-			}
-			record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Arity: g.Arity, TT: g.TT, Depth: int(d) + 1}, pre, &worstSigmas)
-			continue
-		}
-		if g.Kind >= logic.NumKinds {
-			return nil, fmt.Errorf("noise: gate %d has unknown kind %d", i, g.Kind)
-		}
-		if !g.Kind.NeedsBootstrap() {
+		if !g.NeedsBootstrap() {
 			switch g.Kind {
 			case logic.False, logic.True:
 				variance[id] = 0
@@ -247,14 +221,26 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 			}
 			continue
 		}
-		ca, cb, ok := gate.PlanCoefficients(g.Kind)
+		// Every bootstrapped gate, classic or LUT, is one bootstrap of its
+		// plan's combination bias + Σ wᵢ·xᵢ: the weights give the exact
+		// variance amplification, and every plan keeps the 1/16 margin.
+		pl, ok := logic.PlanOf(int(g.Arity), g.Table())
 		if !ok {
-			return nil, fmt.Errorf("noise: gate %d: no bootstrap plan for kind %v", i, g.Kind)
+			return nil, fmt.Errorf("noise: gate %d (kind %d, arity %d, table %#02x) has no bootstrap plan", i, g.Kind, g.Arity, uint8(g.TT))
 		}
 		r.Bootstrapped++
-		pre := float64(ca)*float64(ca)*variance[g.A] + float64(cb)*float64(cb)*variance[g.B]
-		d := max(bdepth[g.A], bdepth[g.B])
-		record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Depth: int(d) + 1}, pre, &worstSigmas)
+		if g.IsLUT() {
+			r.LUTs++ // a tally only: every gate runs the recipe below
+		}
+		var pre float64
+		var d int32
+		for k := 0; k < pl.Arity; k++ {
+			op := g.Operand(k)
+			c := float64(pl.Weights[k])
+			pre += c * c * variance[op]
+			d = max(d, bdepth[op])
+		}
+		record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Arity: g.Arity, TT: g.TT, Depth: int(d) + 1}, pre, &worstSigmas)
 	}
 
 	// Outputs decode by phase sign, so the margin is the full ±1/8

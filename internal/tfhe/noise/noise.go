@@ -32,9 +32,9 @@ type Budget struct {
 	// BootstrapVariance is the predicted variance of a ciphertext right
 	// after gate bootstrapping (blind rotation + key switch).
 	BootstrapVariance float64
-	// GateInputVariance is the worst-case variance entering a gate's
-	// bootstrap: the linear combination |ca|+|cb| <= 4 of two refreshed
-	// ciphertexts (XOR uses coefficients of 2).
+	// GateInputVariance is the worst-case variance entering a classic
+	// gate's bootstrap: the largest Σc² of the classic plans (XOR's weights
+	// of 2, so 8) times the refreshed variance.
 	GateInputVariance float64
 	// DecryptionMargin is the slot half-width (1/16 for the ±1/8
 	// encoding).
@@ -49,9 +49,14 @@ func Analyze(p *params.GateParams) Budget {
 	var b Budget
 	b.FreshVariance = p.LWEStdev * p.LWEStdev
 	b.BootstrapVariance = BootstrapVariance(p)
-	// Worst gate plan is XOR: 2a + 2b -> 4x the refreshed variance, plus
-	// nothing for the noiseless bias.
-	b.GateInputVariance = 8 * b.BootstrapVariance // 2^2 + 2^2 coefficient mass
+	// The bias is noiseless; the weights amplify the operands' variance.
+	norm := 0
+	for k := logic.Kind(0); k < logic.NumKinds; k++ {
+		if pl, ok := logic.PlanOf(0, logic.TTOf(k)); ok {
+			norm = max(norm, pl.WeightNormSq())
+		}
+	}
+	b.GateInputVariance = float64(norm) * b.BootstrapVariance
 	b.DecryptionMargin = 1.0 / 16
 	if b.GateInputVariance > 0 {
 		b.FailureSigmas = b.DecryptionMargin / math.Sqrt(b.GateInputVariance)

@@ -21,6 +21,10 @@ func TestDefault128BudgetIsSound(t *testing.T) {
 	if b.FailureSigmas < 4 {
 		t.Fatalf("only %.1f sigmas of margin; gates would fail in practice", b.FailureSigmas)
 	}
+	// The worst case is read off the classic plans: XOR's weights (2, 2).
+	if b.GateInputVariance != 8*b.BootstrapVariance {
+		t.Fatalf("gate input variance %g, want 8 × the bootstrap variance %g", b.GateInputVariance, b.BootstrapVariance)
+	}
 	t.Logf("default128: bootstrap stdev %.3g, margin %.1f sigmas",
 		math.Sqrt(b.BootstrapVariance), b.FailureSigmas)
 }

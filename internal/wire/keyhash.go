@@ -46,7 +46,7 @@ func KeyHash(ck *boot.CloudKey) (string, error) {
 	}
 	h := sha256.New()
 	w := bufio.NewWriter(h)
-	e := keyHasher{w: w}
+	e := keyHasher{w: w, blk: make([]byte, 4096)}
 	// Domain tag: v1 hashed the retired full-complex bootstrapping key and v2
 	// the retired one-sample-per-row key-switching key, so a peer still on
 	// either format can never agree on a hash with this one.
@@ -65,16 +65,17 @@ func KeyHash(ck *boot.CloudKey) (string, error) {
 }
 
 // keyHasher streams primitive values into the hash in fixed-width
-// little-endian form. Writes into a sha256 digest cannot fail, so the
-// helpers drop bufio's always-nil errors.
+// little-endian form, staging them in blk, one block per KeyHash. Writes
+// into a sha256 digest cannot fail, so the helpers drop bufio's
+// always-nil errors.
 type keyHasher struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	blk []byte
 }
 
 func (e keyHasher) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.w.Write(b[:])
+	binary.LittleEndian.PutUint64(e.blk, v)
+	e.w.Write(e.blk[:8])
 }
 
 func (e keyHasher) i64(v int) { e.u64(uint64(int64(v))) }
@@ -135,11 +136,17 @@ func (e keyHasher) bk(s *tgsw.HalfSample) {
 	}
 }
 
-// floats hashes a length-prefixed run of float64s.
+// floats hashes a length-prefixed run of float64s as little-endian bit
+// patterns, in blocks.
 func (e keyHasher) floats(v []float64) {
 	e.i64(len(v))
-	for _, x := range v {
-		e.f64(x)
+	for rest := v; len(rest) > 0; {
+		n := min(len(rest), len(e.blk)/8)
+		for i, x := range rest[:n] {
+			binary.LittleEndian.PutUint64(e.blk[8*i:], math.Float64bits(x))
+		}
+		e.w.Write(e.blk[:8*n])
+		rest = rest[n:]
 	}
 }
 
@@ -157,13 +164,12 @@ func (e keyHasher) ks(k *lwe.SwitchKey) {
 	e.i64(k.BaseLog)
 	e.f64(k.RowVariance)
 	e.i64(len(k.Flat))
-	var b [4096]byte
 	for rest := k.Flat; len(rest) > 0; {
-		n := min(len(rest), len(b)/4)
+		n := min(len(rest), len(e.blk)/4)
 		for i, v := range rest[:n] {
-			binary.LittleEndian.PutUint32(b[4*i:], v)
+			binary.LittleEndian.PutUint32(e.blk[4*i:], v)
 		}
-		e.w.Write(b[:4*n])
+		e.w.Write(e.blk[:4*n])
 		rest = rest[n:]
 	}
 }

@@ -19,20 +19,23 @@ go vet ./...
 go build ./...
 
 # One evaluator: a netlist gate and a plan or shard instruction all reach
-# the gate engine through exec.Batcher. A second file under the
-# executor packages calling the engine on IR operands is a forked dispatcher.
+# the gate engine through exec.Batcher, whose exec.Eval calls Engine.Apply
+# and whose Flush calls Engine.OpBatch. Any other file under the executor
+# packages calling the engine on IR operands is a forked dispatcher, and a
+# batcher.go that no longer matches means this guard went stale.
 evaluators=$(find internal/exec internal/plan internal/shard internal/cluster internal/backend internal/serve \
-    -name '*.go' ! -name '*_test.go' -exec grep -lE 'eng\.(Binary|LUT|OpBatch)\(' {} +)
-if [ "$(printf '%s\n' "$evaluators" | grep -c .)" -gt 1 ]; then
-    echo "more than one file evaluates gates directly:" >&2
-    echo "$evaluators" >&2
+    -name '*.go' ! -name '*_test.go' -exec grep -lE 'eng\.(Apply|Binary|LUT|OpBatch|BinaryBatch|Mux)\(' {} +)
+if [ "$evaluators" != "internal/exec/batcher.go" ]; then
+    echo "gates must reach the engine through internal/exec/batcher.go alone; files calling it:" >&2
+    echo "${evaluators:-(none)}" >&2
     exit 1
 fi
 
 # Every `go test` that the focused Makefile targets and CI narrow with
-# -run/-bench/-fuzz must still select something: a renamed test otherwise
-# turns its job into a silent "no tests to run". `go test -list` answers
-# without running anything.
+# -run/-bench/-fuzz must still select something in each package it names:
+# a renamed test otherwise turns its job, or its share of a multi-package
+# job, into a silent "no tests to run". `go test -list` answers without
+# running anything.
 go_test_selections() {
     # Join continuation lines, undo the Makefile's `$$`, then print
     # "<pattern> <packages…>" per narrowed `go test` command — limited to
@@ -57,11 +60,12 @@ go_test_selections() {
     go_test_selections Makefile "serve-test qos-test lut-test batch-test bench-compile"
     go_test_selections .github/workflows/ci.yml ""
 } | while read -r pat pkgs; do
-    # shellcheck disable=SC2086 # pkgs is a word list
-    if ! go test -list "$pat" $pkgs | grep -qvE '^(ok|\?) '; then
-        echo "go test pattern '$pat' selects nothing in:$pkgs" >&2
-        exit 1
-    fi
+    for pkg in $pkgs; do
+        if ! go test -list "$pat" "$pkg" | grep -qvE '^(ok|\?) '; then
+            echo "go test pattern '$pat' selects nothing in $pkg" >&2
+            exit 1
+        fi
+    done
 done
 
 # bench/ is its own module compiled against these packages; the root
