@@ -189,13 +189,13 @@ func Assemble(nl *circuit.Netlist) ([]byte, error) {
 			switch o {
 			case circuit.ConstTrue:
 				if constTrue == 0 {
-					gates = append(gates, circuit.Gate{Kind: logic.XNOR, A: 1, B: 1})
+					gates = append(gates, circuit.Gate{TT: logic.TTOf(logic.XNOR), A: 1, B: 1})
 					constTrue = circuit.NodeID(nl.NumInputs + len(gates))
 				}
 				outputs[i] = constTrue
 			case circuit.ConstFalse:
 				if constFalse == 0 {
-					gates = append(gates, circuit.Gate{Kind: logic.XOR, A: 1, B: 1})
+					gates = append(gates, circuit.Gate{TT: logic.TTOf(logic.XOR), A: 1, B: 1})
 					constFalse = circuit.NodeID(nl.NumInputs + len(gates))
 				}
 				outputs[i] = constFalse
@@ -236,12 +236,12 @@ func Assemble(nl *circuit.Netlist) ([]byte, error) {
 				third = uint64(g.C)
 			}
 			put(Instruction{F1: third, F2: uint64(g.TT), Type: g.Arity})
-		case g.Kind == logic.False:
+		case g.Kind() == logic.False:
 			// The 0x0 nibble is the LUT lead marker; a constant-FALSE gate
 			// is re-encoded as the equivalent XOR(x, x).
 			put(Instruction{F1: uint64(g.A), F2: uint64(g.A), Type: uint8(logic.XOR)})
 		default:
-			put(Instruction{F1: uint64(g.A), F2: uint64(g.B), Type: uint8(g.Kind)})
+			put(Instruction{F1: uint64(g.A), F2: uint64(g.B), Type: uint8(g.TT)})
 		}
 	}
 	for _, o := range outputs {
@@ -361,7 +361,7 @@ func decodeProgram(bin []byte) (nl *circuit.Netlist, luts int, defects []defect)
 				continue
 			}
 			phase = KindGate
-			g := circuit.Gate{Kind: logic.Kind(inst.Type), A: nodeID(inst.F1, i, "operand"), B: nodeID(inst.F2, i, "operand")}
+			g := circuit.Gate{TT: logic.TT(inst.Type), A: nodeID(inst.F1, i, "operand"), B: nodeID(inst.F2, i, "operand")}
 			if inst.Type == 0x0 {
 				// LUT lead: the next word is its extension, consumed
 				// positionally (it may carry marker-looking field values).
@@ -471,7 +471,7 @@ func Listing(bin []byte) (string, error) {
 		case g.IsLUT():
 			fmt.Fprintf(&sb, "lut%d    #%d = %#x(%d, %d)\n", g.Arity, id, uint8(g.TT), g.A, g.B)
 		default:
-			fmt.Fprintf(&sb, "gate    #%d = %s(%d, %d)\n", id, g.Kind, g.A, g.B)
+			fmt.Fprintf(&sb, "gate    #%d = %s(%d, %d)\n", id, g.Kind(), g.A, g.B)
 		}
 	}
 	for _, o := range nl.Outputs {

@@ -97,7 +97,7 @@ func TestFalseGateReencoded(t *testing.T) {
 	nl := &circuit.Netlist{
 		Name:      "false-gate",
 		NumInputs: 1,
-		Gates:     []circuit.Gate{{Kind: logic.False, A: 1, B: 1}},
+		Gates:     []circuit.Gate{{TT: logic.TTOf(logic.False), A: 1, B: 1}},
 		Outputs:   []circuit.NodeID{2},
 	}
 	bin, err := Assemble(nl)
@@ -108,8 +108,8 @@ func TestFalseGateReencoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Gates[0].Kind != logic.XOR {
-		t.Fatalf("FALSE gate re-encoded as %v, want XOR", back.Gates[0].Kind)
+	if back.Gates[0].Kind() != logic.XOR {
+		t.Fatalf("FALSE gate re-encoded as %v, want XOR", back.Gates[0].Kind())
 	}
 	for _, v := range []bool{false, true} {
 		out, _ := back.Evaluate([]bool{v})

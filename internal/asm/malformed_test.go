@@ -75,13 +75,13 @@ func TestAssembleIndexSpace(t *testing.T) {
 		"gates": {
 			Name:      "huge",
 			NumInputs: circuit.MaxNodeID, // ids 1..MaxNodeID consumed by inputs
-			Gates:     []circuit.Gate{{Kind: logic.AND, A: 1, B: 2}},
+			Gates:     []circuit.Gate{{TT: logic.TTOf(logic.AND), A: 1, B: 2}},
 			Outputs:   []circuit.NodeID{circuit.MaxNodeID + 1},
 		},
 		"constant output": {
 			Name:      "full",
 			NumInputs: circuit.MaxNodeID - 1, // the gate is node MaxNodeID
-			Gates:     []circuit.Gate{{Kind: logic.AND, A: 1, B: 2}},
+			Gates:     []circuit.Gate{{TT: logic.TTOf(logic.AND), A: 1, B: 2}},
 			Outputs:   []circuit.NodeID{circuit.MaxNodeID, circuit.ConstTrue},
 		},
 	} {

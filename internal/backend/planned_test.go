@@ -137,7 +137,7 @@ func TestPlannedRunsEditedNetlist(t *testing.T) {
 	defer be.Close()
 	in := []bool{true, false}
 	for _, kind := range []logic.Kind{logic.AND, logic.OR} {
-		nl.Gates[0].Kind = kind
+		nl.Gates[0].TT = logic.TTOf(kind)
 		want, err := nl.Evaluate(in)
 		if err != nil {
 			t.Fatal(err)

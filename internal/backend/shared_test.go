@@ -266,7 +266,7 @@ func TestSharedAbortedRunRecyclesRuntime(t *testing.T) {
 // and a real run, cluster-worker style (the plan's levels handed to Run
 // as they are), is served exactly those slices.
 func TestSharedSlicesCutLevels(t *testing.T) {
-	bootIns, freeIns := plan.Instr{Kind: logic.NAND}, plan.Instr{Kind: logic.NOT}
+	bootIns, freeIns := plan.Instr{TT: logic.TTOf(logic.NAND)}, plan.Instr{TT: logic.TTOf(logic.NOT)}
 	for _, workers := range []int{1, 2, 3, 5} {
 		for _, batch := range []int{1, 2, 4, 16} {
 			s := &Shared{workers: workers, batch: batch}

@@ -162,7 +162,7 @@ func (b *Builder) notOperand(id NodeID) (NodeID, bool) {
 		return 0, false
 	}
 	g := &b.gates[gi]
-	if g.Kind == logic.NOT {
+	if g.Arity == 0 && g.Kind() == logic.NOT {
 		return g.A, true
 	}
 	return 0, false
@@ -322,7 +322,7 @@ func (b *Builder) Gate(kind logic.Kind, a, bb NodeID) NodeID {
 // cseEmit returns the existing gate computing kind(a, bb), emitting it
 // first if there is none.
 func (b *Builder) cseEmit(kind logic.Kind, a, bb NodeID) NodeID {
-	return b.hashCons(Gate{Kind: kind, A: a, B: bb}, b.cse.HashWord(uint64(newGateKey(kind, a, bb))))
+	return b.hashCons(Gate{TT: logic.TTOf(kind), A: a, B: bb}, b.cse.HashWord(uint64(newGateKey(kind, a, bb))))
 }
 
 // hashCons returns the existing gate equal to g, pushing g first if there
@@ -345,7 +345,7 @@ func (b *Builder) hashCons(g Gate, h uint64) NodeID {
 }
 
 func (b *Builder) emit(kind logic.Kind, a, bb NodeID) NodeID {
-	return b.push(Gate{Kind: kind, A: a, B: bb})
+	return b.push(Gate{TT: logic.TTOf(kind), A: a, B: bb})
 }
 
 // push appends a gate and returns its id. Every gate is created here, so

@@ -1,6 +1,8 @@
 // Package circuit defines the gate-level intermediate representation of the
-// toolchain: a directed acyclic graph of two-input boolean gates with named
-// input and output ports, in strict topological order.
+// toolchain: a directed acyclic graph of boolean gates with named input and
+// output ports, in strict topological order. Every gate is one record, a
+// truth table and an arity: a classic two-input gate is the arity-0 table
+// of its logic.Kind, a k-input LUT the table of arity k.
 //
 // A Netlist is what the synthesizer produces, what the PyTFHE assembler
 // encodes (see internal/asm), and what every backend executes. Node indices
@@ -18,7 +20,7 @@ import (
 // NodeID names a node in the DAG. Valid node ids are positive; the two
 // negative sentinels represent the boolean constants, which exist only
 // during construction (the builder folds them away) and at output ports.
-// Ids are 32-bit so a Gate is 20 bytes: every netlist is bounded by
+// Ids are 32-bit so a Gate is 16 bytes: every netlist is bounded by
 // MaxNodeID nodes, far inside the type.
 type NodeID int32
 
@@ -42,27 +44,27 @@ const (
 // IsConst reports whether the id is one of the constant sentinels.
 func (id NodeID) IsConst() bool { return id == ConstFalse || id == ConstTrue }
 
-// Gate is one gate node. For the classic two-input gates (Arity 0) the
-// function is Kind over (A, B); for unary kinds (NOT, COPY) both operands
-// hold the same node, mirroring the binary encoding.
-//
-// When Arity is 2 or 3 the gate is a k-input LUT: it computes the truth
-// table TT over its operands read MSB-first (bit A<<2|B<<1|C at arity 3,
-// A<<1|B at arity 2, matching logic.TT's convention), and Kind is unused
-// (zero). LUT gates always cost exactly one programmable bootstrap, so a
-// built netlist only holds tables logic.SolveLUT can separate — Validate
-// enforces it.
+// Gate is one gate node: the truth table TT over its operands, read
+// MSB-first (bit A<<1|B at arity 0 and 2, A<<2|B<<1|C at arity 3,
+// logic.TT's convention). Arity 0 is a classic two-input gate whose table
+// is its logic.Kind nibble (logic.TTOf); unary kinds (NOT, COPY) hold the
+// same node in both operands, mirroring the binary encoding. Arity 2 or 3
+// is a k-input LUT, which always costs exactly one programmable
+// bootstrap, so a built netlist only holds LUT tables logic.PlanOf can
+// separate — Validate enforces it.
 type Gate struct {
-	Kind logic.Kind
-	A, B NodeID
-
-	C     NodeID   // third LUT operand (Arity 3 only)
-	TT    logic.TT // LUT truth table (Arity ≥ 2 only)
-	Arity uint8    // 0: classic 2-input gate; 2..3: k-input LUT
+	A, B, C NodeID   // C is read at arity 3 only
+	TT      logic.TT // the gate's function
+	Arity   uint8    // 0: classic 2-input gate; 2..3: k-input LUT
 }
 
 // IsLUT reports whether the gate is a multi-input LUT node.
 func (g *Gate) IsLUT() bool { return g.Arity != 0 }
+
+// Kind returns a classic gate's function in the two-input gate alphabet:
+// its table, unmasked, so a table outside the alphabet stays out of it.
+// It is meaningful at arity 0 only.
+func (g *Gate) Kind() logic.Kind { return logic.Kind(g.TT) }
 
 // NumOperands returns how many distinct operand slots the gate reads:
 // always 2 for classic gates (unary kinds duplicate A into B), Arity for
@@ -85,39 +87,17 @@ func (g *Gate) Operand(i int) NodeID {
 	return g.C
 }
 
-// Table returns the gate's truth table in the unified TT encoding —
-// the Kind nibble for classic gates, TT for LUTs.
-func (g *Gate) Table() logic.TT {
-	if g.IsLUT() {
-		return g.TT
-	}
-	return logic.TTOf(g.Kind)
-}
-
 // NeedsBootstrap reports whether evaluating the gate homomorphically
 // costs a bootstrap. LUT nodes always do — that is their whole point:
 // one programmable bootstrap standing in for a cone of 2-input gates.
 func (g *Gate) NeedsBootstrap() bool {
-	if g.IsLUT() {
-		return true
-	}
-	return g.Kind.NeedsBootstrap()
+	return g.Arity != 0 || g.Kind().NeedsBootstrap()
 }
 
 // Eval applies the gate to cleartext operand values (vals[i] is the value
 // of Operand(i); classic gates read the first two).
 func (g *Gate) Eval(vals [logic.MaxLUTArity]bool) bool {
-	if g.IsLUT() {
-		var v uint8
-		for i := 0; i < int(g.Arity); i++ {
-			v <<= 1
-			if vals[i] {
-				v |= 1
-			}
-		}
-		return g.TT.Eval(v)
-	}
-	return g.Kind.Eval(vals[0], vals[1])
+	return g.TT.EvalBits(vals[:g.NumOperands()]...)
 }
 
 // Netlist is an immutable gate-level program.
@@ -278,7 +258,7 @@ func (nl *Netlist) ComputeStats() Stats {
 			s.LUTs++
 			s.LUTInputs += int(g.Arity)
 		} else {
-			s.ByKind[g.Kind]++
+			s.ByKind[g.Kind()]++
 		}
 		id := nl.GateID(i)
 		d := operandMax(depth, g)

@@ -62,7 +62,7 @@ func TestConstFold(t *testing.T) {
 	if got := b.Gate(logic.NAND, x, b.Const(true)); got == x || got.IsConst() {
 		// NAND(x, true) = NOT x: must be a real NOT gate.
 		gi := b.gates[int(got)-b.numInputs-1]
-		if gi.Kind != logic.NOT || gi.A != x {
+		if gi.Kind() != logic.NOT || gi.A != x {
 			t.Errorf("NAND(x,true) lowered to %v", gi)
 		}
 	}
@@ -129,7 +129,7 @@ func TestPushNotAbsorbsInverters(t *testing.T) {
 	nx := b.Not(x)
 	g := b.And(nx, y) // should become ANDNY(x, y)
 	gi := b.gates[int(g)-b.numInputs-1]
-	if gi.Kind.NeedsBootstrap() != true {
+	if gi.Kind().NeedsBootstrap() != true {
 		t.Fatalf("expected a bootstrapped gate")
 	}
 	// The consumer must read x directly, not the NOT gate.
@@ -145,7 +145,7 @@ func TestPushNotAbsorbsInverters(t *testing.T) {
 func TestValidateCatchesOrderViolation(t *testing.T) {
 	nl := &Netlist{
 		NumInputs: 1,
-		Gates:     []Gate{{Kind: logic.AND, A: 3, B: 1}}, // node 3 doesn't exist yet
+		Gates:     []Gate{{TT: logic.TTOf(logic.AND), A: 3, B: 1}}, // node 3 doesn't exist yet
 		Outputs:   []NodeID{2},
 	}
 	if err := nl.Validate(); err == nil {

@@ -9,12 +9,12 @@ import (
 	"pytfhe/internal/logic"
 )
 
-// TestGateSize pins the in-memory gate at 20 bytes: a kind, three 32-bit
-// operand ids, a table and an arity. Million-gate netlists hold one per
-// gate in every pass, so a new field must be a deliberate decision.
+// TestGateSize pins the in-memory gate at 16 bytes: three 32-bit operand
+// ids, a table and an arity. Million-gate netlists hold one per gate in
+// every pass, so a new field must be a deliberate decision.
 func TestGateSize(t *testing.T) {
-	if got := unsafe.Sizeof(Gate{}); got != 20 {
-		t.Fatalf("unsafe.Sizeof(Gate{}) = %d, want 20", got)
+	if got := unsafe.Sizeof(Gate{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Gate{}) = %d, want 16", got)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestComputeStatsAllocation(t *testing.T) {
 // TestValidateNodeCount: a netlist with more than MaxNodeID nodes would
 // wrap GateID; Validate and Lint reject it with one index-space error.
 func TestValidateNodeCount(t *testing.T) {
-	nl := &Netlist{NumInputs: MaxNodeID, Gates: []Gate{{Kind: logic.AND, A: 1, B: 2}}}
+	nl := &Netlist{NumInputs: MaxNodeID, Gates: []Gate{{TT: logic.TTOf(logic.AND), A: 1, B: 2}}}
 	if err := nl.Validate(); err == nil {
 		t.Fatal("Validate accepted a netlist past MaxNodeID nodes")
 	}

@@ -119,8 +119,8 @@ func randomGates(b *Builder, rng *rand.Rand, n int, check func(req Gate, id Node
 		if y < x {
 			x, y = y, x
 		}
-		req := Gate{Kind: kinds[rng.Intn(len(kinds))], A: x, B: y}
-		id := b.Gate(req.Kind, x, y)
+		req := Gate{TT: logic.TTOf(kinds[rng.Intn(len(kinds))]), A: x, B: y}
+		id := b.Gate(req.Kind(), x, y)
 		check(req, id)
 		if rng.Intn(2) == 0 {
 			nodes = append(nodes, id)

@@ -173,7 +173,7 @@ func Lint(nl *Netlist) *Report {
 		// The structure summary is only meaningful on an acyclic graph.
 		for i := range nl.Gates {
 			g := &nl.Gates[i]
-			if g.IsLUT() || (g.Kind < logic.NumKinds && g.Kind.NeedsBootstrap()) {
+			if g.IsLUT() || (g.Kind() < logic.NumKinds && g.Kind().NeedsBootstrap()) {
 				r.Bootstrapped++
 			}
 		}
@@ -226,10 +226,10 @@ func (nl *Netlist) check(emit func(sev Severity, code, format string, args ...an
 		nOps := g.NumOperands()
 		keep := true
 		switch {
-		case !g.IsLUT() && g.Kind >= logic.NumKinds:
-			keep = emit(SevError, CodeBadGateType, "gate %d has type %d, outside the 4-bit gate alphabet", id, g.Kind)
-		case !g.IsLUT() && g.Kind.IsConst():
-			keep = emit(SevWarning, CodeConstGate, "gate %d is constant %s; synthesis should have folded it", id, g.Kind)
+		case !g.IsLUT() && g.Kind() >= logic.NumKinds:
+			keep = emit(SevError, CodeBadGateType, "gate %d has type %d, outside the 4-bit gate alphabet", id, g.TT)
+		case !g.IsLUT() && g.Kind().IsConst():
+			keep = emit(SevWarning, CodeConstGate, "gate %d is constant %s; synthesis should have folded it", id, g.Kind())
 		case !g.IsLUT():
 		case g.Arity < 2 || int(g.Arity) > logic.MaxLUTArity:
 			keep = emit(SevError, CodeBadLUTArity, "gate %d is a LUT with arity %d, outside [2, %d]", id, g.Arity, logic.MaxLUTArity)
@@ -271,7 +271,7 @@ func gateName(g *Gate) string {
 	if g.IsLUT() {
 		return fmt.Sprintf("lut%d(%#x)", g.Arity, g.TT)
 	}
-	return g.Kind.String()
+	return g.Kind().String()
 }
 
 // findCycle runs an iterative three-color DFS over the gate dependency

@@ -47,8 +47,8 @@ func TestLintCycle(t *testing.T) {
 		Name:      "cyclic",
 		NumInputs: 1,
 		Gates: []Gate{
-			{Kind: logic.AND, A: 1, B: 3}, // node 2 reads node 3
-			{Kind: logic.OR, A: 2, B: 1},  // node 3 reads node 2
+			{TT: logic.TTOf(logic.AND), A: 1, B: 3}, // node 2 reads node 3
+			{TT: logic.TTOf(logic.OR), A: 2, B: 1},  // node 3 reads node 2
 		},
 		Outputs: []NodeID{3},
 	}
@@ -76,7 +76,7 @@ func TestLintUndrivenWire(t *testing.T) {
 	nl := &Netlist{
 		Name:      "undriven",
 		NumInputs: 1,
-		Gates:     []Gate{{Kind: logic.AND, A: 1, B: 9}}, // node 9 does not exist
+		Gates:     []Gate{{TT: logic.TTOf(logic.AND), A: 1, B: 9}}, // node 9 does not exist
 		Outputs:   []NodeID{2},
 	}
 	r := Lint(nl)
@@ -93,7 +93,7 @@ func TestLintBadGateType(t *testing.T) {
 	nl := &Netlist{
 		Name:      "badtype",
 		NumInputs: 2,
-		Gates:     []Gate{{Kind: logic.Kind(17), A: 1, B: 2}},
+		Gates:     []Gate{{TT: logic.TT(17), A: 1, B: 2}},
 		Outputs:   []NodeID{3},
 	}
 	r := Lint(nl)
@@ -111,7 +111,7 @@ func TestLintConstGateWarns(t *testing.T) {
 	nl := &Netlist{
 		Name:      "constgate",
 		NumInputs: 1,
-		Gates:     []Gate{{Kind: logic.True, A: 1, B: 1}},
+		Gates:     []Gate{{TT: logic.TTOf(logic.True), A: 1, B: 1}},
 		Outputs:   []NodeID{2},
 	}
 	r := Lint(nl)
@@ -128,7 +128,7 @@ func TestLintOutputDiagnostics(t *testing.T) {
 	nl := &Netlist{
 		Name:      "outputs",
 		NumInputs: 2,
-		Gates:     []Gate{{Kind: logic.XOR, A: 1, B: 2}},
+		Gates:     []Gate{{TT: logic.TTOf(logic.XOR), A: 1, B: 2}},
 		Outputs:   []NodeID{3, 3, 44},
 	}
 	r := Lint(nl)
@@ -148,9 +148,9 @@ func TestLintDeadGates(t *testing.T) {
 		Name:      "dead",
 		NumInputs: 2,
 		Gates: []Gate{
-			{Kind: logic.XOR, A: 1, B: 2}, // node 3: exported
-			{Kind: logic.AND, A: 1, B: 2}, // node 4: dead
-			{Kind: logic.OR, A: 4, B: 4},  // node 5: dead (feeds only dead)
+			{TT: logic.TTOf(logic.XOR), A: 1, B: 2}, // node 3: exported
+			{TT: logic.TTOf(logic.AND), A: 1, B: 2}, // node 4: dead
+			{TT: logic.TTOf(logic.OR), A: 4, B: 4},  // node 5: dead (feeds only dead)
 		},
 		Outputs: []NodeID{3},
 	}
@@ -171,7 +171,7 @@ func TestLintSelfLoop(t *testing.T) {
 	nl := &Netlist{
 		Name:      "self",
 		NumInputs: 1,
-		Gates:     []Gate{{Kind: logic.AND, A: 2, B: 1}},
+		Gates:     []Gate{{TT: logic.TTOf(logic.AND), A: 2, B: 1}},
 		Outputs:   []NodeID{2},
 	}
 	r := Lint(nl)

@@ -67,7 +67,7 @@ func TestBuilderLUTConstFold(t *testing.T) {
 	id := b.LUT(ttMAJ, in[0], in[1], b.Const(true))
 	b.Output("out", id)
 	nl := b.MustBuild()
-	if len(nl.Gates) != 1 || nl.Gates[0].IsLUT() || nl.Gates[0].Kind != logic.OR {
+	if len(nl.Gates) != 1 || nl.Gates[0].IsLUT() || nl.Gates[0].Kind() != logic.OR {
 		t.Fatalf("want one OR gate, got %+v", nl.Gates)
 	}
 }
@@ -89,7 +89,7 @@ func TestBuilderLUTDuplicateAndIgnored(t *testing.T) {
 	}
 	b.Output("out", b.LUT(tt, in[0], in[0], in[1]))
 	nl := b.MustBuild()
-	if len(nl.Gates) != 1 || nl.Gates[0].IsLUT() || nl.Gates[0].Kind != logic.AND {
+	if len(nl.Gates) != 1 || nl.Gates[0].IsLUT() || nl.Gates[0].Kind() != logic.AND {
 		t.Fatalf("want one AND gate, got %+v", nl.Gates)
 	}
 }

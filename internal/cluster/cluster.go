@@ -41,10 +41,12 @@ import (
 // KeyHash tag); version 5 numbers a shard's table densely (one Slots count,
 // fills copied into slots the worker owns); version 6 drops the replay message
 // that rebuilt a lost worker's shard on a survivor: the run now starts
-// again on the survivors.
+// again on the survivors; version 7 ships each instruction as one table
+// and an arity (no Kind field), which a v6 peer's gob decoder would drop
+// silently, evaluating every classic gate as table 0.
 // Peers of another version are rejected with a typed error instead of a
 // gob decode failure or an "unexpected message" downstream.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // Typed handshake and transport errors. Callers match with errors.Is.
 var (

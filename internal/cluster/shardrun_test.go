@@ -148,7 +148,7 @@ func TestRunKeysShardingByContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := backend.DecryptOutputs(sk, outs); got[0] != want[0] {
-			t.Fatalf("%v(1, 0) decrypts %v, Netlist.Evaluate says %v", nl.Gates[0].Kind, got[0], want[0])
+			t.Fatalf("%v(1, 0) decrypts %v, Netlist.Evaluate says %v", nl.Gates[0].Kind(), got[0], want[0])
 		}
 	}
 	and := func() *circuit.Netlist {
@@ -166,7 +166,7 @@ func TestRunKeysShardingByContent(t *testing.T) {
 	if st := coord.LastStat; st.ShardMisses != 0 {
 		t.Fatalf("equal netlist reshipped its shard: %+v", st)
 	}
-	first.Gates[0].Kind = logic.OR
+	first.Gates[0].TT = logic.TTOf(logic.OR)
 	run(first)
 	if n := coord.plans.Len(); n != 2 {
 		t.Fatalf("edited netlist: %d sharding entries, want 2", n)

@@ -24,10 +24,10 @@ func TestBatcher(t *testing.T) {
 	same := func(x, y *lwe.Sample) bool { return x.B == y.B && slices.Equal(x.A, y.A) }
 
 	ops := []gate.Op{
-		{Kind: logic.NAND},
-		{TT: 0xE8, Arity: 3}, // majority
-		{Kind: logic.NOT},    // free: never joins
-		{Kind: logic.XOR},
+		{TT: logic.TTOf(logic.NAND)},
+		{TT: 0xE8, Arity: 3},        // majority
+		{TT: logic.TTOf(logic.NOT)}, // free: never joins
+		{TT: logic.TTOf(logic.XOR)},
 		{TT: 0x6, Arity: 2}, // a ⊕ b as a LUT
 	}
 	want := make([]*lwe.Sample, len(ops))
@@ -64,7 +64,7 @@ func TestBatcher(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []gate.Op{{Kind: logic.NumKinds}, {Kind: 200}, {TT: 0x1, Arity: logic.MaxLUTArity + 1}} {
+	for _, bad := range []gate.Op{{TT: logic.NumKinds}, {TT: 200}, {TT: 0x1, Arity: logic.MaxLUTArity + 1}} {
 		if _, err := bt.Do(bad, fresh(), a, b, c); err == nil {
 			t.Fatalf("malformed op %+v evaluated", bad)
 		}
@@ -73,7 +73,7 @@ func TestBatcher(t *testing.T) {
 	one := exec.NewBatcher(eng, 1)
 	out := fresh()
 	if n := testing.AllocsPerRun(5, func() {
-		if joined, err := one.Do(gate.Op{Kind: logic.NAND}, out, a, b, nil); joined || err != nil {
+		if joined, err := one.Do(gate.Op{TT: logic.TTOf(logic.NAND)}, out, a, b, nil); joined || err != nil {
 			t.Fatal(joined, err)
 		}
 	}); n != 0 {

@@ -18,7 +18,7 @@ func applyGate(eng *gate.Engine, st *State, g *circuit.Gate, out *lwe.Sample) er
 	if g.Arity >= 3 {
 		c = st.Values[g.C]
 	}
-	return Eval(eng, gate.Op{Kind: g.Kind, TT: g.TT, Arity: g.Arity}, out, st.Values[g.A], st.Values[g.B], c)
+	return Eval(eng, gate.Op{TT: g.TT, Arity: g.Arity}, out, st.Values[g.A], st.Values[g.B], c)
 }
 
 // releaseOperands drops one fan-out reference per operand slot of g,

@@ -130,10 +130,10 @@ func TestTranspilerAlphabetRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range nl.Gates {
-		switch g.Kind {
+		switch g.Kind() {
 		case logic.AND, logic.OR, logic.NOT, logic.COPY:
 		default:
-			t.Fatalf("transpiler netlist contains %v gate", g.Kind)
+			t.Fatalf("transpiler netlist contains %v gate", g.Kind())
 		}
 	}
 }

@@ -186,10 +186,11 @@ func (d CuFHEDriver) Simulate(nl *circuit.Netlist) Exec {
 	}
 	for _, level := range nl.Levels() {
 		// Group by kind: cuFHE batches only homogeneous gates.
-		byKind := map[uint8][]int{}
-		order := []uint8{}
+		byKind := map[uint16][]int{}
+		order := []uint16{}
 		for _, gi := range level {
-			k := uint8(nl.Gates[gi].Kind)
+			g := &nl.Gates[gi]
+			k := uint16(g.TT) | uint16(g.Arity)<<8
 			if _, seen := byKind[k]; !seen {
 				order = append(order, k)
 			}

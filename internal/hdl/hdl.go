@@ -32,12 +32,6 @@ func New(name string) *Module {
 	return &Module{B: circuit.NewBuilder(name, circuit.AllOptimizations())}
 }
 
-// NewWithOptions returns a module with explicit builder options (used by
-// the baseline framework models, which optimize less).
-func NewWithOptions(name string, opts circuit.BuilderOptions) *Module {
-	return &Module{B: circuit.NewBuilder(name, opts)}
-}
-
 // Input declares a single-bit input.
 func (m *Module) Input(name string) circuit.NodeID { return m.B.Input(name) }
 

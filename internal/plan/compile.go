@@ -75,21 +75,18 @@ func (f *fn) expand(pos *[maxSupport]int) uint64 {
 	return t
 }
 
-// combineGate computes eg's function (classic kind or LUT table) over the
-// union support of its operands' functions, or ok=false when the union
-// exceeds maxSupport. Each operand's table is expanded onto the union
-// support, then the gate is applied to whole words, one AND-chain per
-// true row of its table. LUT operands contribute their cones exactly like
-// classic operands — the symbolic composition is what lets dedup merge a
-// LUT with the 2-input cone computing the same function.
+// combineGate computes eg's function (its table) over the union support
+// of its operands' functions, or ok=false when the union exceeds
+// maxSupport. Each operand's table is expanded onto the union support,
+// then the gate is applied to whole words, one AND-chain per true row of
+// its table. LUT operands contribute their cones exactly like classic
+// operands — the symbolic composition is what lets dedup merge a LUT with
+// the 2-input cone computing the same function.
 func combineGate(eg *execGate, fns []fn) (fn, bool) {
 	ops := [logic.MaxLUTArity]*fn{&fns[eg.a], &fns[eg.b]}
-	arity, tt := 2, logic.TTOf(eg.kind)
-	if eg.arity != 0 {
-		arity, tt = int(eg.arity), eg.tt
-		if arity == 3 {
-			ops[2] = &fns[eg.c]
-		}
+	arity, tt := max(int(eg.arity), 2), eg.tt
+	if arity == 3 {
+		ops[2] = &fns[eg.c]
 	}
 
 	// Merge the sorted supports, recording where each operand variable
@@ -167,11 +164,10 @@ func (f *fn) dropDummies() {
 	}
 }
 
-// execGate is one deduplicated gate of the capture: operands are exec-node
-// ids (inputs occupy ids 0..NumInputs-1, gates follow in creation order).
-// LUT gates carry their table and arity; c is meaningful at arity 3 only.
+// execGate is one deduplicated gate of the capture, in circuit.Gate's
+// encoding: operands are exec-node ids (inputs occupy ids 0..NumInputs-1,
+// gates follow in creation order), and c is meaningful at arity 3 only.
 type execGate struct {
-	kind  logic.Kind
 	a, b  int32
 	c     int32
 	tt    logic.TT
@@ -181,20 +177,20 @@ type execGate struct {
 
 // needsBootstrap mirrors circuit.Gate.NeedsBootstrap for exec gates.
 func (g *execGate) needsBootstrap() bool {
-	return g.arity != 0 || g.kind.NeedsBootstrap()
+	return g.arity != 0 || logic.Kind(g.tt).NeedsBootstrap()
 }
 
 // structKey is the hash-consing key of the support-overflow fallback. It
-// covers the full gate identity — kind, truth table, arity, and all
-// operand ids — so structurally distinct gates never merge.
+// covers the full gate identity — truth table, arity, and all operand
+// ids — so structurally distinct gates never merge.
 type structKey struct {
-	shape   uint32 // kind | tt<<8 | arity<<16, packed so the key has no padding
+	shape   uint32 // tt | arity<<8, packed so the key has no padding
 	a, b, c int32
 }
 
 func newStructKey(eg *execGate) structKey {
 	return structKey{
-		shape: uint32(eg.kind) | uint32(eg.tt)<<8 | uint32(eg.arity)<<16,
+		shape: uint32(eg.tt) | uint32(eg.arity)<<8,
 		a:     eg.a, b: eg.b, c: eg.c,
 	}
 }
@@ -241,11 +237,6 @@ func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, er
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	for i := range nl.Gates {
-		if g := &nl.Gates[i]; !g.IsLUT() && g.Kind >= logic.NumKinds {
-			return nil, fmt.Errorf("plan: gate %d has kind %d outside the gate alphabet", nl.GateID(i), g.Kind)
-		}
-	}
 
 	numInputs := nl.NumInputs
 	stats := Stats{LogicalGates: len(nl.Gates)}
@@ -278,41 +269,7 @@ func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, er
 	}
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
-		var eg execGate
-		if g.IsLUT() {
-			arity := int(g.Arity)
-			var eops [logic.MaxLUTArity]int32
-			for k := 0; k < arity; k++ {
-				eops[k] = execOf[g.Operand(k)]
-			}
-			// Canonical operand order: sort the exec ids ascending (a
-			// stable insertion sort) and permute the table to match
-			// (newOps[k] = eops[perm[k]]), so LUTs differing only by
-			// operand order merge — the LUT counterpart of the classic
-			// SwapInputs canonicalization.
-			perm := [logic.MaxLUTArity]int{0, 1, 2}
-			for x := 1; x < arity; x++ {
-				for y := x; y > 0 && eops[perm[y]] < eops[perm[y-1]]; y-- {
-					perm[y], perm[y-1] = perm[y-1], perm[y]
-				}
-			}
-			eg = execGate{tt: g.TT.Permute(arity, perm[:arity]), arity: g.Arity,
-				a: eops[perm[0]], b: eops[perm[1]], c: -1}
-			if arity >= 3 {
-				eg.c = eops[perm[2]]
-			}
-		} else {
-			kind := g.Kind
-			ea, eb := execOf[g.A], execOf[g.B]
-			// Canonical operand order: f(a,b) = f.SwapInputs()(b,a), so
-			// sorting the operands merges commuted duplicates (AND(x,y)
-			// with AND(y,x), ANDNY(x,y) with ANDYN(y,x), ...).
-			if ea > eb {
-				ea, eb = eb, ea
-				kind = kind.SwapInputs()
-			}
-			eg = execGate{kind: kind, a: ea, b: eb, c: -1}
-		}
+		eg := canonical(g, execOf)
 		var id int32
 		if f, ok := combineGate(&eg, fns); ok {
 			p, hit := findFn(&fnIndex, fns, &f)
@@ -481,7 +438,6 @@ func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, er
 		for k, gi := range gs {
 			g := &gates[gi]
 			lv[k] = Instr{
-				Kind:  g.kind,
 				Out:   int32(numInputs) + slotOf[gi],
 				A:     refOf(g.a),
 				B:     refOf(g.b),
@@ -504,6 +460,35 @@ func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, er
 	stats.CompileTime = time.Since(start)
 	p.stats = stats
 	return p, nil
+}
+
+// canonical returns g as an exec gate over the exec nodes execOf maps its
+// operands to, in canonical operand order: the exec ids sorted ascending
+// (a stable insertion sort) and the table permuted to match (newOps[k] =
+// ops[perm[k]]), so gates differing only by operand order merge — AND(x,y)
+// with AND(y,x), ANDNY(x,y) with ANDYN(y,x), and a LUT with its operand
+// permutations. A classic table is an arity-2 table here, where the swap
+// is logic.Kind.SwapInputs.
+func canonical(g *circuit.Gate, execOf []int32) execGate {
+	n := g.NumOperands()
+	var ops [logic.MaxLUTArity]int32
+	for k := 0; k < n; k++ {
+		ops[k] = execOf[g.Operand(k)]
+	}
+	perm := [logic.MaxLUTArity]int{0, 1, 2}
+	for x := 1; x < n; x++ {
+		for y := x; y > 0 && ops[perm[y]] < ops[perm[y-1]]; y-- {
+			perm[y], perm[y-1] = perm[y-1], perm[y]
+		}
+	}
+	eg := execGate{tt: g.TT, arity: g.Arity, a: ops[perm[0]], b: ops[perm[1]], c: -1}
+	if perm != [logic.MaxLUTArity]int{0, 1, 2} {
+		eg.tt = g.TT.Permute(n, perm[:n])
+	}
+	if n == 3 {
+		eg.c = ops[perm[2]]
+	}
+	return eg
 }
 
 // hash returns f's hash under x's seed, over f's 40 bytes.

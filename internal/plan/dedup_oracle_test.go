@@ -156,7 +156,7 @@ func TestCombineGateMatchesOracle(t *testing.T) {
 		arity := 2
 		switch trial % 4 {
 		case 0, 1:
-			eg.kind = logic.Kind(rng.Intn(logic.NumKinds))
+			eg.tt = logic.TT(rng.Intn(logic.NumKinds))
 		case 2:
 			eg.arity, eg.tt = 2, logic.TT(rng.Intn(16))
 		case 3:
@@ -179,7 +179,7 @@ func TestCombineGateMatchesOracle(t *testing.T) {
 			ofns[1] = ofns[0]
 		}
 		got, ok := combineGate(&eg, fns)
-		cg := circuit.Gate{Kind: eg.kind, TT: eg.tt, Arity: eg.arity}
+		cg := circuit.Gate{TT: eg.tt, Arity: eg.arity}
 		want, wantOK := oracleCombineGate(&cg, ofns)
 		if ok != wantOK {
 			t.Fatalf("trial %d: overflow verdict %v, oracle %v (ops %+v, gate %+v)", trial, !ok, !wantOK, ofns, cg)

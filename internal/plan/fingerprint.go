@@ -41,18 +41,23 @@ func (p *Plan) Fingerprint() string {
 
 // HashInstrBytes renders one instruction into the canonical 19-byte layout
 // shared by Plan.Fingerprint and internal/shard's manifest content hashes:
-// Kind, Out/A/B as little-endian uint32, then Arity, TT, and C (zero for
-// classic gates, so pre-LUT streams hash the same bytes per instruction
-// with a constant suffix). Callers must treat the result as read-only; it
-// aliases a per-call stack buffer escape.
+// a kind byte, Out/A/B as little-endian uint32, then Arity, a table byte,
+// and C. A classic gate's table goes in the kind byte and a LUT's in the
+// table byte, the other one zero, as in the layout's two-field days, so
+// pre-LUT streams hash the same bytes per instruction with a constant
+// suffix and recorded fingerprints still match. Callers must treat the
+// result as read-only; it aliases a per-call stack buffer escape.
 func HashInstrBytes(ins Instr) []byte {
 	var buf [19]byte
-	buf[0] = byte(ins.Kind)
+	tableAt := 14
+	if ins.Arity == 0 {
+		tableAt = 0
+	}
+	buf[tableAt] = byte(ins.TT)
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(ins.Out))
 	binary.LittleEndian.PutUint32(buf[5:9], uint32(ins.A))
 	binary.LittleEndian.PutUint32(buf[9:13], uint32(ins.B))
 	buf[13] = ins.Arity
-	buf[14] = byte(ins.TT)
 	binary.LittleEndian.PutUint32(buf[15:19], uint32(ins.C))
 	return buf[:]
 }

@@ -31,9 +31,9 @@ func fuzzNetlist(data []byte) *circuit.Netlist {
 		b := rest[i*3 : i*3+3]
 		avail := numInputs + i // nodes 1..avail are defined
 		nl.Gates = append(nl.Gates, circuit.Gate{
-			Kind: logic.Kind(b[0] % uint8(logic.NumKinds)),
-			A:    circuit.NodeID(1 + int(b[1])%avail),
-			B:    circuit.NodeID(1 + int(b[2])%avail),
+			TT: logic.TT(b[0] % uint8(logic.NumKinds)),
+			A:  circuit.NodeID(1 + int(b[1])%avail),
+			B:  circuit.NodeID(1 + int(b[2])%avail),
 		})
 	}
 	tail := rest[maxGates*3:]
@@ -113,7 +113,7 @@ func distinctFunctionPair(nl *circuit.Netlist, p *Plan) (u, v circuit.NodeID, ok
 			net[i+1] = in[i]
 		}
 		for i, g := range nl.Gates {
-			net[nl.GateID(i)] = EvalWord(g.Kind, net[g.A], net[g.B])
+			net[nl.GateID(i)] = EvalWord(g.TT, g.Arity, net, g.A, g.B, g.C)
 		}
 		for i := range nl.Gates {
 			words[nl.GateID(i)] = net[nl.GateID(i)]

@@ -49,19 +49,16 @@ const (
 	ConstTrue  Ref = -2
 )
 
-// Instr is one captured gate evaluation. Classic gates (Arity 0) compute
-// values[Out] = Kind(values[A], values[B]); k-input LUT instructions
-// (Arity 2..3) compute values[Out] = TT(values[A], values[B], values[C])
-// with one programmable bootstrap, mirroring circuit.Gate's encoding (C is
-// meaningful only at arity 3). All refs are resolved at compile time.
+// Instr is one captured gate evaluation, values[Out] = TT(values[A],
+// values[B], values[C]), in circuit.Gate's encoding: Arity 0 is a classic
+// gate whose table is its logic.Kind nibble over (A, B), Arity 2..3 a
+// k-input LUT evaluated with one programmable bootstrap (C is read at
+// arity 3 only). All refs are resolved at compile time.
 type Instr struct {
-	Kind logic.Kind
-	Out  Ref
-	A, B Ref
-
-	C     Ref      // third LUT operand (Arity 3 only)
-	TT    logic.TT // LUT truth table (Arity ≥ 2 only)
-	Arity uint8    // 0: classic gate; 2..3: k-input LUT
+	Out     Ref
+	A, B, C Ref
+	TT      logic.TT // the gate's function
+	Arity   uint8    // 0: classic gate; 2..3: k-input LUT
 }
 
 // IsLUT reports whether the instruction is a multi-input LUT.
@@ -70,7 +67,7 @@ func (ins Instr) IsLUT() bool { return ins.Arity != 0 }
 // NeedsBootstrap reports whether replaying the instruction costs a
 // bootstrap (LUT instructions always do).
 func (ins Instr) NeedsBootstrap() bool {
-	return ins.Arity != 0 || ins.Kind.NeedsBootstrap()
+	return ins.Arity != 0 || logic.Kind(ins.TT).NeedsBootstrap()
 }
 
 // Cut splits one level into min(n, len(level)) contiguous, non-empty

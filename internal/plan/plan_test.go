@@ -50,7 +50,7 @@ func evalPlan(p *Plan, inputs []bool) []bool {
 				}
 				continue
 			}
-			vals[ins.Out] = ins.Kind.Eval(vals[ins.A], vals[ins.B])
+			vals[ins.Out] = logic.Kind(ins.TT).Eval(vals[ins.A], vals[ins.B])
 		}
 	}
 	outs := make([]bool, len(p.outputs))
@@ -428,9 +428,9 @@ func TestCutProperties(t *testing.T) {
 		level := make([]Instr, rng.Intn(40))
 		pBoot := rng.Float64()
 		for i := range level {
-			level[i] = Instr{Kind: logic.NOT, Out: Ref(i)}
+			level[i] = Instr{TT: logic.TTOf(logic.NOT), Out: Ref(i)}
 			if rng.Float64() < pBoot {
-				level[i].Kind = logic.NAND
+				level[i].TT = logic.TTOf(logic.NAND)
 			}
 		}
 		n := 1 + rng.Intn(8)

@@ -207,7 +207,7 @@ func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush
 		if ins.NeedsBootstrap() {
 			it.N.Bootstraps++
 		}
-		if _, err := it.bt.Do(gate.Op{Kind: ins.Kind, TT: ins.TT, Arity: ins.Arity}, out, a, b, c); err != nil {
+		if _, err := it.bt.Do(gate.Op{TT: ins.TT, Arity: ins.Arity}, out, a, b, c); err != nil {
 			return err
 		}
 	}

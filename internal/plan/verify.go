@@ -111,21 +111,18 @@ func Verify(nl *circuit.Netlist, p *Plan) (*VerifyReport, error) {
 		cur := int32(li + 1)
 		for k, ins := range lv {
 			report.Instructions++
-			if ins.IsLUT() {
-				if ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity {
-					return nil, fmt.Errorf("%w: level %d instr %d has LUT arity %d", ErrShape, li, k, ins.Arity)
-				}
-				if ins.TT&^logic.TTMask(int(ins.Arity)) != 0 {
-					return nil, fmt.Errorf("%w: level %d instr %d has table %#x wider than 2^%d", ErrShape, li, k, ins.TT, ins.Arity)
-				}
-				if !logic.LUTFeasible(int(ins.Arity), ins.TT) {
-					return nil, fmt.Errorf("%w: level %d instr %d has LUT table %#x with no single-bootstrap plan", ErrShape, li, k, ins.TT)
-				}
-				if ins.Arity >= 3 && (ins.C < 0 || ins.C >= Ref(nRefs)) {
-					return nil, fmt.Errorf("%w: level %d instr %d reads ref %d (valid range [0,%d))", ErrShape, li, k, ins.C, nRefs)
-				}
-			} else if ins.Kind >= logic.NumKinds {
-				return nil, fmt.Errorf("%w: level %d instr %d has kind %d", ErrShape, li, k, ins.Kind)
+			switch {
+			case ins.Arity == 0 && ins.TT >= logic.NumKinds:
+				return nil, fmt.Errorf("%w: level %d instr %d has kind %d", ErrShape, li, k, ins.TT)
+			case ins.Arity == 0:
+			case ins.Arity < 2 || int(ins.Arity) > logic.MaxLUTArity:
+				return nil, fmt.Errorf("%w: level %d instr %d has LUT arity %d", ErrShape, li, k, ins.Arity)
+			case ins.TT&^logic.TTMask(int(ins.Arity)) != 0:
+				return nil, fmt.Errorf("%w: level %d instr %d has table %#x wider than 2^%d", ErrShape, li, k, ins.TT, ins.Arity)
+			case !logic.LUTFeasible(int(ins.Arity), ins.TT):
+				return nil, fmt.Errorf("%w: level %d instr %d has LUT table %#x with no single-bootstrap plan", ErrShape, li, k, ins.TT)
+			case ins.Arity >= 3 && (ins.C < 0 || ins.C >= Ref(nRefs)):
+				return nil, fmt.Errorf("%w: level %d instr %d reads ref %d (valid range [0,%d))", ErrShape, li, k, ins.C, nRefs)
 			}
 			if ins.Out < Ref(np) || ins.Out >= Ref(nRefs) {
 				return nil, fmt.Errorf("%w: level %d instr %d writes ref %d (arena is [%d,%d))", ErrShape, li, k, ins.Out, np, nRefs)
@@ -222,24 +219,11 @@ func Verify(nl *circuit.Netlist, p *Plan) (*VerifyReport, error) {
 		}
 		for i := range nl.Gates {
 			g := &nl.Gates[i]
-			if g.IsLUT() {
-				netWords[nl.GateID(i)] = EvalWordTT(g.TT, int(g.Arity),
-					netAt(g.A), netAt(g.B), netAt(g.C))
-			} else {
-				netWords[nl.GateID(i)] = EvalWord(g.Kind, netWords[g.A], netWords[g.B])
-			}
+			netWords[nl.GateID(i)] = EvalWord(g.TT, g.Arity, netWords, g.A, g.B, g.C)
 		}
 		for _, lv := range p.levels {
 			for _, ins := range lv {
-				if ins.IsLUT() {
-					var c uint64
-					if ins.Arity >= 3 {
-						c = planWords[ins.C]
-					}
-					planWords[ins.Out] = EvalWordTT(ins.TT, int(ins.Arity), planWords[ins.A], planWords[ins.B], c)
-				} else {
-					planWords[ins.Out] = EvalWord(ins.Kind, planWords[ins.A], planWords[ins.B])
-				}
+				planWords[ins.Out] = EvalWord(ins.TT, ins.Arity, planWords, ins.A, ins.B, ins.C)
 			}
 		}
 		for _, members := range classes {
@@ -269,45 +253,33 @@ func Verify(nl *circuit.Netlist, p *Plan) (*VerifyReport, error) {
 	return report, nil
 }
 
-// EvalWordTT evaluates a k-input LUT over 64 packed boolean assignments by
-// minterm masks (c is ignored at arity 2). Like EvalWord it is exported
-// for internal/shard's decomposition verifier.
-func EvalWordTT(tt logic.TT, arity int, a, b, c uint64) uint64 {
-	words := [3]uint64{a, b, c}
+// EvalWord evaluates one gate over 64 packed boolean assignments by
+// minterm masks: the table tt of the given arity, in circuit.Gate's and
+// Instr's encoding (arity 0: a classic gate, whose table is its kind
+// nibble), over the words at a, b and — at arity 3 only — c. It is the one
+// cleartext word evaluator: Verify runs netlist gates and plan
+// instructions through it, and internal/shard's decomposition verifier
+// sharded ones.
+func EvalWord[R ~int32](tt logic.TT, arity uint8, words []uint64, a, b, c R) uint64 {
+	n := max(int(arity), 2)
+	ops := [logic.MaxLUTArity]uint64{words[a], words[b]}
+	if n == 3 {
+		ops[2] = words[c]
+	}
 	var out uint64
-	for v := 0; v < 1<<arity; v++ {
+	for v := 0; v < 1<<n; v++ {
 		if !tt.Eval(uint8(v)) {
 			continue
 		}
 		m := ^uint64(0)
-		for i := 0; i < arity; i++ {
-			if v>>(arity-1-i)&1 == 1 {
-				m &= words[i]
+		for i, w := range ops[:n] {
+			if v>>(n-1-i)&1 == 1 {
+				m &= w
 			} else {
-				m &= ^words[i]
+				m &^= w
 			}
 		}
 		out |= m
-	}
-	return out
-}
-
-// EvalWord evaluates one gate over 64 packed boolean assignments by
-// minterm masks. It is exported for internal/shard, whose decomposition
-// verifier replays the same bit-parallel simulation over a sharded plan.
-func EvalWord(k logic.Kind, a, b uint64) uint64 {
-	var out uint64
-	if k.EvalBit(0, 0)&1 == 1 {
-		out |= ^a & ^b
-	}
-	if k.EvalBit(0, 1)&1 == 1 {
-		out |= ^a & b
-	}
-	if k.EvalBit(1, 0)&1 == 1 {
-		out |= a & ^b
-	}
-	if k.EvalBit(1, 1)&1 == 1 {
-		out |= a & b
 	}
 	return out
 }

@@ -149,7 +149,7 @@ func TestVerifyShapeDefects(t *testing.T) {
 	nl, p := chain(t, 2)
 
 	m := clonePlan(p)
-	m.levels[0][0].Kind = logic.Kind(99)
+	m.levels[0][0].TT = 99
 	wantErr(t, nl, m, ErrShape, "unknown kind")
 
 	m = clonePlan(p)
@@ -266,7 +266,7 @@ func TestVerifySemanticsDefects(t *testing.T) {
 	// A silently flipped gate kind.
 	m = clonePlan(p)
 	li, k := findInstr(t, m, m.outputs[0])
-	m.levels[li][k].Kind = logic.XOR
+	m.levels[li][k].TT = logic.TTOf(logic.XOR)
 	wantErr(t, nl, m, ErrSemantics, "flipped kind")
 }
 
@@ -275,7 +275,7 @@ func TestVerifyRejectsInvalidNetlist(t *testing.T) {
 	bad := &circuit.Netlist{
 		Name:      nl.Name,
 		NumInputs: nl.NumInputs,
-		Gates:     []circuit.Gate{{Kind: logic.AND, A: 9, B: 1}},
+		Gates:     []circuit.Gate{{TT: logic.TTOf(logic.AND), A: 9, B: 1}},
 		Outputs:   nl.Outputs,
 	}
 	if _, err := Verify(bad, p); err == nil {

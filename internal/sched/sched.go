@@ -190,7 +190,7 @@ func Simulate(nl *circuit.Netlist, p Platform) Result {
 	for _, level := range levels {
 		boot, free := 0, 0
 		for _, gi := range level {
-			if nl.Gates[gi].Kind.NeedsBootstrap() {
+			if nl.Gates[gi].NeedsBootstrap() {
 				boot++
 			} else {
 				free++

@@ -557,15 +557,33 @@ func TestServeFairnessUnderLoad(t *testing.T) {
 		stop := make(chan struct{})
 		wg0 := flood(t, srv, kps[0], wide, 3, stop)
 		wg1 := flood(t, srv, kps[1], wide, 3, stop)
-		time.Sleep(100 * time.Millisecond) // both backlogs established
-		before := srv.statsSnapshot().TenantPicks
-		time.Sleep(time.Second)
-		after := srv.statsSnapshot().TenantPicks
+		// The weights set the ratio only while both tenants have work
+		// queued; picks one takes while the other's sessions are between
+		// requests, or starved of CPU on a loaded host, say nothing about
+		// them. So count a fixed number of picks, and only between
+		// consecutive snapshots at which both tenants had work queued.
+		const want = 1000
+		backlogged := func(st *StatsReply) bool {
+			return st.TenantQueued[labels[0]] > 0 && st.TenantQueued[labels[1]] > 0
+		}
+		var p0, p1 int64
+		prev := srv.statsSnapshot()
+		for deadline := time.Now().Add(time.Minute); p0+p1 < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d picks with both tenants queued in a minute, want %d", p0+p1, want)
+			}
+			time.Sleep(2 * time.Millisecond)
+			cur := srv.statsSnapshot()
+			if backlogged(prev) && backlogged(cur) {
+				p0 += cur.TenantPicks[labels[0]] - prev.TenantPicks[labels[0]]
+				p1 += cur.TenantPicks[labels[1]] - prev.TenantPicks[labels[1]]
+			}
+			prev = cur
+		}
 		close(stop)
 		wg0.Wait()
 		wg1.Wait()
-		p0, p1 := after[labels[0]]-before[labels[0]], after[labels[1]]-before[labels[1]]
-		t.Logf("picks over the window: weight 1 → %d, weight 2 → %d (%.2f:1)", p0, p1, float64(p1)/float64(max(p0, 1)))
+		t.Logf("picks with both tenants queued: weight 1 → %d, weight 2 → %d (%.2f:1)", p0, p1, float64(p1)/float64(max(p0, 1)))
 		if p0 == 0 || float64(p1) < 1.4*float64(p0) || float64(p1) > 3*float64(p0) {
 			t.Fatalf("2:1 weight served %d vs %d picks", p1, p0)
 		}

@@ -305,8 +305,7 @@ func Split(p *plan.Plan, n int) (*Sharding, error) {
 				h.gen = int32(li)
 				writers[ins.Out-np] = writerRec{shard: w, slot: h.slot, level: int32(li), export: -1}
 				sh.Levels[li] = append(sh.Levels[li], plan.Instr{
-					Kind: ins.Kind, Out: h.slot, A: a, B: b,
-					C: c, TT: ins.TT, Arity: ins.Arity,
+					Out: h.slot, A: a, B: b, C: c, TT: ins.TT, Arity: ins.Arity,
 				})
 			}
 		}

@@ -98,7 +98,7 @@ func evalSharded(s *Sharding, inputs []bool) []bool {
 					}
 					continue
 				}
-				vals[w][ins.Out] = ins.Kind.Eval(vals[w][ins.A], vals[w][ins.B])
+				vals[w][ins.Out] = logic.Kind(ins.TT).Eval(vals[w][ins.A], vals[w][ins.B])
 			}
 			for k, ref := range sh.Exports[li] {
 				exports[s.ExportIDs[w][li][k]] = vals[w][ref]
@@ -349,10 +349,10 @@ func TestVerifyCatchesSeededDefects(t *testing.T) {
 						p2, s2 = build()
 					}
 					ins := &s2.Shards[w].Levels[li][k]
-					if ins.Kind == logic.NAND {
-						ins.Kind = logic.NOR
+					if ins.TT == logic.TTOf(logic.NAND) {
+						ins.TT = logic.TTOf(logic.NOR)
 					} else {
-						ins.Kind = logic.NAND
+						ins.TT = logic.TTOf(logic.NAND)
 					}
 					if _, err := Verify(p2, s2); errors.Is(err, ErrSemantics) {
 						return

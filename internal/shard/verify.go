@@ -7,21 +7,6 @@ import (
 	"pytfhe/internal/plan"
 )
 
-// evalInstrWord evaluates one instruction bit-parallel: LUT instructions
-// through their truth table (the third operand read from tbl[cRef] only at
-// arity 3, so classic instructions never index with their zero C field),
-// classic gates through the kind.
-func evalInstrWord(ins plan.Instr, a, b uint64, tbl []uint64, cRef plan.Ref) uint64 {
-	if ins.IsLUT() {
-		var c uint64
-		if ins.Arity >= 3 {
-			c = tbl[cRef]
-		}
-		return plan.EvalWordTT(ins.TT, int(ins.Arity), a, b, c)
-	}
-	return plan.EvalWord(ins.Kind, a, b)
-}
-
 // Verification failure classes for shard decompositions, mirroring
 // plan.Verify's sentinel style so callers classify with errors.Is.
 var (
@@ -205,7 +190,7 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 		}
 		for li, lv := range levels {
 			for _, ins := range lv {
-				planWords[ins.Out] = evalInstrWord(ins, planWords[ins.A], planWords[ins.B], planWords, ins.C)
+				planWords[ins.Out] = plan.EvalWord(ins.TT, ins.Arity, planWords, ins.A, ins.B, ins.C)
 			}
 			// The router installs every shard's fills for a level before
 			// any shard executes it; the simulation must match, so a fill
@@ -236,7 +221,7 @@ func Verify(p *plan.Plan, s *Sharding) (*VerifyReport, error) {
 						return nil, fmt.Errorf("%w: shard %d level %d instr %d reads a value plan instr %d does not (round %d)",
 							ErrRouting, w, li, k, off, r)
 					}
-					words[w][ins.Out] = evalInstrWord(ins, words[w][ins.A], words[w][ins.B], words[w], ins.C)
+					words[w][ins.Out] = plan.EvalWord(ins.TT, ins.Arity, words[w], ins.A, ins.B, ins.C)
 					defined[w][ins.Out] = true
 					if words[w][ins.Out] != planWords[pi.Out] {
 						return nil, fmt.Errorf("%w: shard %d level %d instr %d differs from plan instr %d (round %d)",

@@ -44,14 +44,14 @@ func newFingerprintSet() *fingerprintSet {
 }
 
 // fingerprint hashes nl's input count, gates and outputs under the set's
-// keys: each gate's operands and then its kind, table and arity are folded
+// keys: each gate's operands and then its table and arity are folded
 // into a running hash, then each output, then the lengths.
 func (s *fingerprintSet) fingerprint(nl *circuit.Netlist) uint64 {
 	h := s.k1 ^ uint64(nl.NumInputs)
 	for i := range nl.Gates {
 		g := &nl.Gates[i]
 		h = circuit.Mix(uint64(g.A)^s.k0, uint64(g.B)^h)
-		h = circuit.Mix(uint64(g.C)^s.k1, (uint64(g.Kind)|uint64(g.TT)<<8|uint64(g.Arity)<<16)^h)
+		h = circuit.Mix(uint64(g.C)^s.k1, (uint64(g.TT)|uint64(g.Arity)<<8)^h)
 	}
 	for _, o := range nl.Outputs {
 		h = circuit.Mix(uint64(o)^s.k0, h^s.k1)

@@ -94,13 +94,15 @@ func TestOptimizeRecognisesFrontendOutput(t *testing.T) {
 		}
 		synth.CheckFixedPoint(t, name, nl)
 
-		flip := slices.IndexFunc(nl.Gates, func(g circuit.Gate) bool { return g.Kind == logic.AND })
+		flip := slices.IndexFunc(nl.Gates, func(g circuit.Gate) bool { return g.Kind() == logic.AND })
 		if flip < 0 {
 			t.Fatalf("%s: no AND gate to flip", name)
 		}
 		mutants := map[string]func(*circuit.Netlist){
-			"flipped-kind": func(m *circuit.Netlist) { m.Gates[flip].Kind = logic.OR },
-			"dead-gate":    func(m *circuit.Netlist) { m.Gates = append(m.Gates, circuit.Gate{Kind: logic.AND, A: 1, B: 2}) },
+			"flipped-kind": func(m *circuit.Netlist) { m.Gates[flip].TT = logic.TTOf(logic.OR) },
+			"dead-gate": func(m *circuit.Netlist) {
+				m.Gates = append(m.Gates, circuit.Gate{TT: logic.TTOf(logic.AND), A: 1, B: 2})
+			},
 		}
 		for mname, edit := range mutants {
 			m := *nl

@@ -117,7 +117,7 @@ func Resynthesize(nl *circuit.Netlist) (*circuit.Netlist, error) {
 
 		if len(support) > 2 {
 			// Too wide: emit the gate as-is; the result is a fresh var.
-			newID := r.b.Gate(g.Kind, na, nb)
+			newID := r.b.Gate(g.Kind(), na, nb)
 			r.remap[oldID] = newID
 			if !newID.IsConst() {
 				if _, ok := ann[newID]; !ok {
@@ -139,7 +139,7 @@ func Resynthesize(nl *circuit.Netlist) (*circuit.Netlist, error) {
 		for bitsIdx := 0; bitsIdx < 4; bitsIdx++ {
 			v0 := bitsIdx&2 != 0
 			v1 := bitsIdx&1 != 0
-			if g.Kind.Eval(evalAnn(aa, s0, s1, v0, v1), evalAnn(ab, s0, s1, v0, v1)) {
+			if g.Kind().Eval(evalAnn(aa, s0, s1, v0, v1), evalAnn(ab, s0, s1, v0, v1)) {
 				tt |= 1 << uint(bitsIdx)
 			}
 		}

@@ -31,8 +31,8 @@ func TestResynthesizeCollapsesXORExpansion(t *testing.T) {
 	if len(out.Gates) != 1 {
 		t.Fatalf("resynthesis left %d gates, want 1", len(out.Gates))
 	}
-	if out.Gates[0].Kind != logic.XOR {
-		t.Fatalf("recovered %v, want XOR", out.Gates[0].Kind)
+	if out.Gates[0].Kind() != logic.XOR {
+		t.Fatalf("recovered %v, want XOR", out.Gates[0].Kind())
 	}
 	equivalent(t, nl, out)
 }

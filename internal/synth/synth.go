@@ -198,7 +198,7 @@ func (r *rebuilder) replayGate(g *circuit.Gate) circuit.NodeID {
 		}
 		return r.b.LUT(g.TT, ops...)
 	}
-	return r.b.Gate(g.Kind, r.mapped(g.A), r.mapped(g.B))
+	return r.b.Gate(g.Kind(), r.mapped(g.A), r.mapped(g.B))
 }
 
 // replayAll replays every gate through the builder (which applies its own

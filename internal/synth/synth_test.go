@@ -162,8 +162,8 @@ func TestAbsorbInverters(t *testing.T) {
 	if len(out.Netlist.Gates) != 1 {
 		t.Fatalf("expected NOT to be absorbed, got %d gates", len(out.Netlist.Gates))
 	}
-	if out.Netlist.Gates[0].Kind != logic.ANDNY {
-		t.Fatalf("expected ANDNY, got %v", out.Netlist.Gates[0].Kind)
+	if out.Netlist.Gates[0].Kind() != logic.ANDNY {
+		t.Fatalf("expected ANDNY, got %v", out.Netlist.Gates[0].Kind())
 	}
 	equivalent(t, nl, out.Netlist)
 }

@@ -150,36 +150,4 @@ type Profile struct {
 	BlindRotate time.Duration
 	Extract     time.Duration
 	KeySwitch   time.Duration
-	Gates       int64
-
-	// Batch amortization counters: how many batch entry-point dispatches
-	// (BootstrapBatch and kin) ran and how many gates they covered.
-	// BatchedGates/Batches is the average batch fill the kernel actually
-	// saw; single-gate entry points count toward neither.
-	Batches      int64
-	BatchedGates int64
-}
-
-// Total returns the profiled time across all phases.
-func (p *Profile) Total() time.Duration {
-	return p.BlindRotate + p.Extract + p.KeySwitch
-}
-
-// AvgBatchFill returns the average number of gates per batched dispatch, or
-// 0 when no batches ran.
-func (p *Profile) AvgBatchFill() float64 {
-	if p.Batches == 0 {
-		return 0
-	}
-	return float64(p.BatchedGates) / float64(p.Batches)
-}
-
-// Add merges other into p.
-func (p *Profile) Add(other *Profile) {
-	p.BlindRotate += other.BlindRotate
-	p.Extract += other.Extract
-	p.KeySwitch += other.KeySwitch
-	p.Gates += other.Gates
-	p.Batches += other.Batches
-	p.BatchedGates += other.BatchedGates
 }

@@ -123,40 +123,6 @@ func TestBootstrapChecksDimensionsUpFront(t *testing.T) {
 	}
 }
 
-// TestSingleEntryPointsAreNotBatches: a single-gate call is the batch of one
-// inside the evaluator but must not count as a batched dispatch, or the
-// batch-fill figures built on Profile would be diluted.
-func TestSingleEntryPointsAreNotBatches(t *testing.T) {
-	rng := trand.NewSeeded([]byte("boot-single-prof"))
-	p := params.Test()
-	_, ck, err := GenerateKeys(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval := NewEvaluator(ck)
-	eval.Profile = true
-	in := lwe.NewSample(p.LWEDimension)
-	out, extr := lwe.NewSample(p.LWEDimension), lwe.NewSample(p.ExtractedLWEDimension())
-	mu := torus.Torus32(1) << 29
-	tv := TestVector{mu, mu, -mu, mu}
-	for _, err := range []error{
-		eval.Bootstrap(out, 1<<29, in),
-		eval.BootstrapWoKS(extr, 1<<29, in),
-		eval.BootstrapOne(out, tv, in, true),
-		eval.BootstrapOne(extr, tv, in, false),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eval.Prof.Batches != 0 || eval.Prof.BatchedGates != 0 {
-		t.Fatalf("single-gate calls counted as batches: %+v", eval.Prof)
-	}
-	if eval.Prof.Gates != 2 { // the two key-switched calls
-		t.Fatalf("Gates = %d, want 2", eval.Prof.Gates)
-	}
-}
-
 func TestGenerateKeysRejectsBadParams(t *testing.T) {
 	rng := trand.NewSeeded([]byte("boot-bad"))
 	bad := params.Test()

@@ -167,7 +167,6 @@ func (e *Evaluator) bootstrap(dst []*lwe.Sample, tvs []TestVector, src []*lwe.Sa
 	}
 	if e.Profile {
 		e.Prof.KeySwitch += time.Since(start)
-		e.Prof.Gates += int64(b)
 	}
 	return nil
 }
@@ -226,24 +225,17 @@ func (e *Evaluator) blindRotate(src []*lwe.Sample) {
 // BootstrapOne bootstraps src with the test vector tv: blind rotation,
 // extraction and, when keySwitch is set, the key switch back to the
 // n-dimensional gate key. dst has dimension n with the key switch and N·k
-// (the extracted key) without it. It runs as the batch of one but does not
-// count as a batched dispatch.
+// (the extracted key) without it. It runs as the batch of one.
 func (e *Evaluator) BootstrapOne(dst *lwe.Sample, tv TestVector, src *lwe.Sample, keySwitch bool) error {
 	e.dst1[0], e.tv1[0], e.src1[0] = dst, tv, src
 	return e.bootstrap(e.dst1[:], e.tv1[:], e.src1[:], keySwitch)
 }
 
-// BootstrapMany bootstraps src[m] with tvs[m] for every member in one
-// pass, as BootstrapOne does one, and records the call as one batched
-// dispatch. Each member's output is bit-exact with BootstrapOne on the
-// same input.
+// BootstrapMany is the slice form of BootstrapOne: it bootstraps src[m]
+// with tvs[m] for every member in one pass. Each member's output is
+// bit-exact with BootstrapOne on the same input.
 func (e *Evaluator) BootstrapMany(dst []*lwe.Sample, tvs []TestVector, src []*lwe.Sample, keySwitch bool) error {
-	err := e.bootstrap(dst, tvs, src, keySwitch)
-	if err == nil && e.Profile && len(src) > 0 {
-		e.Prof.Batches++
-		e.Prof.BatchedGates += int64(len(src))
-	}
-	return err
+	return e.bootstrap(dst, tvs, src, keySwitch)
 }
 
 // Bootstrap is BootstrapOne with the constant test vector mu, key-switched:

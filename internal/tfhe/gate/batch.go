@@ -26,7 +26,7 @@ func (e *Engine) BinaryBatch(kinds []logic.Kind, dst, a, b []*Ciphertext) error 
 	}
 	e.growBatch(n)
 	for m, kind := range kinds {
-		if err := e.prepare(m, Op{Kind: kind}, a[m], b[m], nil); err != nil {
+		if err := e.prepare(m, Op{TT: logic.TTOf(kind)}, a[m], b[m], nil); err != nil {
 			return fmt.Errorf("gate: batch member %d: %w", m, err)
 		}
 	}

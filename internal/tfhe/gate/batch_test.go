@@ -81,41 +81,6 @@ func TestBinaryBatchRejectsFreeKinds(t *testing.T) {
 	}
 }
 
-// TestBatchBootstrapCount checks the combined profile counter.
-func TestBatchBootstrapCount(t *testing.T) {
-	rng := trand.NewSeeded([]byte("gate-batch-count"))
-	p := params.Test()
-	sk, ck, err := boot.GenerateKeys(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(ck)
-	e.Eval.Profile = true
-	a := NewCiphertext(p)
-	b := NewCiphertext(p)
-	Encrypt(a, true, sk, rng)
-	Encrypt(b, false, sk, rng)
-	out := NewCiphertext(p)
-	if err := e.Binary(logic.NAND, out, a, b); err != nil {
-		t.Fatal(err)
-	}
-	kinds := []logic.Kind{logic.AND, logic.OR, logic.XOR}
-	outs := []*Ciphertext{NewCiphertext(p), NewCiphertext(p), NewCiphertext(p)}
-	ins := []*Ciphertext{a, a, a}
-	ins2 := []*Ciphertext{b, b, b}
-	if err := e.BinaryBatch(kinds, outs, ins, ins2); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.BootstrapCount(); got != 4 {
-		t.Fatalf("BootstrapCount = %d, want 4", got)
-	}
-	// Only the BinaryBatch dispatch counts as a batch; the single Binary
-	// call does not dilute the fill.
-	if prof := e.Eval.Prof; prof.Batches != 1 || prof.BatchedGates != 3 {
-		t.Fatalf("batch profile = %+v", prof)
-	}
-}
-
 // aliasMember is one batch member whose operands index a shared sample
 // table: entry m is member m's output, the entries after the members are
 // operands no member writes. c is read only by arity-3 LUTs.
@@ -169,24 +134,24 @@ func checkAliasedBatch(t *testing.T, ms []aliasMember, batch func(e *Engine, ops
 func TestBatchOutputsMayAliasOperands(t *testing.T) {
 	t.Run("OpBatch", func(t *testing.T) {
 		checkAliasedBatch(t, []aliasMember{
-			{op: Op{Kind: logic.AND}, a: 0, b: 6},                    // dst == a
-			{op: Op{Kind: logic.XOR}, a: 7, b: 1},                    // dst == b
+			{op: Op{TT: logic.TTOf(logic.AND)}, a: 0, b: 6},          // dst == a
+			{op: Op{TT: logic.TTOf(logic.XOR)}, a: 7, b: 1},          // dst == b
 			{op: Op{TT: 0xE8, Arity: 3}, a: 3, b: 4, c: 2},           // dst == c; a, b are members 3 and 4's outputs
-			{op: Op{Kind: logic.NAND}, a: 5, b: 0},                   // reads members 5 and 0's outputs
+			{op: Op{TT: logic.TTOf(logic.NAND)}, a: 5, b: 0},         // reads members 5 and 0's outputs
 			{op: Op{TT: logic.TTOf(logic.OR), Arity: 2}, a: 1, b: 4}, // dst == b; a is member 1's output
-			{op: Op{Kind: logic.NOR}, a: 2, b: 8},                    // a is member 2's output
+			{op: Op{TT: logic.TTOf(logic.NOR)}, a: 2, b: 8},          // a is member 2's output
 		}, (*Engine).OpBatch)
 	})
 	t.Run("BinaryBatch", func(t *testing.T) {
 		checkAliasedBatch(t, []aliasMember{
-			{op: Op{Kind: logic.AND}, a: 0, b: 4},  // dst == a
-			{op: Op{Kind: logic.XOR}, a: 5, b: 1},  // dst == b
-			{op: Op{Kind: logic.NAND}, a: 1, b: 0}, // reads members 1 and 0's outputs
-			{op: Op{Kind: logic.OR}, a: 2, b: 3},   // dst == b; a is member 2's output
+			{op: Op{TT: logic.TTOf(logic.AND)}, a: 0, b: 4},  // dst == a
+			{op: Op{TT: logic.TTOf(logic.XOR)}, a: 5, b: 1},  // dst == b
+			{op: Op{TT: logic.TTOf(logic.NAND)}, a: 1, b: 0}, // reads members 1 and 0's outputs
+			{op: Op{TT: logic.TTOf(logic.OR)}, a: 2, b: 3},   // dst == b; a is member 2's output
 		}, func(e *Engine, ops []Op, dst, a, b, _ []*Ciphertext) error {
 			kinds := make([]logic.Kind, len(ops))
 			for m, op := range ops {
-				kinds[m] = op.Kind
+				kinds[m] = logic.Kind(op.TT)
 			}
 			return e.BinaryBatch(kinds, dst, a, b)
 		})
@@ -210,7 +175,7 @@ func TestNoPlanIsTypedError(t *testing.T) {
 	for _, kind := range []logic.Kind{16, 200} {
 		calls[fmt.Sprintf("Binary/kind-%d", kind)] = func() error { return e.Binary(kind, ins[0], ins[1], ins[2]) }
 		calls[fmt.Sprintf("BinaryBatch/kind-%d", kind)] = func() error { return e.BinaryBatch([]logic.Kind{kind}, one, one, one) }
-		calls[fmt.Sprintf("OpBatch/kind-%d", kind)] = func() error { return e.OpBatch([]Op{{Kind: kind}}, one, one, one, one) }
+		calls[fmt.Sprintf("OpBatch/kind-%d", kind)] = func() error { return e.OpBatch([]Op{{TT: logic.TTOf(kind)}}, one, one, one, one) }
 	}
 	for _, arity := range []int{1, 4} {
 		calls[fmt.Sprintf("LUT/arity-%d", arity)] = func() error { return e.LUT(arity, 0x6, ins[0], ins[:arity]...) }

@@ -202,7 +202,7 @@ func requireSameSwitchKey(t *testing.T, ks *lwe.SwitchKey, o *rowSwitchKey) {
 // logic.PlanOf gives it.
 func (o *oracle) op(t *testing.T, op Op, ins ...*Ciphertext) *Ciphertext {
 	t.Helper()
-	pl, ok := logic.PlanOf(int(op.Arity), op.table())
+	pl, ok := logic.PlanOf(int(op.Arity), op.TT)
 	if !ok {
 		t.Fatalf("%+v has no plan", op)
 	}
@@ -375,7 +375,7 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 		as[m], bs[m], cs[m] = enc(m&1 != 0), enc(m&2 != 0), enc(m&4 != 0)
 		switch {
 		case m < len(kinds):
-			ops[m] = Op{Kind: kinds[m]}
+			ops[m] = Op{TT: logic.TTOf(kinds[m])}
 		case m%2 == 0:
 			ops[m] = Op{TT: majority3, Arity: 3}
 		default:
@@ -394,7 +394,7 @@ func TestDifferentialAgainstNaiveOracle(t *testing.T) {
 			if op.Arity != 0 {
 				err = eng.LUT(int(op.Arity), op.TT, got, []*Ciphertext{as[m], bs[m], cs[m]}[:op.Arity]...)
 			} else {
-				err = eng.Binary(op.Kind, got, as[m], bs[m])
+				err = eng.Binary(logic.Kind(op.TT), got, as[m], bs[m])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -454,7 +454,7 @@ func TestDifferentialDefault128NAND(t *testing.T) {
 	if err := NewEngine(ck).Binary(logic.NAND, got, a, b); err != nil {
 		t.Fatal(err)
 	}
-	requireSame(t, "NAND", got, o.op(t, Op{Kind: logic.NAND}, a, b))
+	requireSame(t, "NAND", got, o.op(t, Op{TT: logic.TTOf(logic.NAND)}, a, b))
 	if Decrypt(got, sk) {
 		t.Fatal("NAND(true, true) decrypted to true")
 	}

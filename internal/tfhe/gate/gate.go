@@ -1,8 +1,10 @@
 // Package gate provides the bootstrapped-gate API of PyTFHE: encryption and
 // decryption of single bits, and homomorphic evaluation of every gate kind
-// in the logic alphabet and of multi-input LUTs. Every bootstrapped
-// operation runs one path: its logic.Plan forms bias + Σ wᵢ·xᵢ from the
-// operands, and one bootstrap reads the result off the plan's test vector.
+// in the logic alphabet and of multi-input LUTs. An Op names any of them
+// as the netlist does, by one truth table and an arity (arity 0: a classic
+// gate, its table the kind nibble). Every bootstrapped operation runs one
+// path: its logic.Plan forms bias + Σ wᵢ·xᵢ from the operands, and one
+// bootstrap reads the result off the plan's test vector.
 // The ten two-input gates (AND, NAND, OR, NOR, XOR, XNOR, ANDNY, ANDYN,
 // ORNY, ORYN) and each feasible LUT cost one bootstrap; NOT, COPY and the
 // constants are linear and essentially free; MUX costs two bootstraps and
@@ -99,11 +101,6 @@ func NewEngine(ck *boot.CloudKey) *Engine {
 // Params returns the engine's parameter set.
 func (e *Engine) Params() *params.GateParams { return e.p }
 
-// BootstrapCount returns the number of key-switched bootstraps performed so
-// far, single-gate and batched entry points combined (only tracked when
-// profiling is enabled on the evaluator).
-func (e *Engine) BootstrapCount() int64 { return e.Eval.Prof.Gates }
-
 // growBatch sizes the per-member scratch.
 func (e *Engine) growBatch(n int) {
 	for len(e.btmp) < n {
@@ -118,7 +115,7 @@ func (e *Engine) growBatch(n int) {
 // It writes engine scratch only, so an output written after every member
 // is prepared may alias any operand.
 func (e *Engine) prepare(m int, op Op, a, b, c *Ciphertext) error {
-	pl, ok := logic.PlanOf(int(op.Arity), op.table())
+	pl, ok := logic.PlanOf(int(op.Arity), op.TT)
 	if !ok {
 		return fmt.Errorf("%w for %+v", ErrNoPlan, op)
 	}
@@ -148,7 +145,7 @@ func (e *Engine) prepare(m int, op Op, a, b, c *Ciphertext) error {
 //pytfhe:bootstraps
 func (e *Engine) Apply(op Op, dst, a, b, c *Ciphertext) error {
 	if op.Arity == 0 {
-		switch op.Kind {
+		switch logic.Kind(op.TT) {
 		case logic.False:
 			Trivial(dst, false)
 			return nil
@@ -185,7 +182,7 @@ func (e *Engine) Apply(op Op, dst, a, b, c *Ciphertext) error {
 //
 //pytfhe:bootstraps
 func (e *Engine) Binary(kind logic.Kind, dst, a, b *Ciphertext) error {
-	return e.Apply(Op{Kind: kind}, dst, a, b, nil)
+	return e.Apply(Op{TT: logic.TTOf(kind)}, dst, a, b, nil)
 }
 
 // Not computes dst = ¬a without bootstrapping.
@@ -209,7 +206,7 @@ func (e *Engine) Mux(dst, sel, a, b *Ciphertext) error {
 		in   *Ciphertext
 		out  *lwe.Sample
 	}{{logic.AND, a, e.u1}, {logic.ANDNY, b, e.u2}} {
-		if err := e.prepare(0, Op{Kind: half.kind}, sel, half.in, nil); err != nil {
+		if err := e.prepare(0, Op{TT: logic.TTOf(half.kind)}, sel, half.in, nil); err != nil {
 			return err
 		}
 		if err := e.Eval.BootstrapOne(half.out, e.btv[0], e.btmp[0], false); err != nil {

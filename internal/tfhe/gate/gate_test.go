@@ -193,9 +193,6 @@ func TestProfileAccumulates(t *testing.T) {
 		minKS = min(minKS, eng.Eval.Prof.KeySwitch-before.KeySwitch)
 	}
 	prof := eng.Eval.Prof
-	if prof.Gates != gates {
-		t.Fatalf("profiled %d gates, want %d", prof.Gates, gates)
-	}
 	if minBR <= 0 || minKS <= 0 || prof.BlindRotate < gates*minBR || prof.KeySwitch < gates*minKS {
 		t.Fatalf("phase times do not accumulate: %+v (fastest gate: blind rotate %v, key switch %v)", prof, minBR, minKS)
 	}

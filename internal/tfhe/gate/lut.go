@@ -32,30 +32,21 @@ func (e *Engine) LUT(arity int, tt logic.TT, dst *Ciphertext, ins ...*Ciphertext
 	return e.Apply(Op{TT: tt, Arity: uint8(arity)}, dst, x[0], x[1], x[2])
 }
 
-// Op names one operation for Apply and the batch path: a classic 2-input
-// gate (Arity 0, function in Kind) or a k-input LUT (Arity 2..3, function
-// in TT). The field meanings mirror circuit.Gate so executors can describe
-// either without importing the IR into this package.
+// Op names one operation for Apply and the batch path: the truth table
+// TT of arity Arity, in circuit.Gate's encoding — arity 0 is a classic
+// 2-input gate whose table is its logic.Kind nibble, arity 2..3 a k-input
+// LUT — so executors can describe any gate without importing the IR into
+// this package.
 type Op struct {
-	Kind  logic.Kind
 	TT    logic.TT
 	Arity uint8
-}
-
-// table is the op's truth table in the encoding logic.PlanOf reads: the
-// Kind nibble at arity 0.
-func (o Op) table() logic.TT {
-	if o.Arity == 0 {
-		return logic.TTOf(o.Kind)
-	}
-	return o.TT
 }
 
 // Bootstraps reports whether the op has a bootstrap plan. Free kinds
 // (constants, COPY, NOT) do not, and neither do malformed ops, which Apply
 // and OpBatch reject with ErrNoPlan.
 func (o Op) Bootstraps() bool {
-	_, ok := logic.PlanOf(int(o.Arity), o.table())
+	_, ok := logic.PlanOf(int(o.Arity), o.TT)
 	return ok
 }
 

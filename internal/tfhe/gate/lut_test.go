@@ -80,12 +80,12 @@ func TestOpBatchMixed(t *testing.T) {
 	rng := trand.NewSeeded([]byte("op-batch"))
 
 	ops := []Op{
-		{Kind: logic.AND},
+		{TT: logic.TTOf(logic.AND)},
 		{TT: 0xE8, Arity: 3},
-		{Kind: logic.XOR},
+		{TT: logic.TTOf(logic.XOR)},
 		{TT: 0x96, Arity: 3},
 		{TT: logic.TTOf(logic.NAND), Arity: 2},
-		{Kind: logic.NOR},
+		{TT: logic.TTOf(logic.NOR)},
 	}
 	n := len(ops)
 	a := make([]*Ciphertext, n)
@@ -119,8 +119,8 @@ func TestOpBatchMixed(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			want = op.Kind.Eval(bits[m][0], bits[m][1])
-			if err := single.Binary(op.Kind, sref[m], a[m], b[m]); err != nil {
+			want = logic.Kind(op.TT).Eval(bits[m][0], bits[m][1])
+			if err := single.Binary(logic.Kind(op.TT), sref[m], a[m], b[m]); err != nil {
 				t.Fatal(err)
 			}
 		}

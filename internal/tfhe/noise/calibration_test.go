@@ -58,7 +58,7 @@ func TestCalibrationStaticModelBoundsMeasuredNoise(t *testing.T) {
 		}
 		for i, g := range nl.Gates {
 			out := lwe.NewSample(p.LWEDimension)
-			if err := eng.Binary(g.Kind, out, values[g.A], values[g.B]); err != nil {
+			if err := eng.Binary(g.Kind(), out, values[g.A], values[g.B]); err != nil {
 				t.Fatalf("gate %d: %v", i, err)
 			}
 			values[nl.GateID(i)] = out

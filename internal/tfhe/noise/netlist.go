@@ -25,10 +25,9 @@ const DefaultMinSigmas = 4.0
 type GateNoise struct {
 	Gate  int            // gate index in nl.Gates
 	ID    circuit.NodeID // node id (NumInputs+1+Gate)
-	Kind  logic.Kind
-	Arity uint8    // LUT arity, 0 for classic gates
-	TT    logic.TT // LUT truth table (Arity != 0 only)
-	Depth int      // bootstrap depth: refreshes on the longest path into this gate
+	TT    logic.TT       // the gate's table, as circuit.Gate holds it
+	Arity uint8          // LUT arity, 0 for classic gates
+	Depth int            // bootstrap depth: refreshes on the longest path into this gate
 
 	// PreVariance is the variance of the bootstrap input tmp = bias +
 	// Σ wᵢ·xᵢ of the gate's logic.Plan (torus units). Sigmas is DecryptionMargin/stdev, and
@@ -40,12 +39,12 @@ type GateNoise struct {
 }
 
 // describe names the gate for report text: the kind for classic gates, the
-// arity and table for LUTs (whose Kind field is meaningless).
+// arity and table for LUTs.
 func (g GateNoise) describe() string {
 	if g.Arity != 0 {
 		return fmt.Sprintf("LUT%d[%#02x]", g.Arity, uint8(g.TT))
 	}
-	return g.Kind.String()
+	return logic.Kind(g.TT).String()
 }
 
 // NetlistReport is the result of the static noise-budget dataflow over one
@@ -207,7 +206,7 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 		g := &nl.Gates[i]
 		id := nl.GateID(i)
 		if !g.NeedsBootstrap() {
-			switch g.Kind {
+			switch g.Kind() {
 			case logic.False, logic.True:
 				variance[id] = 0
 			case logic.COPY, logic.NOT:
@@ -217,16 +216,16 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 				variance[id] = variance[g.B]
 				bdepth[id] = bdepth[g.B]
 			default:
-				return nil, fmt.Errorf("noise: gate %d: free kind %v not modeled", i, g.Kind)
+				return nil, fmt.Errorf("noise: gate %d: free kind %v not modeled", i, g.Kind())
 			}
 			continue
 		}
 		// Every bootstrapped gate, classic or LUT, is one bootstrap of its
 		// plan's combination bias + Σ wᵢ·xᵢ: the weights give the exact
 		// variance amplification, and every plan keeps the 1/16 margin.
-		pl, ok := logic.PlanOf(int(g.Arity), g.Table())
+		pl, ok := logic.PlanOf(int(g.Arity), g.TT)
 		if !ok {
-			return nil, fmt.Errorf("noise: gate %d (kind %d, arity %d, table %#02x) has no bootstrap plan", i, g.Kind, g.Arity, uint8(g.TT))
+			return nil, fmt.Errorf("noise: gate %d (arity %d, table %#02x) has no bootstrap plan", i, g.Arity, uint8(g.TT))
 		}
 		r.Bootstrapped++
 		if g.IsLUT() {
@@ -240,7 +239,7 @@ func AnalyzeNetlist(nl *circuit.Netlist, p *params.GateParams, minSigmas float64
 			pre += c * c * variance[op]
 			d = max(d, bdepth[op])
 		}
-		record(GateNoise{Gate: i, ID: id, Kind: g.Kind, Arity: g.Arity, TT: g.TT, Depth: int(d) + 1}, pre, &worstSigmas)
+		record(GateNoise{Gate: i, ID: id, TT: g.TT, Arity: g.Arity, Depth: int(d) + 1}, pre, &worstSigmas)
 	}
 
 	// Outputs decode by phase sign, so the margin is the full ±1/8

@@ -176,7 +176,7 @@ func TestAnalyzeNetlistErrors(t *testing.T) {
 	bad := &circuit.Netlist{
 		Name:      "bad",
 		NumInputs: 1,
-		Gates:     []circuit.Gate{{Kind: logic.AND, A: 5, B: 1}},
+		Gates:     []circuit.Gate{{TT: logic.TTOf(logic.AND), A: 5, B: 1}},
 		Outputs:   []circuit.NodeID{2},
 	}
 	if _, err := AnalyzeNetlist(bad, params.Test(), 0); err == nil {
@@ -186,7 +186,7 @@ func TestAnalyzeNetlistErrors(t *testing.T) {
 	ugly := &circuit.Netlist{
 		Name:      "ugly",
 		NumInputs: 2,
-		Gates:     []circuit.Gate{{Kind: logic.Kind(99), A: 1, B: 2}},
+		Gates:     []circuit.Gate{{TT: logic.TT(99), A: 1, B: 2}},
 		Outputs:   []circuit.NodeID{3},
 	}
 	if _, err := AnalyzeNetlist(ugly, params.Test(), 0); err == nil {

@@ -68,7 +68,10 @@ func Emit(nl *circuit.Netlist) (string, error) {
 		fmt.Fprintf(&sb, "  wire n%d;\n", nl.GateID(i))
 	}
 	for i, g := range nl.Gates {
-		expr, err := gateExpr(g.Kind, wire(g.A), wire(g.B))
+		if g.IsLUT() {
+			return "", fmt.Errorf("verilog: gate %d is a %d-input LUT; structural Verilog holds two-input gates only", nl.GateID(i), g.Arity)
+		}
+		expr, err := gateExpr(g.Kind(), wire(g.A), wire(g.B))
 		if err != nil {
 			return "", err
 		}

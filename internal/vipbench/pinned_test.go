@@ -8,14 +8,18 @@ import (
 
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/frameworks"
+	"pytfhe/internal/logic"
 	"pytfhe/internal/models"
 	"pytfhe/internal/plan"
 	"pytfhe/internal/synth"
 )
 
 // netlistHash is a content hash of a netlist's structure: input count,
-// every gate field and every output id. Port names are left out; they do
-// not reach the binary or the plan.
+// every gate's function and operands and every output id. Port names are
+// left out; they do not reach the binary or the plan. A gate's table is
+// hashed as gates once held it, a classic kind and a LUT table in two
+// fields, each zero when the other is in use, so recorded hashes still
+// match.
 func netlistHash(nl *circuit.Netlist) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -26,11 +30,16 @@ func netlistHash(nl *circuit.Netlist) string {
 	put(int64(nl.NumInputs))
 	put(int64(len(nl.Gates)))
 	for _, g := range nl.Gates {
-		put(int64(g.Kind))
+		var kind logic.Kind
+		tt := g.TT
+		if !g.IsLUT() {
+			kind, tt = g.Kind(), 0
+		}
+		put(int64(kind))
 		put(int64(g.A))
 		put(int64(g.B))
 		put(int64(g.C))
-		put(int64(g.TT))
+		put(int64(tt))
 		put(int64(g.Arity))
 	}
 	put(int64(len(nl.Outputs)))

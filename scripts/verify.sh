@@ -31,6 +31,30 @@ if [ "$evaluators" != "internal/exec/batcher.go" ]; then
     exit 1
 fi
 
+# One gate record: a gate's function is one table with an arity (arity 0
+# is a classic gate, its table the logic.Kind nibble) in circuit.Gate,
+# plan.Instr and gate.Op alike, and one word evaluator, plan.EvalWord,
+# reads it. A Kind field back in one of the three, or a second evaluator
+# under an old name, is the two-field encoding returning. The evaluator's
+# definition must still match, so a rename cannot make this vacuous.
+kind_fields=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
+    /^type (Gate|Instr|Op) struct/ { in_struct = 1; next }
+    in_struct && /^}/ { in_struct = 0 }
+    in_struct && /^[[:space:]]*Kind[[:space:]]+logic\.Kind/ { print FILENAME ": " $0 }' {} +)
+if [ -n "$kind_fields" ]; then
+    echo "a gate's function is its TT and Arity; Kind fields found:" >&2
+    echo "$kind_fields" >&2
+    exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'func (EvalWordTT|evalInstrWord)\b' internal; then
+    echo "plan.EvalWord is the one word evaluator" >&2
+    exit 1
+fi
+if [ "$(grep -lE '^func EvalWord\[' internal/plan/*.go)" != "internal/plan/verify.go" ]; then
+    echo "the one word evaluator, plan.EvalWord, is no longer defined in internal/plan/verify.go" >&2
+    exit 1
+fi
+
 # Every `go test` that the focused Makefile targets and CI narrow with
 # -run/-bench/-fuzz must still select something in each package it names:
 # a renamed test otherwise turns its job, or its share of a multi-package
