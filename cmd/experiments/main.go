@@ -6,7 +6,7 @@
 //	experiments -fig 10              # one figure
 //	experiments -table 4
 //	experiments -calibrate           # measure the real gate time first
-//	experiments -executors           # measured Pool-vs-plan CPU scaling
+//	experiments -executors           # measured pool CPU scaling over one worker
 //
 // Without -calibrate, the cost models use -gatetime (default 100ms, the
 // magnitude of this repository's pure-Go bootstrap at 128-bit parameters).
@@ -34,7 +34,7 @@ func main() {
 	calibrate := flag.Bool("calibrate", false, "measure the bootstrapped-gate time with real keys first")
 	gatetime := flag.Duration("gatetime", 0, "assumed single-core gate time (overrides -calibrate)")
 	testParams := flag.Bool("testparams", false, "use the fast test parameter set for measured experiments")
-	executors := flag.Bool("executors", false, "measure real Pool-vs-plan CPU scaling (Fig. 10 on the in-process executors)")
+	executors := flag.Bool("executors", false, "measure the pool's real CPU scaling over one worker (Fig. 10 on the in-process executors)")
 	execBench := flag.String("execbench", "hamming-distance", "VIP-Bench kernel for -executors")
 	execWorkers := flag.String("execworkers", "1,2,4,8", "comma-separated worker counts for -executors")
 	flag.Parse()

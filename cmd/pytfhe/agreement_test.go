@@ -75,12 +75,14 @@ func agreementTargets(t *testing.T) []checkTarget {
 	return append([]checkTarget{{"bench/ripple-imbalanced", experiments.ImbalancedNetlist()}}, ex...)
 }
 
-// TestClusterAgreement is the cross-backend acceptance matrix: the
-// cluster at 2 and 4 workers and the local plan executor must decrypt to
-// the plaintext interpreter's outputs on the bench netlist and every
-// example circuit. Multi-thousand-gate targets are skipped under -short
-// and under the race detector (the small targets cover the same code
-// paths; full `go test ./...` and the CI shard job run everything).
+// TestClusterAgreement is the cross-backend acceptance matrix: Single,
+// the pool (Planned unbatched) at 2 and 3 workers, Planned at batch 16 and
+// the cluster at 2 and 4 workers must decrypt to the plaintext interpreter's outputs on the
+// bench netlist and every example circuit. All of them replay one compiled
+// plan, so their output ciphertexts must also be identical, bit for bit.
+// Multi-thousand-gate targets are skipped under -short and under the race
+// detector (the small targets cover the same code paths; full `go test
+// ./...` and the CI shard job run everything).
 func TestClusterAgreement(t *testing.T) {
 	sk, ck := agreeKeys(t)
 	coord2 := startCluster(t, ck, 2, 2)
@@ -99,16 +101,22 @@ func TestClusterAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			planned := backend.NewPlanned(ck, 2, 1)
-			defer planned.Close()
+			pool2, pool3, planned16 := backend.NewPool(ck, 2), backend.NewPool(ck, 3), backend.NewPlanned(ck, 2, 16)
+			defer pool2.Close()
+			defer pool3.Close()
+			defer planned16.Close()
 			runners := []struct {
 				name string
 				run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 			}{
-				{"planned(2)", planned.Run},
+				{"single", backend.NewSingle(ck).Run},
+				{"pool(2), planned(2) batch 1", pool2.Run},
+				{"pool(3)", pool3.Run},
+				{"planned(2) batch 16", planned16.Run},
 				{"cluster(2)", coord2.Run},
 				{"cluster(4)", coord4.Run},
 			}
+			var first string
 			for _, r := range runners {
 				outs, err := r.run(tg.nl, enc)
 				if err != nil {
@@ -122,6 +130,11 @@ func TestClusterAgreement(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("%s: output %d = %v, plaintext interpreter says %v", r.name, i, got[i], want[i])
 					}
+				}
+				if h := hashOutputs(outs); first == "" {
+					first = h
+				} else if h != first {
+					t.Fatalf("%s: output ciphertexts hash to %s, %s's to %s", r.name, h, runners[0].name, first)
 				}
 			}
 		})

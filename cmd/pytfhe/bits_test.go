@@ -36,10 +36,11 @@ func hashOutputs(outs []*lwe.Sample) string {
 // evaluator: evaluation is deterministic (seeded keys, seeded encryption)
 // and a batched kernel member is bit-exact with a single call, so a
 // refactor of scheduling, batching or dispatch must leave these hashes
-// alone. The netlist-order executors agree with each other; the plan
-// executors agree among themselves and differ from them only where
-// deduplication reroutes a value (the ripple chains). A deliberate change
-// to the kernel, the parameters or the plan compiler re-pins them.
+// alone. Every executor replays the same compiled plan, so all of them
+// hash to one value per target: the plan-order hash, which differs from a
+// netlist-order evaluation only where deduplication reroutes a value (the
+// ripple chains). A deliberate change to the kernel, the parameters or the
+// plan compiler re-pins them.
 func TestOutputBitsPinned(t *testing.T) {
 	sk, ck := agreeKeys(t)
 	coord := startCluster(t, ck, 2, 2)
@@ -49,24 +50,22 @@ func TestOutputBitsPinned(t *testing.T) {
 	}
 	targets := []struct {
 		checkTarget
-		netlistOrder, planOrder string
+		planOrder string
 	}{
-		{checkTarget{"bench/ripple-imbalanced", experiments.ImbalancedNetlist()}, "f281cfd68ac4dc37", "714e8f3650ba46b7"},
-		{checkTarget{"examples/lut", res.Netlist}, "a828d313d6c061d5", "a828d313d6c061d5"},
+		{checkTarget{"bench/ripple-imbalanced", experiments.ImbalancedNetlist()}, "714e8f3650ba46b7"},
+		{checkTarget{"examples/lut", res.Netlist}, "a828d313d6c061d5"},
 	}
-	planned1, planned16 := backend.NewPlanned(ck, 2, 1), backend.NewPlanned(ck, 2, 16)
-	defer planned1.Close()
+	pool2, planned16 := backend.NewPool(ck, 2), backend.NewPlanned(ck, 2, 16)
+	defer pool2.Close()
 	defer planned16.Close()
 	runners := []struct {
 		name string
-		plan bool
 		run  func(*circuit.Netlist, []*lwe.Sample) ([]*lwe.Sample, error)
 	}{
-		{"single", false, backend.NewSingle(ck).Run},
-		{"pool(2)", false, backend.NewPool(ck, 2).Run},
-		{"planned(2) batch 1", true, planned1.Run},
-		{"planned(2) batch 16", true, planned16.Run},
-		{"cluster", true, coord.Run},
+		{"single", backend.NewSingle(ck).Run},
+		{"pool(2), planned(2) batch 1", pool2.Run},
+		{"planned(2) batch 16", planned16.Run},
+		{"cluster", coord.Run},
 	}
 	for _, tg := range targets {
 		rng := trand.NewSeeded([]byte("output-bits/" + tg.name))
@@ -90,12 +89,8 @@ func TestOutputBitsPinned(t *testing.T) {
 					t.Fatalf("%s on %s: output %d = %v, plaintext interpreter says %v", r.name, tg.name, i, got, want[i])
 				}
 			}
-			pinned := tg.netlistOrder
-			if r.plan {
-				pinned = tg.planOrder
-			}
-			if h := hashOutputs(outs); h != pinned {
-				t.Errorf("%s on %s: output ciphertexts hash to %s, pinned %s", r.name, tg.name, h, pinned)
+			if h := hashOutputs(outs); h != tg.planOrder {
+				t.Errorf("%s on %s: output ciphertexts hash to %s, pinned %s", r.name, tg.name, h, tg.planOrder)
 			}
 		}
 	}

@@ -36,6 +36,7 @@ import (
 	"pytfhe/internal/core"
 	"pytfhe/internal/models"
 	"pytfhe/internal/params"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/serve"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/noise"
@@ -415,7 +416,7 @@ type backendSpec struct {
 // evaluator only for one worker at an explicit -batch 1; the barriered
 // pool remains selectable as the Algorithm 1 baseline. A negative batch is
 // an error, and so is an explicit -batch N > 1 where it would be ignored:
-// single and pool evaluate gate by gate, and cluster workers batch their
+// single and pool replay unbatched, and cluster workers batch their
 // own shard levels. The cluster operand is a listen address
 // ("cluster:127.0.0.1:7700"), not a worker count.
 func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
@@ -465,34 +466,34 @@ func parseBackendSpec(s string, workers, batch int) (backendSpec, error) {
 	return backendSpec{kind: "plan", workers: count, batch: batch}, nil
 }
 
+// build makes the in-process executor: pool is the plan executor
+// unbatched.
 func (bs backendSpec) build(ck *boot.CloudKey) backend.Backend {
-	switch bs.kind {
-	case "pool":
-		return backend.NewPool(ck, bs.workers)
-	case "plan":
-		return backend.NewPlanned(ck, bs.workers, bs.batch)
+	if bs.kind == "single" {
+		return backend.NewSingle(ck)
 	}
-	return backend.NewSingle(ck)
+	return backend.NewPlanned(ck, bs.workers, bs.batch)
 }
 
 // printRunStats reports the executor breakdown recorded by the last Run.
 // ctBytes is the serialized ciphertext size (the paper's ≈2.46 KB pin at
 // n=630), used to contextualize the cluster backend's wire traffic.
 func printRunStats(runner backend.Backend, ctBytes int) {
-	switch r := runner.(type) {
-	case *cluster.Coordinator:
-		printClusterStats(r.LastStat, ctBytes)
+	if c, ok := runner.(*cluster.Coordinator); ok {
+		printClusterStats(c.LastStat, ctBytes)
 		return
-	case *backend.Planned:
-		ps := r.PlanStats
-		fmt.Printf("plan:  %d logical bootstraps captured as %d executed (%d levels, %d arena slots), compiled in %v\n",
-			ps.LogicalBootstraps, ps.ExecBootstraps, ps.Levels, ps.ArenaSlots,
-			ps.CompileTime.Round(time.Microsecond))
 	}
-	rep, ok := runner.(interface{ LastRun() backend.RunStats })
+	rep, ok := runner.(interface {
+		LastRun() backend.RunStats
+		LastPlan() plan.Stats
+	})
 	if !ok {
 		return
 	}
+	ps := rep.LastPlan()
+	fmt.Printf("plan:  %d logical bootstraps captured as %d executed (%d levels, %d arena slots), compiled in %v\n",
+		ps.LogicalBootstraps, ps.ExecBootstraps, ps.Levels, ps.ArenaSlots,
+		ps.CompileTime.Round(time.Microsecond))
 	st := rep.LastRun()
 	lutNote := ""
 	if st.LUTs > 0 {

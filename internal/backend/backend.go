@@ -1,26 +1,25 @@
 // Package backend implements the in-process PyTFHE execution backends, one
-// constructor each. Two run a netlist through a driver of internal/exec:
-// Single (sequential, the reference every other executor is compared
-// against) and Pool (Algorithm 1 of the paper: a BFS over the gate DAG
-// that submits every ready gate of a level to a worker and barriers per
-// level, the baseline of Fig. 10). Two run compiled plans: Shared, the
-// multi-tenant slice scheduler behind pytfhed, and Planned, the
-// capture/replay backend, which is Shared with one tenant and the
-// multi-worker executor of `pytfhe run`.
-// Plain is the keyless functional reference. Every gate, whichever
-// executor schedules it, is evaluated by exec.Batcher. The distributed
-// multi-node backend lives in internal/cluster; the GPU-simulator backend
-// in internal/gpu.
+// constructor each, and every keyed one runs a compiled plan. Single
+// replays it with plan.Replay on the caller's goroutine, the sequential
+// executor. Shared, the multi-tenant slice scheduler behind pytfhed, and
+// Planned, which is Shared with one tenant and the multi-worker executor
+// of `pytfhe run`, run plans as level slices; NewPool is Planned
+// unbatched, Algorithm 1 of the paper on the plan's levels and the
+// baseline of Fig. 10. Plain is the keyless functional reference. Every
+// gate, whichever executor schedules it, is evaluated by plan.Interp
+// through exec.Batcher. The distributed multi-node backend lives in
+// internal/cluster; the GPU-simulator backend in internal/gpu.
 //
 //pytfhe:errorcritical
 //pytfhe:execlayer
 package backend
 
 import (
-	"fmt"
+	"time"
 
 	"pytfhe/internal/circuit"
 	"pytfhe/internal/exec"
+	"pytfhe/internal/plan"
 	"pytfhe/internal/tfhe/boot"
 	"pytfhe/internal/tfhe/gate"
 	"pytfhe/internal/tfhe/lwe"
@@ -41,66 +40,72 @@ type RunStats = exec.Stats
 // ErrNilInput marks a nil ciphertext among a run's inputs.
 var ErrNilInput = exec.ErrNilInput
 
-// lastRun is embedded by the executors that record metrics — Single, Pool
-// and Planned. Stats holds those of the most recent Run.
-type lastRun struct{ Stats RunStats }
+// lastRun is embedded by the executors that record metrics, Single and
+// Planned: Stats and PlanStats are those of the most recent Run.
+type lastRun struct {
+	Stats     RunStats
+	PlanStats plan.Stats
+}
 
 // LastRun returns the metrics of the most recent Run.
 func (l *lastRun) LastRun() RunStats { return l.Stats }
 
-// Single evaluates gates sequentially on one core — the sequential driver.
+// LastPlan returns the capture summary of the most recent Run's plan.
+func (l *lastRun) LastPlan() plan.Stats { return l.PlanStats }
+
+// planRunStats is the part of a run's metrics that its plan fixes: the
+// source netlist's logical counts, so BootstrapsPerSec is the program's
+// effective throughput whatever deduplication removed, and the levels.
+func planRunStats(ps plan.Stats, workers int) RunStats {
+	return RunStats{
+		Gates:      ps.LogicalGates,
+		Bootstraps: ps.LogicalBootstraps,
+		LUTs:       ps.LogicalLUTs,
+		Levels:     ps.Levels,
+		Workers:    workers,
+	}
+}
+
+// Single is the sequential executor: every Run compiles the netlist into a
+// plan and replays it with plan.Replay on one unbatched interpreter, on
+// the caller's goroutine. The interpreter and the replay runtime persist
+// across runs, so a Single serves one Run at a time.
 type Single struct {
-	eng *gate.Engine
+	it *plan.Interp
+	rt *plan.Runtime
 	lastRun
 }
 
 // NewSingle returns a single-core backend over ck.
 func NewSingle(ck *boot.CloudKey) *Single {
-	return &Single{eng: gate.NewEngine(ck)}
+	return &Single{it: plan.NewInterp(gate.NewEngine(ck), 1), rt: plan.NewRuntime(ck.Params.LWEDimension)}
 }
 
 // Name implements Backend.
 func (s *Single) Name() string { return "single-cpu" }
 
-// Engine exposes the underlying gate engine (for profiling).
-func (s *Single) Engine() *gate.Engine { return s.eng }
-
 // Run implements Backend.
 func (s *Single) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := exec.RunSequential(s.eng, nl, inputs)
+	start := time.Now()
+	compiled, err := plan.Compile(nl)
 	if err != nil {
 		return nil, err
 	}
-	s.Stats = stats
-	return outs, nil
-}
-
-// Pool evaluates the DAG wavefront by wavefront with W worker goroutines,
-// each owning a gate engine over the shared cloud key — the in-process
-// equivalent of the paper's Ray actors, and the level driver of the
-// execution core.
-type Pool struct {
-	ws *exec.Workers
-	lastRun
-}
-
-// NewPool returns a backend with the given worker count (minimum 1).
-func NewPool(ck *boot.CloudKey, workers int) *Pool {
-	return &Pool{ws: exec.NewWorkers(ck, workers)}
-}
-
-// Name implements Backend.
-func (p *Pool) Name() string { return fmt.Sprintf("pool-cpu(%d)", p.ws.N()) }
-
-// Run implements Backend.
-func (p *Pool) Run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample, error) {
-	outs, stats, err := exec.RunLevels(p.ws, nl, inputs)
+	outs, err := plan.Replay(compiled, s.it, inputs, s.rt)
 	if err != nil {
 		return nil, err
 	}
-	p.Stats = stats
+	s.it.N = plan.Counts{} // the plan's stats already count what ran
+	s.PlanStats = compiled.Stats()
+	s.Stats = planRunStats(s.PlanStats, 1)
+	s.Stats.Finish(start)
 	return outs, nil
 }
+
+// NewPool returns the barriered wavefront executor of `pytfhe run -backend
+// pool`: Planned with the given worker count (minimum 1), unbatched, so
+// every worker evaluates one bootstrap at a time.
+func NewPool(ck *boot.CloudKey, workers int) *Planned { return NewPlanned(ck, workers, 1) }
 
 // EncryptInputs encrypts plaintext bits for a netlist run.
 func EncryptInputs(sk *boot.SecretKey, bits []bool) []*lwe.Sample {

@@ -127,6 +127,7 @@ func TestPoolBackendHomomorphic(t *testing.T) {
 	nl := adder4(t)
 	for _, workers := range []int{1, 2, 4} {
 		be := NewPool(ck, workers)
+		t.Cleanup(be.Close)
 		in := append(bitsOf(11, 4), bitsOf(6, 4)...)
 		outs, err := be.Run(nl, EncryptInputs(sk, in))
 		if err != nil {
@@ -142,13 +143,14 @@ func TestPoolBackendHomomorphic(t *testing.T) {
 	}
 }
 
-// cpuBackends returns one of each keyed CPU backend — Single, Pool and
-// Planned, the latter two at two workers — and closes the Planned one when
-// the test ends.
+// cpuBackends returns one of each keyed CPU backend constructor — Single,
+// Pool and Planned, the latter two at two workers — and closes the worker
+// sets when the test ends.
 func cpuBackends(t *testing.T, ck *boot.CloudKey) []Backend {
-	planned := NewPlanned(ck, 2, 1)
+	pool, planned := NewPool(ck, 2), NewPlanned(ck, 2, 1)
+	t.Cleanup(pool.Close)
 	t.Cleanup(planned.Close)
-	return []Backend{NewSingle(ck), NewPool(ck, 2), planned}
+	return []Backend{NewSingle(ck), pool, planned}
 }
 
 func TestInputValidation(t *testing.T) {

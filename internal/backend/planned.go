@@ -14,7 +14,7 @@ import (
 
 // Planned is the capture/replay backend — the CPU analogue of the paper's
 // CUDA-Graph batch scheduling, and the one multi-worker in-process
-// executor besides the Algorithm 1 baseline Pool. Every Run captures the
+// executor (NewPool is Planned unbatched). Every Run captures the
 // netlist into an immutable execution plan and replays it with no
 // per-gate scheduling work at all: no per-gate atomics, no refcounting,
 // and no ciphertext allocations (the scheduler pools its arenas). The
@@ -46,7 +46,6 @@ type Planned struct {
 	mu sync.Mutex // guards Stats and PlanStats
 
 	lastRun
-	PlanStats plan.Stats
 }
 
 // NewPlanned returns a capture/replay backend with the given worker count
@@ -123,18 +122,9 @@ func (p *Planned) run(nl *circuit.Netlist, inputs []*lwe.Sample) ([]*lwe.Sample,
 	}
 
 	st := compiled.Stats()
-	stats := RunStats{
-		Gates:             st.LogicalGates,
-		Bootstraps:        st.LogicalBootstraps,
-		LUTs:              st.LogicalLUTs,
-		Levels:            st.Levels,
-		Workers:           p.sh.workers,
-		QueueWait:         n.QueueWait,
-		WorkerBusy:        n.WorkerBusy,
-		BatchSize:         p.sh.batch,
-		Batches:           int(n.Batches),
-		BatchedBootstraps: int(n.BatchedBootstraps),
-	}
+	stats := planRunStats(st, p.sh.workers)
+	stats.QueueWait, stats.WorkerBusy = n.QueueWait, n.WorkerBusy
+	stats.BatchSize, stats.Batches, stats.BatchedBootstraps = p.sh.batch, int(n.Batches), int(n.BatchedBootstraps)
 	stats.Finish(start)
 	return outs, stats, st, nil
 }

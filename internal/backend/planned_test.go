@@ -57,9 +57,10 @@ func TestPlannedBackendHomomorphic(t *testing.T) {
 
 // TestPlannedLifecycle: Planned owns a worker set, so it has a lifetime.
 // Two concurrent Runs on one value (they used to serialize under a mutex)
-// return the very ciphertexts Single computes — evaluation is deterministic
-// and the adder has nothing for plan deduplication to merge; batch occupancy and the arena figure
-// come from the scheduler; Close returns the goroutine count to its
+// return the very ciphertexts Single's sequential replay of the same plan
+// computes — evaluation is deterministic, so the scheduler's slicing and
+// batching change nothing; batch occupancy and the arena figure come from
+// the scheduler; Close returns the goroutine count to its
 // baseline; Run after Close fails with ErrExecutorClosed.
 func TestPlannedLifecycle(t *testing.T) {
 	sk, ck := keys(t)

@@ -5,20 +5,12 @@ import (
 	"pytfhe/internal/tfhe/lwe"
 )
 
-// Eval computes out = op(a, b, c) on eng now: a classic gate reads a and b,
-// a k-input LUT its first k operands (c may be nil below arity 3). This
-// file is the only place an executor calls the gate engine, so a new gate
-// kind or LUT arity is handled here for netlists, plans and cluster shards
-// alike.
-func Eval(eng *gate.Engine, op gate.Op, out, a, b, c *lwe.Sample) error {
-	return eng.Apply(op, out, a, b, c)
-}
-
 // Batcher evaluates gate.Ops on one engine, grouping up to batch
 // bootstrapped ops per kernel dispatch (batch ≤ 1: every op evaluates on
 // its own, allocation-free). The plan interpreter feeds it, for local
-// replay, pytfhed and cluster shards alike. A Batcher belongs to one
-// goroutine.
+// replay, pytfhed and cluster shards alike: this file is the only place an
+// executor calls the gate engine, so a new gate kind or LUT arity is
+// handled here for every backend. A Batcher belongs to one goroutine.
 type Batcher struct {
 	eng   *gate.Engine
 	batch int
@@ -53,7 +45,7 @@ func (bt *Batcher) Do(op gate.Op, out, a, b, c *lwe.Sample) (joined bool, err er
 	if bt.batch <= 1 || !op.Bootstraps() {
 		// Malformed ops evaluate now too (shard instructions arrive off a
 		// socket): the engine refuses them with gate.ErrNoPlan.
-		return false, Eval(bt.eng, op, out, a, b, c)
+		return false, bt.eng.Apply(op, out, a, b, c)
 	}
 	bt.ops = append(bt.ops, op)
 	bt.outs = append(bt.outs, out)

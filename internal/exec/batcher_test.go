@@ -14,7 +14,7 @@ import (
 // TestBatcher pins the contract the three executors build on: free ops
 // evaluate at once, bootstrapped ones join and are final after the dispatch
 // that Do (at size) or Flush performs, every result is bit-exact with a
-// single Eval, malformed ops are errors, and batch ≤ 1 allocates nothing.
+// single Apply, malformed ops are errors, and batch ≤ 1 allocates nothing.
 func TestBatcher(t *testing.T) {
 	sk, ck := keys(t)
 	eng := gate.NewEngine(ck)
@@ -33,7 +33,7 @@ func TestBatcher(t *testing.T) {
 	want := make([]*lwe.Sample, len(ops))
 	for i, op := range ops {
 		want[i] = fresh()
-		if err := exec.Eval(eng, op, want[i], a, b, c); err != nil {
+		if err := eng.Apply(op, want[i], a, b, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestBatcher(t *testing.T) {
 	}
 	for i := range ops {
 		if !same(got[i], want[i]) {
-			t.Fatalf("op %d: batched result differs from a single Eval", i)
+			t.Fatalf("op %d: batched result differs from a single Apply", i)
 		}
 	}
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"pytfhe/internal/circuit"
-	"pytfhe/internal/logic"
 	"pytfhe/internal/tfhe/lwe"
 )
 
@@ -32,7 +30,7 @@ func TestCheckRawInputs(t *testing.T) {
 	}
 }
 
-// TestPoolRecycles: the arena's free list, as the netlist drivers use it —
+// TestPoolRecycles: the arena's free list, as plan runtimes use it —
 // a returned sample is handed out again, Put(nil) is ignored, and an empty
 // free list allocates a fresh sample of the arena's dimension.
 func TestPoolRecycles(t *testing.T) {
@@ -70,46 +68,5 @@ func TestArenaAccounting(t *testing.T) {
 	}
 	if a.HighWater() != 2 {
 		t.Fatalf("high water moved to %d on re-get within peak", a.HighWater())
-	}
-}
-
-// TestStateReleaseHoldsOutputs: an output node's fan-out reference keeps
-// its ciphertext out of the recycler until Collect reads it, even when
-// the node also feeds interior gates.
-func TestStateReleaseHoldsOutputs(t *testing.T) {
-	b := circuit.NewBuilder("hold", circuit.NoOptimizations())
-	x := b.Input("x")
-	y := b.Input("y")
-	mid := b.Gate(logic.NAND, x, y)
-	last := b.Gate(logic.AND, mid, y) // mid is both operand and output
-	b.Output("mid", mid)
-	b.Output("last", last)
-	nl := b.MustBuild()
-
-	st, err := NewState(nl, []*lwe.Sample{lwe.NewSample(4), lwe.NewSample(4)}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := NewArena(4)
-	st.Values[mid] = mem.Get()
-	st.Values[last] = mem.Get()
-	st.Release(mid, mem) // the interior read drains
-	if st.Values[mid] == nil {
-		t.Fatal("output reference must survive the interior release")
-	}
-	st.Release(x, mem) // inputs are never recycled
-	if st.Values[x] == nil {
-		t.Fatal("input slot must never be released")
-	}
-	outs, err := st.Collect(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 {
-		t.Fatalf("collected %d outputs, want 2", len(outs))
-	}
-	st.Release(mid, mem) // the output reference
-	if st.Values[mid] != nil {
-		t.Fatal("last release must clear the slot")
 	}
 }

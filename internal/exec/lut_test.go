@@ -26,9 +26,10 @@ func lutNetlist() *circuit.Netlist {
 	return b.MustBuild()
 }
 
-// TestLUTDriverAgreement runs a LUT-bearing netlist through every driver
-// and plan replay at every batch size, and checks decryption against the
-// cleartext reference, plus the LUT evaluation counter.
+// TestLUTDriverAgreement runs a LUT-bearing netlist through Single and
+// Planned at every batch size (batch 1 is the pool backend), and checks
+// decryption against the cleartext reference, plus the LUT evaluation
+// counter.
 func TestLUTDriverAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	nl := lutNetlist()
@@ -62,14 +63,11 @@ func TestLUTDriverAgreement(t *testing.T) {
 			}
 		}
 
-		eng := exec.NewWorkers(ck, 1).Engine(0)
-		outs, stats, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in))
-		check("seq", outs, stats, err)
+		single := backend.NewSingle(ck)
+		outs, err := single.Run(nl, backend.EncryptInputs(sk, in))
+		check("single", outs, single.Stats, err)
 
 		for _, w := range []int{1, 3} {
-			ws := exec.NewWorkers(ck, w)
-			outs, stats, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in))
-			check(fmt.Sprintf("levels/%dw", w), outs, stats, err)
 			for _, batch := range []int{1, 2, 8} {
 				planned := backend.NewPlanned(ck, w, batch)
 				outs, err := planned.Run(nl, backend.EncryptInputs(sk, in))

@@ -66,12 +66,12 @@ func randomDeepNetlist(rng *rand.Rand, nGates int) *circuit.Netlist {
 }
 
 // TestMatrixAgreement is the combinatorial agreement test the execution
-// core makes possible: every way a netlist runs in process (sequential,
-// level-barrier, plan replay at batch {1, 2, 8}) × worker counts
-// {1, 2, 3, 4, 7} must decrypt bit-identically to the plaintext reference
-// on randomized netlists whose outputs are also interior gate operands.
-// The netlist drivers, which release operands by refcount, and plan replay
-// both recycle through the Arena.
+// core makes possible: every way a netlist runs in process (Single's
+// sequential replay, the slice-scheduled Planned at batch {1, 2, 8}, batch
+// 1 being the pool backend) × worker counts {1, 2, 3, 4, 7} must decrypt
+// bit-identically to the plaintext reference on randomized netlists whose
+// outputs are also interior gate operands. Every one of them replays a
+// plan whose arena slots recycle through the Arena.
 func TestMatrixAgreement(t *testing.T) {
 	sk, ck := keys(t)
 	rng := rand.New(rand.NewSource(1234))
@@ -100,15 +100,10 @@ func TestMatrixAgreement(t *testing.T) {
 			}
 		}
 
-		eng := exec.NewWorkers(ck, 1).Engine(0)
-		outs, _, err := exec.RunSequential(eng, nl, backend.EncryptInputs(sk, in))
-		check("seq", outs, err)
+		outs, err := backend.NewSingle(ck).Run(nl, backend.EncryptInputs(sk, in))
+		check("single", outs, err)
 
 		for _, w := range workerCounts {
-			ws := exec.NewWorkers(ck, w)
-			outs, _, err := exec.RunLevels(ws, nl, backend.EncryptInputs(sk, in))
-			check(fmt.Sprintf("levels/%dw", w), outs, err)
-
 			for _, batch := range []int{1, 2, 8} {
 				planned := backend.NewPlanned(ck, w, batch)
 				outs, err := planned.Run(nl, backend.EncryptInputs(sk, in))

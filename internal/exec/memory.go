@@ -7,12 +7,12 @@ import (
 )
 
 // Arena is the execution core's one ciphertext recycler: a free list
-// behind a lock, which also accounts the live population. The netlist
-// drivers feed it from State releases, so peak allocation follows the live
-// frontier of the DAG rather than the whole program (a 2M-gate MNIST
-// netlist would otherwise hold ~5 GB); plan runtimes bind its samples to
-// slots once per plan by the compile-time liveness analysis, and HighWater
-// is the figure the Planned backend and pytfhed report as arena occupancy.
+// behind a lock, which also accounts the live population. Plan runtimes
+// bind its samples to slots once per plan by the compile-time liveness
+// analysis, so peak allocation follows the live frontier of the DAG rather
+// than the whole program (a 2M-gate MNIST netlist would otherwise hold
+// ~5 GB), and HighWater is the figure the Planned backend and pytfhed
+// report as arena occupancy.
 // Safe for concurrent use: the lock is amortized against
 // multi-millisecond bootstraps.
 //

@@ -3,21 +3,22 @@ package exec
 import "time"
 
 // Stats captures execution metrics from the most recent run, populated
-// uniformly by every driver. GatesPerSec counts all gates (free gates
+// uniformly by every backend. GatesPerSec counts all gates (free gates
 // included); BootstrapsPerSec counts only bootstrapped evaluations — the
 // figure of merit FHE papers report, and what an earlier revision
 // mislabeled as GatesPerSec.
 type Stats struct {
-	Gates            int           // gates evaluated (including free gates)
-	Bootstraps       int           // bootstrapped gate evaluations
-	LUTs             int           // multi-input LUT evaluations (each one programmable bootstrap, included in Bootstraps)
-	Levels           int           // wavefronts (plan levels for Planned; 0 for RunSequential)
+	Gates            int           // logical gates (including free gates)
+	Bootstraps       int           // logical bootstrapped gates
+	LUTs             int           // logical multi-input LUT gates (each one programmable bootstrap, included in Bootstraps)
+	Levels           int           // wavefronts: the plan's levels
 	Elapsed          time.Duration // wall-clock for the run
 	GatesPerSec      float64       // Gates / Elapsed
 	BootstrapsPerSec float64       // Bootstraps / Elapsed
 
-	// Breakdowns of the multi-worker runs: RunLevels records Workers only;
-	// backend.Planned fills them all from its run's share of the scheduler.
+	// Breakdowns of the run's workers: backend.Single records Workers
+	// only; backend.Planned fills them all from its run's share of the
+	// scheduler.
 	Workers      int           // worker goroutines used
 	QueueWait    time.Duration // cumulative time the run's level slices sat queued
 	AvgQueueWait time.Duration // QueueWait / Gates

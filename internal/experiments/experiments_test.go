@@ -245,7 +245,7 @@ func TestExecutorScalingMeasured(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.Pool.Elapsed <= 0 || r.Planned.Elapsed <= 0 || r.Predicted <= 0 {
+		if r.Planned.Elapsed <= 0 || r.Speedup <= 0 || r.Predicted <= 0 {
 			t.Fatalf("row not measured: %+v", r)
 		}
 		if r.Planned.Utilization <= 0 || r.Planned.Utilization > 1 {
@@ -254,8 +254,8 @@ func TestExecutorScalingMeasured(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderExecutorScaling(&buf, nl.Name, rows)
-	if !strings.Contains(buf.String(), "plan/pool") {
-		t.Fatal("render missing comparison column")
+	if !strings.Contains(buf.String(), "speedup") {
+		t.Fatal("render missing speedup column")
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 // ImbalancedNetlist builds the deep, irregular ripple workload the executor
 // benchmarks share: seven serial NAND chains of unequal depths {30, 30, 30,
 // 30, 30, 12, 6} against one shared operand, with builder optimizations off
-// so the logical gate count is exactly the sum of the depths. Most
-// wavefronts hold five ready gates — one more than four workers — so
-// barriered executors pay a nearly-empty second round per level, while the
-// chains' period-2 ciphertext sequences give the plan backend's exact
-// functional deduplication its best case.
+// so the logical gate count is exactly the sum of the depths, 168. Most of
+// the netlist's wavefronts hold five ready gates, one more than four
+// workers. Every executor runs the compiled plan, though, and the chains'
+// period-2 ciphertext sequences give its exact functional deduplication its
+// best case: the 168 logical bootstraps execute as 14, in two levels of
+// seven.
 func ImbalancedNetlist() *circuit.Netlist {
 	b := circuit.NewBuilder("ripple-imbalanced", circuit.NoOptimizations())
 	depths := []int{30, 30, 30, 30, 30, 12, 6}

@@ -14,7 +14,7 @@ import (
 //  1. Layering: only a //pytfhe:execlayer package may touch a
 //     //pytfhe:runstate type at all. A service- or CLI-layer package
 //     reading a value table or taking from the recycler reaches around
-//     every invariant the executors maintain (refcounted release,
+//     every invariant the executors maintain (liveness-bound slots,
 //     per-dimension recycling, level ordering).
 //
 //  2. Goroutine capture: a function literal launched with `go` must not

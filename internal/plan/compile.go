@@ -306,8 +306,8 @@ func compile(nl *circuit.Netlist, newIndex func(n int) circuit.Index) (*Plan, er
 	}
 
 	// Levelize the exec graph and record, per exec node, the last level
-	// that reads it — the compile-time counterpart of the netlist drivers'
-	// runtime fan-out refcounts.
+	// that reads it — the compile-time counterpart of runtime fan-out
+	// refcounts.
 	level := make([]int32, numInputs+len(gates)) // inputs at level 0
 	lastRead := make([]int32, numInputs+len(gates))
 	numLevels := 0

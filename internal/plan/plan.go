@@ -1,31 +1,32 @@
 // Package plan is the execution-plan capture & replay subsystem — the CPU
 // analogue of the paper's CUDA-Graph batch scheduling. Compile runs once
 // per program and turns a gate netlist into an immutable Plan: levelized
-// gate wavefronts, a flat ciphertext arena
-// whose slot indices come from compile-time liveness analysis (replacing
-// the executors' runtime refcounting), and precomputed per-instruction
-// operand/output slot references. Replaying a plan needs no ready heap, no
-// per-gate atomics (a level must finish before the next starts; that is
-// all) and zero ciphertext allocations after warm-up, so a program served
-// hundreds of times pays its scheduling cost exactly once.
+// gate wavefronts, a flat ciphertext arena whose slot indices come from
+// compile-time liveness analysis (in place of runtime refcounting), and
+// precomputed per-instruction operand/output slot references. Replaying a
+// plan needs no ready heap, no dependency counters (a level must finish
+// before the next starts; that is all) and zero ciphertext allocations
+// after warm-up, so a program served hundreds of times pays its scheduling
+// cost exactly once.
 //
-// Capture is also where analysis that is too expensive for the dynamic
-// executors runs: Compile performs bounded-support functional
+// Capture is also where analysis that is too expensive to run per
+// evaluation happens: Compile performs bounded-support functional
 // deduplication (exact truth-table sweeping over supports of up to six
 // live nodes, the plan-level counterpart of internal/synth's cut-based
 // resynthesis), so replay evaluates only the program's distinct boolean
 // functions and shares the resulting ciphertexts. The merge is provably
 // exact — two nodes merge only when their truth tables over the same
 // support agree — and gate evaluation is deterministic, so replayed
-// outputs decrypt bit-identically to the dynamic executors' outputs.
+// outputs decrypt bit-identically to a netlist-order evaluation's.
 //
 // This package compiles, verifies and interprets plans; it does not
 // schedule them and starts no goroutine. Every consumer reads a plan's
 // instructions through one interpreter (Interp, a thin layer over the
-// evaluator it shares with netlists, exec.Batcher): the slice scheduler
+// execution core's evaluator, exec.Batcher): the slice scheduler
 // (backend.Shared), which runs plans for pytfhed and backend.Planned and
-// shard levels for cluster workers, and Replay — the sequential oracle the
-// tests here compare compiled plans against.
+// shard levels for cluster workers, and Replay — the sequential replay
+// behind backend.Single and the oracle the tests here compare compiled
+// plans against.
 //
 //pytfhe:execlayer
 package plan

@@ -121,21 +121,28 @@ func TestPlanMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", nl.Name, err)
 		}
-		for m := 0; m < 1<<nl.NumInputs; m++ {
-			in := make([]bool, nl.NumInputs)
-			for i := range in {
-				in[i] = m>>i&1 == 1
-			}
-			want, err := nl.Evaluate(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := evalPlan(p, in)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s input %b output %d: plan %v, reference %v",
-						nl.Name, m, i, got[i], want[i])
-				}
+		matchEvaluate(t, nl, p)
+	}
+}
+
+// matchEvaluate replays p in cleartext over every input assignment of nl
+// and fails on the first output that differs from Netlist.Evaluate.
+func matchEvaluate(t *testing.T, nl *circuit.Netlist, p *Plan) {
+	t.Helper()
+	for m := 0; m < 1<<nl.NumInputs; m++ {
+		in := make([]bool, nl.NumInputs)
+		for i := range in {
+			in[i] = m>>i&1 == 1
+		}
+		want, err := nl.Evaluate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := evalPlan(p, in)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s input %b output %d: plan %v, reference %v",
+					nl.Name, m, i, got[i], want[i])
 			}
 		}
 	}
@@ -163,18 +170,23 @@ func TestDedupCollapsesPeriodicChains(t *testing.T) {
 }
 
 // TestArenaLiveness verifies the compile-time slot assignment against the
-// refcounting invariants the dynamic executors enforce at runtime: no
-// arena slot is overwritten while a previous value in it still has a
-// pending reader (barrier granularity: reuse is legal only from the level
-// after the last read), and the arena is no larger than the peak number of
-// simultaneously live values.
+// invariants a runtime refcount would enforce: no arena slot is
+// overwritten while a previous value in it still has a pending reader
+// (barrier granularity: reuse is legal only from the level after the last
+// read), an output's slot holds the output at the end even when the output
+// also feeds later instructions — a slot recycled after the output's last
+// interior read fails the exhaustive cleartext replay against
+// Netlist.Evaluate, and the netlists must hold that shape — and the arena
+// is no larger than the peak number of simultaneously live values.
 func TestArenaLiveness(t *testing.T) {
+	outputsRead := 0
 	for seed := int64(10); seed < 16; seed++ {
 		nl := randomNetlist(seed, 6, 150)
 		p, err := Compile(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
+		matchEvaluate(t, nl, p)
 		type version struct{ write, lastRead int }
 		var versions []version
 		current := make(map[Ref]int)     // slot ref → live version index
@@ -212,9 +224,12 @@ func TestArenaLiveness(t *testing.T) {
 				current[ins.Out] = len(versions) - 1
 			}
 		}
-		// Output slots must still hold their final version (no overwrite
-		// was flagged above), and the arena must not exceed peak liveness.
+		// An output's final version stays live to the end, and the arena
+		// must not exceed peak liveness.
 		for ref := range outputRefs {
+			if v := versions[current[ref]]; v.lastRead > v.write {
+				outputsRead++
+			}
 			versions[current[ref]].lastRead = p.Stats().Levels + 1
 		}
 		peak := 0
@@ -232,6 +247,9 @@ func TestArenaLiveness(t *testing.T) {
 		if p.ArenaSlots() > peak {
 			t.Fatalf("seed %d arena %d exceeds peak liveness %d", seed, p.ArenaSlots(), peak)
 		}
+	}
+	if outputsRead == 0 {
+		t.Fatal("no output feeds a later instruction: the netlists miss the shape that catches a recycled output")
 	}
 }
 

@@ -143,10 +143,10 @@ type Counts struct {
 
 // Interp is the one interpreter of plan instructions: it resolves each
 // instruction's slots in a value table and hands the operation to an
-// exec.Batcher, the evaluator plans share with netlists. Replay and the
-// slice scheduler's workers (backend.Shared, which runs plans and cluster
-// shard levels alike) run instructions through it. An Interp belongs to
-// one goroutine.
+// exec.Batcher, the execution core's evaluator. Replay and the slice
+// scheduler's workers (backend.Shared, which runs plans and cluster shard
+// levels alike) run instructions through it. An Interp belongs to one
+// goroutine.
 type Interp struct {
 	bt *exec.Batcher
 
@@ -217,12 +217,13 @@ func (it *Interp) Run(instrs []Instr, vals []*lwe.Sample, mem *exec.Arena, flush
 	return nil
 }
 
-// Replay executes a plan level by level on one interpreter: the sequential
-// oracle this package's tests compare compiled plans against. Everything
-// that runs plans for real — backend.Planned, pytfhed — goes through
-// backend.Shared's slice scheduler instead. The returned slice parallels
-// the source netlist's outputs and is freshly allocated; inputs are not
-// modified.
+// Replay executes a plan level by level on one interpreter: the
+// sequential executor behind backend.Single and the oracle this package's
+// tests compare compiled plans against. Everything that runs plans on more
+// than one worker — backend.Planned, pytfhed, cluster shards — goes
+// through backend.Shared's slice scheduler instead. The returned slice
+// parallels the source netlist's outputs and is freshly allocated; inputs
+// are not modified.
 func Replay(p *Plan, it *Interp, inputs []*lwe.Sample, rt *Runtime) ([]*lwe.Sample, error) {
 	if err := rt.Bind(p, inputs); err != nil {
 		return nil, err

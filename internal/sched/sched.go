@@ -93,10 +93,10 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// LocalPool models the in-process multi-worker executors (backend.Pool and
-// backend.Planned): workers goroutines on one node sharing memory, so gates
-// pay no network cost and dispatch is a channel operation — negligible next
-// to a bootstrap. Feeding it a measured gate time makes Simulate's
+// LocalPool models the in-process multi-worker executor (backend.Planned,
+// which the pool and plan backends build): workers goroutines on one node
+// sharing memory, so gates pay no network cost and dispatch is a channel
+// operation — negligible next to a bootstrap. Feeding it a measured gate time makes Simulate's
 // makespan directly comparable to backend.Planned's wall clock (see the
 // calibration test in internal/backend).
 func LocalPool(workers int, gateTime time.Duration) Platform {
@@ -163,15 +163,34 @@ func (r Result) Efficiency() float64 {
 	return r.Speedup() / float64(r.Platform.Workers())
 }
 
+// Level is the work of one wavefront: its bootstrapped and free gates.
+type Level struct{ Bootstraps, Free int }
+
 // Simulate predicts the wavefront execution of nl on p.
 func Simulate(nl *circuit.Netlist, p Platform) Result {
-	c := p.Cost
-	res := Result{
-		Platform:     p,
-		CriticalPath: nl.Depth(),
-	}
 	levels := nl.Levels()
-	res.Levels = len(levels)
+	work := make([]Level, len(levels))
+	for i, level := range levels {
+		for _, gi := range level {
+			if nl.Gates[gi].NeedsBootstrap() {
+				work[i].Bootstraps++
+			} else {
+				work[i].Free++
+			}
+		}
+	}
+	res := SimulateLevels(work, p)
+	res.CriticalPath = nl.Depth()
+	return res
+}
+
+// SimulateLevels predicts the execution of the given wavefronts on p, one
+// level after the other; the result's CriticalPath is left zero. A
+// compiled plan's levels run through it model what the plan executors
+// actually evaluate after deduplication.
+func SimulateLevels(levels []Level, p Platform) Result {
+	c := p.Cost
+	res := Result{Platform: p, Levels: len(levels)}
 	w := p.Workers()
 	if w < 1 {
 		w = 1
@@ -188,14 +207,7 @@ func Simulate(nl *circuit.Netlist, p Platform) Result {
 
 	var makespan, compute, comm, overhead, serial time.Duration
 	for _, level := range levels {
-		boot, free := 0, 0
-		for _, gi := range level {
-			if nl.Gates[gi].NeedsBootstrap() {
-				boot++
-			} else {
-				free++
-			}
-		}
+		boot, free := level.Bootstraps, level.Free
 		res.Bootstraps += boot
 		serial += time.Duration(boot)*c.GateTime + time.Duration(free)*c.FreeGateTime
 

@@ -18,9 +18,9 @@ fi
 go vet ./...
 go build ./...
 
-# One evaluator: a netlist gate and a plan or shard instruction all reach
-# the gate engine through exec.Batcher, whose exec.Eval calls Engine.Apply
-# and whose Flush calls Engine.OpBatch. Any other file under the executor
+# One evaluator: every plan or shard instruction reaches the gate engine
+# through plan.Interp and exec.Batcher, whose Do calls Engine.Apply and
+# whose Flush calls Engine.OpBatch. Any other file under the executor
 # packages calling the engine on IR operands is a forked dispatcher, and a
 # batcher.go that no longer matches means this guard went stale.
 evaluators=$(find internal/exec internal/plan internal/shard internal/cluster internal/backend internal/serve \
@@ -52,6 +52,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'func (EvalWordTT|evalInstrW
 fi
 if [ "$(grep -lE '^func EvalWord\[' internal/plan/*.go)" != "internal/plan/verify.go" ]; then
     echo "the one word evaluator, plan.EvalWord, is no longer defined in internal/plan/verify.go" >&2
+    exit 1
+fi
+
+# One execution core: every backend compiles its program into a plan and
+# replays it through plan.Interp — plan.Replay for Single, backend.Shared's
+# slice scheduler for the rest. A netlist driver, a per-worker engine set,
+# a refcounted value table or an evaluator beside exec.Batcher back in the
+# tree is a second interpreter returning. Lint plants under testdata/ are
+# fixtures, not drivers.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+    '^func (\([^)]*\) )?(RunSequential|RunLevels|NewWorkers)\b' internal ||
+    grep -rnE --include='*.go' --exclude='*_test.go' '^(type (State|Workers)|func Eval)\b' internal/exec; then
+    echo "internal/exec holds no netlist driver: every backend replays a compiled plan" >&2
     exit 1
 fi
 
