@@ -66,7 +66,7 @@ bench:
 # (AVX2+FMA or Go). The gate figures are bench/ probes (gate.binary_ns,
 # gate.batch16_ns; see bench/README.md).
 bench-kernel:
-	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/lwe/ ./internal/tfhe/boot/
+	go test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/trand/ ./internal/torus/ ./internal/tfhe/tgsw/ ./internal/tfhe/lwe/ ./internal/tfhe/boot/
 
 # Compile-path benchmark of a 14×14 MNIST_S (BenchmarkCompileMNIST): the
 # ChiselTorch lowering, one synth.Optimize of the unsynthesized lowering,

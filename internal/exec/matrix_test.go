@@ -145,9 +145,10 @@ func TestBackendsAgreeWithPlain(t *testing.T) {
 
 		backends := []backend.Backend{backend.NewSingle(ck)}
 		for _, w := range []int{1, 2, 4} {
-			planned := backend.NewPlanned(ck, w, 1)
-			defer planned.Close()
-			backends = append(backends, backend.NewPool(ck, w), planned)
+			pool, planned := backend.NewPool(ck, w), backend.NewPlanned(ck, w, 1)
+			t.Cleanup(pool.Close)
+			t.Cleanup(planned.Close)
+			backends = append(backends, pool, planned)
 		}
 		for _, be := range backends {
 			outs, err := be.Run(nl, backend.EncryptInputs(sk, in))
@@ -205,7 +206,12 @@ func TestNilInputRejectedEverywhere(t *testing.T) {
 	}{
 		{"plain", func() error { _, err := backend.Plain{}.Run(nl, bad); return err }},
 		{"single", func() error { _, err := backend.NewSingle(ck).Run(nl, bad); return err }},
-		{"pool", func() error { _, err := backend.NewPool(ck, 2).Run(nl, bad); return err }},
+		{"pool", func() error {
+			p := backend.NewPool(ck, 2)
+			t.Cleanup(p.Close)
+			_, err := p.Run(nl, bad)
+			return err
+		}},
 		{"plan", func() error {
 			p := backend.NewPlanned(ck, 2, 1)
 			defer p.Close()

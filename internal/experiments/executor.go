@@ -32,10 +32,10 @@ type ExecutorRow struct {
 // number here is wall clock over actual bootstrapped gates. Every executor
 // runs the compiled plan, so the baseline is Algorithm 1 after exact
 // functional deduplication, not over the raw netlist. The single-core gate
-// cost is calibrated from a Single run of the same netlist — its replay
-// time, compile time excluded, over the bootstraps its plan executes — and
-// the Predicted column simulates that plan's levels at that cost, so it
-// models exactly the work the executors do.
+// cost is calibrated from a warm Single run of the same netlist — its
+// replay time, compile time excluded, over the bootstraps its plan
+// executes — and the Predicted column simulates that plan's levels at
+// that cost, so it models exactly the work the executors do.
 func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sample, workerCounts []int) ([]ExecutorRow, error) {
 	compiled, err := plan.Compile(nl)
 	if err != nil {
@@ -52,9 +52,13 @@ func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sampl
 		}
 	}
 
+	// Every executor runs the netlist once untimed before its timed run,
+	// so neither side of a speedup pays a cold engine, runtime or cache.
 	calib := backend.NewSingle(ck)
-	if _, err := calib.Run(nl, inputs); err != nil {
-		return nil, fmt.Errorf("experiments: calibration run: %w", err)
+	for range 2 {
+		if _, err := calib.Run(nl, inputs); err != nil {
+			return nil, fmt.Errorf("experiments: calibration run: %w", err)
+		}
 	}
 	gt := DefaultGateTime
 	if b := calib.PlanStats.ExecBootstraps; b > 0 {
@@ -66,6 +70,9 @@ func ExecutorScaling(ck *boot.CloudKey, nl *circuit.Netlist, inputs []*lwe.Sampl
 		// Unbatched: Fig. 10 compares schedulers, not kernels.
 		planned := backend.NewPool(ck, w)
 		_, err := planned.Run(nl, inputs)
+		if err == nil {
+			_, err = planned.Run(nl, inputs)
+		}
 		planned.Close()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: plan(%d): %w", w, err)

@@ -12,11 +12,43 @@
 package models
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 
 	"pytfhe/internal/chiseltorch"
-	"pytfhe/internal/trand"
 )
+
+// weightStream is the frozen generator of the fixture weights. Block i of
+// the stream is SHA-256(SHA-256(seed) ‖ LE64(i)), read as four
+// little-endian 8-byte words. It is not the scheme's random generator and
+// must never change: every compiled model, pinned netlist hash and
+// benchmark binary is built from the weights it yields.
+type weightStream struct {
+	key   [32]byte
+	block uint64
+	buf   [32]byte
+	off   int
+}
+
+func newWeightStream(seed string) *weightStream {
+	return &weightStream{key: sha256.Sum256([]byte(seed)), off: 32}
+}
+
+// float64 returns a value in [0, 1) from the top 53 bits of the next word.
+func (w *weightStream) float64() float64 {
+	if w.off == len(w.buf) {
+		var in [40]byte
+		copy(in[:32], w.key[:])
+		binary.LittleEndian.PutUint64(in[32:], w.block)
+		w.block++
+		w.buf = sha256.Sum256(in[:])
+		w.off = 0
+	}
+	v := binary.LittleEndian.Uint64(w.buf[w.off:])
+	w.off += 8
+	return float64(v>>11) / (1 << 53)
+}
 
 // MNISTSpec describes one MNIST CNN: Conv2d(1, Kernels, 3, 1) -> ReLU ->
 // MaxPool2d(3,1) -> Flatten -> Linear(-, 10), the Fig. 4 topology.
@@ -74,11 +106,11 @@ type Weights struct {
 // GenWeights derives deterministic weights in roughly the magnitude range
 // of a trained, normalized network.
 func (s MNISTSpec) GenWeights() Weights {
-	rng := trand.NewSeeded([]byte("pytfhe-weights-" + s.Name))
+	rng := newWeightStream("pytfhe-weights-" + s.Name)
 	gen := func(n int, scale float64) []float64 {
 		v := make([]float64, n)
 		for i := range v {
-			v[i] = math.Round((rng.Float64()*2-1)*scale*64) / 64 // quantization-friendly
+			v[i] = math.Round((rng.float64()*2-1)*scale*64) / 64 // quantization-friendly
 		}
 		return v
 	}
@@ -135,11 +167,11 @@ func (a AttentionSpec) Scaled(seq, hidden int) AttentionSpec {
 
 // ToChiselTorch builds the attention layer as a ChiselTorch model.
 func (a AttentionSpec) ToChiselTorch(dt chiseltorch.DType) chiseltorch.Model {
-	rng := trand.NewSeeded([]byte("pytfhe-attn-" + a.Name))
+	rng := newWeightStream("pytfhe-attn-" + a.Name)
 	gen := func() []float64 {
 		v := make([]float64, a.Hidden*a.Hidden)
 		for i := range v {
-			v[i] = math.Round((rng.Float64()*2-1)*32) / 64
+			v[i] = math.Round((rng.float64()*2-1)*32) / 64
 		}
 		return v
 	}

@@ -290,3 +290,19 @@ func TestDecodedKeyIsFlat(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernelGenerateKeys times one whole key generation: the LWE and
+// ring keys, the bootstrapping key (n TGSW encryptions taken to the
+// half-complex form) and the key-switching key, from one seeded Source.
+func BenchmarkKernelGenerateKeys(b *testing.B) {
+	for _, p := range []*params.GateParams{params.Default128(), params.Test()} {
+		b.Run(p.Name, func(b *testing.B) {
+			rng := trand.NewSeeded([]byte("boot-keygen-bench"))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := GenerateKeys(p, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -78,9 +78,10 @@ func (s *Sample) NoiselessTrivial(mu torus.Torus32) {
 // standard deviation alpha.
 func Encrypt(dst *Sample, mu torus.Torus32, alpha float64, k *Key, rng *trand.Source) {
 	dst.B = rng.GaussianTorus32(mu, alpha)
-	for i := range dst.A {
-		dst.A[i] = rng.Torus32()
-		dst.B += dst.A[i] * uint32(k.Bits[i])
+	rng.Fill(dst.A)
+	bits := k.Bits[:len(dst.A)]
+	for i, a := range dst.A {
+		dst.B += a * uint32(bits[i])
 	}
 	dst.Variance = alpha * alpha
 }

@@ -311,3 +311,17 @@ func TestKeySwitchAllocationFree(t *testing.T) {
 		t.Errorf("ApplyBatch: %v allocations per call after the first", n)
 	}
 }
+
+// BenchmarkKernelEncrypt times one LWE encryption at n = 630, the
+// Default128 LWE dimension: one Gaussian body and n uniform mask words.
+func BenchmarkKernelEncrypt(b *testing.B) {
+	p := params.Default128()
+	rng := trand.NewSeeded([]byte("lwe-encrypt-bench"))
+	key := NewKey(p.LWEDimension, p.LWEStdev, rng)
+	s := NewSample(key.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Encrypt(s, torus.ModSwitchToTorus32(int32(i%8), 8), key.Stdev, key, rng)
+	}
+}

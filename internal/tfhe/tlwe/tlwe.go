@@ -173,9 +173,7 @@ func (e *Encryptor) EncryptZero(dst *Sample, alpha float64, rng *trand.Source) {
 	e.acc.Clear()
 	for i := 0; i < key.K; i++ {
 		a := dst.A[i]
-		for j := 0; j < n; j++ {
-			a.Coefs[j] = rng.Torus32()
-		}
+		rng.Fill(a.Coefs[:n])
 		e.proc.HalfFoldTorus(e.fa, a)
 		e.acc.MulAccTo(keyH[i], e.fa)
 	}

@@ -2,29 +2,36 @@
 // uniform bits for secret keys, uniform torus elements for ciphertext masks,
 // and Gaussian-distributed torus noise.
 //
-// The generator is a deterministic SHA-256-based DRBG. Seeded from
-// crypto/rand it is suitable for the semi-honest threat model of the paper;
-// seeded from an explicit value it makes every test and benchmark
-// reproducible. Only the Go standard library is used.
+// The generator is AES-256 in counter mode: the key is SHA-256 of the seed,
+// the counter starts at zero, and every method reads the next bytes of the
+// keystream. Seeded from crypto/rand it is suitable for the semi-honest
+// threat model of the paper; seeded from an explicit value it makes every
+// test and benchmark reproducible. Only the Go standard library is used.
 //
 //pytfhe:cryptoroot
 package trand
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
 )
 
+// bufSize is the number of keystream bytes generated at a time.
+const bufSize = 1024
+
 // Source is a deterministic cryptographically-seeded random generator.
 // It is not safe for concurrent use; give each goroutine its own Source
 // (see Fork).
 type Source struct {
-	key     [32]byte
-	counter uint64
-	buf     [32]byte
-	off     int
+	key    [32]byte
+	forks  uint64 // children derived so far
+	stream cipher.Stream
+	buf    [bufSize]byte
+	off    int
 
 	// cached spare Gaussian variate from the Box-Muller transform
 	haveSpare bool
@@ -45,38 +52,43 @@ func New() *Source {
 // NewSeeded returns a deterministic Source derived from seed. Two Sources
 // constructed from the same seed produce identical streams.
 func NewSeeded(seed []byte) *Source {
-	s := &Source{}
-	s.key = sha256.Sum256(seed)
-	s.off = len(s.buf) // force refill on first use
+	return fromKey(sha256.Sum256(seed))
+}
+
+func fromKey(key [32]byte) *Source {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic("trand: " + err.Error()) // unreachable: the key is 32 bytes
+	}
+	s := &Source{key: key, off: bufSize} // refill on first use
+	s.stream = cipher.NewCTR(block, make([]byte, aes.BlockSize))
 	return s
 }
 
-// Fork derives an independent child Source. The child's stream is
-// deterministic given the parent's state, and advancing the child does not
-// affect the parent.
+// Fork derives an independent child Source, keyed by SHA-256 of the
+// parent's key and the number of children derived before it. The child's
+// stream is deterministic given the parent's state, and advancing the
+// child does not affect the parent.
 func (s *Source) Fork() *Source {
 	var material [40]byte
 	copy(material[:32], s.key[:])
-	binary.LittleEndian.PutUint64(material[32:], s.counter)
-	s.counter++
-	child := &Source{}
-	child.key = sha256.Sum256(material[:])
-	child.off = len(child.buf)
-	return child
+	binary.LittleEndian.PutUint64(material[32:], s.forks)
+	s.forks++
+	return fromKey(sha256.Sum256(material[:]))
 }
 
+// refill replaces the buffer with the next bufSize keystream bytes: the
+// keystream XORed onto zeros.
 func (s *Source) refill() {
-	var block [40]byte
-	copy(block[:32], s.key[:])
-	binary.LittleEndian.PutUint64(block[32:], s.counter)
-	s.counter++
-	s.buf = sha256.Sum256(block[:])
+	clear(s.buf[:])
+	s.stream.XORKeyStream(s.buf[:], s.buf[:])
 	s.off = 0
 }
 
-// Uint32 returns a uniformly random 32-bit value.
+// Uint32 returns a uniformly random 32-bit value: the next four keystream
+// bytes, little-endian.
 func (s *Source) Uint32() uint32 {
-	if s.off+4 > len(s.buf) {
+	if s.off+4 > bufSize {
 		s.refill()
 	}
 	v := binary.LittleEndian.Uint32(s.buf[s.off:])
@@ -84,10 +96,29 @@ func (s *Source) Uint32() uint32 {
 	return v
 }
 
-// Uint64 returns a uniformly random 64-bit value.
+// Fill sets dst to the next len(dst) values Uint32 would return, in order.
+func (s *Source) Fill(dst []uint32) {
+	for len(dst) > 0 {
+		if s.off+4 > bufSize {
+			s.refill()
+		}
+		n := min(len(dst), (bufSize-s.off)/4)
+		words := dst[:n]
+		src := s.buf[s.off : s.off+4*n]
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(src)
+			src = src[4:]
+		}
+		s.off += 4 * n
+		dst = dst[n:]
+	}
+}
+
+// Uint64 returns a uniformly random 64-bit value: the next eight keystream
+// bytes, little-endian.
 func (s *Source) Uint64() uint64 {
-	if s.off+8 > len(s.buf) {
-		s.refill()
+	if s.off+8 > bufSize {
+		return uint64(s.Uint32()) | uint64(s.Uint32())<<32
 	}
 	v := binary.LittleEndian.Uint64(s.buf[s.off:])
 	s.off += 8
@@ -121,10 +152,10 @@ func (s *Source) Normal() float64 {
 	}
 	v := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	s.spare = r * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	s.spare = r * sin
 	s.haveSpare = true
-	return r * math.Cos(theta)
+	return r * cos
 }
 
 // GaussianTorus32 returns mu plus Gaussian noise of standard deviation
